@@ -1,0 +1,315 @@
+//! Golden release bits: `UpaResult` bit patterns recorded under fixed
+//! seeds **before** phases 1–3 of Algorithm 1 were unified over a record
+//! source, and required to stay identical afterwards. A refactor that
+//! changes which records are sampled, their logical halves, or the order
+//! the un-sampled remainder folds in moves these bits — that would be a
+//! utility change, not a cleanup.
+//!
+//! The constants depend on the `StdRng` stream. They were recorded
+//! against the repository's offline `rand` stand-in
+//! (`benchmark/stubs/rand`, xoshiro256++); under any other stream (the
+//! published crate's ChaCha12) the recorded table does not apply and
+//! only the cross-source agreement checks run.
+
+use dataflow::columnar::{ColumnarBuf, ColumnarDataset};
+use dataflow::Context;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
+use std::collections::HashMap;
+use upa_core::domain::{ColumnarEmpiricalSampler, EmpiricalSampler};
+use upa_core::query::MapReduceQuery;
+use upa_core::{DpOutput, Upa, UpaConfig, UpaResult};
+use upa_repro::suite::{build_queries, EvalData, EvalScale};
+use upa_server::{AggKind, DatasetSpec, ServerConfig, ServerState};
+use upa_store::{IngestOptions, Store};
+
+/// First output of `StdRng::seed_from_u64(0xF1A9)` under the stream the
+/// constants below were recorded with.
+const RECORDED_STREAM: u64 = 0x078d_7752_cc80_efa5;
+
+fn recorded_stream() -> bool {
+    let matches = StdRng::seed_from_u64(0xF1A9).next_u64() == RECORDED_STREAM;
+    if !matches {
+        eprintln!("golden_bits: unrecorded StdRng stream; constants skipped");
+    }
+    matches
+}
+
+/// `[released.., raw.., sensitivity.., (lo, hi)..]` as bit patterns.
+fn bits<Out: DpOutput>(r: &UpaResult<Out>) -> Vec<u64> {
+    let mut out: Vec<u64> = Vec::new();
+    out.extend(r.released.components().iter().map(|x| x.to_bits()));
+    out.extend(r.raw.components().iter().map(|x| x.to_bits()));
+    out.extend(r.sensitivity.iter().map(|x| x.to_bits()));
+    for (lo, hi) in &r.range.bounds {
+        out.push(lo.to_bits());
+        out.push(hi.to_bits());
+    }
+    out
+}
+
+fn check(case: &str, got: &[u64], want: &[u64]) {
+    if recorded_stream() {
+        assert_eq!(
+            got, want,
+            "{case}: release bits moved\n  got:  {got:#018x?}\n  want: {want:#018x?}"
+        );
+    }
+}
+
+fn values() -> Vec<f64> {
+    (0..3_001)
+        .map(|i| ((i * 37) % 113) as f64 * 0.37 - 7.0)
+        .collect()
+}
+
+fn engine(ctx: &Context, seed: u64) -> Upa {
+    Upa::new(
+        ctx.clone(),
+        UpaConfig {
+            sample_size: 64,
+            seed,
+            ..UpaConfig::default()
+        },
+    )
+}
+
+fn sum_query(half_key: bool) -> MapReduceQuery<f64, f64, f64> {
+    let q = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+    if half_key {
+        q.with_half_key(|x: &f64| x.to_bits())
+    } else {
+        q
+    }
+}
+
+const ROW_HALF_KEY: [u64; 5] = [
+    0x40e4_a86c_af19_6904,
+    0x40e4_1c0e_6666_6665,
+    0x4055_a3a4_fbca_e800,
+    0x40e4_1690_c4d5_8828,
+    0x40e4_2162_9753_6d9c,
+];
+const ROW_PHYSICAL: [u64; 5] = [
+    0x40e5_690d_f347_452b,
+    0x40e4_1c0e_6666_6664,
+    0x4056_91d7_8dde_ac00,
+    0x40e4_16b1_ff3b_40a5,
+    0x40e4_21fa_eb02_2ffb,
+];
+const ROW_FILTERED: [u64; 5] = [
+    0x40d5_9d58_c304_99b3,
+    0x40d6_153c_cccc_ccca,
+    0x4052_c167_f240_c600,
+    0x40d6_0c89_126d_4600,
+    0x40d6_1f4a_7a5f_86c6,
+];
+
+/// (a) `Upa::run` over a `Dataset<f64>`: with a half key, with physical
+/// halves, and over a post-`filter` dataset whose partitions are uneven.
+#[test]
+fn row_dataset_release_bits() {
+    let ctx = Context::with_threads(4);
+    let data = values();
+    let ds = ctx.parallelize(data.clone(), 5);
+    let domain = EmpiricalSampler::new(data);
+
+    let r = engine(&ctx, 11)
+        .run(&ds, &sum_query(true), &domain)
+        .unwrap();
+    check("row/half_key", &bits(&r), &ROW_HALF_KEY);
+
+    let r = engine(&ctx, 12)
+        .run(&ds, &sum_query(false), &domain)
+        .unwrap();
+    check("row/physical", &bits(&r), &ROW_PHYSICAL);
+
+    let filtered = ds.filter(|x| *x < 20.0 || *x > 30.0);
+    let r = engine(&ctx, 13)
+        .run(&filtered, &sum_query(true), &domain)
+        .unwrap();
+    check("row/filtered", &bits(&r), &ROW_FILTERED);
+}
+
+const COLUMNAR_HALF_KEY: [u64; 5] = [
+    0x40e4_8286_2c58_a43f,
+    0x40e4_1c0e_6666_6663,
+    0x4055_811f_0758_3c00,
+    0x40e4_1668_d652_a4cf,
+    0x40e4_2129_65d6_50ed,
+];
+const COLUMNAR_PHYSICAL: [u64; 5] = [
+    0x40e4_492c_8439_7990,
+    0x40e4_1c0e_6666_6664,
+    0x4056_a69c_7121_ec00,
+    0x40e4_1665_0654_5b5a,
+    0x40e4_21b8_548c_ec50,
+];
+
+/// (b) The columnar source over a 3-chunk buffer. Chunk layout must not
+/// reach the release: the same values as one flat `Dataset` partitioned
+/// by the engine default release the same bits under the same seed.
+#[test]
+fn columnar_three_chunk_release_bits() {
+    let ctx = Context::with_threads(4);
+    let data = values();
+    let buf = ColumnarBuf::from_values(&data, 1_001);
+    assert_eq!(buf.num_chunks(), 3);
+    let cds = ColumnarDataset::new(&ctx, buf.clone());
+    let domain = ColumnarEmpiricalSampler::new(buf);
+    let row = ctx.parallelize_default(data.clone());
+    let row_domain = EmpiricalSampler::new(data);
+
+    for (half_key, seed, want) in [
+        (true, 21, &COLUMNAR_HALF_KEY),
+        (false, 22, &COLUMNAR_PHYSICAL),
+    ] {
+        let q = sum_query(half_key);
+        let r = engine(&ctx, seed).run_columnar(&cds, &q, &domain).unwrap();
+        check("columnar", &bits(&r), want);
+        let r_row = engine(&ctx, seed).run(&row, &q, &row_domain).unwrap();
+        assert_eq!(bits(&r), bits(&r_row), "chunk layout reached the release");
+    }
+}
+
+const TPCH6: [u64; 5] = [
+    0xc0db_6dfe_7ee6_f68a,
+    0x40e5_61ad_c00a_7bd5,
+    0x4095_8a82_0104_cda0,
+    0x40e4_d1b6_5eb9_5e08,
+    0x40e5_7e0a_6ec1_8475,
+];
+const LINEAR_REGRESSION_FNV: u64 = 0x21a4_7557_301d_52ac;
+
+fn fnv(words: &[u64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// (c) Generic-`T` queries from the paper suite: TPCH6 (a float sum over
+/// lineitems) and LinearRegression (a vector accumulator).
+#[test]
+fn paper_suite_release_bits() {
+    let ctx = Context::with_threads(4);
+    let data = EvalData::generate(
+        &ctx,
+        EvalScale {
+            orders: 600,
+            ml_records: 400,
+            partitions: 5,
+            seed: 0xE7A1,
+        },
+    );
+    let queries = build_queries(&data);
+    let run = |name: &str, seed: u64| {
+        let q = queries
+            .iter()
+            .find(|q| q.name() == name)
+            .unwrap_or_else(|| panic!("suite has no {name}"));
+        bits(&q.run_upa(&mut engine(&ctx, seed), &data).unwrap())
+    };
+    check("TPCH6", &run("TPCH6", 31), &TPCH6);
+    check(
+        "LinearRegression",
+        &[fnv(&run("LinearRegression", 32))],
+        &[LINEAR_REGRESSION_FNV],
+    );
+}
+
+const SERVED_SYNTHETIC: [u64; 5] = [
+    0x4047_d4d4_d4d2_4a4f,
+    0x3fb3_96dc_e81b_ac00,
+    0x3f9f_57c7_d9c5_e000,
+    0x4047_e2b4_661d_aa31,
+    0x4047_e69f_5f18_e2ed,
+];
+const SERVED_FRACTIONAL: [u64; 5] = [
+    0x40ea_b6ed_a4a8_5cf8,
+    0x4069_24f0_50cb_4c00,
+    0x4054_1d8d_0d6f_7000,
+    0x40ea_cbae_3862_877c,
+    0x40ea_d5bc_fee9_3f34,
+];
+const SERVED_STORE: [u64; 5] = [
+    0x4047_e094_000e_1b55,
+    0x3fb3_57e1_186a_5400,
+    0x3f9e_f301_c0aa_2000,
+    0x4047_e2d0_9d3b_1e04,
+    0x4047_e6ae_fd73_3348,
+];
+
+/// `[released, noise_scale, sensitivity, lo, hi]` of one served release.
+fn served_bits(state: &ServerState, dataset: &str, kind: AggKind) -> Vec<u64> {
+    let out = state.release(dataset, kind, "v", None, true).unwrap();
+    let audit = out.audit.expect("audit requested");
+    vec![
+        out.released.to_bits(),
+        out.noise_scale.to_bits(),
+        audit.sensitivity[0].to_bits(),
+        audit.range[0].0.to_bits(),
+        audit.range[0].1.to_bits(),
+    ]
+}
+
+/// (d) `ServerState` releases: over `DatasetSpec::synthetic`, over an
+/// in-memory spec with fractional values, and over a store attach of the
+/// synthetic values in three chunks.
+#[test]
+fn served_release_bits() {
+    let rows = 4_000usize;
+    let fractional: Vec<f64> = (0..rows)
+        .map(|i| ((i * 37) % 113) as f64 * 0.37 - 7.0)
+        .collect();
+    let dir = std::env::temp_dir().join(format!("upa_golden_bits_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let synthetic: Vec<f64> = (0..rows).map(|i| (i % 97) as f64).collect();
+    Store::open(&dir)
+        .unwrap()
+        .ingest(
+            "stored",
+            &[("v".to_string(), synthetic)],
+            &IngestOptions {
+                chunk_rows: 1_500,
+                overwrite: false,
+            },
+        )
+        .unwrap();
+    let state = ServerState::new(ServerConfig {
+        datasets: vec![
+            DatasetSpec::synthetic("synthetic", rows, 97),
+            DatasetSpec::new(
+                "fractional",
+                rows,
+                HashMap::from([("v".to_string(), fractional)]),
+            ),
+        ],
+        epsilon: 0.4,
+        sample_size: 40,
+        seed: 0x601D,
+        threads: 3,
+        store_path: Some(dir.clone()),
+        attach: vec!["stored".to_string()],
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    check(
+        "served/synthetic",
+        &served_bits(&state, "synthetic", AggKind::Mean),
+        &SERVED_SYNTHETIC,
+    );
+    check(
+        "served/fractional",
+        &served_bits(&state, "fractional", AggKind::Sum),
+        &SERVED_FRACTIONAL,
+    );
+    check(
+        "served/store",
+        &served_bits(&state, "stored", AggKind::Mean),
+        &SERVED_STORE,
+    );
+    drop(state);
+    let _ = std::fs::remove_dir_all(&dir);
+}
