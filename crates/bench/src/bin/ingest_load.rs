@@ -135,44 +135,8 @@ fn main() {
     }
     let cold_attach_ms = median(&mut attach_samples);
 
-    // Columnar vs row scan over resident chunks: the row path pays the
-    // `Vec<f64>` re-materialisation the serving layer used to do before
-    // every prepare; the columnar path sums the shared chunk slices in
-    // place. Same data, same result, no copy.
     let loaded = store.load("bench", Some(&pool)).expect("load for scan");
     let (_, buf) = &loaded.columns[0];
-    let mut row_scan_samples = Vec::with_capacity(iters);
-    let mut col_scan_samples = Vec::with_capacity(iters);
-    let mut checksum = (0.0f64, 0.0f64);
-    for _ in 0..iters {
-        let (row_sum, ms) = time_millis(|| {
-            let values = buf.to_vec();
-            values.iter().sum::<f64>()
-        });
-        row_scan_samples.push(ms);
-        let (col_sum, ms) = time_millis(|| {
-            // One running accumulator across chunk slices — the same
-            // fold order as the flat scan, so the sums match bit for
-            // bit; only the copy disappears.
-            let mut acc = 0.0f64;
-            for c in buf.chunks() {
-                for v in c.values.iter() {
-                    acc += *v;
-                }
-            }
-            acc
-        });
-        col_scan_samples.push(ms);
-        checksum = (row_sum, col_sum);
-    }
-    assert_eq!(
-        checksum.0.to_bits(),
-        checksum.1.to_bits(),
-        "scan paths must agree bit-for-bit"
-    );
-    let row_scan_ms = median(&mut row_scan_samples);
-    let col_scan_ms = median(&mut col_scan_samples);
-    let scan_speedup = row_scan_ms / col_scan_ms.max(1e-9);
 
     // Predicate pushdown over the monotone key column: chunk min/max
     // statistics discard whole chunks before any value is read. The
@@ -199,9 +163,6 @@ fn main() {
     if speedup < 2.0 {
         println!("WARNING: speedup below the 2x bar");
     }
-    println!("row scan    : {row_scan_ms:>9.2} ms  (materialise Vec, then sum)");
-    println!("column scan : {col_scan_ms:>9.2} ms  (sum chunk slices in place)");
-    println!("scan speedup: {scan_speedup:>9.2}x  (columnar vs row, bit-identical sums)");
     println!(
         "prune rate  : {:>9.1}%  ({} of {} chunks, {} rows never scanned)",
         prune_rate * 100.0,
@@ -216,8 +177,6 @@ fn main() {
          \"ingest_ms\": {ingest_ms:.3}, \"csv_parse_ms\": {csv_parse_ms:.3}, \
          \"chunk_load_ms\": {chunk_load_ms:.3}, \"cold_attach_ms\": {cold_attach_ms:.3}, \
          \"speedup\": {speedup:.3}, \
-         \"row_scan_ms\": {row_scan_ms:.3}, \"columnar_scan_ms\": {col_scan_ms:.3}, \
-         \"scan_speedup\": {scan_speedup:.3}, \
          \"prune\": {{\"rate\": {prune_rate:.4}, \"pruned_chunks\": {}, \"chunks\": {}, \
          \"pruned_rows\": {}}}}}",
         report.bytes, report.chunks, prune.pruned_chunks, prune.chunks, prune.pruned_rows

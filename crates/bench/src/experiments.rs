@@ -489,10 +489,10 @@ pub fn stage_audit(cfg: &ExpConfig) {
 // Hot-path microbenchmark: combining, fusion, parallel phase 4
 // ---------------------------------------------------------------------------
 
-/// Hot-path perf benchmark: measures the wall-clock and shuffle-volume
-/// effect of map-side combining on (i) a scalar-sum UPA query and (ii) a
-/// keyed `reduce_by_key` workload, plus the cost of a repeated release
-/// (phases 3–4 only: pool-parallel, engine-free). Results are printed
+/// Hot-path perf benchmark: measures the wall-clock and shuffle volume
+/// of (i) a scalar-sum UPA query and (ii) a keyed `reduce_by_key`
+/// workload with map-side combining on and off, plus the cost of a
+/// repeated release (phases 3–4 only: pool-parallel, engine-free). Results are printed
 /// and written as JSON to `BENCH_PERF.json` (override the path with
 /// `UPA_BENCH_PERF_OUT`).
 pub fn perf_hotpath(cfg: &ExpConfig) {
@@ -522,11 +522,11 @@ pub fn perf_hotpath(cfg: &ExpConfig) {
     // (workload, variant, wall ms, shuffle records, shuffle bytes)
     let mut rows: Vec<(String, String, f64, u64, u64)> = Vec::new();
 
-    // (i) Scalar-sum UPA query: the per-half remainder reduce is the
-    // engine-visible shuffle the combiner compresses to ≤2 records per
-    // map partition.
-    for combine in [true, false] {
-        let ctx = engine(combine);
+    // (i) Scalar-sum UPA query: the remainder reduce folds each
+    // partition in place and exchanges 2 partials per partition, so the
+    // combiner flag has nothing to compress — one variant.
+    {
+        let ctx = engine(true);
         let data: Vec<f64> = (0..records).map(|i| (i % 97) as f64).collect();
         let ds = ctx.parallelize(data.clone(), parts);
         let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
@@ -540,7 +540,7 @@ pub fn perf_hotpath(cfg: &ExpConfig) {
         });
         rows.push((
             "scalar_sum_upa".into(),
-            variant(combine).into(),
+            "in_place".into(),
             ms,
             delta.shuffle_records,
             delta.shuffle_bytes,
@@ -650,8 +650,7 @@ pub fn perf_hotpath(cfg: &ExpConfig) {
 /// request counts with `UPA_BENCH_CLIENTS` / `UPA_BENCH_SERVE_REQUESTS` /
 /// `UPA_BENCH_FASTPATH_REQUESTS`).
 pub fn serve_throughput(cfg: &ExpConfig) {
-    use upa_server::{AggKind, Client, DatasetSpec, Server, ServerConfig, ServerState};
-    use upa_store::{IngestOptions, Store};
+    use upa_server::{Client, DatasetSpec, Server, ServerConfig};
 
     let read_env = |name: &str, default: usize| {
         std::env::var(name)
@@ -770,76 +769,6 @@ pub fn serve_throughput(cfg: &ExpConfig) {
     join.join().expect("server thread").expect("server exits");
     let _ = std::fs::remove_file(&ledger_path);
 
-    // Cold-prepare phase: one store-backed dataset attached into two
-    // in-process states over the *same* chunks — one serving through the
-    // columnar zero-copy kernels, one forced down the row path (which
-    // re-materialises a `Vec<f64>` and walks it record by record). Each
-    // iteration purges the prepared cache so every prepare is cold; the
-    // two paths are bit-identical under the shared seed, so the speedup
-    // buys latency, never a different answer.
-    let cold_iters = read_env("UPA_BENCH_COLD_ITERS", 9).max(3);
-    let cold_rows = read_env("UPA_BENCH_COLD_ROWS", 400_000).max(records);
-    let store_dir = std::env::temp_dir().join(format!("upa-bench-coldprep-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store_dir);
-    std::fs::create_dir_all(&store_dir).expect("mkdir cold store");
-    {
-        let store = Store::open(&store_dir).expect("open cold store");
-        let values: Vec<f64> = (0..cold_rows).map(|i| (i % 97) as f64).collect();
-        let columns = vec![("v".to_string(), values)];
-        store
-            .ingest("cold", &columns, &IngestOptions::default())
-            .expect("ingest cold dataset");
-    }
-    let cold_state = |columnar: bool| {
-        ServerState::new(ServerConfig {
-            datasets: vec![],
-            epsilon: 0.1,
-            sample_size: 1_000.min(cold_rows),
-            seed: cfg.seed,
-            threads: cfg.threads,
-            store_path: Some(store_dir.clone()),
-            attach: vec!["cold".to_string()],
-            columnar,
-            ..ServerConfig::default()
-        })
-        .expect("cold-prepare state")
-    };
-    let col_state = cold_state(true);
-    let row_state = cold_state(false);
-    let time_cold = |state: &ServerState| -> Vec<f64> {
-        let mut us = Vec::with_capacity(cold_iters);
-        for _ in 0..cold_iters {
-            state.invalidate_prepared("cold");
-            let start = Instant::now();
-            let (_, _, hit) = state
-                .prepare("cold", AggKind::Sum, "v")
-                .expect("cold prepare");
-            assert!(!hit, "invalidation makes every prepare cold");
-            us.push(start.elapsed().as_secs_f64() * 1e6);
-        }
-        us.sort_by(f64::total_cmp);
-        us
-    };
-    let cold_col = time_cold(&col_state);
-    let cold_row = time_cold(&row_state);
-    // Both engines consumed identical RNG draws, so one release each
-    // must agree to the last bit — the speedup changes nothing else.
-    let a = col_state
-        .release("cold", AggKind::Sum, "v", None, false)
-        .expect("columnar release");
-    let b = row_state
-        .release("cold", AggKind::Sum, "v", None, false)
-        .expect("row release");
-    assert_eq!(
-        a.released.to_bits(),
-        b.released.to_bits(),
-        "columnar and row cold prepares must release identical bits"
-    );
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let (cold_col_p50, cold_col_p99) = (percentile(&cold_col, 50.0), percentile(&cold_col, 99.0));
-    let (cold_row_p50, cold_row_p99) = (percentile(&cold_row, 50.0), percentile(&cold_row, 99.0));
-    let cold_speedup = cold_row_p50 / cold_col_p50.max(1e-9);
-
     // Server-side latency breakdowns, from the same registry the
     // `metrics` op scrapes (microsecond histograms).
     let hist_pcts = |name: &str| -> (u64, u64) {
@@ -951,26 +880,6 @@ pub fn serve_throughput(cfg: &ExpConfig) {
         "commit wait p99 (µs)".into(),
         commit_wait_p99.to_string(),
     ]);
-    t.row(vec![
-        "cold prepare p50, columnar (µs)".into(),
-        format!("{cold_col_p50:.0}"),
-    ]);
-    t.row(vec![
-        "cold prepare p99, columnar (µs)".into(),
-        format!("{cold_col_p99:.0}"),
-    ]);
-    t.row(vec![
-        "cold prepare p50, row (µs)".into(),
-        format!("{cold_row_p50:.0}"),
-    ]);
-    t.row(vec![
-        "cold prepare p99, row (µs)".into(),
-        format!("{cold_row_p99:.0}"),
-    ]);
-    t.row(vec![
-        "cold prepare speedup".into(),
-        format!("{cold_speedup:.2}x"),
-    ]);
     t.print();
 
     let payload = format!(
@@ -991,11 +900,7 @@ pub fn serve_throughput(cfg: &ExpConfig) {
          \"server_side_us\": {{\"queue_wait\": {{\"p50\": {queue_p50}, \"p99\": {queue_p99}}}, \
          \"ledger_fsync\": {{\"p50\": {fsync_p50}, \"p99\": {fsync_p99}}}, \
          \"commit_wait\": {{\"p50\": {commit_wait_p50}, \"p99\": {commit_wait_p99}}}}},\n  \
-         \"ledger_batch\": {{\"p50\": {batch_p50}, \"max\": {batch_max}}},\n  \
-         \"cold_prepare_us\": {{\"rows\": {cold_rows}, \"iters\": {cold_iters}, \
-         \"columnar\": {{\"p50\": {cold_col_p50:.1}, \"p99\": {cold_col_p99:.1}}}, \
-         \"row\": {{\"p50\": {cold_row_p50:.1}, \"p99\": {cold_row_p99:.1}}}, \
-         \"speedup\": {cold_speedup:.3}}}\n}}",
+         \"ledger_batch\": {{\"p50\": {batch_p50}, \"max\": {batch_max}}}\n}}",
         cfg.threads,
         sched.prepares,
         sched.coalesced,

@@ -361,7 +361,6 @@ pub fn build_server_config(args: &ServeArgs) -> Result<ServerConfig, String> {
         store_path: args.store.clone(),
         attach: args.attach.clone(),
         allow_admin: args.allow_admin,
-        columnar: ServerConfig::default().columnar,
     })
 }
 

@@ -200,19 +200,16 @@ pub fn list_store(store_dir: &Path) -> Result<String, String> {
         let manifest = store.manifest(&name).map_err(|e| e.to_string())?;
         out.push_str(&format!("  {name:<20} {:>10} rows\n", manifest.rows));
         for col in &manifest.columns {
-            // v1 manifests carry no ingest-time stats; the range is
-            // honestly unknown rather than silently zero.
-            let range = match col.stats() {
-                Some(s) if s.count > s.nan_count => {
-                    let nan = if s.nan_count > 0 {
-                        format!("   ({} NaN)", s.nan_count)
-                    } else {
-                        String::new()
-                    };
-                    format!("range {} .. {}{nan}", s.min, s.max)
-                }
-                Some(_) => "range (no finite values)".to_string(),
-                None => "range ?".to_string(),
+            let s = col.stats();
+            let range = if s.count > s.nan_count {
+                let nan = if s.nan_count > 0 {
+                    format!("   ({} NaN)", s.nan_count)
+                } else {
+                    String::new()
+                };
+                format!("range {} .. {}{nan}", s.min, s.max)
+            } else {
+                "range (no finite values)".to_string()
             };
             let chunks = col.chunks.len();
             let plural = if chunks == 1 { "chunk " } else { "chunks" };

@@ -10,7 +10,7 @@
 //!
 //! | Paper (Table I)      | This crate                                  |
 //! |----------------------|---------------------------------------------|
-//! | `dpread[T](RDD[T])`  | [`DpSession::dpread`]                       |
+//! | `dpread[T](RDD[T])`  | [`DpSession::dpread`] (row or columnar)     |
 //! | `mapDP`              | [`DpRead::map_dp`]                          |
 //! | `reduceDP`           | [`DpObject::reduce_dp`]                     |
 //! | `reduceByKeyDP`      | [`DpReadKv::reduce_by_key_dp`]              |
@@ -53,8 +53,8 @@ use crate::join::JoinAggregate;
 use crate::output::DpOutput;
 use crate::pipeline::{Upa, UpaResult};
 use crate::query::MapReduceQuery;
+use crate::source::RecordSource;
 use crate::UpaConfig;
-use dataflow::columnar::ColumnarDataset;
 use dataflow::{Context, Data, Dataset};
 use std::hash::Hash;
 use std::sync::Arc;
@@ -101,36 +101,20 @@ impl DpSession {
         self.upa.audits()
     }
 
-    /// `dpread[T](RDD[T])`: marks a dataset for DP processing, with
-    /// `domain` sampling the record domain `D \ x` the paper's *added*
-    /// neighbours are drawn from. Sampling itself happens lazily when the
-    /// terminal `reduceDP` runs, so that the sample is fresh per query
-    /// (as in Algorithm 1).
-    pub fn dpread<'s, T: Data>(
+    /// `dpread[T](RDD[T])`: marks a dataset — a row [`Dataset`] or a
+    /// [`dataflow::ColumnarDataset`] — for DP processing, with `domain`
+    /// sampling the record domain `D \ x` the paper's *added* neighbours
+    /// are drawn from. Sampling itself happens lazily when the terminal
+    /// `reduceDP` runs, so that the sample is fresh per query (as in
+    /// Algorithm 1).
+    pub fn dpread<'s, T: Data, S: RecordSource<T>>(
         &'s mut self,
-        data: &Dataset<T>,
+        data: &'s S,
         domain: &'s dyn DomainSampler<T>,
-    ) -> DpRead<'s, T> {
+    ) -> DpRead<'s, T, S> {
         DpRead {
             session: self,
-            data: data.clone(),
-            domain,
-        }
-    }
-
-    /// `dpread` over a columnar-backed dataset: phases 1–3 route through
-    /// the zero-copy chunk kernels ([`Upa::prepare_columnar`]) instead
-    /// of the row engine. Under the same seed the release is
-    /// bit-identical to `dpread` over
-    /// `ctx.parallelize_default(buf.to_vec())`.
-    pub fn dpread_columnar<'s>(
-        &'s mut self,
-        data: &ColumnarDataset,
-        domain: &'s dyn DomainSampler<f64>,
-    ) -> DpReadColumnar<'s> {
-        DpReadColumnar {
-            session: self,
-            data: data.clone(),
+            data,
             domain,
         }
     }
@@ -151,19 +135,19 @@ impl DpSession {
 }
 
 /// The result of `dpread`: a dataset awaiting its `mapDP`.
-pub struct DpRead<'s, T> {
+pub struct DpRead<'s, T, S = Dataset<T>> {
     session: &'s mut DpSession,
-    data: Dataset<T>,
+    data: &'s S,
     domain: &'s dyn DomainSampler<T>,
 }
 
-impl<'s, T: Data> DpRead<'s, T> {
+impl<'s, T: Data, S: RecordSource<T>> DpRead<'s, T, S> {
     /// `mapDP(T => U)`: attaches the mapper.
     pub fn map_dp<Acc: Data>(
         self,
         name: impl Into<String>,
         map: impl Fn(&T) -> Acc + Send + Sync + 'static,
-    ) -> DpObject<'s, T, Acc> {
+    ) -> DpObject<'s, T, Acc, S> {
         DpObject {
             session: self.session,
             data: self.data,
@@ -175,15 +159,15 @@ impl<'s, T: Data> DpRead<'s, T> {
 }
 
 /// `dpobject[U]`: a mapped DP dataset awaiting its terminal reduce.
-pub struct DpObject<'s, T, Acc> {
+pub struct DpObject<'s, T, Acc, S = Dataset<T>> {
     session: &'s mut DpSession,
-    data: Dataset<T>,
+    data: &'s S,
     name: String,
     map: Arc<dyn Fn(&T) -> Acc + Send + Sync>,
     domain: &'s dyn DomainSampler<T>,
 }
 
-impl<T: Data, Acc: Data> DpObject<'_, T, Acc> {
+impl<T: Data, Acc: Data, S: RecordSource<T>> DpObject<'_, T, Acc, S> {
     /// `reduceDP((T, T) => T)`: runs the full UPA pipeline and releases a
     /// noisy output. The accumulator itself must be the output (scalar
     /// reductions); use [`DpObject::reduce_dp_with`] when a final
@@ -199,17 +183,10 @@ impl<T: Data, Acc: Data> DpObject<'_, T, Acc> {
     where
         Acc: DpOutput,
     {
-        let map = Arc::clone(&self.map);
-        let query = MapReduceQuery::new(
-            self.name.clone(),
-            move |t: &T| map(t),
-            reduce,
-            |acc: Option<&Acc>| {
-                acc.cloned()
-                    .unwrap_or_else(|| Acc::from_components(vec![0.0]))
-            },
-        );
-        self.session.upa.run(&self.data, &query, self.domain)
+        self.reduce_dp_with(reduce, |acc: Option<&Acc>| {
+            acc.cloned()
+                .unwrap_or_else(|| Acc::from_components(vec![0.0]))
+        })
     }
 
     /// `reduceDP` with an output projection (`finalize`), for queries
@@ -224,89 +201,9 @@ impl<T: Data, Acc: Data> DpObject<'_, T, Acc> {
         reduce: impl Fn(&Acc, &Acc) -> Acc + Send + Sync + 'static,
         finalize: impl Fn(Option<&Acc>) -> Out + Send + Sync + 'static,
     ) -> Result<UpaResult<Out>, UpaError> {
-        let map = Arc::clone(&self.map);
-        let query = MapReduceQuery::new(self.name.clone(), move |t: &T| map(t), reduce, finalize);
-        self.session.upa.run(&self.data, &query, self.domain)
-    }
-}
-
-/// The result of `dpread_columnar`: a columnar dataset awaiting its
-/// `mapDP`.
-pub struct DpReadColumnar<'s> {
-    session: &'s mut DpSession,
-    data: ColumnarDataset,
-    domain: &'s dyn DomainSampler<f64>,
-}
-
-impl<'s> DpReadColumnar<'s> {
-    /// `mapDP(f64 => U)`: attaches the mapper.
-    pub fn map_dp<Acc: Data>(
-        self,
-        name: impl Into<String>,
-        map: impl Fn(&f64) -> Acc + Send + Sync + 'static,
-    ) -> DpObjectColumnar<'s, Acc> {
-        DpObjectColumnar {
-            session: self.session,
-            data: self.data,
-            name: name.into(),
-            map: Arc::new(map),
-            domain: self.domain,
-        }
-    }
-}
-
-/// `dpobject[U]` over a columnar dataset, awaiting its terminal reduce.
-pub struct DpObjectColumnar<'s, Acc> {
-    session: &'s mut DpSession,
-    data: ColumnarDataset,
-    name: String,
-    map: Arc<dyn Fn(&f64) -> Acc + Send + Sync>,
-    domain: &'s dyn DomainSampler<f64>,
-}
-
-impl<Acc: Data> DpObjectColumnar<'_, Acc> {
-    /// `reduceDP((T, T) => T)` through the columnar kernels.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Upa::run_columnar`].
-    pub fn reduce_dp(
-        self,
-        reduce: impl Fn(&Acc, &Acc) -> Acc + Send + Sync + 'static,
-    ) -> Result<UpaResult<Acc>, UpaError>
-    where
-        Acc: DpOutput,
-    {
-        let map = Arc::clone(&self.map);
-        let query = MapReduceQuery::new(
-            self.name.clone(),
-            move |t: &f64| map(t),
-            reduce,
-            |acc: Option<&Acc>| {
-                acc.cloned()
-                    .unwrap_or_else(|| Acc::from_components(vec![0.0]))
-            },
-        );
-        self.session
-            .upa
-            .run_columnar(&self.data, &query, self.domain)
-    }
-
-    /// `reduceDP` with an output projection, columnar.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Upa::run_columnar`].
-    pub fn reduce_dp_with<Out: DpOutput>(
-        self,
-        reduce: impl Fn(&Acc, &Acc) -> Acc + Send + Sync + 'static,
-        finalize: impl Fn(Option<&Acc>) -> Out + Send + Sync + 'static,
-    ) -> Result<UpaResult<Out>, UpaError> {
-        let map = Arc::clone(&self.map);
-        let query = MapReduceQuery::new(self.name.clone(), move |t: &f64| map(t), reduce, finalize);
-        self.session
-            .upa
-            .run_columnar(&self.data, &query, self.domain)
+        let map = self.map;
+        let query = MapReduceQuery::new(self.name, move |t: &T| map(t), reduce, finalize);
+        self.session.upa.run(self.data, &query, self.domain)
     }
 }
 
@@ -505,41 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_flow_matches_row_flow() {
-        use crate::domain::ColumnarEmpiricalSampler;
-        use dataflow::columnar::{ColumnarBuf, ColumnarDataset};
-
-        let data: Vec<f64> = (0..1_000).map(|i| (i % 5) as f64).collect();
-
-        let (ctx, mut row) = session(50);
-        let ds = ctx.parallelize_default(data.clone());
-        let row_domain = EmpiricalSampler::new(data.clone());
-        let r1 = row
-            .dpread(&ds, &row_domain)
-            .map_dp("count", |_x: &f64| 1.0)
-            .reduce_dp(|a, b| a + b)
-            .unwrap();
-
-        let (ctx2, mut col) = session(50);
-        let buf = ColumnarBuf::from_values(&data, 128);
-        let cds = ColumnarDataset::new(&ctx2, buf.clone());
-        let col_domain = ColumnarEmpiricalSampler::new(buf);
-        let r2 = col
-            .dpread_columnar(&cds, &col_domain)
-            .map_dp("count", |_x: &f64| 1.0)
-            .reduce_dp(|a, b| a + b)
-            .unwrap();
-
-        assert_eq!(r1.raw, r2.raw);
-        assert_eq!(r1.enforced.to_bits(), r2.enforced.to_bits());
-        assert_eq!(r1.sensitivity, r2.sensitivity);
-        let audit = col.last_audit().expect("columnar release leaves an audit");
-        assert_eq!(audit.query, "count");
-        assert!(audit.stage_nanos("reduce") > 0);
-    }
-
-    #[test]
-    fn columnar_flow_with_projection() {
+    fn dpread_takes_a_columnar_source() {
         use crate::domain::ColumnarEmpiricalSampler;
         use dataflow::columnar::{ColumnarBuf, ColumnarDataset};
 
@@ -549,7 +412,7 @@ mod tests {
         let cds = ColumnarDataset::new(&ctx, buf.clone());
         let domain = ColumnarEmpiricalSampler::new(buf);
         let result = s
-            .dpread_columnar(&cds, &domain)
+            .dpread(&cds, &domain)
             .map_dp("mean", |x: &f64| vec![*x, 1.0])
             .reduce_dp_with(
                 |a: &Vec<f64>, b: &Vec<f64>| vec![a[0] + b[0], a[1] + b[1]],
@@ -557,6 +420,9 @@ mod tests {
             )
             .unwrap();
         assert!((result.raw - 2.0).abs() < 1e-9);
+        let audit = s.last_audit().expect("columnar release leaves an audit");
+        assert_eq!(audit.query, "mean");
+        assert!(audit.stage_nanos("reduce") > 0);
     }
 
     #[test]

@@ -96,8 +96,7 @@ impl<T: Clone + Send + Sync> DomainSampler<T> for EmpiricalSampler<T> {
 /// flat pool. Draws are **bit-identical** to
 /// `EmpiricalSampler::new(buf.to_vec())` under the same RNG — both
 /// consume one `gen_range(0..len)` per draw and index the same logical
-/// row — so the columnar serving path can swap this in without
-/// perturbing seeded releases.
+/// row — so the choice of sampler never perturbs a seeded release.
 #[derive(Debug, Clone)]
 pub struct ColumnarEmpiricalSampler {
     pool: ColumnarBuf,

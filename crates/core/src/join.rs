@@ -156,7 +156,7 @@ impl Upa {
         let (indices, sampled, remainder) = {
             let mut scope = spans.enter("partition");
             scope.add_records(protected.len() as u64);
-            let (indices, _physical_halves, _half_split) = self.prepare_sample(protected)?;
+            let indices = self.sample_record_indices(protected.len())?;
             let (sampled, remainder) = protected.split_indices(&indices);
             (indices, sampled, remainder)
         };

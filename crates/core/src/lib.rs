@@ -68,3 +68,4 @@ pub use output::DpOutput;
 pub use pipeline::{PreparedQuery, Upa, UpaResult};
 
 mod config;
+mod source;

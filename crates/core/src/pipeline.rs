@@ -2,18 +2,22 @@
 //!
 //! [`Upa::run`] executes the four phases end to end:
 //!
-//! 1. **Partition & Sample** — the input's partitions are split into two
-//!    logical halves `x1`/`x2` (by partition index); `n` differing records
-//!    `S` are sampled uniformly from the whole input and `n` candidate
-//!    additions from the record domain.
+//! 1. **Partition & Sample** — the input's slabs (a row dataset's
+//!    partitions, a columnar dataset's engine-default ranges) are split
+//!    into two logical halves `x1`/`x2` (by slab index, or by the query's
+//!    stable half key); `n` differing records `S` are sampled uniformly
+//!    from the whole input and `n` candidate additions from the record
+//!    domain.
 //! 2. **Parallel Map** — the mapper runs over `S′` (the remainder) on the
-//!    engine and over the 2·n sampled records inline (they are few).
+//!    engine, fused into the reduce, and over the 2·n sampled records
+//!    inline (they are few).
 //! 3. **Union-Preserving Reduce** — the remainder reduces **once**,
-//!    per-half, through a real shuffle (this models RANGE ENFORCER's
-//!    record exchange and is the engine-visible cost UPA adds to local
-//!    queries, cf. Figure 2(b)). Prefix/suffix partial reductions over the
-//!    mapped sample then yield every `f(x − sᵢ)` in O(1) each — the
-//!    concrete realisation of "reuse `R(M(S′))`".
+//!    per-half, one engine task per slab, in place (`S′` is never
+//!    materialised); exchanging the per-slab partials models RANGE
+//!    ENFORCER's record exchange (the engine-visible cost UPA adds to
+//!    local queries, cf. Figure 2(b)). Prefix/suffix partial reductions
+//!    over the mapped sample then yield every `f(x − sᵢ)` in O(1) each —
+//!    the concrete realisation of "reuse `R(M(S′))`".
 //! 4. **iDP Enforcement** — per-component MLE normal fit of the 2·n
 //!    neighbour outputs, P1–P99 range, RANGE ENFORCER (Algorithm 2),
 //!    range clamping, Laplace release.
@@ -26,8 +30,9 @@ use crate::enforcer::{EnforceOutcome, EnforceState, QuerySignature, RangeEnforce
 use crate::error::UpaError;
 use crate::output::{DpOutput, OutputRange};
 use crate::query::MapReduceQuery;
-use dataflow::columnar::{slab_ranges, ColumnarDataset};
-use dataflow::{Context, Data, Dataset, MetricsSnapshot, PairOps, SpanRecorder, StageSpan};
+use crate::source::RecordSource;
+use dataflow::columnar::ColumnarDataset;
+use dataflow::{Context, Data, MetricsSnapshot, SpanRecorder, StageSpan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::borrow::Cow;
@@ -189,14 +194,15 @@ impl Upa {
     /// * [`UpaError::InvalidConfig`] if the configuration is invalid;
     /// * [`UpaError::BudgetExhausted`] if an attached budget cannot cover
     ///   this query's ε.
-    pub fn run<T, Acc, Out>(
+    pub fn run<T, S, Acc, Out>(
         &mut self,
-        data: &Dataset<T>,
+        data: &S,
         query: &MapReduceQuery<T, Acc, Out>,
         domain: &dyn DomainSampler<T>,
     ) -> Result<UpaResult<Out>, UpaError>
     where
         T: Data,
+        S: RecordSource<T>,
         Acc: Data,
         Out: DpOutput,
     {
@@ -212,137 +218,27 @@ impl Upa {
     /// no engine work (no new stages or shuffles), only fresh noise and a
     /// fresh ε budget charge.
     ///
+    /// `data` is a row [`dataflow::Dataset`] or a
+    /// [`dataflow::ColumnarDataset`]; this one body serves both, so what
+    /// decides a release is the same by construction: the RNG draws
+    /// (`sample_indices`, then `domain.sample_n`), the sampled records'
+    /// logical halves, and the remainder's fold order — each slab in
+    /// record order, slabs merged ascending. `S′` is never materialised:
+    /// the reduce walks the source in place around the sampled rows.
+    ///
     /// # Errors
     ///
     /// * [`UpaError::EmptyDataset`] if `data` has no records;
     /// * [`UpaError::InvalidConfig`] if the configuration is invalid.
-    pub fn prepare<T, Acc, Out>(
+    pub fn prepare<T, S, Acc, Out>(
         &mut self,
-        data: &Dataset<T>,
+        data: &S,
         query: &MapReduceQuery<T, Acc, Out>,
         domain: &dyn DomainSampler<T>,
     ) -> Result<PreparedQuery<T, Acc, Out>, UpaError>
     where
         T: Data,
-        Acc: Data,
-        Out: DpOutput,
-    {
-        let spans = SpanRecorder::new();
-        let engine_before = self.ctx.metrics();
-        let prepare_scope = spans.enter("prepare");
-
-        // ---- Phase 1: Partition & Sample -------------------------------
-        let (indices, sampled, remainder, physical_halves, half_split) = {
-            let mut scope = spans.enter("partition");
-            scope.add_records(data.len() as u64);
-            let (indices, physical_halves, half_split) = self.prepare_sample(data)?;
-            let (sampled, remainder) = data.split_indices(&indices);
-            (indices, sampled, remainder, physical_halves, half_split)
-        };
-        let n = indices.len();
-        let (additions, sampled_halves) = {
-            let mut scope = spans.enter("sample");
-            scope.add_records(2 * n as u64);
-            let additions = domain.sample_n(&mut self.rng, n);
-            // Logical halves: by stable record key when the query provides
-            // one (content-defined, robust across neighbouring datasets),
-            // by physical partition index otherwise.
-            let sampled_halves: Vec<usize> = match query.half_key() {
-                Some(hk) => sampled.iter().map(|t| (hk(t) % 2) as usize).collect(),
-                None => physical_halves,
-            };
-            (additions, sampled_halves)
-        };
-
-        // ---- Phase 2: Parallel Map --------------------------------------
-        let mapper = query.mapper();
-        let (mapped_sampled, mapped_additions) = {
-            let mut scope = spans.enter("map");
-            scope.add_records(2 * n as u64);
-            let mapped_sampled: Vec<Acc> = sampled.iter().map(|t| query.map(t)).collect();
-            let mapped_additions: Vec<Acc> = additions.iter().map(|t| query.map(t)).collect();
-            (mapped_sampled, mapped_additions)
-        };
-
-        // ---- Phase 3: Union-Preserving Reduce ---------------------------
-        // Reduce the remainder per logical half through a real shuffle:
-        // this is `ReduceByPar` (Algorithm 1, line 7) and carries RANGE
-        // ENFORCER's record-exchange cost.
-        let rem_half: [Option<Acc>; 2] = {
-            let mut scope = spans.enter("reduce");
-            scope.add_records(remainder.len() as u64);
-            let reducer = query.reducer();
-            let keyed = match query.half_key() {
-                Some(hk) => {
-                    let hk = std::sync::Arc::clone(hk);
-                    let m = mapper.clone();
-                    remainder.map(move |t| ((hk(t) % 2) as u8, m(t)))
-                }
-                None => {
-                    let m = mapper.clone();
-                    remainder
-                        .map(move |t| m(t))
-                        .map_with_partition(move |p, acc| (u8::from(p >= half_split), acc.clone()))
-                }
-            };
-            let half_map = {
-                let r = reducer.clone();
-                keyed.reduce_by_key(move |a, b| r(a, b)).collect_as_map()
-            };
-            [half_map.get(&0).cloned(), half_map.get(&1).cloned()]
-        };
-
-        drop(prepare_scope);
-        Ok(PreparedQuery {
-            query: query.clone(),
-            mapped_sampled: Arc::new(mapped_sampled),
-            mapped_additions: Arc::new(mapped_additions),
-            sampled_halves: Arc::new(sampled_halves),
-            rem_half,
-            spans: Arc::new(spans.spans()),
-            engine: self.ctx.metrics().since(&engine_before),
-            core: OnceLock::new(),
-        })
-    }
-
-    /// Phases 1–3 over a columnar dataset: the zero-copy cold-prepare
-    /// path. Sampling picks `S` by `(chunk, offset)` index straight out
-    /// of the shared chunk buffers (no per-record clone or box, and the
-    /// remainder `S′` is never materialised); the un-sampled remainder
-    /// reduces chunk-parallel on the engine pool as tight loops over
-    /// contiguous `f64` slices.
-    ///
-    /// **Bit-identity contract**: under the same seed and configuration
-    /// this produces a [`PreparedQuery`] whose releases are identical —
-    /// to the last bit, noise included — to
-    /// `self.prepare(&ctx.parallelize_default(buf.to_vec()), …)` with the
-    /// engine's default map-side combine enabled. Three invariants carry
-    /// the proof:
-    ///
-    /// 1. RNG draws happen in the row path's exact order: validate (no
-    ///    draws), `sample_indices`, then `domain.sample_n`.
-    /// 2. The sampled records and their logical halves come from the same
-    ///    sorted global indices and the same half rule (stable record key
-    ///    when the query provides one, slab index otherwise), where slab
-    ///    boundaries are [`slab_ranges`] — provably the boundaries
-    ///    [`Context::parallelize`] would produce.
-    /// 3. The remainder reduce folds each slab in record order (skipping
-    ///    sampled rows) and then merges slab partials in ascending slab
-    ///    order — precisely the fold order of the row path's map-side
-    ///    combine plus reduce-side concatenation. Floating-point
-    ///    accumulation order is therefore identical.
-    ///
-    /// # Errors
-    ///
-    /// * [`UpaError::EmptyDataset`] if `data` has no records;
-    /// * [`UpaError::InvalidConfig`] if the configuration is invalid.
-    pub fn prepare_columnar<Acc, Out>(
-        &mut self,
-        data: &ColumnarDataset,
-        query: &MapReduceQuery<f64, Acc, Out>,
-        domain: &dyn DomainSampler<f64>,
-    ) -> Result<PreparedQuery<f64, Acc, Out>, UpaError>
-    where
+        S: RecordSource<T>,
         Acc: Data,
         Out: DpOutput,
     {
@@ -352,42 +248,30 @@ impl Upa {
 
         // ---- Phase 1: Partition & Sample -------------------------------
         let len = data.len();
-        let (indices, sampled, ranges, physical_halves, half_split) = {
+        let (indices, sampled, bounds, physical_halves, half_split) = {
             let mut scope = spans.enter("partition");
             scope.add_records(len as u64);
-            self.config.validate()?;
-            if len == 0 {
-                return Err(UpaError::EmptyDataset);
-            }
-            let n = self.config.sample_size.min(len);
-            // Logical slabs where the row path would put its partitions.
-            let ranges = slab_ranges(len, self.ctx.config().default_partitions);
-            let num_parts = ranges.len();
-            let half_split = num_parts.div_ceil(2);
-            let indices = sample_indices(&mut self.rng, len, n);
-            // S materialises by sorted (chunk, offset) gather; S′ never
-            // does — the reduce below walks the chunks in place.
-            let sampled = data.buf().gather_sorted(&indices);
-            let mut offsets = Vec::with_capacity(num_parts + 1);
-            offsets.push(0usize);
-            for &(_, end) in &ranges {
-                offsets.push(end);
-            }
-            let half_of_global = |g: usize| -> usize {
-                let part = match offsets.binary_search(&g) {
-                    Ok(i) => i,
-                    Err(i) => i - 1,
-                };
-                usize::from(part.min(num_parts - 1) >= half_split)
-            };
-            let halves: Vec<usize> = indices.iter().map(|&g| half_of_global(g)).collect();
-            (indices, sampled, ranges, halves, half_split)
+            let indices = self.sample_record_indices(len)?;
+            let bounds = data.slab_bounds();
+            let half_split = bounds.len().div_ceil(2);
+            let sampled = data.gather_sorted(&indices);
+            let halves: Vec<usize> = indices
+                .iter()
+                .map(|&g| {
+                    let slab = bounds.partition_point(|&(_, end)| end <= g);
+                    usize::from(slab >= half_split)
+                })
+                .collect();
+            (indices, sampled, bounds, halves, half_split)
         };
         let n = indices.len();
         let (additions, sampled_halves) = {
             let mut scope = spans.enter("sample");
             scope.add_records(2 * n as u64);
             let additions = domain.sample_n(&mut self.rng, n);
+            // Logical halves: by stable record key when the query provides
+            // one (content-defined, robust across neighbouring datasets),
+            // by slab index otherwise.
             let sampled_halves: Vec<usize> = match query.half_key() {
                 Some(hk) => sampled.iter().map(|t| (hk(t) % 2) as usize).collect(),
                 None => physical_halves,
@@ -405,51 +289,39 @@ impl Upa {
         };
 
         // ---- Phase 3: Union-Preserving Reduce ---------------------------
-        // One engine task per slab streams the chunk slices covering it —
-        // a tight loop over contiguous `f64`s — folding a partial per
-        // logical half in record order while skipping sampled rows. The
-        // cross-slab merge then runs in ascending slab order, reproducing
-        // the row path's combine + shuffle fold exactly (its map-side
-        // combine folds each partition in record order and the reduce
-        // side concatenates partials by ascending partition).
+        // `ReduceByPar` (Algorithm 1, line 7): one engine task per slab
+        // folds a partial per logical half in record order, skipping the
+        // sampled rows; the partials then merge in ascending slab order.
         let rem_half: [Option<Acc>; 2] = {
             let mut scope = spans.enter("reduce");
             scope.add_records((len - n) as u64);
             let partials: Vec<[Option<Acc>; 2]> = {
                 let q = query.clone();
-                let picked = Arc::new(indices);
-                data.run_ranges("columnar[reduce]", ranges, move |slab, buf, start, end| {
-                    let mut next = picked.partition_point(|&g| g < start);
-                    let phys_half = usize::from(slab >= half_split);
-                    let mut acc: [Option<Acc>; 2] = [None, None];
-                    buf.for_each_slice_in(start, end, |at, slice| {
-                        // Fold the uninterrupted runs between sampled
-                        // rows — one [`MapReduceQuery::fold_run`] call
-                        // per run, so a fused kernel sees a plain
-                        // `&[f64]` and the skip test never executes
-                        // inside the hot loop. The record-order left
-                        // fold is exactly the per-record loop's.
+                data.fold_slabs(
+                    "reduce[remainder]",
+                    bounds,
+                    move |acc: &mut [Option<Acc>; 2], slab, at, run: &[T]| {
+                        // One [`MapReduceQuery::fold_run`] call per
+                        // uninterrupted stretch between sampled rows, so
+                        // a fused kernel sees a plain slice and the skip
+                        // test never executes inside the hot loop.
+                        let phys_half = usize::from(slab >= half_split);
+                        let mut next = indices.partition_point(|&g| g < at);
                         let mut pos = 0usize;
-                        while pos < slice.len() {
-                            let run_end = match picked.get(next) {
-                                Some(&g) if g < at + slice.len() => g - at,
-                                _ => slice.len(),
+                        while pos < run.len() {
+                            let stop = match indices.get(next) {
+                                Some(&g) if g < at + run.len() => g - at,
+                                _ => run.len(),
                             };
-                            q.fold_run(&slice[pos..run_end], phys_half, &mut acc);
-                            if run_end < slice.len() {
-                                next += 1;
-                                pos = run_end + 1;
-                            } else {
-                                pos = run_end;
-                            }
+                            q.fold_run(&run[pos..stop], phys_half, acc);
+                            next += 1;
+                            pos = stop + 1;
                         }
-                    });
-                    acc
-                })
+                    },
+                )
             };
-            // The row path exchanges one combined record per (partition,
-            // half) through a real shuffle; the columnar merge below is
-            // that exchange, so the shuffle counters stay meaningful.
+            // The merge below is RANGE ENFORCER's record exchange: one
+            // combined record per (slab, half).
             let exchanged = 2 * partials.len() as u64;
             self.ctx
                 .record_logical_shuffle(exchanged, exchanged * std::mem::size_of::<Acc>() as u64);
@@ -480,24 +352,22 @@ impl Upa {
         })
     }
 
-    /// [`Upa::prepare_columnar`] followed by one [`Upa::release`] — the
-    /// columnar analogue of [`Upa::run`].
+    /// [`Upa::prepare`] under the name the benchmark harness calls.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Upa::prepare_columnar`] and [`Upa::release`].
-    pub fn run_columnar<Acc, Out>(
+    /// As [`Upa::prepare`].
+    pub fn prepare_columnar<Acc, Out>(
         &mut self,
         data: &ColumnarDataset,
         query: &MapReduceQuery<f64, Acc, Out>,
         domain: &dyn DomainSampler<f64>,
-    ) -> Result<UpaResult<Out>, UpaError>
+    ) -> Result<PreparedQuery<f64, Acc, Out>, UpaError>
     where
         Acc: Data,
         Out: DpOutput,
     {
-        let prepared = self.prepare_columnar(data, query, domain)?;
-        self.release(&prepared)
+        self.prepare(data, query, domain)
     }
 
     /// Releases one noisy output from a prepared query. Each call draws
@@ -576,36 +446,8 @@ impl Upa {
     {
         let spans = SpanRecorder::new();
         let release_scope = spans.enter("release");
-        {
-            let _scope = spans.enter("budget");
-            if let Some(budget) = &mut self.budget {
-                budget.try_spend(self.config.epsilon).map_err(|remaining| {
-                    UpaError::BudgetExhausted {
-                        remaining,
-                        requested: self.config.epsilon,
-                    }
-                })?;
-            }
-        }
-        let released = {
-            let _scope = spans.enter("noise");
-            if self.config.add_noise {
-                let comps = core
-                    .enforced
-                    .components()
-                    .iter()
-                    .zip(core.sensitivity.iter())
-                    .map(|(&v, &s)| {
-                        LaplaceMechanism::new(s.max(0.0), self.config.epsilon)
-                            .expect("validated epsilon and non-negative sensitivity")
-                            .release(v, &mut self.rng)
-                    })
-                    .collect();
-                Out::from_components(comps)
-            } else {
-                core.enforced.clone()
-            }
-        };
+        self.charge_budget(&spans)?;
+        let released = self.draw_noise(&spans, &core.enforced, &core.sensitivity);
         self.enforcer.record(core.signature.clone());
         drop(release_scope);
 
@@ -674,17 +516,7 @@ impl Upa {
     {
         let spans = SpanRecorder::new();
         let release_scope = spans.enter("release");
-        {
-            let _scope = spans.enter("budget");
-            if let Some(budget) = &mut self.budget {
-                budget.try_spend(self.config.epsilon).map_err(|remaining| {
-                    UpaError::BudgetExhausted {
-                        remaining,
-                        requested: self.config.epsilon,
-                    }
-                })?;
-            }
-        }
+        self.charge_budget(&spans)?;
         let n = mapped_sampled.len();
         // R(M(S′)) — computed once, reused for every neighbour output.
         let r_sprime = query.merge_ref(rem_half[0].as_ref(), rem_half[1].as_ref());
@@ -839,24 +671,7 @@ impl Upa {
                 .enforce_traced(&mut state, &range, &mut self.rng, &spans);
         let enforced = Out::from_components(state.output_components.clone());
 
-        let released = {
-            let _scope = spans.enter("noise");
-            if self.config.add_noise {
-                let comps = enforced
-                    .components()
-                    .iter()
-                    .zip(sensitivity.iter())
-                    .map(|(&v, &s)| {
-                        LaplaceMechanism::new(s.max(0.0), self.config.epsilon)
-                            .expect("validated epsilon and non-negative sensitivity")
-                            .release(v, &mut self.rng)
-                    })
-                    .collect();
-                Out::from_components(comps)
-            } else {
-                enforced.clone()
-            }
-        };
+        let released = self.draw_noise(&spans, &enforced, &sensitivity);
 
         drop(release_scope);
         // The audit owns its span list; this is the only per-release copy
@@ -899,36 +714,59 @@ impl Upa {
         })
     }
 
-    /// Phase-1 helper shared with the join path: validates, charges the
-    /// budget, samples `n` indices and computes each sampled record's
-    /// logical half plus the partition split point.
-    pub(crate) fn prepare_sample<T: Data>(
+    /// Charges this release's ε against the attached budget, if any.
+    fn charge_budget(&mut self, spans: &SpanRecorder) -> Result<(), UpaError> {
+        let _scope = spans.enter("budget");
+        let requested = self.config.epsilon;
+        match &mut self.budget {
+            Some(budget) => {
+                budget
+                    .try_spend(requested)
+                    .map_err(|remaining| UpaError::BudgetExhausted {
+                        remaining,
+                        requested,
+                    })
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// The Laplace release (Algorithm 1, line 20): one fresh draw per
+    /// component over the enforced output, or the enforced output itself
+    /// when noise is off.
+    fn draw_noise<Out: DpOutput>(
         &mut self,
-        data: &Dataset<T>,
-    ) -> Result<(Vec<usize>, Vec<usize>, usize), UpaError> {
+        spans: &SpanRecorder,
+        enforced: &Out,
+        sensitivity: &[f64],
+    ) -> Out {
+        let _scope = spans.enter("noise");
+        if !self.config.add_noise {
+            return enforced.clone();
+        }
+        let comps = enforced
+            .components()
+            .iter()
+            .zip(sensitivity)
+            .map(|(&v, &s)| {
+                LaplaceMechanism::new(s.max(0.0), self.config.epsilon)
+                    .expect("validated epsilon and non-negative sensitivity")
+                    .release(v, &mut self.rng)
+            })
+            .collect();
+        Out::from_components(comps)
+    }
+
+    /// The phase-1 draw, shared with the join path: validates the
+    /// configuration, rejects an empty input and samples the sorted
+    /// global indices of the `n` differing records.
+    pub(crate) fn sample_record_indices(&mut self, len: usize) -> Result<Vec<usize>, UpaError> {
         self.config.validate()?;
-        let len = data.len();
         if len == 0 {
             return Err(UpaError::EmptyDataset);
         }
         let n = self.config.sample_size.min(len);
-        let num_parts = data.num_partitions();
-        let half_split = num_parts.div_ceil(2);
-        let indices = sample_indices(&mut self.rng, len, n);
-        let mut offsets = Vec::with_capacity(num_parts + 1);
-        offsets.push(0usize);
-        for p in data.partitions() {
-            offsets.push(offsets.last().copied().expect("non-empty") + p.len());
-        }
-        let half_of_global = |g: usize| -> usize {
-            let part = match offsets.binary_search(&g) {
-                Ok(i) => i,
-                Err(i) => i - 1,
-            };
-            usize::from(part.min(num_parts - 1) >= half_split)
-        };
-        let halves = indices.iter().map(|&g| half_of_global(g)).collect();
-        Ok((indices, halves, half_split))
+        Ok(sample_indices(&mut self.rng, len, n))
     }
 }
 
@@ -1494,103 +1332,6 @@ mod tests {
         assert!(upa.last_audit().is_none());
     }
 
-    fn result_bits<Out: DpOutput>(r: &UpaResult<Out>) -> Vec<u64> {
-        let mut bits: Vec<u64> = Vec::new();
-        for v in [&r.released, &r.enforced, &r.raw] {
-            bits.extend(v.components().iter().map(|x| x.to_bits()));
-        }
-        for v in &r.sensitivity {
-            bits.push(v.to_bits());
-        }
-        for v in &r.empirical_sensitivity {
-            bits.push(v.to_bits());
-        }
-        for o in r.removal_outputs.iter().chain(r.addition_outputs.iter()) {
-            bits.extend(o.components().iter().map(|x| x.to_bits()));
-        }
-        for (lo, hi) in &r.range.bounds {
-            bits.push(lo.to_bits());
-            bits.push(hi.to_bits());
-        }
-        bits
-    }
-
-    fn assert_columnar_matches_row(values: &[f64], chunk_rows: usize, half_key: bool) {
-        use crate::domain::ColumnarEmpiricalSampler;
-        use dataflow::columnar::ColumnarBuf;
-
-        let ctx = Context::with_threads(4);
-        let config = UpaConfig {
-            sample_size: 64,
-            add_noise: true,
-            ..UpaConfig::default()
-        };
-        let mut query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
-        if half_key {
-            query = query.with_half_key(|x: &f64| x.to_bits());
-        }
-
-        let mut row = Upa::new(ctx.clone(), config.clone());
-        let ds = ctx.parallelize_default(values.to_vec());
-        let row_domain = EmpiricalSampler::new(values.to_vec());
-        let p_row = row.prepare(&ds, &query, &row_domain).unwrap();
-        let r_row = row.release(&p_row).unwrap();
-
-        let mut col = Upa::new(ctx.clone(), config);
-        let buf = ColumnarBuf::from_values(values, chunk_rows);
-        let cds = ColumnarDataset::new(&ctx, buf.clone());
-        let col_domain = ColumnarEmpiricalSampler::new(buf);
-        let p_col = col.prepare_columnar(&cds, &query, &col_domain).unwrap();
-        let r_col = col.release(&p_col).unwrap();
-
-        assert_eq!(p_row.sample_size(), p_col.sample_size());
-        assert_eq!(
-            result_bits(&r_row),
-            result_bits(&r_col),
-            "columnar release diverged (chunk_rows={chunk_rows}, half_key={half_key})"
-        );
-    }
-
-    #[test]
-    fn columnar_prepare_is_bit_identical_to_row_path() {
-        let values: Vec<f64> = (0..3_001)
-            .map(|i| ((i * 37) % 113) as f64 * 0.5 - 7.0)
-            .collect();
-        for chunk_rows in [1usize, 7, 256, 5_000] {
-            assert_columnar_matches_row(&values, chunk_rows, true);
-            assert_columnar_matches_row(&values, chunk_rows, false);
-        }
-    }
-
-    #[test]
-    fn columnar_prepare_handles_full_sample_and_empty() {
-        use crate::domain::ColumnarEmpiricalSampler;
-        use dataflow::columnar::ColumnarBuf;
-
-        // Sample size ≥ len: every record sampled, remainder empty.
-        let values = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_columnar_matches_row(&values, 2, true);
-        assert_columnar_matches_row(&values, 2, false);
-
-        // Empty dataset is rejected like the row path.
-        let ctx = Context::with_threads(2);
-        let mut upa = Upa::new(
-            ctx.clone(),
-            UpaConfig {
-                sample_size: 8,
-                add_noise: false,
-                ..UpaConfig::default()
-            },
-        );
-        let cds = ColumnarDataset::new(&ctx, ColumnarBuf::new(Vec::new()));
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
-        let domain = ColumnarEmpiricalSampler::new(ColumnarBuf::from_values(&[1.0], 1));
-        assert_eq!(
-            upa.prepare_columnar(&cds, &query, &domain).unwrap_err(),
-            UpaError::EmptyDataset
-        );
-    }
-
     #[test]
     fn columnar_prepare_records_stages_and_shuffles() {
         use crate::domain::ColumnarEmpiricalSampler;
@@ -1611,9 +1352,9 @@ mod tests {
         let query =
             MapReduceQuery::scalar_sum("sum", |x: &f64| *x).with_half_key(|x: &f64| x.to_bits());
         let domain = ColumnarEmpiricalSampler::new(buf);
-        let prepared = upa.prepare_columnar(&cds, &query, &domain).unwrap();
-        assert!(prepared.engine.stages >= 1, "reduce must run on the engine");
-        assert!(prepared.engine.shuffles >= 1, "half-exchange must count");
+        let prepared = upa.prepare(&cds, &query, &domain).unwrap();
+        assert_eq!(prepared.engine.stages, 1, "one reduce stage on the engine");
+        assert_eq!(prepared.engine.shuffles, 1, "half-exchange must count");
         assert!(prepared.engine.records_processed >= 2_000);
         let _ = upa.release(&prepared).unwrap();
         let audit = upa.last_audit().unwrap();

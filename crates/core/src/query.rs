@@ -112,9 +112,9 @@ impl<T: Data, Acc: Data, Out: DpOutput> MapReduceQuery<T, Acc, Out> {
     /// accumulators in one call, instead of paying three dynamic
     /// dispatches (`half_key`, `map`, `reduce`) per record.
     ///
-    /// The columnar prepare path calls the kernel once per run between
-    /// sampled rows; every other path (and any run the kernel is absent
-    /// for) goes through the generic closures, so the kernel is purely
+    /// [`crate::Upa::prepare`] calls [`MapReduceQuery::fold_run`] once
+    /// per run between sampled rows; a query without a kernel folds the
+    /// same runs through the generic closures, so the kernel is purely
     /// an optimisation hook.
     ///
     /// **Contract:** `kernel(slice, phys_half, acc)` must leave `acc`

@@ -1,0 +1,113 @@
+//! Where Algorithm 1 reads its records from.
+//!
+//! Phases 1–3 ([`crate::Upa::prepare`]) are written once over a
+//! [`RecordSource`]: a record collection that can report its length,
+//! split itself into consecutive **slabs**, hand out the records at
+//! sorted indices, and fold every slab as one engine task over plain
+//! slices. The row engine's [`Dataset`] (slab = partition) and the
+//! store's [`ColumnarDataset`] (slab = the range [`slab_ranges`] gives the
+//! engine's default partition count) are the two sources; everything
+//! that decides a release — sampling order, logical halves, fold order —
+//! lives in the one caller, so it cannot differ between them.
+//!
+//! The trait is public only so it can bound public functions; the module
+//! is private, so it cannot be named — or implemented — outside this
+//! crate.
+
+use dataflow::columnar::{slab_ranges, ColumnarDataset};
+use dataflow::{Data, Dataset};
+
+/// A record collection Algorithm 1's phases 1–3 can run over.
+pub trait RecordSource<T: Data> {
+    /// Total records.
+    fn len(&self) -> usize;
+
+    /// The slabs as consecutive global index ranges `[start, end)`
+    /// covering `0..len()`. A slab is the unit of one remainder-reduce
+    /// task and of the physical dataset halves.
+    fn slab_bounds(&self) -> Vec<(usize, usize)>;
+
+    /// The records at strictly increasing global `indices`.
+    fn gather_sorted(&self, indices: &[usize]) -> Vec<T>;
+
+    /// Runs one engine stage with a task per slab of `bounds` (as
+    /// returned by [`RecordSource::slab_bounds`]). Each task starts from
+    /// `A::default()` and calls `f(acc, slab, global_offset, run)` for
+    /// the slab's contiguous record runs (possibly empty) in record
+    /// order; the per-slab results come back in slab order.
+    fn fold_slabs<A, F>(&self, name: &str, bounds: Vec<(usize, usize)>, f: F) -> Vec<A>
+    where
+        A: Default + Send + 'static,
+        F: Fn(&mut A, usize, usize, &[T]) + Send + Sync + 'static;
+}
+
+impl<T: Data> RecordSource<T> for Dataset<T> {
+    fn len(&self) -> usize {
+        Dataset::len(self)
+    }
+
+    fn slab_bounds(&self) -> Vec<(usize, usize)> {
+        let mut start = 0usize;
+        self.partitions()
+            .iter()
+            .map(|p| {
+                let bounds = (start, start + p.len());
+                start = bounds.1;
+                bounds
+            })
+            .collect()
+    }
+
+    fn gather_sorted(&self, indices: &[usize]) -> Vec<T> {
+        let mut out = Vec::with_capacity(indices.len());
+        let mut parts = self.partitions().iter();
+        let mut part: &[T] = &[];
+        let mut base = 0usize;
+        for &g in indices {
+            while g >= base + part.len() {
+                base += part.len();
+                part = parts.next().expect("gather index out of bounds");
+            }
+            out.push(part[g - base].clone());
+        }
+        out
+    }
+
+    fn fold_slabs<A, F>(&self, name: &str, bounds: Vec<(usize, usize)>, f: F) -> Vec<A>
+    where
+        A: Default + Send + 'static,
+        F: Fn(&mut A, usize, usize, &[T]) + Send + Sync + 'static,
+    {
+        self.run_partitions(name, move |slab, records| {
+            let mut acc = A::default();
+            f(&mut acc, slab, bounds[slab].0, records);
+            acc
+        })
+    }
+}
+
+impl RecordSource<f64> for ColumnarDataset {
+    fn len(&self) -> usize {
+        ColumnarDataset::len(self)
+    }
+
+    fn slab_bounds(&self) -> Vec<(usize, usize)> {
+        slab_ranges(self.len(), self.context().config().default_partitions)
+    }
+
+    fn gather_sorted(&self, indices: &[usize]) -> Vec<f64> {
+        self.buf().gather_sorted(indices)
+    }
+
+    fn fold_slabs<A, F>(&self, name: &str, bounds: Vec<(usize, usize)>, f: F) -> Vec<A>
+    where
+        A: Default + Send + 'static,
+        F: Fn(&mut A, usize, usize, &[f64]) + Send + Sync + 'static,
+    {
+        self.run_ranges(name, bounds, move |slab, buf, start, end| {
+            let mut acc = A::default();
+            buf.for_each_slice_in(start, end, |at, run| f(&mut acc, slab, at, run));
+            acc
+        })
+    }
+}

@@ -1,10 +1,15 @@
 //! Property-based tests of UPA's soundness invariants.
 
-use dataflow::Context;
+use dataflow::columnar::{slab_ranges, ColumnChunk, ColumnarBuf, ColumnarDataset};
+use dataflow::{Config, Context, Data};
 use proptest::prelude::*;
-use upa_core::domain::EmpiricalSampler;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::Arc;
+use upa_core::domain::{ColumnarEmpiricalSampler, DomainSampler, EmpiricalSampler};
 use upa_core::query::MapReduceQuery;
-use upa_core::{DpOutput, Upa, UpaConfig};
+use upa_core::{DpOutput, Upa, UpaConfig, UpaError, UpaResult};
+use upa_stats::sampling::sample_indices;
 
 fn ctx() -> Context {
     Context::with_threads(2)
@@ -91,21 +96,121 @@ proptest! {
     }
 }
 
+/// Naive reference for phases 1–3 and the neighbour outputs they feed:
+/// draw the sample, then — sort-free — left-fold each slab's un-sampled
+/// records in order into one partial per logical half and merge the
+/// slabs ascending. Returns the bits of `[raw, removals.., additions..]`.
+fn reference_bits<T: Data, Acc: Data>(
+    slabs: &[Vec<T>],
+    query: &MapReduceQuery<T, Acc, f64>,
+    domain: &dyn DomainSampler<T>,
+    config: &UpaConfig,
+) -> Vec<u64> {
+    let len: usize = slabs.iter().map(Vec::len).sum();
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let picked = sample_indices(&mut rng, len, config.sample_size.min(len));
+    let additions = domain.sample_n(&mut rng, picked.len());
+    let push = |acc: &mut Option<Acc>, m: Acc| {
+        *acc = Some(match acc.take() {
+            Some(a) => query.reduce(&a, &m),
+            None => m,
+        });
+    };
+    let (mut rem, mut sampled, mut g) = ([None, None], Vec::new(), 0usize);
+    for (s, slab) in slabs.iter().enumerate() {
+        let mut partial: [Option<Acc>; 2] = [None, None];
+        for t in slab {
+            if picked.binary_search(&g).is_ok() {
+                sampled.push(query.map(t));
+            } else {
+                let h = match query.half_key() {
+                    Some(hk) => (hk(t) % 2) as usize,
+                    None => usize::from(s >= slabs.len().div_ceil(2)),
+                };
+                push(&mut partial[h], query.map(t));
+            }
+            g += 1;
+        }
+        for (h, p) in partial.into_iter().enumerate() {
+            p.into_iter().for_each(|p| push(&mut rem[h], p));
+        }
+    }
+    let r_sprime = query.merge_ref(rem[0].as_ref(), rem[1].as_ref());
+    let r_x = query.merge_ref(r_sprime.as_ref(), query.reduce_all(&sampled).as_ref());
+    let mut outputs = vec![query.finalize(r_x.as_ref())];
+    for i in 0..sampled.len() {
+        let before = query.reduce_all(&sampled[..i]);
+        let after = sampled[i + 1..].iter().rev().fold(None, |s, m| match s {
+            Some(s) => Some(query.reduce(m, &s)),
+            None => Some(m.clone()),
+        });
+        let without = query.merge_ref(before.as_ref(), after.as_ref());
+        outputs.push(
+            query.finalize(
+                query
+                    .merge_ref(r_sprime.as_ref(), without.as_ref())
+                    .as_ref(),
+            ),
+        );
+    }
+    for a in &additions {
+        outputs.push(query.finalize(query.merge_ref(r_x.as_ref(), Some(&query.map(a))).as_ref()));
+    }
+    outputs.iter().map(|o| o.to_bits()).collect()
+}
+
+fn neighbour_bits(r: &UpaResult<f64>) -> Vec<u64> {
+    std::iter::once(&r.raw)
+        .chain(&r.removal_outputs)
+        .chain(&r.addition_outputs)
+        .map(|o| o.to_bits())
+        .collect()
+}
+
+fn full_bits(r: &UpaResult<f64>) -> Vec<u64> {
+    let mut bits = neighbour_bits(r);
+    bits.extend([r.released.to_bits(), r.enforced.to_bits()]);
+    bits.extend(r.sensitivity.iter().map(|s| s.to_bits()));
+    bits.extend(r.empirical_sensitivity.iter().map(|s| s.to_bits()));
+    bits.extend(
+        r.range
+            .bounds
+            .iter()
+            .flat_map(|(lo, hi)| [lo.to_bits(), hi.to_bits()]),
+    );
+    bits
+}
+
+/// A release either matches the reference bit for bit, or — non-finite
+/// payloads can legitimately make the sensitivity fit refuse — fails;
+/// returns the full result bits or the error text for parity checks.
+fn against_reference(
+    got: Result<UpaResult<f64>, UpaError>,
+    want: &[u64],
+) -> Result<Result<Vec<u64>, String>, String> {
+    match got {
+        Ok(r) if neighbour_bits(&r) == want => Ok(Ok(full_bits(&r))),
+        Ok(r) => Err(format!("{:x?} != reference {want:x?}", neighbour_bits(&r))),
+        Err(e) => Ok(Err(e.to_string())),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The columnar scan path releases bit-identical results to the row
-    /// path on arbitrary chunked datasets — NaN/±inf payloads and
-    /// single-record chunks included — with and without a stable half
-    /// key. Chunk layout must never leak into results: fold boundaries
-    /// come from the logical slab ranges, not from the chunks.
+    /// Both record sources release exactly what the naive reference fold
+    /// says — on arbitrary chunk layouts (single-record chunks included),
+    /// NaN/±inf payloads, and row datasets whose partitions a `filter`
+    /// left uneven — with and without a stable half key. Chunk layout and
+    /// the engine's map-side-combine flag must never reach a release.
     #[test]
-    fn columnar_release_is_bit_identical_to_row(
-        base_values in prop::collection::vec(-1000.0f64..1000.0, 1..200),
+    fn both_sources_match_the_reference_fold(
+        base_values in prop::collection::vec(-1000.0f64..1000.0, 0..200),
         cuts in prop::collection::vec(1usize..16, 1..24),
         sample_size in 1usize..48,
         seed in 0u64..500,
         threads in 1usize..4,
+        partitions in 1usize..7,
         half_key in 0usize..2,
         salt in 0usize..17,
     ) {
@@ -119,67 +224,87 @@ proptest! {
                 *v = specials[(i + salt) % specials.len()];
             }
         }
-        let half_key = half_key == 1;
-        use dataflow::columnar::{ColumnChunk, ColumnarBuf, ColumnarDataset};
-        use std::sync::Arc as StdArc;
-        use upa_core::domain::ColumnarEmpiricalSampler;
-
         let c = Context::with_threads(threads);
         let config = UpaConfig { sample_size, seed, add_noise: false, ..UpaConfig::default() };
         let base = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
-        let query = if half_key {
+        let query = if half_key == 1 {
             base.with_half_key(|x: &f64| x.to_bits())
         } else {
             base
         };
+        let run = |ctx: &Context| Upa::new(ctx.clone(), config.clone());
+        let pool = if values.is_empty() { vec![0.0] } else { values.clone() };
+        let domain = EmpiricalSampler::new(pool.clone());
 
-        // Row path: the values as one flat buffer, engine-default slabs.
-        let ds = c.parallelize_default(values.clone());
-        let mut u_row = Upa::new(c.clone(), config.clone());
-        let r_row = u_row.run(&ds, &query, &EmpiricalSampler::new(values.clone()));
-
-        // Columnar path: the same values split at arbitrary points —
-        // `cuts` cycles, so layouts include runs of single-record chunks.
+        // Columnar source: the values split at arbitrary points — `cuts`
+        // cycles, so layouts include runs of single-record chunks. Its
+        // slabs are the engine-default ranges, whatever the chunks are.
         let mut chunks = Vec::new();
         let mut at = 0usize;
-        let mut i = 0usize;
         while at < values.len() {
-            let len = cuts[i % cuts.len()].min(values.len() - at);
-            chunks.push(ColumnChunk::with_stats(StdArc::from(
-                values[at..at + len].to_vec(),
-            )));
+            let len = cuts[chunks.len() % cuts.len()].min(values.len() - at);
+            chunks.push(ColumnChunk::with_stats(Arc::from(values[at..at + len].to_vec())));
             at += len;
-            i += 1;
         }
         let buf = ColumnarBuf::new(chunks);
-        prop_assert_eq!(buf.len(), values.len());
-        let data = ColumnarDataset::new(&c, buf.clone());
-        let mut u_col = Upa::new(c.clone(), config);
-        let r_col = u_col.run_columnar(&data, &query, &ColumnarEmpiricalSampler::new(buf));
-
-        match (r_row, r_col) {
-            (Ok(r_row), Ok(r_col)) => {
-                prop_assert_eq!(r_col.released.to_bits(), r_row.released.to_bits());
-                prop_assert_eq!(r_col.enforced.to_bits(), r_row.enforced.to_bits());
-                prop_assert_eq!(r_col.raw.to_bits(), r_row.raw.to_bits());
-                prop_assert_eq!(r_col.sample_size, r_row.sample_size);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(bits(&r_col.sensitivity), bits(&r_row.sensitivity));
-                prop_assert_eq!(
-                    bits(&r_col.empirical_sensitivity),
-                    bits(&r_row.empirical_sensitivity)
-                );
-                prop_assert_eq!(bits(&r_col.removal_outputs), bits(&r_row.removal_outputs));
-                prop_assert_eq!(bits(&r_col.addition_outputs), bits(&r_row.addition_outputs));
-            }
-            // Non-finite payloads can make the sensitivity fit refuse the
-            // release — legitimately. The paths must still agree on it.
-            (Err(row_err), Err(col_err)) => {
-                prop_assert_eq!(col_err.to_string(), row_err.to_string());
-            }
-            (row, col) => {
-                prop_assert!(false, "paths diverge: row {:?} vs columnar {:?}", row, col);
-            }
+        let slabs: Vec<Vec<f64>> = slab_ranges(values.len(), c.config().default_partitions)
+            .into_iter()
+            .map(|(s, e)| values[s..e].to_vec())
+            .collect();
+        let want = reference_bits(&slabs, &query, &domain, &config);
+        let columnar = against_reference(
+            run(&c).run(
+                &ColumnarDataset::new(&c, buf),
+                &query,
+                &ColumnarEmpiricalSampler::new(ColumnarBuf::from_values(&pool, 7)),
+            ),
+            &want,
+        )?;
+        // Same values, same slabs, the other source: every bit agrees
+        // (Ok or Err alike), logical halves and enforcement included.
+        let flat = c.parallelize_default(values.clone());
+        prop_assert_eq!(&against_reference(run(&c).run(&flat, &query, &domain), &want)?, &columnar);
+        if values.is_empty() {
+            prop_assert_eq!(columnar, Err(UpaError::EmptyDataset.to_string()));
         }
+
+        // Row source with uneven (some possibly empty) partitions, under
+        // both settings of the engine's combiner flag.
+        let keep = move |x: &f64| (x.to_bits() >> 3) % 3 != (salt % 3) as u64;
+        let mut outcomes = Vec::new();
+        for map_side_combine in [true, false] {
+            let c = Context::new(Config { threads, map_side_combine, ..Config::default() });
+            let ds = c.parallelize(values.clone(), partitions).filter(keep);
+            let slabs: Vec<Vec<f64>> = ds.partitions().iter().map(|p| p.to_vec()).collect();
+            let want = reference_bits(&slabs, &query, &domain, &config);
+            outcomes.push(against_reference(run(&c).run(&ds, &query, &domain), &want)?);
+        }
+        prop_assert_eq!(&outcomes[0], &outcomes[1]);
+    }
+
+    /// The row source over a non-`f64` record type with a stable half
+    /// key and a tuple accumulator.
+    #[test]
+    fn keyed_records_match_the_reference_fold(
+        rows in prop::collection::vec((0u32..40, -50.0f64..50.0), 1..150),
+        partitions in 1usize..7,
+        sample_size in 1usize..32,
+        seed in 0u64..500,
+    ) {
+        let c = ctx();
+        let config = UpaConfig { sample_size, seed, add_noise: false, ..UpaConfig::default() };
+        let query: MapReduceQuery<(u32, f64), (f64, f64), f64> = MapReduceQuery::new(
+            "weighted_mean",
+            |(k, v): &(u32, f64)| (*v * 0.1 * f64::from(*k), 1.0),
+            |a, b| (a.0 + b.0, a.1 + b.1),
+            |acc| acc.map_or(0.0, |(s, n)| s / n),
+        )
+        .with_half_key(|(k, _): &(u32, f64)| u64::from(*k));
+        let domain = EmpiricalSampler::new(rows.clone());
+        let ds = c.parallelize(rows, partitions).filter(|(k, _)| k % 5 != 0);
+        let slabs: Vec<Vec<(u32, f64)>> = ds.partitions().iter().map(|p| p.to_vec()).collect();
+        let want = reference_bits(&slabs, &query, &domain, &config);
+        let got = Upa::new(c.clone(), config).run(&ds, &query, &domain);
+        prop_assert!(against_reference(got, &want)?.is_ok(), "finite data must release");
     }
 }

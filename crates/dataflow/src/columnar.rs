@@ -18,13 +18,11 @@
 //! every record that could match.
 
 use crate::context::scan_delay;
-use crate::dataset::Dataset;
-use crate::lineage::Lineage;
 use crate::Context;
 use std::sync::Arc;
 
 /// Per-chunk value statistics, computed at ingest and persisted in the
-/// store manifest (v2).
+/// store manifest.
 ///
 /// `min`/`max` cover **non-NaN** values only; an empty or all-NaN chunk
 /// has the empty range `min = +inf, max = -inf`. NaNs are counted
@@ -76,14 +74,13 @@ impl ChunkStats {
     }
 }
 
-/// One immutable column chunk: a shared slice plus optional statistics
-/// (absent for data loaded from a pre-stats v1 manifest).
+/// One immutable column chunk: a shared slice plus its statistics.
 #[derive(Debug, Clone)]
 pub struct ColumnChunk {
     /// The values, shared with whoever loaded them.
     pub values: Arc<[f64]>,
-    /// Ingest-time statistics; `None` means no pruning for this chunk.
-    pub stats: Option<ChunkStats>,
+    /// Ingest-time statistics, the input to chunk pruning.
+    pub stats: ChunkStats,
 }
 
 impl ColumnChunk {
@@ -91,10 +88,7 @@ impl ColumnChunk {
     #[must_use]
     pub fn with_stats(values: Arc<[f64]>) -> ColumnChunk {
         let stats = ChunkStats::compute(&values);
-        ColumnChunk {
-            values,
-            stats: Some(stats),
-        }
+        ColumnChunk { values, stats }
     }
 }
 
@@ -300,8 +294,8 @@ impl ColumnarBuf {
         }
     }
 
-    /// Materialises the column as one flat vector (the row-path
-    /// bridge; the columnar path itself never calls this).
+    /// Materialises the column as one flat vector (tests and
+    /// benchmarks; no execution path calls this).
     #[must_use]
     pub fn to_vec(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.len());
@@ -311,24 +305,16 @@ impl ColumnarBuf {
         out
     }
 
-    /// The union of all chunk statistics, or `None` if any chunk lacks
-    /// them (v1 data).
+    /// The union of all chunk statistics.
     #[must_use]
-    pub fn total_stats(&self) -> Option<ChunkStats> {
-        let mut acc: Option<ChunkStats> = None;
-        for c in self.chunks.iter() {
-            let s = c.stats.as_ref()?;
-            acc = Some(match acc {
-                Some(a) => a.merge(s),
-                None => *s,
-            });
-        }
-        acc.or(Some(ChunkStats::compute(&[])))
+    pub fn total_stats(&self) -> ChunkStats {
+        self.chunks
+            .iter()
+            .fold(ChunkStats::compute(&[]), |acc, c| acc.merge(&c.stats))
     }
 
     /// Drops whole chunks that cannot contain a value matching `pred`,
-    /// using ingest statistics only — no record is read. Chunks without
-    /// statistics are conservatively kept.
+    /// using ingest statistics only — no record is read.
     #[must_use]
     pub fn prune(&self, pred: &RangePredicate) -> (ColumnarBuf, PruneReport) {
         let mut kept = Vec::with_capacity(self.chunks.len());
@@ -337,12 +323,11 @@ impl ColumnarBuf {
             ..PruneReport::default()
         };
         for c in self.chunks.iter() {
-            match &c.stats {
-                Some(s) if !pred.may_match(s) => {
-                    report.pruned_chunks += 1;
-                    report.pruned_rows += c.values.len() as u64;
-                }
-                _ => kept.push(c.clone()),
+            if pred.may_match(&c.stats) {
+                kept.push(c.clone());
+            } else {
+                report.pruned_chunks += 1;
+                report.pruned_rows += c.values.len() as u64;
             }
         }
         (ColumnarBuf::new(kept), report)
@@ -352,8 +337,8 @@ impl ColumnarBuf {
 /// The slab boundaries [`Context::parallelize`] gives `len` records
 /// over `partitions` partitions: consecutive ranges of
 /// `len.div_ceil(partitions)` rows. The columnar reduce folds inside
-/// these exact boundaries so its floating-point accumulation order is
-/// bit-identical to the row path's per-partition combine.
+/// these exact boundaries, so a column and the same values parallelized
+/// as a row dataset accumulate floating point in the same order.
 #[must_use]
 pub fn slab_ranges(len: usize, partitions: usize) -> Vec<(usize, usize)> {
     assert!(partitions > 0, "partitions must be positive");
@@ -466,7 +451,7 @@ impl ColumnarDataset {
 
     /// Runs one engine stage with a task per row range: `f(range_index,
     /// buffer, start, end)`. Ranges are typically [`slab_ranges`] so the
-    /// work mirrors the row path's partitioning; record counters charge
+    /// work mirrors a row dataset's partitioning; record counters charge
     /// the rows covered by the ranges.
     pub fn run_ranges<A, F>(&self, name: &str, ranges: Vec<(usize, usize)>, f: F) -> Vec<A>
     where
@@ -482,32 +467,6 @@ impl ColumnarDataset {
                 scan_delay(end - start, scan_ns);
                 f(i, &buf, start, end)
             })
-    }
-
-    /// Materialises a row [`Dataset`] with [`Context::parallelize`]
-    /// boundaries — the bridge back to the row engine for paths the
-    /// columnar kernels do not cover (and for equivalence tests).
-    #[must_use]
-    pub fn to_row_dataset(&self) -> Dataset<f64> {
-        self.ctx
-            .parallelize(self.buf.to_vec(), self.ctx.config().default_partitions)
-    }
-
-    /// Hands the chunk buffers to the row engine as partitions without
-    /// copying values — each chunk becomes one partition.
-    #[must_use]
-    pub fn chunk_partitioned_dataset(&self) -> Dataset<f64> {
-        let parts: Vec<Arc<Vec<f64>>> = self
-            .buf
-            .chunks()
-            .iter()
-            .map(|c| Arc::new(c.values.to_vec()))
-            .collect();
-        Dataset::from_parts(
-            self.ctx.clone(),
-            parts,
-            Lineage::source(format!("columnar[{} chunks]", self.buf.num_chunks())),
-        )
     }
 }
 
@@ -589,19 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn chunks_without_stats_are_never_pruned() {
-        let chunk = ColumnChunk {
-            values: Arc::from(vec![100.0, 200.0]),
-            stats: None,
-        };
-        let b = ColumnarBuf::new(vec![chunk]);
-        let (kept, report) = b.prune(&RangePredicate { lo: 0.0, hi: 1.0 });
-        assert_eq!(report.pruned_chunks, 0);
-        assert_eq!(kept.len(), 2);
-        assert!(b.total_stats().is_none());
-    }
-
-    #[test]
     fn slab_ranges_match_parallelize_boundaries() {
         let ctx = Context::with_threads(3);
         for len in [0usize, 1, 2, 9, 10, 100, 101] {
@@ -648,7 +594,7 @@ mod tests {
         let ds = ColumnarDataset::new(&ctx, buf(&[1.0, 2.0, 3.0, 4.0], 2));
         let doubled = ds.map_chunks("columnar[double]", |s| s.iter().map(|x| x * 2.0).collect());
         assert_eq!(doubled.buf().to_vec(), vec![2.0, 4.0, 6.0, 8.0]);
-        let stats = doubled.buf().total_stats().unwrap();
+        let stats = doubled.buf().total_stats();
         assert_eq!((stats.min, stats.max), (2.0, 8.0));
     }
 
@@ -669,16 +615,6 @@ mod tests {
         let delta = ctx.metrics().since(&before);
         assert_eq!(delta.stages, 1);
         assert_eq!(delta.records_processed, 50);
-    }
-
-    #[test]
-    fn row_bridges_preserve_order() {
-        let ctx = Context::with_threads(2);
-        let values: Vec<f64> = (0..33).map(f64::from).collect();
-        let ds = ColumnarDataset::new(&ctx, buf(&values, 5));
-        assert_eq!(ds.to_row_dataset().collect(), values);
-        assert_eq!(ds.chunk_partitioned_dataset().collect(), values);
-        assert_eq!(ds.chunk_partitioned_dataset().num_partitions(), 7);
     }
 
     #[test]

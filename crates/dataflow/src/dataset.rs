@@ -374,6 +374,24 @@ impl<T: Data> Dataset<T> {
         self.reduce_partitions_with(Arc::new(f))
     }
 
+    /// Runs one engine stage with a task per partition: `f(partition
+    /// index, records)`, results in partition order — the row analogue
+    /// of [`crate::ColumnarDataset::run_ranges`]. Forces a pending chain;
+    /// record counters charge every record.
+    pub fn run_partitions<A, F>(&self, name: &str, f: F) -> Vec<A>
+    where
+        A: Send + 'static,
+        F: Fn(usize, &[T]) -> A + Send + Sync + 'static,
+    {
+        let scan_ns = self.ctx.scan_cost_ns();
+        self.ctx.record_processed_public(self.len() as u64);
+        self.ctx
+            .run_tasks(name, self.forced().to_vec(), move |i, part: Arc<Vec<T>>| {
+                crate::context::scan_delay(part.len(), scan_ns);
+                f(i, &part)
+            })
+    }
+
     fn reduce_partitions_with(&self, f: ReduceFn<T>) -> Vec<Option<T>> {
         let scan_ns = self.ctx.scan_cost_ns();
         self.ctx.run_tasks(

@@ -47,11 +47,6 @@ OPTIONS:
                           running prepares/releases) [default: 4]
     --queue-capacity N    Bounded per-dataset request queue; a full
                           queue refuses with `busy` [default: 64]
-    --row-scan            Serve cold prepares through the row path
-                          (re-materialised Vec scans) instead of the
-                          columnar zero-copy kernels. Results are
-                          bit-identical either way; this is an escape
-                          hatch and an A/B lever for benchmarks
     --slow-query-ms MS    Log requests slower than MS at `warn` with
                           their full trace (disabled if absent)
     --trace-capacity N    Finished request traces retained for the
@@ -103,9 +98,6 @@ fn parse_args(args: &[String]) -> Result<(ServerConfig, u16), String> {
             }
             "--allow-admin" => {
                 config.allow_admin = true;
-            }
-            "--row-scan" => {
-                config.columnar = false;
             }
             "--ledger-commit-us" => {
                 config.ledger_commit_us = value(&mut i, arg)?

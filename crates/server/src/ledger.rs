@@ -97,8 +97,8 @@ impl SpendRecord {
         )
     }
 
-    /// Parses a ledger line (the checksum, if present, is *not* verified
-    /// here — see [`SpendRecord::crc_matches`]).
+    /// Parses a ledger line (the checksum is *not* verified here — see
+    /// [`SpendRecord::crc_matches`]).
     pub fn from_json(v: &Json) -> Option<SpendRecord> {
         let epsilon = v.num_of("epsilon")?;
         if !(epsilon.is_finite() && epsilon > 0.0) {
@@ -111,14 +111,17 @@ impl SpendRecord {
         })
     }
 
-    /// Whether the parsed line's checksum matches the record. Lines
-    /// without a `crc` field (written before checksums existed) are
-    /// accepted as matching — legacy ledgers keep replaying.
+    /// Whether the parsed line carries the record's checksum. A line
+    /// without a `crc` field does not match: the writer always emits one,
+    /// and accepting its absence would let a stripped field defeat the
+    /// integrity check on the file that *is* the privacy budget.
     pub fn crc_matches(&self, v: &Json) -> bool {
-        match v.num_of("crc") {
-            None => true,
-            Some(crc) => crc == f64::from(record_crc(&self.dataset, &self.query_id, self.epsilon)),
-        }
+        v.num_of("crc")
+            == Some(f64::from(record_crc(
+                &self.dataset,
+                &self.query_id,
+                self.epsilon,
+            )))
     }
 }
 
@@ -136,8 +139,8 @@ impl Ledger {
     /// A torn final append (no terminating newline, fails to parse) is
     /// **truncated away** — the spend never became durable, and leaving
     /// the torn bytes in place would corrupt the next append. A complete
-    /// line that fails to parse or whose checksum mismatches is a hard
-    /// error: that is damage, not a crash artefact.
+    /// line that fails to parse, or whose checksum is missing or
+    /// mismatched, is a hard error: that is damage, not a crash artefact.
     ///
     /// # Errors
     ///
@@ -195,12 +198,15 @@ impl Ledger {
             match parsed {
                 Some((Some(rec), v)) => {
                     if !rec.crc_matches(&v) {
-                        // A complete record whose checksum disagrees is
-                        // damage even at the tail: the writer only ever
-                        // emits matching checksums, torn or not.
+                        // A complete record whose checksum is absent or
+                        // disagrees is damage even at the tail: the writer
+                        // only ever emits matching checksums, torn or not.
                         return Err(io::Error::new(
                             io::ErrorKind::InvalidData,
-                            format!("ledger line {} fails its checksum: {line:?}", i + 1),
+                            format!(
+                                "ledger line {} is missing or fails its checksum: {line:?}",
+                                i + 1
+                            ),
                         ));
                     }
                     records.push(rec);
@@ -402,7 +408,13 @@ impl GroupCommitLedger {
 
 impl Drop for GroupCommitLedger {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        {
+            // Flip the flag under the queue lock: the committer checks it
+            // and starts waiting without releasing that lock in between,
+            // so the wake-up below cannot fall into that gap and be lost.
+            let _queue = self.shared.queue.lock();
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.arrived.notify_all();
         if let Some(committer) = self.committer.take() {
             let _ = committer.join();
@@ -481,6 +493,16 @@ mod tests {
         dir.join(format!("{tag}_{}.jsonl", std::process::id()))
     }
 
+    /// A hand-placed ledger line for dataset `d`, checksum included.
+    fn line(query_id: &str, epsilon: f64) -> String {
+        SpendRecord {
+            dataset: "d".into(),
+            query_id: query_id.into(),
+            epsilon,
+        }
+        .to_line()
+    }
+
     #[test]
     fn append_then_reopen_replays_spends() {
         let path = temp_path("roundtrip");
@@ -514,7 +536,7 @@ mod tests {
     #[test]
     fn torn_final_line_is_discarded_and_truncated() {
         let path = temp_path("torn");
-        let durable = "{\"dataset\":\"d\",\"query_id\":\"q\",\"epsilon\":0.1}\n";
+        let durable = line("q", 0.1) + "\n";
         std::fs::write(
             &path,
             format!("{durable}{{\"dataset\":\"d\",\"query_id\":\"q\",\"eps"),
@@ -544,11 +566,7 @@ mod tests {
     #[test]
     fn corrupt_interior_line_is_an_error() {
         let path = temp_path("corrupt");
-        std::fs::write(
-            &path,
-            "not json at all\n{\"dataset\":\"d\",\"query_id\":\"q\",\"epsilon\":0.1}\n",
-        )
-        .unwrap();
+        std::fs::write(&path, format!("not json at all\n{}\n", line("q", 0.1))).unwrap();
         let err = Ledger::open(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let _ = std::fs::remove_file(&path);
@@ -557,11 +575,7 @@ mod tests {
     #[test]
     fn non_positive_epsilon_is_rejected_as_corrupt() {
         let path = temp_path("negeps");
-        std::fs::write(
-            &path,
-            "{\"dataset\":\"d\",\"query_id\":\"q\",\"epsilon\":-0.5}\n{\"dataset\":\"d\",\"query_id\":\"q\",\"epsilon\":0.1}\n",
-        )
-        .unwrap();
+        std::fs::write(&path, format!("{}\n{}\n", line("q", -0.5), line("q", 0.1))).unwrap();
         assert!(Ledger::open(&path).is_err());
         let _ = std::fs::remove_file(&path);
     }
@@ -569,11 +583,7 @@ mod tests {
     #[test]
     fn complete_final_line_without_newline_is_kept() {
         let path = temp_path("nonl");
-        std::fs::write(
-            &path,
-            "{\"dataset\":\"d\",\"query_id\":\"q\",\"epsilon\":0.25}",
-        )
-        .unwrap();
+        std::fs::write(&path, line("q", 0.25)).unwrap();
         let (_, replayed) = Ledger::open(&path).unwrap();
         assert_eq!(replayed.len(), 1);
         assert_eq!(replayed[0].epsilon, 0.25);
@@ -581,7 +591,7 @@ mod tests {
     }
 
     #[test]
-    fn checksum_round_trips_and_legacy_lines_still_replay() {
+    fn checksum_round_trips_and_crc_less_lines_are_rejected() {
         let rec = SpendRecord {
             dataset: "d".into(),
             query_id: "d/mean/v".into(),
@@ -593,11 +603,14 @@ mod tests {
         let parsed = SpendRecord::from_json(&v).unwrap();
         assert_eq!(parsed, rec);
         assert!(parsed.crc_matches(&v));
-        // Pre-checksum ledgers (no crc field) keep replaying.
-        let legacy = "{\"dataset\":\"d\",\"query_id\":\"q\",\"epsilon\":0.1}\n";
-        let (records, len) = Ledger::replay_durable(legacy).unwrap();
-        assert_eq!(records.len(), 1);
-        assert_eq!(len, legacy.len());
+        // Stripping the field must not defeat the check: a complete
+        // line without a crc is corruption, newline-terminated or not.
+        let stripped = "{\"dataset\":\"d\",\"query_id\":\"q\",\"epsilon\":0.1}";
+        for contents in [format!("{stripped}\n"), stripped.to_string()] {
+            let err = Ledger::replay_durable(&contents).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("checksum"), "{err}");
+        }
     }
 
     #[test]

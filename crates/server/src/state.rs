@@ -39,10 +39,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
-use upa_core::domain::{ColumnarEmpiricalSampler, EmpiricalSampler};
+use upa_core::domain::ColumnarEmpiricalSampler;
 use upa_core::query::MapReduceQuery;
 use upa_core::{PreparedQuery, QueryAudit, Upa, UpaConfig, UpaError};
-use upa_store::{Catalog, IngestOptions, IngestReport, Resident, StoreError};
+use upa_store::{Catalog, IngestOptions, IngestReport, StoreError};
 
 /// An in-memory dataset the server answers queries over: named numeric
 /// columns plus the row count (so `count` works on column-less tables).
@@ -233,11 +233,6 @@ pub struct ServerConfig {
     /// Store datasets to attach at startup (requires
     /// [`ServerConfig::store_path`]).
     pub attach: Vec<String>,
-    /// Serve columnar-backed datasets (catalog attaches) through the
-    /// zero-copy chunk kernels. On by default; benchmarks flip this off
-    /// to measure the row path over identical data. Releases are
-    /// bit-identical either way under the same seed.
-    pub columnar: bool,
 }
 
 impl Default for ServerConfig {
@@ -262,7 +257,6 @@ impl Default for ServerConfig {
             store_path: None,
             allow_admin: false,
             attach: Vec::new(),
-            columnar: true,
         }
     }
 }
@@ -365,81 +359,41 @@ pub type PreparedAgg = PreparedQuery<f64, (f64, f64), f64>;
 /// Cache key: `(dataset, aggregate, column)`.
 type QueryKey = (String, AggKind, String);
 
-/// One served column's storage. Baked-in [`DatasetSpec`]s carry flat
-/// vectors; catalog attaches hand over the store's chunk buffers
-/// untouched, so the columnar serving path scans the very bytes the
-/// loader decoded — no re-materialised `Vec<f64>` anywhere between disk
-/// and kernel.
-#[derive(Debug, Clone)]
-enum ColumnHandle {
-    /// Flat values behind an `Arc` (in-memory [`DatasetSpec`]s).
-    Row(Arc<Vec<f64>>),
-    /// Shared store chunks in their on-disk layout (catalog attaches).
-    Columnar(ColumnarBuf),
-}
-
-impl ColumnHandle {
-    fn len(&self) -> usize {
-        match self {
-            ColumnHandle::Row(v) => v.len(),
-            ColumnHandle::Columnar(buf) => buf.len(),
-        }
-    }
-
-    /// Flattens to a plain vector — the row path's (copying) view.
-    fn to_vec(&self) -> Vec<f64> {
-        match self {
-            ColumnHandle::Row(v) => v.as_ref().clone(),
-            ColumnHandle::Columnar(buf) => buf.to_vec(),
-        }
-    }
-}
-
 struct DatasetState {
     name: String,
     rows: usize,
-    /// Column storage handles: attaching from the catalog shares the
-    /// catalog's chunk buffers instead of copying them, and a dataset
-    /// detached mid-query stays alive until its last in-flight release
-    /// drops the handle.
-    columns: HashMap<String, ColumnHandle>,
-    /// Whether the dataset is columnar-backed (a catalog attach), so
-    /// column-less `count` queries know which execution path owns it.
-    columnar: bool,
+    /// Every column as shared chunks. Catalog attaches hand over the
+    /// store's chunk buffers untouched (the scan reads the very bytes the
+    /// loader decoded); an in-memory [`DatasetSpec`] column is wrapped as
+    /// one chunk at startup. A dataset detached mid-query stays alive
+    /// until its last in-flight release drops the handle.
+    columns: HashMap<String, ColumnarBuf>,
     resident_bytes: usize,
     upa: Mutex<Upa>,
 }
 
 impl DatasetState {
-    fn from_spec(spec: &DatasetSpec, upa: Upa) -> DatasetState {
-        let columns: HashMap<String, ColumnHandle> = spec
-            .columns
-            .iter()
-            .map(|(name, values)| (name.clone(), ColumnHandle::Row(Arc::new(values.clone()))))
-            .collect();
-        let resident_bytes = columns.values().map(|v| v.len() * 8).sum();
+    /// A served dataset over `columns`, with its own engine seeded `seed`.
+    fn new(
+        name: &str,
+        rows: usize,
+        columns: HashMap<String, ColumnarBuf>,
+        ctx: &Context,
+        config: &ServerConfig,
+        seed: u64,
+    ) -> DatasetState {
+        let upa_config = UpaConfig {
+            epsilon: config.epsilon,
+            sample_size: config.sample_size,
+            seed,
+            ..UpaConfig::default()
+        };
         DatasetState {
-            name: spec.name.clone(),
-            rows: spec.rows,
+            name: name.to_string(),
+            rows,
+            resident_bytes: columns.len() * rows * 8,
             columns,
-            columnar: false,
-            resident_bytes,
-            upa: Mutex::new(upa),
-        }
-    }
-
-    fn from_resident(resident: &Resident, upa: Upa) -> DatasetState {
-        DatasetState {
-            name: resident.name.clone(),
-            rows: resident.rows,
-            columns: resident
-                .columns
-                .iter()
-                .map(|(name, buf)| (name.clone(), ColumnHandle::Columnar(buf.clone())))
-                .collect(),
-            columnar: true,
-            resident_bytes: resident.resident_bytes,
-            upa: Mutex::new(upa),
+            upa: Mutex::new(Upa::new(ctx.clone(), upa_config)),
         }
     }
 }
@@ -699,7 +653,8 @@ impl ServerState {
     ///
     /// # Errors
     ///
-    /// Ledger I/O or corruption errors.
+    /// Ledger I/O or corruption errors; `InvalidInput` when a
+    /// [`DatasetSpec`] column's length differs from its row count.
     pub fn new(config: ServerConfig) -> std::io::Result<ServerState> {
         let ctx = if config.threads == 0 {
             Context::default()
@@ -731,17 +686,28 @@ impl ServerState {
         let mut datasets = HashMap::new();
         let mut budgets = HashMap::new();
         for (i, spec) in config.datasets.iter().enumerate() {
-            let upa_config = UpaConfig {
-                epsilon: config.epsilon,
-                sample_size: config.sample_size,
-                seed: config.seed.wrapping_add(i as u64),
-                ..UpaConfig::default()
-            };
+            if let Some((column, values)) = spec.columns.iter().find(|(_, v)| v.len() != spec.rows)
+            {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!(
+                        "dataset '{}': column '{column}' has {} values, expected {} rows",
+                        spec.name,
+                        values.len(),
+                        spec.rows
+                    ),
+                ));
+            }
+            let columns = spec
+                .columns
+                .iter()
+                .map(|(name, values)| (name.clone(), ColumnarBuf::from_values(values, spec.rows)))
+                .collect();
+            let seed = config.seed.wrapping_add(i as u64);
             datasets.insert(
                 spec.name.clone(),
-                Arc::new(DatasetState::from_spec(
-                    spec,
-                    Upa::new(ctx.clone(), upa_config),
+                Arc::new(DatasetState::new(
+                    &spec.name, spec.rows, columns, &ctx, &config, seed,
                 )),
             );
             if let Some(total) = config.budget {
@@ -901,15 +867,13 @@ impl ServerState {
     pub fn attach_dataset(&self, name: &str) -> Result<AttachOutcome, ServeError> {
         let catalog = self.require_catalog()?;
         let (resident, reloaded) = catalog.attach(name)?;
-        let upa_config = UpaConfig {
-            epsilon: self.config.epsilon,
-            sample_size: self.config.sample_size,
-            seed: self.attach_seed(name),
-            ..UpaConfig::default()
-        };
-        let ds = Arc::new(DatasetState::from_resident(
-            &resident,
-            Upa::new(self.ctx.clone(), upa_config),
+        let ds = Arc::new(DatasetState::new(
+            name,
+            resident.rows,
+            resident.columns.iter().cloned().collect(),
+            &self.ctx,
+            &self.config,
+            self.attach_seed(name),
         ));
         self.datasets
             .write()
@@ -983,12 +947,6 @@ impl ServerState {
         self.prepared.len()
     }
 
-    /// Drops every cached prepare for `dataset` without touching its
-    /// residency — the cold-prepare benchmarks' reset button.
-    pub fn invalidate_prepared(&self, dataset: &str) {
-        self.prepared.purge_dataset(dataset);
-    }
-
     // ---- shutdown & admission ------------------------------------------
 
     /// Flags the server as draining; new requests are refused.
@@ -1035,51 +993,24 @@ impl ServerState {
             .ok_or_else(|| ServeError::UnknownDataset(name.to_string()))
     }
 
-    fn column_values(
+    /// The chunks a query scans. Column-less `count` synthesises one
+    /// zero chunk (chunk layout never reaches the fold boundaries).
+    fn column(
         &self,
         ds: &DatasetState,
         kind: AggKind,
         column: &str,
-    ) -> Result<Vec<f64>, ServeError> {
+    ) -> Result<ColumnarBuf, ServeError> {
         if kind == AggKind::Count && column.is_empty() {
-            return Ok(vec![0.0; ds.rows]);
+            return Ok(ColumnarBuf::zeros(ds.rows));
         }
         ds.columns
             .get(column)
-            .map(ColumnHandle::to_vec)
+            .cloned()
             .ok_or_else(|| ServeError::UnknownColumn {
                 dataset: ds.name.clone(),
                 column: column.to_string(),
             })
-    }
-
-    /// The chunk buffer to scan when this query should take the
-    /// columnar path: the dataset is catalog-backed, columnar serving
-    /// is enabled, and the addressed column holds shared chunks.
-    /// `Ok(None)` routes to the row path; column-less `count` over a
-    /// columnar dataset synthesises a single zero chunk, mirroring the
-    /// row path's `vec![0.0; rows]` (bit-identical — chunk layout never
-    /// reaches the fold boundaries).
-    fn columnar_column(
-        &self,
-        ds: &DatasetState,
-        kind: AggKind,
-        column: &str,
-    ) -> Result<Option<ColumnarBuf>, ServeError> {
-        if !self.config.columnar {
-            return Ok(None);
-        }
-        if kind == AggKind::Count && column.is_empty() {
-            return Ok(ds.columnar.then(|| ColumnarBuf::zeros(ds.rows)));
-        }
-        match ds.columns.get(column) {
-            Some(ColumnHandle::Columnar(buf)) => Ok(Some(buf.clone())),
-            Some(ColumnHandle::Row(_)) => Ok(None),
-            None => Err(ServeError::UnknownColumn {
-                dataset: ds.name.clone(),
-                column: column.to_string(),
-            }),
-        }
     }
 
     /// Canonical query identity.
@@ -1127,24 +1058,17 @@ impl ServerState {
         }
         let ds = self.dataset(dataset)?;
         let query = build_agg_query(kind);
-        let prepared = if let Some(buf) = self.columnar_column(&ds, kind, column)? {
-            // Zero-copy cold path: phases 1–3 run chunk-at-a-time over
-            // the store's shared buffers; the domain sampler resamples
-            // straight from the same chunks. Bit-identical to the row
-            // path under the same seed.
-            let data = ColumnarDataset::new(&self.ctx, buf.clone());
-            let domain = ColumnarEmpiricalSampler::new(buf);
-            let mut upa = ds.upa.lock().expect("engine poisoned");
-            upa.prepare_columnar(&data, &query, &domain)
-                .map_err(|e| ServeError::Pipeline(e.to_string()))?
-        } else {
-            let values = self.column_values(&ds, kind, column)?;
-            let data = self.ctx.parallelize_default(values.clone());
-            let domain = EmpiricalSampler::new(values);
-            let mut upa = ds.upa.lock().expect("engine poisoned");
-            upa.prepare(&data, &query, &domain)
-                .map_err(|e| ServeError::Pipeline(e.to_string()))?
-        };
+        // Phases 1–3 run chunk-at-a-time over the shared buffers; the
+        // domain sampler resamples straight from the same chunks.
+        let buf = self.column(&ds, kind, column)?;
+        let data = ColumnarDataset::new(&self.ctx, buf.clone());
+        let domain = ColumnarEmpiricalSampler::new(buf);
+        let prepared = ds
+            .upa
+            .lock()
+            .expect("engine poisoned")
+            .prepare(&data, &query, &domain)
+            .map_err(|e| ServeError::Pipeline(e.to_string()))?;
         let prepared = Arc::new(prepared);
         if self.prepared.insert(key, Arc::clone(&prepared)) {
             self.obs.m.cache_evictions.inc();
@@ -1963,62 +1887,86 @@ mod tests {
     }
 
     #[test]
-    fn columnar_release_is_bit_identical_to_row_path() {
+    fn chunk_layout_never_reaches_a_release() {
         let dir = temp_store("columnar_bits");
-        {
-            let store = upa_store::Store::open(&dir).unwrap();
-            let values: Vec<f64> = (0..4096).map(|i| ((i * 37) % 101) as f64 - 17.0).collect();
-            let columns = vec![("v".to_string(), values)];
-            // Small chunks so the kernels cross many chunk boundaries.
-            store
-                .ingest(
-                    "cols",
-                    &columns,
-                    &IngestOptions {
-                        chunk_rows: 300,
-                        overwrite: true,
-                    },
-                )
-                .unwrap();
-        }
-        let make = |columnar: bool| {
-            Arc::new(
-                ServerState::new(ServerConfig {
-                    datasets: vec![],
-                    epsilon: 0.25,
-                    sample_size: 64,
-                    threads: 2,
-                    store_path: Some(dir.clone()),
-                    columnar,
-                    ..ServerConfig::default()
-                })
-                .unwrap(),
+        let values: Vec<f64> = (0..4096).map(|i| ((i * 37) % 101) as f64 - 17.0).collect();
+        // Small chunks so the kernels cross many chunk boundaries.
+        upa_store::Store::open(&dir)
+            .unwrap()
+            .ingest(
+                "cols",
+                &[("v".to_string(), values.clone())],
+                &IngestOptions {
+                    chunk_rows: 300,
+                    overwrite: true,
+                },
             )
+            .unwrap();
+        let make = |config: ServerConfig| {
+            ServerState::new(ServerConfig {
+                epsilon: 0.25,
+                sample_size: 64,
+                threads: 2,
+                ..config
+            })
+            .unwrap()
         };
-        let col = make(true);
-        let row = make(false);
-        col.attach_dataset("cols").unwrap();
-        row.attach_dataset("cols").unwrap();
+        let stored = make(ServerConfig {
+            store_path: Some(dir.clone()),
+            attach: vec!["cols".to_string()],
+            ..ServerConfig::default()
+        });
+        // The same values as one in-memory chunk, under the same engine
+        // seed the attach derived.
+        let flat = make(ServerConfig {
+            datasets: vec![DatasetSpec::new(
+                "cols",
+                values.len(),
+                HashMap::from([("v".to_string(), values)]),
+            )],
+            seed: stored.attach_seed("cols"),
+            ..ServerConfig::default()
+        });
         for (kind, column) in [
             (AggKind::Sum, "v"),
             (AggKind::Mean, "v"),
             (AggKind::Count, ""),
         ] {
-            let a = col.release("cols", kind, column, None, true).unwrap();
-            let b = row.release("cols", kind, column, None, true).unwrap();
+            let a = stored.release("cols", kind, column, None, true).unwrap();
+            let b = flat.release("cols", kind, column, None, true).unwrap();
             assert_eq!(
                 a.released.to_bits(),
                 b.released.to_bits(),
-                "{kind:?} release must not depend on the execution path"
+                "{kind:?} release must not depend on the chunk layout"
             );
             assert!(!a.cached, "first release of a key is a cold prepare");
             assert!(a.prepare_us.is_some(), "cold releases report prepare time");
         }
         // The second release of a key is a cache hit with no prepare cost.
-        let again = col.release("cols", AggKind::Sum, "v", None, false).unwrap();
+        let again = stored
+            .release("cols", AggKind::Sum, "v", None, false)
+            .unwrap();
         assert!(again.cached);
         assert_eq!(again.prepare_us, None);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spec_columns_must_match_the_row_count() {
+        let err = ServerState::new(ServerConfig {
+            datasets: vec![DatasetSpec::new(
+                "ragged",
+                10,
+                HashMap::from([("short".to_string(), vec![1.0; 7])]),
+            )],
+            ..ServerConfig::default()
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        let msg = err.to_string();
+        for needle in ["ragged", "short", "7", "10"] {
+            assert!(msg.contains(needle), "'{msg}' does not name {needle}");
+        }
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Columnar serving smoke: the full ingest → attach → cold prepare →
-//! release path against real `upa-serverd` daemons, one serving through
-//! the columnar zero-copy kernels and one forced down the row path with
-//! `--row-scan`. Under the same seed the two must release the same bits
-//! — the scan path buys latency, never a different answer — and the
-//! wire metadata must show the cold prepare (`cache: miss` with a
-//! timing) turning into cache hits on repeat queries.
+//! release path against real `upa-serverd` daemons, one serving a store
+//! dataset in its on-disk chunks and one serving the same values as an
+//! in-memory `--synthetic` dataset (a single chunk). Under the same
+//! engine seed the two must release the same bits — chunk layout never
+//! reaches a release — and the wire metadata must show the cold prepare
+//! (`cache: miss` with a timing) turning into cache hits on repeat
+//! queries.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use upa_server::Client;
 
@@ -18,23 +21,22 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn spawn_daemon(store: &Path, extra: &[&str]) -> (Child, String) {
+const SEED: u64 = 77;
+const ROWS: usize = 140_000;
+const MODULUS: usize = 101;
+
+fn spawn_daemon(extra: &[&str]) -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_upa-serverd"))
         .args([
             "--port",
             "0",
-            "--allow-admin",
             "--epsilon",
             "0.25",
             "--sample-size",
             "64",
-            "--seed",
-            "77",
             "--threads",
             "2",
         ])
-        .arg("--store")
-        .arg(store)
         .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -54,42 +56,54 @@ fn spawn_daemon(store: &Path, extra: &[&str]) -> (Child, String) {
 }
 
 #[test]
-fn columnar_and_row_daemons_release_identical_bits() {
+fn store_and_in_memory_daemons_release_identical_bits() {
     let root = temp_dir("bits");
     let store = root.join("store");
     std::fs::create_dir_all(&store).unwrap();
     let csv = root.join("metrics.csv");
     let mut text = String::from("v\n");
-    for i in 0..4_096 {
-        text.push_str(&format!("{}\n", ((i * 37) % 101) as f64 - 17.0));
+    for i in 0..ROWS {
+        text.push_str(&format!("{}\n", i % MODULUS));
     }
     std::fs::write(&csv, text).unwrap();
 
-    // Publish once into the shared store, through the columnar daemon.
-    let (mut col_child, col_addr) = spawn_daemon(&store, &[]);
-    let mut col = Client::connect(&col_addr).expect("connect columnar");
+    // Publish into the store (three default-sized chunks) and attach.
+    let seed = SEED.to_string();
+    let (mut col_child, col_addr) = spawn_daemon(&[
+        "--allow-admin",
+        "--seed",
+        &seed,
+        "--store",
+        &store.to_string_lossy(),
+    ]);
+    let mut col = Client::connect(&col_addr).expect("connect store daemon");
     let (_, rows) = col
         .ingest(&csv.to_string_lossy(), Some("metrics"))
         .expect("ingest");
-    assert_eq!(rows, 4_096);
-    col.attach("metrics").expect("attach columnar");
+    assert_eq!(rows, ROWS as u64);
+    col.attach("metrics").expect("attach");
 
-    // Same store, same seed, row path forced.
-    let (mut row_child, row_addr) = spawn_daemon(&store, &["--row-scan"]);
-    let mut row = Client::connect(&row_addr).expect("connect row");
-    row.attach("metrics").expect("attach row");
+    // The same values in memory, under the engine seed the attach
+    // derived (configured seed ^ hash of the dataset name).
+    let mut hasher = DefaultHasher::new();
+    "metrics".hash(&mut hasher);
+    let attach_seed = (SEED ^ hasher.finish()).to_string();
+    let synthetic = format!("metrics={ROWS}:{MODULUS}");
+    let (mut row_child, row_addr) =
+        spawn_daemon(&["--seed", &attach_seed, "--synthetic", &synthetic]);
+    let mut row = Client::connect(&row_addr).expect("connect in-memory daemon");
 
     for (kind, column) in [("sum", "v"), ("mean", "v"), ("count", "")] {
         let a = col
             .release("metrics", kind, column, None, false)
-            .expect("columnar release");
+            .expect("store release");
         let b = row
             .release("metrics", kind, column, None, false)
-            .expect("row release");
+            .expect("in-memory release");
         assert_eq!(
             a.released.to_bits(),
             b.released.to_bits(),
-            "{kind} must release identical bits on both scan paths"
+            "{kind} must release identical bits whatever the chunk layout"
         );
         assert_eq!(a.noise_scale.to_bits(), b.noise_scale.to_bits());
         assert!(!a.cached, "first {kind} release pays the cold prepare");

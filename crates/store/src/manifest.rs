@@ -3,18 +3,13 @@
 //! the store — chunk files carry opaque generated names (`c0-1.bin`),
 //! so hostile column names never touch the filesystem.
 //!
-//! # Manifest versions
+//! # Chunk statistics
 //!
-//! * **v1** — chunk list only (file, rows, crc).
-//! * **v2** — adds per-chunk statistics (`min_bits`, `max_bits`,
-//!   `nan_count`): min/max over non-NaN values as f64 **bit patterns in
-//!   hex**, because JSON numbers can neither carry ±inf nor round-trip
-//!   a u64 bit pattern exactly. The stats value count is the chunk's
-//!   `rows`. v1 manifests still load; absent stats simply disable
-//!   chunk pruning.
-//!
-//! The chunk *file* format is unchanged (still version 1); only the
-//! manifest schema grew.
+//! Every chunk entry carries its ingest-time statistics (`min_bits`,
+//! `max_bits`, `nan_count`): min/max over non-NaN values as f64 **bit
+//! patterns in hex**, because JSON numbers can neither carry ±inf nor
+//! round-trip a u64 bit pattern exactly. The stats value count is the
+//! chunk's `rows`. There is one manifest version; any other is rejected.
 
 use dataflow::columnar::ChunkStats;
 
@@ -23,7 +18,7 @@ use crate::json::{self, Json};
 /// File name of the manifest inside a dataset directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
 
-/// Current manifest schema version (chunk statistics included).
+/// The manifest schema version (chunk statistics included).
 pub const MANIFEST_FORMAT_VERSION: u32 = 2;
 
 /// One chunk of one column.
@@ -36,8 +31,8 @@ pub struct ChunkMeta {
     /// The chunk file's FNV-1a trailer, repeated here so a chunk file
     /// swapped for another (self-consistent) one is still caught.
     pub crc: u32,
-    /// Ingest-time value statistics (v2 manifests); `None` for v1 data.
-    pub stats: Option<ChunkStats>,
+    /// Ingest-time value statistics.
+    pub stats: ChunkStats,
 }
 
 /// One column and its chunk list, in row order.
@@ -50,19 +45,12 @@ pub struct ColumnMeta {
 }
 
 impl ColumnMeta {
-    /// The union of this column's chunk statistics, or `None` when any
-    /// chunk lacks them (v1 data).
+    /// The union of this column's chunk statistics.
     #[must_use]
-    pub fn stats(&self) -> Option<ChunkStats> {
-        let mut acc: Option<ChunkStats> = None;
-        for chunk in &self.chunks {
-            let s = chunk.stats.as_ref()?;
-            acc = Some(match acc {
-                Some(a) => a.merge(s),
-                None => *s,
-            });
-        }
-        acc.or(Some(ChunkStats::compute(&[])))
+    pub fn stats(&self) -> ChunkStats {
+        self.chunks
+            .iter()
+            .fold(ChunkStats::compute(&[]), |acc, c| acc.merge(&c.stats))
     }
 }
 
@@ -108,14 +96,12 @@ impl Manifest {
                 out.push_str(&chunk.rows.to_string());
                 out.push_str(",\"crc\":");
                 out.push_str(&chunk.crc.to_string());
-                if let Some(stats) = &chunk.stats {
-                    out.push_str(",\"min_bits\":\"");
-                    out.push_str(&format!("{:016x}", stats.min.to_bits()));
-                    out.push_str("\",\"max_bits\":\"");
-                    out.push_str(&format!("{:016x}", stats.max.to_bits()));
-                    out.push_str("\",\"nan_count\":");
-                    out.push_str(&stats.nan_count.to_string());
-                }
+                out.push_str(",\"min_bits\":\"");
+                out.push_str(&format!("{:016x}", chunk.stats.min.to_bits()));
+                out.push_str("\",\"max_bits\":\"");
+                out.push_str(&format!("{:016x}", chunk.stats.max.to_bits()));
+                out.push_str("\",\"nan_count\":");
+                out.push_str(&chunk.stats.nan_count.to_string());
                 out.push('}');
             }
             out.push_str("]}");
@@ -136,9 +122,10 @@ impl Manifest {
         let format_version = field_u64(&doc, "format_version")?;
         let format_version =
             u32::try_from(format_version).map_err(|_| "format_version out of range".to_string())?;
-        if format_version == 0 || format_version > MANIFEST_FORMAT_VERSION {
+        if format_version != MANIFEST_FORMAT_VERSION {
             return Err(format!(
-                "unsupported manifest format version {format_version}"
+                "unsupported manifest format version {format_version} \
+                 (this build reads version {MANIFEST_FORMAT_VERSION})"
             ));
         }
         let dataset = doc
@@ -182,17 +169,14 @@ impl Manifest {
                 total = total
                     .checked_add(chunk_rows)
                     .ok_or_else(|| format!("column '{name}': chunk rows overflow"))?;
-                let stats = match chunk.get("min_bits") {
-                    Some(_) => Some(ChunkStats {
-                        min: field_f64_bits(chunk, "min_bits")
-                            .map_err(|e| format!("column '{name}', chunk '{file}': {e}"))?,
-                        max: field_f64_bits(chunk, "max_bits")
-                            .map_err(|e| format!("column '{name}', chunk '{file}': {e}"))?,
-                        count: chunk_rows,
-                        nan_count: field_u64(chunk, "nan_count")
-                            .map_err(|e| format!("column '{name}', chunk '{file}': {e}"))?,
-                    }),
-                    None => None,
+                let stats = ChunkStats {
+                    min: field_f64_bits(chunk, "min_bits")
+                        .map_err(|e| format!("column '{name}', chunk '{file}': {e}"))?,
+                    max: field_f64_bits(chunk, "max_bits")
+                        .map_err(|e| format!("column '{name}', chunk '{file}': {e}"))?,
+                    count: chunk_rows,
+                    nan_count: field_u64(chunk, "nan_count")
+                        .map_err(|e| format!("column '{name}', chunk '{file}': {e}"))?,
                 };
                 chunks.push(ChunkMeta {
                     file,
@@ -259,13 +243,13 @@ fn field_f64_bits(doc: &Json, key: &str) -> Result<f64, String> {
 mod tests {
     use super::*;
 
-    fn stats(min: f64, max: f64, count: u64, nan_count: u64) -> Option<ChunkStats> {
-        Some(ChunkStats {
+    fn stats(min: f64, max: f64, count: u64, nan_count: u64) -> ChunkStats {
+        ChunkStats {
             min,
             max,
             count,
             nan_count,
-        })
+        }
     }
 
     fn sample() -> Manifest {
@@ -360,7 +344,7 @@ mod tests {
             }],
         }];
         let back = Manifest::from_json(&m.to_json()).unwrap();
-        let s = back.columns[0].chunks[0].stats.unwrap();
+        let s = back.columns[0].chunks[0].stats;
         assert_eq!(s.min, f64::NEG_INFINITY);
         assert_eq!(s.max, f64::INFINITY);
         assert_eq!(s.nan_count, 2);
@@ -368,32 +352,33 @@ mod tests {
 
         // An all-NaN chunk has the empty range (+inf, -inf).
         let empty = ChunkStats::compute(&[f64::NAN]);
-        m.columns[0].chunks[0].stats = Some(ChunkStats { count: 3, ..empty });
+        m.columns[0].chunks[0].stats = ChunkStats { count: 3, ..empty };
         let back = Manifest::from_json(&m.to_json()).unwrap();
-        let s = back.columns[0].chunks[0].stats.unwrap();
+        let s = back.columns[0].chunks[0].stats;
         assert_eq!(s.min.to_bits(), f64::INFINITY.to_bits());
         assert_eq!(s.max.to_bits(), f64::NEG_INFINITY.to_bits());
     }
 
     #[test]
-    fn v1_manifest_without_stats_still_loads() {
+    fn v1_manifest_without_stats_is_rejected() {
         // The exact document a pre-stats build wrote: version 1, no
-        // stats fields anywhere.
+        // stats fields anywhere. No such store ever shipped.
         let text = concat!(
             "{\"format_version\":1,\"dataset\":\"old\",\"rows\":4,",
             "\"columns\":[{\"name\":\"v\",\"chunks\":[",
             "{\"file\":\"c0-0.bin\",\"rows\":4,\"crc\":123}]}]}\n"
         );
-        let m = Manifest::from_json(text).unwrap();
-        assert_eq!(m.format_version, 1);
-        assert_eq!(m.columns[0].chunks[0].stats, None);
-        assert_eq!(m.columns[0].stats(), None, "no stats means no pruning");
+        let err = Manifest::from_json(text).unwrap_err();
+        assert!(err.contains("version 1"), "unexpected error: {err}");
+        // A current-version document must carry the stats fields too.
+        let text = text.replace("\"format_version\":1", "\"format_version\":2");
+        assert!(Manifest::from_json(&text).unwrap_err().contains("min_bits"));
     }
 
     #[test]
     fn column_stats_union_chunks() {
         let m = sample();
-        let s = m.columns[0].stats().unwrap();
+        let s = m.columns[0].stats();
         assert_eq!((s.min, s.max), (17.0, 55.0));
         assert_eq!(s.count, 5);
     }

@@ -282,7 +282,7 @@ impl Store {
                     file,
                     rows: window.len() as u64,
                     crc: chunk_crc(window),
-                    stats: Some(ChunkStats::compute(window)),
+                    stats: ChunkStats::compute(window),
                 });
                 if let Some(d) = delay {
                     std::thread::sleep(d);
@@ -300,7 +300,7 @@ impl Store {
                     file,
                     rows: 0,
                     crc: chunk_crc(&[]),
-                    stats: Some(ChunkStats::compute(&[])),
+                    stats: ChunkStats::compute(&[]),
                 });
             }
             manifest_columns.push(ColumnMeta {
@@ -473,8 +473,6 @@ fn load_chunk_job(job: (usize, PathBuf, ChunkMeta)) -> Result<(usize, ColumnChun
             meta.crc
         )));
     }
-    // v1 manifests carry no stats; the chunk stays unprunable rather
-    // than paying a rescan here.
     Ok((
         col_idx,
         ColumnChunk {
@@ -553,7 +551,7 @@ mod tests {
             loaded.columns[0].1.to_vec(),
             vec![41.0, 17.0, 29.0, 55.0, 30.0]
         );
-        let stats = loaded.columns[0].1.total_stats().unwrap();
+        let stats = loaded.columns[0].1.total_stats();
         assert_eq!((stats.min, stats.max), (17.0, 55.0));
         let _ = fs::remove_dir_all(&root);
     }

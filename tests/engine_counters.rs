@@ -1,8 +1,9 @@
 //! Engine-counter regression tests for the hot-path optimisations:
-//! map-side combining must keep UPA's shuffle volume proportional to the
-//! partition count (never the dataset size), narrow-stage fusion must
-//! keep chained record transforms inside one engine stage, and repeated
-//! releases must stay engine-free.
+//! UPA's shuffle volume must stay proportional to the partition count
+//! (never the dataset size), `reduce_by_key`'s map-side combiner is what
+//! bounds a keyed shuffle, narrow-stage fusion must keep chained record
+//! transforms inside one engine stage, and repeated releases must stay
+//! engine-free.
 
 use dataflow::{Config, Context, PairOps};
 use upa_repro::upa_core::domain::EmpiricalSampler;
@@ -20,10 +21,9 @@ fn upa_over(ctx: &Context, sample_size: usize) -> Upa {
     )
 }
 
-/// UPA's phase-3 remainder reduce keys every record by its logical half,
-/// so without a combiner the shuffle ships the whole dataset. With
-/// map-side combining each map partition ships at most one record per
-/// half: shuffle volume is O(num_partitions), not O(|x|).
+/// UPA's phase-3 remainder reduce folds each partition in place and
+/// exchanges one partial per (partition, half): shuffle volume is exactly
+/// 2·num_partitions, not O(|x|).
 #[test]
 fn prepare_shuffles_partition_counts_not_dataset_size() {
     let parts = 8usize;
@@ -44,12 +44,14 @@ fn prepare_shuffles_partition_counts_not_dataset_size() {
     let prepared = upa.prepare(&ds, &query, &domain).expect("prepare runs");
     let delta = ctx.metrics().since(&before);
 
-    assert!(delta.shuffles >= 1, "the per-half reduce is a real shuffle");
-    assert!(
-        delta.shuffle_records <= 2 * parts as u64,
-        "combiner must cap shuffled records at 2 per map partition, got {} for {} records",
+    assert_eq!(
+        delta.shuffles, 1,
+        "the per-half exchange counts as a shuffle"
+    );
+    assert_eq!(
         delta.shuffle_records,
-        records
+        2 * parts as u64,
+        "one partial per (partition, half), whatever the {records} records"
     );
 
     // The release consumes only driver-side state: zero engine work.
@@ -61,33 +63,34 @@ fn prepare_shuffles_partition_counts_not_dataset_size() {
     assert_eq!(delta.shuffle_records, 0);
 }
 
-/// Disabling the combiner restores the naive O(|x|) shuffle — the
-/// counter contrast proving the combiner is what bounds the volume.
+/// Disabling the combiner restores `reduce_by_key`'s naive O(|x|)
+/// shuffle — the counter contrast proving the combiner is what bounds a
+/// keyed shuffle's volume.
 #[test]
-fn combiner_off_shuffles_every_remainder_record() {
+fn combiner_off_shuffles_every_record() {
     let parts = 4usize;
     let records = 5_000usize;
-    let sample = 100usize;
-    let ctx = Context::new(Config {
-        threads: 4,
-        default_partitions: parts,
-        shuffle_partitions: parts,
-        map_side_combine: false,
-        ..Config::default()
-    });
-    let data: Vec<f64> = (0..records).map(|i| (i % 7) as f64).collect();
-    let ds = ctx.parallelize(data.clone(), parts);
-    let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
-    let domain = EmpiricalSampler::new(data);
-
-    let mut upa = upa_over(&ctx, sample);
-    let before = ctx.metrics();
-    upa.prepare(&ds, &query, &domain).expect("prepare runs");
-    let delta = ctx.metrics().since(&before);
+    let shuffled = |map_side_combine: bool| -> u64 {
+        let ctx = Context::new(Config {
+            threads: 4,
+            default_partitions: parts,
+            shuffle_partitions: parts,
+            map_side_combine,
+            ..Config::default()
+        });
+        let keyed: Vec<(u8, f64)> = (0..records).map(|i| ((i % 2) as u8, i as f64)).collect();
+        let before = ctx.metrics();
+        let _ = ctx
+            .parallelize(keyed, parts)
+            .reduce_by_key(|a, b| a + b)
+            .collect();
+        ctx.metrics().since(&before).shuffle_records
+    };
+    assert_eq!(shuffled(true), 2 * parts as u64);
     assert_eq!(
-        delta.shuffle_records,
-        (records - sample) as u64,
-        "without combining, every remainder record crosses the shuffle"
+        shuffled(false),
+        records as u64,
+        "without combining, every record crosses the shuffle"
     );
 }
 

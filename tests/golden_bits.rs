@@ -165,7 +165,7 @@ fn columnar_three_chunk_release_bits() {
         (false, 22, &COLUMNAR_PHYSICAL),
     ] {
         let q = sum_query(half_key);
-        let r = engine(&ctx, seed).run_columnar(&cds, &q, &domain).unwrap();
+        let r = engine(&ctx, seed).run(&cds, &q, &domain).unwrap();
         check("columnar", &bits(&r), want);
         let r_row = engine(&ctx, seed).run(&row, &q, &row_domain).unwrap();
         assert_eq!(bits(&r), bits(&r_row), "chunk layout reached the release");
