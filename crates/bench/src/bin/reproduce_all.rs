@@ -1,7 +1,5 @@
 //! Runs every table/figure reproduction in sequence (Table II, Figures
-//! 2(a), 2(b), 3, 4(a), 4(b)), the stage audit, the hot-path perf
-//! benchmark and the serving benchmark. Scale via UPA_BENCH_* env vars.
-//! Ends with the list of machine-readable files the run emitted.
+//! 2(a), 2(b), 3, 4(a), 4(b)). Scale via UPA_BENCH_* env vars.
 
 fn main() {
     let cfg = upa_bench::ExpConfig::from_env();
@@ -17,20 +15,4 @@ fn main() {
     upa_bench::experiments::fig4a(&cfg);
     println!();
     upa_bench::experiments::fig4b(&cfg);
-    println!();
-    upa_bench::experiments::stage_audit(&cfg);
-    println!();
-    upa_bench::experiments::perf_hotpath(&cfg);
-    println!();
-    upa_bench::experiments::serve_throughput(&cfg);
-
-    let emitted = upa_bench::report::emitted_files();
-    println!("\n== emitted files ==");
-    if emitted.is_empty() {
-        println!("(none)");
-    } else {
-        for path in emitted {
-            println!("  {path}");
-        }
-    }
 }

@@ -4,7 +4,6 @@
 
 use crate::report::{pct, sci, time_median, Table};
 use dataflow::{Config, Context};
-use std::time::Instant;
 use upa_repro::suite::{build_queries, EvalData, EvalQuery, EvalScale};
 use upa_repro::upa_core::{Upa, UpaConfig};
 use upa_repro::upa_stats::rmse::rmse;
@@ -426,494 +425,6 @@ pub fn fig4a(cfg: &ExpConfig) {
     }
     t.print();
     println!("\n(each column should trend downward as the scale factor grows)");
-}
-
-// ---------------------------------------------------------------------------
-// Stage-level audit (observability layer)
-// ---------------------------------------------------------------------------
-
-/// Stage-level audit: runs every suite query once and reports where
-/// Algorithm 1 spends its time, from each release's [`QueryAudit`]
-/// (`upa_core::QueryAudit`). The full audits are also written as a JSON
-/// array to `BENCH_STAGES.json` (override the path with
-/// `UPA_BENCH_STAGES_OUT`) for downstream tooling.
-pub fn stage_audit(cfg: &ExpConfig) {
-    let (ctx, data, queries) = setup(cfg);
-    println!("== Stage-level audit: per-phase wall-clock of Algorithm 1 ==");
-    println!("(all times in ms; prefix stages prepare/*, suffix stages release/*)\n");
-
-    let stages = [
-        "partition",
-        "sample",
-        "map",
-        "reduce",
-        "neighbours",
-        "mle_fit",
-        "enforce",
-        "clamp",
-        "noise",
-    ];
-    let mut t = Table::new(&{
-        let mut h = vec!["Query", "total"];
-        h.extend(stages);
-        h
-    });
-    let mut jsons = Vec::new();
-    for q in &queries {
-        let mut upa = upa_for(&ctx, 1_000, cfg.seed + 3_100, true);
-        q.run_upa(&mut upa, &data).expect("query runs");
-        let audit = upa
-            .last_audit()
-            .expect("every successful release leaves an audit")
-            .clone();
-        let mut cells = vec![
-            q.name().to_string(),
-            format!("{:.2}", audit.total_nanos as f64 / 1e6),
-        ];
-        for s in &stages {
-            cells.push(format!("{:.2}", audit.stage_nanos(s) as f64 / 1e6));
-        }
-        t.row(cells);
-        jsons.push(audit.to_json());
-    }
-    t.print();
-
-    let payload = format!("[{}]", jsons.join(",\n"));
-    match crate::report::write_bench_json("STAGES", &payload) {
-        Ok(path) => println!("\nwrote {} query audits to {}", jsons.len(), path.display()),
-        Err(e) => eprintln!("\ncannot write BENCH_STAGES.json: {e}"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Hot-path microbenchmark: combining, fusion, parallel phase 4
-// ---------------------------------------------------------------------------
-
-/// Hot-path perf benchmark: measures the wall-clock and shuffle volume
-/// of (i) a scalar-sum UPA query and (ii) a keyed `reduce_by_key`
-/// workload with map-side combining on and off, plus the cost of a
-/// repeated release (phases 3–4 only: pool-parallel, engine-free). Results are printed
-/// and written as JSON to `BENCH_PERF.json` (override the path with
-/// `UPA_BENCH_PERF_OUT`).
-pub fn perf_hotpath(cfg: &ExpConfig) {
-    use dataflow::PairOps;
-    use upa_repro::upa_core::domain::EmpiricalSampler;
-    use upa_repro::upa_core::query::MapReduceQuery;
-
-    let records = cfg.orders.max(1) * 25;
-    let parts = cfg.partitions;
-    println!("== Hot-path perf: map-side combining, fused stages, parallel phase 4 ==");
-    println!(
-        "({records} records, {parts} partitions, median of {} trials)\n",
-        cfg.trials
-    );
-
-    let engine = |combine: bool| {
-        Context::new(Config {
-            threads: cfg.threads,
-            default_partitions: parts,
-            shuffle_partitions: parts,
-            map_side_combine: combine,
-            ..Config::default()
-        })
-    };
-    let variant = |combine: bool| if combine { "combine_on" } else { "combine_off" };
-
-    // (workload, variant, wall ms, shuffle records, shuffle bytes)
-    let mut rows: Vec<(String, String, f64, u64, u64)> = Vec::new();
-
-    // (i) Scalar-sum UPA query: the remainder reduce folds each
-    // partition in place and exchanges 2 partials per partition, so the
-    // combiner flag has nothing to compress — one variant.
-    {
-        let ctx = engine(true);
-        let data: Vec<f64> = (0..records).map(|i| (i % 97) as f64).collect();
-        let ds = ctx.parallelize(data.clone(), parts);
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
-        let domain = EmpiricalSampler::new(data);
-        let before = ctx.metrics();
-        let mut upa = upa_for(&ctx, 1_000, cfg.seed + 4_100, true);
-        upa.run(&ds, &query, &domain).expect("query runs");
-        let delta = ctx.metrics().since(&before);
-        let (_, ms) = time_median(cfg.trials, || {
-            upa.run(&ds, &query, &domain).expect("query runs")
-        });
-        rows.push((
-            "scalar_sum_upa".into(),
-            "in_place".into(),
-            ms,
-            delta.shuffle_records,
-            delta.shuffle_bytes,
-        ));
-    }
-
-    // (ii) Keyed count: a pure engine workload with many records per key.
-    for combine in [true, false] {
-        let ctx = engine(combine);
-        let pairs: Vec<(u64, u64)> = (0..records as u64).map(|i| (i % 64, 1)).collect();
-        let ds = ctx.parallelize(pairs, parts);
-        let before = ctx.metrics();
-        let counted = ds.reduce_by_key(|a, b| a + b).collect();
-        assert_eq!(counted.len(), 64.min(records));
-        let delta = ctx.metrics().since(&before);
-        let (_, ms) = time_median(cfg.trials, || ds.reduce_by_key(|a, b| a + b).collect());
-        rows.push((
-            "keyed_count".into(),
-            variant(combine).into(),
-            ms,
-            delta.shuffle_records,
-            delta.shuffle_bytes,
-        ));
-    }
-
-    // (iii) Repeated release off a prepared query: phase 4 runs its 2·n
-    // neighbour finalizations and MLE fits on the worker pool without
-    // touching the engine — zero stages, zero shuffled records.
-    {
-        let ctx = engine(true);
-        let data: Vec<f64> = (0..records).map(|i| (i % 97) as f64).collect();
-        let ds = ctx.parallelize(data.clone(), parts);
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
-        let domain = EmpiricalSampler::new(data);
-        let mut upa = upa_for(&ctx, 1_000, cfg.seed + 4_300, true);
-        let prepared = upa.prepare(&ds, &query, &domain).expect("prepare runs");
-        let before = ctx.metrics();
-        let (_, ms) = time_median(cfg.trials, || upa.release(&prepared).expect("release runs"));
-        let delta = ctx.metrics().since(&before);
-        rows.push((
-            "repeated_release".into(),
-            "combine_on".into(),
-            ms,
-            delta.shuffle_records,
-            delta.shuffle_bytes,
-        ));
-    }
-
-    let mut t = Table::new(&[
-        "workload",
-        "variant",
-        "wall ms",
-        "shuffle records",
-        "shuffle KiB",
-    ]);
-    for (w, v, ms, recs, bytes) in &rows {
-        t.row(vec![
-            w.clone(),
-            v.clone(),
-            format!("{ms:.2}"),
-            recs.to_string(),
-            format!("{:.1}", *bytes as f64 / 1024.0),
-        ]);
-    }
-    t.print();
-
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|(w, v, ms, recs, bytes)| {
-            format!(
-                "    {{\"workload\": \"{w}\", \"variant\": \"{v}\", \"wall_ms\": {ms:.3}, \
-                 \"shuffle_records\": {recs}, \"shuffle_bytes\": {bytes}}}"
-            )
-        })
-        .collect();
-    let payload = format!(
-        "{{\n  \"records\": {records},\n  \"partitions\": {parts},\n  \"threads\": {},\n  \
-         \"trials\": {},\n  \"workloads\": [\n{}\n  ]\n}}",
-        cfg.threads,
-        cfg.trials,
-        json_rows.join(",\n")
-    );
-    match crate::report::write_bench_json("PERF", &payload) {
-        Ok(path) => println!(
-            "\nwrote {} workload measurements to {}",
-            rows.len(),
-            path.display()
-        ),
-        Err(e) => eprintln!("\ncannot write BENCH_PERF.json: {e}"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Serving throughput: upa-server under concurrent clients
-// ---------------------------------------------------------------------------
-
-/// Serving benchmark: an in-process `upa-server` on a loopback socket,
-/// hammered by concurrent clients in three phases. The steady and
-/// contended phases carry a generous `deadline_ms` so every request
-/// takes the scheduler (queue, coalescing, worker pool) — the contended
-/// phase quadruples the clients so coalescing is what keeps latency
-/// bounded. The fast-path phase then drops the deadline: cached releases
-/// are served on their connection threads (zero queue) with spends
-/// group-committed, and its qps/p99 plus the fsyncs-per-release ratio
-/// are the headline numbers. Everything is printed and written to
-/// `BENCH_SERVE.json` (override with `UPA_BENCH_SERVE_OUT`; client and
-/// request counts with `UPA_BENCH_CLIENTS` / `UPA_BENCH_SERVE_REQUESTS` /
-/// `UPA_BENCH_FASTPATH_REQUESTS`).
-pub fn serve_throughput(cfg: &ExpConfig) {
-    use upa_server::{Client, DatasetSpec, Server, ServerConfig};
-
-    let read_env = |name: &str, default: usize| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let clients = read_env("UPA_BENCH_CLIENTS", 4).max(1);
-    let contended_clients = (clients * 4).max(8);
-    let requests = read_env("UPA_BENCH_SERVE_REQUESTS", 64).max(1);
-    let fastpath_requests = read_env("UPA_BENCH_FASTPATH_REQUESTS", 400).max(1);
-    let records = cfg.orders.max(1) * 25;
-
-    println!("== Serving throughput: upa-server under concurrent clients ==");
-    println!(
-        "({records} records, {clients} steady / {contended_clients} contended clients x \
-         {requests} scheduled releases each, then {contended_clients} x {fastpath_requests} \
-         fast-path releases, {} engine threads)\n",
-        cfg.threads
-    );
-
-    // A real (temp) ledger puts the append+fsync on the release path, so
-    // the scraped `upa_ledger_fsync_us` histogram measures actual I/O.
-    let ledger_path =
-        std::env::temp_dir().join(format!("upa-bench-serve-{}.ledger", std::process::id()));
-    let _ = std::fs::remove_file(&ledger_path);
-    let server = Server::bind(
-        ServerConfig {
-            datasets: vec![DatasetSpec::synthetic("data", records, 97)],
-            epsilon: 0.1,
-            ledger_path: Some(ledger_path.clone()),
-            sample_size: 1_000.min(records),
-            seed: cfg.seed,
-            threads: cfg.threads,
-            max_connections: contended_clients + 4,
-            queue_capacity: contended_clients * 2,
-            ..ServerConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .expect("bind loopback server");
-    let addr = server.local_addr().to_string();
-    let handle = server.shutdown_handle();
-    let join = std::thread::spawn(move || server.run());
-
-    // Pay the one-off prepare outside any measured window so the
-    // percentiles describe steady-state (cached, zero-stage) serving,
-    // then warm the serving path itself — connections, the prepared
-    // cache, the group committer — with a short unmeasured burst.
-    {
-        let mut warm = Client::connect(&addr).expect("warm-up connect");
-        for _ in 0..8 {
-            warm.release("data", "sum", "v", None, false)
-                .expect("warm-up release");
-        }
-    }
-
-    // One flood of `n` clients x `per_client` releases; a deadline opts
-    // every request into the scheduler, `None` rides the zero-queue fast
-    // path once cached. Returns the sorted latencies and the wall time.
-    let flood = |n: usize, per_client: usize, deadline_ms: Option<u64>| -> (Vec<f64>, f64) {
-        let phase_start = Instant::now();
-        let mut workers = Vec::new();
-        for _ in 0..n {
-            let addr = addr.clone();
-            workers.push(std::thread::spawn(move || {
-                let mut client = Client::builder()
-                    .retry_busy(8)
-                    .connect(&addr)
-                    .expect("client connect");
-                let mut latencies_us = Vec::with_capacity(per_client);
-                for _ in 0..per_client {
-                    let start = Instant::now();
-                    client
-                        .release_with_deadline("data", "sum", "v", None, false, deadline_ms)
-                        .expect("release delivers");
-                    latencies_us.push(start.elapsed().as_secs_f64() * 1e6);
-                }
-                latencies_us
-            }));
-        }
-        let mut latencies_us: Vec<f64> = workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("client thread"))
-            .collect();
-        latencies_us.sort_by(f64::total_cmp);
-        (latencies_us, phase_start.elapsed().as_secs_f64())
-    };
-    let percentile = |sorted: &[f64], p: f64| -> f64 {
-        let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-        sorted[idx]
-    };
-    let counter = |m: &upa_server::MetricsReply, name: &str| -> u64 {
-        m.snapshot.counters.get(name).copied().unwrap_or(0)
-    };
-
-    let (steady, wall_s) = flood(clients, requests, Some(600_000));
-    let (contended, contended_wall_s) = flood(contended_clients, requests, Some(600_000));
-
-    // Snapshot the fsync counter on the phase boundary so the fast-path
-    // phase's batching ratio is isolated from the scheduled phases.
-    let fsyncs_before_fastpath = {
-        let mut observer = Client::connect(&addr).expect("pre-fastpath connect");
-        let m = observer.metrics().expect("metrics reply");
-        counter(&m, "upa_ledger_fsyncs_total")
-    };
-    let (fastpath, fastpath_wall_s) = flood(contended_clients, fastpath_requests, None);
-
-    let (stats, metrics) = {
-        let mut observer = Client::connect(&addr).expect("stats connect");
-        let stats = observer.stats().expect("stats reply");
-        let metrics = observer.metrics().expect("metrics reply");
-        (stats, metrics)
-    };
-    handle.shutdown();
-    join.join().expect("server thread").expect("server exits");
-    let _ = std::fs::remove_file(&ledger_path);
-
-    // Server-side latency breakdowns, from the same registry the
-    // `metrics` op scrapes (microsecond histograms).
-    let hist_pcts = |name: &str| -> (u64, u64) {
-        metrics
-            .snapshot
-            .histograms
-            .get(name)
-            .map(|h| (h.quantile(0.50), h.quantile(0.99)))
-            .unwrap_or((0, 0))
-    };
-    let (queue_p50, queue_p99) = hist_pcts("upa_queue_wait_us");
-    let (fsync_p50, fsync_p99) = hist_pcts("upa_ledger_fsync_us");
-    let (batch_p50, _) = hist_pcts("upa_ledger_batch_size");
-    let (commit_wait_p50, commit_wait_p99) = hist_pcts("upa_ledger_commit_wait_us");
-    let batch_max = metrics
-        .snapshot
-        .histograms
-        .get("upa_ledger_batch_size")
-        .map(|h| h.max())
-        .unwrap_or(0);
-
-    let total = steady.len();
-    let qps = total as f64 / wall_s.max(1e-9);
-    let contended_qps = contended.len() as f64 / contended_wall_s.max(1e-9);
-    let (p50, p90, p99, max) = (
-        percentile(&steady, 50.0),
-        percentile(&steady, 90.0),
-        percentile(&steady, 99.0),
-        steady[total - 1],
-    );
-    let (c_p50, c_p99) = (percentile(&contended, 50.0), percentile(&contended, 99.0));
-    let fastpath_total = fastpath.len();
-    let fastpath_qps = fastpath_total as f64 / fastpath_wall_s.max(1e-9);
-    let (f_p50, f_p99) = (percentile(&fastpath, 50.0), percentile(&fastpath, 99.0));
-    let fastpath_hits = counter(&metrics, "upa_fastpath_hits_total");
-    let fastpath_fsyncs =
-        counter(&metrics, "upa_ledger_fsyncs_total").saturating_sub(fsyncs_before_fastpath);
-    let sched = &stats.sched;
-    let coalesce_rate = sched.coalesce_rate();
-
-    let mut t = Table::new(&["metric", "value"]);
-    t.row(vec!["steady releases".into(), total.to_string()]);
-    t.row(vec!["steady throughput (qps)".into(), format!("{qps:.0}")]);
-    t.row(vec!["steady p50 latency (µs)".into(), format!("{p50:.0}")]);
-    t.row(vec!["steady p90 latency (µs)".into(), format!("{p90:.0}")]);
-    t.row(vec!["steady p99 latency (µs)".into(), format!("{p99:.0}")]);
-    t.row(vec!["steady max latency (µs)".into(), format!("{max:.0}")]);
-    t.row(vec![
-        "contended releases".into(),
-        contended.len().to_string(),
-    ]);
-    t.row(vec![
-        "contended throughput (qps)".into(),
-        format!("{contended_qps:.0}"),
-    ]);
-    t.row(vec![
-        "contended p50 latency (µs)".into(),
-        format!("{c_p50:.0}"),
-    ]);
-    t.row(vec![
-        "contended p99 latency (µs)".into(),
-        format!("{c_p99:.0}"),
-    ]);
-    t.row(vec![
-        "fast-path releases".into(),
-        fastpath_total.to_string(),
-    ]);
-    t.row(vec![
-        "fast-path throughput (qps)".into(),
-        format!("{fastpath_qps:.0}"),
-    ]);
-    t.row(vec![
-        "fast-path p50 latency (µs)".into(),
-        format!("{f_p50:.0}"),
-    ]);
-    t.row(vec![
-        "fast-path p99 latency (µs)".into(),
-        format!("{f_p99:.0}"),
-    ]);
-    t.row(vec![
-        "fast-path fsyncs".into(),
-        format!(
-            "{fastpath_fsyncs} ({:.1} spends/fsync)",
-            fastpath_total as f64 / (fastpath_fsyncs.max(1)) as f64
-        ),
-    ]);
-    t.row(vec!["coalesce rate".into(), format!("{coalesce_rate:.4}")]);
-    t.row(vec!["engine prepares".into(), sched.prepares.to_string()]);
-    t.row(vec![
-        "busy rejections".into(),
-        sched.busy_rejected.to_string(),
-    ]);
-    t.row(vec![
-        "peak queue depth".into(),
-        sched.peak_queued.to_string(),
-    ]);
-    t.row(vec!["peak batch".into(), sched.peak_batch.to_string()]);
-    t.row(vec!["queue wait p50 (µs)".into(), queue_p50.to_string()]);
-    t.row(vec!["queue wait p99 (µs)".into(), queue_p99.to_string()]);
-    t.row(vec!["ledger fsync p50 (µs)".into(), fsync_p50.to_string()]);
-    t.row(vec!["ledger fsync p99 (µs)".into(), fsync_p99.to_string()]);
-    t.row(vec!["ledger batch p50".into(), batch_p50.to_string()]);
-    t.row(vec!["ledger batch max".into(), batch_max.to_string()]);
-    t.row(vec![
-        "commit wait p50 (µs)".into(),
-        commit_wait_p50.to_string(),
-    ]);
-    t.row(vec![
-        "commit wait p99 (µs)".into(),
-        commit_wait_p99.to_string(),
-    ]);
-    t.print();
-
-    let payload = format!(
-        "{{\n  \"records\": {records},\n  \"clients\": {clients},\n  \
-         \"contended_clients\": {contended_clients},\n  \
-         \"requests_per_client\": {requests},\n  \"threads\": {},\n  \
-         \"total_releases\": {total},\n  \"wall_seconds\": {wall_s:.4},\n  \
-         \"qps\": {qps:.1},\n  \"latency_us\": {{\"p50\": {p50:.1}, \"p90\": {p90:.1}, \
-         \"p99\": {p99:.1}, \"max\": {max:.1}}},\n  \
-         \"contended\": {{\"qps\": {contended_qps:.1}, \"p50_us\": {c_p50:.1}, \
-         \"p99_us\": {c_p99:.1}}},\n  \
-         \"fastpath\": {{\"releases\": {fastpath_total}, \"qps\": {fastpath_qps:.1}, \
-         \"p50_us\": {f_p50:.1}, \"p99_us\": {f_p99:.1}, \"hits\": {fastpath_hits}, \
-         \"fsyncs\": {fastpath_fsyncs}}},\n  \
-         \"sched\": {{\"coalesce_rate\": {coalesce_rate:.4}, \"prepares\": {}, \
-         \"coalesced\": {}, \"batches\": {}, \"peak_batch\": {}, \"peak_queued\": {}, \
-         \"busy_rejected\": {}, \"shed_deadline\": {}}},\n  \
-         \"server_side_us\": {{\"queue_wait\": {{\"p50\": {queue_p50}, \"p99\": {queue_p99}}}, \
-         \"ledger_fsync\": {{\"p50\": {fsync_p50}, \"p99\": {fsync_p99}}}, \
-         \"commit_wait\": {{\"p50\": {commit_wait_p50}, \"p99\": {commit_wait_p99}}}}},\n  \
-         \"ledger_batch\": {{\"p50\": {batch_p50}, \"max\": {batch_max}}}\n}}",
-        cfg.threads,
-        sched.prepares,
-        sched.coalesced,
-        sched.batches,
-        sched.peak_batch,
-        sched.peak_queued,
-        sched.busy_rejected,
-        sched.shed_deadline
-    );
-    match crate::report::write_bench_json("SERVE", &payload) {
-        Ok(path) => println!("\nwrote serving metrics to {}", path.display()),
-        Err(e) => eprintln!("\ncannot write BENCH_SERVE.json: {e}"),
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@
 //! | `fig3_coverage`    | Figure 3 — neighbour-output coverage vs `n`  |
 //! | `fig4a_scalability`| Figure 4(a) — overhead vs dataset size       |
 //! | `fig4b_samplesize` | Figure 4(b) — runtime vs sample size `n`     |
-//! | `stage_audit`      | per-stage wall-clock + JSON query audits     |
 //! | `reproduce_all`    | everything above, in sequence                |
 //!
 //! Scale is configurable through environment variables

@@ -1,55 +1,6 @@
-//! Timing, table-formatting and report-emission helpers for the
-//! reproduction binaries.
+//! Timing and table-formatting helpers for the reproduction binaries.
 
-use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::Instant;
-
-/// Schema version stamped into every `BENCH_*.json` document. Bump when
-/// the wrapper shape (not an individual experiment's payload) changes.
-pub const BENCH_SCHEMA_VERSION: u32 = 1;
-
-/// Every file written through [`write_bench_json`] this process, in
-/// emission order.
-static EMITTED: Mutex<Vec<String>> = Mutex::new(Vec::new());
-
-/// Writes one bench report as JSON. Every machine-readable artefact the
-/// harness emits goes through here so they all share one wrapper:
-///
-/// ```json
-/// {"schema_version": 1, "report": "<name>", "data": <body>}
-/// ```
-///
-/// `name` is the report's upper-snake tag (e.g. `STAGES`): the file is
-/// `BENCH_<name>.json` unless `UPA_BENCH_<name>_OUT` overrides the
-/// path. `body` must already be valid JSON (object or array). Returns
-/// the path written; the caller prints its own success line. All writes
-/// are recorded for [`emitted_files`].
-///
-/// # Errors
-///
-/// Propagates filesystem failures.
-pub fn write_bench_json(name: &str, body: &str) -> std::io::Result<PathBuf> {
-    let path = std::env::var(format!("UPA_BENCH_{name}_OUT"))
-        .unwrap_or_else(|_| format!("BENCH_{name}.json"));
-    let payload = format!(
-        "{{\"schema_version\": {BENCH_SCHEMA_VERSION}, \"report\": \"{}\", \"data\": {}}}\n",
-        name.to_lowercase(),
-        body.trim_end()
-    );
-    std::fs::write(&path, payload)?;
-    EMITTED
-        .lock()
-        .expect("emitted registry poisoned")
-        .push(path.clone());
-    Ok(PathBuf::from(path))
-}
-
-/// The files written through [`write_bench_json`] so far, in order —
-/// `reproduce_all` lists them at the end of a run.
-pub fn emitted_files() -> Vec<String> {
-    EMITTED.lock().expect("emitted registry poisoned").clone()
-}
 
 /// Runs `f`, returning its result and the elapsed milliseconds.
 pub fn time_millis<R>(mut f: impl FnMut() -> R) -> (R, f64) {
@@ -188,22 +139,5 @@ mod tests {
         assert_eq!(sci(None), "n/a");
         assert!(sci(Some(12345.0)).contains('e'));
         assert_eq!(pct(0.5), "50.00%");
-    }
-
-    #[test]
-    fn bench_json_wraps_with_schema_version_and_registers() {
-        let dir = std::env::temp_dir().join("upa_report_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("test_report_{}.json", std::process::id()));
-        std::env::set_var("UPA_BENCH_TESTREPORT_OUT", &path);
-        let written = write_bench_json("TESTREPORT", "[1, 2, 3]").unwrap();
-        assert_eq!(written, path);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains(&format!("\"schema_version\": {BENCH_SCHEMA_VERSION}")));
-        assert!(text.contains("\"report\": \"testreport\""));
-        assert!(text.contains("\"data\": [1, 2, 3]"));
-        assert!(emitted_files().contains(&path.to_string_lossy().into_owned()));
-        std::env::remove_var("UPA_BENCH_TESTREPORT_OUT");
-        let _ = std::fs::remove_file(&path);
     }
 }

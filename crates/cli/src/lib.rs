@@ -9,7 +9,6 @@
 //! reduce, RANGE ENFORCER, Laplace release) and prints the noisy value
 //! with its diagnostics. See [`Args`] for the flags.
 
-pub mod csv;
 pub mod remote;
 pub mod sql;
 pub mod store_cmd;
@@ -18,6 +17,7 @@ use dataflow::Context;
 use upa_core::domain::EmpiricalSampler;
 use upa_core::query::MapReduceQuery;
 use upa_core::{QueryAudit, Upa, UpaConfig, UpaResult};
+use upa_store::csv;
 
 /// The aggregate to release.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

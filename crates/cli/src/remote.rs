@@ -11,10 +11,10 @@
 //! same [`upa_core::QueryAudit::render`] as local runs — the formatting
 //! lives in exactly one place.
 
-use crate::csv;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use upa_server::{Client, DatasetSpec, Server, ServerConfig};
+use upa_store::csv;
 
 /// Usage text for `upa-cli serve`.
 pub const SERVE_USAGE: &str = "\

@@ -7,7 +7,6 @@
 //! the release goes through the full UPA pipeline. Each CSV row is the
 //! protected individual record.
 
-use crate::csv::CsvDocument;
 use dataflow::Context;
 use upa_core::domain::EmpiricalSampler;
 use upa_core::query::MapReduceQuery;
@@ -15,6 +14,7 @@ use upa_core::{QueryAudit, Upa, UpaConfig, UpaResult};
 use upa_relational::expr::BoundExpr;
 use upa_relational::plan::{Aggregate, LogicalPlan};
 use upa_relational::value::{JoinKey, Relation, Row, Schema, Value};
+use upa_store::csv::CsvDocument;
 
 /// Table name CSV data is registered under.
 pub const TABLE: &str = "data";
@@ -341,7 +341,7 @@ pub fn run_sql(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csv;
+    use upa_store::csv;
 
     fn doc() -> CsvDocument {
         let mut text = String::from("age,city,income\n");

@@ -11,9 +11,11 @@
 //!
 //! The record is retrievable from [`crate::Upa::last_audit`] /
 //! [`crate::api::DpSession::last_audit`], rendered by `upa-cli --stats`,
-//! and serialised to JSON by the bench harness (`stage_audit` binary).
+//! and travels as JSON ([`QueryAudit::to_json`] /
+//! [`QueryAudit::from_json`]) in the serving protocol's `audit` replies.
 
 use dataflow::{MetricsSnapshot, StageSpan};
+use upa_json::{json_num, json_str, Json};
 
 /// The audit record of one released query.
 #[derive(Debug, Clone)]
@@ -189,6 +191,67 @@ impl QueryAudit {
         s.push('}');
         s
     }
+
+    /// Reconstructs an audit from its [`QueryAudit::to_json`] form.
+    /// Returns `None` when required fields are missing, so a truncated or
+    /// foreign object never silently becomes a zeroed audit.
+    pub fn from_json(v: &Json) -> Option<QueryAudit> {
+        let engine = v.get("engine")?;
+        let counter = |name: &str| engine.get(name).and_then(Json::as_u64).unwrap_or(0);
+        // `json_num` writes non-finite floats as null; map them back to NaN
+        // rather than inventing a finite value.
+        let num_or_nan = |field: &Json| field.as_f64().unwrap_or(f64::NAN);
+        Some(QueryAudit {
+            query: v.str_of("query")?.to_string(),
+            epsilon: v.num_of("epsilon")?,
+            budget_remaining: v.num_of("budget_remaining"),
+            sensitivity: v
+                .get("sensitivity")?
+                .as_arr()?
+                .iter()
+                .map(num_or_nan)
+                .collect(),
+            range: v
+                .get("range")?
+                .as_arr()?
+                .iter()
+                .filter_map(|pair| {
+                    let pair = pair.as_arr()?;
+                    Some((num_or_nan(pair.first()?), num_or_nan(pair.get(1)?)))
+                })
+                .collect(),
+            clamped: v.bool_of("clamped")?,
+            attack_detected: v.bool_of("attack_detected")?,
+            removed_records: v.get("removed_records").and_then(Json::as_u64)? as usize,
+            sample_size: v.get("sample_size").and_then(Json::as_u64)? as usize,
+            group_size: v.get("group_size").and_then(Json::as_u64)? as usize,
+            spans: v
+                .get("spans")?
+                .as_arr()?
+                .iter()
+                .filter_map(|sp| {
+                    Some(StageSpan {
+                        name: sp.str_of("name")?.to_string(),
+                        path: sp.str_of("path")?.to_string(),
+                        depth: sp.get("depth").and_then(Json::as_u64)? as usize,
+                        nanos: sp.get("nanos").and_then(Json::as_u64)?,
+                        records: sp.get("records").and_then(Json::as_u64)?,
+                        calls: sp.get("calls").and_then(Json::as_u64)?,
+                    })
+                })
+                .collect(),
+            engine: MetricsSnapshot {
+                stages: counter("stages"),
+                tasks: counter("tasks"),
+                task_retries: counter("task_retries"),
+                shuffles: counter("shuffles"),
+                shuffle_records: counter("shuffle_records"),
+                shuffle_bytes: counter("shuffle_bytes"),
+                records_processed: counter("records_processed"),
+            },
+            total_nanos: v.get("total_nanos").and_then(Json::as_u64)?,
+        })
+    }
 }
 
 fn yn(b: bool) -> &'static str {
@@ -201,36 +264,6 @@ fn yn(b: bool) -> &'static str {
 
 fn fmt_ms(nanos: u64) -> String {
     format!("{:.3} ms", nanos as f64 / 1e6)
-}
-
-/// JSON string literal with escaping for quotes, backslashes and control
-/// characters.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number; non-finite floats (which JSON cannot represent) become
-/// `null`.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        String::from("null")
-    }
 }
 
 #[cfg(test)]
@@ -324,14 +357,39 @@ mod tests {
 
     #[test]
     fn json_escapes_and_handles_non_finite() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_num(f64::INFINITY), "null");
-        assert_eq!(json_num(1.5), "1.5");
         let mut a = sample_audit();
+        a.query = "a\"b\\c\n".into();
         a.budget_remaining = None;
         a.range = vec![(f64::NEG_INFINITY, f64::INFINITY)];
         let json = a.to_json();
+        assert!(json.contains("\"query\":\"a\\\"b\\\\c\\n\""), "{json}");
         assert!(json.contains("\"budget_remaining\":null"));
         assert!(json.contains("\"range\":[[null,null]]"));
+    }
+
+    #[test]
+    fn json_round_trips() {
+        let mut original = sample_audit();
+        original.spans[0].records = 200;
+        original.spans[0].calls = 2;
+        let parsed = upa_json::parse(&original.to_json()).expect("to_json parses");
+        let rebuilt = QueryAudit::from_json(&parsed).expect("audit reconstructs");
+        // The shared renderer is the contract: remote audits must render
+        // identically to local ones.
+        assert_eq!(rebuilt.render(), original.render());
+        assert_eq!(rebuilt.query, original.query);
+        assert_eq!(rebuilt.epsilon, original.epsilon);
+        assert_eq!(rebuilt.budget_remaining, original.budget_remaining);
+        assert_eq!(rebuilt.sensitivity, original.sensitivity);
+        assert_eq!(rebuilt.range, original.range);
+        assert_eq!(rebuilt.spans.len(), original.spans.len());
+        assert_eq!(rebuilt.engine.shuffle_bytes, original.engine.shuffle_bytes);
+        assert_eq!(rebuilt.total_nanos, original.total_nanos);
+    }
+
+    #[test]
+    fn truncated_json_is_rejected_not_zeroed() {
+        let parsed = upa_json::parse(r#"{"query":"count","epsilon":0.1}"#).unwrap();
+        assert!(QueryAudit::from_json(&parsed).is_none());
     }
 }

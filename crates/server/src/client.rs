@@ -21,8 +21,6 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use upa_core::QueryAudit;
 
-pub use crate::proto::audit_from_json;
-
 /// Client-side failure.
 #[derive(Debug)]
 pub enum ClientError {
@@ -605,74 +603,6 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataflow::{MetricsSnapshot, StageSpan};
-
-    fn sample_audit() -> QueryAudit {
-        QueryAudit {
-            query: "mean".to_string(),
-            epsilon: 0.25,
-            budget_remaining: Some(0.5),
-            sensitivity: vec![1.5, 2.0],
-            range: vec![(0.0, 10.0), (-1.0, 1.0)],
-            clamped: true,
-            attack_detected: false,
-            removed_records: 3,
-            sample_size: 200,
-            group_size: 1,
-            spans: vec![
-                StageSpan {
-                    name: "prepare".into(),
-                    path: "prepare".into(),
-                    depth: 0,
-                    nanos: 12_345,
-                    records: 200,
-                    calls: 1,
-                },
-                StageSpan {
-                    name: "sample".into(),
-                    path: "prepare/sample".into(),
-                    depth: 1,
-                    nanos: 2_345,
-                    records: 200,
-                    calls: 2,
-                },
-            ],
-            engine: MetricsSnapshot {
-                stages: 4,
-                tasks: 16,
-                task_retries: 1,
-                shuffles: 2,
-                shuffle_records: 800,
-                shuffle_bytes: 6_400,
-                records_processed: 1_600,
-            },
-            total_nanos: 12_345,
-        }
-    }
-
-    #[test]
-    fn audit_round_trips_through_json() {
-        let original = sample_audit();
-        let parsed = wire::parse(&original.to_json()).expect("to_json parses");
-        let rebuilt = audit_from_json(&parsed).expect("audit reconstructs");
-        // The shared renderer is the contract: remote audits must render
-        // identically to local ones.
-        assert_eq!(rebuilt.render(), original.render());
-        assert_eq!(rebuilt.query, original.query);
-        assert_eq!(rebuilt.epsilon, original.epsilon);
-        assert_eq!(rebuilt.budget_remaining, original.budget_remaining);
-        assert_eq!(rebuilt.sensitivity, original.sensitivity);
-        assert_eq!(rebuilt.range, original.range);
-        assert_eq!(rebuilt.spans.len(), original.spans.len());
-        assert_eq!(rebuilt.engine.shuffle_bytes, original.engine.shuffle_bytes);
-        assert_eq!(rebuilt.total_nanos, original.total_nanos);
-    }
-
-    #[test]
-    fn truncated_audit_is_rejected_not_zeroed() {
-        let parsed = wire::parse(r#"{"query":"count","epsilon":0.1}"#).unwrap();
-        assert!(audit_from_json(&parsed).is_none());
-    }
 
     #[test]
     fn builder_defaults_match_the_v1_shim() {

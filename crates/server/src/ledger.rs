@@ -69,19 +69,13 @@ pub struct SpendRecord {
 /// the exact bit pattern of ε. 32 bits so the checksum survives a JSON
 /// round-trip through `f64` losslessly.
 fn record_crc(dataset: &str, query_id: &str, epsilon: f64) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    let mut eat = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= u32::from(*b);
-            h = h.wrapping_mul(0x0100_0193);
-        }
-    };
-    eat(dataset.as_bytes());
-    eat(&[0]);
-    eat(query_id.as_bytes());
-    eat(&[0]);
-    eat(&epsilon.to_bits().to_le_bytes());
-    h
+    let mut h = upa_store::fnv::Fnv32::new();
+    h.eat(dataset.as_bytes());
+    h.eat(&[0]);
+    h.eat(query_id.as_bytes());
+    h.eat(&[0]);
+    h.eat(&epsilon.to_bits().to_le_bytes());
+    h.finish()
 }
 
 impl SpendRecord {
@@ -611,6 +605,30 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains("checksum"), "{err}");
         }
+    }
+
+    #[test]
+    fn lines_recorded_before_the_shared_fnv_replay_unchanged() {
+        // Written by the build whose ledger carried its own FNV-1a loop
+        // and whose escapes came from the server's private JSON writer.
+        // The file format is the budget: these must keep replaying, and
+        // re-serialising must reproduce them byte for byte.
+        let recorded = concat!(
+            r#"{"dataset":"people \"2026\"","query_id":"people/mean/age\u0001é","epsilon":0.1,"crc":1326127645}"#,
+            "\n",
+            r#"{"dataset":"data","query_id":"data/count/","epsilon":0.30000000000000004,"crc":1195371715}"#,
+            "\n",
+            r#"{"dataset":"data","query_id":"data/sum/v","epsilon":0.0000001,"crc":3996590046}"#,
+            "\n",
+        );
+        let (records, durable) = Ledger::replay_durable(recorded).unwrap();
+        assert_eq!(durable, recorded.len());
+        assert_eq!(records[0].dataset, "people \"2026\"");
+        assert_eq!(records[0].query_id, "people/mean/age\u{1}é");
+        assert_eq!(records[1].epsilon, 0.30000000000000004);
+        assert_eq!(records[2].epsilon, 1e-7);
+        let rewritten: String = records.iter().map(|r| r.to_line() + "\n").collect();
+        assert_eq!(rewritten, recorded);
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //! * [`client::Client`] — the protocol client, with
 //!   [`client::Client::builder`] for timeouts and jittered retry on
 //!   `busy`;
-//! * [`wire`] — the minimal JSON parser/printer behind both ends.
+//! * [`wire`] — the JSON reader/escape writer behind both ends (the
+//!   `upa-json` crate, re-exported).
 //!
 //! The crate ships one binary, `upa-serverd`, used by the integration
 //! tests (SIGKILL crash-recovery, saturation) and wrapped by
@@ -51,8 +52,7 @@ pub use client::{BudgetReply, Client, ClientBuilder, ClientError, PrepareReply, 
 pub use ledger::{GroupCommitLedger, Ledger, LedgerObs, SpendRecord};
 pub use obs::{HistogramSnapshot, Obs, RegistrySnapshot, Trace, TraceRecord, TraceStore};
 pub use proto::{
-    audit_from_json, DatasetsReply, ErrorCode, MetricsReply, PreparedInfo, Request, Response,
-    StatsReply,
+    DatasetsReply, ErrorCode, MetricsReply, PreparedInfo, Request, Response, StatsReply,
 };
 pub use sched::{JobOp, JobOutput, SchedStats, Scheduler, SchedulerHandle};
 pub use server::{Server, ShutdownHandle};

@@ -378,12 +378,11 @@ impl MetricsReply {
     }
 }
 
-/// The `datasets` reply's body: the served names (the v1 shape), plus
-/// per-dataset shape details and any store datasets published on disk
-/// but not attached.
+/// The `datasets` reply's body: the served names, per-dataset shape
+/// details and any store datasets published on disk but not attached.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DatasetsReply {
-    /// Served dataset names, sorted (the v1 `datasets` array).
+    /// Served dataset names, sorted.
     pub names: Vec<String>,
     /// Shape details for each served dataset, sorted by name.
     pub info: Vec<DatasetInfo>,
@@ -690,48 +689,38 @@ impl Response {
         if v.bool_of("draining") == Some(true) {
             return Ok(Response::Draining);
         }
-        let str_arr = |field: &str| -> Vec<String> {
-            v.get(field)
-                .and_then(Json::as_arr)
-                .map(|arr| {
-                    arr.iter()
-                        .filter_map(|n| n.as_str().map(str::to_string))
-                        .collect()
-                })
-                .unwrap_or_default()
+        let str_arr = |field: &str| -> Option<Vec<String>> {
+            let arr = v.get(field)?.as_arr()?;
+            Some(
+                arr.iter()
+                    .filter_map(|n| n.as_str().map(str::to_string))
+                    .collect(),
+            )
         };
-        if let Some(arr) = v.get("datasets").and_then(Json::as_arr) {
-            let names = arr
-                .iter()
-                .filter_map(|n| n.as_str().map(str::to_string))
-                .collect();
-            // `info`/`available` are absent on pre-store servers; empty
-            // is the honest decoding for both.
+        if let Some(names) = str_arr("datasets") {
             let info = v
                 .get("info")
                 .and_then(Json::as_arr)
-                .map(|arr| {
-                    arr.iter()
-                        .filter_map(|d| {
-                            Some(DatasetInfo {
-                                name: d.str_of("name")?.to_string(),
-                                rows: d.get("rows").and_then(Json::as_u64)?,
-                                columns: d
-                                    .get("columns")?
-                                    .as_arr()?
-                                    .iter()
-                                    .filter_map(|c| c.as_str().map(str::to_string))
-                                    .collect(),
-                                resident_bytes: d.get("resident_bytes").and_then(Json::as_u64)?,
-                            })
-                        })
-                        .collect()
+                .ok_or("datasets reply missing 'info'")?
+                .iter()
+                .filter_map(|d| {
+                    Some(DatasetInfo {
+                        name: d.str_of("name")?.to_string(),
+                        rows: d.get("rows").and_then(Json::as_u64)?,
+                        columns: d
+                            .get("columns")?
+                            .as_arr()?
+                            .iter()
+                            .filter_map(|c| c.as_str().map(str::to_string))
+                            .collect(),
+                        resident_bytes: d.get("resident_bytes").and_then(Json::as_u64)?,
+                    })
                 })
-                .unwrap_or_default();
+                .collect();
             return Ok(Response::Datasets(DatasetsReply {
                 names,
                 info,
-                available: str_arr("available"),
+                available: str_arr("available").ok_or("datasets reply missing 'available'")?,
             }));
         }
         if let Some(dataset) = v.str_of("attached") {
@@ -751,21 +740,22 @@ impl Response {
             return Ok(Response::Ingested {
                 dataset: dataset.to_string(),
                 rows: v.get("rows").and_then(Json::as_u64).unwrap_or(0),
-                columns: str_arr("columns"),
+                columns: str_arr("columns").unwrap_or_default(),
                 chunks: v.get("chunks").and_then(Json::as_u64).unwrap_or(0),
                 bytes: v.get("bytes").and_then(Json::as_u64).unwrap_or(0),
             });
         }
         if let Some(sched) = v.get("sched") {
-            return SchedStats::from_json(sched).map(|sched| {
-                Response::Stats(StatsReply {
-                    sched,
-                    // Absent on replies from pre-observability servers;
-                    // zero is the honest "unknown" for both.
-                    uptime_seconds: v.num_of("uptime_seconds").unwrap_or(0.0),
-                    seq: v.get("seq").and_then(Json::as_u64).unwrap_or(0),
-                })
-            });
+            return Ok(Response::Stats(StatsReply {
+                sched: SchedStats::from_json(sched)?,
+                uptime_seconds: v
+                    .num_of("uptime_seconds")
+                    .ok_or("stats reply missing 'uptime_seconds'")?,
+                seq: v
+                    .get("seq")
+                    .and_then(Json::as_u64)
+                    .ok_or("stats reply missing 'seq'")?,
+            }));
         }
         if let Some(metrics) = v.get("metrics") {
             let snapshot = RegistrySnapshot::from_json(metrics)
@@ -787,7 +777,9 @@ impl Response {
         if let Some(arr) = v.get("audits").and_then(Json::as_arr) {
             let audits = arr
                 .iter()
-                .map(|a| audit_from_json(a).ok_or_else(|| "malformed audit in reply".to_string()))
+                .map(|a| {
+                    QueryAudit::from_json(a).ok_or_else(|| "malformed audit in reply".to_string())
+                })
                 .collect::<Result<Vec<_>, _>>()?;
             return Ok(Response::Audits {
                 dataset: v.str_of("dataset").unwrap_or("").to_string(),
@@ -811,11 +803,13 @@ impl Response {
                 noise_scale: num_or_nan("noise_scale")?,
                 sample_size: v.get("sample_size").and_then(Json::as_u64).unwrap_or(0) as usize,
                 budget_remaining: v.num_of("budget_remaining"),
-                // Pre-columnar servers omit `cache`; "hit" is the
-                // conservative decoding (no cold prepare to report).
-                cached: v.str_of("cache") != Some("miss"),
+                cached: match v.str_of("cache") {
+                    Some("hit") => true,
+                    Some("miss") => false,
+                    _ => return Err("released reply missing 'cache'".into()),
+                },
                 prepare_us: v.get("prepare_us").and_then(Json::as_u64),
-                audit: v.get("audit").and_then(audit_from_json),
+                audit: v.get("audit").and_then(QueryAudit::from_json),
             })));
         }
         if let Some(query_id) = v.str_of("query_id") {
@@ -835,68 +829,6 @@ impl Response {
         }
         Ok(Response::Ok)
     }
-}
-
-/// Reconstructs a [`QueryAudit`] from its [`QueryAudit::to_json`] form.
-/// Returns `None` when required fields are missing, so a truncated or
-/// foreign object never silently becomes a zeroed audit.
-pub fn audit_from_json(v: &Json) -> Option<QueryAudit> {
-    use dataflow::{MetricsSnapshot, StageSpan};
-    let engine = v.get("engine")?;
-    let counter = |name: &str| engine.get(name).and_then(Json::as_u64).unwrap_or(0);
-    // `json_num` writes non-finite floats as null; map them back to NaN
-    // rather than inventing a finite value.
-    let num_or_nan = |field: &Json| field.as_f64().unwrap_or(f64::NAN);
-    Some(QueryAudit {
-        query: v.str_of("query")?.to_string(),
-        epsilon: v.num_of("epsilon")?,
-        budget_remaining: v.num_of("budget_remaining"),
-        sensitivity: v
-            .get("sensitivity")?
-            .as_arr()?
-            .iter()
-            .map(num_or_nan)
-            .collect(),
-        range: v
-            .get("range")?
-            .as_arr()?
-            .iter()
-            .filter_map(|pair| {
-                let pair = pair.as_arr()?;
-                Some((num_or_nan(pair.first()?), num_or_nan(pair.get(1)?)))
-            })
-            .collect(),
-        clamped: v.bool_of("clamped")?,
-        attack_detected: v.bool_of("attack_detected")?,
-        removed_records: v.get("removed_records").and_then(Json::as_u64)? as usize,
-        sample_size: v.get("sample_size").and_then(Json::as_u64)? as usize,
-        group_size: v.get("group_size").and_then(Json::as_u64)? as usize,
-        spans: v
-            .get("spans")?
-            .as_arr()?
-            .iter()
-            .filter_map(|sp| {
-                Some(StageSpan {
-                    name: sp.str_of("name")?.to_string(),
-                    path: sp.str_of("path")?.to_string(),
-                    depth: sp.get("depth").and_then(Json::as_u64)? as usize,
-                    nanos: sp.get("nanos").and_then(Json::as_u64)?,
-                    records: sp.get("records").and_then(Json::as_u64)?,
-                    calls: sp.get("calls").and_then(Json::as_u64)?,
-                })
-            })
-            .collect(),
-        engine: MetricsSnapshot {
-            stages: counter("stages"),
-            tasks: counter("tasks"),
-            task_retries: counter("task_retries"),
-            shuffles: counter("shuffles"),
-            shuffle_records: counter("shuffle_records"),
-            shuffle_bytes: counter("shuffle_bytes"),
-            records_processed: counter("records_processed"),
-        },
-        total_nanos: v.get("total_nanos").and_then(Json::as_u64)?,
-    })
 }
 
 #[cfg(test)]
@@ -1045,15 +977,17 @@ mod tests {
             Response::Datasets(got) => assert_eq!(got, reply),
             other => panic!("expected Datasets, got {other:?}"),
         }
-        // The v1 shape (bare names) still decodes; extras default empty.
-        let parsed = wire::parse("{\"ok\":true,\"datasets\":[\"d\"]}").unwrap();
-        match Response::from_json(&parsed).unwrap() {
-            Response::Datasets(got) => {
-                assert_eq!(got.names, vec!["d"]);
-                assert!(got.info.is_empty());
-                assert!(got.available.is_empty());
-            }
-            other => panic!("expected Datasets, got {other:?}"),
+        // `info` and `available` are part of the reply, not extras: the
+        // bare-names shape is a decode error naming what is missing.
+        for (line, missing) in [
+            ("{\"ok\":true,\"datasets\":[\"d\"]}", "'info'"),
+            (
+                "{\"ok\":true,\"datasets\":[\"d\"],\"info\":[]}",
+                "'available'",
+            ),
+        ] {
+            let err = Response::from_json(&wire::parse(line).unwrap()).unwrap_err();
+            assert!(err.contains(missing), "{line}: {err}");
         }
     }
 
@@ -1147,7 +1081,8 @@ mod tests {
         // a protocol error or a fake finite number.
         let parsed = wire::parse(
             "{\"ok\":true,\"query_id\":\"d/sum/v\",\"released\":null,\"epsilon\":0.1,\
-             \"noise_scale\":null,\"sample_size\":10,\"budget_remaining\":null}",
+             \"noise_scale\":null,\"sample_size\":10,\"budget_remaining\":null,\
+             \"cache\":\"hit\"}",
         )
         .unwrap();
         match Response::from_json(&parsed).unwrap() {
@@ -1201,21 +1136,22 @@ mod tests {
     }
 
     #[test]
-    fn stats_reply_without_uptime_still_decodes() {
-        // A pre-observability server's reply shape: sched only.
-        let parsed = wire::parse(
-            "{\"ok\":true,\"sched\":{\"queued\":0,\"peak_queued\":0,\"submitted\":1,\
+    fn replies_missing_required_fields_are_rejected() {
+        let sched = "\"sched\":{\"queued\":0,\"peak_queued\":0,\"submitted\":1,\
              \"completed\":1,\"prepares\":1,\"coalesced\":0,\"shed_deadline\":0,\
-             \"busy_rejected\":0,\"batches\":1,\"peak_batch\":1}}",
-        )
-        .unwrap();
-        match Response::from_json(&parsed).unwrap() {
-            Response::Stats(got) => {
-                assert_eq!(got.sched.submitted, 1);
-                assert_eq!(got.uptime_seconds, 0.0);
-                assert_eq!(got.seq, 0);
-            }
-            other => panic!("expected Stats, got {other:?}"),
+             \"busy_rejected\":0,\"batches\":1,\"peak_batch\":1}";
+        let released = "\"query_id\":\"d/sum/v\",\"released\":1.5,\"epsilon\":0.1,\
+             \"noise_scale\":2,\"sample_size\":10,\"budget_remaining\":null";
+        for (line, missing) in [
+            (format!("{{\"ok\":true,{sched}}}"), "'uptime_seconds'"),
+            (
+                format!("{{\"ok\":true,{sched},\"uptime_seconds\":1.5}}"),
+                "'seq'",
+            ),
+            (format!("{{\"ok\":true,{released}}}"), "'cache'"),
+        ] {
+            let err = Response::from_json(&wire::parse(&line).unwrap()).unwrap_err();
+            assert!(err.contains(missing), "{line}: {err}");
         }
     }
 

@@ -91,7 +91,7 @@ pub enum JobOutput {
 }
 
 /// A point-in-time snapshot of the scheduler's counters, exported over
-/// the `stats` op and recorded in `BENCH_SERVE.json`.
+/// the `stats` op.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Requests currently queued across every dataset.

@@ -36,8 +36,8 @@ use crate::proto::{
 use crate::sched::{JobOp, JobOutput, Scheduler, SchedulerHandle};
 use crate::state::{ServeError, ServerConfig, ServerState};
 use crate::wire;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -172,6 +172,12 @@ fn error_line(err: &ServeError) -> String {
     Response::from(err).to_line()
 }
 
+/// Longest request line accepted, newline included. The longest
+/// legitimate request is an `ingest` carrying a filesystem path; a peer
+/// that sends this much without a newline is refused and disconnected
+/// instead of being buffered without bound.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// Serves one connection until EOF or `shutdown`.
 fn serve_connection(
     stream: TcpStream,
@@ -181,22 +187,24 @@ fn serve_connection(
 ) -> io::Result<()> {
     // Idle connections wake periodically so a draining shutdown is not
     // held hostage by a client that keeps its socket open silently;
-    // in-flight requests (which are past `read_line`) still complete.
+    // in-flight requests (which are past the read) still complete.
     stream.set_read_timeout(Some(std::time::Duration::from_millis(200)))?;
     // Replies are small and latency-bound; never let Nagle hold one back
     // for a delayed ACK. (Each reply is a single buffered write anyway.)
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     // One reply buffer for the connection's lifetime: replies serialize
     // into it in place, so the steady-state release path allocates
     // nothing on the reply side.
     let mut reply = String::new();
     loop {
         // On timeout `line` keeps any partial bytes already received —
-        // the next pass resumes the same line.
-        let n = match reader.read_line(&mut line) {
+        // the next pass resumes the same line, within what is left of
+        // its length budget.
+        let budget = (MAX_LINE_BYTES - line.len()) as u64;
+        let n = match reader.by_ref().take(budget).read_until(b'\n', &mut line) {
             Ok(n) => n,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
@@ -211,22 +219,50 @@ fn serve_connection(
         if n == 0 {
             return Ok(()); // client closed
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            line.clear();
-            continue;
-        }
         reply.clear();
-        let is_shutdown = respond(trimmed, state, sched, &mut reply);
+        let overlong = line.len() == MAX_LINE_BYTES && !line.ends_with(b"\n");
+        let is_shutdown = match std::str::from_utf8(&line) {
+            _ if overlong => {
+                let message = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                refuse_line(state, message, &mut reply);
+                false
+            }
+            Ok(text) if text.trim().is_empty() => {
+                line.clear();
+                continue;
+            }
+            Ok(text) => respond(text.trim(), state, sched, &mut reply),
+            Err(_) => {
+                refuse_line(state, "request line is not UTF-8".into(), &mut reply);
+                false
+            }
+        };
         line.clear();
         writer.write_all(reply.as_bytes())?;
         writer.flush()?;
+        if overlong {
+            // Where the next request starts is unknowable, so hang up —
+            // after reading off what the peer is still sending: closing
+            // over unread input resets the connection and can destroy
+            // the reply in flight.
+            writer.get_ref().shutdown(Shutdown::Write)?;
+            let _ = io::copy(&mut reader, &mut io::sink());
+            return Ok(());
+        }
         if is_shutdown {
             state.begin_shutdown();
             let _ = TcpStream::connect(self_addr); // wake the acceptor
             return Ok(());
         }
     }
+}
+
+/// Counts and answers a line that never became a request.
+fn refuse_line(state: &ServerState, message: String, reply: &mut String) {
+    let obs = state.obs();
+    obs.m.count_request("invalid");
+    obs.m.count_error(ErrorCode::BadRequest);
+    Response::from(&ServeError::BadRequest(message)).write_line(reply);
 }
 
 /// The `upa_requests_total` label for a decoded request.
@@ -311,18 +347,14 @@ fn respond(
     let parsed = match wire::parse(line) {
         Ok(v) => v,
         Err(e) => {
-            obs.m.count_request("invalid");
-            obs.m.count_error(ErrorCode::BadRequest);
-            Response::from(&ServeError::BadRequest(e.to_string())).write_line(reply);
+            refuse_line(state, e.to_string(), reply);
             return false;
         }
     };
     let request = match Request::from_json(&parsed) {
         Ok(r) => r,
         Err(msg) => {
-            obs.m.count_request("invalid");
-            obs.m.count_error(ErrorCode::BadRequest);
-            Response::from(&ServeError::BadRequest(msg)).write_line(reply);
+            refuse_line(state, msg, reply);
             return false;
         }
     };

@@ -1316,20 +1316,6 @@ impl ServerState {
         let skip = audits.len().saturating_sub(last);
         Ok(audits.iter().skip(skip).cloned().collect())
     }
-
-    /// JSON audits of the dataset's most recent `last` releases, oldest
-    /// first.
-    ///
-    /// # Errors
-    ///
-    /// Unknown dataset.
-    pub fn audits_json(&self, dataset: &str, last: usize) -> Result<Vec<String>, ServeError> {
-        Ok(self
-            .audits_of(dataset, last)?
-            .iter()
-            .map(QueryAudit::to_json)
-            .collect())
-    }
 }
 
 /// RAII connection slot; frees the admission counter on drop.
@@ -1970,16 +1956,16 @@ mod tests {
     }
 
     #[test]
-    fn audits_json_returns_recent_releases() {
+    fn audits_of_returns_recent_releases() {
         let state = state_with(None, None);
         for _ in 0..3 {
             state
                 .release("data", AggKind::Sum, "v", None, false)
                 .unwrap();
         }
-        let audits = state.audits_json("data", 2).unwrap();
+        let audits = state.audits_of("data", 2).unwrap();
         assert_eq!(audits.len(), 2);
-        assert!(audits[0].contains("\"query\":\"sum\""));
-        assert!(state.audits_json("missing", 1).is_err());
+        assert_eq!(audits[0].query, "sum");
+        assert!(state.audits_of("missing", 1).is_err());
     }
 }

@@ -1,520 +1,9 @@
-//! The wire format: line-delimited JSON, hand-rolled.
+//! The wire format's JSON: [`upa_json`], re-exported.
 //!
-//! The workspace deliberately has no serde dependency, so the serving
-//! protocol uses the smallest JSON subset that carries it: one request
-//! object per line in, one response object per line out. This module is
-//! the parser ([`parse`]) plus the two escape helpers responses are built
-//! with ([`json_str`], [`json_num`]); response bodies themselves are
-//! assembled with `format!`, the same style as
-//! [`upa_core::QueryAudit::to_json`].
+//! The reader and the escape writers live in the leaf `upa-json` crate,
+//! shared with the store's manifests and `upa_core`'s audit records. This
+//! module stays as a path — `upa_server::wire::{parse, Json, …}` — because
+//! the `upa-serverd` binary and the out-of-tree `benchmark/` package are
+//! compiled against `upa_server` alone and may name nothing else.
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object. Key order is not preserved (protocol objects never
-    /// rely on it).
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Member `key` of an object, or `None` for other variants.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The value as a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer (rounds through `f64`).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 => Some(*v as u64),
-            _ => None,
-        }
-    }
-
-    /// The value as a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// Member `key` as a string.
-    pub fn str_of(&self, key: &str) -> Option<&str> {
-        self.get(key).and_then(Json::as_str)
-    }
-
-    /// Member `key` as a number.
-    pub fn num_of(&self, key: &str) -> Option<f64> {
-        self.get(key).and_then(Json::as_f64)
-    }
-
-    /// Member `key` as a boolean.
-    pub fn bool_of(&self, key: &str) -> Option<bool> {
-        self.get(key).and_then(Json::as_bool)
-    }
-}
-
-/// A parse failure: byte offset, message, and a truncated echo of the
-/// input around the offending byte.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset of the failure.
-    pub at: usize,
-    /// What went wrong.
-    pub message: String,
-    /// Up to [`ECHO_BYTES`] of input around the offset, `…`-elided at
-    /// truncated ends, so a protocol error names the offending text
-    /// without echoing an arbitrarily long line.
-    pub near: String,
-}
-
-/// Input bytes echoed around a parse failure (each side of the offset).
-pub const ECHO_BYTES: usize = 20;
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "invalid JSON at byte {}: {} (near '{}')",
-            self.at, self.message, self.near
-        )
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Parses one JSON value, requiring the whole input (modulo surrounding
-/// whitespace) to be consumed.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] locating the first offending byte.
-pub fn parse(text: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
-    Ok(v)
-}
-
-/// The `…`-elided window of `bytes` around `pos`, shrunk to UTF-8
-/// character boundaries so multi-byte input never echoes as mojibake.
-fn echo_near(bytes: &[u8], pos: usize) -> String {
-    let is_boundary = |i: usize| i >= bytes.len() || (bytes[i] & 0xC0) != 0x80;
-    let mut start = pos.saturating_sub(ECHO_BYTES).min(bytes.len());
-    while !is_boundary(start) {
-        start -= 1;
-    }
-    let mut end = (pos + ECHO_BYTES).min(bytes.len());
-    while !is_boundary(end) {
-        end += 1;
-    }
-    let mut out = String::new();
-    if start > 0 {
-        out.push('…');
-    }
-    out.push_str(&String::from_utf8_lossy(&bytes[start..end]));
-    if end < bytes.len() {
-        out.push('…');
-    }
-    out
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, message: &str) -> ParseError {
-        ParseError {
-            at: self.pos,
-            message: message.to_string(),
-            near: echo_near(self.bytes, self.pos),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, ParseError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(out));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
-        let mut out = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            out.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(out));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            // Surrogate pair: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    let code =
-                                        0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
-                                    char::from_u32(code)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(hi)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
-                            continue; // hex4 advanced past the digits
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, ParseError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.pos = end;
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Json, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII");
-        s.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
-    }
-}
-
-/// JSON string literal with escaping for quotes, backslashes and control
-/// characters.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    push_json_str(&mut out, s);
-    out
-}
-
-/// Appends `s` as a JSON string to `out` — the allocation-free form of
-/// [`json_str`] the serving hot path builds replies with.
-pub fn push_json_str(out: &mut String, s: &str) {
-    use std::fmt::Write;
-    out.reserve(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// JSON number; non-finite floats (which JSON cannot represent) become
-/// `null`.
-pub fn json_num(v: f64) -> String {
-    let mut out = String::new();
-    push_json_num(&mut out, v);
-    out
-}
-
-/// Appends `v` as a JSON number (`null` when non-finite) to `out` — the
-/// allocation-free form of [`json_num`].
-pub fn push_json_num(out: &mut String, v: f64) {
-    use std::fmt::Write;
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_scalars() {
-        assert_eq!(parse("null").unwrap(), Json::Null);
-        assert_eq!(parse("true").unwrap(), Json::Bool(true));
-        assert_eq!(parse(" false ").unwrap(), Json::Bool(false));
-        assert_eq!(parse("-1.5e3").unwrap(), Json::Num(-1500.0));
-        assert_eq!(parse("\"hi\"").unwrap(), Json::Str("hi".into()));
-    }
-
-    #[test]
-    fn parses_nested_structures() {
-        let v =
-            parse(r#"{"op":"release","eps":0.5,"audit":true,"tags":[1,2],"none":null}"#).unwrap();
-        assert_eq!(v.str_of("op"), Some("release"));
-        assert_eq!(v.num_of("eps"), Some(0.5));
-        assert_eq!(v.bool_of("audit"), Some(true));
-        assert_eq!(v.get("tags").unwrap().as_arr().unwrap().len(), 2);
-        assert_eq!(v.get("none"), Some(&Json::Null));
-        assert_eq!(v.get("missing"), None);
-    }
-
-    #[test]
-    fn parses_escapes() {
-        assert_eq!(
-            parse(r#""a\"b\\c\n\tA""#).unwrap(),
-            Json::Str("a\"b\\c\n\tA".into())
-        );
-        // Surrogate pair: 😀
-        assert_eq!(parse(r#""😀""#).unwrap(), Json::Str("😀".into()));
-        assert_eq!(parse("\"héllo\"").unwrap(), Json::Str("héllo".into()));
-    }
-
-    #[test]
-    fn round_trips_escape_helpers() {
-        let original = "a\"b\\c\nd\te\u{1}";
-        let encoded = json_str(original);
-        assert_eq!(parse(&encoded).unwrap(), Json::Str(original.into()));
-        assert_eq!(json_num(f64::NAN), "null");
-        assert_eq!(parse(&json_num(2.25)).unwrap(), Json::Num(2.25));
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        for bad in [
-            "", "{", "[1,", "\"open", "{\"a\":}", "nul", "01a", "{}x", "[1 2]",
-        ] {
-            assert!(parse(bad).is_err(), "{bad:?} should fail");
-        }
-        let err = parse("{\"a\":!}").unwrap_err();
-        assert!(err.to_string().contains("byte"));
-        // A short line echoes in full, un-elided.
-        assert_eq!(err.near, "{\"a\":!}");
-        assert!(err.to_string().contains("(near '{\"a\":!}')"), "{err}");
-    }
-
-    #[test]
-    fn parse_errors_echo_a_truncated_window() {
-        // A long line is elided on both sides of the offending byte…
-        let long = format!("{{\"key\":\"{}\"!{}}}", "x".repeat(200), "y".repeat(200));
-        let err = parse(&long).unwrap_err();
-        assert_eq!(err.at, long.find('!').unwrap());
-        assert!(
-            err.near.starts_with('…') && err.near.ends_with('…'),
-            "{err}"
-        );
-        assert!(err.near.contains('!'), "echo must show the bad byte: {err}");
-        assert!(
-            err.near.chars().count() <= 2 * ECHO_BYTES + 2,
-            "echo too long: {err}"
-        );
-        // …a failure near the start keeps the line head un-elided…
-        let err = parse(&format!("!{}", "z".repeat(100))).unwrap_err();
-        assert!(
-            err.near.starts_with('!') && err.near.ends_with('…'),
-            "{err}"
-        );
-        // …and multi-byte input truncates on character boundaries
-        // rather than echoing mojibake.
-        let err = parse(&format!("\"{}", "é".repeat(100))).unwrap_err();
-        assert!(!err.near.contains('\u{FFFD}'), "split a UTF-8 char: {err}");
-    }
-
-    #[test]
-    fn parses_audit_json() {
-        // The exact payload shape the client reconstructs audits from.
-        let v = parse(
-            r#"{"query":"mean","epsilon":0.1,"budget_remaining":null,"sensitivity":[2],
-                "range":[[10,20]],"clamped":false,"attack_detected":false,
-                "removed_records":0,"sample_size":100,"group_size":1,"total_nanos":240,
-                "spans":[{"name":"sample","path":"prepare/sample","depth":1,"nanos":50,"records":0,"calls":1}],
-                "engine":{"stages":3,"tasks":12,"task_retries":0,"shuffles":1,
-                          "shuffle_records":500,"shuffle_bytes":4000,"records_processed":1000}}"#,
-        )
-        .unwrap();
-        assert_eq!(v.str_of("query"), Some("mean"));
-        assert_eq!(v.get("budget_remaining"), Some(&Json::Null));
-        let spans = v.get("spans").unwrap().as_arr().unwrap();
-        assert_eq!(spans[0].str_of("path"), Some("prepare/sample"));
-        assert_eq!(
-            v.get("engine").unwrap().num_of("shuffle_bytes"),
-            Some(4000.0)
-        );
-    }
-}
+pub use upa_json::*;

@@ -8,8 +8,11 @@
 //! fsync but before the reply leaves a spend with no delivered result,
 //! which wastes budget but never leaks it. Both sides are pinned here.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::thread::JoinHandle;
+use std::time::Duration;
 use upa_server::{
     Client, ClientError, DatasetSpec, ErrorCode, ReleaseFault, Server, ServerConfig, ShutdownHandle,
 };
@@ -196,4 +199,94 @@ fn shutdown_drains_and_stops_accepting() {
             c.ping().is_err()
         }
     );
+}
+
+/// Writes `payload` on a raw connection and reads until the server hangs
+/// up (or, when `keep_open`, until the first reply line), returning what
+/// came back. Write errors are tolerated: the server is entitled to stop
+/// reading a hostile line.
+fn raw_exchange(addr: &str, payload: &[u8], keep_open: bool) -> (String, TcpStream) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let _ = stream.write_all(payload);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut got = String::new();
+    if keep_open {
+        reader.read_line(&mut got).expect("reply line");
+    } else {
+        reader.read_to_string(&mut got).expect("reply then EOF");
+    }
+    (got, stream)
+}
+
+fn assert_bad_request(reply: &str, needle: &str) {
+    assert_eq!(reply.lines().count(), 1, "exactly one reply: {reply:?}");
+    assert!(
+        reply.starts_with("{\"ok\":false,\"code\":\"bad_request\","),
+        "{reply:?}"
+    );
+    assert!(reply.contains(needle), "{reply:?}");
+}
+
+#[test]
+fn deeply_nested_lines_are_bad_requests_not_stack_overflows() {
+    let (addr, handle, join) = start(base_config());
+
+    // 10 kB of '[' fits the line limit and reaches the parser, which used
+    // to recurse once per bracket on a 2 MiB connection-thread stack. It
+    // is refused in place, and the same connection keeps working.
+    let mut line = "[".repeat(10_000).into_bytes();
+    line.push(b'\n');
+    let (reply, mut stream) = raw_exchange(&addr, &line, true);
+    assert_bad_request(&reply, "nesting deeper than 128");
+    stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    let mut pong = String::new();
+    BufReader::new(stream).read_line(&mut pong).unwrap();
+    assert_eq!(pong, "{\"ok\":true}\n");
+
+    // 100 kB of '[' is over the line limit before it is anything else:
+    // one refusal, then the server hangs up — and keeps serving others.
+    let mut line = "[".repeat(100_000).into_bytes();
+    line.push(b'\n');
+    let (reply, _) = raw_exchange(&addr, &line, false);
+    assert_bad_request(&reply, "longer than 65536 bytes");
+    Client::connect(&addr).unwrap().ping().unwrap();
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
+fn unterminated_megabyte_line_is_refused_and_disconnected() {
+    let path = temp_ledger("overlong");
+    let (addr, handle, join) = start(ServerConfig {
+        ledger_path: Some(path.clone()),
+        ..base_config()
+    });
+    // Two-byte characters at odd offsets, so the limit falls inside one:
+    // the refusal must not depend on where the cut lands.
+    let flood = format!("x{}", "é".repeat(512 * 1024));
+    assert!(flood.len() > 1 << 20);
+    let (reply, _) = raw_exchange(&addr, flood.as_bytes(), false);
+    assert_bad_request(&reply, "longer than 65536 bytes");
+
+    // The daemon is alive and no budget moved.
+    let mut client = Client::connect(&addr).unwrap();
+    client.ping().unwrap();
+    let budget = client.budget("data").unwrap().unwrap();
+    assert_eq!(budget.spent, 0.0);
+    assert_eq!(ledger_lines(&path), 0);
+
+    // A line of exactly the limit (newline included) is still a request.
+    let mut line = format!("{{\"op\":\"ping\",\"pad\":\"{}", "x".repeat(70_000));
+    line.truncate(upa_server::server::MAX_LINE_BYTES - 3);
+    line.push_str("\"}\n");
+    let (reply, _) = raw_exchange(&addr, line.as_bytes(), true);
+    assert_eq!(reply, "{\"ok\":true}\n");
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+    let _ = std::fs::remove_file(&path);
 }

@@ -192,6 +192,23 @@ mod tests {
     }
 
     #[test]
+    fn not_numeric_error_names_line_column_and_cell() {
+        let doc = parse("age,name\n41,alice\nx7,bob\n").unwrap();
+        let err = doc.numeric_column("age").unwrap_err();
+        // The message must point the user at the exact offending cell:
+        // file line (header is line 1), column name, and the raw text.
+        assert_eq!(
+            err.to_string(),
+            "line 3, column 'age': 'x7' is not a number"
+        );
+        assert!(matches!(
+            err,
+            CsvError::NotNumeric { line: 3, ref column, ref cell }
+                if column == "age" && cell == "x7"
+        ));
+    }
+
+    #[test]
     fn empty_field_is_empty_string() {
         let doc = parse("a,b\n,2\n");
         assert_eq!(doc.unwrap().rows[0][0], "");

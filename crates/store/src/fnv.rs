@@ -1,29 +1,42 @@
-//! FNV-1a, 32-bit — the same checksum style the server's budget ledger
-//! uses per record, applied here to column chunks and their manifest
-//! bindings.
+//! FNV-1a, 32-bit — the workspace's one checksum: column chunks and
+//! their manifest bindings here, and each record of the server's budget
+//! ledger.
 
 /// Incrementally updatable FNV-1a hasher.
-pub(crate) struct Fnv32(u32);
+#[derive(Debug)]
+pub struct Fnv32(u32);
 
 impl Fnv32 {
-    pub(crate) fn new() -> Self {
+    /// A hasher at the FNV offset basis.
+    #[must_use]
+    pub fn new() -> Self {
         Fnv32(0x811c_9dc5)
     }
 
-    pub(crate) fn eat(&mut self, bytes: &[u8]) {
+    /// Folds `bytes` into the hash.
+    pub fn eat(&mut self, bytes: &[u8]) {
         for b in bytes {
             self.0 ^= u32::from(*b);
             self.0 = self.0.wrapping_mul(0x0100_0193);
         }
     }
 
-    pub(crate) fn finish(&self) -> u32 {
+    /// The hash of everything eaten so far.
+    #[must_use]
+    pub fn finish(&self) -> u32 {
         self.0
     }
 }
 
+impl Default for Fnv32 {
+    fn default() -> Self {
+        Fnv32::new()
+    }
+}
+
 /// One-shot convenience over [`Fnv32`].
-pub(crate) fn fnv1a32(bytes: &[u8]) -> u32 {
+#[must_use]
+pub fn fnv1a32(bytes: &[u8]) -> u32 {
     let mut h = Fnv32::new();
     h.eat(bytes);
     h.finish()

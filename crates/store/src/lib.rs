@@ -31,8 +31,7 @@
 mod catalog;
 mod chunk;
 pub mod csv;
-mod fnv;
-mod json;
+pub mod fnv;
 mod manifest;
 mod store;
 

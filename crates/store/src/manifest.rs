@@ -13,7 +13,7 @@
 
 use dataflow::columnar::ChunkStats;
 
-use crate::json::{self, Json};
+use upa_json::{push_json_str, Json};
 
 /// File name of the manifest inside a dataset directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
@@ -75,7 +75,7 @@ impl Manifest {
         out.push_str("{\"format_version\":");
         out.push_str(&self.format_version.to_string());
         out.push_str(",\"dataset\":");
-        json::push_str_literal(&mut out, &self.dataset);
+        push_json_str(&mut out, &self.dataset);
         out.push_str(",\"rows\":");
         out.push_str(&self.rows.to_string());
         out.push_str(",\"columns\":[");
@@ -84,14 +84,14 @@ impl Manifest {
                 out.push(',');
             }
             out.push_str("{\"name\":");
-            json::push_str_literal(&mut out, &col.name);
+            push_json_str(&mut out, &col.name);
             out.push_str(",\"chunks\":[");
             for (j, chunk) in col.chunks.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
                 out.push_str("{\"file\":");
-                json::push_str_literal(&mut out, &chunk.file);
+                push_json_str(&mut out, &chunk.file);
                 out.push_str(",\"rows\":");
                 out.push_str(&chunk.rows.to_string());
                 out.push_str(",\"crc\":");
@@ -118,7 +118,7 @@ impl Manifest {
     /// bad JSON, missing fields, an unsupported format version, or
     /// per-column chunk rows that do not sum to the dataset row count.
     pub fn from_json(text: &str) -> Result<Manifest, String> {
-        let doc = json::parse(text).map_err(|e| format!("manifest is not JSON: {e}"))?;
+        let doc = upa_json::parse(text).map_err(|e| format!("manifest is not JSON: {e}"))?;
         let format_version = field_u64(&doc, "format_version")?;
         let format_version =
             u32::try_from(format_version).map_err(|_| "format_version out of range".to_string())?;
@@ -129,8 +129,7 @@ impl Manifest {
             ));
         }
         let dataset = doc
-            .get("dataset")
-            .and_then(Json::as_str)
+            .str_of("dataset")
             .ok_or("manifest missing 'dataset'")?
             .to_string();
         let rows = field_u64(&doc, "rows")?;
@@ -141,8 +140,7 @@ impl Manifest {
         let mut columns = Vec::with_capacity(columns_json.len());
         for col in columns_json {
             let name = col
-                .get("name")
-                .and_then(Json::as_str)
+                .str_of("name")
                 .ok_or("column missing 'name'")?
                 .to_string();
             let chunks_json = col
@@ -153,8 +151,7 @@ impl Manifest {
             let mut total = 0u64;
             for chunk in chunks_json {
                 let file = chunk
-                    .get("file")
-                    .and_then(Json::as_str)
+                    .str_of("file")
                     .ok_or_else(|| format!("column '{name}': chunk missing 'file'"))?
                     .to_string();
                 if file.contains('/') || file.contains('\\') || file.starts_with('.') {
@@ -228,8 +225,7 @@ fn field_u64(doc: &Json, key: &str) -> Result<u64, String> {
 /// JSON numbers) so ±inf and exact values survive the round trip.
 fn field_f64_bits(doc: &Json, key: &str) -> Result<f64, String> {
     let text = doc
-        .get(key)
-        .and_then(Json::as_str)
+        .str_of(key)
         .ok_or_else(|| format!("missing or non-string '{key}'"))?;
     if text.len() != 16 {
         return Err(format!("'{key}' is not 16 hex digits"));
@@ -292,6 +288,35 @@ mod tests {
     fn round_trips() {
         let m = sample();
         assert_eq!(Manifest::from_json(&m.to_json()).unwrap(), m);
+    }
+
+    #[test]
+    fn manifest_recorded_before_the_shared_codec_attaches_unchanged() {
+        // Written by the build that still had the store's private JSON
+        // module; on-disk datasets outlive the code that wrote them.
+        let recorded = concat!(
+            r#"{"format_version":2,"dataset":"adult \"x\"\n","rows":3,"columns":[{"name":"a\tge\\é","#,
+            r#""chunks":[{"file":"c0-0.bin","rows":3,"crc":4000000000,"#,
+            r#""min_bits":"fff0000000000000","max_bits":"4044c00000000000","nan_count":1}]}]}"#,
+            "\n",
+        );
+        let m = Manifest::from_json(recorded).unwrap();
+        assert_eq!(m.dataset, "adult \"x\"\n");
+        assert_eq!(m.columns[0].name, "a\tge\\é");
+        let chunk = &m.columns[0].chunks[0];
+        assert_eq!(chunk.crc, 4_000_000_000);
+        assert_eq!(chunk.stats, stats(f64::NEG_INFINITY, 41.5, 3, 1));
+        assert_eq!(m.to_json(), recorded);
+    }
+
+    #[test]
+    fn malformed_json_errors_carry_offset_and_echo() {
+        let err = Manifest::from_json("{\"format_version\":2,!}").unwrap_err();
+        assert!(
+            err.starts_with("manifest is not JSON: invalid JSON at byte 20:"),
+            "{err}"
+        );
+        assert!(err.contains("(near '"), "{err}");
     }
 
     #[test]
