@@ -38,6 +38,12 @@ pub struct QuerySignature {
 /// outputs, drop sampled records and recompute.
 pub trait EnforceState {
     /// Current output components on the two logical partitions.
+    ///
+    /// Contract: the result is a pure function of the state and changes
+    /// only through [`EnforceState::remove_two_records`] (in particular
+    /// not through [`EnforceState::set_output_components`]). The enforcer
+    /// relies on this to compute it once per separation step rather than
+    /// once per prior query.
     fn partition_outputs(&self) -> [Vec<f64>; 2];
 
     /// Removes two records from the sampled set — one from **each**
@@ -128,12 +134,15 @@ impl RangeEnforcer {
         let mut outcome = EnforceOutcome::default();
 
         // Lines 2–15: compare against every previous query; force at least
-        // two differing partition outputs.
+        // two differing partition outputs. The partition outputs only
+        // change when records are removed, so they are folded once up
+        // front and again after each removal — each prior costs one
+        // comparison, not a re-fold of the whole sample.
         {
             let mut scope = spans.enter("enforce");
+            let mut current = state.partition_outputs();
             for prior in &self.history {
                 loop {
-                    let current = state.partition_outputs();
                     let diff_num = current
                         .iter()
                         .zip(prior.partition_outputs.iter())
@@ -149,6 +158,7 @@ impl RangeEnforcer {
                         break;
                     }
                     outcome.removed_records += 2;
+                    current = state.partition_outputs();
                 }
             }
             scope.add_records(outcome.removed_records as u64);
@@ -197,11 +207,13 @@ impl RangeEnforcer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     /// A toy state over a vector of numbers: partitions are the two
-    /// halves, output is the sum, sampled-record removal pops from the
-    /// first half.
+    /// halves, output is the sum, sampled-record removal pops one record
+    /// from each half.
+    #[derive(Clone)]
     struct SumState {
         half1: Vec<f64>,
         half2: Vec<f64>,
@@ -350,5 +362,182 @@ mod tests {
         enforcer.enforce(&mut q, &wide_range(), &mut rng);
         enforcer.reset();
         assert_eq!(enforcer.history_len(), 0);
+    }
+
+    /// Counts `partition_outputs()` calls on the wrapped state.
+    struct Counting<S> {
+        inner: S,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl<S: EnforceState> EnforceState for Counting<S> {
+        fn partition_outputs(&self) -> [Vec<f64>; 2] {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.partition_outputs()
+        }
+        fn remove_two_records(&mut self) -> bool {
+            self.inner.remove_two_records()
+        }
+        fn output_components(&self) -> Vec<f64> {
+            self.inner.output_components()
+        }
+        fn set_output_components(&mut self, components: Vec<f64>) {
+            self.inner.set_output_components(components);
+        }
+    }
+
+    fn counting(half1: Vec<f64>, half2: Vec<f64>) -> Counting<SumState> {
+        Counting {
+            inner: SumState::new(half1, half2),
+            calls: std::cell::Cell::new(0),
+        }
+    }
+
+    /// A prior whose partition outputs differ from every state built in
+    /// these tests.
+    fn disjoint_prior(i: usize) -> QuerySignature {
+        let v = 1e9 + i as f64;
+        QuerySignature {
+            partition_outputs: [vec![v], vec![-v]],
+        }
+    }
+
+    #[test]
+    fn separation_folds_once_regardless_of_history() {
+        let mut enforcer = RangeEnforcer::new();
+        for i in 0..1000 {
+            enforcer.record(disjoint_prior(i));
+        }
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut state = counting(vec![1.0, 2.0], vec![3.0]);
+        let out = enforcer.enforce(&mut state, &wide_range(), &mut rng);
+        assert!(!out.attack_suspected);
+        // One fold before the loop, one for the recorded signature.
+        assert_eq!(state.calls.get(), 2);
+    }
+
+    #[test]
+    fn separation_refolds_only_after_removals() {
+        let half1: Vec<f64> = (1..=10).map(f64::from).collect();
+        let half2: Vec<f64> = (101..=110).map(f64::from).collect();
+        // Plant, among disjoint priors, one neighbour of the state as it
+        // stands after each of 0, 1 and 2 removals: each matches the
+        // second partition only, so each forces exactly one removal.
+        let mut enforcer = RangeEnforcer::new();
+        for k in 0..3 {
+            for i in 0..100 {
+                enforcer.record(disjoint_prior(k * 100 + i));
+            }
+            let second: f64 = half2[..half2.len() - k].iter().sum();
+            enforcer.record(QuerySignature {
+                partition_outputs: [vec![-1.0], vec![second]],
+            });
+        }
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut state = counting(half1, half2);
+        let out = enforcer.enforce(&mut state, &wide_range(), &mut rng);
+        assert!(out.attack_suspected);
+        assert_eq!(out.removed_records, 6);
+        assert_eq!(state.calls.get(), 2 + out.removed_records / 2);
+    }
+
+    /// The parent's separation loop, verbatim: partition outputs are
+    /// re-folded for every prior. The hoisted loop must match it exactly.
+    fn enforce_reference<S: EnforceState>(
+        enforcer: &mut RangeEnforcer,
+        state: &mut S,
+        range: &OutputRange,
+        rng: &mut StdRng,
+    ) -> EnforceOutcome {
+        let mut outcome = EnforceOutcome::default();
+        for prior in &enforcer.history {
+            loop {
+                let current = state.partition_outputs();
+                let diff_num = current
+                    .iter()
+                    .zip(prior.partition_outputs.iter())
+                    .filter(|(c, p)| !vec_eq(c, p))
+                    .count();
+                if diff_num >= 2 {
+                    break;
+                }
+                outcome.attack_suspected = true;
+                if !state.remove_two_records() {
+                    break;
+                }
+                outcome.removed_records += 2;
+            }
+        }
+        let mut components = state.output_components();
+        outcome.clamped = range.constrain(&mut components, rng);
+        state.set_output_components(components);
+        enforcer.history.push(QuerySignature {
+            partition_outputs: state.partition_outputs(),
+        });
+        outcome
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn hoisted_loop_matches_reference(
+            half1 in prop::collection::vec(-50i64..50, 0..8),
+            half2 in prop::collection::vec(-50i64..50, 0..8),
+            priors in prop::collection::vec((0usize..4, 0usize..5, -200i64..200), 0..24),
+            range_lo in -300i64..300,
+            range_width in 0i64..400,
+            seed in 0u64..1000,
+        ) {
+            let half1: Vec<f64> = half1.into_iter().map(|v| v as f64).collect();
+            let half2: Vec<f64> = half2.into_iter().map(|v| v as f64).collect();
+            let state = SumState::new(half1.clone(), half2.clone());
+            // Partition outputs after j removals (the state pops one
+            // record from each half per removal), so planted neighbours
+            // trigger mid-history and after earlier removals; j past the
+            // shorter half plants neighbours of an exhausted sample.
+            let after = |j: usize| -> [f64; 2] {
+                [&half1, &half2].map(|h| h[..h.len().saturating_sub(j)].iter().sum())
+            };
+            let mut history = Vec::new();
+            for (kind, j, v) in priors {
+                let [a, b] = after(j);
+                let v = v as f64 + 0.5;
+                history.push(QuerySignature {
+                    partition_outputs: match kind {
+                        0 => [vec![v], vec![-v]],
+                        1 => [vec![a], vec![v]],
+                        2 => [vec![v], vec![b]],
+                        _ => [vec![a], vec![b]],
+                    },
+                });
+            }
+            let range = OutputRange::new(vec![(
+                range_lo as f64,
+                (range_lo + range_width) as f64,
+            )]);
+
+            let mut fast = RangeEnforcer { history: history.clone() };
+            let mut fast_state = state.clone();
+            let fast_out = fast.enforce(
+                &mut fast_state,
+                &range,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            let mut slow = RangeEnforcer { history };
+            let mut slow_state = state;
+            let slow_out = enforce_reference(
+                &mut slow,
+                &mut slow_state,
+                &range,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            prop_assert_eq!(fast_out, slow_out);
+            prop_assert_eq!(
+                fast_state.output_components(),
+                slow_state.output_components()
+            );
+            prop_assert_eq!(fast.history, slow.history);
+        }
     }
 }

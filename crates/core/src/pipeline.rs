@@ -562,7 +562,8 @@ impl Upa {
             let raw: Out = query.finalize(r_x.as_ref().as_ref());
 
             // The 2·n neighbour finalizations are independent, so they run
-            // on the engine's worker pool. `Context::par_map` is
+            // on the engine's worker pool, one contiguous block of
+            // neighbours per worker. `Context::par_map` is
             // driver-side parallelism, not an engine stage — releases keep
             // reporting zero stages and zero shuffles.
             let prefix = Arc::new(prefix);

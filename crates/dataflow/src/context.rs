@@ -312,13 +312,44 @@ impl Context {
     /// stage: the observability counters keep meaning "work the dataflow
     /// graph ran", so a caller that only uses `par_map` still reports
     /// zero stages and zero shuffles.
+    ///
+    /// The inputs are split into at most one contiguous block per worker,
+    /// one pool job each; `f` still sees each input's global index. The
+    /// callers' items are ~10 ns of arithmetic, so one job and one reply
+    /// per item would cost more in channel hand-offs than in work. A
+    /// panic in `f` is re-raised on the calling thread.
     pub fn par_map<I, O, F>(&self, inputs: Vec<I>, f: F) -> Vec<O>
     where
         I: Send + 'static,
         O: Send + 'static,
         F: Fn(usize, I) -> O + Send + Sync + 'static,
     {
-        self.inner.pool.map_ordered(inputs, Arc::new(f))
+        let n = inputs.len();
+        let blocks = self.inner.pool.size().min(n);
+        let mut items = inputs.into_iter();
+        let mut start = 0;
+        let mut parts: Vec<(usize, Vec<I>)> = Vec::with_capacity(blocks);
+        for b in 0..blocks {
+            // The first `n % blocks` blocks take one extra item.
+            let len = n / blocks + usize::from(b < n % blocks);
+            parts.push((start, items.by_ref().take(len).collect()));
+            start += len;
+        }
+        let outs = self.inner.pool.map_ordered(
+            parts,
+            Arc::new(move |_b, (start, block): (usize, Vec<I>)| {
+                block
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, x)| f(start + k, x))
+                    .collect::<Vec<O>>()
+            }),
+        );
+        let mut out = Vec::with_capacity(n);
+        for block in outs {
+            out.extend(block);
+        }
+        out
     }
 
     /// Whether two handles share the same engine (pool + metrics).
@@ -367,6 +398,43 @@ mod tests {
         assert_eq!(delta.stages, 0, "par_map must not count as a stage");
         assert_eq!(delta.tasks, 0);
         assert_eq!(delta.records_processed, 0);
+    }
+
+    #[test]
+    fn par_map_keeps_order_and_global_indices_across_blocks() {
+        for threads in [1, 2, 4] {
+            let ctx = Context::with_threads(threads);
+            let sizes = [0, 1, threads - 1, threads, threads + 1, 1001];
+            for n in sizes {
+                let inputs: Vec<u64> = (0..n as u64).map(|x| x * 3 + 7).collect();
+                let out = ctx.par_map(inputs.clone(), |i, x| (i, x));
+                let expected: Vec<(usize, u64)> = inputs.into_iter().enumerate().collect();
+                assert_eq!(out, expected, "threads={threads} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn par_map_panic_reaches_caller_and_context_survives() {
+        for threads in [1, 2, 4] {
+            let ctx = Context::with_threads(threads);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ctx.par_map((0..100).collect::<Vec<u32>>(), |i, x| {
+                    if i == 57 {
+                        panic!("boom at {i}");
+                    }
+                    x
+                })
+            }));
+            let payload = result.expect_err("the item's panic must reach the caller");
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert_eq!(msg, "boom at 57", "threads={threads}");
+            let out = ctx.par_map((0..10).collect::<Vec<u32>>(), |_i, x| x + 1);
+            assert_eq!(out, (1..11).collect::<Vec<u32>>(), "threads={threads}");
+        }
     }
 
     #[test]

@@ -1171,7 +1171,8 @@ impl ServerState {
     ///
     /// # Errors
     ///
-    /// Bad ε, budget/ledger refusals, or a pipeline failure.
+    /// Bad ε, an unknown (e.g. since detached) dataset — refused before
+    /// any charge — budget/ledger refusals, or a pipeline failure.
     pub fn release_prepared(
         &self,
         dataset: &str,
@@ -1208,6 +1209,10 @@ impl ServerState {
         if let Some(t) = trace {
             t.set_query_id(query_id);
         }
+        // Hold the dataset before charging for it: a detach that lands
+        // after this point leaves the release running on this `Arc`; one
+        // that landed before fails here, with nothing spent.
+        let ds = self.dataset(dataset)?;
         let seq = self.release_seq.fetch_add(1, Ordering::SeqCst);
         // Fault points sit outside every lock so an injected panic kills
         // only this worker, never poisons shared state.
@@ -1231,7 +1236,6 @@ impl ServerState {
             panic!("injected fault: release {seq} dies after the ledger fsync");
         }
 
-        let ds = self.dataset(dataset)?;
         let (result, audit) = {
             let mut upa = ds.upa.lock().expect("engine poisoned");
             upa.set_epsilon(epsilon)
@@ -1394,6 +1398,22 @@ mod tests {
         assert_eq!(total, 1.0);
         assert!((spent - 0.4).abs() < 1e-9);
         assert!((remaining - 0.6).abs() < 1e-9);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn release_after_detach_is_refused_before_any_charge() {
+        let path = temp_ledger("detached");
+        let state = state_with(Some(1.0), Some(path.clone()));
+        let (prepared, query_id, _) = state.prepare("data", AggKind::Sum, "v").unwrap();
+        state.detach_dataset("data").unwrap();
+        let err = state
+            .release_prepared("data", &query_id, &prepared, None, false)
+            .unwrap_err();
+        assert_eq!(err.code(), ErrorCode::UnknownDataset);
+        assert_eq!(state.budgets(), vec![("data".to_string(), 1.0, 0.0, 1.0)]);
+        let contents = std::fs::read_to_string(&path).unwrap_or_default();
+        assert_eq!(contents.lines().count(), 0, "no ledger line: {contents}");
         let _ = std::fs::remove_file(&path);
     }
 
