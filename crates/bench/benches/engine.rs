@@ -1,66 +1,41 @@
-//! Criterion microbenchmarks of the dataflow engine (the Spark
-//! substitute): narrow ops, shuffle reduce and hash join.
+//! Microbenchmarks of the dataflow engine (the Spark substitute): narrow
+//! ops, shuffle reduce and hash join.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dataflow::{Context, PairOps};
+use upa_bench::report::bench;
 
-fn bench_narrow_ops(c: &mut Criterion) {
+fn main() {
     let ctx = Context::with_threads(4);
-    let data: Vec<i64> = (0..200_000).collect();
-    let ds = ctx.parallelize(data, 8);
-    let mut group = c.benchmark_group("engine/narrow");
-    group.sample_size(20);
-    group.bench_function("map_reduce_sum", |b| {
-        b.iter(|| ds.map(|x| x * 2).reduce(|a, b| a + b))
-    });
-    group.bench_function("filter_count", |b| {
-        b.iter(|| ds.filter(|x| x % 3 == 0).count())
-    });
-    group.bench_function("aggregate_moments", |b| {
-        b.iter(|| {
-            ds.aggregate(
-                (0.0f64, 0u64),
-                |(s, n), x| (s + *x as f64, n + 1),
-                |(s1, n1), (s2, n2)| (s1 + s2, n1 + n2),
-            )
-        })
-    });
-    group.finish();
-}
 
-fn bench_shuffle_ops(c: &mut Criterion) {
-    let ctx = Context::with_threads(4);
+    let ds = ctx.parallelize((0..200_000).collect::<Vec<i64>>(), 8);
+    bench("engine/narrow/map_reduce_sum", 20, || {
+        ds.map(|x| x * 2).reduce(|a, b| a + b)
+    });
+    bench("engine/narrow/filter_count", 20, || {
+        ds.filter(|x| x % 3 == 0).count()
+    });
+    bench("engine/narrow/aggregate_moments", 20, || {
+        ds.aggregate(
+            (0.0f64, 0u64),
+            |(s, n), x| (s + *x as f64, n + 1),
+            |(s1, n1), (s2, n2)| (s1 + s2, n1 + n2),
+        )
+    });
+
     let pairs: Vec<(u64, u64)> = (0..100_000).map(|i| (i % 1_000, i)).collect();
     let ds = ctx.parallelize(pairs, 8);
     let right: Vec<(u64, u64)> = (0..10_000).map(|i| (i % 1_000, i)).collect();
     let rds = ctx.parallelize(right, 4);
-    let mut group = c.benchmark_group("engine/shuffle");
-    group.sample_size(15);
-    group.bench_function("reduce_by_key", |b| {
-        b.iter(|| ds.reduce_by_key(|a, b| a + b).len())
+    bench("engine/shuffle/reduce_by_key", 15, || {
+        ds.reduce_by_key(|a, b| a + b).len()
     });
-    group.bench_function("hash_join", |b| b.iter(|| ds.join(&rds).len()));
-    group.finish();
-}
+    bench("engine/shuffle/hash_join", 15, || ds.join(&rds).len());
 
-fn bench_partitioning(c: &mut Criterion) {
-    let ctx = Context::with_threads(4);
     let data: Vec<i64> = (0..200_000).collect();
-    let mut group = c.benchmark_group("engine/partitions");
-    group.sample_size(15);
     for parts in [1usize, 4, 16] {
         let ds = ctx.parallelize(data.clone(), parts);
-        group.bench_with_input(BenchmarkId::from_parameter(parts), &parts, |b, _| {
-            b.iter(|| ds.map(|x| x.wrapping_mul(31)).reduce(|a, b| a ^ b))
+        bench(&format!("engine/partitions/{parts}"), 15, || {
+            ds.map(|x| x.wrapping_mul(31)).reduce(|a, b| a ^ b)
         });
     }
-    group.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_narrow_ops,
-    bench_shuffle_ops,
-    bench_partitioning
-);
-criterion_main!(benches);

@@ -1,8 +1,8 @@
-//! Criterion benchmarks of the relational executor (the SparkSQL
-//! substitute): parse, filter scan, shuffle join and aggregate.
+//! Benchmarks of the relational executor (the SparkSQL substitute):
+//! parse, filter scan, shuffle join and aggregate.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use dataflow::Context;
+use upa_bench::report::bench;
 use upa_relational::exec::Catalog;
 use upa_relational::parse_sql;
 use upa_relational::value::{Relation, Row, Schema, Value};
@@ -37,16 +37,14 @@ fn catalog() -> Catalog {
     c
 }
 
-fn bench_parse(c: &mut Criterion) {
+fn main() {
     let sql = "SELECT SUM(facts.amount * 2.0) FROM facts \
                JOIN dims ON facts.key = dims.key \
                WHERE dims.region < 10 AND facts.grp IN (1, 2, 3) AND NOT facts.amount >= 90.0";
-    c.bench_function("relational/parse_sql", |b| {
-        b.iter(|| parse_sql(std::hint::black_box(sql)).expect("parses"))
+    bench("relational/parse_sql", 1_000, || {
+        parse_sql(std::hint::black_box(sql)).expect("parses")
     });
-}
 
-fn bench_execute(c: &mut Criterion) {
     let cat = catalog();
     let filter_count =
         parse_sql("SELECT COUNT(*) FROM facts WHERE amount < 50.0 AND grp <> 3").expect("parses");
@@ -55,16 +53,10 @@ fn bench_execute(c: &mut Criterion) {
          WHERE dims.region < 10",
     )
     .expect("parses");
-    let mut group = c.benchmark_group("relational/execute_100k");
-    group.sample_size(12);
-    group.bench_function("filter_count", |b| {
-        b.iter(|| cat.execute(&filter_count).expect("runs"))
+    bench("relational/execute_100k/filter_count", 12, || {
+        cat.execute(&filter_count).expect("runs")
     });
-    group.bench_function("join_sum", |b| {
-        b.iter(|| cat.execute(&join_sum).expect("runs"))
+    bench("relational/execute_100k/join_sum", 12, || {
+        cat.execute(&join_sum).expect("runs")
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_parse, bench_execute);
-criterion_main!(benches);

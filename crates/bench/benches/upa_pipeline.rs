@@ -1,9 +1,9 @@
-//! Criterion benchmarks of the UPA pipeline against its baselines:
-//! vanilla execution (what Figure 2(b) normalizes to) and the engine's
-//! plain reduce.
+//! Benchmarks of the UPA pipeline against its baselines: vanilla
+//! execution (what Figure 2(b) normalizes to) and the engine's plain
+//! reduce, swept over sample size and dataset size.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dataflow::Context;
+use upa_bench::report::bench;
 use upa_core::domain::EmpiricalSampler;
 use upa_core::query::MapReduceQuery;
 use upa_core::{Upa, UpaConfig};
@@ -12,90 +12,48 @@ fn workload(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i * 37 + 5) % 101) as f64).collect()
 }
 
-fn sum_query() -> MapReduceQuery<f64, f64, f64> {
-    MapReduceQuery::scalar_sum("sum", |x: &f64| *x).with_half_key(|x: &f64| x.to_bits())
+fn upa(ctx: &Context, sample_size: usize) -> Upa {
+    Upa::new(
+        ctx.clone(),
+        UpaConfig {
+            sample_size,
+            ..UpaConfig::default()
+        },
+    )
 }
 
-fn bench_upa_vs_vanilla(c: &mut Criterion) {
+fn main() {
     let ctx = Context::with_threads(4);
+    let query =
+        MapReduceQuery::scalar_sum("sum", |x: &f64| *x).with_half_key(|x: &f64| x.to_bits());
+
     let data = workload(100_000);
     let ds = ctx.parallelize(data.clone(), 8);
-    let query = sum_query();
     let domain = EmpiricalSampler::new(data);
-
-    let mut group = c.benchmark_group("upa/sum_100k");
-    group.sample_size(15);
-    group.bench_function("vanilla", |b| {
-        let m = query.mapper();
-        b.iter(|| {
-            let m = m.clone();
-            ds.map(move |t| m(t)).reduce(|a, b| a + b)
-        })
+    let m = query.mapper();
+    bench("upa/sum_100k/vanilla", 15, || {
+        let m = m.clone();
+        ds.map(move |t| m(t)).reduce(|a, b| a + b)
     });
-    group.bench_function("upa_full_pipeline", |b| {
-        let mut upa = Upa::new(
-            ctx.clone(),
-            UpaConfig {
-                sample_size: 1_000,
-                ..UpaConfig::default()
-            },
-        );
-        b.iter(|| upa.run(&ds, &query, &domain).expect("runs"))
+    let mut u = upa(&ctx, 1_000);
+    bench("upa/sum_100k/upa_full_pipeline", 15, || {
+        u.run(&ds, &query, &domain).expect("runs")
     });
-    group.finish();
-}
 
-fn bench_sample_size_scaling(c: &mut Criterion) {
-    let ctx = Context::with_threads(4);
-    let data = workload(100_000);
-    let ds = ctx.parallelize(data.clone(), 8);
-    let query = sum_query();
-    let domain = EmpiricalSampler::new(data);
-
-    let mut group = c.benchmark_group("upa/sample_size");
-    group.sample_size(10);
     for n in [100usize, 1_000, 10_000] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let mut upa = Upa::new(
-                ctx.clone(),
-                UpaConfig {
-                    sample_size: n,
-                    ..UpaConfig::default()
-                },
-            );
-            b.iter(|| upa.run(&ds, &query, &domain).expect("runs"))
+        let mut u = upa(&ctx, n);
+        bench(&format!("upa/sample_size/{n}"), 10, || {
+            u.run(&ds, &query, &domain).expect("runs")
         });
     }
-    group.finish();
-}
 
-fn bench_dataset_size_scaling(c: &mut Criterion) {
-    let ctx = Context::with_threads(4);
-    let query = sum_query();
-    let mut group = c.benchmark_group("upa/dataset_size");
-    group.sample_size(10);
     for size in [25_000usize, 100_000, 400_000] {
         let data = workload(size);
         let ds = ctx.parallelize(data.clone(), 8);
         let domain = EmpiricalSampler::new(data);
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
-            let mut upa = Upa::new(
-                ctx.clone(),
-                UpaConfig {
-                    sample_size: 1_000,
-                    ..UpaConfig::default()
-                },
-            );
-            b.iter(|| upa.run(&ds, &query, &domain).expect("runs"))
+        let mut u = upa(&ctx, 1_000);
+        bench(&format!("upa/dataset_size/{size}"), 10, || {
+            u.run(&ds, &query, &domain).expect("runs")
         });
     }
-    group.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_upa_vs_vanilla,
-    bench_sample_size_scaling,
-    bench_dataset_size_scaling
-);
-criterion_main!(benches);

@@ -3,7 +3,7 @@
 //! contrasts against. This is the design choice DESIGN.md calls out —
 //! the reuse turns O(n·|x|) neighbour evaluation into O(|x| + n).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use upa_bench::report::bench;
 use upa_core::brute::{blackbox_local_sensitivity, exact_local_sensitivity};
 use upa_core::domain::EmpiricalSampler;
 use upa_core::query::MapReduceQuery;
@@ -12,42 +12,29 @@ fn workload(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i * 13 + 7) % 89) as f64).collect()
 }
 
-fn bench_reuse_vs_blackbox(c: &mut Criterion) {
+fn main() {
     let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
-    let mut group = c.benchmark_group("ground_truth");
-    group.sample_size(10);
     for size in [250usize, 500, 1_000] {
         let data = workload(size);
         let domain = EmpiricalSampler::new(data.clone());
-        group.bench_with_input(
-            BenchmarkId::new("union_preserving_reuse", size),
-            &size,
-            |b, _| b.iter(|| exact_local_sensitivity(&data, &query, &domain, 50, 3)),
+        bench(
+            &format!("ground_truth/union_preserving_reuse/{size}"),
+            10,
+            || exact_local_sensitivity(&data, &query, &domain, 50, 3),
         );
-        group.bench_with_input(
-            BenchmarkId::new("blackbox_bruteforce", size),
-            &size,
-            |b, _| b.iter(|| blackbox_local_sensitivity(&data, &query, &domain, 50, 3)),
+        bench(
+            &format!("ground_truth/blackbox_bruteforce/{size}"),
+            10,
+            || blackbox_local_sensitivity(&data, &query, &domain, 50, 3),
         );
     }
-    group.finish();
-}
-
-/// The reuse path alone keeps scaling linearly far past the point where
-/// the blackbox path becomes unusable.
-fn bench_reuse_at_scale(c: &mut Criterion) {
-    let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
-    let mut group = c.benchmark_group("ground_truth/reuse_only");
-    group.sample_size(10);
+    // The reuse path alone keeps scaling linearly far past the point
+    // where the blackbox path becomes unusable.
     for size in [10_000usize, 100_000] {
         let data = workload(size);
         let domain = EmpiricalSampler::new(data.clone());
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
-            b.iter(|| exact_local_sensitivity(&data, &query, &domain, 50, 3))
+        bench(&format!("ground_truth/reuse_only/{size}"), 10, || {
+            exact_local_sensitivity(&data, &query, &domain, 50, 3)
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_reuse_vs_blackbox, bench_reuse_at_scale);
-criterion_main!(benches);

@@ -24,6 +24,17 @@ pub fn time_median<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
     (last.expect("reps > 0"), times[times.len() / 2])
 }
 
+/// One case of a `benches/` program: prints the median milliseconds of
+/// `reps` runs of `f`, or of a single run when the program was passed
+/// `--test` (the smoke mode of `cargo bench -- --test`).
+pub fn bench<R>(name: &str, reps: usize, f: impl FnMut() -> R) {
+    let smoke = std::env::args().any(|a| a == "--test");
+    let reps = if smoke { 1 } else { reps };
+    let (out, ms) = time_median(reps, f);
+    std::hint::black_box(out);
+    println!("{name:<48} {ms:>14.6} ms  (median of {reps})");
+}
+
 /// A plain-text table printer with right-padded columns.
 #[derive(Debug, Default)]
 pub struct Table {

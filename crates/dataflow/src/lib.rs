@@ -35,7 +35,6 @@ pub mod context;
 pub mod dataset;
 pub mod error;
 pub mod fault;
-pub mod io;
 pub mod lineage;
 pub mod metrics;
 pub mod pair;

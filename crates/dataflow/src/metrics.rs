@@ -12,11 +12,17 @@
 //! wall-clock time and record counts. `upa-core` threads one recorder
 //! through every phase of Algorithm 1 to build its per-query audits.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
+
+/// Locks `m`, ignoring poison: a thread that panicked while holding it
+/// must not stop later recording, and every update leaves the state
+/// consistent, so a poisoned guard is safe to use.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Shared atomic counters, owned by a [`crate::Context`].
 #[derive(Debug, Default)]
@@ -57,21 +63,21 @@ impl Metrics {
     }
 
     pub(crate) fn record_stage_time(&self, name: &str, nanos: u64) {
-        *self.stage_nanos.lock().entry(name.to_string()).or_insert(0) += nanos;
+        *lock(&self.stage_nanos).entry(name.to_string()).or_insert(0) += nanos;
     }
 
     /// Cumulative wall-clock nanoseconds per stage name — the basis of
     /// the paper's "time spent in shuffling" analysis (§VI-D reports more
     /// than 42.8% of execution time in shuffles for the local queries).
     pub fn stage_times(&self) -> HashMap<String, u64> {
-        self.stage_nanos.lock().clone()
+        lock(&self.stage_nanos).clone()
     }
 
     /// Fraction of recorded stage time spent in shuffle stages
     /// (`shuffle-write`/`shuffle-read` plus the shuffle-consuming
     /// reducers), or 0 when nothing was recorded.
     pub fn shuffle_time_share(&self) -> f64 {
-        let times = self.stage_nanos.lock();
+        let times = lock(&self.stage_nanos);
         let total: u64 = times.values().sum();
         if total == 0 {
             return 0.0;
@@ -111,7 +117,7 @@ impl Metrics {
         self.shuffle_records.store(0, Ordering::Relaxed);
         self.shuffle_bytes.store(0, Ordering::Relaxed);
         self.records_processed.store(0, Ordering::Relaxed);
-        self.stage_nanos.lock().clear();
+        lock(&self.stage_nanos).clear();
     }
 }
 
@@ -269,7 +275,7 @@ impl SpanRecorder {
     /// returned guard drops.
     pub fn enter(&self, name: &str) -> SpanScope {
         let (path, depth) = {
-            let mut st = self.inner.lock();
+            let mut st = lock(&self.inner);
             let depth = st.stack.len();
             let path = if depth == 0 {
                 name.to_string()
@@ -291,7 +297,7 @@ impl SpanRecorder {
     /// Adds `records` to the innermost open scope (no-op when no scope
     /// is open).
     pub fn add_records(&self, records: u64) {
-        let mut st = self.inner.lock();
+        let mut st = lock(&self.inner);
         if st.stack.is_empty() {
             return;
         }
@@ -304,7 +310,7 @@ impl SpanRecorder {
     /// All spans recorded so far, in completion order (a span is recorded
     /// when its scope closes, so children precede their parents).
     pub fn spans(&self) -> Vec<StageSpan> {
-        let st = self.inner.lock();
+        let st = lock(&self.inner);
         st.order
             .iter()
             .filter_map(|p| st.spans.get(p).cloned())
@@ -313,8 +319,7 @@ impl SpanRecorder {
 
     /// Cumulative nanoseconds of the root (depth-0) spans.
     pub fn total_nanos(&self) -> u64 {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .spans
             .values()
             .filter(|s| s.depth == 0)
@@ -325,7 +330,7 @@ impl SpanRecorder {
     /// Nanoseconds recorded for the first span whose leaf name is `name`,
     /// or 0 when no such span exists.
     pub fn nanos_of(&self, name: &str) -> u64 {
-        let st = self.inner.lock();
+        let st = lock(&self.inner);
         st.order
             .iter()
             .filter_map(|p| st.spans.get(p))
@@ -336,7 +341,7 @@ impl SpanRecorder {
 
     /// Discards every recorded span and closes all open scopes.
     pub fn clear(&self) {
-        let mut st = self.inner.lock();
+        let mut st = lock(&self.inner);
         st.stack.clear();
         st.order.clear();
         st.spans.clear();
@@ -369,7 +374,7 @@ impl SpanScope {
 impl Drop for SpanScope {
     fn drop(&mut self) {
         let nanos = (self.start.elapsed().as_nanos() as u64).max(1);
-        let mut st = self.inner.lock();
+        let mut st = lock(&self.inner);
         // Close this scope and any forgotten children (robust against
         // out-of-order drops).
         st.stack.truncate(self.depth);
@@ -538,6 +543,34 @@ mod tests {
         assert_eq!(rec.total_nanos(), root);
         assert!(rec.nanos_of("b") >= 1);
         assert_eq!(rec.nanos_of("missing"), 0);
+    }
+
+    #[test]
+    fn a_panic_while_recording_does_not_stop_later_recording() {
+        let rec = SpanRecorder::new();
+        let m = Arc::new(Metrics::new());
+        let (r, m2) = (rec.clone(), Arc::clone(&m));
+        let died = std::thread::spawn(move || {
+            let _open = r.enter("doomed");
+            // Panic with both locks held, as a failing update would.
+            let _spans = r.inner.lock();
+            let _times = m2.stage_nanos.lock();
+            panic!("task failed mid-update");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(rec.inner.is_poisoned() && m.stage_nanos.is_poisoned());
+
+        m.record_stage_time("map", 7);
+        assert_eq!(m.stage_times()["map"], 7);
+        {
+            let mut after = rec.enter("after");
+            after.add_records(2);
+        }
+        let spans = rec.spans();
+        let paths: Vec<&str> = spans.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(paths, ["doomed", "after"], "the unwound scope closed too");
+        assert_eq!((spans[1].depth, spans[1].records), (0, 2));
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! higher-level [`crate::context::Context`] wraps partition data in `Arc`s
 //! so that stage closures satisfy the bound without copying records.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A fixed-size worker pool fed through an MPMC channel.
+/// A fixed-size worker pool fed through one channel whose receiver the
+/// workers share behind a mutex.
 ///
 /// Dropping the pool closes the channel and joins every worker; any queued
 /// jobs finish first (graceful drain), satisfying the "destructors never
@@ -39,17 +40,20 @@ impl ThreadPool {
     /// Panics if `size` is zero.
     pub fn new(size: usize) -> Self {
         assert!(size > 0, "thread pool size must be positive");
-        let (sender, receiver): (Sender<Job>, Receiver<Job>) = unbounded();
+        let (sender, receiver) = mpsc::channel::<Job>();
+        let receiver = Arc::new(Mutex::new(receiver));
         let workers = (0..size)
             .map(|i| {
-                let rx = receiver.clone();
+                let rx = Arc::clone(&receiver);
                 std::thread::Builder::new()
                     .name(format!("dataflow-worker-{i}"))
-                    .spawn(move || {
-                        // Exit when the channel is closed and drained.
-                        while let Ok(job) = rx.recv() {
-                            job();
-                        }
+                    .spawn(move || loop {
+                        // The guard drops at the end of this statement, so
+                        // the job runs without holding the queue. Exit
+                        // when the channel is closed and drained.
+                        let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                        let Ok(job) = next else { break };
+                        job();
                     })
                     .expect("failed to spawn worker thread")
             })
@@ -97,7 +101,7 @@ impl ThreadPool {
             let input = inputs.into_iter().next().expect("n == 1");
             return vec![f(0, input)];
         }
-        let (tx, rx) = unbounded::<(usize, std::thread::Result<O>)>();
+        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<O>)>();
         for (i, input) in inputs.into_iter().enumerate() {
             let tx = tx.clone();
             let f = Arc::clone(&f);

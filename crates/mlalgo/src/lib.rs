@@ -21,12 +21,10 @@
 pub mod data;
 pub mod kmeans;
 pub mod linreg;
-pub mod logreg;
 
 pub use data::{LifeScienceConfig, LrRecord};
 pub use kmeans::KMeans;
 pub use linreg::LinearRegression;
-pub use logreg::LogisticRegression;
 
 /// The FLEX plan for either ML query: a machine-learning aggregate, which
 /// the static analysis rejects (Table II's unsupported rows).

@@ -1061,6 +1061,11 @@ impl ServerState {
         // Phases 1–3 run chunk-at-a-time over the shared buffers; the
         // domain sampler resamples straight from the same chunks.
         let buf = self.column(&ds, kind, column)?;
+        // The sampler needs a non-empty pool; refuse a zero-row dataset
+        // with the engine's own error before building it.
+        if buf.is_empty() {
+            return Err(ServeError::Pipeline(UpaError::EmptyDataset.to_string()));
+        }
         let data = ColumnarDataset::new(&self.ctx, buf.clone());
         let domain = ColumnarEmpiricalSampler::new(buf);
         let prepared = ds
@@ -1399,6 +1404,26 @@ mod tests {
         assert!((spent - 0.4).abs() < 1e-9);
         assert!((remaining - 0.6).abs() < 1e-9);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_zero_row_dataset_prepares_to_an_error() {
+        let state = ServerState::new(ServerConfig {
+            datasets: vec![DatasetSpec::new(
+                "e",
+                0,
+                HashMap::from([("v".to_string(), vec![])]),
+            )],
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        for kind in [AggKind::Count, AggKind::Sum, AggKind::Mean] {
+            let column = if kind == AggKind::Count { "" } else { "v" };
+            let err = state.prepare("e", kind, column).unwrap_err();
+            assert_eq!(err.code(), ErrorCode::Pipeline);
+            assert!(err.to_string().contains("empty"), "{err}");
+        }
+        assert_eq!(state.prepared_len(), 0);
     }
 
     #[test]

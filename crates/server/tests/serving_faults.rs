@@ -8,6 +8,7 @@
 //! fsync but before the reply leaves a spend with no delivered result,
 //! which wastes budget but never leaks it. Both sides are pinned here.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -122,6 +123,35 @@ fn fault_before_ledger_neither_spends_nor_delivers() {
     handle.shutdown();
     join.join().unwrap().unwrap();
     let _ = std::fs::remove_file(&path);
+}
+
+/// A zero-row dataset (a header-only CSV ingest looks the same) answers a
+/// release with the engine's typed refusal instead of a prepare-time
+/// panic that hangs up on the client: nothing is charged and the same
+/// connection keeps working.
+#[test]
+fn release_from_a_zero_row_dataset_is_an_error_reply() {
+    let empty = DatasetSpec::new("e", 0, HashMap::from([("v".to_string(), vec![])]));
+    let (addr, handle, join) = start(ServerConfig {
+        datasets: vec![empty],
+        ..base_config()
+    });
+    let mut client = Client::connect(&addr).unwrap();
+    for query in ["count", "sum", "mean"] {
+        let column = if query == "count" { "" } else { "v" };
+        match client.release("e", query, column, None, false).unwrap_err() {
+            ClientError::Server { code, message } => {
+                assert_eq!(code, ErrorCode::Pipeline);
+                assert!(message.contains("empty"), "{message}");
+            }
+            other => panic!("expected an error reply, got {other}"),
+        }
+    }
+    assert_eq!(client.budget("e").unwrap().unwrap().spent, 0.0);
+    client.ping().unwrap();
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
 }
 
 #[test]

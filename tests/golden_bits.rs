@@ -5,11 +5,11 @@
 //! the un-sampled remainder folds in moves these bits — that would be a
 //! utility change, not a cleanup.
 //!
-//! The constants depend on the `StdRng` stream. They were recorded
-//! against the repository's offline `rand` stand-in
-//! (`benchmark/stubs/rand`, xoshiro256++); under any other stream (the
-//! published crate's ChaCha12) the recorded table does not apply and
-//! only the cross-source agreement checks run.
+//! The constants depend on the `StdRng` stream: the workspace's one
+//! `rand`, the in-tree xoshiro256++ generator (`benchmark/stubs/rand`)
+//! that every build compiles. They are asserted on every build, and if
+//! the generator itself changes, `stdrng_is_the_recorded_stream` names
+//! that cause beside the bit diffs it explains.
 
 use dataflow::columnar::{ColumnarBuf, ColumnarDataset};
 use dataflow::Context;
@@ -27,12 +27,15 @@ use upa_store::{IngestOptions, Store};
 /// constants below were recorded with.
 const RECORDED_STREAM: u64 = 0x078d_7752_cc80_efa5;
 
-fn recorded_stream() -> bool {
-    let matches = StdRng::seed_from_u64(0xF1A9).next_u64() == RECORDED_STREAM;
-    if !matches {
-        eprintln!("golden_bits: unrecorded StdRng stream; constants skipped");
-    }
-    matches
+/// Every other constant here is downstream of this one.
+#[test]
+fn stdrng_is_the_recorded_stream() {
+    assert_eq!(
+        StdRng::seed_from_u64(0xF1A9).next_u64(),
+        RECORDED_STREAM,
+        "StdRng is not the stream the golden bits were recorded with: \
+         the generator changed, so every release below moves with it"
+    );
 }
 
 /// `[released.., raw.., sensitivity.., (lo, hi)..]` as bit patterns.
@@ -49,12 +52,10 @@ fn bits<Out: DpOutput>(r: &UpaResult<Out>) -> Vec<u64> {
 }
 
 fn check(case: &str, got: &[u64], want: &[u64]) {
-    if recorded_stream() {
-        assert_eq!(
-            got, want,
-            "{case}: release bits moved\n  got:  {got:#018x?}\n  want: {want:#018x?}"
-        );
-    }
+    assert_eq!(
+        got, want,
+        "{case}: release bits moved\n  got:  {got:#018x?}\n  want: {want:#018x?}"
+    );
 }
 
 fn values() -> Vec<f64> {
