@@ -29,7 +29,7 @@ use crate::domain::DomainSampler;
 use crate::enforcer::{EnforceOutcome, EnforceState, QuerySignature, RangeEnforcer};
 use crate::error::UpaError;
 use crate::output::{DpOutput, OutputRange};
-use crate::query::MapReduceQuery;
+use crate::query::{Lanes, MapReduceQuery, FOLD_LANES};
 use crate::source::RecordSource;
 use dataflow::columnar::ColumnarDataset;
 use dataflow::{Context, Data, MetricsSnapshot, SpanRecorder, StageSpan};
@@ -222,9 +222,11 @@ impl Upa {
     /// [`dataflow::ColumnarDataset`]; this one body serves both, so what
     /// decides a release is the same by construction: the RNG draws
     /// (`sample_indices`, then `domain.sample_n`), the sampled records'
-    /// logical halves, and the remainder's fold order — each slab in
-    /// record order, slabs merged ascending. `S′` is never materialised:
-    /// the reduce walks the source in place around the sampled rows.
+    /// logical halves, and the remainder's fold order — inside a slab,
+    /// [`FOLD_LANES`] lanes by slab offset, each a left fold in record
+    /// order, merged pairwise; slabs merged ascending. `S′` is never
+    /// materialised: the reduce walks the source in place around the
+    /// sampled rows.
     ///
     /// # Errors
     ///
@@ -290,22 +292,29 @@ impl Upa {
 
         // ---- Phase 3: Union-Preserving Reduce ---------------------------
         // `ReduceByPar` (Algorithm 1, line 7): one engine task per slab
-        // folds a partial per logical half in record order, skipping the
-        // sampled rows; the partials then merge in ascending slab order.
+        // folds the un-sampled records into `FOLD_LANES` lanes per logical
+        // half — the record at slab offset `i` into lane `i % FOLD_LANES`
+        // — skipping the sampled rows. Each slab's lanes merge pairwise,
+        // and the per-slab partials then merge in ascending slab order.
+        // `R` is commutative and associative (§II-C); this fixes one
+        // grouping of its non-associative `f64` instances, from slab
+        // offsets only, so chunk layout and the sampled rows never reach it.
         let rem_half: [Option<Acc>; 2] = {
             let mut scope = spans.enter("reduce");
             scope.add_records((len - n) as u64);
-            let partials: Vec<[Option<Acc>; 2]> = {
+            let partials: Vec<Lanes<Acc>> = {
                 let q = query.clone();
+                let slab_starts: Vec<usize> = bounds.iter().map(|&(start, _)| start).collect();
                 data.fold_slabs(
                     "reduce[remainder]",
                     bounds,
-                    move |acc: &mut [Option<Acc>; 2], slab, at, run: &[T]| {
+                    move |lanes: &mut Lanes<Acc>, slab, at, run: &[T]| {
                         // One [`MapReduceQuery::fold_run`] call per
                         // uninterrupted stretch between sampled rows, so
                         // a fused kernel sees a plain slice and the skip
                         // test never executes inside the hot loop.
                         let phys_half = usize::from(slab >= half_split);
+                        let offset = at - slab_starts[slab];
                         let mut next = indices.partition_point(|&g| g < at);
                         let mut pos = 0usize;
                         while pos < run.len() {
@@ -313,7 +322,8 @@ impl Upa {
                                 Some(&g) if g < at + run.len() => g - at,
                                 _ => run.len(),
                             };
-                            q.fold_run(&run[pos..stop], phys_half, acc);
+                            let lane0 = (offset + pos) % FOLD_LANES;
+                            q.fold_run(&run[pos..stop], lane0, phys_half, lanes);
                             next += 1;
                             pos = stop + 1;
                         }
@@ -326,8 +336,8 @@ impl Upa {
             self.ctx
                 .record_logical_shuffle(exchanged, exchanged * std::mem::size_of::<Acc>() as u64);
             let mut rem: [Option<Acc>; 2] = [None, None];
-            for partial in partials {
-                for (h, p) in partial.into_iter().enumerate() {
+            for lanes in partials {
+                for (h, p) in query.merge_lanes(lanes).into_iter().enumerate() {
                     if let Some(acc) = p {
                         rem[h] = Some(match rem[h].take() {
                             Some(a) => query.reduce(&a, &acc),

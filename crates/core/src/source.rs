@@ -7,8 +7,9 @@
 //! slices. The row engine's [`Dataset`] (slab = partition) and the
 //! store's [`ColumnarDataset`] (slab = the range [`slab_ranges`] gives the
 //! engine's default partition count) are the two sources; everything
-//! that decides a release — sampling order, logical halves, fold order —
-//! lives in the one caller, so it cannot differ between them.
+//! that decides a release — sampling order, logical halves, fold order
+//! (lanes by slab offset, [`crate::query::FOLD_LANES`]) — lives in the
+//! one caller, so it cannot differ between them.
 //!
 //! The trait is public only so it can bound public functions; the module
 //! is private, so it cannot be named — or implemented — outside this
@@ -34,7 +35,11 @@ pub trait RecordSource<T: Data> {
     /// returned by [`RecordSource::slab_bounds`]). Each task starts from
     /// `A::default()` and calls `f(acc, slab, global_offset, run)` for
     /// the slab's contiguous record runs (possibly empty) in record
-    /// order; the per-slab results come back in slab order.
+    /// order; the per-slab results come back in slab order. How a source
+    /// cuts a slab into runs (one run per partition, one per chunk slice)
+    /// is its own business: the caller derives every fold boundary —
+    /// the lane of a record included — from `global_offset` minus the
+    /// slab's start, never from the run layout.
     fn fold_slabs<A, F>(&self, name: &str, bounds: Vec<(usize, usize)>, f: F) -> Vec<A>
     where
         A: Default + Send + 'static,

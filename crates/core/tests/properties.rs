@@ -98,8 +98,10 @@ proptest! {
 
 /// Naive reference for phases 1–3 and the neighbour outputs they feed:
 /// draw the sample, then — sort-free — left-fold each slab's un-sampled
-/// records in order into one partial per logical half and merge the
-/// slabs ascending. Returns the bits of `[raw, removals.., additions..]`.
+/// records in order into four lanes per logical half (the record at slab
+/// offset `i`, sampled rows counted, into lane `i % 4`), merge each half's
+/// lanes as `(L0 ⊕ L1) ⊕ (L2 ⊕ L3)`, and merge the slabs ascending.
+/// Returns the bits of `[raw, removals.., additions..]`.
 fn reference_bits<T: Data, Acc: Data>(
     slabs: &[Vec<T>],
     query: &MapReduceQuery<T, Acc, f64>,
@@ -116,10 +118,14 @@ fn reference_bits<T: Data, Acc: Data>(
             None => m,
         });
     };
+    let merge = |a: Option<Acc>, b: Option<Acc>| match (a, b) {
+        (Some(a), Some(b)) => Some(query.reduce(&a, &b)),
+        (a, b) => a.or(b),
+    };
     let (mut rem, mut sampled, mut g) = ([None, None], Vec::new(), 0usize);
     for (s, slab) in slabs.iter().enumerate() {
-        let mut partial: [Option<Acc>; 2] = [None, None];
-        for t in slab {
+        let mut lanes: [[Option<Acc>; 2]; 4] = Default::default();
+        for (i, t) in slab.iter().enumerate() {
             if picked.binary_search(&g).is_ok() {
                 sampled.push(query.map(t));
             } else {
@@ -127,10 +133,15 @@ fn reference_bits<T: Data, Acc: Data>(
                     Some(hk) => (hk(t) % 2) as usize,
                     None => usize::from(s >= slabs.len().div_ceil(2)),
                 };
-                push(&mut partial[h], query.map(t));
+                push(&mut lanes[i % 4][h], query.map(t));
             }
             g += 1;
         }
+        let [[a0, b0], [a1, b1], [a2, b2], [a3, b3]] = lanes;
+        let partial = [
+            merge(merge(a0, a1), merge(a2, a3)),
+            merge(merge(b0, b1), merge(b2, b3)),
+        ];
         for (h, p) in partial.into_iter().enumerate() {
             p.into_iter().for_each(|p| push(&mut rem[h], p));
         }

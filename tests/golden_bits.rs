@@ -1,9 +1,13 @@
 //! Golden release bits: `UpaResult` bit patterns recorded under fixed
-//! seeds **before** phases 1–3 of Algorithm 1 were unified over a record
-//! source, and required to stay identical afterwards. A refactor that
-//! changes which records are sampled, their logical halves, or the order
-//! the un-sampled remainder folds in moves these bits — that would be a
-//! utility change, not a cleanup.
+//! seeds against the four-lane remainder fold order. Inside a slab, the
+//! record at slab offset `i` folds into lane `i % 4`, each lane a left
+//! fold in record order; each half's lanes merge as
+//! `(L0 ⊕ L1) ⊕ (L2 ⊕ L3)`, and slabs merge ascending. A refactor that
+//! changes which records are sampled, their logical halves, or that order
+//! moves these bits — that would be a utility change, not a cleanup.
+//! A fused kernel must compute exactly this order, so a kernel change
+//! that moves these constants is a break of the release contract, not a
+//! reason to re-record them.
 //!
 //! The constants depend on the `StdRng` stream: the workspace's one
 //! `rand`, the in-tree xoshiro256++ generator (`benchmark/stubs/rand`)
@@ -86,24 +90,24 @@ fn sum_query(half_key: bool) -> MapReduceQuery<f64, f64, f64> {
 
 const ROW_HALF_KEY: [u64; 5] = [
     0x40e4_a86c_af19_6904,
-    0x40e4_1c0e_6666_6665,
+    0x40e4_1c0e_6666_6666,
     0x4055_a3a4_fbca_e800,
     0x40e4_1690_c4d5_8828,
     0x40e4_2162_9753_6d9c,
 ];
 const ROW_PHYSICAL: [u64; 5] = [
-    0x40e5_690d_f347_452b,
-    0x40e4_1c0e_6666_6664,
+    0x40e5_690d_f347_452d,
+    0x40e4_1c0e_6666_6666,
     0x4056_91d7_8dde_ac00,
-    0x40e4_16b1_ff3b_40a5,
-    0x40e4_21fa_eb02_2ffb,
+    0x40e4_16b1_ff3b_40a6,
+    0x40e4_21fa_eb02_2ffc,
 ];
 const ROW_FILTERED: [u64; 5] = [
-    0x40d5_9d58_c304_99b3,
-    0x40d6_153c_cccc_ccca,
+    0x40d5_9d58_c304_99b7,
+    0x40d6_153c_cccc_ccce,
     0x4052_c167_f240_c600,
-    0x40d6_0c89_126d_4600,
-    0x40d6_1f4a_7a5f_86c6,
+    0x40d6_0c89_126d_4602,
+    0x40d6_1f4a_7a5f_86c8,
 ];
 
 /// (a) `Upa::run` over a `Dataset<f64>`: with a half key, with physical
@@ -133,18 +137,18 @@ fn row_dataset_release_bits() {
 }
 
 const COLUMNAR_HALF_KEY: [u64; 5] = [
-    0x40e4_8286_2c58_a43f,
-    0x40e4_1c0e_6666_6663,
+    0x40e4_8286_2c58_a442,
+    0x40e4_1c0e_6666_6666,
     0x4055_811f_0758_3c00,
-    0x40e4_1668_d652_a4cf,
-    0x40e4_2129_65d6_50ed,
+    0x40e4_1668_d652_a4d2,
+    0x40e4_2129_65d6_50f0,
 ];
 const COLUMNAR_PHYSICAL: [u64; 5] = [
-    0x40e4_492c_8439_7990,
-    0x40e4_1c0e_6666_6664,
+    0x40e4_492c_8439_7991,
+    0x40e4_1c0e_6666_6665,
     0x4056_a69c_7121_ec00,
-    0x40e4_1665_0654_5b5a,
-    0x40e4_21b8_548c_ec50,
+    0x40e4_1665_0654_5b5c,
+    0x40e4_21b8_548c_ec52,
 ];
 
 /// (b) The columnar source over a 3-chunk buffer. Chunk layout must not
@@ -180,7 +184,7 @@ const TPCH6: [u64; 5] = [
     0x40e4_d1b6_5eb9_5e08,
     0x40e5_7e0a_6ec1_8475,
 ];
-const LINEAR_REGRESSION_FNV: u64 = 0x21a4_7557_301d_52ac;
+const LINEAR_REGRESSION_FNV: u64 = 0xbb67_028a_2069_210f;
 
 fn fnv(words: &[u64]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -228,11 +232,11 @@ const SERVED_SYNTHETIC: [u64; 5] = [
     0x4047_e69f_5f18_e2ed,
 ];
 const SERVED_FRACTIONAL: [u64; 5] = [
-    0x40ea_b6ed_a4a8_5cf8,
+    0x40ea_b6ed_a4a8_5cf4,
     0x4069_24f0_50cb_4c00,
     0x4054_1d8d_0d6f_7000,
-    0x40ea_cbae_3862_877c,
-    0x40ea_d5bc_fee9_3f34,
+    0x40ea_cbae_3862_8777,
+    0x40ea_d5bc_fee9_3f2f,
 ];
 const SERVED_STORE: [u64; 5] = [
     0x4047_e094_000e_1b55,
