@@ -3,13 +3,12 @@
 //! Differential privacy's guarantee is only as durable as its budget
 //! accounting: if a crash forgets a spend, the same budget can be charged
 //! twice and the ε bound silently breaks. The ledger makes spends
-//! *crash-safe* by writing an append-only log of
-//! `(dataset, query_id, epsilon)` records — one JSON object per line,
-//! each carrying an FNV-1a checksum — and fsyncing **before** any noisy
-//! output leaves the process.
+//! *crash-safe* by writing a log of `(dataset, query_id, epsilon)`
+//! records — one JSON object per line, each carrying an FNV-1a checksum
+//! — and fsyncing **before** any noisy output leaves the process.
 //!
 //! The recovery invariant (asserted by the server's fault-injection and
-//! SIGKILL tests):
+//! SIGKILL tests, and by every crash image in `ledger_crash_images`):
 //!
 //! > **Every delivered release has a durable ledger record.** The
 //! > converse may not hold: a crash between the fsync and the reply can
@@ -17,28 +16,59 @@
 //! > but never leaks it — the fail-closed side of the tradeoff, chosen
 //! > deliberately.
 //!
+//! # A preallocated file
+//!
+//! The file is not opened for appending. It is grown in whole 64 KiB
+//! extents of *written* zero bytes, and each batch is written at a
+//! tracked logical end inside them, so the `sync_data` on the release
+//! path overwrites blocks the file already holds and never journals a
+//! new file size. Only the batch that crosses the end of an extent pays
+//! for growing it.
+//!
+//! The logical end is the first NUL byte: no ledger line can hold one,
+//! because the JSON writer escapes every control character. A ledger
+//! written before preallocation has no NULs, so it ends at its length
+//! and replays as it always did; its first write grows it.
+//!
+//! # Replay
+//!
 //! On startup [`Ledger::open`] replays the log and the server restores
 //! each dataset's [`upa_core::budget::BudgetAccountant`] via
-//! [`upa_core::budget::BudgetAccountant::restore`]. The checksum lets
-//! replay tell the two failure shapes apart:
+//! [`upa_core::budget::BudgetAccountant::restore`]. The bytes before the
+//! logical end are lines, and the checksum lets replay tell the two
+//! failure shapes apart:
 //!
 //! * a **torn tail** — the final line is incomplete because the crash
-//!   happened mid-append; the spend never became durable, so the tail is
-//!   truncated away and serving continues;
+//!   happened mid-write (possibly inside a multi-byte character); the
+//!   spend never became durable, so its bytes are overwritten with zeros
+//!   and serving continues;
 //! * **corruption** — a complete line that fails to parse or whose
 //!   checksum mismatches is not a crash artefact but real damage
-//!   (bit rot, truncation in the middle, a concurrent writer); the
-//!   ledger refuses to open, because guessing risks under-counting
-//!   spends.
+//!   (bit rot, a concurrent writer); the ledger refuses to open, because
+//!   guessing risks under-counting spends.
+//!
+//! Past the logical end the file should be zeros. Other bytes there are
+//! the remnant of a batch that was never acknowledged (a crash persisted
+//! a later sector of it but not an earlier one), and they are zeroed
+//! too. The exception is a complete, checksum-valid record after the
+//! hole: that is what a zeroed page inside acknowledged history looks
+//! like, and treating the hole as the end would forget spends, so the
+//! ledger refuses to open and names the record's offset. The cost is on
+//! the fail-closed side: a power cut that persists a whole later record
+//! of an unacknowledged batch before its earlier sectors also refuses.
+//!
+//! A final record that lacks only its newline is kept, and `open`
+//! writes the newline before serving so the next batch cannot glue
+//! onto it. Every repair is synced before the ledger is handed out.
 //!
 //! # Group commit
 //!
-//! A single release's durability costs one `fsync` (hundreds of µs to
+//! A single release's durability costs one `fsync` (tens of µs to
 //! milliseconds). Under concurrency that cost is shared:
 //! [`GroupCommitLedger`] owns the file on a dedicated committer thread;
 //! concurrent releases enqueue their records and block on a ticket while
 //! the committer drains the queue, writes the whole batch with one
-//! `write_all`, and fsyncs **once**. Every ticket resolves only after
+//! positional write, and fsyncs **once**. Every ticket resolves only after
 //! the shared fsync, so the durability invariant above is unchanged —
 //! the batch is either durable for everyone or an error for everyone. A
 //! lone writer (no other submitter mid-enqueue) commits immediately; a
@@ -48,7 +78,8 @@
 use crate::obs::{Counter, Histogram};
 use crate::wire::{self, Json};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -119,109 +150,108 @@ impl SpendRecord {
     }
 }
 
-/// The append-only spend log.
+/// How much the ledger file grows by when a batch would pass its end.
+/// Growing writes real zeros: `set_len` would leave a hole that the hot
+/// path then allocates block by block, journalling as it goes.
+const EXTENT: u64 = 64 * 1024;
+
+/// One extent of zeros, the bytes a growing write puts down.
+static ZEROS: [u8; EXTENT as usize] = [0; EXTENT as usize];
+
+/// The spend log: checksummed JSON lines written at a tracked logical
+/// end inside a file of preallocated zeros.
 #[derive(Debug)]
 pub struct Ledger {
     file: File,
     path: PathBuf,
+    /// The byte just past the last durable record: where the next batch
+    /// is written.
+    end: u64,
+    /// The file length. Every byte past `end` is zero, except up to
+    /// `stale`.
+    allocated: u64,
+    /// How far a failed batch's bytes may reach (not past `end` when no
+    /// batch has failed). The next batch zero-fills up to it in the same
+    /// write, so a refunded spend can never replay and half a line can
+    /// never sit mid-file.
+    stale: u64,
 }
 
 impl Ledger {
     /// Opens (creating if absent) the ledger at `path` and replays every
     /// durable spend.
     ///
-    /// A torn final append (no terminating newline, fails to parse) is
-    /// **truncated away** — the spend never became durable, and leaving
-    /// the torn bytes in place would corrupt the next append. A complete
-    /// line that fails to parse, or whose checksum is missing or
-    /// mismatched, is a hard error: that is damage, not a crash artefact.
+    /// A torn final record (no terminating newline, fails to parse) and
+    /// any non-zero bytes after the logical end are **zeroed** — the
+    /// spend never became durable, and leaving its bytes in place would
+    /// corrupt the next write. A final record that is complete but lacks
+    /// its newline gets one. Both repairs are synced before this returns.
+    /// A complete line that fails to parse, or whose checksum is missing
+    /// or mismatched, is a hard error: that is damage, not a crash
+    /// artefact. So is a checksum-valid record after a zeroed hole.
     ///
     /// # Errors
     ///
-    /// I/O failures, or `InvalidData` for a corrupt line.
+    /// I/O failures, or `InvalidData` for a corrupt line or a record
+    /// after a hole.
     pub fn open(path: &Path) -> io::Result<(Ledger, Vec<SpendRecord>)> {
         let mut file = OpenOptions::new()
             .read(true)
+            .write(true)
             .create(true)
-            .append(true)
+            .truncate(false)
             .open(path)?;
-        let mut contents = String::new();
-        file.read_to_string(&mut contents)?;
-        let (records, durable_len) = Self::replay_durable(&contents)?;
-        if durable_len < contents.len() {
-            // Drop the torn tail so the next append starts on a clean
-            // line boundary instead of gluing onto half a record.
-            file.set_len(durable_len as u64)?;
-            file.sync_data()?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let (records, durable_len) = Self::replay_durable(&bytes)?;
+        // Non-zero bytes past the durable prefix are exactly what a
+        // failed batch leaves behind, so they are cleared the same way:
+        // by the next write, which here is the repair itself.
+        let stale = bytes.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+        let unterminated = durable_len > 0 && bytes[durable_len - 1] != b'\n';
+        let mut ledger = Ledger {
+            file,
+            path: path.to_path_buf(),
+            end: durable_len as u64,
+            allocated: bytes.len() as u64,
+            stale: stale as u64,
+        };
+        if unterminated || stale > durable_len {
+            // A final record that lacks only its newline gets it, or the
+            // next batch would glue onto it.
+            ledger.write_durable(vec![b'\n'; usize::from(unterminated)])?;
         }
-        Ok((
-            Ledger {
-                file,
-                path: path.to_path_buf(),
-            },
-            records,
-        ))
+        Ok((ledger, records))
     }
 
     /// Parses ledger contents into spend records (see [`Ledger::open`]
-    /// for the torn-line rule).
+    /// for the torn-line and hole rules).
     ///
     /// # Errors
     ///
-    /// `InvalidData` naming the first corrupt line.
-    pub fn replay(contents: &str) -> io::Result<Vec<SpendRecord>> {
+    /// `InvalidData` naming the first corrupt line, or the offset of a
+    /// record after a hole.
+    pub fn replay(contents: impl AsRef<[u8]>) -> io::Result<Vec<SpendRecord>> {
         Self::replay_durable(contents).map(|(records, _)| records)
     }
 
     /// [`Ledger::replay`] plus the byte length of the durable prefix —
-    /// everything past it is a torn tail the caller should truncate.
+    /// everything past it should be zero, and [`Ledger::open`] zeroes
+    /// what is not.
     ///
     /// # Errors
     ///
-    /// `InvalidData` naming the first corrupt line.
-    pub fn replay_durable(contents: &str) -> io::Result<(Vec<SpendRecord>, usize)> {
-        let mut records = Vec::new();
-        let mut durable_len = 0usize;
-        let complete = contents.ends_with('\n');
-        let lines: Vec<&str> = contents.split('\n').filter(|l| !l.is_empty()).collect();
-        for (i, line) in lines.iter().enumerate() {
-            let last = i + 1 == lines.len();
-            let parsed = wire::parse(line)
-                .ok()
-                .map(|v| (SpendRecord::from_json(&v), v));
-            match parsed {
-                Some((Some(rec), v)) => {
-                    if !rec.crc_matches(&v) {
-                        // A complete record whose checksum is absent or
-                        // disagrees is damage even at the tail: the writer
-                        // only ever emits matching checksums, torn or not.
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!(
-                                "ledger line {} is missing or fails its checksum: {line:?}",
-                                i + 1
-                            ),
-                        ));
-                    }
-                    records.push(rec);
-                    durable_len = offset_after(contents, line, complete || !last);
-                }
-                _ if last && !complete => {
-                    // Torn final append: the crash happened mid-write, so
-                    // the spend never became durable. The caller truncates.
-                }
-                _ => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("corrupt ledger line {}: {line:?}", i + 1),
-                    ));
-                }
-            }
-        }
-        Ok((records, durable_len))
+    /// `InvalidData` naming the first corrupt line, or the offset of a
+    /// record after a hole.
+    pub fn replay_durable(contents: impl AsRef<[u8]>) -> io::Result<(Vec<SpendRecord>, usize)> {
+        let bytes = contents.as_ref();
+        let logical_end = bytes.iter().position(|&b| b == 0).unwrap_or(bytes.len());
+        let replayed = replay_lines(&bytes[..logical_end])?;
+        refuse_record_after_hole(bytes, logical_end)?;
+        Ok(replayed)
     }
 
-    /// Appends one spend and fsyncs it to disk. Only after this returns
+    /// Writes one spend and fsyncs it to disk. Only after this returns
     /// may the corresponding noisy output be released.
     ///
     /// # Errors
@@ -229,24 +259,122 @@ impl Ledger {
     /// Propagates write/fsync failures; the caller must treat any error
     /// as "the spend is not durable" and refuse to release.
     pub fn append(&mut self, record: &SpendRecord) -> io::Result<()> {
-        let mut line = record.to_line();
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
-        self.file.sync_data()
+        let mut line = record.to_line().into_bytes();
+        line.push(b'\n');
+        self.write_durable(line)
     }
 
     /// The ledger's path.
     pub fn path(&self) -> &Path {
         &self.path
     }
+
+    /// The one write path: `buf` goes down at the logical end in one
+    /// positional write, then one `sync_data`, and `end` moves past it
+    /// only once both succeed.
+    fn write_durable(&mut self, mut buf: Vec<u8>) -> io::Result<()> {
+        let len = buf.len() as u64;
+        if self.stale > self.end + len {
+            buf.resize((self.stale - self.end) as usize, 0);
+        }
+        let reach = self.end + buf.len() as u64;
+        let written = self
+            .grow_to(reach)
+            .and_then(|()| self.file.write_all_at(&buf, self.end))
+            .and_then(|()| self.file.sync_data());
+        match written {
+            Ok(()) => {
+                self.end += len;
+                self.stale = 0;
+            }
+            Err(_) => self.stale = self.stale.max(reach),
+        }
+        written
+    }
+
+    /// Grows the file by whole extents of written zeros until it holds
+    /// `reach` bytes. The caller's `sync_data` makes them durable.
+    fn grow_to(&mut self, reach: u64) -> io::Result<()> {
+        while self.allocated < reach {
+            self.file.write_all_at(&ZEROS, self.allocated)?;
+            self.allocated += EXTENT;
+        }
+        Ok(())
+    }
 }
 
-/// The byte offset just past `line` within `contents` (+1 for its
-/// newline when `with_newline`). `line` is a slice of `contents`, so
-/// pointer arithmetic gives the exact position.
-fn offset_after(contents: &str, line: &str, with_newline: bool) -> usize {
-    let base = line.as_ptr() as usize - contents.as_ptr() as usize;
-    base + line.len() + usize::from(with_newline)
+fn invalid_data(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
+}
+
+/// Parses one ledger line into its record and whether the checksum
+/// matches; `None` when the bytes are no record at all.
+fn parse_line(line: &[u8]) -> Option<(SpendRecord, bool)> {
+    let v = wire::parse(std::str::from_utf8(line).ok()?).ok()?;
+    let rec = SpendRecord::from_json(&v)?;
+    let crc_ok = rec.crc_matches(&v);
+    Some((rec, crc_ok))
+}
+
+/// Replays the lines before the logical end and returns them with the
+/// length of the durable prefix. A final line with no newline that does
+/// not parse is a torn write and is left out of that prefix.
+fn replay_lines(prefix: &[u8]) -> io::Result<(Vec<SpendRecord>, usize)> {
+    let mut records = Vec::new();
+    let mut durable_len = 0;
+    let mut start = 0;
+    let mut number = 0;
+    for line in prefix.split(|&b| b == b'\n') {
+        let terminated = start + line.len() < prefix.len();
+        start += line.len() + usize::from(terminated);
+        if line.is_empty() {
+            continue;
+        }
+        number += 1;
+        let shown = || String::from_utf8_lossy(line);
+        match parse_line(line) {
+            Some((rec, true)) => {
+                records.push(rec);
+                durable_len = start;
+            }
+            // A complete record whose checksum is absent or disagrees is
+            // damage even at the tail: the writer only ever emits
+            // matching checksums, torn or not.
+            Some((_, false)) => {
+                return Err(invalid_data(format!(
+                    "ledger line {number} is missing or fails its checksum: {:?}",
+                    shown()
+                )))
+            }
+            // Torn final write: the crash happened mid-write, so the
+            // spend never became durable. `open` zeroes it.
+            None if !terminated => {}
+            None => {
+                return Err(invalid_data(format!(
+                    "corrupt ledger line {number}: {:?}",
+                    shown()
+                )))
+            }
+        }
+    }
+    Ok((records, durable_len))
+}
+
+/// Refuses a complete, checksum-valid record anywhere after the hole
+/// that starts at `hole`: it means the hole lies inside acknowledged
+/// history, where taking it for the end would forget spends.
+fn refuse_record_after_hole(bytes: &[u8], hole: usize) -> io::Result<()> {
+    let mut offset = hole;
+    for piece in bytes[hole..].split(|&b| b == 0 || b == b'\n') {
+        if !piece.is_empty() && matches!(parse_line(piece), Some((_, true))) {
+            return Err(invalid_data(format!(
+                "ledger record at byte {offset} follows a zeroed hole at byte {hole}: {:?}",
+                String::from_utf8_lossy(piece)
+            )));
+        }
+        offset += piece.len() + 1;
+    }
+    Ok(())
 }
 
 /// Sums replayed spends per dataset, the shape
@@ -355,7 +483,7 @@ impl GroupCommitLedger {
         let thread_shared = Arc::clone(&shared);
         let committer = std::thread::Builder::new()
             .name("upa-ledger-commit".into())
-            .spawn(move || committer_loop(thread_shared, ledger.file))
+            .spawn(move || committer_loop(thread_shared, ledger))
             .expect("spawn ledger committer");
         GroupCommitLedger {
             shared,
@@ -424,7 +552,7 @@ impl Drop for GroupCommitLedger {
     }
 }
 
-fn committer_loop(shared: Arc<GroupShared>, mut file: File) {
+fn committer_loop(shared: Arc<GroupShared>, mut ledger: Ledger) {
     let mut queue = shared.queue.lock().expect("ledger queue poisoned");
     loop {
         while queue.is_empty() {
@@ -453,7 +581,7 @@ fn committer_loop(shared: Arc<GroupShared>, mut file: File) {
         let batch = std::mem::take(&mut *queue);
         drop(queue);
 
-        let result = commit_batch(&mut file, &batch).map_err(|e| e.to_string());
+        let result = commit_batch(&mut ledger, &batch).map_err(|e| e.to_string());
         if let Some(obs) = &shared.obs {
             obs.fsyncs.inc();
             obs.batch_size.record(batch.len() as u64);
@@ -465,16 +593,15 @@ fn committer_loop(shared: Arc<GroupShared>, mut file: File) {
     }
 }
 
-/// One `write_all` of the whole batch, one `sync_data` — the shared
-/// fsync every ticket in the batch waits on.
-fn commit_batch(file: &mut File, batch: &[Pending]) -> io::Result<()> {
+/// One positional write of the whole batch, one `sync_data` — the
+/// shared fsync every ticket in the batch waits on.
+fn commit_batch(ledger: &mut Ledger, batch: &[Pending]) -> io::Result<()> {
     let total: usize = batch.iter().map(|p| p.line.len()).sum();
-    let mut buf = String::with_capacity(total);
+    let mut buf = Vec::with_capacity(total);
     for pending in batch {
-        buf.push_str(&pending.line);
+        buf.extend_from_slice(pending.line.as_bytes());
     }
-    file.write_all(buf.as_bytes())?;
-    file.sync_data()
+    ledger.write_durable(buf)
 }
 
 #[cfg(test)]
@@ -487,14 +614,17 @@ mod tests {
         dir.join(format!("{tag}_{}.jsonl", std::process::id()))
     }
 
-    /// A hand-placed ledger line for dataset `d`, checksum included.
-    fn line(query_id: &str, epsilon: f64) -> String {
+    fn spend(query_id: &str, epsilon: f64) -> SpendRecord {
         SpendRecord {
             dataset: "d".into(),
             query_id: query_id.into(),
             epsilon,
         }
-        .to_line()
+    }
+
+    /// A hand-placed ledger line for dataset `d`, checksum included.
+    fn line(query_id: &str, epsilon: f64) -> String {
+        spend(query_id, epsilon).to_line()
     }
 
     #[test]
@@ -531,29 +661,32 @@ mod tests {
     fn torn_final_line_is_discarded_and_truncated() {
         let path = temp_path("torn");
         let durable = line("q", 0.1) + "\n";
-        std::fs::write(
-            &path,
-            format!("{durable}{{\"dataset\":\"d\",\"query_id\":\"q\",\"eps"),
-        )
-        .unwrap();
-        let (mut ledger, replayed) = Ledger::open(&path).unwrap();
-        assert_eq!(replayed.len(), 1, "torn tail ignored, durable spend kept");
-        // The torn bytes are gone, so the next append lands on a clean
-        // line boundary…
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), durable);
-        ledger
-            .append(&SpendRecord {
-                dataset: "d".into(),
-                query_id: "q2".into(),
-                epsilon: 0.2,
-            })
-            .unwrap();
-        drop(ledger);
-        // …and a second replay sees both spends instead of a corrupt
-        // splice.
-        let (_, replayed) = Ledger::open(&path).unwrap();
-        assert_eq!(replayed.len(), 2);
-        assert_eq!(replayed[1].query_id, "q2");
+        // Query ids carry column names verbatim, so a write can also be
+        // torn inside a multi-byte character.
+        let accented = line("d/mean/été", 0.2);
+        let cut = accented.find('é').unwrap() + 1;
+        assert!(!accented.is_char_boundary(cut));
+        let torn_writes = [
+            &b"{\"dataset\":\"d\",\"query_id\":\"q\",\"eps"[..],
+            &accented.as_bytes()[..cut],
+        ];
+        for torn in torn_writes {
+            std::fs::write(&path, [durable.as_bytes(), torn].concat()).unwrap();
+            let (mut ledger, replayed) = Ledger::open(&path).unwrap();
+            assert_eq!(replayed.len(), 1, "torn tail ignored, durable spend kept");
+            // The torn bytes are zeroed, so the next write lands on a
+            // clean line boundary…
+            let bytes = std::fs::read(&path).unwrap();
+            assert_eq!(&bytes[..durable.len()], durable.as_bytes());
+            assert!(bytes[durable.len()..].iter().all(|&b| b == 0));
+            ledger.append(&spend("q2", 0.2)).unwrap();
+            drop(ledger);
+            // …and a second replay sees both spends instead of a corrupt
+            // splice.
+            let (_, replayed) = Ledger::open(&path).unwrap();
+            assert_eq!(replayed.len(), 2);
+            assert_eq!(replayed[1].query_id, "q2");
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -578,9 +711,71 @@ mod tests {
     fn complete_final_line_without_newline_is_kept() {
         let path = temp_path("nonl");
         std::fs::write(&path, line("q", 0.25)).unwrap();
+        let (mut ledger, replayed) = Ledger::open(&path).unwrap();
+        assert_eq!(replayed, [spend("q", 0.25)]);
+        // Without the newline `open` writes, this record would glue onto
+        // the one before it and the next open would refuse the ledger.
+        ledger.append(&spend("q2", 0.5)).unwrap();
+        drop(ledger);
         let (_, replayed) = Ledger::open(&path).unwrap();
-        assert_eq!(replayed.len(), 1);
-        assert_eq!(replayed[0].epsilon, 0.25);
+        assert_eq!(replayed, [spend("q", 0.25), spend("q2", 0.5)]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_write_past_the_allocation_grows_by_whole_extents_of_zeros() {
+        let path = temp_path("extent");
+        let _ = std::fs::remove_file(&path);
+        let (mut ledger, _) = Ledger::open(&path).unwrap();
+        ledger.append(&spend("q", 0.1)).unwrap();
+        let first = line("q", 0.1).len() as u64 + 1;
+        assert_eq!((ledger.end, ledger.allocated), (first, EXTENT));
+        // A batch that crosses the end of the extent grows the file by
+        // exactly as many more extents as it needs.
+        let big = SpendRecord {
+            dataset: "d".into(),
+            query_id: "x".repeat(2 * EXTENT as usize),
+            epsilon: 0.2,
+        };
+        ledger.append(&big).unwrap();
+        assert_eq!(ledger.allocated, 3 * EXTENT);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len() as u64, 3 * EXTENT);
+        assert!(bytes[ledger.end as usize..].iter().all(|&b| b == 0));
+        drop(ledger);
+        let (_, replayed) = Ledger::open(&path).unwrap();
+        assert_eq!(replayed, [spend("q", 0.1), big]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_failed_batch_is_zeroed_by_the_next_shorter_one() {
+        let path = temp_path("failed_batch");
+        let _ = std::fs::remove_file(&path);
+        let (mut ledger, _) = Ledger::open(&path).unwrap();
+        ledger.append(&spend("q", 0.1)).unwrap();
+        let end = ledger.end;
+
+        // A read-only handle makes the batch's write fail for real; its
+        // bytes are then put where a write that failed only at the sync
+        // would have left them.
+        let writable = std::mem::replace(&mut ledger.file, File::open(&path).unwrap());
+        let refunded = [spend("refunded-a", 0.3), spend("refunded-b", 0.3)];
+        let failed: String = refunded.iter().map(|r| r.to_line() + "\n").collect();
+        assert!(ledger.write_durable(failed.clone().into_bytes()).is_err());
+        assert_eq!(ledger.end, end, "a failed write leaves the end alone");
+        assert_eq!(ledger.stale, end + failed.len() as u64);
+        writable.write_all_at(failed.as_bytes(), end).unwrap();
+        ledger.file = writable;
+
+        ledger.append(&spend("q2", 0.1)).unwrap();
+        drop(ledger);
+        let (_, replayed) = Ledger::open(&path).unwrap();
+        assert_eq!(replayed, [spend("q", 0.1), spend("q2", 0.1)]);
+        let bytes = std::fs::read(&path).unwrap();
+        let durable = line("q", 0.1) + "\n" + &line("q2", 0.1) + "\n";
+        assert_eq!(&bytes[..durable.len()], durable.as_bytes());
+        assert!(bytes[durable.len()..].iter().all(|&b| b == 0));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -17,7 +17,7 @@
 //!   releases are zero-stage and skip the scheduler entirely — the
 //!   zero-queue fast path), and lock-free sharded budget accounting
 //!   ([`state::AtomicBudget`]);
-//! * [`ledger::Ledger`] — the append-only, checksummed,
+//! * [`ledger::Ledger`] — the preallocated, checksummed,
 //!   fsync-before-release spend log that makes budget accounting
 //!   survive `SIGKILL`, fronted by the group-committing
 //!   [`ledger::GroupCommitLedger`] so concurrent releases share one

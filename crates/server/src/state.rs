@@ -1547,8 +1547,11 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.code(), ErrorCode::UnknownDataset);
         assert_eq!(state.budgets(), vec![("data".to_string(), 1.0, 0.0, 1.0)]);
-        let contents = std::fs::read_to_string(&path).unwrap_or_default();
-        assert_eq!(contents.lines().count(), 0, "no ledger line: {contents}");
+        let contents = std::fs::read(&path).unwrap_or_default();
+        assert!(
+            Ledger::replay(&contents).unwrap().is_empty(),
+            "no ledger record"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1563,9 +1566,9 @@ mod tests {
             .release("data", AggKind::Sum, "v", None, false)
             .unwrap_err();
         assert_eq!(err.code(), ErrorCode::Budget);
-        // The refused spend left no ledger line.
-        let contents = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(contents.lines().count(), 1);
+        // The refused spend left no ledger record.
+        let contents = std::fs::read(&path).unwrap();
+        assert_eq!(Ledger::replay(&contents).unwrap().len(), 1);
         let _ = std::fs::remove_file(&path);
     }
 

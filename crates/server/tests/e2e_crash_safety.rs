@@ -144,12 +144,15 @@ fn budget_survives_sigkill_and_restart() {
 fn sigkill_mid_batch_never_loses_a_delivered_release() {
     const WORKERS: usize = 4;
     const EPSILON: f64 = 0.01;
+    // Room for 10⁶ releases: a disk with a fast fsync delivers 10⁴ within
+    // the flood below, and an exhausted budget would end it early.
+    const BUDGET: &str = "10000.0";
     let ledger = temp_ledger("sigkill_batch");
     let (mut child, addr) = spawn_daemon_with(
         &ledger,
         &[
             "--budget",
-            "100.0",
+            BUDGET,
             "--epsilon",
             "0.01",
             // A wide window keeps a batch open almost permanently under
@@ -184,8 +187,8 @@ fn sigkill_mid_batch_never_loses_a_delivered_release() {
                         delivered.fetch_add(1, Ordering::Relaxed);
                     }
                     // Any error here is the kill tearing the connection
-                    // (or, theoretically, budget exhaustion — 100.0 / 0.01
-                    // is far beyond this test's runtime). Stop either way.
+                    // (or, theoretically, budget exhaustion — see
+                    // `BUDGET`). Stop either way.
                     Err(_) => return,
                 }
             }
@@ -206,13 +209,13 @@ fn sigkill_mid_batch_never_loses_a_delivered_release() {
         "the flood delivered something before the kill"
     );
 
-    // Restart on the same ledger (replay tolerates — truncates — a torn
+    // Restart on the same ledger (replay tolerates — zeroes — a torn
     // tail from the kill). Every delivered release must be accounted.
     let (mut child2, addr2) = spawn_daemon_with(
         &ledger,
         &[
             "--budget",
-            "100.0",
+            BUDGET,
             "--epsilon",
             "0.01",
             "--ledger-commit-us",

@@ -168,9 +168,12 @@ fn torn_tail_drops_only_the_partial_spend() {
             .unwrap();
     }
     drop(ledger);
-    // Simulate a crash mid-append: half a record, no newline.
-    let mut contents = std::fs::read_to_string(&path).unwrap();
-    contents.push_str("{\"dataset\":\"data\",\"query_id\":\"data/su");
+    // Simulate a crash mid-write: half a record, no newline, at the
+    // logical end (the first zero byte), where the next batch would go.
+    let mut contents = std::fs::read(&path).unwrap();
+    let end = contents.iter().position(|&b| b == 0).unwrap();
+    let torn = b"{\"dataset\":\"data\",\"query_id\":\"data/su";
+    contents[end..end + torn.len()].copy_from_slice(torn);
     std::fs::write(&path, contents).unwrap();
 
     let (_, replayed) = Ledger::open(&path).unwrap();

@@ -15,7 +15,8 @@ use std::path::PathBuf;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use upa_server::{
-    Client, ClientError, DatasetSpec, ErrorCode, ReleaseFault, Server, ServerConfig, ShutdownHandle,
+    Client, ClientError, DatasetSpec, ErrorCode, Ledger, ReleaseFault, Server, ServerConfig,
+    ShutdownHandle,
 };
 
 fn temp_ledger(tag: &str) -> PathBuf {
@@ -46,10 +47,10 @@ fn start(config: ServerConfig) -> (String, ShutdownHandle, JoinHandle<std::io::R
     (addr, handle, join)
 }
 
+/// Records replayed from the ledger file (its zero tail holds none).
 fn ledger_lines(path: &PathBuf) -> usize {
-    std::fs::read_to_string(path)
-        .map(|s| s.lines().count())
-        .unwrap_or(0)
+    let contents = std::fs::read(path).unwrap_or_default();
+    Ledger::replay(contents).expect("ledger replays").len()
 }
 
 #[test]
