@@ -38,10 +38,11 @@ datasets at all. --budget meters each dataset;
 --ledger-commit-us sizes the group-commit window within which concurrent
 spends share one fsync (0 = every spend fsyncs alone). Port 0 picks an
 ephemeral port; the bound address is announced on the first stdout line.
---max-inflight sizes the scheduler worker pool; --queue-capacity bounds
-each dataset's request queue (a full queue refuses with `busy`);
---cache-capacity bounds the prepared-query LRU cache whose hits skip the
-queue entirely (0 = unbounded). --slow-query-ms logs any request slower
+--max-inflight sets how many cache-miss or deadline requests may run at
+once on each dataset; --queue-capacity bounds how many wait for that
+(one more is refused with `busy`); --cache-capacity bounds the
+prepared-query LRU cache, whose hits without a deadline are served at
+once (0 = unbounded). --slow-query-ms logs any request slower
 than MS at `warn` with its full trace (see `upa-cli metrics` and the
 server's `trace` op).";
 
@@ -82,10 +83,10 @@ pub struct ServeArgs {
     pub threads: usize,
     /// Concurrent connection cap.
     pub max_connections: usize,
-    /// Scheduler worker-pool size (max concurrently running
-    /// prepares/releases).
+    /// Permits per dataset (max concurrently running cache-miss or
+    /// deadline requests).
     pub max_inflight: usize,
-    /// Bounded per-dataset request queue capacity.
+    /// Max requests waiting for one dataset's permits.
     pub queue_capacity: usize,
     /// Slow-query log threshold in milliseconds (`None` disables it).
     pub slow_query_ms: Option<u64>,

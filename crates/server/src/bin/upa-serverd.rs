@@ -35,18 +35,18 @@ OPTIONS:
     --ledger-commit-us US Group-commit window: concurrent spends arriving
                           within US microseconds share one fsync
                           (0 = every spend fsyncs alone) [default: 200]
-    --cache-capacity N    Prepared-query LRU cache capacity; cached
-                          releases skip the scheduler queue entirely
+    --cache-capacity N    Prepared-query LRU cache capacity; a cached
+                          release with no deadline takes no permit
                           (0 = unbounded) [default: 256]
     --epsilon EPS         Default per-release epsilon [default: 0.1]
     --sample-size N       UPA sample size n [default: 1000]
     --seed N              RNG seed [default: 0xDA7A]
     --threads N           Engine threads (0 = auto) [default: 0]
     --max-connections N   Concurrent connection cap [default: 64]
-    --max-inflight N      Scheduler worker-pool size (max concurrently
-                          running prepares/releases) [default: 4]
-    --queue-capacity N    Bounded per-dataset request queue; a full
-                          queue refuses with `busy` [default: 64]
+    --max-inflight N      Permits per dataset: max cache-miss or deadline
+                          requests running at once [default: 4]
+    --queue-capacity N    Max requests waiting for one dataset's permits;
+                          one more is refused with `busy` [default: 64]
     --slow-query-ms MS    Log requests slower than MS at `warn` with
                           their full trace (disabled if absent)
     --trace-capacity N    Finished request traces retained for the

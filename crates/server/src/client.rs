@@ -544,7 +544,7 @@ impl Client {
         }
     }
 
-    /// The server's scheduler counters, uptime, and snapshot sequence.
+    /// The server's admission counters, uptime, and snapshot sequence.
     ///
     /// # Errors
     ///

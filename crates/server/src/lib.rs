@@ -7,16 +7,12 @@
 //!
 //! * [`server::Server`] — accept loop, thread-per-connection workers,
 //!   graceful draining shutdown;
-//! * [`sched::Scheduler`] — the scheduling layer between connections
-//!   and the serving state: per-dataset bounded queues drained
-//!   round-robin by a worker pool, single-flight request coalescing
-//!   (concurrent identical queries share one prepare while each draws
-//!   its own noisy release), and `deadline_ms` shedding;
-//! * [`state::ServerState`] — the shared serving state: per-dataset
-//!   engines, a cross-connection LRU prepared-query cache (repeat
-//!   releases are zero-stage and skip the scheduler entirely — the
-//!   zero-queue fast path), and lock-free sharded budget accounting
-//!   ([`state::AtomicBudget`]);
+//! * [`state::ServerState`] — the shared serving state and the one
+//!   request path every prepare and release takes on its connection
+//!   thread: per-dataset engines and permits, a cross-connection LRU
+//!   prepared-query cache with single-flight prepares (identical
+//!   queries share one engine run, each still drawing its own noise),
+//!   and lock-free sharded budget accounting ([`state::AtomicBudget`]);
 //! * [`ledger::Ledger`] — the preallocated, checksummed,
 //!   fsync-before-release spend log that makes budget accounting
 //!   survive `SIGKILL`, fronted by the group-committing
@@ -43,7 +39,6 @@ pub mod client;
 pub mod ledger;
 pub mod obs;
 pub mod proto;
-pub mod sched;
 pub mod server;
 pub mod state;
 pub mod wire;
@@ -52,9 +47,8 @@ pub use client::{BudgetReply, Client, ClientBuilder, ClientError, PrepareReply, 
 pub use ledger::{GroupCommitLedger, Ledger, LedgerObs, SpendRecord};
 pub use obs::{HistogramSnapshot, Obs, RegistrySnapshot, Trace, TraceRecord, TraceStore};
 pub use proto::{
-    DatasetsReply, ErrorCode, MetricsReply, PreparedInfo, Request, Response, StatsReply,
+    DatasetsReply, ErrorCode, MetricsReply, PreparedInfo, Request, Response, SchedStats, StatsReply,
 };
-pub use sched::{JobOp, JobOutput, SchedStats, Scheduler, SchedulerHandle};
 pub use server::{Server, ShutdownHandle};
 pub use state::{
     AggKind, AtomicBudget, AttachOutcome, DatasetInfo, DatasetSpec, ReleaseFault, ServeError,

@@ -5,8 +5,8 @@
 //!
 //! One [`Obs`] lives in [`crate::state::ServerState`] and is reachable
 //! from every layer: the connection dispatcher assigns request IDs and
-//! finishes traces, the scheduler records queue-wait and coalesce
-//! spans, the release path records noise-draw and ledger-fsync timings.
+//! finishes traces, the request path records queue-wait, prepare,
+//! coalesce, noise-draw and ledger-fsync timings.
 //! The hot path touches only pre-registered `Arc` handles (plain
 //! atomics); the registry mutex is taken at startup and scrape time
 //! only.
@@ -44,9 +44,9 @@ const OPS: [&str; 14] = [
 pub struct ServerMetrics {
     /// End-to-end release latency (dispatch to reply line).
     pub release_latency: Arc<Histogram>,
-    /// Time a job sat in its dataset queue.
+    /// Time a request queued for one of its dataset's permits.
     pub queue_wait: Arc<Histogram>,
-    /// Time a coalesced job waited on the leader's prepare.
+    /// Time a coalesced request waited on the leader's prepare.
     pub coalesce_wait: Arc<Histogram>,
     /// Engine prepare (phases 1–3) duration.
     pub engine_prepare: Arc<Histogram>,
@@ -62,8 +62,8 @@ pub struct ServerMetrics {
     /// Time a spend waited on its batch's shared fsync (enqueue →
     /// durable).
     pub ledger_commit_wait: Arc<Histogram>,
-    /// Releases served on the zero-queue fast path (prepare cached, no
-    /// scheduler involvement).
+    /// Releases served on the fast path (prepare cached, no deadline,
+    /// no permit taken).
     pub fastpath_hits: Arc<Counter>,
     /// Prepared-query cache hits at dispatch.
     pub cache_hits: Arc<Counter>,

@@ -6,12 +6,11 @@
 //! request from wire to noisy answer.
 //!
 //! A [`Trace`] is a cheap clone (an `Arc`): the connection thread
-//! creates it, the scheduler threads it through queue entries and
-//! coalesce groups, and whichever worker serves the job records into
-//! it. Span offsets are measured from the trace's creation instant, so
-//! a record's spans line up on one timeline regardless of which thread
-//! recorded them. Finished records land in a bounded ring
-//! ([`TraceStore`]) served by the `trace` wire op.
+//! creates it and the request path records into it as the request
+//! waits for a permit, prepares or coalesces, spends and draws. Span
+//! offsets are measured from the trace's creation instant, so a
+//! record's spans line up on one timeline. Finished records land in a
+//! bounded ring ([`TraceStore`]) served by the `trace` wire op.
 
 use crate::wire::{self, Json};
 use dataflow::StageSpan;

@@ -10,7 +10,6 @@
 //! discriminating success), so old clients interoperate.
 
 use crate::obs::{RegistrySnapshot, TraceRecord};
-use crate::sched::SchedStats;
 use crate::state::{AggKind, AttachOutcome, DatasetInfo, ReleaseOutcome, ServeError};
 use crate::wire::{self, Json};
 use upa_core::QueryAudit;
@@ -26,9 +25,10 @@ pub enum ErrorCode {
     UnknownColumn,
     /// The request was malformed.
     BadRequest,
-    /// A capacity bound was hit (connection cap or a full queue).
+    /// A capacity bound was hit (connection cap, or a dataset's full
+    /// waiting line).
     Busy,
-    /// The request's deadline expired while it queued.
+    /// The request's deadline expired before it was served.
     Deadline,
     /// The server is draining for shutdown.
     ShuttingDown,
@@ -134,8 +134,8 @@ pub enum Request {
         /// How many recent audits (all when absent).
         last: Option<u64>,
     },
-    /// Scheduler counters (queue depth, coalesced hits, shed requests),
-    /// plus uptime and a monotonic snapshot sequence number.
+    /// Admission counters (waiting requests, coalesced hits, shed
+    /// requests), plus uptime and a monotonic snapshot sequence number.
     Stats,
     /// The full metrics registry: Prometheus-style text exposition plus
     /// the structured JSON form (answered even while draining).
@@ -262,9 +262,11 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// A `bad_request`-worthy message for unknown ops or missing fields.
+    /// A `bad_request`-worthy message for unknown ops, missing fields,
+    /// or an optional field present with the wrong type.
     pub fn from_json(v: &Json) -> Result<Request, String> {
         let op = v.str_of("op").unwrap_or("");
+        let count = |name| optional(v, name, Json::as_u64, "a non-negative integer");
         match op {
             "ping" => Ok(Request::Ping),
             "datasets" => Ok(Request::Datasets),
@@ -282,9 +284,9 @@ impl Request {
                     dataset,
                     query,
                     column,
-                    epsilon: v.num_of("epsilon"),
-                    audit: v.bool_of("audit").unwrap_or(false),
-                    deadline_ms: v.get("deadline_ms").and_then(Json::as_u64),
+                    epsilon: optional(v, "epsilon", Json::as_f64, "a number")?,
+                    audit: optional(v, "audit", Json::as_bool, "a boolean")?.unwrap_or(false),
+                    deadline_ms: count("deadline_ms")?,
                 })
             }
             "budget" => Ok(Request::Budget {
@@ -292,13 +294,13 @@ impl Request {
             }),
             "audit" => Ok(Request::Audit {
                 dataset: v.str_of("dataset").unwrap_or("data").to_string(),
-                last: v.get("last").and_then(Json::as_u64),
+                last: count("last")?,
             }),
             "stats" => Ok(Request::Stats),
             "metrics" => Ok(Request::Metrics),
             "trace" => Ok(Request::Trace {
                 id: v.str_of("id").map(str::to_string),
-                last: v.get("last").and_then(Json::as_u64),
+                last: count("last")?,
             }),
             "ingest" => Ok(Request::Ingest {
                 path: v
@@ -342,11 +344,109 @@ impl Request {
     }
 }
 
-/// The `stats` reply's body: scheduler counters plus process-scoped
-/// scrape bookkeeping.
+/// Member `name` read by `read`: `None` when absent or `null`, and an
+/// error naming the field when present with another type, so that a
+/// mistyped `epsilon` is never charged at the default ε.
+fn optional<T>(
+    v: &Json,
+    name: &str,
+    read: impl Fn(&Json) -> Option<T>,
+    what: &str,
+) -> Result<Option<T>, String> {
+    match v.get(name) {
+        None | Some(Json::Null) => Ok(None),
+        Some(field) => read(field)
+            .map(Some)
+            .ok_or_else(|| format!("'{name}' must be {what}")),
+    }
+}
+
+/// Counters of the requests past the fast path — cache misses and
+/// requests with a deadline — as the `stats` op reports them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SchedStats {
+    /// Requests currently waiting for a permit, across every dataset.
+    pub queued: u64,
+    /// High-water mark of `queued`.
+    pub peak_queued: u64,
+    /// Requests admitted (granted a permit or allowed to wait for one).
+    pub submitted: u64,
+    /// Admitted requests finished (served, errored, or shed).
+    pub completed: u64,
+    /// Engine prepares actually run.
+    pub prepares: u64,
+    /// Requests that obtained prepared state without running their own
+    /// prepare (cache hits and in-flight waiters).
+    pub coalesced: u64,
+    /// Requests shed because their deadline expired before the spend.
+    pub shed_deadline: u64,
+    /// Requests refused because their dataset already had
+    /// `queue_capacity` requests waiting.
+    pub busy_rejected: u64,
+    /// Single-flight groups: engine runs together with the callers
+    /// that waited on each.
+    pub batches: u64,
+    /// Largest single-flight group.
+    pub peak_batch: u64,
+}
+
+impl SchedStats {
+    /// The fraction of prepared-state acquisitions that coalesced
+    /// instead of running the engine (0 when nothing ran).
+    pub fn coalesce_rate(&self) -> f64 {
+        let total = self.prepares + self.coalesced;
+        if total == 0 {
+            0.0
+        } else {
+            self.coalesced as f64 / total as f64
+        }
+    }
+
+    /// Every counter with its wire name, in wire order.
+    pub(crate) fn counters(&mut self) -> [(&'static str, &mut u64); 10] {
+        [
+            ("queued", &mut self.queued),
+            ("peak_queued", &mut self.peak_queued),
+            ("submitted", &mut self.submitted),
+            ("completed", &mut self.completed),
+            ("prepares", &mut self.prepares),
+            ("coalesced", &mut self.coalesced),
+            ("shed_deadline", &mut self.shed_deadline),
+            ("busy_rejected", &mut self.busy_rejected),
+            ("batches", &mut self.batches),
+            ("peak_batch", &mut self.peak_batch),
+        ]
+    }
+
+    /// Serializes as a JSON object.
+    pub fn to_json(&self) -> String {
+        let mut stats = self.clone();
+        let fields = stats.counters().map(|(name, n)| format!("\"{name}\":{n}"));
+        format!("{{{}}}", fields.join(","))
+    }
+
+    /// Parses the [`SchedStats::to_json`] form.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the missing counter.
+    pub fn from_json(v: &Json) -> Result<SchedStats, String> {
+        let mut stats = SchedStats::default();
+        for (name, value) in stats.counters() {
+            *value = v
+                .get(name)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("stats reply missing '{name}'"))?;
+        }
+        Ok(stats)
+    }
+}
+
+/// The `stats` reply's body: the counters of the requests past the fast
+/// path plus process-scoped scrape bookkeeping.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsReply {
-    /// Scheduler counters.
+    /// Counters of the requests past the fast path.
     pub sched: SchedStats,
     /// Seconds since the server state was built; a drop between scrapes
     /// means a restart (and that every lifetime counter reset).
@@ -450,7 +550,7 @@ pub enum Response {
         /// The audit records.
         audits: Vec<QueryAudit>,
     },
-    /// Scheduler counters plus uptime and scrape sequence.
+    /// Admission counters plus uptime and scrape sequence.
     Stats(StatsReply),
     /// The metrics registry, as text exposition plus structured JSON.
     Metrics(MetricsReply),
@@ -1107,6 +1207,32 @@ mod tests {
             let parsed = wire::parse(line).unwrap();
             assert!(Request::from_json(&parsed).is_err(), "{line}");
         }
+        // A mistyped optional field is named, never ignored.
+        for (op, field) in [
+            ("release", r#""epsilon":"0.01""#),
+            ("release", r#""epsilon":true"#),
+            ("release", r#""deadline_ms":-1"#),
+            ("release", r#""deadline_ms":1.5"#),
+            ("release", r#""audit":"yes""#),
+            ("audit", r#""last":"3""#),
+            ("trace", r#""last":-2"#),
+        ] {
+            let line = format!(r#"{{"op":"{op}","query":"count",{field}}}"#);
+            let name = field.split('"').nth(1).expect("a quoted name");
+            let err = Request::from_json(&wire::parse(&line).unwrap()).unwrap_err();
+            assert!(err.contains(&format!("'{name}'")), "{line}: {err}");
+        }
+        // Absent and null both mean "not given".
+        let line = r#"{"op":"release","query":"count","epsilon":null,"deadline_ms":null}"#;
+        let request = Request::from_json(&wire::parse(line).unwrap()).unwrap();
+        assert!(matches!(
+            request,
+            Request::Release {
+                epsilon: None,
+                deadline_ms: None,
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -8,46 +8,37 @@
 //! `Arc<`[`ServerState`]`>`. A connection handles any number of
 //! requests, one line-delimited JSON object each (see [`crate::wire`]).
 //!
-//! # The zero-queue fast path
+//! # One request path
 //!
-//! A release whose `(dataset, aggregate, column)` prepare is already
-//! cached skips the scheduler entirely: the connection thread reserves
-//! budget against the dataset's lock-free shard, submits its spend to
-//! the group-commit ledger, draws the Laplace sample and replies —
-//! microseconds of server work plus one *shared* fsync. Only cache-miss
-//! prepares (and requests carrying a `deadline_ms`, which opt into
-//! queue-aware shedding) are submitted to the [`Scheduler`]'s
-//! per-dataset queues and served by its worker pool, which coalesces
-//! identical queries and sheds expired deadlines (see [`crate::sched`]).
+//! A `prepare` or `release` is served on its own connection thread by
+//! one [`ServerState`] call. A cached release with no `deadline_ms` is
+//! the fast path: budget reserve, one *shared* fsync, one Laplace draw.
+//! Cache misses and requests with a deadline first take one of their
+//! dataset's permits (see [`crate::state`]).
 //!
 //! # Shutdown
 //!
 //! The `shutdown` op (or [`Server::shutdown_handle`]) flags the state as
 //! draining and wakes the acceptor with a loopback connection. The
-//! acceptor stops admitting, joins every connection worker — in-flight
-//! releases run to completion, so a drained shutdown never strands a
-//! ledgered spend that could still be delivered — and only then drains
-//! the scheduler pool.
+//! acceptor stops admitting and joins every connection worker —
+//! in-flight releases run to completion, so a drained shutdown never
+//! strands a ledgered spend that could still be delivered.
 
 use crate::obs::{Level, RegistrySnapshot, Trace, Value};
-use crate::proto::{
-    DatasetsReply, ErrorCode, MetricsReply, PreparedInfo, Request, Response, StatsReply,
-};
-use crate::sched::{JobOp, JobOutput, Scheduler, SchedulerHandle};
-use crate::state::{ServeError, ServerConfig, ServerState};
+use crate::proto::{DatasetsReply, ErrorCode, MetricsReply, Request, Response, StatsReply};
+use crate::state::{Ask, RequestCtx, ServeError, ServerConfig, ServerState};
 use crate::wire;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A bound, not-yet-running server.
 pub struct Server {
     listener: TcpListener,
     state: Arc<ServerState>,
-    sched: SchedulerHandle,
     addr: SocketAddr,
 }
 
@@ -55,8 +46,7 @@ impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
     /// builds the shared state — including the ledger replay, so a
     /// bind against an existing ledger restores every durable spend
-    /// before the first connection is admitted — plus the scheduler
-    /// worker pool.
+    /// before the first connection is admitted.
     ///
     /// # Errors
     ///
@@ -65,11 +55,9 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let state = Arc::new(ServerState::new(config)?);
-        let sched = Scheduler::start(Arc::clone(&state));
         Ok(Server {
             listener,
             state,
-            sched,
             addr,
         })
     }
@@ -84,11 +72,6 @@ impl Server {
         Arc::clone(&self.state)
     }
 
-    /// The scheduling core (tests and in-process embedding).
-    pub fn scheduler(&self) -> Arc<Scheduler> {
-        self.sched.scheduler()
-    }
-
     /// A handle that can request shutdown from another thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
         ShutdownHandle {
@@ -97,15 +80,13 @@ impl Server {
         }
     }
 
-    /// Serves until shutdown, then drains in-flight connections and the
-    /// scheduler pool.
+    /// Serves until shutdown, then drains in-flight connections.
     ///
     /// # Errors
     ///
     /// Accept-loop I/O failures (individual connection errors are
     /// contained in their workers).
-    pub fn run(mut self) -> io::Result<()> {
-        let sched = self.sched.scheduler();
+    pub fn run(self) -> io::Result<()> {
         let mut workers: Vec<JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if self.state.is_shutting_down() {
@@ -130,24 +111,20 @@ impl Server {
                 }
             };
             let state = Arc::clone(&self.state);
-            let sched = Arc::clone(&sched);
             let addr = self.addr;
             workers.push(std::thread::spawn(move || {
                 let _guard = guard;
-                if let Err(e) = serve_connection(stream, &state, &sched, addr) {
+                if let Err(e) = serve_connection(stream, &state, addr) {
                     // Client went away mid-request; nothing to clean up —
                     // budget durability was settled before any reply.
                     let _ = e;
                 }
             }));
         }
-        // Drain: every admitted connection finishes its in-flight work
-        // (the scheduler must still be running for their submits to
-        // complete), then the scheduler pool itself winds down.
+        // Drain: every admitted connection finishes its in-flight work.
         for w in workers {
             let _ = w.join();
         }
-        self.sched.drain();
         Ok(())
     }
 }
@@ -182,7 +159,6 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 fn serve_connection(
     stream: TcpStream,
     state: &Arc<ServerState>,
-    sched: &Arc<Scheduler>,
     self_addr: SocketAddr,
 ) -> io::Result<()> {
     // Idle connections wake periodically so a draining shutdown is not
@@ -231,7 +207,7 @@ fn serve_connection(
                 line.clear();
                 continue;
             }
-            Ok(text) => respond(text.trim(), state, sched, &mut reply),
+            Ok(text) => respond(text.trim(), state, &mut reply),
             Err(_) => {
                 refuse_line(state, "request line is not UTF-8".into(), &mut reply);
                 false
@@ -285,29 +261,24 @@ fn op_name(r: &Request) -> &'static str {
 }
 
 /// Composes the `metrics` scrape: the registry's live snapshot plus
-/// values computed at scrape time — scheduler counters
+/// values computed at scrape time — admission counters
 /// (`upa_sched_*`), per-dataset budget gauges
 /// (`upa_budget_epsilon_{total,spent,remaining}{dataset="…"}`), uptime,
 /// and connection/cache occupancy.
-fn scrape(state: &Arc<ServerState>, sched: &Arc<Scheduler>) -> RegistrySnapshot {
+fn scrape(state: &ServerState) -> RegistrySnapshot {
     let obs = state.obs();
     let mut snap = obs.registry().snapshot();
-    let s = sched.stats();
-    for (name, v) in [
-        ("upa_sched_submitted_total", s.submitted),
-        ("upa_sched_completed_total", s.completed),
-        ("upa_sched_prepares_total", s.prepares),
-        ("upa_sched_coalesced_total", s.coalesced),
-        ("upa_sched_shed_deadline_total", s.shed_deadline),
-        ("upa_sched_busy_rejected_total", s.busy_rejected),
-        ("upa_sched_batches_total", s.batches),
-    ] {
-        snap.counters.insert(name.to_string(), v);
+    for (name, value) in state.sched_stats().counters() {
+        // Levels and high-water marks are gauges; the rest count up.
+        if name == "queued" || name.starts_with("peak_") {
+            snap.gauges
+                .insert(format!("upa_sched_{name}"), *value as f64);
+        } else {
+            snap.counters
+                .insert(format!("upa_sched_{name}_total"), *value);
+        }
     }
     for (name, v) in [
-        ("upa_sched_queued", s.queued as f64),
-        ("upa_sched_peak_queued", s.peak_queued as f64),
-        ("upa_sched_peak_batch", s.peak_batch as f64),
         ("upa_uptime_seconds", obs.uptime_seconds()),
         ("upa_connections_active", state.active_connections() as f64),
         ("upa_prepared_cache_entries", state.prepared_len() as f64),
@@ -337,12 +308,7 @@ fn scrape(state: &Arc<ServerState>, sched: &Arc<Scheduler>) -> RegistrySnapshot 
 
 /// Dispatches one request line, appending the reply line to `reply`;
 /// returns whether the request was a shutdown.
-fn respond(
-    line: &str,
-    state: &Arc<ServerState>,
-    sched: &Arc<Scheduler>,
-    reply: &mut String,
-) -> bool {
+fn respond(line: &str, state: &ServerState, reply: &mut String) -> bool {
     let obs = Arc::clone(state.obs());
     let parsed = match wire::parse(line) {
         Ok(v) => v,
@@ -372,9 +338,8 @@ fn respond(
         Response::from(&ServeError::ShuttingDown).write_line(reply);
         return false;
     }
-    // Prepare/release — the requests that move through the scheduler —
-    // get a request ID and a trace; the scheduler and release path
-    // record their spans into it.
+    // Prepare/release get a request ID and a trace; the request path
+    // records its spans into it.
     let trace = match &request {
         Request::Prepare { dataset, .. } | Request::Release { dataset, .. } => {
             Some(Trace::new(obs.next_request_id(), op, dataset.clone()))
@@ -392,28 +357,15 @@ fn respond(
             dataset,
             query,
             column,
-        } => match sched.submit(
-            &dataset,
-            query,
-            &column,
-            JobOp::Prepare,
-            None,
-            trace.clone(),
-        ) {
-            Ok(JobOutput::Prepared {
-                query_id,
-                sample_size,
-                cached,
-            }) => Response::Prepared(PreparedInfo {
-                query_id,
-                sample_size,
-                cached,
-            }),
-            Ok(other) => Response::from(&ServeError::Pipeline(format!(
-                "scheduler returned {other:?} for a prepare"
-            ))),
-            Err(e) => Response::from(&e),
-        },
+        } => {
+            let ctx = RequestCtx {
+                trace: trace.as_ref(),
+                ..RequestCtx::default()
+            };
+            state
+                .serve(&dataset, query, &column, Ask::Prepare, &ctx)
+                .unwrap_or_else(|e| Response::from(&e))
+        }
         Request::Release {
             dataset,
             query,
@@ -422,56 +374,14 @@ fn respond(
             audit,
             deadline_ms,
         } => {
-            // Zero-queue fast path: a cached prepare means phases 1–3
-            // are paid for, so the release is served right here on the
-            // connection thread — lock-free budget reserve, group-commit
-            // fsync, one Laplace draw. Requests carrying a deadline opt
-            // into queue-aware shedding and take the scheduler instead.
-            let cached = if deadline_ms.is_none() {
-                let hit = state.cached_prepared(&dataset, query, &column);
-                if hit.is_some() {
-                    obs.m.cache_hits.inc();
-                } else {
-                    obs.m.cache_misses.inc();
-                }
-                hit
-            } else {
-                None
+            let ctx = RequestCtx {
+                trace: trace.as_ref(),
+                deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
+                want_audit: audit,
             };
-            match cached {
-                Some(prepared) => {
-                    obs.m.fastpath_hits.inc();
-                    let query_id = ServerState::query_id(&dataset, query, &column);
-                    match state.release_prepared_traced(
-                        &dataset,
-                        &query_id,
-                        &prepared,
-                        epsilon,
-                        audit,
-                        trace.as_ref(),
-                    ) {
-                        Ok(outcome) => Response::Released(Box::new(outcome)),
-                        Err(e) => Response::from(&e),
-                    }
-                }
-                None => match sched.submit(
-                    &dataset,
-                    query,
-                    &column,
-                    JobOp::Release {
-                        epsilon,
-                        want_audit: audit,
-                    },
-                    deadline_ms,
-                    trace.clone(),
-                ) {
-                    Ok(JobOutput::Released(outcome)) => Response::Released(outcome),
-                    Ok(other) => Response::from(&ServeError::Pipeline(format!(
-                        "scheduler returned {other:?} for a release"
-                    ))),
-                    Err(e) => Response::from(&e),
-                },
-            }
+            state
+                .serve(&dataset, query, &column, Ask::Release(epsilon), &ctx)
+                .unwrap_or_else(|e| Response::from(&e))
         }
         Request::Budget { dataset } => match state.budget_of(&dataset) {
             Ok(budget) => Response::Budget { dataset, budget },
@@ -484,11 +394,11 @@ fn respond(
             }
         }
         Request::Stats => Response::Stats(StatsReply {
-            sched: sched.stats(),
+            sched: state.sched_stats(),
             uptime_seconds: obs.uptime_seconds(),
             seq: obs.next_stats_seq(),
         }),
-        Request::Metrics => Response::Metrics(MetricsReply::new(scrape(state, sched))),
+        Request::Metrics => Response::Metrics(MetricsReply::new(scrape(state))),
         Request::Trace { id, last } => {
             let traces = match id {
                 Some(id) => obs.traces().find(&id).into_iter().collect(),
@@ -601,10 +511,7 @@ mod tests {
     use crate::wire::Json;
 
     struct Fixture {
-        state: Arc<ServerState>,
-        sched: Arc<Scheduler>,
-        // Keeps the worker pool alive for the test's duration.
-        _handle: SchedulerHandle,
+        state: ServerState,
     }
 
     impl Fixture {
@@ -620,18 +527,14 @@ mod tests {
         }
 
         fn with_config(config: ServerConfig) -> Fixture {
-            let state = Arc::new(ServerState::new(config).unwrap());
-            let handle = Scheduler::start(Arc::clone(&state));
             Fixture {
-                state,
-                sched: handle.scheduler(),
-                _handle: handle,
+                state: ServerState::new(config).unwrap(),
             }
         }
 
         fn respond_str(&self, line: &str) -> Json {
             let mut reply = String::new();
-            respond(line, &self.state, &self.sched, &mut reply);
+            respond(line, &self.state, &mut reply);
             wire::parse(reply.trim()).expect("reply is valid JSON")
         }
     }
@@ -665,9 +568,8 @@ mod tests {
         let s = fx.respond_str(r#"{"op":"stats"}"#);
         let sched = s.get("sched").unwrap();
         assert_eq!(sched.get("prepares").unwrap().as_u64(), Some(1));
-        // The release found the prepare's cached state at dispatch and
-        // took the zero-queue fast path — it never reached the
-        // scheduler, so nothing coalesced.
+        // The release found the prepare's cached state and took the fast
+        // path — it took no permit, so nothing coalesced.
         assert_eq!(sched.get("coalesced").unwrap().as_u64(), Some(0));
         assert_eq!(sched.get("submitted").unwrap().as_u64(), Some(1));
         let m = &fx.state.obs().m;
@@ -677,40 +579,31 @@ mod tests {
     }
 
     #[test]
-    fn deadline_releases_take_the_scheduler_even_when_cached() {
+    fn deadline_releases_take_a_permit_even_when_cached() {
         let fx = Fixture::new();
         fx.respond_str(r#"{"op":"prepare","dataset":"data","query":"sum","column":"v"}"#);
         let r = fx.respond_str(
             r#"{"op":"release","dataset":"data","query":"sum","column":"v","deadline_ms":60000}"#,
         );
         assert_eq!(r.bool_of("ok"), Some(true));
-        // A deadline opts into queue-aware shedding: the release went
-        // through the scheduler (coalescing onto the cached state), not
-        // the fast path.
+        // A deadline opts into shedding: the release took a permit
+        // (coalescing onto the cached state), not the fast path.
         assert_eq!(fx.state.obs().m.fastpath_hits.get(), 0);
         let s = fx.respond_str(r#"{"op":"stats"}"#);
         let sched = s.get("sched").unwrap();
         assert_eq!(sched.get("submitted").unwrap().as_u64(), Some(2));
         assert_eq!(sched.get("coalesced").unwrap().as_u64(), Some(1));
-    }
 
-    #[test]
-    fn fastpath_release_spends_and_draws_fresh_noise() {
-        let fx = Fixture::new();
-        fx.respond_str(r#"{"op":"prepare","dataset":"data","query":"sum","column":"v"}"#);
-        let a = fx
-            .respond_str(r#"{"op":"release","dataset":"data","query":"sum","column":"v"}"#)
-            .num_of("released")
-            .unwrap();
-        let b = fx
-            .respond_str(r#"{"op":"release","dataset":"data","query":"sum","column":"v"}"#)
-            .num_of("released")
-            .unwrap();
-        assert_ne!(a, b, "independent Laplace draws on the fast path");
-        assert_eq!(fx.state.obs().m.fastpath_hits.get(), 2);
-        // Both fast-path releases charged budget.
-        let budget = fx.respond_str(r#"{"op":"budget","dataset":"data"}"#);
-        assert!((budget.num_of("spent").unwrap() - 0.4).abs() < 1e-9);
+        // A zero deadline has lapsed by the time a permit is granted: it
+        // is shed with its own code, before any spend.
+        let shed = fx.respond_str(
+            r#"{"op":"release","dataset":"data","query":"mean","column":"v","deadline_ms":0}"#,
+        );
+        assert_eq!(shed.str_of("code"), Some("deadline"));
+        let stats = fx.state.sched_stats();
+        assert_eq!((stats.shed_deadline, stats.prepares), (1, 1));
+        assert_eq!(stats.completed, stats.submitted);
+        assert_eq!(fx.state.budget_of("data"), Ok(Some((1.0, 0.2, 0.8))));
     }
 
     #[test]
@@ -725,12 +618,28 @@ mod tests {
                 r#"{"op":"release","dataset":"x","query":"count"}"#,
                 "unknown_dataset",
             ),
+            (
+                r#"{"op":"release","query":"sum","column":"v","epsilon":-2}"#,
+                "bad_request",
+            ),
+            // Mistyped fields are refused, not served at the defaults.
+            (
+                r#"{"op":"release","query":"count","epsilon":"0.01"}"#,
+                "bad_request",
+            ),
+            (
+                r#"{"op":"release","query":"count","deadline_ms":-1}"#,
+                "bad_request",
+            ),
             (r#"{"op":"budget","dataset":"x"}"#, "unknown_dataset"),
         ] {
             let reply = fx.respond_str(line);
             assert_eq!(reply.bool_of("ok"), Some(false), "{line}");
             assert_eq!(reply.str_of("code"), Some(code), "{line}");
         }
+        // Refused before taking a permit, and nothing was charged.
+        assert_eq!(fx.state.sched_stats().submitted, 0);
+        assert_eq!(fx.state.budget_of("data"), Ok(Some((1.0, 0.0, 1.0))));
     }
 
     #[test]
@@ -792,7 +701,7 @@ mod tests {
     fn shutdown_op_flags_and_refuses_new_work() {
         let fx = Fixture::new();
         let mut reply = String::new();
-        let is_shutdown = respond(r#"{"op":"shutdown"}"#, &fx.state, &fx.sched, &mut reply);
+        let is_shutdown = respond(r#"{"op":"shutdown"}"#, &fx.state, &mut reply);
         assert!(reply.contains("\"draining\":true"));
         assert!(is_shutdown);
         fx.state.begin_shutdown();
@@ -801,5 +710,60 @@ mod tests {
         // Health checks and counters still answer while draining.
         assert_eq!(fx.respond_str(r#"{"op":"ping"}"#).bool_of("ok"), Some(true));
         assert!(fx.respond_str(r#"{"op":"stats"}"#).get("sched").is_some());
+    }
+
+    #[test]
+    fn one_datasets_flood_never_refuses_another() {
+        use crate::client::Client;
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+        // One permit and one waiter per dataset: a flood on `hot` is
+        // refused `busy`, while `cold`, asked meanwhile, is always served.
+        let datasets = vec![
+            DatasetSpec::synthetic("hot", 3_000, 11),
+            DatasetSpec::synthetic("cold", 1_500, 7),
+        ];
+        let config = ServerConfig {
+            datasets,
+            sample_size: 40,
+            threads: 2,
+            max_connections: 16,
+            max_inflight_prepares: 1,
+            queue_capacity: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind(config, "127.0.0.1:0").unwrap();
+        let (addr, handle) = (server.local_addr(), server.shutdown_handle());
+        let join = std::thread::spawn(move || server.run());
+        let give_up = Instant::now() + Duration::from_secs(60);
+        let (busy, flooding) = (AtomicU64::new(0), AtomicBool::new(true));
+        // A deadline keeps every request on the permit path, cached or not.
+        let release = |client: &mut Client, dataset: &str| {
+            client.release_with_deadline(dataset, "sum", "v", None, false, Some(60_000))
+        };
+        std::thread::scope(|s| {
+            for _ in 0..12 {
+                s.spawn(|| {
+                    let mut client = Client::connect(addr).unwrap();
+                    while flooding.load(Relaxed) && Instant::now() < give_up {
+                        if let Err(e) = release(&mut client, "hot") {
+                            assert_eq!(e.code(), Some(ErrorCode::Busy), "{e}");
+                            busy.fetch_add(1, Relaxed);
+                        }
+                    }
+                });
+            }
+            // Five `cold` releases served after `hot` first refused.
+            let mut cold = Client::connect(addr).unwrap();
+            let mut served = 0;
+            while served < 5 {
+                assert!(Instant::now() < give_up, "`hot` never refused");
+                let refusing = busy.load(Relaxed) > 0;
+                release(&mut cold, "cold").expect("a flood elsewhere never refuses `cold`");
+                served += usize::from(refusing);
+            }
+            flooding.store(false, Relaxed);
+        });
+        handle.shutdown();
+        join.join().unwrap().unwrap();
     }
 }

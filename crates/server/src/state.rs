@@ -1,7 +1,7 @@
 //! Shared serving state: datasets, engines, the prepared-query cache,
 //! the budget ledger and admission control.
 //!
-//! One [`ServerState`] is shared (via `Arc`) by every connection worker.
+//! One [`ServerState`] is shared (via `Arc`) by every connection thread.
 //! Mutability is fine-grained so independent work proceeds concurrently:
 //!
 //! * each dataset owns its [`upa_core::Upa`] engine behind its own mutex
@@ -18,18 +18,17 @@
 //!   failed fsync refunds the reservation, so an I/O failure never
 //!   leaks accounted-but-lost budget.
 //!
-//! Admission control for the query path (bounded per-dataset queues,
-//! request coalescing, deadlines) lives one layer up in
-//! [`crate::sched::Scheduler`]; this module only provides the primitive
-//! operations the scheduler composes: [`ServerState::prepare`] and
-//! [`ServerState::release_prepared`]. The connection layer additionally
-//! serves cache-hit releases directly ([`ServerState::cached_prepared`]
-//! plus [`ServerState::release_prepared_traced`]) without queueing —
-//! the zero-queue fast path.
+//! Every prepare and release runs on its caller's thread through one
+//! function, `ServerState::serve`. A release with no deadline whose
+//! prepared state is cached is drawn at once (the fast path); anything
+//! else first holds one of its dataset's permits
+//! ([`ServerConfig::max_inflight_prepares`], at most
+//! [`ServerConfig::queue_capacity`] waiting), and its prepare is
+//! single-flight per query and residency ([`ServerState::prepare`]).
 
 use crate::ledger::{spent_by_dataset, GroupCommitLedger, Ledger, LedgerObs, SpendRecord};
-use crate::obs::{Obs, Trace};
-use crate::proto::ErrorCode;
+use crate::obs::{Counter, Obs, Trace};
+use crate::proto::{ErrorCode, PreparedInfo, Response, SchedStats};
 use dataflow::columnar::{ColumnarBuf, ColumnarDataset};
 use dataflow::Context;
 use std::collections::hash_map::DefaultHasher;
@@ -37,7 +36,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 use upa_core::domain::ColumnarEmpiricalSampler;
 use upa_core::query::{Lanes, MapReduceQuery, FOLD_LANES};
@@ -279,11 +278,11 @@ pub struct ServerConfig {
     /// Maximum concurrently served connections; excess connections are
     /// refused with a `busy` error (bounded accept backlog).
     pub max_connections: usize,
-    /// Scheduler worker-pool size — the maximum concurrently *running*
-    /// prepares/releases; excess requests queue per dataset.
+    /// Permits per dataset: how many cache-miss or deadline requests may
+    /// prepare/release on one dataset at once; the rest wait.
     pub max_inflight_prepares: usize,
-    /// Bound of each dataset's scheduler queue; a request arriving at a
-    /// full queue is refused with `busy`.
+    /// How many requests may wait for one dataset's permits; one more is
+    /// refused with `busy`.
     pub queue_capacity: usize,
     /// Group-commit window in microseconds: how long the ledger's
     /// committer thread lingers for straggling submitters before the
@@ -292,7 +291,8 @@ pub struct ServerConfig {
     /// arrivals during the previous fsync).
     pub ledger_commit_us: u64,
     /// Prepared-query cache capacity; the least-recently-used entry is
-    /// evicted on overflow. `0` means unbounded.
+    /// evicted on overflow. `0` means unbounded. A cached release with
+    /// no deadline is served without a permit.
     pub cache_capacity: usize,
     /// Requests slower than this many milliseconds are logged at `warn`
     /// with their full trace (`None` disables slow-query logging).
@@ -349,11 +349,11 @@ pub enum ServeError {
     UnknownColumn { dataset: String, column: String },
     /// The request was malformed.
     BadRequest(String),
-    /// The server is at a capacity bound (connection cap, or the
-    /// dataset's scheduler queue is full).
+    /// The server is at a capacity bound (connection cap, or as many
+    /// requests as `queue_capacity` already wait for the dataset).
     Busy,
     /// The request's `deadline_ms` expired before it could be served;
-    /// it was shed from the queue without charging any budget.
+    /// it was shed without charging any budget.
     DeadlineExceeded,
     /// The server is draining for shutdown.
     ShuttingDown,
@@ -435,10 +435,10 @@ impl std::error::Error for ServeError {}
 /// The serving aggregate's prepared state (phases 1–3 of Algorithm 1).
 pub type PreparedAgg = PreparedQuery<f64, (f64, f64), f64>;
 
-/// Cache key: `(dataset, generation, aggregate, column)`. The generation
-/// names the residency a prepare scanned, so a prepare that finishes
-/// after its dataset was reloaded or detached publishes under a key no
-/// lookup builds again.
+/// Cache and in-flight key: `(dataset, generation, aggregate, column)`.
+/// The generation names the residency a prepare scans, so no caller of a
+/// new residency joins a prepare of the old one, and one that finishes
+/// after a reload or detach publishes under a key no lookup builds again.
 type QueryKey = (String, u64, AggKind, String);
 
 /// Source of [`DatasetState::generation`]s: unique per residency for
@@ -459,9 +459,29 @@ struct DatasetState {
     columns: HashMap<String, ColumnarBuf>,
     resident_bytes: usize,
     upa: Mutex<Upa>,
+    permits: Permits,
+}
+
+/// One dataset's bound on the requests past the fast path: how many
+/// hold a permit and how many wait for one.
+#[derive(Default)]
+struct Permits {
+    count: Mutex<PermitCount>,
+    freed: Condvar,
+}
+
+#[derive(Default)]
+struct PermitCount {
+    held: usize,
+    waiting: usize,
 }
 
 impl DatasetState {
+    /// This residency's cache key for one query.
+    fn key(&self, kind: AggKind, column: &str) -> QueryKey {
+        (self.name.clone(), self.generation, kind, column.to_string())
+    }
+
     /// A served dataset over `columns`, with its own engine seeded `seed`.
     fn new(
         name: &str,
@@ -484,6 +504,7 @@ impl DatasetState {
             resident_bytes: columns.len() * rows * 8,
             columns,
             upa: Mutex::new(Upa::new(ctx.clone(), upa_config)),
+            permits: Permits::default(),
         }
     }
 }
@@ -602,44 +623,102 @@ struct CacheEntry {
     last_used: u64,
 }
 
-/// The LRU-bounded prepared-query cache. The mutex guards only map
-/// lookups and recency stamps (nanoseconds of hold time); the heavy
-/// engine work happens outside it.
+/// A prepare in flight. Every caller of its key and residency shares its
+/// one engine run: `OnceLock::get_or_init` runs the first caller's
+/// prepare and blocks the rest until it returns. A run that panics
+/// leaves the cell empty, and a waiting or later caller runs its own.
+#[derive(Default)]
+struct Inflight {
+    result: OnceLock<Result<Arc<PreparedAgg>, ServeError>>,
+    /// Callers that took this slot, the one that ran it included.
+    callers: AtomicU64,
+}
+
+#[derive(Default)]
+struct Slots {
+    ready: HashMap<QueryKey, CacheEntry>,
+    inflight: HashMap<QueryKey, Arc<Inflight>>,
+}
+
+/// The LRU-bounded prepared-query cache and its in-flight slots. The
+/// mutex guards only map lookups and recency stamps (nanoseconds of hold
+/// time); the heavy engine work happens outside it.
 struct PreparedCache {
     capacity: usize,
     clock: AtomicU64,
-    entries: Mutex<HashMap<QueryKey, CacheEntry>>,
+    slots: Mutex<Slots>,
+    evictions: Arc<Counter>,
 }
 
 impl PreparedCache {
-    fn new(capacity: usize) -> PreparedCache {
+    fn new(capacity: usize, evictions: Arc<Counter>) -> PreparedCache {
         PreparedCache {
             capacity,
             clock: AtomicU64::new(0),
-            entries: Mutex::new(HashMap::new()),
+            slots: Mutex::new(Slots::default()),
+            evictions,
         }
     }
 
     fn len(&self) -> usize {
-        self.entries.lock().expect("cache poisoned").len()
+        self.slots.lock().expect("cache poisoned").ready.len()
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
     fn get(&self, key: &QueryKey) -> Option<Arc<PreparedAgg>> {
+        self.touch(&mut self.slots.lock().expect("cache poisoned"), key)
+    }
+
+    fn touch(&self, slots: &mut Slots, key: &QueryKey) -> Option<Arc<PreparedAgg>> {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut entries = self.entries.lock().expect("cache poisoned");
-        entries.get_mut(key).map(|e| {
+        slots.ready.get_mut(key).map(|e| {
             e.last_used = stamp;
             Arc::clone(&e.prepared)
         })
     }
 
-    /// Inserts (or refreshes) `key`; returns `true` when a
-    /// least-recently-used entry was evicted to make room.
-    fn insert(&self, key: QueryKey, prepared: Arc<PreparedAgg>) -> bool {
+    /// `key`'s prepared state: cached, or from the one run of `prepare`
+    /// that every concurrent caller of `key` shares. A success is cached
+    /// and a failure is not, so the next caller runs again. When this
+    /// caller ran `prepare`, also returns the run's group size: every
+    /// caller that shared it, this one included.
+    fn get_or_prepare(
+        &self,
+        key: QueryKey,
+        prepare: impl FnOnce() -> Result<Arc<PreparedAgg>, ServeError>,
+    ) -> (Result<Arc<PreparedAgg>, ServeError>, Option<u64>) {
+        let slot = {
+            let mut slots = self.slots.lock().expect("cache poisoned");
+            if let Some(prepared) = self.touch(&mut slots, &key) {
+                return (Ok(prepared), None);
+            }
+            let slot = Arc::clone(slots.inflight.entry(key.clone()).or_default());
+            slot.callers.fetch_add(1, Ordering::Relaxed);
+            slot
+        };
+        let mut ran = false;
+        let result = slot.result.get_or_init(|| {
+            ran = true;
+            prepare()
+        });
+        if !ran {
+            return (result.clone(), None);
+        }
+        // Cache the outcome and free the key in one critical section, so
+        // a later caller finds the one or can open a fresh slot.
+        let mut slots = self.slots.lock().expect("cache poisoned");
+        slots.inflight.remove(&key);
+        if let Ok(prepared) = result {
+            self.insert(&mut slots, key, Arc::clone(prepared));
+        }
+        (result.clone(), Some(slot.callers.load(Ordering::Relaxed)))
+    }
+
+    /// Inserts (or refreshes) `key`, evicting the least-recently-used
+    /// entry when the cache is full.
+    fn insert(&self, slots: &mut Slots, key: QueryKey, prepared: Arc<PreparedAgg>) {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut entries = self.entries.lock().expect("cache poisoned");
-        let mut evicted = false;
+        let entries = &mut slots.ready;
         if self.capacity > 0 && !entries.contains_key(&key) && entries.len() >= self.capacity {
             if let Some(oldest) = entries
                 .iter()
@@ -647,7 +726,7 @@ impl PreparedCache {
                 .map(|(k, _)| k.clone())
             {
                 entries.remove(&oldest);
-                evicted = true;
+                self.evictions.inc();
             }
         }
         entries.insert(
@@ -657,17 +736,17 @@ impl PreparedCache {
                 last_used: stamp,
             },
         );
-        evicted
     }
 
     /// Drops every cached prepare for `dataset` — attach (the data may
     /// have changed on disk) and detach (the data is gone) both
     /// invalidate its entries. Lookups already miss them (their
-    /// generation is gone); this frees their slots.
+    /// generation is gone); this frees their entries.
     fn purge_dataset(&self, dataset: &str) {
-        self.entries
+        self.slots
             .lock()
             .expect("cache poisoned")
+            .ready
             .retain(|key, _| key.0 != dataset);
     }
 }
@@ -687,10 +766,8 @@ pub struct ReleaseOutcome {
     pub sample_size: usize,
     /// Budget remaining after the charge (`None` when unmetered).
     pub budget_remaining: Option<f64>,
-    /// Whether the prepared state was already cached when this release
-    /// started. [`ServerState::release_prepared`] callers own the
-    /// prepare, so they stamp this themselves; the composed
-    /// [`ServerState::release`] sets it from its own cache probe.
+    /// Whether this release shared prepared state (the cache, or
+    /// another caller's in-flight prepare) instead of running its own.
     pub cached: bool,
     /// Wall-clock microseconds of the cold prepare that backed this
     /// release (`None` on a cache hit).
@@ -699,7 +776,51 @@ pub struct ReleaseOutcome {
     pub audit: Option<QueryAudit>,
 }
 
-/// The shared state behind every connection worker.
+/// What a request asks of `ServerState::serve`.
+pub(crate) enum Ask {
+    /// Phases 1–3 only.
+    Prepare,
+    /// Phases 1–4 at this ε (the configured default when `None`).
+    Release(Option<f64>),
+}
+
+/// How one request travels `ServerState::serve`.
+#[derive(Default)]
+pub(crate) struct RequestCtx<'a> {
+    /// The request's trace, when the connection opened one.
+    pub trace: Option<&'a Trace>,
+    /// Past this instant the request is shed before any spend.
+    pub deadline: Option<Instant>,
+    /// Return the release's audit record.
+    pub want_audit: bool,
+}
+
+fn expired(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() >= d)
+}
+
+/// A request admitted past the fast path. Dropping it counts the
+/// request completed, whether served, refused, shed or panicked, and
+/// gives back its permit once one was granted.
+struct Ticket<'a> {
+    state: &'a ServerState,
+    permits: Option<&'a Permits>,
+}
+
+impl Drop for Ticket<'_> {
+    fn drop(&mut self) {
+        if let Some(permits) = self.permits {
+            // A plain count is valid after any panic: recover it rather
+            // than panic inside a drop.
+            let mut count = permits.count.lock().unwrap_or_else(PoisonError::into_inner);
+            count.held -= 1;
+            permits.freed.notify_one();
+        }
+        self.state.counters().completed += 1;
+    }
+}
+
+/// The shared state behind every connection thread.
 pub struct ServerState {
     config: ServerConfig,
     ctx: Context,
@@ -726,6 +847,8 @@ pub struct ServerState {
     release_seq: AtomicUsize,
     shutting_down: AtomicBool,
     active_connections: AtomicUsize,
+    /// Counters of the requests past the fast path.
+    sched: Mutex<SchedStats>,
     obs: Arc<Obs>,
 }
 
@@ -816,7 +939,7 @@ impl ServerState {
         let state = ServerState {
             ctx,
             datasets: RwLock::new(datasets),
-            prepared: PreparedCache::new(config.cache_capacity),
+            prepared: PreparedCache::new(config.cache_capacity, Arc::clone(&obs.m.cache_evictions)),
             budgets: RwLock::new(budgets),
             catalog,
             replayed_spent: spent,
@@ -824,6 +947,7 @@ impl ServerState {
             release_seq: AtomicUsize::new(0),
             shutting_down: AtomicBool::new(false),
             active_connections: AtomicUsize::new(0),
+            sched: Mutex::default(),
             obs,
             config,
         };
@@ -861,14 +985,6 @@ impl ServerState {
             .collect();
         names.sort();
         names
-    }
-
-    /// Whether a dataset of that name is currently served.
-    pub fn has_dataset(&self, name: &str) -> bool {
-        self.datasets
-            .read()
-            .expect("datasets poisoned")
-            .contains_key(name)
     }
 
     /// Every served dataset's shape, sorted by name.
@@ -1038,6 +1154,17 @@ impl ServerState {
         self.prepared.len()
     }
 
+    /// A snapshot of the counters of the requests past the fast path.
+    pub fn sched_stats(&self) -> SchedStats {
+        self.counters().clone()
+    }
+
+    /// The counters of the requests past the fast path. Every update is
+    /// a plain field write, so a poisoned lock is recovered.
+    fn counters(&self) -> MutexGuard<'_, SchedStats> {
+        self.sched.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     // ---- shutdown & admission ------------------------------------------
 
     /// Flags the server as draining; new requests are refused.
@@ -1110,34 +1237,27 @@ impl ServerState {
     }
 
     /// The cached prepared state for `(dataset, kind, column)` over the
-    /// dataset's current residency, if any — the zero-queue fast path's
-    /// dispatch check, and the scheduler's single-flight double-check. A
-    /// hit refreshes the entry's LRU recency.
+    /// dataset's current residency, if any. A hit refreshes the entry's
+    /// LRU recency.
     pub fn cached_prepared(
         &self,
         dataset: &str,
         kind: AggKind,
         column: &str,
     ) -> Option<Arc<PreparedAgg>> {
-        let generation = self
-            .datasets
-            .read()
-            .expect("datasets poisoned")
-            .get(dataset)?
-            .generation;
-        let key: QueryKey = (dataset.to_string(), generation, kind, column.to_string());
-        self.prepared.get(&key)
+        self.prepared
+            .get(&self.dataset(dataset).ok()?.key(kind, column))
     }
 
     /// Phases 1–3: prepares (or fetches from the shared cache) the query
-    /// state. Returns `(prepared, query_id, cache_hit)`. The cache is
+    /// state. Returns `(prepared, query_id, shared)`, where `shared`
+    /// means another caller's engine run supplied it. The cache is
     /// shared across connections, so repeated releases of the same query
     /// reuse the engine work regardless of which client asked first.
     ///
-    /// Concurrent callers with the same key may both run the engine (the
-    /// cache stays consistent — last insert wins); the scheduler's
-    /// single-flight layer is what guarantees one prepare per key under
-    /// concurrency.
+    /// Single-flight: concurrent callers of one query on one residency
+    /// wait for a single engine run and share its `Arc`, or its error.
+    /// A failed run is not cached; the next caller tries again.
     ///
     /// # Errors
     ///
@@ -1153,9 +1273,9 @@ impl ServerState {
     }
 
     /// [`ServerState::prepare`] over the residency `ds`, which an attach
-    /// or detach may replace while the scan runs: the result is cached
-    /// under `ds`'s generation, where only a lookup of that same
-    /// residency can find it.
+    /// or detach may replace while the scan runs: the run is keyed by
+    /// `ds`'s generation, so only callers of that same residency join it
+    /// or find its result in the cache.
     fn prepare_in(
         &self,
         ds: &DatasetState,
@@ -1163,10 +1283,29 @@ impl ServerState {
         column: &str,
     ) -> Result<(Arc<PreparedAgg>, String, bool), ServeError> {
         let query_id = Self::query_id(&ds.name, kind, column);
-        let key: QueryKey = (ds.name.clone(), ds.generation, kind, column.to_string());
-        if let Some(p) = self.prepared.get(&key) {
-            return Ok((p, query_id, true));
+        let (result, group) = self
+            .prepared
+            .get_or_prepare(ds.key(kind, column), || self.run_prepare(ds, kind, column));
+        let ok = u64::from(result.is_ok());
+        let mut s = self.counters();
+        match group {
+            Some(size) => {
+                s.batches += 1;
+                s.peak_batch = s.peak_batch.max(size);
+                s.prepares += ok;
+            }
+            None => s.coalesced += ok,
         }
+        Ok((result?, query_id, group.is_none()))
+    }
+
+    /// One engine run of phases 1–3 over `ds`.
+    fn run_prepare(
+        &self,
+        ds: &DatasetState,
+        kind: AggKind,
+        column: &str,
+    ) -> Result<Arc<PreparedAgg>, ServeError> {
         let query = build_agg_query(kind);
         // Phases 1–3 run chunk-at-a-time over the shared buffers; the
         // domain sampler resamples straight from the same chunks.
@@ -1178,17 +1317,12 @@ impl ServerState {
         }
         let data = ColumnarDataset::new(&self.ctx, buf.clone());
         let domain = ColumnarEmpiricalSampler::new(buf);
-        let prepared = ds
-            .upa
+        ds.upa
             .lock()
             .expect("engine poisoned")
             .prepare(&data, &query, &domain)
-            .map_err(|e| ServeError::Pipeline(e.to_string()))?;
-        let prepared = Arc::new(prepared);
-        if self.prepared.insert(key, Arc::clone(&prepared)) {
-            self.obs.m.cache_evictions.inc();
-        }
-        Ok((prepared, query_id, false))
+            .map(Arc::new)
+            .map_err(|e| ServeError::Pipeline(e.to_string()))
     }
 
     /// Charges `epsilon` against `dataset`'s budget and makes the spend
@@ -1247,11 +1381,9 @@ impl ServerState {
         Ok(reserved)
     }
 
-    /// The full release path: prepare (or cache-hit), charge + fsync the
-    /// spend, then draw the noisy output. Convenience composition of
-    /// [`ServerState::prepare`] and [`ServerState::release_prepared`]
-    /// for in-process embedding; the daemon routes through the scheduler
-    /// instead so identical concurrent prepares coalesce.
+    /// The full release path for in-process embedding: prepare (or
+    /// share), charge + fsync the spend, then draw the noisy output,
+    /// exactly as a `release` request without a deadline is served.
     ///
     /// # Errors
     ///
@@ -1265,18 +1397,16 @@ impl ServerState {
         epsilon: Option<f64>,
         want_audit: bool,
     ) -> Result<ReleaseOutcome, ServeError> {
-        let epsilon = epsilon.unwrap_or(self.config.epsilon);
-        if !(epsilon.is_finite() && epsilon > 0.0) {
-            return Err(ServeError::BadRequest("epsilon must be positive".into()));
-        }
-        let prep_start = Instant::now();
-        let (prepared, query_id, cached) = self.prepare(dataset, kind, column)?;
-        let prepare_us = (!cached).then(|| prep_start.elapsed().as_micros() as u64);
-        let mut out =
-            self.release_prepared(dataset, &query_id, &prepared, Some(epsilon), want_audit)?;
-        out.cached = cached;
-        out.prepare_us = prepare_us;
-        Ok(out)
+        let ctx = RequestCtx {
+            want_audit,
+            ..RequestCtx::default()
+        };
+        let Response::Released(out) =
+            self.serve(dataset, kind, column, Ask::Release(epsilon), &ctx)?
+        else {
+            unreachable!("a release is answered with a release");
+        };
+        Ok(*out)
     }
 
     /// Phase 4 against already-prepared state: charge + fsync the spend,
@@ -1296,46 +1426,183 @@ impl ServerState {
         epsilon: Option<f64>,
         want_audit: bool,
     ) -> Result<ReleaseOutcome, ServeError> {
-        self.release_prepared_traced(dataset, query_id, prepared, epsilon, want_audit, None)
+        let epsilon = self.epsilon(epsilon)?;
+        let ctx = RequestCtx {
+            want_audit,
+            ..RequestCtx::default()
+        };
+        let ds = self.dataset(dataset)?;
+        self.draw(&ds, query_id, prepared, epsilon, &ctx)
     }
 
-    /// [`ServerState::release_prepared`] with span recording: the
-    /// ledger-fsync and noise-draw timings land in the metrics
-    /// histograms always, and as spans on `trace` when one is threaded
-    /// through — along with the engine's audit span tree, rebased under
-    /// `engine/`.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServerState::release_prepared`].
-    pub fn release_prepared_traced(
-        &self,
-        dataset: &str,
-        query_id: &str,
-        prepared: &Arc<PreparedAgg>,
-        epsilon: Option<f64>,
-        want_audit: bool,
-        trace: Option<&Trace>,
-    ) -> Result<ReleaseOutcome, ServeError> {
+    /// The ε a release charges: `epsilon`, or the configured default.
+    fn epsilon(&self, epsilon: Option<f64>) -> Result<f64, ServeError> {
         let epsilon = epsilon.unwrap_or(self.config.epsilon);
         if !(epsilon.is_finite() && epsilon > 0.0) {
             return Err(ServeError::BadRequest("epsilon must be positive".into()));
         }
-        if let Some(t) = trace {
-            t.set_query_id(query_id);
+        Ok(epsilon)
+    }
+
+    /// Serves one `prepare` or `release` request on the caller's thread.
+    /// A cached release with no deadline is drawn at once (the fast
+    /// path). Anything else holds one of the dataset's permits while it
+    /// looks up or prepares its state, then spends and draws. A deadline
+    /// bounds the wait for the permit and is checked again before the
+    /// prepare and before the spend, so a shed request is never charged.
+    ///
+    /// # Errors
+    ///
+    /// Bad ε, unknown dataset/column, `busy`, `deadline`, or any
+    /// prepare, spend or release failure.
+    pub(crate) fn serve(
+        &self,
+        dataset: &str,
+        kind: AggKind,
+        column: &str,
+        ask: Ask,
+        ctx: &RequestCtx<'_>,
+    ) -> Result<Response, ServeError> {
+        let epsilon = match ask {
+            Ask::Prepare => None,
+            Ask::Release(epsilon) => Some(self.epsilon(epsilon)?),
+        };
+        let query_id = Self::query_id(dataset, kind, column);
+        if let Some(t) = ctx.trace {
+            t.set_query_id(&query_id);
         }
-        // Hold the dataset before charging for it: a detach that lands
-        // after this point leaves the release running on this `Arc`; one
-        // that landed before fails here, with nothing spent.
         let ds = self.dataset(dataset)?;
+        let m = &self.obs.m;
+        if let (Some(epsilon), None) = (epsilon, ctx.deadline) {
+            if let Some(prepared) = self.prepared.get(&ds.key(kind, column)) {
+                m.cache_hits.inc();
+                m.fastpath_hits.inc();
+                let out = self.draw(&ds, &query_id, &prepared, epsilon, ctx)?;
+                return Ok(Response::Released(Box::new(out)));
+            }
+            m.cache_misses.inc();
+        }
+        let _ticket = self.admit(&ds, ctx)?;
+        if expired(ctx.deadline) {
+            return Err(self.shed());
+        }
+        let start = Instant::now();
+        let (prepared, _, shared) = self.prepare_in(&ds, kind, column)?;
+        let end = Instant::now();
+        let (span, took) = if shared {
+            ("coalesce_wait", &m.coalesce_wait)
+        } else {
+            ("engine_prepare", &m.engine_prepare)
+        };
+        took.record_duration(end - start);
+        if let Some(t) = ctx.trace {
+            t.span(span, start, end);
+        }
+        let Some(epsilon) = epsilon else {
+            return Ok(Response::Prepared(PreparedInfo {
+                query_id,
+                sample_size: prepared.sample_size(),
+                cached: shared,
+            }));
+        };
+        if expired(ctx.deadline) {
+            return Err(self.shed());
+        }
+        // Hold the dataset again before charging for it: a detach during
+        // the wait or the prepare is refused here, with nothing spent.
+        let ds = self.dataset(dataset)?;
+        let mut out = self.draw(&ds, &query_id, &prepared, epsilon, ctx)?;
+        out.cached = shared;
+        out.prepare_us = (!shared).then(|| (end - start).as_micros() as u64);
+        Ok(Response::Released(Box::new(out)))
+    }
+
+    /// Takes one of `ds`'s permits for a request past the fast path,
+    /// waiting at most until the request's deadline. Refuses `busy` when
+    /// every permit is held and `queue_capacity` requests already wait.
+    fn admit<'a>(
+        &'a self,
+        ds: &'a DatasetState,
+        ctx: &RequestCtx<'_>,
+    ) -> Result<Ticket<'a>, ServeError> {
+        let limit = self.config.max_inflight_prepares.max(1);
+        let arrived = Instant::now();
+        let mut count = ds.permits.count.lock().expect("permits poisoned");
+        if count.held >= limit && count.waiting >= self.config.queue_capacity.max(1) {
+            self.counters().busy_rejected += 1;
+            return Err(ServeError::Busy);
+        }
+        self.counters().submitted += 1;
+        let mut ticket = Ticket {
+            state: self,
+            permits: None,
+        };
+        if count.held >= limit {
+            count.waiting += 1;
+            let mut s = self.counters();
+            s.queued += 1;
+            s.peak_queued = s.peak_queued.max(s.queued);
+            drop(s);
+            let full = |count: &mut PermitCount| count.held >= limit;
+            let freed = &ds.permits.freed;
+            count = match ctx.deadline {
+                Some(d) => {
+                    let left = d.saturating_duration_since(Instant::now());
+                    freed
+                        .wait_timeout_while(count, left, full)
+                        .expect("permits poisoned")
+                        .0
+                }
+                None => freed.wait_while(count, full).expect("permits poisoned"),
+            };
+            count.waiting -= 1;
+            self.counters().queued -= 1;
+        }
+        if count.held < limit {
+            count.held += 1;
+            ticket.permits = Some(&ds.permits);
+        }
+        drop(count);
+        let granted = Instant::now();
+        self.obs.m.queue_wait.record_duration(granted - arrived);
+        if let Some(t) = ctx.trace {
+            t.span("queue_wait", arrived, granted);
+        }
+        match ticket.permits {
+            Some(_) => Ok(ticket),
+            // The deadline passed before a permit came free.
+            None => Err(self.shed()),
+        }
+    }
+
+    /// Counts a request shed for its deadline.
+    fn shed(&self) -> ServeError {
+        self.counters().shed_deadline += 1;
+        ServeError::DeadlineExceeded
+    }
+
+    /// Phase 4: charge + fsync the spend, then one Laplace draw from
+    /// `prepared` on `ds`'s engine. The ledger-fsync and noise-draw
+    /// timings land in the metrics histograms always, and as spans on
+    /// the request's trace when it has one, along with the engine's
+    /// audit span tree rebased under `engine/`.
+    fn draw(
+        &self,
+        ds: &DatasetState,
+        query_id: &str,
+        prepared: &PreparedAgg,
+        epsilon: f64,
+        ctx: &RequestCtx<'_>,
+    ) -> Result<ReleaseOutcome, ServeError> {
+        let trace = ctx.trace;
         let seq = self.release_seq.fetch_add(1, Ordering::SeqCst);
         // Fault points sit outside every lock so an injected panic kills
-        // only this worker, never poisons shared state.
+        // only this thread, never poisons shared state.
         if self.config.fault == ReleaseFault::BeforeLedger(seq) {
             panic!("injected fault: release {seq} dies before the ledger append");
         }
         let spend_start = Instant::now();
-        let budget_remaining = self.spend(dataset, query_id, epsilon)?;
+        let budget_remaining = self.spend(&ds.name, query_id, epsilon)?;
         if self.config.ledger_path.is_some() {
             // The spend is dominated by the ledger append + fsync; only
             // record it when a ledger is actually on the path.
@@ -1369,7 +1636,7 @@ impl ServerState {
                     t.graft_engine(a.spans_rebased("engine"));
                 }
             }
-            let audit = want_audit.then(|| {
+            let audit = ctx.want_audit.then(|| {
                 let mut audit = upa.last_audit().cloned().expect("release records an audit");
                 // The server's accountant is authoritative (the engine's
                 // own budget is unset), so stamp the remaining budget in.
@@ -1385,7 +1652,7 @@ impl ServerState {
             noise_scale: result.max_sensitivity() / epsilon,
             sample_size: result.sample_size,
             budget_remaining,
-            // Callers that ran their own (cold) prepare restamp these.
+            // A caller that ran its own (cold) prepare restamps these.
             cached: true,
             prepare_us: None,
             audit,
@@ -1452,6 +1719,8 @@ impl Drop for ConnectionGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::thread::JoinHandle;
 
     fn state_with(budget: Option<f64>, ledger: Option<PathBuf>) -> Arc<ServerState> {
         Arc::new(
@@ -1474,6 +1743,30 @@ mod tests {
         let path = dir.join(format!("{tag}_{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
         path
+    }
+
+    type Run = (Result<Arc<PreparedAgg>, ServeError>, Option<u64>);
+
+    /// Opens the in-flight run of `ds`'s `sum/v` on another thread and
+    /// holds it open until the returned sender fires.
+    fn hold_run(
+        state: &Arc<ServerState>,
+        ds: Arc<DatasetState>,
+    ) -> (mpsc::Sender<()>, JoinHandle<Run>) {
+        let (started, has_started) = mpsc::channel();
+        let (release, released) = mpsc::channel();
+        let state = Arc::clone(state);
+        let run = std::thread::spawn(move || {
+            state
+                .prepared
+                .get_or_prepare(ds.key(AggKind::Sum, "v"), || {
+                    started.send(()).unwrap();
+                    released.recv().unwrap();
+                    state.run_prepare(&ds, AggKind::Sum, "v")
+                })
+        });
+        has_started.recv().unwrap();
+        (release, run)
     }
 
     #[test]
@@ -1518,15 +1811,17 @@ mod tests {
 
     #[test]
     fn a_zero_row_dataset_prepares_to_an_error() {
-        let state = ServerState::new(ServerConfig {
-            datasets: vec![DatasetSpec::new(
-                "e",
-                0,
-                HashMap::from([("v".to_string(), vec![])]),
-            )],
-            ..ServerConfig::default()
-        })
-        .unwrap();
+        let state = Arc::new(
+            ServerState::new(ServerConfig {
+                datasets: vec![DatasetSpec::new(
+                    "e",
+                    0,
+                    HashMap::from([("v".to_string(), vec![])]),
+                )],
+                ..ServerConfig::default()
+            })
+            .unwrap(),
+        );
         for kind in [AggKind::Count, AggKind::Sum, AggKind::Mean] {
             let column = if kind == AggKind::Count { "" } else { "v" };
             let err = state.prepare("e", kind, column).unwrap_err();
@@ -1534,6 +1829,35 @@ mod tests {
             assert!(err.to_string().contains("empty"), "{err}");
         }
         assert_eq!(state.prepared_len(), 0);
+
+        // Callers joining a failing run all get its error; none is cached.
+        let ds = state.dataset("e").unwrap();
+        let key = ds.key(AggKind::Sum, "v");
+        let (release, run) = hold_run(&state, ds);
+        let followers: Vec<_> = (0..4)
+            .map(|_| {
+                let state = Arc::clone(&state);
+                std::thread::spawn(move || state.prepare("e", AggKind::Sum, "v"))
+            })
+            .collect();
+        let callers = || {
+            state.prepared.slots.lock().unwrap().inflight[&key]
+                .callers
+                .load(Ordering::Relaxed)
+        };
+        while callers() < 5 {
+            std::thread::yield_now();
+        }
+        release.send(()).unwrap();
+        let (failed, group) = run.join().unwrap();
+        let failed = failed.unwrap_err();
+        assert_eq!(group, Some(5));
+        for follower in followers {
+            assert_eq!(follower.join().unwrap().unwrap_err(), failed);
+        }
+        let runs = state.sched_stats().batches;
+        assert_eq!(state.prepare("e", AggKind::Sum, "v").unwrap_err(), failed);
+        assert_eq!(state.sched_stats().batches, runs + 1);
     }
 
     #[test]
@@ -1611,7 +1935,7 @@ mod tests {
 
     #[test]
     fn releases_reuse_prepared_state_with_fresh_noise() {
-        let state = state_with(None, None);
+        let state = state_with(Some(1.0), None);
         let before = state.ctx().metrics();
         let a = state
             .release("data", AggKind::Sum, "v", None, false)
@@ -1625,6 +1949,9 @@ mod tests {
         let delta = state.ctx().metrics().since(&mid);
         assert_eq!(delta.stages, 0, "cached release must run no engine stages");
         assert_ne!(a.released, b.released, "fresh noise per release");
+        // The cached release took the fast path, and both paid their ε.
+        assert_eq!(state.obs().m.fastpath_hits.get(), 1);
+        assert!((state.budget_of("data").unwrap().unwrap().1 - 0.8).abs() < 1e-9);
     }
 
     #[test]
@@ -1803,12 +2130,12 @@ mod tests {
         ingest_column(&dir, "live", (0..100).map(|i| (i % 7) as f64).collect());
         let state = store_state(&dir, Some(1.0), None);
         assert_eq!(state.available_datasets(), vec!["live".to_string()]);
-        assert!(!state.has_dataset("live"));
+        assert!(state.dataset("live").is_err());
 
         let out = state.attach_dataset("live").unwrap();
         assert_eq!(out.rows, 100);
         assert!(!out.reloaded, "first attach is not a reload");
-        assert!(state.has_dataset("live"));
+        assert!(state.dataset("live").is_ok());
         assert!(state.available_datasets().is_empty());
 
         state
@@ -1818,7 +2145,7 @@ mod tests {
         assert!((spent - 0.25).abs() < 1e-9);
 
         state.detach_dataset("live").unwrap();
-        assert!(!state.has_dataset("live"));
+        assert!(state.dataset("live").is_err());
         assert_eq!(
             state
                 .release("live", AggKind::Sum, "v", None, false)
@@ -1900,6 +2227,64 @@ mod tests {
     }
 
     #[test]
+    fn a_reload_never_joins_the_old_residencys_prepare() {
+        let dir = temp_store("inflight_reload");
+        ingest_column(&dir, "hot", vec![1.0; 50]);
+        let state = store_state(&dir, None, None);
+        state.attach_dataset("hot").unwrap();
+
+        // A prepare of the old residency is still running when a reload
+        // swaps the data in.
+        let (release, old_run) = hold_run(&state, state.dataset("hot").unwrap());
+        ingest_column(&dir, "hot", vec![2.0; 80]);
+        state.attach_dataset("hot").unwrap();
+        let (tx, rx) = mpsc::channel();
+        let new_request = {
+            let state = Arc::clone(&state);
+            std::thread::spawn(move || tx.send(state.prepare("hot", AggKind::Sum, "v")))
+        };
+        let fresh = rx.recv_timeout(Duration::from_secs(10));
+        release.send(()).unwrap();
+        let stale = old_run.join().unwrap().0.unwrap();
+        let _ = new_request.join().unwrap();
+        let (fresh, _, shared) = fresh
+            .expect("a request on the new residency waited on the old one's prepare")
+            .unwrap();
+        assert!(!shared, "the new residency runs its own prepare");
+        assert!(!Arc::ptr_eq(&fresh, &stale));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_prepares_of_one_key_share_one_engine_run() {
+        let state = ServerState::new(ServerConfig {
+            datasets: vec![DatasetSpec::synthetic("data", 200_000, 97)],
+            sample_size: 40,
+            threads: 2,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let barrier = std::sync::Barrier::new(8);
+        let got: Vec<_> = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        state.prepare("data", AggKind::Sum, "v").unwrap()
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        let stats = state.sched_stats();
+        assert_eq!((stats.prepares, stats.coalesced), (1, 7), "{stats:?}");
+        assert!(
+            got.iter().all(|(p, _, _)| Arc::ptr_eq(p, &got[0].0)),
+            "every caller holds the same prepared state"
+        );
+    }
+
+    #[test]
     fn attach_errors_are_clean() {
         // No store configured: attach is a store error, not a panic.
         let state = state_with(None, None);
@@ -1938,7 +2323,7 @@ mod tests {
         // Second life: the dataset is not attached at startup, but its
         // replayed spend must seed the shard on a later attach.
         let state2 = store_state(&dir, Some(1.0), Some(ledger_path.clone()));
-        assert!(!state2.has_dataset("late"));
+        assert!(state2.dataset("late").is_err());
         state2.attach_dataset("late").unwrap();
         let (total, spent, remaining) = state2.budget_of("late").unwrap().unwrap();
         assert_eq!(total, 1.0);
@@ -1967,7 +2352,7 @@ mod tests {
             })
             .unwrap(),
         );
-        assert!(state.has_dataset("boot"));
+        assert!(state.dataset("boot").is_ok());
         assert_eq!(state.dataset_infos()[0].rows, 30);
         // A bad startup attach is a constructor error, not a panic.
         let bad = ServerState::new(ServerConfig {
@@ -2019,7 +2404,7 @@ mod tests {
         assert_eq!(report.rows, 3);
         assert_eq!(report.columns, vec!["v".to_string()]);
         assert!(
-            !state.has_dataset(&report.dataset),
+            state.dataset(&report.dataset).is_err(),
             "ingest must not auto-attach"
         );
         assert_eq!(state.available_datasets(), vec![report.dataset.clone()]);
