@@ -95,8 +95,9 @@ impl DpSession {
         self.upa.last_audit()
     }
 
-    /// Audits of every successful release through this session's engine,
-    /// oldest first.
+    /// Audits of the most recent successful releases through this
+    /// session's engine, oldest first (a bounded ring, see
+    /// [`Upa::audits`]).
     pub fn audits(&self) -> &[QueryAudit] {
         self.upa.audits()
     }

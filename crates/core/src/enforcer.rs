@@ -19,10 +19,26 @@
 //!    range (Algorithm 2, lines 17–18). This clamping is what makes the
 //!    inferred sensitivity a *sound* upper bound: after clamping, no two
 //!    neighbouring outputs can differ by more than `max(Ô_f) − min(Ô_f)`.
+//!
+//! The history keeps **one entry per distinct signature**: a release whose
+//! partition outputs are bit-identical to an earlier entry's (every cached
+//! re-release of a prepared query) bumps that entry's repeat count, found
+//! through a hash of the bits, instead of pushing. In the separation loop a
+//! repeat is a no-op: the loop has already separated the query from the
+//! first occurrence, and record removal draws no randomness. There is one
+//! exception. The loop is one pass over the history, and a removal forced
+//! by a *later* prior can bring the partition outputs back within the
+//! tolerance of an earlier signature; a non-repeated prior is never
+//! re-checked in that case either, but the full history would have
+//! compared against the repeat once more (at its later position) and
+//! removed two more records. Deduplication drops that second look.
 
 use crate::output::OutputRange;
 use dataflow::SpanRecorder;
 use rand::rngs::StdRng;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// The per-query record RANGE ENFORCER keeps: the query's output on each
 /// of the two logical partitions of its input dataset.
@@ -77,7 +93,42 @@ pub struct EnforceOutcome {
 /// query answered from the protected datasets).
 #[derive(Debug, Default)]
 pub struct RangeEnforcer {
-    history: Vec<QuerySignature>,
+    /// Distinct signatures in first-recorded order — the order the
+    /// separation loop compares against.
+    history: Vec<Entry>,
+    /// Index into `history` by [`bits_digest`]. A digest shared by two
+    /// different bit patterns keeps its first entry; the second is then
+    /// appended on every record, which is the full-history behaviour: a
+    /// missed hit costs memory and comparisons, never a check.
+    index: HashMap<u64, usize>,
+    /// The entry the most recent release recorded.
+    last: Option<usize>,
+}
+
+#[derive(Debug)]
+struct Entry {
+    signature: QuerySignature,
+    /// Releases that recorded this signature.
+    repeats: usize,
+}
+
+/// A hash of the partition outputs' exact bits (lengths included).
+fn bits_digest(outputs: &[Vec<f64>; 2]) -> u64 {
+    let mut h = DefaultHasher::new();
+    for part in outputs {
+        part.len().hash(&mut h);
+        for v in part {
+            v.to_bits().hash(&mut h);
+        }
+    }
+    h.finish()
+}
+
+/// Bit-for-bit equality of two signatures' partition outputs.
+fn same_bits(a: &[Vec<f64>; 2], b: &[Vec<f64>; 2]) -> bool {
+    a.iter().zip(b).all(|(x, y)| {
+        x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+    })
 }
 
 /// Component comparison with a tight relative tolerance.
@@ -104,8 +155,15 @@ impl RangeEnforcer {
         RangeEnforcer::default()
     }
 
-    /// Number of queries recorded so far.
+    /// Number of releases recorded so far, repeats of one signature
+    /// included.
     pub fn history_len(&self) -> usize {
+        self.history.iter().map(|e| e.repeats).sum()
+    }
+
+    /// Number of distinct signatures held — the priors a new query is
+    /// compared against.
+    pub fn distinct_len(&self) -> usize {
         self.history.len()
     }
 
@@ -137,7 +195,8 @@ impl RangeEnforcer {
         // two differing partition outputs. The partition outputs only
         // change when records are removed, so they are folded once up
         // front and again after each removal — each prior costs one
-        // comparison, not a re-fold of the whole sample.
+        // comparison, not a re-fold of the whole sample. Repeats of a
+        // signature are compared once (see the module doc).
         {
             let mut scope = spans.enter("enforce");
             let mut current = state.partition_outputs();
@@ -145,7 +204,7 @@ impl RangeEnforcer {
                 loop {
                     let diff_num = current
                         .iter()
-                        .zip(prior.partition_outputs.iter())
+                        .zip(prior.signature.partition_outputs.iter())
                         .filter(|(c, p)| !vec_eq(c, p))
                         .count();
                     if diff_num >= 2 {
@@ -173,7 +232,7 @@ impl RangeEnforcer {
         }
 
         // Lines 19–21: record this query's partition outputs.
-        self.history.push(QuerySignature {
+        self.record(QuerySignature {
             partition_outputs: state.partition_outputs(),
         });
         outcome
@@ -185,22 +244,46 @@ impl RangeEnforcer {
     /// partition outputs are byte-identical to the recorded first
     /// release, so the loop in [`RangeEnforcer::enforce`] could only
     /// flag the query against its own history and mangle a legitimate
-    /// repeat. The signature is still recorded so genuinely new queries
-    /// keep being compared against every answered release.
+    /// repeat. A signature bit-identical to a held entry bumps that
+    /// entry's repeat count in O(1); any other is appended, so genuinely
+    /// new queries keep being compared against every answered release.
     pub fn record(&mut self, signature: QuerySignature) {
-        self.history.push(signature);
+        let digest = bits_digest(&signature.partition_outputs);
+        let at = match self.index.get(&digest) {
+            Some(&i)
+                if same_bits(
+                    &self.history[i].signature.partition_outputs,
+                    &signature.partition_outputs,
+                ) =>
+            {
+                self.history[i].repeats += 1;
+                i
+            }
+            _ => {
+                self.history.push(Entry {
+                    signature,
+                    repeats: 1,
+                });
+                let i = self.history.len() - 1;
+                self.index.entry(digest).or_insert(i);
+                i
+            }
+        };
+        self.last = Some(at);
     }
 
     /// The most recently recorded signature (what the release that just
-    /// ran pushed), if any.
+    /// ran recorded, repeat or not), if any.
     pub fn last_signature(&self) -> Option<&QuerySignature> {
-        self.history.last()
+        self.last.map(|i| &self.history[i].signature)
     }
 
     /// Clears the history (test/bench helper; production deployments must
     /// never clear it).
     pub fn reset(&mut self) {
         self.history.clear();
+        self.index.clear();
+        self.last = None;
     }
 }
 
@@ -441,16 +524,43 @@ mod tests {
         assert_eq!(state.calls.get(), 2 + out.removed_records / 2);
     }
 
-    /// The parent's separation loop, verbatim: partition outputs are
-    /// re-folded for every prior. The hoisted loop must match it exactly.
+    #[test]
+    fn repeats_count_without_growing_the_distinct_history() {
+        let mut enforcer = RangeEnforcer::new();
+        enforcer.record(disjoint_prior(0));
+        enforcer.record(disjoint_prior(1));
+        for _ in 0..1000 {
+            enforcer.record(disjoint_prior(0));
+        }
+        assert_eq!(enforcer.history_len(), 1002);
+        assert_eq!(enforcer.distinct_len(), 2);
+        // The last release was a repeat of the first entry, not the newest.
+        assert_eq!(enforcer.last_signature(), Some(&disjoint_prior(0)));
+        // Equal within tolerance is not bit-identical: -0.0 and 0.0 stay
+        // two entries, both compared.
+        let zero = |z: f64| QuerySignature {
+            partition_outputs: [vec![z], vec![z]],
+        };
+        enforcer.record(zero(0.0));
+        enforcer.record(zero(-0.0));
+        assert_eq!(enforcer.distinct_len(), 4);
+        enforcer.reset();
+        assert_eq!(enforcer.history_len(), 0);
+        assert_eq!(enforcer.last_signature(), None);
+    }
+
+    /// The original separation loop: partition outputs are re-folded for
+    /// every prior of the full history, repeats included. The hoisted,
+    /// deduplicated loop must match it outside the re-approach case the
+    /// module doc describes.
     fn enforce_reference<S: EnforceState>(
-        enforcer: &mut RangeEnforcer,
+        history: &mut Vec<QuerySignature>,
         state: &mut S,
         range: &OutputRange,
         rng: &mut StdRng,
     ) -> EnforceOutcome {
         let mut outcome = EnforceOutcome::default();
-        for prior in &enforcer.history {
+        for prior in history.iter() {
             loop {
                 let current = state.partition_outputs();
                 let diff_num = current
@@ -471,15 +581,66 @@ mod tests {
         let mut components = state.output_components();
         outcome.clamped = range.constrain(&mut components, rng);
         state.set_output_components(components);
-        enforcer.history.push(QuerySignature {
+        history.push(QuerySignature {
             partition_outputs: state.partition_outputs(),
         });
         outcome
     }
 
+    /// An enforcer that has recorded `history` in order.
+    fn recorded(history: &[QuerySignature]) -> RangeEnforcer {
+        let mut enforcer = RangeEnforcer::new();
+        for s in history {
+            enforcer.record(s.clone());
+        }
+        enforcer
+    }
+
+    /// `history` without bit-identical repeats, in first-occurrence order.
+    fn distinct(history: &[QuerySignature]) -> Vec<QuerySignature> {
+        let mut out: Vec<QuerySignature> = Vec::new();
+        for s in history {
+            if !out
+                .iter()
+                .any(|d| same_bits(&d.partition_outputs, &s.partition_outputs))
+            {
+                out.push(s.clone());
+            }
+        }
+        out
+    }
+
+    /// Partition outputs of a [`SumState`] over `half1`/`half2` after `j`
+    /// removals (the state pops one record from each half per removal);
+    /// `j` past the shorter half gives those of an exhausted sample.
+    fn sums_after(half1: &[f64], half2: &[f64], j: usize) -> [f64; 2] {
+        [half1, half2].map(|h| h[..h.len().saturating_sub(j)].iter().sum())
+    }
+
+    /// A prior planted against partition sums `[a, b]`: kind 0 matches
+    /// neither partition (`v` is off the integer lattice), 1 the first, 2
+    /// the second, 3 both.
+    fn plant(kind: usize, [a, b]: [f64; 2], v: i64) -> QuerySignature {
+        let v = v as f64 + 0.5;
+        QuerySignature {
+            partition_outputs: match kind {
+                0 => [vec![v], vec![-v]],
+                1 => [vec![a], vec![v]],
+                2 => [vec![v], vec![b]],
+                _ => [vec![a], vec![b]],
+            },
+        }
+    }
+
+    fn to_f64(v: Vec<i64>) -> Vec<f64> {
+        v.into_iter().map(|v| v as f64).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
+        /// Against the reference over the deduplicated history, which the
+        /// enforcer compares against, the hoisted loop matches exactly.
         #[test]
         fn hoisted_loop_matches_reference(
             half1 in prop::collection::vec(-50i64..50, 0..8),
@@ -489,42 +650,27 @@ mod tests {
             range_width in 0i64..400,
             seed in 0u64..1000,
         ) {
-            let half1: Vec<f64> = half1.into_iter().map(|v| v as f64).collect();
-            let half2: Vec<f64> = half2.into_iter().map(|v| v as f64).collect();
+            let (half1, half2) = (to_f64(half1), to_f64(half2));
             let state = SumState::new(half1.clone(), half2.clone());
-            // Partition outputs after j removals (the state pops one
-            // record from each half per removal), so planted neighbours
-            // trigger mid-history and after earlier removals; j past the
-            // shorter half plants neighbours of an exhausted sample.
-            let after = |j: usize| -> [f64; 2] {
-                [&half1, &half2].map(|h| h[..h.len().saturating_sub(j)].iter().sum())
-            };
-            let mut history = Vec::new();
-            for (kind, j, v) in priors {
-                let [a, b] = after(j);
-                let v = v as f64 + 0.5;
-                history.push(QuerySignature {
-                    partition_outputs: match kind {
-                        0 => [vec![v], vec![-v]],
-                        1 => [vec![a], vec![v]],
-                        2 => [vec![v], vec![b]],
-                        _ => [vec![a], vec![b]],
-                    },
-                });
-            }
+            // Neighbours of the state after j removals trigger mid-history
+            // and after earlier removals.
+            let history: Vec<QuerySignature> = priors
+                .into_iter()
+                .map(|(kind, j, v)| plant(kind, sums_after(&half1, &half2, j), v))
+                .collect();
             let range = OutputRange::new(vec![(
                 range_lo as f64,
                 (range_lo + range_width) as f64,
             )]);
 
-            let mut fast = RangeEnforcer { history: history.clone() };
+            let mut fast = recorded(&history);
             let mut fast_state = state.clone();
             let fast_out = fast.enforce(
                 &mut fast_state,
                 &range,
                 &mut StdRng::seed_from_u64(seed),
             );
-            let mut slow = RangeEnforcer { history };
+            let mut slow = distinct(&history);
             let mut slow_state = state;
             let slow_out = enforce_reference(
                 &mut slow,
@@ -537,7 +683,68 @@ mod tests {
                 fast_state.output_components(),
                 slow_state.output_components()
             );
-            prop_assert_eq!(fast.history, slow.history);
+            prop_assert_eq!(fast.last_signature(), slow.last());
+            prop_assert_eq!(fast.history_len(), history.len() + 1);
+        }
+
+        /// Repeats interleaved anywhere after their first occurrence give
+        /// the outcome and output of the reference over the *full*
+        /// history. The re-approach case is excluded by construction:
+        /// records are positive, so each partition sum falls strictly with
+        /// every removal until the sample is exhausted, and the distinct
+        /// priors are planted in order of the removal count they match, so
+        /// the count never climbs back to a prior compared earlier.
+        #[test]
+        fn deduplicated_history_matches_full_history_reference(
+            half1 in prop::collection::vec(1i64..50, 0..8),
+            half2 in prop::collection::vec(1i64..50, 0..8),
+            priors in prop::collection::vec((0usize..4, 0usize..5, -200i64..200), 1..12),
+            repeats in prop::collection::vec((0usize..64, 0usize..64), 0..24),
+            range_lo in -300i64..300,
+            range_width in 0i64..400,
+            seed in 0u64..1000,
+        ) {
+            let (half1, half2) = (to_f64(half1), to_f64(half2));
+            let state = SumState::new(half1.clone(), half2.clone());
+            let mut priors = priors;
+            priors.sort_by_key(|&(_, j, _)| j);
+            let mut history: Vec<QuerySignature> = priors
+                .into_iter()
+                .map(|(kind, j, v)| plant(kind, sums_after(&half1, &half2, j), v))
+                .collect();
+            for (src, dst) in repeats {
+                let src = src % history.len();
+                let dst = src + 1 + dst % (history.len() - src);
+                history.insert(dst, history[src].clone());
+            }
+            let range = OutputRange::new(vec![(
+                range_lo as f64,
+                (range_lo + range_width) as f64,
+            )]);
+
+            let mut fast = recorded(&history);
+            let mut fast_state = state.clone();
+            let fast_out = fast.enforce(
+                &mut fast_state,
+                &range,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            let mut slow = history;
+            let mut slow_state = state;
+            let slow_out = enforce_reference(
+                &mut slow,
+                &mut slow_state,
+                &range,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            prop_assert_eq!(fast_out, slow_out);
+            prop_assert_eq!(
+                fast_state.output_components(),
+                slow_state.output_components()
+            );
+            prop_assert_eq!(fast.history_len(), slow.len());
+            prop_assert_eq!(fast.distinct_len(), distinct(&slow).len());
+            prop_assert_eq!(fast.last_signature(), slow.last());
         }
     }
 }

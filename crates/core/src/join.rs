@@ -312,7 +312,7 @@ mod tests {
         let result = u.run_join(&orders, &items, &agg, &domain).unwrap();
         // Every order key in 0..30 matches exactly 20 items; keys 30..50
         // match none. So each removal output is either raw or raw − 20.
-        for &o in &result.removal_outputs {
+        for &o in result.removal_outputs.iter() {
             let delta = result.raw - o;
             assert!(
                 delta == 0.0 || delta == 20.0,
@@ -320,7 +320,7 @@ mod tests {
             );
         }
         // Additions symmetric.
-        for &o in &result.addition_outputs {
+        for &o in result.addition_outputs.iter() {
             let delta = o - result.raw;
             assert!(delta == 0.0 || delta == 20.0);
         }
@@ -336,7 +336,7 @@ mod tests {
         let domain = EmpiricalSampler::new(order_rows);
         let mut u = upa(&ctx, 32);
         let result = u.run_join(&orders, &items, &agg, &domain).unwrap();
-        for &o in &result.removal_outputs {
+        for &o in result.removal_outputs.iter() {
             let delta = result.raw - o;
             assert!(delta == 0.0 || delta == 1.0, "filter should cap influence");
         }

@@ -65,7 +65,7 @@ pub use audit::QueryAudit;
 pub use config::{UpaConfig, UpaConfigBuilder};
 pub use error::UpaError;
 pub use output::DpOutput;
-pub use pipeline::{PreparedQuery, Upa, UpaResult};
+pub use pipeline::{PreparedQuery, Upa, UpaResult, AUDIT_RING};
 
 mod config;
 mod source;

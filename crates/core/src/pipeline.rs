@@ -64,10 +64,13 @@ pub struct UpaResult<Out> {
     pub empirical_sensitivity: Vec<f64>,
     /// The enforced output range `Ô_f`.
     pub range: OutputRange,
-    /// Outputs of the query on `x − sᵢ` for each sampled record.
-    pub removal_outputs: Vec<Out>,
-    /// Outputs of the query on `x + s̄ᵢ` for each sampled addition.
-    pub addition_outputs: Vec<Out>,
+    /// Outputs of the query on `x − sᵢ` for each sampled record. Shared
+    /// with the prepared query's cached core, so a repeat release copies
+    /// none of them.
+    pub removal_outputs: Arc<[Out]>,
+    /// Outputs of the query on `x + s̄ᵢ` for each sampled addition
+    /// (shared like `removal_outputs`).
+    pub addition_outputs: Arc<[Out]>,
     /// What RANGE ENFORCER did.
     pub enforce_outcome: EnforceOutcome,
     /// Effective sample size (min of the configured `n` and `|x|`).
@@ -92,6 +95,10 @@ impl<Out: DpOutput> UpaResult<Out> {
             .fold(0.0, f64::max)
     }
 }
+
+/// How many recent audits a [`Upa`] is guaranteed to retain; it holds at
+/// most twice as many (see [`Upa::audits`]).
+pub const AUDIT_RING: usize = 1024;
 
 /// The UPA system: owns the engine handle, the RANGE ENFORCER history,
 /// the privacy-budget accountant and the RNG.
@@ -176,14 +183,33 @@ impl Upa {
         self.audits.last()
     }
 
-    /// Audit records of every successful release, in release order.
+    /// Mutable access to the most recent audit, for a frontend that
+    /// stamps its own accounting in (the server's budget lives outside
+    /// the engine).
+    pub fn last_audit_mut(&mut self) -> Option<&mut QueryAudit> {
+        self.audits.last_mut()
+    }
+
+    /// Audit records of the most recent successful releases, oldest
+    /// first. The audits form a ring: at least the last [`AUDIT_RING`]
+    /// releases are kept and at most twice that, the older half being
+    /// dropped at once when the ring is full, so a long-lived engine holds
+    /// bounded audit state.
     pub fn audits(&self) -> &[QueryAudit] {
         &self.audits
     }
 
-    /// Drops all recorded audits (long-lived sessions and benchmarks).
+    /// Drops every retained audit (long-lived sessions and benchmarks).
     pub fn clear_audits(&mut self) {
         self.audits.clear();
+    }
+
+    /// Appends a release's audit to the ring.
+    fn push_audit(&mut self, audit: QueryAudit) {
+        if self.audits.len() >= 2 * AUDIT_RING {
+            self.audits.drain(..AUDIT_RING);
+        }
+        self.audits.push(audit);
     }
 
     /// Runs a query end to end under iDP.
@@ -429,8 +455,8 @@ impl Upa {
             sensitivity: result.sensitivity.clone(),
             empirical_sensitivity: result.empirical_sensitivity.clone(),
             range: result.range.clone(),
-            removal_outputs: result.removal_outputs.clone(),
-            addition_outputs: result.addition_outputs.clone(),
+            removal_outputs: Arc::clone(&result.removal_outputs),
+            addition_outputs: Arc::clone(&result.addition_outputs),
             enforce_outcome: result.enforce_outcome,
             group_size: self.config.group_size,
             signature,
@@ -439,7 +465,8 @@ impl Upa {
     }
 
     /// The cheap repeat-release path: charge ε, draw fresh noise over the
-    /// cached enforced output, re-record the enforcer signature, audit.
+    /// cached enforced output, re-record the enforcer signature (a repeat
+    /// count bump), audit.
     /// The separation loop is deliberately skipped — the cached partition
     /// outputs are identical to the already-recorded first release, so it
     /// could only flag the query against its own history and mangle a
@@ -461,14 +488,8 @@ impl Upa {
         self.enforcer.record(core.signature.clone());
         drop(release_scope);
 
-        let mut all_spans: Vec<StageSpan> = (*prepared.spans).clone();
-        all_spans.extend(spans.spans());
-        let total_nanos = all_spans
-            .iter()
-            .filter(|s| s.depth == 0)
-            .map(|s| s.nanos)
-            .sum();
-        self.audits.push(QueryAudit {
+        let (all_spans, total_nanos) = audit_spans(&prepared.spans, &spans);
+        self.push_audit(QueryAudit {
             query: prepared.query.name().to_string(),
             epsilon: self.config.epsilon,
             budget_remaining: self.budget.as_ref().map(|b| b.remaining()),
@@ -491,8 +512,8 @@ impl Upa {
             sensitivity: core.sensitivity.clone(),
             empirical_sensitivity: core.empirical_sensitivity.clone(),
             range: core.range.clone(),
-            removal_outputs: core.removal_outputs.clone(),
-            addition_outputs: core.addition_outputs.clone(),
+            removal_outputs: Arc::clone(&core.removal_outputs),
+            addition_outputs: Arc::clone(&core.addition_outputs),
             enforce_outcome: core.enforce_outcome,
             sample_size: prepared.sample_size(),
             epsilon: self.config.epsilon,
@@ -581,7 +602,7 @@ impl Upa {
             let r_sprime = Arc::new(r_sprime);
 
             // f(x − groupᵢ): reuse R(M(S′)) + prefix/suffix.
-            let removal_outputs: Vec<Out> = {
+            let removal_outputs: Arc<[Out]> = {
                 let q = query.clone();
                 let prefix = Arc::clone(&prefix);
                 let suffix = Arc::clone(&suffix);
@@ -594,19 +615,22 @@ impl Upa {
                                 .as_ref(),
                         )
                     })
+                    .into()
             };
             // f(x + group of additions): reuse R(M(x)).
-            let addition_outputs: Vec<Out> = {
+            let addition_outputs: Arc<[Out]> = {
                 let q = query.clone();
                 let r_x = Arc::clone(&r_x);
                 let grouped_additions = Arc::new(grouped_additions);
                 let indices: Vec<usize> = (0..grouped_additions.len()).collect();
-                self.ctx.par_map(indices, move |_t, i: usize| {
-                    q.finalize(
-                        q.merge_ref(r_x.as_ref().as_ref(), Some(&grouped_additions[i]))
-                            .as_ref(),
-                    )
-                })
+                self.ctx
+                    .par_map(indices, move |_t, i: usize| {
+                        q.finalize(
+                            q.merge_ref(r_x.as_ref().as_ref(), Some(&grouped_additions[i]))
+                                .as_ref(),
+                        )
+                    })
+                    .into()
             };
             (raw, removal_outputs, addition_outputs)
         };
@@ -685,16 +709,8 @@ impl Upa {
         let released = self.draw_noise(&spans, &enforced, &sensitivity);
 
         drop(release_scope);
-        // The audit owns its span list; this is the only per-release copy
-        // of the shared preparation spans.
-        let mut all_spans: Vec<StageSpan> = (*prepare_spans).clone();
-        all_spans.extend(spans.spans());
-        let total_nanos = all_spans
-            .iter()
-            .filter(|s| s.depth == 0)
-            .map(|s| s.nanos)
-            .sum();
-        self.audits.push(QueryAudit {
+        let (all_spans, total_nanos) = audit_spans(&prepare_spans, &spans);
+        self.push_audit(QueryAudit {
             query: query.name().to_string(),
             epsilon: self.config.epsilon,
             budget_remaining: self.budget.as_ref().map(|b| b.remaining()),
@@ -781,6 +797,19 @@ impl Upa {
     }
 }
 
+/// A release's audit span list — the shared preparation spans, then the
+/// release's own — and its total over the root spans. The audit owns the
+/// list, so this is the only per-release copy of the preparation spans,
+/// sized exactly because the audit ring retains it.
+fn audit_spans(prepare: &[StageSpan], release: &SpanRecorder) -> (Vec<StageSpan>, u64) {
+    let release = release.spans();
+    let mut all = Vec::with_capacity(prepare.len() + release.len());
+    all.extend_from_slice(prepare);
+    all.extend(release);
+    let total = all.iter().filter(|s| s.depth == 0).map(|s| s.nanos).sum();
+    (all, total)
+}
+
 /// The deterministic, data-dependent core of a release — everything
 /// Algorithm 1 computes *before* the Laplace draw: neighbour outputs,
 /// the MLE sensitivity fit, and the range-enforced value. Given the same
@@ -794,15 +823,16 @@ struct ReleaseCore<Out> {
     sensitivity: Vec<f64>,
     empirical_sensitivity: Vec<f64>,
     range: OutputRange,
-    removal_outputs: Vec<Out>,
-    addition_outputs: Vec<Out>,
+    removal_outputs: Arc<[Out]>,
+    addition_outputs: Arc<[Out]>,
     enforce_outcome: EnforceOutcome,
     /// Group size the core was computed under, stamped into audits of
     /// cached releases.
     group_size: usize,
     /// The post-enforcement partition outputs the first release recorded;
-    /// every cached release re-records them so enforcer history keeps one
-    /// entry per answered release.
+    /// every cached release re-records them, which bumps the entry's
+    /// repeat count, so the enforcer counts every answered release while
+    /// holding one entry per distinct signature.
     signature: QuerySignature,
 }
 
@@ -983,7 +1013,7 @@ mod tests {
         let total: f64 = data.iter().sum();
         assert!((result.raw - total).abs() < 1e-6);
         // Each removal output must equal total − s for some record s of x.
-        for &o in &result.removal_outputs {
+        for &o in result.removal_outputs.iter() {
             let removed = total - o;
             assert!(
                 data.iter().any(|&v| (v - removed).abs() < 1e-6),
@@ -1204,7 +1234,7 @@ mod tests {
     /// Repeat releases ride the cached pre-noise core: the deterministic
     /// fit is identical, each draw is fresh, ε responds per release, and
     /// a legitimate repeat is never treated as an attack on itself —
-    /// while the enforcer still records one history entry per release.
+    /// while the enforcer still counts every release.
     #[test]
     fn cached_repeat_releases_draw_fresh_noise_without_self_attack() {
         let ctx = Context::with_threads(4);
@@ -1236,8 +1266,10 @@ mod tests {
         assert!(!r2.enforce_outcome.attack_suspected);
         assert_eq!(r2.enforce_outcome.removed_records, 0);
         assert_eq!(r3.enforce_outcome, r1.enforce_outcome);
-        // One history entry and one audit per answered release.
+        // Every answered release is counted and audited; the repeats share
+        // the first release's signature entry.
         assert_eq!(upa.enforcer().history_len(), 3);
+        assert_eq!(upa.enforcer().distinct_len(), 1);
         assert_eq!(upa.audits().len(), 3);
         let audit = upa.last_audit().unwrap();
         assert_eq!(audit.sample_size, 50);

@@ -172,8 +172,8 @@ fn reference_bits<T: Data, Acc: Data>(
 
 fn neighbour_bits(r: &UpaResult<f64>) -> Vec<u64> {
     std::iter::once(&r.raw)
-        .chain(&r.removal_outputs)
-        .chain(&r.addition_outputs)
+        .chain(r.removal_outputs.iter())
+        .chain(r.addition_outputs.iter())
         .map(|o| o.to_bits())
         .collect()
 }

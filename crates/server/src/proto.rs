@@ -131,7 +131,7 @@ pub enum Request {
     Audit {
         /// Dataset name.
         dataset: String,
-        /// How many recent audits (all when absent).
+        /// How many recent audits (every retained audit when absent).
         last: Option<u64>,
     },
     /// Admission counters (waiting requests, coalesced hits, shed

@@ -263,7 +263,9 @@ fn op_name(r: &Request) -> &'static str {
 /// Composes the `metrics` scrape: the registry's live snapshot plus
 /// values computed at scrape time — admission counters
 /// (`upa_sched_*`), per-dataset budget gauges
-/// (`upa_budget_epsilon_{total,spent,remaining}{dataset="…"}`), uptime,
+/// (`upa_budget_epsilon_{total,spent,remaining}{dataset="…"}`), the
+/// per-dataset engine state each release leaves behind
+/// (`upa_enforcer_signatures`, `upa_audit_ring_entries`), uptime,
 /// and connection/cache occupancy.
 fn scrape(state: &ServerState) -> RegistrySnapshot {
     let obs = state.obs();
@@ -291,6 +293,15 @@ fn scrape(state: &ServerState) -> RegistrySnapshot {
                 format!("upa_budget_epsilon_{what}{{dataset=\"{dataset}\"}}"),
                 v,
             );
+        }
+    }
+    for (dataset, signatures, audits) in state.retained() {
+        for (name, v) in [
+            ("upa_enforcer_signatures", signatures),
+            ("upa_audit_ring_entries", audits),
+        ] {
+            snap.gauges
+                .insert(format!("{name}{{dataset=\"{dataset}\"}}"), v as f64);
         }
     }
     if let Some(catalog) = state.catalog() {

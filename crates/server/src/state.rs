@@ -1627,22 +1627,19 @@ impl ServerState {
                 .release(prepared)
                 .map_err(|e| ServeError::Pipeline(e.to_string()))?;
             self.obs.m.noise_draw.record_duration(noise_start.elapsed());
+            let stored = upa.last_audit_mut().expect("release records an audit");
+            // The server's accountant is authoritative (the engine's own
+            // budget is unset), so stamp the remaining budget into the
+            // retained audit that the `audit` op reads back.
+            stored.budget_remaining = budget_remaining;
             if let Some(t) = trace {
                 t.span_since("noise_draw", noise_start);
                 // Graft the engine's view of this release under the
                 // server trace, whether or not the client asked for the
                 // audit payload.
-                if let Some(a) = upa.last_audit() {
-                    t.graft_engine(a.spans_rebased("engine"));
-                }
+                t.graft_engine(stored.spans_rebased("engine"));
             }
-            let audit = ctx.want_audit.then(|| {
-                let mut audit = upa.last_audit().cloned().expect("release records an audit");
-                // The server's accountant is authoritative (the engine's
-                // own budget is unset), so stamp the remaining budget in.
-                audit.budget_remaining = budget_remaining;
-                audit
-            });
+            let audit = ctx.want_audit.then(|| stored.clone());
             (result, audit)
         };
         Ok(ReleaseOutcome {
@@ -1690,7 +1687,36 @@ impl ServerState {
         out
     }
 
-    /// The dataset's most recent `last` audits, oldest first.
+    /// Every served dataset's retained engine state as `(name, distinct
+    /// enforcer signatures, retained audits)`, sorted by name — the
+    /// `metrics` op's per-dataset `upa_enforcer_signatures` and
+    /// `upa_audit_ring_entries` gauges. Takes each dataset's engine lock in
+    /// turn, so a scrape waits out a cold prepare in flight on a dataset.
+    pub fn retained(&self) -> Vec<(String, usize, usize)> {
+        let datasets: Vec<Arc<DatasetState>> = self
+            .datasets
+            .read()
+            .expect("datasets poisoned")
+            .values()
+            .cloned()
+            .collect();
+        let mut out: Vec<_> = datasets
+            .iter()
+            .map(|ds| {
+                let upa = ds.upa.lock().expect("engine poisoned");
+                (
+                    ds.name.clone(),
+                    upa.enforcer().distinct_len(),
+                    upa.audits().len(),
+                )
+            })
+            .collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    /// The dataset's most recent `last` audits, oldest first (at most the
+    /// engine's retained ring).
     ///
     /// # Errors
     ///

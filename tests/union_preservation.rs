@@ -49,7 +49,7 @@ proptest! {
         let direct: Vec<f64> = (0..values.len())
             .map(|i| total - values[i])
             .collect();
-        for o in &result.removal_outputs {
+        for o in result.removal_outputs.iter() {
             let hit = direct.iter().any(|d| (d - o).abs() < 1e-6 * total.abs().max(1.0));
             prop_assert!(hit, "removal output {o} matches no direct neighbour");
         }
@@ -79,7 +79,7 @@ proptest! {
             values.iter().enumerate().filter(|(j, _)| *j != i)
                 .map(|(_, v)| *v).fold(0.0, f64::max)
         }).collect();
-        for o in &result.removal_outputs {
+        for o in result.removal_outputs.iter() {
             prop_assert!(
                 direct.iter().any(|d| (d - o).abs() < 1e-9),
                 "max removal output {o} not reproducible"
