@@ -392,7 +392,7 @@ pub fn run_serve(args: &ServeArgs) -> Result<(), String> {
 #[derive(Debug)]
 pub struct RemoteRelease {
     /// The release reply.
-    pub reply: upa_server::ReleaseReply,
+    pub reply: upa_server::ReleaseOutcome,
     /// The budget after the release, when `--remaining` asked for it.
     pub budget: Option<upa_server::BudgetReply>,
 }
@@ -572,8 +572,9 @@ pub fn render_watch(snapshot: &upa_server::RegistrySnapshot) -> String {
 ///
 /// Connection or protocol failures, as printable messages.
 pub fn run_metrics(args: &MetricsArgs) -> Result<(), String> {
-    let mut client =
-        Client::connect(&args.addr).map_err(|e| format!("cannot connect to {}: {e}", args.addr))?;
+    let mut client = Client::builder()
+        .connect(&args.addr)
+        .map_err(|e| format!("cannot connect to {}: {e}", args.addr))?;
     if !args.watch {
         let reply = client.metrics().map_err(|e| e.to_string())?;
         if args.json {

@@ -228,7 +228,9 @@ pub fn list_store(store_dir: &Path) -> Result<String, String> {
 ///
 /// Connection or protocol failures as printable messages.
 pub fn list_remote(addr: &str) -> Result<String, String> {
-    let mut client = Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    let mut client = Client::builder()
+        .connect(addr)
+        .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     let reply = client.datasets_info().map_err(|e| e.to_string())?;
     let mut out = String::new();
     if reply.info.is_empty() {

@@ -164,17 +164,7 @@ impl QueryAudit {
             "\"spans\":[{}],",
             self.display_order()
                 .iter()
-                .map(|sp| {
-                    format!(
-                        "{{\"name\":{},\"path\":{},\"depth\":{},\"nanos\":{},\"records\":{},\"calls\":{}}}",
-                        json_str(&sp.name),
-                        json_str(&sp.path),
-                        sp.depth,
-                        sp.nanos,
-                        sp.records,
-                        sp.calls
-                    )
-                })
+                .map(|sp| span_to_json(sp))
                 .collect::<Vec<_>>()
                 .join(",")
         ));
@@ -225,21 +215,7 @@ impl QueryAudit {
             removed_records: v.get("removed_records").and_then(Json::as_u64)? as usize,
             sample_size: v.get("sample_size").and_then(Json::as_u64)? as usize,
             group_size: v.get("group_size").and_then(Json::as_u64)? as usize,
-            spans: v
-                .get("spans")?
-                .as_arr()?
-                .iter()
-                .filter_map(|sp| {
-                    Some(StageSpan {
-                        name: sp.str_of("name")?.to_string(),
-                        path: sp.str_of("path")?.to_string(),
-                        depth: sp.get("depth").and_then(Json::as_u64)? as usize,
-                        nanos: sp.get("nanos").and_then(Json::as_u64)?,
-                        records: sp.get("records").and_then(Json::as_u64)?,
-                        calls: sp.get("calls").and_then(Json::as_u64)?,
-                    })
-                })
-                .collect(),
+            spans: spans_from_json(v.get("spans")?)?,
             engine: MetricsSnapshot {
                 stages: counter("stages"),
                 tasks: counter("tasks"),
@@ -252,6 +228,38 @@ impl QueryAudit {
             total_nanos: v.get("total_nanos").and_then(Json::as_u64)?,
         })
     }
+}
+
+/// Writes one [`StageSpan`] as its six-field JSON object: the one span
+/// codec, shared by audits and the server's request traces.
+pub fn span_to_json(span: &StageSpan) -> String {
+    format!(
+        "{{\"name\":{},\"path\":{},\"depth\":{},\"nanos\":{},\"records\":{},\"calls\":{}}}",
+        json_str(&span.name),
+        json_str(&span.path),
+        span.depth,
+        span.nanos,
+        span.records,
+        span.calls
+    )
+}
+
+/// Parses a JSON array of [`span_to_json`] objects; `None` when any
+/// span is missing a field, so a truncated span never reads as zero.
+pub fn spans_from_json(v: &Json) -> Option<Vec<StageSpan>> {
+    v.as_arr()?
+        .iter()
+        .map(|sp| {
+            Some(StageSpan {
+                name: sp.str_of("name")?.to_string(),
+                path: sp.str_of("path")?.to_string(),
+                depth: sp.get("depth").and_then(Json::as_u64)? as usize,
+                nanos: sp.get("nanos").and_then(Json::as_u64)?,
+                records: sp.get("records").and_then(Json::as_u64)?,
+                calls: sp.get("calls").and_then(Json::as_u64)?,
+            })
+        })
+        .collect()
 }
 
 fn yn(b: bool) -> &'static str {

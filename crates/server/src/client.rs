@@ -1,9 +1,8 @@
 //! Protocol client: one TCP connection, typed [`Request`]/[`Response`]
 //! lines from [`crate::proto`].
 //!
-//! [`Client::connect`] gives the plain v1 behaviour; [`Client::builder`]
-//! adds connect/read timeouts and bounded jittered-backoff retry on
-//! `busy` refusals (the server sheds load by refusing, so a polite
+//! [`Client::builder`] sets connect/read timeouts and bounded
+//! jittered-backoff retry on `busy` refusals (the server sheds load by refusing, so a polite
 //! client backs off instead of hammering the accept queue).
 //!
 //! The client reconstructs [`QueryAudit`] values from the server's JSON
@@ -12,9 +11,10 @@
 //! is byte-identical whether the query ran in-process or over the wire.
 
 use crate::obs::TraceRecord;
-use crate::proto::{DatasetsReply, ErrorCode, MetricsReply, Request, Response, StatsReply};
-use crate::state::AggKind;
-use crate::state::AttachOutcome;
+use crate::proto::{
+    DatasetsReply, ErrorCode, MetricsReply, PreparedInfo, Request, Response, StatsReply,
+};
+use crate::state::{AggKind, AttachOutcome, ReleaseOutcome};
 use crate::wire;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -64,42 +64,6 @@ impl ClientError {
             _ => None,
         }
     }
-}
-
-/// A successful `release` reply.
-#[derive(Debug)]
-pub struct ReleaseReply {
-    /// Query identity (`dataset/kind/column`).
-    pub query_id: String,
-    /// The noisy value.
-    pub released: f64,
-    /// The ε charged.
-    pub epsilon: f64,
-    /// Laplace noise scale.
-    pub noise_scale: f64,
-    /// Effective sample size.
-    pub sample_size: usize,
-    /// Budget remaining (`None` when the server is unmetered).
-    pub budget_remaining: Option<f64>,
-    /// Whether the release was served from cached prepared state
-    /// (`cache: hit`) or paid a cold prepare (`cache: miss`).
-    pub cached: bool,
-    /// Microseconds of the cold prepare (`None` on a cache hit).
-    pub prepare_us: Option<u64>,
-    /// The release's audit, when requested.
-    pub audit: Option<QueryAudit>,
-}
-
-/// A successful `prepare` reply.
-#[derive(Debug)]
-pub struct PrepareReply {
-    /// Query identity.
-    pub query_id: String,
-    /// Effective sample size of the prepared state.
-    pub sample_size: usize,
-    /// Whether the server answered from shared prepared state (cache or
-    /// a coalesced in-flight prepare) instead of running the engine.
-    pub cached: bool,
 }
 
 /// A dataset's budget as reported by the server.
@@ -237,16 +201,6 @@ impl Client {
         ClientBuilder::default()
     }
 
-    /// Connects with default settings (no timeouts, no retries) — the
-    /// v1 constructor, kept as a thin shim over [`Client::builder`].
-    ///
-    /// # Errors
-    ///
-    /// Connection failures.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        Client::builder().connect(addr)
-    }
-
     fn reconnect(&mut self) -> Result<(), ClientError> {
         let (reader, writer) = open_stream(&self.addrs, &self.builder)?;
         self.reader = reader;
@@ -326,8 +280,9 @@ impl Client {
         }
     }
 
-    fn unexpected(what: &str, response: &Response) -> ClientError {
-        ClientError::Protocol(format!("expected a {what} reply, got {response:?}"))
+    fn unexpected(request: &Request, response: &Response) -> ClientError {
+        let op = request.op();
+        ClientError::Protocol(format!("expected a {op} reply, got {response:?}"))
     }
 
     fn parse_kind(query: &str) -> Result<AggKind, ClientError> {
@@ -343,15 +298,6 @@ impl Client {
         self.request(&Request::Ping).map(|_| ())
     }
 
-    /// The server's dataset names.
-    ///
-    /// # Errors
-    ///
-    /// Transport, decode, or server errors.
-    pub fn datasets(&mut self) -> Result<Vec<String>, ClientError> {
-        self.datasets_info().map(|reply| reply.names)
-    }
-
     /// The full catalog view: served dataset names, per-dataset detail,
     /// and on-disk datasets available to attach.
     ///
@@ -361,7 +307,7 @@ impl Client {
     pub fn datasets_info(&mut self) -> Result<DatasetsReply, ClientError> {
         match self.request(&Request::Datasets)? {
             Response::Datasets(reply) => Ok(reply),
-            other => Err(Self::unexpected("datasets", &other)),
+            other => Err(Self::unexpected(&Request::Datasets, &other)),
         }
     }
 
@@ -378,7 +324,7 @@ impl Client {
         };
         match self.request(&request)? {
             Response::Attached(outcome) => Ok(outcome),
-            other => Err(Self::unexpected("attach", &other)),
+            other => Err(Self::unexpected(&request, &other)),
         }
     }
 
@@ -394,7 +340,7 @@ impl Client {
         };
         match self.request(&request)? {
             Response::Detached { .. } => Ok(()),
-            other => Err(Self::unexpected("detach", &other)),
+            other => Err(Self::unexpected(&request, &other)),
         }
     }
 
@@ -416,7 +362,7 @@ impl Client {
         };
         match self.request(&request)? {
             Response::Ingested { dataset, rows, .. } => Ok((dataset, rows)),
-            other => Err(Self::unexpected("ingest", &other)),
+            other => Err(Self::unexpected(&request, &other)),
         }
     }
 
@@ -430,19 +376,15 @@ impl Client {
         dataset: &str,
         query: &str,
         column: &str,
-    ) -> Result<PrepareReply, ClientError> {
+    ) -> Result<PreparedInfo, ClientError> {
         let request = Request::Prepare {
             dataset: dataset.to_string(),
             query: Self::parse_kind(query)?,
             column: column.to_string(),
         };
         match self.request(&request)? {
-            Response::Prepared(info) => Ok(PrepareReply {
-                query_id: info.query_id,
-                sample_size: info.sample_size,
-                cached: info.cached,
-            }),
-            other => Err(Self::unexpected("prepare", &other)),
+            Response::Prepared(info) => Ok(info),
+            other => Err(Self::unexpected(&request, &other)),
         }
     }
 
@@ -459,7 +401,7 @@ impl Client {
         column: &str,
         epsilon: Option<f64>,
         want_audit: bool,
-    ) -> Result<ReleaseReply, ClientError> {
+    ) -> Result<ReleaseOutcome, ClientError> {
         self.release_with_deadline(dataset, query, column, epsilon, want_audit, None)
     }
 
@@ -478,7 +420,7 @@ impl Client {
         epsilon: Option<f64>,
         want_audit: bool,
         deadline_ms: Option<u64>,
-    ) -> Result<ReleaseReply, ClientError> {
+    ) -> Result<ReleaseOutcome, ClientError> {
         let request = Request::Release {
             dataset: dataset.to_string(),
             query: Self::parse_kind(query)?,
@@ -488,18 +430,8 @@ impl Client {
             deadline_ms,
         };
         match self.request(&request)? {
-            Response::Released(outcome) => Ok(ReleaseReply {
-                query_id: outcome.query_id,
-                released: outcome.released,
-                epsilon: outcome.epsilon,
-                noise_scale: outcome.noise_scale,
-                sample_size: outcome.sample_size,
-                budget_remaining: outcome.budget_remaining,
-                cached: outcome.cached,
-                prepare_us: outcome.prepare_us,
-                audit: outcome.audit,
-            }),
-            other => Err(Self::unexpected("release", &other)),
+            Response::Released(outcome) => Ok(*outcome),
+            other => Err(Self::unexpected(&request, &other)),
         }
     }
 
@@ -520,7 +452,7 @@ impl Client {
                     remaining,
                 }))
             }
-            other => Err(Self::unexpected("budget", &other)),
+            other => Err(Self::unexpected(&request, &other)),
         }
     }
 
@@ -540,7 +472,7 @@ impl Client {
         };
         match self.request(&request)? {
             Response::Audits { audits, .. } => Ok(audits),
-            other => Err(Self::unexpected("audit", &other)),
+            other => Err(Self::unexpected(&request, &other)),
         }
     }
 
@@ -552,7 +484,7 @@ impl Client {
     pub fn stats(&mut self) -> Result<StatsReply, ClientError> {
         match self.request(&Request::Stats)? {
             Response::Stats(stats) => Ok(stats),
-            other => Err(Self::unexpected("stats", &other)),
+            other => Err(Self::unexpected(&Request::Stats, &other)),
         }
     }
 
@@ -565,7 +497,7 @@ impl Client {
     pub fn metrics(&mut self) -> Result<MetricsReply, ClientError> {
         match self.request(&Request::Metrics)? {
             Response::Metrics(reply) => Ok(reply),
-            other => Err(Self::unexpected("metrics", &other)),
+            other => Err(Self::unexpected(&Request::Metrics, &other)),
         }
     }
 
@@ -586,7 +518,7 @@ impl Client {
         };
         match self.request(&request)? {
             Response::Traces(traces) => Ok(traces),
-            other => Err(Self::unexpected("trace", &other)),
+            other => Err(Self::unexpected(&request, &other)),
         }
     }
 
@@ -605,7 +537,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_defaults_match_the_v1_shim() {
+    fn builder_defaults_have_no_timeouts_and_no_retries() {
         let b = Client::builder();
         assert_eq!(b.retry_busy, 0);
         assert!(b.connect_timeout.is_none());

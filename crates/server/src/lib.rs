@@ -43,7 +43,7 @@ pub mod server;
 pub mod state;
 pub mod wire;
 
-pub use client::{BudgetReply, Client, ClientBuilder, ClientError, PrepareReply, ReleaseReply};
+pub use client::{BudgetReply, Client, ClientBuilder, ClientError};
 pub use ledger::{GroupCommitLedger, Ledger, LedgerObs, SpendRecord};
 pub use obs::{HistogramSnapshot, Obs, RegistrySnapshot, Trace, TraceRecord, TraceStore};
 pub use proto::{
@@ -51,6 +51,6 @@ pub use proto::{
 };
 pub use server::{Server, ShutdownHandle};
 pub use state::{
-    AggKind, AtomicBudget, AttachOutcome, DatasetInfo, DatasetSpec, ReleaseFault, ServeError,
-    ServerConfig, ServerState,
+    AggKind, AtomicBudget, AttachOutcome, DatasetInfo, DatasetSpec, ReleaseFault, ReleaseOutcome,
+    ServeError, ServerConfig, ServerState,
 };

@@ -31,13 +31,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The wire ops counted under `upa_requests_total{op=…}`; `invalid`
-/// counts lines that failed to parse into any op.
-const OPS: [&str; 14] = [
-    "ping", "datasets", "prepare", "release", "budget", "audit", "stats", "metrics", "trace",
-    "ingest", "attach", "detach", "shutdown", "invalid",
-];
-
 /// Pre-registered hot-path handles, so recording a request never takes
 /// the registry mutex.
 #[derive(Debug)]
@@ -85,8 +78,10 @@ pub struct ServerMetrics {
 
 impl ServerMetrics {
     fn new(registry: &Registry) -> ServerMetrics {
-        let requests = OPS
+        // Every wire op, plus `invalid` for lines that never became one.
+        let requests = crate::proto::Request::OPS
             .iter()
+            .chain(&["invalid"])
             .map(|op| {
                 (
                     *op,

@@ -17,6 +17,7 @@ use dataflow::StageSpan;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+use upa_core::audit::{span_to_json, spans_from_json};
 
 /// One timed stage of a request, offset from the request's start.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,17 +174,7 @@ impl TraceRecord {
         let engine = self
             .engine
             .iter()
-            .map(|s| {
-                format!(
-                    "{{\"name\":{},\"path\":{},\"depth\":{},\"nanos\":{},\"records\":{},\"calls\":{}}}",
-                    wire::json_str(&s.name),
-                    wire::json_str(&s.path),
-                    s.depth,
-                    s.nanos,
-                    s.records,
-                    s.calls
-                )
-            })
+            .map(span_to_json)
             .collect::<Vec<_>>()
             .join(",");
         format!(
@@ -212,21 +203,7 @@ impl TraceRecord {
                 })
             })
             .collect::<Option<Vec<_>>>()?;
-        let engine = v
-            .get("engine")?
-            .as_arr()?
-            .iter()
-            .map(|s| {
-                Some(StageSpan {
-                    name: s.str_of("name")?.to_string(),
-                    path: s.str_of("path")?.to_string(),
-                    depth: s.get("depth").and_then(Json::as_u64)? as usize,
-                    nanos: s.get("nanos").and_then(Json::as_u64)?,
-                    records: s.get("records").and_then(Json::as_u64)?,
-                    calls: s.get("calls").and_then(Json::as_u64)?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
+        let engine = spans_from_json(v.get("engine")?)?;
         Some(TraceRecord {
             request_id: v.str_of("request_id")?.to_string(),
             op: v.str_of("op")?.to_string(),

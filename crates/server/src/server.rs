@@ -241,25 +241,6 @@ fn refuse_line(state: &ServerState, message: String, reply: &mut String) {
     Response::from(&ServeError::BadRequest(message)).write_line(reply);
 }
 
-/// The `upa_requests_total` label for a decoded request.
-fn op_name(r: &Request) -> &'static str {
-    match r {
-        Request::Ping => "ping",
-        Request::Datasets => "datasets",
-        Request::Prepare { .. } => "prepare",
-        Request::Release { .. } => "release",
-        Request::Budget { .. } => "budget",
-        Request::Audit { .. } => "audit",
-        Request::Stats => "stats",
-        Request::Metrics => "metrics",
-        Request::Trace { .. } => "trace",
-        Request::Ingest { .. } => "ingest",
-        Request::Attach { .. } => "attach",
-        Request::Detach { .. } => "detach",
-        Request::Shutdown => "shutdown",
-    }
-}
-
 /// Composes the `metrics` scrape: the registry's live snapshot plus
 /// values computed at scrape time — admission counters
 /// (`upa_sched_*`), per-dataset budget gauges
@@ -335,7 +316,8 @@ fn respond(line: &str, state: &ServerState, reply: &mut String) -> bool {
             return false;
         }
     };
-    let op = op_name(&request);
+    let op = request.op();
+    let is_release = matches!(request, Request::Release { .. });
     obs.m.count_request(op);
     // Health checks and observability still answer while draining;
     // everything else is refused.
@@ -475,7 +457,7 @@ fn respond(line: &str, state: &ServerState, reply: &mut String) -> bool {
             _ => "ok".to_string(),
         };
         let record = t.finish(&outcome);
-        if op == "release" {
+        if is_release {
             obs.m.release_latency.record(record.total_us);
         }
         let slow = obs
@@ -754,7 +736,7 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..12 {
                 s.spawn(|| {
-                    let mut client = Client::connect(addr).unwrap();
+                    let mut client = Client::builder().connect(addr).unwrap();
                     while flooding.load(Relaxed) && Instant::now() < give_up {
                         if let Err(e) = release(&mut client, "hot") {
                             assert_eq!(e.code(), Some(ErrorCode::Busy), "{e}");
@@ -764,7 +746,7 @@ mod tests {
                 });
             }
             // Five `cold` releases served after `hot` first refused.
-            let mut cold = Client::connect(addr).unwrap();
+            let mut cold = Client::builder().connect(addr).unwrap();
             let mut served = 0;
             while served < 5 {
                 assert!(Instant::now() < give_up, "`hot` never refused");

@@ -51,7 +51,7 @@ fn scrape_exports_signatures_and_audit_ring_per_dataset() {
     let handle = server.shutdown_handle();
     let join = std::thread::spawn(move || server.run());
 
-    let mut client = Client::connect(&addr).expect("connect");
+    let mut client = Client::builder().connect(&addr).expect("connect");
     for _ in 0..3 {
         client
             .release("data", "sum", "v", None, false)
@@ -83,7 +83,7 @@ fn audit_op_reports_the_remaining_budget_of_every_release() {
     let handle = server.shutdown_handle();
     let join = std::thread::spawn(move || server.run());
 
-    let mut client = Client::connect(&addr).expect("connect");
+    let mut client = Client::builder().connect(&addr).expect("connect");
     for _ in 0..2 {
         client
             .release("data", "mean", "v", None, false)

@@ -76,7 +76,9 @@ fn store_and_in_memory_daemons_release_identical_bits() {
         "--store",
         &store.to_string_lossy(),
     ]);
-    let mut col = Client::connect(&col_addr).expect("connect store daemon");
+    let mut col = Client::builder()
+        .connect(&col_addr)
+        .expect("connect store daemon");
     let (_, rows) = col
         .ingest(&csv.to_string_lossy(), Some("metrics"))
         .expect("ingest");
@@ -91,7 +93,9 @@ fn store_and_in_memory_daemons_release_identical_bits() {
     let synthetic = format!("metrics={ROWS}:{MODULUS}");
     let (mut row_child, row_addr) =
         spawn_daemon(&["--seed", &attach_seed, "--synthetic", &synthetic]);
-    let mut row = Client::connect(&row_addr).expect("connect in-memory daemon");
+    let mut row = Client::builder()
+        .connect(&row_addr)
+        .expect("connect in-memory daemon");
 
     for (kind, column) in [("sum", "v"), ("mean", "v"), ("count", "")] {
         let a = col

@@ -72,7 +72,7 @@ fn budget_survives_sigkill_and_restart() {
     for _ in 0..2 {
         let addr = addr.clone();
         workers.push(std::thread::spawn(move || {
-            let mut client = Client::connect(&addr).expect("connect");
+            let mut client = Client::builder().connect(&addr).expect("connect");
             client
                 .release("data", "sum", "v", None, true)
                 .expect("release delivers")
@@ -102,7 +102,7 @@ fn budget_survives_sigkill_and_restart() {
 
     // Restart on the same ledger: every delivered release is accounted.
     let (mut child2, addr2) = spawn_daemon(&ledger);
-    let mut client = Client::connect(&addr2).expect("reconnect");
+    let mut client = Client::builder().connect(&addr2).expect("reconnect");
     let budget = client.budget("data").expect("budget op").expect("metered");
     assert_eq!(budget.total, 1.0);
     assert!(
@@ -164,7 +164,7 @@ fn sigkill_mid_batch_never_loses_a_delivered_release() {
 
     // Warm the prepared cache so the flood below rides the fast path
     // (connection-thread releases, group-committed spends).
-    let mut warm = Client::connect(&addr).expect("connect");
+    let mut warm = Client::builder().connect(&addr).expect("connect");
     warm.release("data", "mean", "v", None, false)
         .expect("warmup release");
     let delivered = Arc::new(AtomicU64::new(1)); // the warmup counts
@@ -176,7 +176,7 @@ fn sigkill_mid_batch_never_loses_a_delivered_release() {
         let delivered = Arc::clone(&delivered);
         let stop = Arc::clone(&stop);
         workers.push(std::thread::spawn(move || {
-            let mut client = match Client::connect(&addr) {
+            let mut client = match Client::builder().connect(&addr) {
                 Ok(c) => c,
                 Err(_) => return, // raced the kill
             };
@@ -222,7 +222,7 @@ fn sigkill_mid_batch_never_loses_a_delivered_release() {
             "3000",
         ],
     );
-    let mut client = Client::connect(&addr2).expect("reconnect");
+    let mut client = Client::builder().connect(&addr2).expect("reconnect");
     let budget = client.budget("data").expect("budget op").expect("metered");
     let floor = delivered as f64 * EPSILON;
     assert!(

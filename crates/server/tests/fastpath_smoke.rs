@@ -47,7 +47,7 @@ fn contended_fastpath_batches_fsyncs_and_skips_the_scheduler() {
     let join = std::thread::spawn(move || server.run());
 
     // Warm the cache: the one and only scheduler trip in this test.
-    let mut observer = Client::connect(&addr).expect("connect");
+    let mut observer = Client::builder().connect(&addr).expect("connect");
     observer
         .release("data", "mean", "v", None, false)
         .expect("warmup release");
@@ -58,7 +58,7 @@ fn contended_fastpath_batches_fsyncs_and_skips_the_scheduler() {
         let addr = addr.clone();
         let barrier = Arc::clone(&barrier);
         threads.push(std::thread::spawn(move || {
-            let mut client = Client::connect(&addr).expect("connect");
+            let mut client = Client::builder().connect(&addr).expect("connect");
             barrier.wait();
             for _ in 0..RELEASES_PER_CLIENT {
                 let reply = client

@@ -80,7 +80,7 @@ fn epsilon_remaining(client: &mut Client) -> f64 {
 fn served_release_yields_trace_metrics_and_log_line() {
     let ledger = temp_ledger("metrics_scrape");
     let (mut child, addr, log_lines) = spawn_daemon(&ledger);
-    let mut client = Client::connect(&addr).expect("connect");
+    let mut client = Client::builder().connect(&addr).expect("connect");
 
     let before = epsilon_remaining(&mut client);
     assert!((before - 2.0).abs() < 1e-9, "fresh budget, got {before}");

@@ -64,7 +64,7 @@ fn full_queues_refuse_busy_and_lapsed_deadlines_shed() {
             let served = Arc::clone(&served);
             let busy = Arc::clone(&busy);
             threads.push(std::thread::spawn(move || {
-                let mut client = Client::connect(&addr).expect("connect");
+                let mut client = Client::builder().connect(&addr).expect("connect");
                 for _ in 0..REQUESTS_PER_FLOODER {
                     // The deadline routes every request through the
                     // bounded queues; 60s never actually lapses.
@@ -87,7 +87,7 @@ fn full_queues_refuse_busy_and_lapsed_deadlines_shed() {
                             busy.fetch_add(1, Ordering::Relaxed);
                             // A busy refusal at admission closes the
                             // connection; reconnect for the next shot.
-                            client = Client::connect(&addr).expect("reconnect");
+                            client = Client::builder().connect(&addr).expect("reconnect");
                         }
                         Err(other) => panic!("unexpected failure under flood: {other}"),
                     }
@@ -107,7 +107,7 @@ fn full_queues_refuse_busy_and_lapsed_deadlines_shed() {
         "a 16-way flood into a 1-slot queue never saw `busy`"
     );
 
-    let mut observer = Client::connect(&addr).expect("observer");
+    let mut observer = Client::builder().connect(&addr).expect("observer");
 
     // Every accepted request was served — busy only ever replaced
     // queueing, never dropped admitted work.

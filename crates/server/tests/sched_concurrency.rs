@@ -44,7 +44,7 @@ fn identical_concurrent_queries_coalesce_to_one_prepare() {
         let addr = addr.clone();
         let barrier = Arc::clone(&barrier);
         threads.push(std::thread::spawn(move || {
-            let mut client = Client::connect(&addr).expect("connect");
+            let mut client = Client::builder().connect(&addr).expect("connect");
             barrier.wait();
             client
                 .release("data", "sum", "v", None, false)
@@ -72,7 +72,7 @@ fn identical_concurrent_queries_coalesce_to_one_prepare() {
 
     // The budget was charged once per release — coalescing shares the
     // prepare, not the spend.
-    let mut observer = Client::connect(&addr).expect("observer connect");
+    let mut observer = Client::builder().connect(&addr).expect("observer connect");
     let budget = observer.budget("data").unwrap().unwrap();
     assert!(
         (budget.spent - epsilon * CLIENTS as f64).abs() < 1e-9,

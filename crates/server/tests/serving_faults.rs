@@ -63,13 +63,13 @@ fn fault_after_ledger_spends_without_delivering() {
     });
 
     // Release 0 is healthy.
-    let mut healthy = Client::connect(&addr).unwrap();
+    let mut healthy = Client::builder().connect(&addr).unwrap();
     let first = healthy.release("data", "sum", "v", None, false).unwrap();
     assert!((first.budget_remaining.unwrap() - 0.8).abs() < 1e-9);
 
     // Release 1 dies after its spend is durable: the worker panics, the
     // connection drops, and the client never sees a result.
-    let mut doomed = Client::connect(&addr).unwrap();
+    let mut doomed = Client::builder().connect(&addr).unwrap();
     let err = doomed.release("data", "sum", "v", None, false).unwrap_err();
     assert!(
         matches!(err, ClientError::Protocol(_) | ClientError::Io(_)),
@@ -86,7 +86,7 @@ fn fault_after_ledger_spends_without_delivering() {
         ledger_path: Some(path.clone()),
         ..base_config()
     });
-    let mut after = Client::connect(&addr2).unwrap();
+    let mut after = Client::builder().connect(&addr2).unwrap();
     let budget = after.budget("data").unwrap().unwrap();
     assert!(
         (budget.spent - 0.4).abs() < 1e-9,
@@ -107,7 +107,7 @@ fn fault_before_ledger_neither_spends_nor_delivers() {
     });
 
     // Release 0 dies before any spend reaches the ledger.
-    let mut doomed = Client::connect(&addr).unwrap();
+    let mut doomed = Client::builder().connect(&addr).unwrap();
     let err = doomed
         .release("data", "mean", "v", None, false)
         .unwrap_err();
@@ -116,7 +116,7 @@ fn fault_before_ledger_neither_spends_nor_delivers() {
 
     // The server survives its worker's death; the next release works and
     // pays the full budget (nothing was leaked to the faulted attempt).
-    let mut next = Client::connect(&addr).unwrap();
+    let mut next = Client::builder().connect(&addr).unwrap();
     let out = next.release("data", "mean", "v", None, false).unwrap();
     assert!((out.budget_remaining.unwrap() - 0.8).abs() < 1e-9);
     assert_eq!(ledger_lines(&path), 1);
@@ -137,7 +137,7 @@ fn release_from_a_zero_row_dataset_is_an_error_reply() {
         datasets: vec![empty],
         ..base_config()
     });
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = Client::builder().connect(&addr).unwrap();
     for query in ["count", "sum", "mean"] {
         let column = if query == "count" { "" } else { "v" };
         match client.release("e", query, column, None, false).unwrap_err() {
@@ -158,11 +158,11 @@ fn release_from_a_zero_row_dataset_is_an_error_reply() {
 #[test]
 fn prepared_cache_is_shared_across_connections() {
     let (addr, handle, join) = start(base_config());
-    let mut a = Client::connect(&addr).unwrap();
+    let mut a = Client::builder().connect(&addr).unwrap();
     let first = a.prepare("data", "sum", "v").unwrap();
     assert!(!first.cached, "first prepare runs the engine");
 
-    let mut b = Client::connect(&addr).unwrap();
+    let mut b = Client::builder().connect(&addr).unwrap();
     let second = b.prepare("data", "sum", "v").unwrap();
     assert!(
         second.cached,
@@ -181,10 +181,10 @@ fn connections_beyond_the_cap_are_refused_busy() {
         max_connections: 1,
         ..base_config()
     });
-    let mut admitted = Client::connect(&addr).unwrap();
+    let mut admitted = Client::builder().connect(&addr).unwrap();
     admitted.ping().unwrap(); // ensure the slot is taken before racing
 
-    let mut refused = Client::connect(&addr).unwrap();
+    let mut refused = Client::builder().connect(&addr).unwrap();
     match refused.ping().unwrap_err() {
         ClientError::Server { code, .. } => assert_eq!(code, ErrorCode::Busy),
         other => panic!("expected a busy refusal, got {other}"),
@@ -194,7 +194,7 @@ fn connections_beyond_the_cap_are_refused_busy() {
     drop(admitted);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     loop {
-        let mut retry = Client::connect(&addr).unwrap();
+        let mut retry = Client::builder().connect(&addr).unwrap();
         match retry.ping() {
             Ok(()) => break,
             Err(_) if std::time::Instant::now() < deadline => {
@@ -211,13 +211,13 @@ fn connections_beyond_the_cap_are_refused_busy() {
 #[test]
 fn shutdown_drains_and_stops_accepting() {
     let (addr, _handle, join) = start(base_config());
-    let mut active = Client::connect(&addr).unwrap();
+    let mut active = Client::builder().connect(&addr).unwrap();
     // Real work before the drain: the release must complete and the
     // server must answer it even though a shutdown follows immediately.
     let out = active.release("data", "count", "", None, false).unwrap();
     assert!(out.released.is_finite());
 
-    let mut stopper = Client::connect(&addr).unwrap();
+    let mut stopper = Client::builder().connect(&addr).unwrap();
     stopper.shutdown().unwrap();
 
     // The accept loop exits and every worker is joined.
@@ -225,8 +225,8 @@ fn shutdown_drains_and_stops_accepting() {
 
     // New connections are refused outright (the listener is gone).
     assert!(
-        Client::connect(&addr).is_err() || {
-            let mut c = Client::connect(&addr).unwrap();
+        Client::builder().connect(&addr).is_err() || {
+            let mut c = Client::builder().connect(&addr).unwrap();
             c.ping().is_err()
         }
     );
@@ -283,7 +283,7 @@ fn deeply_nested_lines_are_bad_requests_not_stack_overflows() {
     line.push(b'\n');
     let (reply, _) = raw_exchange(&addr, &line, false);
     assert_bad_request(&reply, "longer than 65536 bytes");
-    Client::connect(&addr).unwrap().ping().unwrap();
+    Client::builder().connect(&addr).unwrap().ping().unwrap();
 
     handle.shutdown();
     join.join().unwrap().unwrap();
@@ -304,7 +304,7 @@ fn unterminated_megabyte_line_is_refused_and_disconnected() {
     assert_bad_request(&reply, "longer than 65536 bytes");
 
     // The daemon is alive and no budget moved.
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = Client::builder().connect(&addr).unwrap();
     client.ping().unwrap();
     let budget = client.budget("data").unwrap().unwrap();
     assert_eq!(budget.spent, 0.0);

@@ -67,7 +67,7 @@ fn ingest_attach_detach_reattach_preserves_spent_epsilon() {
 
     // The daemon starts with an EMPTY store — that must be valid.
     let (mut child, addr) = spawn_daemon(&store, &ledger, &[]);
-    let mut client = Client::connect(&addr).expect("connect");
+    let mut client = Client::builder().connect(&addr).expect("connect");
     let reply = client.datasets_info().expect("datasets");
     assert!(reply.names.is_empty(), "daemon starts with no datasets");
     assert!(reply.available.is_empty(), "store starts empty");
@@ -124,7 +124,7 @@ fn ingest_attach_detach_reattach_preserves_spent_epsilon() {
 
     // Restart with --attach: the ledger replay must seed the shard.
     let (mut child, addr) = spawn_daemon(&store, &ledger, &["--attach", "trips"]);
-    let mut client = Client::connect(&addr).expect("reconnect");
+    let mut client = Client::builder().connect(&addr).expect("reconnect");
     let reply = client.datasets_info().unwrap();
     assert_eq!(reply.names, vec!["trips".to_string()]);
     assert_eq!(reply.info[0].rows, 3_000);
@@ -163,7 +163,7 @@ fn admin_ops_refuse_without_allow_admin() {
         .unwrap()
         .to_string();
 
-    let mut client = Client::connect(&addr).expect("connect");
+    let mut client = Client::builder().connect(&addr).expect("connect");
     let err = client.attach("anything").unwrap_err();
     assert_eq!(err.code(), Some(ErrorCode::Admin));
     let err = client.detach("data").unwrap_err();
