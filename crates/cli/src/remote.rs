@@ -13,6 +13,7 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use upa_server::wire::Body;
 use upa_server::{Client, DatasetSpec, Server, ServerConfig};
 use upa_store::csv;
 

@@ -11,11 +11,11 @@
 //!
 //! The record is retrievable from [`crate::Upa::last_audit`] /
 //! [`crate::api::DpSession::last_audit`], rendered by `upa-cli --stats`,
-//! and travels as JSON ([`QueryAudit::to_json`] /
-//! [`QueryAudit::from_json`]) in the serving protocol's `audit` replies.
+//! and travels as JSON (its rows below, through the `upa-json` codec) in
+//! the serving protocol's `audit` replies.
 
 use dataflow::{MetricsSnapshot, StageSpan};
-use upa_json::{json_num, json_str, Json};
+use upa_json::{put_list, put_name, take, Json, Via};
 
 /// The audit record of one released query.
 #[derive(Debug, Clone)]
@@ -69,26 +69,6 @@ impl QueryAudit {
         self.spans.iter().map(|s| s.rebased(prefix)).collect()
     }
 
-    /// The spans reordered depth-first, parents before children, for
-    /// display. Recorded order is completion order (children first).
-    fn display_order(&self) -> Vec<&StageSpan> {
-        fn emit<'a>(span: &'a StageSpan, all: &'a [StageSpan], out: &mut Vec<&'a StageSpan>) {
-            out.push(span);
-            let prefix = format!("{}/", span.path);
-            for child in all
-                .iter()
-                .filter(|c| c.depth == span.depth + 1 && c.path.starts_with(&prefix))
-            {
-                emit(child, all, out);
-            }
-        }
-        let mut out = Vec::new();
-        for root in self.spans.iter().filter(|s| s.depth == 0) {
-            emit(root, &self.spans, &mut out);
-        }
-        out
-    }
-
     /// Renders the audit as an `EXPLAIN ANALYZE`-style report.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -112,7 +92,7 @@ impl QueryAudit {
             None => out.push_str("  budget remaining: (no accountant)\n"),
         }
         out.push_str("  stages:\n");
-        for span in self.display_order() {
+        for span in display_order(&self.spans) {
             let indent = "  ".repeat(span.depth + 2);
             let mut line = format!("{indent}{:<24}{:>12}", span.name, fmt_ms(span.nanos));
             if span.records > 0 {
@@ -127,139 +107,57 @@ impl QueryAudit {
         out.push_str(&format!("  engine: {}\n", self.engine));
         out
     }
+}
 
-    /// Serialises the audit as a JSON object (hand-rolled; this workspace
-    /// deliberately has no serde dependency).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!("\"query\":{},", json_str(&self.query)));
-        s.push_str(&format!("\"epsilon\":{},", json_num(self.epsilon)));
-        match self.budget_remaining {
-            Some(rem) => s.push_str(&format!("\"budget_remaining\":{},", json_num(rem))),
-            None => s.push_str("\"budget_remaining\":null,"),
+upa_json::body! {
+    QueryAudit {
+        query,
+        epsilon,
+        budget_remaining,
+        sensitivity,
+        range,
+        clamped,
+        attack_detected,
+        removed_records,
+        sample_size,
+        group_size,
+        total_nanos,
+        spans [via DisplayOrder],
+        engine,
+    }
+}
+
+/// The spans row: written in display order, read back as written.
+struct DisplayOrder;
+
+impl Via<Vec<StageSpan>> for DisplayOrder {
+    fn put(out: &mut String, name: &str, spans: &Vec<StageSpan>) {
+        put_name(out, name);
+        put_list(out, display_order(spans));
+    }
+    fn take(v: &Json, name: &str) -> Result<Vec<StageSpan>, String> {
+        take(v, name)
+    }
+}
+
+/// The spans reordered depth-first, parents before children, for
+/// display. Recorded order is completion order (children first).
+fn display_order(spans: &[StageSpan]) -> Vec<&StageSpan> {
+    fn emit<'a>(span: &'a StageSpan, all: &'a [StageSpan], out: &mut Vec<&'a StageSpan>) {
+        out.push(span);
+        let prefix = format!("{}/", span.path);
+        for child in all
+            .iter()
+            .filter(|c| c.depth == span.depth + 1 && c.path.starts_with(&prefix))
+        {
+            emit(child, all, out);
         }
-        s.push_str(&format!(
-            "\"sensitivity\":[{}],",
-            self.sensitivity
-                .iter()
-                .map(|v| json_num(*v))
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
-        s.push_str(&format!(
-            "\"range\":[{}],",
-            self.range
-                .iter()
-                .map(|(lo, hi)| format!("[{},{}]", json_num(*lo), json_num(*hi)))
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
-        s.push_str(&format!("\"clamped\":{},", self.clamped));
-        s.push_str(&format!("\"attack_detected\":{},", self.attack_detected));
-        s.push_str(&format!("\"removed_records\":{},", self.removed_records));
-        s.push_str(&format!("\"sample_size\":{},", self.sample_size));
-        s.push_str(&format!("\"group_size\":{},", self.group_size));
-        s.push_str(&format!("\"total_nanos\":{},", self.total_nanos));
-        s.push_str(&format!(
-            "\"spans\":[{}],",
-            self.display_order()
-                .iter()
-                .map(|sp| span_to_json(sp))
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
-        s.push_str(&format!(
-            "\"engine\":{{\"stages\":{},\"tasks\":{},\"task_retries\":{},\"shuffles\":{},\"shuffle_records\":{},\"shuffle_bytes\":{},\"records_processed\":{}}}",
-            self.engine.stages,
-            self.engine.tasks,
-            self.engine.task_retries,
-            self.engine.shuffles,
-            self.engine.shuffle_records,
-            self.engine.shuffle_bytes,
-            self.engine.records_processed
-        ));
-        s.push('}');
-        s
     }
-
-    /// Reconstructs an audit from its [`QueryAudit::to_json`] form.
-    /// Returns `None` when required fields are missing, so a truncated or
-    /// foreign object never silently becomes a zeroed audit.
-    pub fn from_json(v: &Json) -> Option<QueryAudit> {
-        let engine = v.get("engine")?;
-        let counter = |name: &str| engine.get(name).and_then(Json::as_u64).unwrap_or(0);
-        // `json_num` writes non-finite floats as null; map them back to NaN
-        // rather than inventing a finite value.
-        let num_or_nan = |field: &Json| field.as_f64().unwrap_or(f64::NAN);
-        Some(QueryAudit {
-            query: v.str_of("query")?.to_string(),
-            epsilon: v.num_of("epsilon")?,
-            budget_remaining: v.num_of("budget_remaining"),
-            sensitivity: v
-                .get("sensitivity")?
-                .as_arr()?
-                .iter()
-                .map(num_or_nan)
-                .collect(),
-            range: v
-                .get("range")?
-                .as_arr()?
-                .iter()
-                .filter_map(|pair| {
-                    let pair = pair.as_arr()?;
-                    Some((num_or_nan(pair.first()?), num_or_nan(pair.get(1)?)))
-                })
-                .collect(),
-            clamped: v.bool_of("clamped")?,
-            attack_detected: v.bool_of("attack_detected")?,
-            removed_records: v.get("removed_records").and_then(Json::as_u64)? as usize,
-            sample_size: v.get("sample_size").and_then(Json::as_u64)? as usize,
-            group_size: v.get("group_size").and_then(Json::as_u64)? as usize,
-            spans: spans_from_json(v.get("spans")?)?,
-            engine: MetricsSnapshot {
-                stages: counter("stages"),
-                tasks: counter("tasks"),
-                task_retries: counter("task_retries"),
-                shuffles: counter("shuffles"),
-                shuffle_records: counter("shuffle_records"),
-                shuffle_bytes: counter("shuffle_bytes"),
-                records_processed: counter("records_processed"),
-            },
-            total_nanos: v.get("total_nanos").and_then(Json::as_u64)?,
-        })
+    let mut out = Vec::new();
+    for root in spans.iter().filter(|s| s.depth == 0) {
+        emit(root, spans, &mut out);
     }
-}
-
-/// Writes one [`StageSpan`] as its six-field JSON object: the one span
-/// codec, shared by audits and the server's request traces.
-pub fn span_to_json(span: &StageSpan) -> String {
-    format!(
-        "{{\"name\":{},\"path\":{},\"depth\":{},\"nanos\":{},\"records\":{},\"calls\":{}}}",
-        json_str(&span.name),
-        json_str(&span.path),
-        span.depth,
-        span.nanos,
-        span.records,
-        span.calls
-    )
-}
-
-/// Parses a JSON array of [`span_to_json`] objects; `None` when any
-/// span is missing a field, so a truncated span never reads as zero.
-pub fn spans_from_json(v: &Json) -> Option<Vec<StageSpan>> {
-    v.as_arr()?
-        .iter()
-        .map(|sp| {
-            Some(StageSpan {
-                name: sp.str_of("name")?.to_string(),
-                path: sp.str_of("path")?.to_string(),
-                depth: sp.get("depth").and_then(Json::as_u64)? as usize,
-                nanos: sp.get("nanos").and_then(Json::as_u64)?,
-                records: sp.get("records").and_then(Json::as_u64)?,
-                calls: sp.get("calls").and_then(Json::as_u64)?,
-            })
-        })
-        .collect()
+    out
 }
 
 fn yn(b: bool) -> &'static str {
@@ -277,6 +175,7 @@ fn fmt_ms(nanos: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use upa_json::Body;
 
     fn span(name: &str, path: &str, depth: usize, nanos: u64) -> StageSpan {
         StageSpan {
@@ -381,7 +280,7 @@ mod tests {
         original.spans[0].records = 200;
         original.spans[0].calls = 2;
         let parsed = upa_json::parse(&original.to_json()).expect("to_json parses");
-        let rebuilt = QueryAudit::from_json(&parsed).expect("audit reconstructs");
+        let rebuilt = QueryAudit::take_fields(&parsed).expect("audit reconstructs");
         // The shared renderer is the contract: remote audits must render
         // identically to local ones.
         assert_eq!(rebuilt.render(), original.render());
@@ -398,6 +297,7 @@ mod tests {
     #[test]
     fn truncated_json_is_rejected_not_zeroed() {
         let parsed = upa_json::parse(r#"{"query":"count","epsilon":0.1}"#).unwrap();
-        assert!(QueryAudit::from_json(&parsed).is_none());
+        let err = QueryAudit::take_fields(&parsed).unwrap_err();
+        assert!(err.contains("'budget_remaining'"), "{err}");
     }
 }

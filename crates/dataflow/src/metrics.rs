@@ -162,6 +162,21 @@ impl MetricsSnapshot {
     }
 }
 
+// The wire rows of the engine counters and of one stage span: the one
+// codec audits and request traces both carry.
+upa_json::body! {
+    MetricsSnapshot {
+        stages,
+        tasks,
+        task_retries,
+        shuffles,
+        shuffle_records,
+        shuffle_bytes,
+        records_processed,
+    }
+    StageSpan { name, path, depth, nanos, records, calls }
+}
+
 impl std::fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

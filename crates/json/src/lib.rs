@@ -1,13 +1,15 @@
-//! `upa-json`: the workspace's one JSON reader and escape writer.
+//! `upa-json`: the workspace's one JSON reader, escape writer and record
+//! codec.
 //!
 //! The workspace deliberately has no serde dependency. Everything UPA
 //! persists or puts on a socket — the ε ledger, the store manifests, the
 //! audit/trace/metrics records and the line protocol — is JSON read by
-//! [`parse`] and written with `format!`/`push_str` plus the escape
-//! helpers here ([`json_str`], [`json_num`] and their allocation-free
-//! `push_*` forms). Each persisted or wired type keeps its own
-//! `to_json`/`from_json` pair next to its definition; what counts as a
-//! valid document is decided only in this crate.
+//! [`parse`] and written with the escape helpers here ([`json_str`],
+//! [`json_num`] and their allocation-free `push_*` forms). Each record
+//! declares its fields once, as rows of the [`codec`] table
+//! ([`body!`]); its encoder and decoder are both expanded from those
+//! rows, so what counts as a valid document, and how each kind of value
+//! is spelled, is decided only in this crate.
 //!
 //! # The accepted subset
 //!
@@ -23,9 +25,13 @@
 //! * `\uXXXX` escapes must name a scalar value or a well-formed
 //!   surrogate pair; a lone surrogate is an error, not `U+FFFD`.
 //! * Non-finite floats, which JSON cannot represent, are written as
-//!   `null`; decoders that want them back map `null` to NaN themselves.
+//!   `null`; the codec's `f64` kind reads `null` back as NaN.
 //!
 //! Parsing is linear in the input length.
+
+pub mod codec;
+
+pub use codec::{put, put_list, put_name, take, take_or, take_with, Body, Field, Optional, Via};
 
 use std::collections::BTreeMap;
 

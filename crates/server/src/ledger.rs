@@ -32,11 +32,11 @@
 //!
 //! # Replay
 //!
-//! On startup [`Ledger::open`] replays the log and the server restores
-//! each dataset's [`upa_core::budget::BudgetAccountant`] via
-//! [`upa_core::budget::BudgetAccountant::restore`]. The bytes before the
-//! logical end are lines, and the checksum lets replay tell the two
-//! failure shapes apart:
+//! On startup [`Ledger::open`] replays the log, and the server seeds
+//! each metered dataset's budget shard
+//! ([`crate::state::AtomicBudget`]) with that dataset's total from
+//! [`spent_by_dataset`]. The bytes before the logical end are lines,
+//! and the checksum lets replay tell the two failure shapes apart:
 //!
 //! * a **torn tail** — the final line is incomplete because the crash
 //!   happened mid-write (possibly inside a multi-byte character); the
@@ -76,7 +76,6 @@
 //! stragglers when the queue is hot.
 
 use crate::obs::{Counter, Histogram};
-use crate::wire::{self, Json};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read};
 use std::os::unix::fs::FileExt;
@@ -84,6 +83,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+use upa_json::{parse, put, take, Body, Json};
 
 /// One budget spend: dataset, query identity and the ε charged.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,31 +109,32 @@ fn record_crc(dataset: &str, query_id: &str, epsilon: f64) -> u32 {
     h.finish()
 }
 
-impl SpendRecord {
-    /// Serialises the record as its ledger line (no trailing newline),
-    /// checksum included.
-    pub fn to_line(&self) -> String {
-        format!(
-            "{{\"dataset\":{},\"query_id\":{},\"epsilon\":{},\"crc\":{}}}",
-            wire::json_str(&self.dataset),
-            wire::json_str(&self.query_id),
-            wire::json_num(self.epsilon),
-            record_crc(&self.dataset, &self.query_id, self.epsilon)
-        )
+/// `crc` is derived: written, and checked by [`SpendRecord::crc_matches`]
+/// rather than read back.
+impl Body for SpendRecord {
+    fn put_fields(&self, out: &mut String) {
+        put(out, "dataset", &self.dataset);
+        put(out, "query_id", &self.query_id);
+        put(out, "epsilon", &self.epsilon);
+        put(
+            out,
+            "crc",
+            &record_crc(&self.dataset, &self.query_id, self.epsilon),
+        );
     }
-
-    /// Parses a ledger line (the checksum is *not* verified here — see
-    /// [`SpendRecord::crc_matches`]).
-    pub fn from_json(v: &Json) -> Option<SpendRecord> {
-        let epsilon = v.num_of("epsilon")?;
-        if !(epsilon.is_finite() && epsilon > 0.0) {
-            return None;
-        }
-        Some(SpendRecord {
-            dataset: v.str_of("dataset")?.to_string(),
-            query_id: v.str_of("query_id")?.to_string(),
-            epsilon,
+    fn take_fields(v: &Json) -> Result<Self, String> {
+        Ok(SpendRecord {
+            dataset: take(v, "dataset")?,
+            query_id: take(v, "query_id")?,
+            epsilon: take(v, "epsilon")?,
         })
+    }
+}
+
+impl SpendRecord {
+    /// The record's ledger line (no trailing newline), checksum included.
+    pub fn to_line(&self) -> String {
+        self.to_json()
     }
 
     /// Whether the parsed line carries the record's checksum. A line
@@ -141,12 +142,7 @@ impl SpendRecord {
     /// and accepting its absence would let a stripped field defeat the
     /// integrity check on the file that *is* the privacy budget.
     pub fn crc_matches(&self, v: &Json) -> bool {
-        v.num_of("crc")
-            == Some(f64::from(record_crc(
-                &self.dataset,
-                &self.query_id,
-                self.epsilon,
-            )))
+        take(v, "crc") == Ok(record_crc(&self.dataset, &self.query_id, self.epsilon))
     }
 }
 
@@ -308,10 +304,14 @@ fn invalid_data(message: String) -> io::Error {
 }
 
 /// Parses one ledger line into its record and whether the checksum
-/// matches; `None` when the bytes are no record at all.
+/// matches; `None` when the bytes are no record at all, or charge an ε
+/// that is not finite and positive.
 fn parse_line(line: &[u8]) -> Option<(SpendRecord, bool)> {
-    let v = wire::parse(std::str::from_utf8(line).ok()?).ok()?;
-    let rec = SpendRecord::from_json(&v)?;
+    let v = parse(std::str::from_utf8(line).ok()?).ok()?;
+    let rec = SpendRecord::take_fields(&v).ok()?;
+    if !(rec.epsilon.is_finite() && rec.epsilon > 0.0) {
+        return None;
+    }
     let crc_ok = rec.crc_matches(&v);
     Some((rec, crc_ok))
 }
@@ -377,12 +377,12 @@ fn refuse_record_after_hole(bytes: &[u8], hole: usize) -> io::Result<()> {
     Ok(())
 }
 
-/// Sums replayed spends per dataset, the shape
-/// [`upa_core::budget::BudgetAccountant::restore`] consumes. Summation
-/// follows ledger order, so the reconstructed total is bit-identical to
-/// a serial accountant the spends were charged against (concurrent
-/// charges may differ in the last ulps — commit order and charge order
-/// need not agree).
+/// Sums replayed spends per dataset: the spent ε each metered
+/// dataset's budget shard ([`crate::state::AtomicBudget`]) starts from.
+/// Summation follows ledger order, so the reconstructed total is
+/// bit-identical to a serial accountant the spends were charged against
+/// (concurrent charges may differ in the last ulps — commit order and
+/// charge order need not agree).
 pub fn spent_by_dataset(records: &[SpendRecord]) -> std::collections::HashMap<String, f64> {
     let mut spent: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
     for rec in records {
@@ -788,8 +788,8 @@ mod tests {
         };
         let line = rec.to_line();
         assert!(line.contains("\"crc\":"), "{line}");
-        let v = wire::parse(&line).unwrap();
-        let parsed = SpendRecord::from_json(&v).unwrap();
+        let v = parse(&line).unwrap();
+        let parsed = SpendRecord::take_fields(&v).unwrap();
         assert_eq!(parsed, rec);
         assert!(parsed.crc_matches(&v));
         // Stripping the field must not defeat the check: a complete

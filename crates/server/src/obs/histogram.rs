@@ -13,6 +13,7 @@
 //! `AtomicU64` array with no allocation or locking on the hot path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use upa_json::{put, take, Body, Json};
 
 /// log2 of the sub-bucket count per power-of-two range.
 pub const SUB_BITS: u32 = 4;
@@ -212,48 +213,45 @@ impl HistogramSnapshot {
             .last()
             .map_or(0, |&(i, _)| bucket_bounds(i as usize).1)
     }
+}
 
-    /// Serializes as a JSON object (quantiles precomputed for
-    /// human-facing consumers; `buckets` carries the lossless form).
-    pub fn to_json(&self) -> String {
-        let buckets = self
-            .buckets
-            .iter()
-            .map(|&(i, c)| format!("[{i},{c}]"))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"count\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{},\"buckets\":[{buckets}]}}",
-            self.count,
-            self.sum,
-            self.quantile(0.5),
-            self.quantile(0.9),
-            self.quantile(0.99),
-            self.max()
-        )
+/// `p50`/`p90`/`p99`/`max` are derived for human-facing consumers: written,
+/// never read back, so a decoded snapshot recomputes them from `buckets`.
+impl Body for HistogramSnapshot {
+    fn put_fields(&self, out: &mut String) {
+        put(out, "count", &self.count);
+        put(out, "sum", &self.sum);
+        put(out, "p50", &self.quantile(0.5));
+        put(out, "p90", &self.quantile(0.9));
+        put(out, "p99", &self.quantile(0.99));
+        put(out, "max", &self.max());
+        put(out, "buckets", &self.buckets);
     }
 
-    /// Parses the [`HistogramSnapshot::to_json`] form (the derived
-    /// quantile fields are recomputed from `buckets`, not trusted).
-    pub fn from_json(v: &crate::wire::Json) -> Option<HistogramSnapshot> {
-        use crate::wire::Json;
-        let buckets = v
-            .get("buckets")?
-            .as_arr()?
+    /// Refuses what no [`Histogram`] writes and what [`bucket_bounds`],
+    /// [`HistogramSnapshot::merge`] and [`HistogramSnapshot::quantile`]
+    /// assume away: an index outside `0..BUCKETS`, indices not strictly
+    /// ascending, and a `count` other than the bucket total.
+    fn take_fields(v: &Json) -> Result<Self, String> {
+        let snapshot = HistogramSnapshot {
+            count: take(v, "count")?,
+            sum: take(v, "sum")?,
+            buckets: take(v, "buckets")?,
+        };
+        let buckets = &snapshot.buckets;
+        let ascending = buckets.windows(2).all(|w| w[0].0 < w[1].0);
+        if !ascending || buckets.last().is_some_and(|&(i, _)| i as usize >= BUCKETS) {
+            return Err(format!(
+                "'buckets' must be ascending indices below {BUCKETS}"
+            ));
+        }
+        let total = buckets
             .iter()
-            .map(|pair| {
-                let pair = pair.as_arr()?;
-                Some((
-                    pair.first()?.as_u64()? as u32,
-                    pair.get(1).and_then(Json::as_u64)?,
-                ))
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(HistogramSnapshot {
-            count: v.get("count").and_then(Json::as_u64)?,
-            sum: v.get("sum").and_then(Json::as_u64)?,
-            buckets,
-        })
+            .try_fold(0u64, |sum, &(_, c)| sum.checked_add(c));
+        if total != Some(snapshot.count) {
+            return Err("'count' must be the bucket total".into());
+        }
+        Ok(snapshot)
     }
 }
 
@@ -340,6 +338,6 @@ mod tests {
         }
         let s = h.snapshot();
         let parsed = crate::wire::parse(&s.to_json()).expect("valid JSON");
-        assert_eq!(HistogramSnapshot::from_json(&parsed), Some(s));
+        assert_eq!(HistogramSnapshot::take_fields(&parsed), Ok(s));
     }
 }

@@ -9,7 +9,6 @@
 //! exposition emits a single `# TYPE` line per family.
 
 use super::histogram::{Histogram, HistogramSnapshot};
-use crate::wire::{self, Json};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -221,57 +220,16 @@ impl RegistrySnapshot {
         }
         out
     }
+}
 
-    /// Serializes as a JSON object (the `metrics` field of the wire
-    /// reply).
-    pub fn to_json(&self) -> String {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, v)| format!("{}:{v}", wire::json_str(k)))
-            .collect::<Vec<_>>()
-            .join(",");
-        let gauges = self
-            .gauges
-            .iter()
-            .map(|(k, v)| format!("{}:{}", wire::json_str(k), wire::json_num(*v)))
-            .collect::<Vec<_>>()
-            .join(",");
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| format!("{}:{}", wire::json_str(k), h.to_json()))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"counters\":{{{counters}}},\"gauges\":{{{gauges}}},\"histograms\":{{{histograms}}}}}"
-        )
-    }
-
-    /// Parses the [`RegistrySnapshot::to_json`] form.
-    pub fn from_json(v: &Json) -> Option<RegistrySnapshot> {
-        let obj = |key: &str| match v.get(key) {
-            Some(Json::Obj(m)) => Some(m),
-            _ => None,
-        };
-        let mut snap = RegistrySnapshot::default();
-        for (k, val) in obj("counters")? {
-            snap.counters.insert(k.clone(), val.as_u64()?);
-        }
-        for (k, val) in obj("gauges")? {
-            snap.gauges.insert(k.clone(), val.as_f64()?);
-        }
-        for (k, val) in obj("histograms")? {
-            snap.histograms
-                .insert(k.clone(), HistogramSnapshot::from_json(val)?);
-        }
-        Some(snap)
-    }
+upa_json::body! {
+    RegistrySnapshot { counters, gauges, histograms }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{self, Body};
 
     #[test]
     fn handles_record_through_the_registry() {
@@ -326,7 +284,7 @@ mod tests {
         h.record(90_000);
         let snap = r.snapshot();
         let parsed = wire::parse(&snap.to_json()).expect("valid JSON");
-        assert_eq!(RegistrySnapshot::from_json(&parsed), Some(snap));
+        assert_eq!(RegistrySnapshot::take_fields(&parsed), Ok(snap));
     }
 
     #[test]

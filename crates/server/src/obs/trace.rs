@@ -12,12 +12,10 @@
 //! record's spans line up on one timeline. Finished records land in a
 //! bounded ring ([`TraceStore`]) served by the `trace` wire op.
 
-use crate::wire::{self, Json};
 use dataflow::StageSpan;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use upa_core::audit::{span_to_json, spans_from_json};
 
 /// One timed stage of a request, offset from the request's start.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,66 +153,11 @@ impl TraceRecord {
     pub fn span(&self, name: &str) -> Option<&TraceSpan> {
         self.spans.iter().find(|s| s.name == name)
     }
+}
 
-    /// Serializes as a JSON object.
-    pub fn to_json(&self) -> String {
-        let spans = self
-            .spans
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"name\":{},\"start_us\":{},\"dur_us\":{}}}",
-                    wire::json_str(&s.name),
-                    s.start_us,
-                    s.dur_us
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let engine = self
-            .engine
-            .iter()
-            .map(span_to_json)
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"request_id\":{},\"op\":{},\"dataset\":{},\"query_id\":{},\"outcome\":{},\
-             \"total_us\":{},\"spans\":[{spans}],\"engine\":[{engine}]}}",
-            wire::json_str(&self.request_id),
-            wire::json_str(&self.op),
-            wire::json_str(&self.dataset),
-            wire::json_str(&self.query_id),
-            wire::json_str(&self.outcome),
-            self.total_us
-        )
-    }
-
-    /// Parses the [`TraceRecord::to_json`] form.
-    pub fn from_json(v: &Json) -> Option<TraceRecord> {
-        let spans = v
-            .get("spans")?
-            .as_arr()?
-            .iter()
-            .map(|s| {
-                Some(TraceSpan {
-                    name: s.str_of("name")?.to_string(),
-                    start_us: s.get("start_us").and_then(Json::as_u64)?,
-                    dur_us: s.get("dur_us").and_then(Json::as_u64)?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let engine = spans_from_json(v.get("engine")?)?;
-        Some(TraceRecord {
-            request_id: v.str_of("request_id")?.to_string(),
-            op: v.str_of("op")?.to_string(),
-            dataset: v.str_of("dataset")?.to_string(),
-            query_id: v.str_of("query_id")?.to_string(),
-            outcome: v.str_of("outcome")?.to_string(),
-            total_us: v.get("total_us").and_then(Json::as_u64)?,
-            spans,
-            engine,
-        })
-    }
+upa_json::body! {
+    TraceSpan { name, start_us, dur_us }
+    TraceRecord { request_id, op, dataset, query_id, outcome, total_us, spans, engine }
 }
 
 /// A bounded ring of finished traces, oldest evicted first.
@@ -274,6 +217,7 @@ impl TraceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{self, Body};
     use std::time::Duration;
 
     #[test]
@@ -306,7 +250,7 @@ mod tests {
         }]);
         let record = t.finish("ok");
         let parsed = wire::parse(&record.to_json()).expect("valid JSON");
-        assert_eq!(TraceRecord::from_json(&parsed), Some(record));
+        assert_eq!(TraceRecord::take_fields(&parsed), Ok(record));
     }
 
     #[test]

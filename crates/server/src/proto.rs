@@ -12,17 +12,18 @@
 //! request table behind [`Request::OPS`]; each reply variant is listed
 //! once, in decode order, with the key that identifies it; each body
 //! lists its wire fields once, and the encoder and the decoder are both
-//! expanded from that list. Every field the encoder writes is required
-//! by the decoder unless its row says otherwise: `[optional]` rows are
-//! left out when not given and read back as not given when absent or
-//! `null`, and two request rows fall back to a default in that case
-//! (`dataset` = `data`, `column` = empty, for `count`).
+//! expanded from that list by the `upa-json` row codec, which every
+//! nested record (audits, traces, metrics) shares. Every field the
+//! encoder writes is required by the decoder unless its row says
+//! otherwise: `[optional]` rows are left out when not given and read
+//! back as not given when absent or `null`, and two request rows fall
+//! back to a default in that case (`dataset` = `data`, `column` =
+//! empty, for `count`).
 
 use crate::obs::{RegistrySnapshot, TraceRecord};
 use crate::state::{AggKind, AttachOutcome, DatasetInfo, ReleaseOutcome, ServeError};
-use crate::wire::{self, Json};
-use std::fmt::Write as _;
 use upa_core::QueryAudit;
+use upa_json::{push_json_str, put, put_name, take, take_with, Body, Json, Via};
 
 /// Declares the error codes once: each variant with its wire spelling.
 macro_rules! error_codes {
@@ -173,7 +174,7 @@ impl Request {
     /// Serializes to one protocol line (no trailing newline).
     pub fn to_line(&self) -> String {
         let mut out = String::from("{\"op\":");
-        wire::push_json_str(&mut out, self.op());
+        push_json_str(&mut out, self.op());
         self.put_fields(&mut out);
         out.push('}');
         out
@@ -430,168 +431,55 @@ impl Response {
     }
 }
 
-/// One wire field kind: how a value is written after its `"name":` and
-/// read back (`None` for any other JSON shape), and what the decoder
-/// expects, for the error that names the field.
-trait Field: Sized {
-    const WHAT: &'static str;
-    fn put(&self, out: &mut String);
-    fn take(v: &Json) -> Option<Self>;
-}
-
-/// Declares the kinds: each one's expectation, writer and reader.
-macro_rules! kinds {
-    ($($ty:ty: $what:literal, |$x:ident, $out:ident| $put:expr, |$v:ident| $take:expr;)*) => {$(
-        impl Field for $ty {
-            const WHAT: &'static str = $what;
-            fn put(&self, out: &mut String) {
-                let ($x, $out) = (self, out);
-                let _ = $put;
-            }
-            fn take($v: &Json) -> Option<Self> {
-                $take
-            }
-        }
-    )*};
-}
-
-// The closed set: string, u64, f64 (non-finite written as `null` and
-// read back as NaN), bool, closed string enums, and nested records
-// through their own codec; optional f64 and lists are generic below.
-kinds! {
-    String: "a string",
-        |s, out| wire::push_json_str(out, s),
-        |v| v.as_str().map(str::to_string);
-    u64: "a non-negative integer",
-        |n, out| write!(out, "{n}"),
-        |v| v.as_u64();
-    usize: "a non-negative integer",
-        |n, out| write!(out, "{n}"),
-        |v| v.as_u64().map(|n| n as usize);
-    f64: "a number or null",
-        |x, out| wire::push_json_num(out, *x),
-        |v| if *v == Json::Null { Some(f64::NAN) } else { v.as_f64() };
-    bool: "a boolean",
-        |b, out| out.push_str(if *b { "true" } else { "false" }),
-        |v| v.as_bool();
+// The protocol's own kinds: the two closed string sets, and the rows
+// spelled in a shape of their own.
+upa_json::kinds! {
     AggKind: "count, sum or mean",
-        |k, out| wire::push_json_str(out, k.as_str()),
+        |k, out| push_json_str(out, k.as_str()),
         |v| v.as_str()?.parse().ok();
     ErrorCode: "a known error code",
-        |c, out| wire::push_json_str(out, c.as_str()),
+        |c, out| push_json_str(out, c.as_str()),
         |v| ErrorCode::parse(v.as_str()?);
-    Cache: "hit or miss",
-        |c, out| out.push_str(if c.0 { "\"hit\"" } else { "\"miss\"" }),
-        |v| Some(Cache(match v.as_str()? { "hit" => true, "miss" => false, _ => return None }));
-    QueryAudit: "a well-formed record",
-        |a, out| out.push_str(&a.to_json()),
-        |v| QueryAudit::from_json(v);
-    TraceRecord: "a well-formed record",
-        |t, out| out.push_str(&t.to_json()),
-        |v| TraceRecord::from_json(v);
-    RegistrySnapshot: "a well-formed record",
-        |s, out| out.push_str(&s.to_json()),
-        |v| RegistrySnapshot::from_json(v);
 }
 
 /// A release's `cached` flag, spelled `hit`/`miss` on the wire.
-struct Cache(bool);
+struct Cache;
 
-/// `null` is `None`.
-impl<T: Field> Field for Option<T> {
-    const WHAT: &'static str = T::WHAT;
-    fn put(&self, out: &mut String) {
-        match self {
-            Some(value) => value.put(out),
-            None => out.push_str("null"),
+impl Via<bool> for Cache {
+    fn put(out: &mut String, name: &str, hit: &bool) {
+        put_name(out, name);
+        out.push_str(if *hit { "\"hit\"" } else { "\"miss\"" });
+    }
+    fn take(v: &Json, name: &str) -> Result<bool, String> {
+        take_with(v, name, |v| match v.as_str() {
+            Some("hit") => Ok(true),
+            Some("miss") => Ok(false),
+            _ => Err("must be hit or miss".into()),
+        })
+    }
+}
+
+/// A budget as three rows of the reply, each `null` when the server is
+/// unmetered.
+struct Budget;
+
+const BUDGET: [&str; 3] = ["total", "spent", "remaining"];
+
+impl Via<Option<(f64, f64, f64)>> for Budget {
+    fn put(out: &mut String, _: &str, budget: &Option<(f64, f64, f64)>) {
+        let values = budget.map(|(total, spent, remaining)| [total, spent, remaining]);
+        for (i, name) in BUDGET.into_iter().enumerate() {
+            put(out, name, &values.map(|v| v[i]));
         }
     }
-    fn take(v: &Json) -> Option<Self> {
-        match v {
-            Json::Null => Some(None),
-            v => T::take(v).map(Some),
+    fn take(v: &Json, _: &str) -> Result<Option<(f64, f64, f64)>, String> {
+        let [total, spent, remaining] = BUDGET.map(|name| take::<Option<f64>>(v, name));
+        match (total?, spent?, remaining?) {
+            (Some(t), Some(s), Some(r)) => Ok(Some((t, s, r))),
+            (None, None, None) => Ok(None),
+            _ => Err(format!("{BUDGET:?} must be all numbers or all null")),
         }
     }
-}
-
-impl<T: Field> Field for Vec<T> {
-    const WHAT: &'static str = "a list of well-formed items";
-    fn put(&self, out: &mut String) {
-        out.push('[');
-        for (i, item) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            item.put(out);
-        }
-        out.push(']');
-    }
-    fn take(v: &Json) -> Option<Self> {
-        v.as_arr()?.iter().map(T::take).collect()
-    }
-}
-
-/// The kinds a row may mark `[optional]`: left off the line when not
-/// given, and read back as not given when absent or `null`.
-trait Optional: Field {
-    fn given(&self) -> bool;
-}
-
-impl<T: Field> Optional for Option<T> {
-    fn given(&self) -> bool {
-        self.is_some()
-    }
-}
-
-impl Optional for bool {
-    fn given(&self) -> bool {
-        *self
-    }
-}
-
-/// A body nested as an object: its first row's comma opens it.
-impl<T: Body> Field for T {
-    const WHAT: &'static str = "a well-formed record";
-    fn put(&self, out: &mut String) {
-        let start = out.len();
-        self.put_fields(out);
-        out.replace_range(start..=start, "{");
-        out.push('}');
-    }
-    fn take(v: &Json) -> Option<Self> {
-        T::take_fields(v).ok()
-    }
-}
-
-/// Appends `,"name":value`.
-fn put<T: Field>(out: &mut String, name: &str, value: &T) {
-    out.push_str(",\"");
-    out.push_str(name);
-    out.push_str("\":");
-    value.put(out);
-}
-
-/// Reads the required member `name`; absent or mistyped is an error
-/// naming the field, never a default.
-fn take<T: Field>(v: &Json, name: &str) -> Result<T, String> {
-    let field = v.get(name).ok_or_else(|| format!("missing '{name}'"))?;
-    T::take(field).ok_or_else(|| format!("'{name}' must be {}", T::WHAT))
-}
-
-/// Reads a row that may be left out: absent or `null` is `default`.
-fn take_or<T: Field>(v: &Json, name: &str, default: impl FnOnce() -> T) -> Result<T, String> {
-    match v.get(name) {
-        None | Some(Json::Null) => Ok(default()),
-        Some(_) => take(v, name),
-    }
-}
-
-/// A request or reply body: its rows, spliced into the enclosing object.
-trait Body: Sized {
-    /// Appends `,"name":value` for every row.
-    fn put_fields(&self, out: &mut String);
-    /// Reads every row back.
-    fn take_fields(v: &Json) -> Result<Self, String>;
 }
 
 /// The counters' own table, [`SchedStats::counters`], is the body.
@@ -610,46 +498,6 @@ impl Body for SchedStats {
     }
 }
 
-impl<T: Body> Body for Box<T> {
-    fn put_fields(&self, out: &mut String) {
-        (**self).put_fields(out);
-    }
-    fn take_fields(v: &Json) -> Result<Self, String> {
-        T::take_fields(v).map(Box::new)
-    }
-}
-
-/// A budget's three wire fields, each `null` when the server is
-/// unmetered.
-const BUDGET: [&str; 3] = ["total", "spent", "remaining"];
-
-impl Body for Option<(f64, f64, f64)> {
-    fn put_fields(&self, out: &mut String) {
-        let values = self.map(|(total, spent, remaining)| [total, spent, remaining]);
-        for (i, name) in BUDGET.into_iter().enumerate() {
-            put(out, name, &values.map(|v| v[i]));
-        }
-    }
-    fn take_fields(v: &Json) -> Result<Self, String> {
-        let [total, spent, remaining] = BUDGET.map(|name| take::<Option<f64>>(v, name));
-        match (total?, spent?, remaining?) {
-            (Some(t), Some(s), Some(r)) => Ok(Some((t, s, r))),
-            (None, None, None) => Ok(None),
-            _ => Err(format!("{BUDGET:?} must be all numbers or all null")),
-        }
-    }
-}
-
-/// A row's wire name: the field's own name unless renamed with `as`.
-macro_rules! wire_name {
-    ($field:tt) => {
-        stringify!($field)
-    };
-    ($field:tt as $name:literal) => {
-        $name
-    };
-}
-
 /// The local a row's value is bound to: the field's name, or the name
 /// given after `:` for a tuple variant's payload.
 macro_rules! binding {
@@ -658,46 +506,6 @@ macro_rules! binding {
     };
     ($field:tt : $bind:ident) => {
         $bind
-    };
-}
-
-/// Writes one row. Modes: none (always written; a request row's
-/// `= default` only matters on decode), `[optional]` (written when
-/// given), `[flatten]` (the value is a [`Body`] whose rows join this
-/// object) and `[hit_or_miss]` ([`Cache`]).
-macro_rules! put_row {
-    ($out:ident, $value:expr, $name:expr) => {
-        put($out, $name, $value)
-    };
-    ($out:ident, $value:expr, $name:expr, optional) => {
-        if Optional::given($value) {
-            put($out, $name, $value)
-        }
-    };
-    ($out:ident, $value:expr, $name:expr, flatten) => {
-        Body::put_fields($value, $out)
-    };
-    ($out:ident, $value:expr, $name:expr, hit_or_miss) => {
-        put($out, $name, &Cache(*$value))
-    };
-}
-
-/// Reads one row back, in the mode [`put_row!`] wrote it.
-macro_rules! take_row {
-    ($v:ident, $name:expr) => {
-        take($v, $name)?
-    };
-    ($v:ident, $name:expr, = $default:literal) => {
-        take_or($v, $name, || $default.to_string())?
-    };
-    ($v:ident, $name:expr, optional) => {
-        take_or($v, $name, Default::default)?
-    };
-    ($v:ident, $name:expr, flatten) => {
-        Body::take_fields($v)?
-    };
-    ($v:ident, $name:expr, hit_or_miss) => {
-        take::<Cache>($v, $name)?.0
     };
 }
 
@@ -721,7 +529,7 @@ macro_rules! requests {
             fn put_fields(&self, out: &mut String) {
                 match self {
                     $(Request::$variant { $($field),* } => {
-                        $(put_row!(out, $field, stringify!($field) $(, $mode)?);)*
+                        $(upa_json::put_row!(out, $field, stringify!($field) $(, $mode)?);)*
                     })*
                 }
             }
@@ -729,7 +537,9 @@ macro_rules! requests {
             fn take_fields(op: &str, v: &Json) -> Result<Request, String> {
                 Ok(match op {
                     $($op => Request::$variant {
-                        $($field: take_row!(v, stringify!($field) $(, = $default)? $(, $mode)?)),*
+                        $($field: upa_json::take_row!(
+                            v, stringify!($field) $(, = $default)? $(, $mode)?
+                        )),*
                     },)*
                     other => {
                         return Err(format!("unknown op '{other}' ({})", Request::OPS.join("|")))
@@ -740,35 +550,21 @@ macro_rules! requests {
     };
 }
 
-/// Struct bodies. Each row names a field once; the encoder binds every
-/// field (no `..`), so a field without a row does not compile.
-macro_rules! body {
-    ($($ty:ident { $($field:ident $(as $name:literal)? $([$mode:ident])?),* $(,)? })*) => {$(
-        impl Body for $ty {
-            fn put_fields(&self, out: &mut String) {
-                let $ty { $($field),* } = self;
-                $(put_row!(out, $field, wire_name!($field $(as $name)?) $(, $mode)?);)*
-            }
-            fn take_fields(v: &Json) -> Result<Self, String> {
-                Ok($ty { $($field: take_row!(v, wire_name!($field $(as $name)?) $(, $mode)?)),* })
-            }
-        }
-    )*};
-}
-
 /// The reply table: each keyed variant with its body's rows, in decode
 /// order. Expands to the decode list and the body encoder; a variant
 /// with no rows is written as its key with the value `true`.
 macro_rules! replies {
     ($($key:literal => $variant:ident {
-        $($field:tt $(: $bind:ident)? $(as $name:literal)? $([$mode:ident])?),* $(,)?
+        $($field:tt $(: $bind:ident)? $(as $name:literal)? $([$($mode:tt)+])?),* $(,)?
     }),* $(,)?) => {
         impl Response {
             /// `(key, decoder)` per variant, in decode order.
             #[allow(unused_variables)] // a variant without rows never reads `v`
             const KEYED: &'static [(&'static str, ReplyDecoder)] = &[
                 $(($key, |v| Ok(Response::$variant {
-                    $($field: take_row!(v, wire_name!($field $(as $name)?) $(, $mode)?)),*
+                    $($field: upa_json::take_row!(
+                        v, upa_json::wire_name!($field $(as $name)?) $(, $($mode)+)?
+                    )),*
                 })),)*
             ];
 
@@ -777,11 +573,11 @@ macro_rules! replies {
                     Response::Ok => {}
                     $(Response::$variant { $($field $(: $bind)?),* } => {
                         put_tag!(out, $key $(, $field)*);
-                        $(put_row!(
+                        $(upa_json::put_row!(
                             out,
                             binding!($field $(: $bind)?),
-                            wire_name!($field $(as $name)?)
-                            $(, $mode)?
+                            upa_json::wire_name!($field $(as $name)?)
+                            $(, $($mode)+)?
                         );)*
                     })*
                 }
@@ -837,10 +633,10 @@ replies! {
     "audits" => Audits { dataset, audits },
     "released" => Released { 0: outcome [flatten] },
     "query_id" => Prepared { 0: info [flatten] },
-    "total" => Budget { dataset, budget [flatten] },
+    "total" => Budget { dataset, budget [via Budget] },
 }
 
-body! {
+upa_json::body! {
     DatasetsReply { names as "datasets", info, available }
     DatasetInfo { name, rows, columns, resident_bytes }
     AttachOutcome { dataset as "attached", rows, resident_bytes, reloaded }
@@ -852,7 +648,7 @@ body! {
         noise_scale,
         sample_size,
         budget_remaining,
-        cached as "cache" [hit_or_miss],
+        cached as "cache" [via Cache],
         prepare_us [optional],
         audit [optional],
     }
@@ -863,6 +659,7 @@ body! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire;
 
     fn reparse_request(req: &Request) -> Request {
         let parsed = wire::parse(&req.to_line()).expect("request line parses");
@@ -1190,6 +987,37 @@ mod tests {
         }
     }
 
+    /// An audit with one defect each, and the field its decode error
+    /// must name: an engine counter that would read as 0, a range item
+    /// that would be dropped, and a remaining budget that would read as
+    /// "no accountant".
+    fn broken_audits() -> [(String, &'static str); 4] {
+        let audit = |engine: &str, range: &str, budget: &str| {
+            format!(
+                "{{\"query\":\"q\",\"epsilon\":0.1,{budget}\"sensitivity\":[2],\
+                 \"range\":[{range}],\"clamped\":false,\"attack_detected\":false,\
+                 \"removed_records\":0,\"sample_size\":10,\"group_size\":1,\
+                 \"total_nanos\":5,\"spans\":[],\"engine\":{{\"stages\":1,\"tasks\":1,\
+                 \"task_retries\":0,\"shuffles\":0,\"shuffle_records\":0,{engine}\
+                 \"records_processed\":10}}}}"
+            )
+        };
+        let (engine, range, budget) =
+            ("\"shuffle_bytes\":0,", "[1,2]", "\"budget_remaining\":0.5,");
+        // The well-formed audit decodes, so each defect below is the cause.
+        let whole = wire::parse(&audit(engine, range, budget)).unwrap();
+        assert!(QueryAudit::take_fields(&whole).is_ok());
+        [
+            (audit("", range, budget), "'shuffle_bytes'"),
+            (audit(engine, "[1]", budget), "'range'"),
+            (
+                audit(engine, range, "\"budget_remaining\":\"x\","),
+                "'budget_remaining'",
+            ),
+            (audit(engine, range, ""), "'budget_remaining'"),
+        ]
+    }
+
     #[test]
     fn replies_missing_required_fields_are_rejected() {
         let sched = "\"sched\":{\"queued\":0,\"peak_queued\":0,\"submitted\":1,\
@@ -1225,7 +1053,20 @@ mod tests {
                 ),
                 "'audit'",
             ),
-        ] {
+        ]
+        .into_iter()
+        .chain(broken_audits().into_iter().flat_map(|(audit, missing)| {
+            [
+                (
+                    format!("{{\"ok\":true,\"dataset\":\"d\",\"audits\":[{audit}]}}"),
+                    missing,
+                ),
+                (
+                    format!("{{\"ok\":true,{released},\"cache\":\"hit\",\"audit\":{audit}}}"),
+                    missing,
+                ),
+            ]
+        })) {
             let err = Response::from_json(&wire::parse(&line).unwrap()).unwrap_err();
             assert!(err.contains(missing), "{line}: {err}");
         }

@@ -27,7 +27,7 @@
 use crate::obs::{Level, RegistrySnapshot, Trace, Value};
 use crate::proto::{DatasetsReply, ErrorCode, MetricsReply, Request, Response, StatsReply};
 use crate::state::{Ask, RequestCtx, ServeError, ServerConfig, ServerState};
-use crate::wire;
+use crate::wire::{self, Body};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;

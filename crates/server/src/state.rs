@@ -863,7 +863,7 @@ impl std::fmt::Debug for ServerState {
 
 impl ServerState {
     /// Builds the state: spins up the engine, loads datasets, opens and
-    /// replays the ledger, restores accountants.
+    /// replays the ledger, seeds each metered dataset's budget shard.
     ///
     /// # Errors
     ///

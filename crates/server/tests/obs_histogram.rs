@@ -7,7 +7,8 @@
 //! The harness is a hand-rolled xorshift PRNG — deterministic, seeded
 //! per case, and dependency-free.
 
-use upa_server::obs::histogram::{bucket_width, Histogram, HistogramSnapshot};
+use upa_server::obs::histogram::{bucket_width, Histogram, HistogramSnapshot, BUCKETS};
+use upa_server::{wire, Response};
 
 /// xorshift64*: tiny, seedable, good enough to vary distributions.
 struct Rng(u64);
@@ -112,5 +113,36 @@ fn merge_is_associative_and_commutative() {
         assert_eq!(merged.sum, a.sum + b.sum + c.sum);
         let empty = HistogramSnapshot::default();
         assert_eq!(&merged.merge(&empty), &merged, "empty is the identity");
+    }
+}
+
+/// A `metrics` reply comes off the network, so the histogram decoder
+/// refuses what no histogram writes before `bucket_bounds`, `merge` or
+/// `quantile` sees it: an index outside the layout (from 1040 on,
+/// `bucket_bounds` shifts past 63 bits), indices out of order, and a
+/// count other than the bucket total.
+#[test]
+fn metrics_replies_with_impossible_buckets_are_decode_errors() {
+    let reply = |count: u64, buckets: &str| {
+        format!(
+            "{{\"ok\":true,\"exposition\":\"\",\"metrics\":{{\"counters\":{{}},\
+             \"gauges\":{{}},\"histograms\":{{\"h\":{{\"count\":{count},\"sum\":5,\
+             \"p50\":0,\"p90\":0,\"p99\":0,\"max\":0,\"buckets\":{buckets}}}}}}}}}"
+        )
+    };
+    let decode = |line: &str| Response::from_json(&wire::parse(line).expect("valid JSON"));
+    assert!(decode(&reply(2, "[[3,1],[104,1]]")).is_ok());
+    for (count, buckets, field) in [
+        (1, format!("[[{BUCKETS},1]]"), "'buckets'"),
+        (1, "[[1040,1]]".into(), "'buckets'"),
+        (2, "[[104,1],[3,1]]".into(), "'buckets'"),
+        (2, "[[3,1],[3,1]]".into(), "'buckets'"),
+        (3, "[[3,1],[104,1]]".into(), "'count'"),
+    ] {
+        let line = reply(count, &buckets);
+        match decode(&line) {
+            Err(e) => assert!(e.contains(field), "{line}: {e}"),
+            Ok(decoded) => panic!("{line} decoded to {decoded:?}"),
+        }
     }
 }

@@ -12,8 +12,7 @@
 //! chunk's `rows`. There is one manifest version; any other is rejected.
 
 use dataflow::columnar::ChunkStats;
-
-use upa_json::{push_json_str, Json};
+use upa_json::{put, take, take_with, Body, Json, Via};
 
 /// File name of the manifest inside a dataset directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
@@ -68,138 +67,49 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Serialises to the on-disk JSON form (deterministic field order).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"format_version\":");
-        out.push_str(&self.format_version.to_string());
-        out.push_str(",\"dataset\":");
-        push_json_str(&mut out, &self.dataset);
-        out.push_str(",\"rows\":");
-        out.push_str(&self.rows.to_string());
-        out.push_str(",\"columns\":[");
-        for (i, col) in self.columns.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            push_json_str(&mut out, &col.name);
-            out.push_str(",\"chunks\":[");
-            for (j, chunk) in col.chunks.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"file\":");
-                push_json_str(&mut out, &chunk.file);
-                out.push_str(",\"rows\":");
-                out.push_str(&chunk.rows.to_string());
-                out.push_str(",\"crc\":");
-                out.push_str(&chunk.crc.to_string());
-                out.push_str(",\"min_bits\":\"");
-                out.push_str(&format!("{:016x}", chunk.stats.min.to_bits()));
-                out.push_str("\",\"max_bits\":\"");
-                out.push_str(&format!("{:016x}", chunk.stats.max.to_bits()));
-                out.push_str("\",\"nan_count\":");
-                out.push_str(&chunk.stats.nan_count.to_string());
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}\n");
-        out
-    }
-
     /// Parses and validates a manifest document.
     ///
     /// # Errors
     ///
     /// A human-readable description of the first structural problem:
-    /// bad JSON, missing fields, an unsupported format version, or
-    /// per-column chunk rows that do not sum to the dataset row count.
+    /// bad JSON, a missing or mistyped field, an unsupported format
+    /// version, a chunk file name that could leave the dataset directory,
+    /// per-column chunk rows that do not sum to the dataset row count, or
+    /// a duplicate column name.
     pub fn from_json(text: &str) -> Result<Manifest, String> {
         let doc = upa_json::parse(text).map_err(|e| format!("manifest is not JSON: {e}"))?;
-        let format_version = field_u64(&doc, "format_version")?;
-        let format_version =
-            u32::try_from(format_version).map_err(|_| "format_version out of range".to_string())?;
-        if format_version != MANIFEST_FORMAT_VERSION {
+        // The version first: another version's fields are not this one's.
+        let version: u32 = take(&doc, "format_version")?;
+        if version != MANIFEST_FORMAT_VERSION {
             return Err(format!(
-                "unsupported manifest format version {format_version} \
+                "unsupported manifest format version {version} \
                  (this build reads version {MANIFEST_FORMAT_VERSION})"
             ));
         }
-        let dataset = doc
-            .str_of("dataset")
-            .ok_or("manifest missing 'dataset'")?
-            .to_string();
-        let rows = field_u64(&doc, "rows")?;
-        let columns_json = doc
-            .get("columns")
-            .and_then(Json::as_arr)
-            .ok_or("manifest missing 'columns'")?;
-        let mut columns = Vec::with_capacity(columns_json.len());
-        for col in columns_json {
-            let name = col
-                .str_of("name")
-                .ok_or("column missing 'name'")?
-                .to_string();
-            let chunks_json = col
-                .get("chunks")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("column '{name}' missing 'chunks'"))?;
-            let mut chunks = Vec::with_capacity(chunks_json.len());
+        let manifest = Manifest::take_fields(&doc)?;
+        for ColumnMeta { name, chunks } in &manifest.columns {
             let mut total = 0u64;
-            for chunk in chunks_json {
-                let file = chunk
-                    .str_of("file")
-                    .ok_or_else(|| format!("column '{name}': chunk missing 'file'"))?
-                    .to_string();
+            for ChunkMeta { file, rows, .. } in chunks {
                 if file.contains('/') || file.contains('\\') || file.starts_with('.') {
                     return Err(format!("column '{name}': suspicious chunk file '{file}'"));
                 }
-                let chunk_rows = field_u64(chunk, "rows")
-                    .map_err(|e| format!("column '{name}', chunk '{file}': {e}"))?;
-                let crc = field_u64(chunk, "crc")
-                    .map_err(|e| format!("column '{name}', chunk '{file}': {e}"))?;
-                let crc =
-                    u32::try_from(crc).map_err(|_| format!("column '{name}': crc out of range"))?;
                 total = total
-                    .checked_add(chunk_rows)
+                    .checked_add(*rows)
                     .ok_or_else(|| format!("column '{name}': chunk rows overflow"))?;
-                let stats = ChunkStats {
-                    min: field_f64_bits(chunk, "min_bits")
-                        .map_err(|e| format!("column '{name}', chunk '{file}': {e}"))?,
-                    max: field_f64_bits(chunk, "max_bits")
-                        .map_err(|e| format!("column '{name}', chunk '{file}': {e}"))?,
-                    count: chunk_rows,
-                    nan_count: field_u64(chunk, "nan_count")
-                        .map_err(|e| format!("column '{name}', chunk '{file}': {e}"))?,
-                };
-                chunks.push(ChunkMeta {
-                    file,
-                    rows: chunk_rows,
-                    crc,
-                    stats,
-                });
             }
-            if total != rows {
+            if total != manifest.rows {
                 return Err(format!(
-                    "column '{name}': chunks hold {total} rows, manifest says {rows}"
+                    "column '{name}': chunks hold {total} rows, manifest says {}",
+                    manifest.rows
                 ));
             }
-            columns.push(ColumnMeta { name, chunks });
         }
-        let mut names: Vec<&str> = columns.iter().map(|c| c.name.as_str()).collect();
+        let mut names: Vec<&str> = manifest.columns.iter().map(|c| c.name.as_str()).collect();
         names.sort_unstable();
         if names.windows(2).any(|w| w[0] == w[1]) {
             return Err("duplicate column name in manifest".into());
         }
-        Ok(Manifest {
-            format_version,
-            dataset,
-            rows,
-            columns,
-        })
+        Ok(manifest)
     }
 
     /// Total bytes the dataset occupies once resident (values only).
@@ -215,24 +125,56 @@ impl Manifest {
     }
 }
 
-fn field_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer '{key}'"))
+// The manifest is a file of its own, so its line ends with a newline.
+upa_json::body! {
+    Manifest { format_version, dataset, rows, columns } + "\n"
+    ColumnMeta { name, chunks }
 }
 
-/// Reads an f64 stored as a 16-hex-digit bit pattern. Bit patterns (not
-/// JSON numbers) so ±inf and exact values survive the round trip.
-fn field_f64_bits(doc: &Json, key: &str) -> Result<f64, String> {
-    let text = doc
-        .str_of(key)
-        .ok_or_else(|| format!("missing or non-string '{key}'"))?;
-    if text.len() != 16 {
-        return Err(format!("'{key}' is not 16 hex digits"));
+/// The statistics' value count is the chunk's `rows`, not a row of its
+/// own.
+impl Body for ChunkMeta {
+    fn put_fields(&self, out: &mut String) {
+        put(out, "file", &self.file);
+        put(out, "rows", &self.rows);
+        put(out, "crc", &self.crc);
+        HexBits::put(out, "min_bits", &self.stats.min);
+        HexBits::put(out, "max_bits", &self.stats.max);
+        put(out, "nan_count", &self.stats.nan_count);
     }
-    u64::from_str_radix(text, 16)
-        .map(f64::from_bits)
-        .map_err(|_| format!("'{key}' is not 16 hex digits"))
+    fn take_fields(v: &Json) -> Result<Self, String> {
+        let rows = take(v, "rows")?;
+        Ok(ChunkMeta {
+            file: take(v, "file")?,
+            rows,
+            crc: take(v, "crc")?,
+            stats: ChunkStats {
+                min: HexBits::take(v, "min_bits")?,
+                max: HexBits::take(v, "max_bits")?,
+                count: rows,
+                nan_count: take(v, "nan_count")?,
+            },
+        })
+    }
+}
+
+/// An f64 as a string of its 16-hex-digit bit pattern, so ±inf and exact
+/// values survive the round trip.
+struct HexBits;
+
+impl Via<f64> for HexBits {
+    fn put(out: &mut String, name: &str, x: &f64) {
+        put(out, name, &format!("{:016x}", x.to_bits()));
+    }
+    fn take(v: &Json, name: &str) -> Result<f64, String> {
+        take_with(v, name, |v| {
+            v.as_str()
+                .filter(|hex| hex.len() == 16 && hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+                .map(f64::from_bits)
+                .ok_or_else(|| "must be 16 hex digits".into())
+        })
+    }
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use dataflow::columnar::{ChunkStats, ColumnChunk, ColumnarBuf};
 use dataflow::pool::ThreadPool;
+use upa_json::Body;
 
 use crate::chunk::{chunk_crc, decode_chunk, encode_chunk, ChunkError};
 use crate::csv::{self, CsvError};
