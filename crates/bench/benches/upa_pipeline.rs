@@ -35,13 +35,13 @@ fn main() {
         let m = m.clone();
         ds.map(move |t| m(t)).reduce(|a, b| a + b)
     });
-    let mut u = upa(&ctx, 1_000);
+    let u = upa(&ctx, 1_000);
     bench("upa/sum_100k/upa_full_pipeline", 15, || {
         u.run(&ds, &query, &domain).expect("runs")
     });
 
     for n in [100usize, 1_000, 10_000] {
-        let mut u = upa(&ctx, n);
+        let u = upa(&ctx, n);
         bench(&format!("upa/sample_size/{n}"), 10, || {
             u.run(&ds, &query, &domain).expect("runs")
         });
@@ -51,7 +51,7 @@ fn main() {
         let data = workload(size);
         let ds = ctx.parallelize(data.clone(), 8);
         let domain = EmpiricalSampler::new(data);
-        let mut u = upa(&ctx, 1_000);
+        let u = upa(&ctx, 1_000);
         bench(&format!("upa/dataset_size/{size}"), 10, || {
             u.run(&ds, &query, &domain).expect("runs")
         });

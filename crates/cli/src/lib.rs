@@ -196,7 +196,7 @@ pub fn run_values_audited(
     } else {
         Context::with_threads(args.threads)
     };
-    let mut upa = Upa::new(
+    let upa = Upa::new(
         ctx.clone(),
         UpaConfig {
             epsilon: args.epsilon,
@@ -211,7 +211,7 @@ pub fn run_values_audited(
     let result = upa
         .run(&dataset, &query, &domain)
         .map_err(|e| e.to_string())?;
-    let audit = upa.last_audit().cloned();
+    let audit = upa.last_audit().as_deref().cloned();
     Ok((result, audit))
 }
 

@@ -283,13 +283,13 @@ pub fn run_sql_release(
             ));
         }
         let (labels, query) = group_plan_to_query(key, agg, predicate, &schema, &rows)?;
-        let mut upa = Upa::new(ctx.clone(), config);
+        let upa = Upa::new(ctx.clone(), config);
         let dataset = ctx.parallelize_default(rows.clone());
         let domain = EmpiricalSampler::new(rows);
         let result = upa
             .run(&dataset, &query, &domain)
             .map_err(|e| e.to_string())?;
-        let audit = upa.last_audit().cloned();
+        let audit = upa.last_audit().as_deref().cloned();
         return Ok((
             SqlRelease::Grouped {
                 labels,
@@ -308,14 +308,14 @@ pub fn run_sql_release(
         .map_err(|e| e.to_string())?
         .as_scalar()
         .ok_or("aggregate expected")?;
-    let mut upa = Upa::new(ctx.clone(), config);
+    let upa = Upa::new(ctx.clone(), config);
     let dataset = ctx.parallelize_default(rows.clone());
     let domain = EmpiricalSampler::new(rows);
     let result = upa
         .run(&dataset, &query, &domain)
         .map_err(|e| e.to_string())?;
     debug_assert!((result.raw - exact).abs() <= 1e-6 * exact.abs().max(1.0));
-    let audit = upa.last_audit().cloned();
+    let audit = upa.last_audit().as_deref().cloned();
     Ok((SqlRelease::Scalar(Box::new(result), exact), audit))
 }
 

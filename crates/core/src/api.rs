@@ -91,14 +91,14 @@ impl DpSession {
 
     /// The audit of the most recent successful release (see
     /// [`Upa::last_audit`]).
-    pub fn last_audit(&self) -> Option<&QueryAudit> {
+    pub fn last_audit(&self) -> Option<Arc<QueryAudit>> {
         self.upa.last_audit()
     }
 
     /// Audits of the most recent successful releases through this
     /// session's engine, oldest first (a bounded ring, see
     /// [`Upa::audits`]).
-    pub fn audits(&self) -> &[QueryAudit] {
+    pub fn audits(&self) -> Vec<Arc<QueryAudit>> {
         self.upa.audits()
     }
 

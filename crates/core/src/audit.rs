@@ -43,9 +43,10 @@ pub struct QueryAudit {
     /// Stage spans in completion order (a child scope closes before its
     /// parent, so children precede parents).
     pub spans: Vec<StageSpan>,
-    /// Engine counters attributable to this query. Counters are
-    /// per-[`dataflow::Context`], so sessions sharing one context see
-    /// each other's stages in this delta.
+    /// Engine counters attributable to this query: the preparation's own
+    /// reduce stage and record exchange. A joinDP query reports the
+    /// [`dataflow::Context`]'s counter delta over its join rounds, which
+    /// also counts stages other queries ran on that context meanwhile.
     pub engine: MetricsSnapshot,
     /// Total wall-clock nanoseconds across the root stage spans.
     pub total_nanos: u64,

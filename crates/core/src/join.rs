@@ -135,7 +135,7 @@ impl Upa {
     ///
     /// Same conditions as [`Upa::run`].
     pub fn run_join<K, V, W, A, Out>(
-        &mut self,
+        &self,
         protected: &Dataset<(K, V)>,
         other: &Dataset<(K, W)>,
         agg: &JoinAggregate<K, V, W, A, Out>,
@@ -149,30 +149,25 @@ impl Upa {
         Out: DpOutput,
     {
         let spans = SpanRecorder::new();
-        let engine_before = self.ctx.metrics();
+        let engine_before = self.ctx().metrics();
         let prepare_scope = spans.enter("prepare");
 
         // ---- Phase 1: Partition & Sample --------------------------------
-        let (indices, sampled, remainder) = {
-            let mut scope = spans.enter("partition");
-            scope.add_records(protected.len() as u64);
-            let indices = self.sample_record_indices(protected.len())?;
-            let (sampled, remainder) = protected.split_indices(&indices);
-            (indices, sampled, remainder)
-        };
+        let (indices, additions) = self.draw_sample(&spans, protected.len(), domain)?;
         let n = indices.len();
-        let (additions, sampled_halves) = {
-            let mut scope = spans.enter("sample");
-            scope.add_records(2 * n as u64);
-            let additions = domain.sample_n(&mut self.rng, n);
-            // Logical halves by the hash of the join key: content-defined,
-            // so RANGE ENFORCER's partition fingerprints stay comparable
-            // across neighbouring datasets.
-            let sampled_halves: Vec<usize> = sampled
+        let (sampled, remainder) = {
+            let _scope = spans.enter("partition");
+            protected.split_indices(&indices)
+        };
+        // Logical halves by the hash of the join key: content-defined, so
+        // RANGE ENFORCER's partition fingerprints stay comparable across
+        // neighbouring datasets.
+        let sampled_halves: Vec<usize> = {
+            let _scope = spans.enter("sample");
+            sampled
                 .iter()
                 .map(|(k, _)| (stable_hash(k) % 2) as usize)
-                .collect();
-            (additions, sampled_halves)
+                .collect()
         };
 
         // ---- Phase 2: tag maps (the join path's parallel map) ------------
@@ -216,7 +211,7 @@ impl Upa {
         // tuples' aggregate) is recovered after the shuffle.
         let (mapped_sampled, mapped_additions) = {
             let _scope = spans.enter("join_differing");
-            let sample_ds = self.ctx.parallelize_default(tagged_sample);
+            let sample_ds = self.ctx().parallelize_default(tagged_sample);
             let per_tuple = Arc::clone(&agg.per_tuple);
             let reduce = Arc::clone(&agg.reduce);
             let influences: HashMap<usize, A> = sample_ds
@@ -231,9 +226,8 @@ impl Upa {
             (mapped_sampled, mapped_additions)
         };
         drop(reduce_scope);
-        drop(prepare_scope);
 
-        // ---- Phases 3–4: shared with the scalar pipeline -----------------
+        // ---- Phase 4: the fit and the release, as the scalar pipeline ----
         let reduce = Arc::clone(&agg.reduce);
         let finalize = Arc::clone(&agg.finalize);
         let state_query: MapReduceQuery<(K, V), Option<A>, Out> = MapReduceQuery::new(
@@ -246,15 +240,20 @@ impl Upa {
             },
             move |acc: Option<&Option<A>>| finalize(acc.and_then(|o| o.as_ref())),
         );
-        self.finish(
+        // The join rounds run their stages through the shared context, so
+        // this delta also counts stages that concurrent queries ran on it.
+        let engine = self.ctx().metrics().since(&engine_before);
+        let prepared = self.fit(
+            spans,
+            prepare_scope,
             &state_query,
-            Arc::new(mapped_sampled),
-            Arc::new(mapped_additions),
-            Arc::new(sampled_halves),
+            mapped_sampled,
+            &mapped_additions,
+            sampled_halves,
             rem_half,
-            Arc::new(spans.spans()),
-            self.ctx.metrics().since(&engine_before),
-        )
+            engine,
+        )?;
+        self.release(&prepared)
     }
 }
 
@@ -296,7 +295,7 @@ mod tests {
         let (orders, items, order_rows) = workload(&ctx);
         let agg = JoinAggregate::count("join_count", |_, _, _| true);
         let domain = EmpiricalSampler::new(order_rows);
-        let mut u = upa(&ctx, 64);
+        let u = upa(&ctx, 64);
         let result = u.run_join(&orders, &items, &agg, &domain).unwrap();
         let vanilla = orders.join(&items).count() as f64;
         assert_eq!(result.raw, vanilla);
@@ -308,7 +307,7 @@ mod tests {
         let (orders, items, order_rows) = workload(&ctx);
         let agg = JoinAggregate::count("join_count", |_, _, _| true);
         let domain = EmpiricalSampler::new(order_rows.clone());
-        let mut u = upa(&ctx, 32);
+        let u = upa(&ctx, 32);
         let result = u.run_join(&orders, &items, &agg, &domain).unwrap();
         // Every order key in 0..30 matches exactly 20 items; keys 30..50
         // match none. So each removal output is either raw or raw − 20.
@@ -334,7 +333,7 @@ mod tests {
         // 0..30 exactly one item (value = key) survives.
         let agg = JoinAggregate::count("filtered_join_count", |_, _, w| *w < 30.0);
         let domain = EmpiricalSampler::new(order_rows);
-        let mut u = upa(&ctx, 32);
+        let u = upa(&ctx, 32);
         let result = u.run_join(&orders, &items, &agg, &domain).unwrap();
         for &o in result.removal_outputs.iter() {
             let delta = result.raw - o;
@@ -352,7 +351,7 @@ mod tests {
         let vanilla_shuffles = ctx.metrics().shuffles;
         let agg = JoinAggregate::count("join_count", |_, _, _| true);
         let domain = EmpiricalSampler::new(order_rows);
-        let mut u = upa(&ctx, 32);
+        let u = upa(&ctx, 32);
         ctx.reset_metrics();
         let _ = u.run_join(&orders, &items, &agg, &domain).unwrap();
         let upa_shuffles = ctx.metrics().shuffles;
@@ -386,7 +385,7 @@ mod tests {
             |acc| acc.copied().unwrap_or(0.0),
         );
         let domain = EmpiricalSampler::new(orders);
-        let mut u = upa(&ctx, 16);
+        let u = upa(&ctx, 16);
         let result = u.run_join(&o, &it, &agg, &domain).unwrap();
         // 500 orders × 10 matching items × 2.0 each.
         assert_eq!(result.raw, 500.0 * 10.0 * 2.0);

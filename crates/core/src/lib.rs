@@ -43,7 +43,7 @@
 //! // The record domain: values a fresh record could take.
 //! let domain = FnSampler::new(|rng: &mut rand::rngs::StdRng| rand::Rng::gen_range(rng, 0.0..97.0));
 //!
-//! let mut upa = Upa::new(ctx, UpaConfig { sample_size: 200, ..UpaConfig::default() });
+//! let upa = Upa::new(ctx, UpaConfig { sample_size: 200, ..UpaConfig::default() });
 //! let result = upa.run(&ds, &query, &domain).unwrap();
 //! assert!(result.sensitivity[0] > 0.0);
 //! ```

@@ -174,7 +174,7 @@ mod tests {
         let data: Vec<f64> = (0..5_000).map(|i| (i % 10) as f64).collect();
         let ds = ctx.parallelize(data.clone(), 4);
         // UPA run.
-        let mut upa = crate::pipeline::Upa::new(
+        let upa = crate::pipeline::Upa::new(
             ctx.clone(),
             crate::UpaConfig {
                 sample_size: 100,

@@ -20,7 +20,9 @@
 //!    the concrete realisation of "reuse `R(M(S′))`".
 //! 4. **iDP Enforcement** — per-component MLE normal fit of the 2·n
 //!    neighbour outputs, P1–P99 range, RANGE ENFORCER (Algorithm 2),
-//!    range clamping, Laplace release.
+//!    range clamping, Laplace release. The fit draws no randomness, so
+//!    [`Upa::prepare`] runs it with phases 1–3; a release starts at RANGE
+//!    ENFORCER.
 
 use crate::audit::QueryAudit;
 use crate::budget::BudgetAccountant;
@@ -32,11 +34,11 @@ use crate::output::{DpOutput, OutputRange};
 use crate::query::{Lanes, MapReduceQuery, FOLD_LANES};
 use crate::source::RecordSource;
 use dataflow::columnar::ColumnarDataset;
-use dataflow::{Context, Data, MetricsSnapshot, SpanRecorder, StageSpan};
+use dataflow::{Context, Data, MetricsSnapshot, SpanRecorder, SpanScope, StageSpan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::borrow::Cow;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use upa_stats::sampling::sample_indices;
 use upa_stats::{LaplaceMechanism, Normal};
 
@@ -65,8 +67,7 @@ pub struct UpaResult<Out> {
     /// The enforced output range `Ô_f`.
     pub range: OutputRange,
     /// Outputs of the query on `x − sᵢ` for each sampled record. Shared
-    /// with the prepared query's cached core, so a repeat release copies
-    /// none of them.
+    /// with the prepared query, so a repeat release copies none of them.
     pub removal_outputs: Arc<[Out]>,
     /// Outputs of the query on `x + s̄ᵢ` for each sampled addition
     /// (shared like `removal_outputs`).
@@ -100,23 +101,46 @@ impl<Out: DpOutput> UpaResult<Out> {
 /// most twice as many (see [`Upa::audits`]).
 pub const AUDIT_RING: usize = 1024;
 
-/// The UPA system: owns the engine handle, the RANGE ENFORCER history,
-/// the privacy-budget accountant and the RNG.
+/// The UPA system: the engine handle and the configuration, read without
+/// a lock, and the state concurrent queries must see in one order — the
+/// RNG, the RANGE ENFORCER history, the audit ring and the privacy-budget
+/// accountant — behind one short critical section.
+///
+/// Every method takes `&self`, so one `Upa` serves concurrent callers. A
+/// preparation holds the lock only for its two RNG draws; a release
+/// holds it for its budget charge, RANGE ENFORCER pass and noise draw.
+/// The scan, the neighbour outputs and the MLE fit run outside it.
 pub struct Upa {
-    pub(crate) ctx: Context,
-    pub(crate) config: UpaConfig,
-    pub(crate) enforcer: RangeEnforcer,
-    pub(crate) budget: Option<BudgetAccountant>,
-    pub(crate) rng: StdRng,
-    pub(crate) audits: Vec<QueryAudit>,
+    ctx: Context,
+    config: UpaConfig,
+    serial: Mutex<Serial>,
+}
+
+/// The part of a [`Upa`] that concurrent queries must see in one order.
+struct Serial {
+    rng: StdRng,
+    enforcer: RangeEnforcer,
+    audits: Vec<Arc<QueryAudit>>,
+    budget: Option<BudgetAccountant>,
+}
+
+/// A read view of the RANGE ENFORCER of a [`Upa`]; holds the engine's
+/// lock until dropped, so drop it before the next query on that engine.
+pub struct EnforcerRef<'a>(MutexGuard<'a, Serial>);
+
+impl std::ops::Deref for EnforcerRef<'_> {
+    type Target = RangeEnforcer;
+
+    fn deref(&self) -> &RangeEnforcer {
+        &self.0.enforcer
+    }
 }
 
 impl std::fmt::Debug for Upa {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Upa")
             .field("config", &self.config)
-            .field("history", &self.enforcer.history_len())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -127,17 +151,22 @@ impl Upa {
         Upa {
             ctx,
             config,
-            enforcer: RangeEnforcer::new(),
-            budget: None,
-            rng: StdRng::seed_from_u64(seed),
-            audits: Vec::new(),
+            serial: Mutex::new(Serial {
+                rng: StdRng::seed_from_u64(seed),
+                enforcer: RangeEnforcer::new(),
+                audits: Vec::new(),
+                budget: None,
+            }),
         }
     }
 
     /// Adds a total privacy budget; each [`Upa::run`] charges its ε and
     /// fails with [`UpaError::BudgetExhausted`] once it runs out.
     pub fn with_budget(mut self, total_epsilon: f64) -> Self {
-        self.budget = Some(BudgetAccountant::new(total_epsilon));
+        self.serial
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .budget = Some(BudgetAccountant::new(total_epsilon));
         self
     }
 
@@ -151,43 +180,26 @@ impl Upa {
         &self.config
     }
 
-    /// Changes the per-release ε — serving frontends let each request
-    /// override the default budget charge. Takes effect on the next
-    /// [`Upa::run`]/[`Upa::release`].
-    ///
-    /// # Errors
-    ///
-    /// [`UpaError::InvalidConfig`] if `epsilon` is not finite-positive.
-    pub fn set_epsilon(&mut self, epsilon: f64) -> Result<(), UpaError> {
-        let candidate = UpaConfig {
-            epsilon,
-            ..self.config.clone()
-        };
-        candidate.validate()?;
-        self.config = candidate;
-        Ok(())
+    /// The critical section. A query that panicked inside it leaves the
+    /// state consistent (its budget charge stands, its release does not
+    /// count), so a poisoned lock is safe to keep using.
+    fn serial(&self) -> MutexGuard<'_, Serial> {
+        self.serial.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The RANGE ENFORCER (for inspecting history length in tests).
-    pub fn enforcer(&self) -> &RangeEnforcer {
-        &self.enforcer
+    /// The RANGE ENFORCER (for inspecting its history).
+    pub fn enforcer(&self) -> EnforcerRef<'_> {
+        EnforcerRef(self.serial())
     }
 
     /// Remaining privacy budget, if an accountant is attached.
     pub fn remaining_budget(&self) -> Option<f64> {
-        self.budget.as_ref().map(|b| b.remaining())
+        self.serial().budget.as_ref().map(|b| b.remaining())
     }
 
     /// The audit record of the most recent successful release.
-    pub fn last_audit(&self) -> Option<&QueryAudit> {
-        self.audits.last()
-    }
-
-    /// Mutable access to the most recent audit, for a frontend that
-    /// stamps its own accounting in (the server's budget lives outside
-    /// the engine).
-    pub fn last_audit_mut(&mut self) -> Option<&mut QueryAudit> {
-        self.audits.last_mut()
+    pub fn last_audit(&self) -> Option<Arc<QueryAudit>> {
+        self.serial().audits.last().cloned()
     }
 
     /// Audit records of the most recent successful releases, oldest
@@ -195,21 +207,13 @@ impl Upa {
     /// releases are kept and at most twice that, the older half being
     /// dropped at once when the ring is full, so a long-lived engine holds
     /// bounded audit state.
-    pub fn audits(&self) -> &[QueryAudit] {
-        &self.audits
+    pub fn audits(&self) -> Vec<Arc<QueryAudit>> {
+        self.serial().audits.clone()
     }
 
     /// Drops every retained audit (long-lived sessions and benchmarks).
-    pub fn clear_audits(&mut self) {
-        self.audits.clear();
-    }
-
-    /// Appends a release's audit to the ring.
-    fn push_audit(&mut self, audit: QueryAudit) {
-        if self.audits.len() >= 2 * AUDIT_RING {
-            self.audits.drain(..AUDIT_RING);
-        }
-        self.audits.push(audit);
+    pub fn clear_audits(&self) {
+        self.serial().audits.clear();
     }
 
     /// Runs a query end to end under iDP.
@@ -221,7 +225,7 @@ impl Upa {
     /// * [`UpaError::BudgetExhausted`] if an attached budget cannot cover
     ///   this query's ε.
     pub fn run<T, S, Acc, Out>(
-        &mut self,
+        &self,
         data: &S,
         query: &MapReduceQuery<T, Acc, Out>,
         domain: &dyn DomainSampler<T>,
@@ -236,30 +240,35 @@ impl Upa {
         self.release(&prepared)
     }
 
-    /// Phases 1–3 only: samples, maps and reduces, returning a
-    /// [`PreparedQuery`] whose neighbour-output state can be
+    /// Phases 1–3 and the release-independent half of phase 4: samples,
+    /// maps and reduces, then computes the `2n` neighbour outputs and the
+    /// MLE sensitivity fit, returning a [`PreparedQuery`] that can be
     /// [`Upa::release`]d repeatedly. This realises the paper's §VI-E
     /// extension — "reusing the results computed from the sampled
     /// neighbouring datasets across repeated queries": re-releasing costs
     /// no engine work (no new stages or shuffles), only fresh noise and a
     /// fresh ε budget charge.
     ///
+    /// Only the two RNG draws (`sample_indices`, then `domain.sample_n`)
+    /// take the engine lock; they alone must be ordered against other
+    /// queries. The scan and the fit run outside it, so a concurrent
+    /// release on this engine never waits for them.
+    ///
     /// `data` is a row [`dataflow::Dataset`] or a
     /// [`dataflow::ColumnarDataset`]; this one body serves both, so what
-    /// decides a release is the same by construction: the RNG draws
-    /// (`sample_indices`, then `domain.sample_n`), the sampled records'
-    /// logical halves, and the remainder's fold order — inside a slab,
-    /// [`FOLD_LANES`] lanes by slab offset, each a left fold in record
-    /// order, merged pairwise; slabs merged ascending. `S′` is never
-    /// materialised: the reduce walks the source in place around the
-    /// sampled rows.
+    /// decides a release is the same by construction: the RNG draws, the
+    /// sampled records' logical halves, and the remainder's fold order —
+    /// inside a slab, [`FOLD_LANES`] lanes by slab offset, each a left
+    /// fold in record order, merged pairwise; slabs merged ascending.
+    /// `S′` is never materialised: the reduce walks the source in place
+    /// around the sampled rows.
     ///
     /// # Errors
     ///
     /// * [`UpaError::EmptyDataset`] if `data` has no records;
     /// * [`UpaError::InvalidConfig`] if the configuration is invalid.
     pub fn prepare<T, S, Acc, Out>(
-        &mut self,
+        &self,
         data: &S,
         query: &MapReduceQuery<T, Acc, Out>,
         domain: &dyn DomainSampler<T>,
@@ -271,15 +280,14 @@ impl Upa {
         Out: DpOutput,
     {
         let spans = SpanRecorder::new();
-        let engine_before = self.ctx.metrics();
         let prepare_scope = spans.enter("prepare");
 
         // ---- Phase 1: Partition & Sample -------------------------------
         let len = data.len();
-        let (indices, sampled, bounds, physical_halves, half_split) = {
-            let mut scope = spans.enter("partition");
-            scope.add_records(len as u64);
-            let indices = self.sample_record_indices(len)?;
+        let (indices, additions) = self.draw_sample(&spans, len, domain)?;
+        let n = indices.len();
+        let (sampled, bounds, physical_halves, half_split) = {
+            let _scope = spans.enter("partition");
             let bounds = data.slab_bounds();
             let half_split = bounds.len().div_ceil(2);
             let sampled = data.gather_sorted(&indices);
@@ -290,21 +298,17 @@ impl Upa {
                     usize::from(slab >= half_split)
                 })
                 .collect();
-            (indices, sampled, bounds, halves, half_split)
+            (sampled, bounds, halves, half_split)
         };
-        let n = indices.len();
-        let (additions, sampled_halves) = {
-            let mut scope = spans.enter("sample");
-            scope.add_records(2 * n as u64);
-            let additions = domain.sample_n(&mut self.rng, n);
+        let sampled_halves = {
+            let _scope = spans.enter("sample");
             // Logical halves: by stable record key when the query provides
             // one (content-defined, robust across neighbouring datasets),
             // by slab index otherwise.
-            let sampled_halves: Vec<usize> = match query.half_key() {
+            match query.half_key() {
                 Some(hk) => sampled.iter().map(|t| (hk(t) % 2) as usize).collect(),
                 None => physical_halves,
-            };
-            (additions, sampled_halves)
+            }
         };
 
         // ---- Phase 2: Parallel Map --------------------------------------
@@ -325,7 +329,7 @@ impl Upa {
         // `R` is commutative and associative (§II-C); this fixes one
         // grouping of its non-associative `f64` instances, from slab
         // offsets only, so chunk layout and the sampled rows never reach it.
-        let rem_half: [Option<Acc>; 2] = {
+        let (rem_half, engine) = {
             let mut scope = spans.enter("reduce");
             scope.add_records((len - n) as u64);
             let partials: Vec<Lanes<Acc>> = {
@@ -357,10 +361,22 @@ impl Upa {
                 )
             };
             // The merge below is RANGE ENFORCER's record exchange: one
-            // combined record per (slab, half).
-            let exchanged = 2 * partials.len() as u64;
-            self.ctx
-                .record_logical_shuffle(exchanged, exchanged * std::mem::size_of::<Acc>() as u64);
+            // combined record per (slab, half). The preparation counts its
+            // own engine work — this stage and this exchange — because the
+            // context's counters also move with every concurrent query.
+            let slabs = partials.len() as u64;
+            let exchanged = 2 * slabs;
+            let bytes = exchanged * std::mem::size_of::<Acc>() as u64;
+            self.ctx.record_logical_shuffle(exchanged, bytes);
+            let engine = MetricsSnapshot {
+                stages: 1,
+                tasks: slabs,
+                shuffles: 1,
+                shuffle_records: exchanged,
+                shuffle_bytes: bytes,
+                records_processed: len as u64,
+                ..MetricsSnapshot::default()
+            };
             let mut rem: [Option<Acc>; 2] = [None, None];
             for lanes in partials {
                 for (h, p) in query.merge_lanes(lanes).into_iter().enumerate() {
@@ -372,20 +388,19 @@ impl Upa {
                     }
                 }
             }
-            rem
+            (rem, engine)
         };
 
-        drop(prepare_scope);
-        Ok(PreparedQuery {
-            query: query.clone(),
-            mapped_sampled: Arc::new(mapped_sampled),
-            mapped_additions: Arc::new(mapped_additions),
-            sampled_halves: Arc::new(sampled_halves),
+        self.fit(
+            spans,
+            prepare_scope,
+            query,
+            mapped_sampled,
+            &mapped_additions,
+            sampled_halves,
             rem_half,
-            spans: Arc::new(spans.spans()),
-            engine: self.ctx.metrics().since(&engine_before),
-            core: OnceLock::new(),
-        })
+            engine,
+        )
     }
 
     /// [`Upa::prepare`] under the name the benchmark harness calls.
@@ -394,7 +409,7 @@ impl Upa {
     ///
     /// As [`Upa::prepare`].
     pub fn prepare_columnar<Acc, Out>(
-        &mut self,
+        &self,
         data: &ColumnarDataset,
         query: &MapReduceQuery<f64, Acc, Out>,
         domain: &dyn DomainSampler<f64>,
@@ -406,23 +421,15 @@ impl Upa {
         self.prepare(data, query, domain)
     }
 
-    /// Releases one noisy output from a prepared query. Each call draws
-    /// fresh noise, charges ε and records a RANGE ENFORCER entry; no
-    /// engine stages run.
-    ///
-    /// The first release runs phases 3–4 in full (neighbour outputs, MLE
-    /// sensitivity fit, range enforcement) and caches the pre-noise core
-    /// on the preparation; every later release of the same preparation
-    /// reduces to the budget charge and a fresh Laplace draw over the
-    /// cached enforced value — Algorithm 1's expensive fit is paid once
-    /// per prepare, not once per release.
+    /// Releases one noisy output from a prepared query at the configured
+    /// ε. Each call charges ε, draws fresh noise and records a RANGE
+    /// ENFORCER entry; no engine stages run.
     ///
     /// # Errors
     ///
-    /// * [`UpaError::BudgetExhausted`] if an attached budget cannot cover
-    ///   this release's ε.
+    /// As [`Upa::release_with`].
     pub fn release<T, Acc, Out>(
-        &mut self,
+        &self,
         prepared: &PreparedQuery<T, Acc, Out>,
     ) -> Result<UpaResult<Out>, UpaError>
     where
@@ -430,124 +437,178 @@ impl Upa {
         Acc: Data,
         Out: DpOutput,
     {
-        if let Some(core) = prepared.core.get() {
-            return self.release_cached(prepared, core);
-        }
-        let result = self.finish(
-            &prepared.query,
-            Arc::clone(&prepared.mapped_sampled),
-            Arc::clone(&prepared.mapped_additions),
-            Arc::clone(&prepared.sampled_halves),
-            prepared.rem_half.clone(),
-            Arc::clone(&prepared.spans),
-            prepared.engine,
-        )?;
-        let signature = self
-            .enforcer
-            .last_signature()
-            .cloned()
-            .expect("finish records a signature");
-        // A concurrent first release may have won the race; either core
-        // is equivalent (same prepared state, same deterministic fit).
-        let _ = prepared.core.set(ReleaseCore {
-            raw: result.raw.clone(),
-            enforced: result.enforced.clone(),
-            sensitivity: result.sensitivity.clone(),
-            empirical_sensitivity: result.empirical_sensitivity.clone(),
-            range: result.range.clone(),
-            removal_outputs: Arc::clone(&result.removal_outputs),
-            addition_outputs: Arc::clone(&result.addition_outputs),
-            enforce_outcome: result.enforce_outcome,
-            group_size: self.config.group_size,
-            signature,
-        });
-        Ok(result)
+        self.release_with(prepared, self.config.epsilon, |_| {})
+            .map(|(result, _)| result)
     }
 
-    /// The cheap repeat-release path: charge ε, draw fresh noise over the
-    /// cached enforced output, re-record the enforcer signature (a repeat
-    /// count bump), audit.
-    /// The separation loop is deliberately skipped — the cached partition
-    /// outputs are identical to the already-recorded first release, so it
-    /// could only flag the query against its own history and mangle a
-    /// legitimate repeat.
-    fn release_cached<T, Acc, Out>(
-        &mut self,
+    /// Releases one noisy output from a prepared query at `epsilon` and
+    /// returns it with the release's audit. `stamp` edits the audit before
+    /// the ring retains it: a frontend whose budget lives outside the
+    /// engine writes its own accounting in.
+    ///
+    /// The release is one critical section: the budget charge; on the
+    /// preparation's first release, RANGE ENFORCER (Algorithm 2) over the
+    /// prepared fit, whose enforced value the preparation then keeps; the
+    /// Laplace draw; the audit. A later release re-records the first one's
+    /// enforcer signature (a repeat-count bump) and draws fresh noise over
+    /// the kept value. It skips the separation loop on purpose: its
+    /// partition outputs are the first release's, so the loop could only
+    /// flag the query against its own history and mangle a legitimate
+    /// repeat. The check for a kept value and the enforcement share the
+    /// critical section, so of concurrent first releases exactly one
+    /// enforces.
+    ///
+    /// # Errors
+    ///
+    /// * [`UpaError::InvalidConfig`] if `epsilon` is not finite-positive;
+    /// * [`UpaError::BudgetExhausted`] if an attached budget cannot cover
+    ///   `epsilon`.
+    pub fn release_with<T, Acc, Out>(
+        &self,
         prepared: &PreparedQuery<T, Acc, Out>,
-        core: &ReleaseCore<Out>,
-    ) -> Result<UpaResult<Out>, UpaError>
+        epsilon: f64,
+        stamp: impl FnOnce(&mut QueryAudit),
+    ) -> Result<(UpaResult<Out>, Arc<QueryAudit>), UpaError>
     where
         T: Data,
         Acc: Data,
         Out: DpOutput,
     {
+        if !(epsilon.is_finite() && epsilon > 0.0) {
+            return Err(UpaError::InvalidConfig("epsilon"));
+        }
+        let p = prepared;
         let spans = SpanRecorder::new();
+        let mut guard = self.serial();
+        let serial = &mut *guard;
         let release_scope = spans.enter("release");
-        self.charge_budget(&spans)?;
-        let released = self.draw_noise(&spans, &core.enforced, &core.sensitivity);
-        self.enforcer.record(core.signature.clone());
+        serial.charge_budget(&spans, epsilon)?;
+        let enforced = match p.enforced.get() {
+            Some(enforced) => {
+                serial.enforcer.record(enforced.signature.clone());
+                enforced
+            }
+            None => {
+                let mut state = PipelineState {
+                    query: &p.query,
+                    mapped_sampled: &p.mapped_sampled,
+                    sampled_halves: &p.sampled_halves,
+                    active: vec![true; p.sample_size()],
+                    rem_half: p.rem_half.clone(),
+                    output_components: p.raw.components(),
+                };
+                let outcome =
+                    serial
+                        .enforcer
+                        .enforce_traced(&mut state, &p.range, &mut serial.rng, &spans);
+                p.enforced.get_or_init(|| Enforced {
+                    value: Out::from_components(state.output_components),
+                    outcome,
+                    signature: serial
+                        .enforcer
+                        .last_signature()
+                        .cloned()
+                        .expect("enforcement records a signature"),
+                })
+            }
+        };
+        let released = serial.draw_noise(
+            &spans,
+            self.config.add_noise,
+            epsilon,
+            &enforced.value,
+            &p.sensitivity,
+        );
         drop(release_scope);
 
-        let (all_spans, total_nanos) = audit_spans(&prepared.spans, &spans);
-        self.push_audit(QueryAudit {
-            query: prepared.query.name().to_string(),
-            epsilon: self.config.epsilon,
-            budget_remaining: self.budget.as_ref().map(|b| b.remaining()),
-            sensitivity: core.sensitivity.clone(),
-            range: core.range.bounds.clone(),
-            clamped: core.enforce_outcome.clamped,
-            attack_detected: core.enforce_outcome.attack_suspected,
-            removed_records: core.enforce_outcome.removed_records,
-            sample_size: prepared.sample_size(),
-            group_size: core.group_size,
+        let (all_spans, total_nanos) = audit_spans(&p.spans, &spans);
+        let mut audit = QueryAudit {
+            query: p.query.name().to_string(),
+            epsilon,
+            budget_remaining: serial.budget.as_ref().map(|b| b.remaining()),
+            sensitivity: p.sensitivity.clone(),
+            range: p.range.bounds.clone(),
+            clamped: enforced.outcome.clamped,
+            attack_detected: enforced.outcome.attack_suspected,
+            removed_records: enforced.outcome.removed_records,
+            sample_size: p.sample_size(),
+            group_size: p.group_size,
             spans: all_spans,
-            engine: prepared.engine,
+            engine: p.engine,
             total_nanos,
-        });
+        };
+        stamp(&mut audit);
+        let audit = Arc::new(audit);
+        serial.push_audit(Arc::clone(&audit));
+        drop(guard);
 
-        Ok(UpaResult {
+        let result = UpaResult {
             released,
-            enforced: core.enforced.clone(),
-            raw: core.raw.clone(),
-            sensitivity: core.sensitivity.clone(),
-            empirical_sensitivity: core.empirical_sensitivity.clone(),
-            range: core.range.clone(),
-            removal_outputs: Arc::clone(&core.removal_outputs),
-            addition_outputs: Arc::clone(&core.addition_outputs),
-            enforce_outcome: core.enforce_outcome,
-            sample_size: prepared.sample_size(),
-            epsilon: self.config.epsilon,
-        })
+            enforced: enforced.value.clone(),
+            raw: p.raw.clone(),
+            sensitivity: p.sensitivity.clone(),
+            empirical_sensitivity: p.empirical_sensitivity.clone(),
+            range: p.range.clone(),
+            removal_outputs: Arc::clone(&p.removal_outputs),
+            addition_outputs: Arc::clone(&p.addition_outputs),
+            enforce_outcome: enforced.outcome,
+            sample_size: p.sample_size(),
+            epsilon,
+        };
+        Ok((result, audit))
     }
 
-    /// Phases 3–4 shared between [`Upa::run`] and the joinDP path
-    /// ([`crate::join`]): union-preserving reduce over the sampled
-    /// accumulators, sensitivity inference, RANGE ENFORCER and release.
-    /// `prepare_spans`/`prepare_engine` carry the phase-1–3 cost from the
-    /// caller so the recorded [`QueryAudit`] covers the whole query.
-    ///
-    /// The bulky phase-1–3 state arrives `Arc`-shared so repeated
-    /// [`Upa::release`]s never deep-copy the sampled accumulators; only
-    /// the two per-half remainder reductions are cloned per call.
+    /// The phase-1 draws, shared with the join path and the only part of a
+    /// preparation that takes the engine lock: validates the
+    /// configuration, rejects an empty input, then samples the sorted
+    /// global indices of the `n` differing records and, after them, the
+    /// `n` candidate additions from the record domain.
+    pub(crate) fn draw_sample<T>(
+        &self,
+        spans: &SpanRecorder,
+        len: usize,
+        domain: &dyn DomainSampler<T>,
+    ) -> Result<(Vec<usize>, Vec<T>), UpaError> {
+        self.config.validate()?;
+        if len == 0 {
+            return Err(UpaError::EmptyDataset);
+        }
+        let n = self.config.sample_size.min(len);
+        let mut serial = self.serial();
+        let indices = {
+            let mut scope = spans.enter("partition");
+            scope.add_records(len as u64);
+            sample_indices(&mut serial.rng, len, n)
+        };
+        let mut scope = spans.enter("sample");
+        scope.add_records(2 * n as u64);
+        Ok((indices, domain.sample_n(&mut serial.rng, n)))
+    }
+
+    /// The release-independent half of phase 4, shared by
+    /// [`Upa::prepare`] and the joinDP path ([`crate::join`]): the `2n`
+    /// neighbour outputs — a union-preserving reduce over the sampled
+    /// accumulators — and the per-component MLE sensitivity fit and range.
+    /// Neither draws from the RNG, so both run here, on the worker pool
+    /// and outside the engine lock, before `prepare_scope` closes; the
+    /// result is the [`PreparedQuery`] every release shares.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finish<T, Acc, Out>(
-        &mut self,
+    pub(crate) fn fit<T, Acc, Out>(
+        &self,
+        spans: SpanRecorder,
+        prepare_scope: SpanScope,
         query: &MapReduceQuery<T, Acc, Out>,
-        mapped_sampled: Arc<Vec<Acc>>,
-        mapped_additions: Arc<Vec<Acc>>,
-        sampled_halves: Arc<Vec<usize>>,
+        mapped_sampled: Vec<Acc>,
+        mapped_additions: &[Acc],
+        sampled_halves: Vec<usize>,
         rem_half: [Option<Acc>; 2],
-        prepare_spans: Arc<Vec<StageSpan>>,
-        prepare_engine: MetricsSnapshot,
-    ) -> Result<UpaResult<Out>, UpaError>
+        engine: MetricsSnapshot,
+    ) -> Result<PreparedQuery<T, Acc, Out>, UpaError>
     where
         T: Data,
         Acc: Data,
         Out: DpOutput,
     {
-        let spans = SpanRecorder::new();
-        let release_scope = spans.enter("release");
-        self.charge_budget(&spans)?;
         let n = mapped_sampled.len();
         // R(M(S′)) — computed once, reused for every neighbour output.
         let r_sprime = query.merge_ref(rem_half[0].as_ref(), rem_half[1].as_ref());
@@ -635,9 +696,9 @@ impl Upa {
             (raw, removal_outputs, addition_outputs)
         };
 
-        // ---- Phase 4: iDP Enforcement -----------------------------------
-        let raw_components = raw.components();
-        let dims = raw_components.len();
+        // ---- Phase 4: the sensitivity fit --------------------------------
+        let raws = Arc::new(raw.components());
+        let dims = raws.len();
         let (p_lo, p_hi) = self.config.percentiles;
         let (bounds, sensitivity, empirical_sensitivity) = {
             let _scope = spans.enter("mle_fit");
@@ -651,7 +712,6 @@ impl Upa {
                     .map(|o| o.components())
                     .collect(),
             );
-            let raws = Arc::new(raw_components.clone());
             let fits: Vec<Result<(f64, f64, f64), UpaError>> = {
                 let neigh = Arc::clone(&neighbour_components);
                 let raws = Arc::clone(&raws);
@@ -691,67 +751,37 @@ impl Upa {
             }
             (bounds, sensitivity, empirical_sensitivity)
         };
-        let range = OutputRange::new(bounds);
-
-        let mut state = PipelineState {
-            query,
-            mapped_sampled: Arc::clone(&mapped_sampled),
-            sampled_halves: Arc::clone(&sampled_halves),
-            active: vec![true; n],
+        drop(prepare_scope);
+        Ok(PreparedQuery {
+            query: query.clone(),
+            mapped_sampled,
+            sampled_halves,
             rem_half,
-            output_components: raw_components,
-        };
-        let enforce_outcome =
-            self.enforcer
-                .enforce_traced(&mut state, &range, &mut self.rng, &spans);
-        let enforced = Out::from_components(state.output_components.clone());
-
-        let released = self.draw_noise(&spans, &enforced, &sensitivity);
-
-        drop(release_scope);
-        let (all_spans, total_nanos) = audit_spans(&prepare_spans, &spans);
-        self.push_audit(QueryAudit {
-            query: query.name().to_string(),
-            epsilon: self.config.epsilon,
-            budget_remaining: self.budget.as_ref().map(|b| b.remaining()),
-            sensitivity: sensitivity.clone(),
-            range: range.bounds.clone(),
-            clamped: enforce_outcome.clamped,
-            attack_detected: enforce_outcome.attack_suspected,
-            removed_records: enforce_outcome.removed_records,
-            sample_size: n,
-            group_size: g,
-            spans: all_spans,
-            engine: prepare_engine,
-            total_nanos,
-        });
-
-        Ok(UpaResult {
-            released,
-            enforced,
+            spans: spans.spans(),
+            engine,
             raw,
             sensitivity,
             empirical_sensitivity,
-            range,
+            range: OutputRange::new(bounds),
             removal_outputs,
             addition_outputs,
-            enforce_outcome,
-            sample_size: n,
-            epsilon: self.config.epsilon,
+            group_size: g,
+            enforced: OnceLock::new(),
         })
     }
+}
 
-    /// Charges this release's ε against the attached budget, if any.
-    fn charge_budget(&mut self, spans: &SpanRecorder) -> Result<(), UpaError> {
+impl Serial {
+    /// Charges a release's ε against the attached budget, if any.
+    fn charge_budget(&mut self, spans: &SpanRecorder, epsilon: f64) -> Result<(), UpaError> {
         let _scope = spans.enter("budget");
-        let requested = self.config.epsilon;
         match &mut self.budget {
             Some(budget) => {
                 budget
-                    .try_spend(requested)
+                    .try_spend(epsilon)
                     .map_err(|remaining| UpaError::BudgetExhausted {
                         remaining,
-                        requested,
+                        requested: epsilon,
                     })
             }
             None => Ok(()),
@@ -764,11 +794,13 @@ impl Upa {
     fn draw_noise<Out: DpOutput>(
         &mut self,
         spans: &SpanRecorder,
+        add_noise: bool,
+        epsilon: f64,
         enforced: &Out,
         sensitivity: &[f64],
     ) -> Out {
         let _scope = spans.enter("noise");
-        if !self.config.add_noise {
+        if !add_noise {
             return enforced.clone();
         }
         let comps = enforced
@@ -776,7 +808,7 @@ impl Upa {
             .iter()
             .zip(sensitivity)
             .map(|(&v, &s)| {
-                LaplaceMechanism::new(s.max(0.0), self.config.epsilon)
+                LaplaceMechanism::new(s.max(0.0), epsilon)
                     .expect("validated epsilon and non-negative sensitivity")
                     .release(v, &mut self.rng)
             })
@@ -784,16 +816,12 @@ impl Upa {
         Out::from_components(comps)
     }
 
-    /// The phase-1 draw, shared with the join path: validates the
-    /// configuration, rejects an empty input and samples the sorted
-    /// global indices of the `n` differing records.
-    pub(crate) fn sample_record_indices(&mut self, len: usize) -> Result<Vec<usize>, UpaError> {
-        self.config.validate()?;
-        if len == 0 {
-            return Err(UpaError::EmptyDataset);
+    /// Appends a release's audit to the ring.
+    fn push_audit(&mut self, audit: Arc<QueryAudit>) {
+        if self.audits.len() >= 2 * AUDIT_RING {
+            self.audits.drain(..AUDIT_RING);
         }
-        let n = self.config.sample_size.min(len);
-        Ok(sample_indices(&mut self.rng, len, n))
+        self.audits.push(audit);
     }
 }
 
@@ -810,52 +838,44 @@ fn audit_spans(prepare: &[StageSpan], release: &SpanRecorder) -> (Vec<StageSpan>
     (all, total)
 }
 
-/// The deterministic, data-dependent core of a release — everything
-/// Algorithm 1 computes *before* the Laplace draw: neighbour outputs,
-/// the MLE sensitivity fit, and the range-enforced value. Given the same
-/// prepared state it is identical on every release, so the first release
-/// caches it and later releases reduce to a budget charge plus a fresh
-/// noise draw (this is what makes repeat releases cheap enough to serve
-/// without queueing).
-struct ReleaseCore<Out> {
-    raw: Out,
-    enforced: Out,
-    sensitivity: Vec<f64>,
-    empirical_sensitivity: Vec<f64>,
-    range: OutputRange,
-    removal_outputs: Arc<[Out]>,
-    addition_outputs: Arc<[Out]>,
-    enforce_outcome: EnforceOutcome,
-    /// Group size the core was computed under, stamped into audits of
-    /// cached releases.
-    group_size: usize,
-    /// The post-enforcement partition outputs the first release recorded;
-    /// every cached release re-records them, which bumps the entry's
-    /// repeat count, so the enforcer counts every answered release while
-    /// holding one entry per distinct signature.
+/// RANGE ENFORCER's verdict on a preparation, reached by its first
+/// release: the range-enforced value every later release draws its noise
+/// over, and the signature every later release re-records — which bumps
+/// that entry's repeat count, so the enforcer counts every answered
+/// release while holding one entry per distinct signature.
+struct Enforced<Out> {
+    value: Out,
+    outcome: EnforceOutcome,
     signature: QuerySignature,
 }
 
-/// The reusable phase-1–3 state of a query: sampled/addition accumulators
-/// and the per-half remainder reductions. Produced by [`Upa::prepare`],
-/// consumed (repeatedly) by [`Upa::release`].
+/// The reusable state of a query, produced by [`Upa::prepare`] and
+/// consumed (repeatedly) by [`Upa::release`]: the sampled accumulators and
+/// per-half remainder reductions RANGE ENFORCER separates over, and what
+/// Algorithm 1 computes from them without the RNG — the neighbour outputs
+/// and the MLE sensitivity fit. Config changes that feed these
+/// (percentiles, group size, the enforcer's history) need a fresh prepare
+/// to take effect; ε does not — noise is calibrated per release.
 pub struct PreparedQuery<T, Acc, Out> {
     query: MapReduceQuery<T, Acc, Out>,
-    // `Arc`-shared so each release borrows the phase-1–3 state instead of
-    // deep-copying the sampled accumulators.
-    mapped_sampled: Arc<Vec<Acc>>,
-    mapped_additions: Arc<Vec<Acc>>,
-    sampled_halves: Arc<Vec<usize>>,
+    mapped_sampled: Vec<Acc>,
+    sampled_halves: Vec<usize>,
     rem_half: [Option<Acc>; 2],
-    /// Phase-1–3 stage spans, folded into every release's audit.
-    spans: Arc<Vec<StageSpan>>,
-    /// Engine counters attributable to the preparation.
+    /// The preparation's stage spans, folded into every release's audit.
+    spans: Vec<StageSpan>,
+    /// The preparation's own engine work.
     engine: MetricsSnapshot,
-    /// Pre-noise release state, filled by the first release. Config
-    /// changes that feed the core (percentiles, group size, the
-    /// enforcer's history) need a fresh prepare to take effect; ε does
-    /// not — noise is calibrated per release.
-    core: OnceLock<ReleaseCore<Out>>,
+    raw: Out,
+    sensitivity: Vec<f64>,
+    empirical_sensitivity: Vec<f64>,
+    range: OutputRange,
+    /// Shared with every release's [`UpaResult`], so a repeat release
+    /// copies none of the neighbour outputs.
+    removal_outputs: Arc<[Out]>,
+    addition_outputs: Arc<[Out]>,
+    group_size: usize,
+    /// Set by the first release, inside the engine's critical section.
+    enforced: OnceLock<Enforced<Out>>,
 }
 
 impl<T, Acc, Out> std::fmt::Debug for PreparedQuery<T, Acc, Out> {
@@ -877,8 +897,8 @@ impl<T, Acc, Out> PreparedQuery<T, Acc, Out> {
 /// In-flight query state handed to RANGE ENFORCER.
 struct PipelineState<'q, T, Acc, Out> {
     query: &'q MapReduceQuery<T, Acc, Out>,
-    mapped_sampled: Arc<Vec<Acc>>,
-    sampled_halves: Arc<Vec<usize>>,
+    mapped_sampled: &'q [Acc],
+    sampled_halves: &'q [usize],
     active: Vec<bool>,
     rem_half: [Option<Acc>; 2],
     output_components: Vec<f64>,
@@ -983,7 +1003,7 @@ mod tests {
 
     #[test]
     fn count_query_end_to_end() {
-        let (ctx, mut upa) = small_upa(100);
+        let (ctx, upa) = small_upa(100);
         let data: Vec<f64> = (0..4_000).map(|i| (i % 10) as f64).collect();
         let ds = ctx.parallelize(data.clone(), 8);
         let query = MapReduceQuery::scalar_sum("count", |_x: &f64| 1.0);
@@ -1004,7 +1024,7 @@ mod tests {
     fn neighbour_outputs_match_direct_recomputation() {
         // The union-preservation property: f(x − sᵢ) computed through
         // prefix/suffix reuse equals direct evaluation on x − sᵢ.
-        let (ctx, mut upa) = small_upa(50);
+        let (ctx, upa) = small_upa(50);
         let data: Vec<f64> = (0..500).map(|i| ((i * 37) % 113) as f64 * 0.5).collect();
         let ds = ctx.parallelize(data.clone(), 4);
         let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
@@ -1024,7 +1044,7 @@ mod tests {
 
     #[test]
     fn empty_dataset_is_rejected() {
-        let (ctx, mut upa) = small_upa(10);
+        let (ctx, upa) = small_upa(10);
         let ds = ctx.parallelize(Vec::<f64>::new(), 2);
         let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
         let domain = EmpiricalSampler::new(vec![1.0]);
@@ -1036,7 +1056,7 @@ mod tests {
 
     #[test]
     fn small_dataset_samples_every_record() {
-        let (ctx, mut upa) = small_upa(1000);
+        let (ctx, upa) = small_upa(1000);
         let data = vec![1.0, 2.0, 3.0, 4.0, 5.0];
         let ds = ctx.parallelize(data.clone(), 2);
         let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
@@ -1055,7 +1075,7 @@ mod tests {
 
     #[test]
     fn output_is_clamped_into_range() {
-        let (ctx, mut upa) = small_upa(64);
+        let (ctx, upa) = small_upa(64);
         let data: Vec<f64> = (0..2_000).map(|i| (i % 7) as f64).collect();
         let ds = ctx.parallelize(data.clone(), 4);
         let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
@@ -1067,7 +1087,7 @@ mod tests {
     #[test]
     fn noise_is_added_when_enabled() {
         let ctx = Context::with_threads(2);
-        let mut upa = Upa::new(
+        let upa = Upa::new(
             ctx.clone(),
             UpaConfig {
                 sample_size: 64,
@@ -1089,7 +1109,7 @@ mod tests {
     #[test]
     fn budget_is_charged_and_exhausts() {
         let ctx = Context::with_threads(2);
-        let mut upa = Upa::new(
+        let upa = Upa::new(
             ctx.clone(),
             UpaConfig {
                 sample_size: 16,
@@ -1117,7 +1137,7 @@ mod tests {
     #[test]
     fn repeated_query_on_neighbouring_dataset_is_separated() {
         let ctx = Context::with_threads(4);
-        let mut upa = Upa::new(
+        let upa = Upa::new(
             ctx.clone(),
             UpaConfig {
                 sample_size: 32,
@@ -1145,7 +1165,7 @@ mod tests {
 
     #[test]
     fn vector_query_gets_per_component_treatment() {
-        let (ctx, mut upa) = small_upa(64);
+        let (ctx, upa) = small_upa(64);
         let data: Vec<f64> = (0..3_000).map(|i| (i % 11) as f64).collect();
         let ds = ctx.parallelize(data.clone(), 4);
         // Output = [count, sum]: components with very different scales.
@@ -1178,7 +1198,7 @@ mod tests {
         let domain = EmpiricalSampler::new(data);
         let mut results = Vec::new();
         for g in [1usize, 5, 10] {
-            let mut upa = Upa::new(
+            let upa = Upa::new(
                 ctx.clone(),
                 UpaConfig {
                     sample_size: 100,
@@ -1209,7 +1229,7 @@ mod tests {
         let ds = ctx.parallelize(data.clone(), 8);
         let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
         let domain = EmpiricalSampler::new(data);
-        let mut upa = Upa::new(
+        let upa = Upa::new(
             ctx.clone(),
             UpaConfig {
                 sample_size: 50,
@@ -1242,7 +1262,7 @@ mod tests {
         let ds = ctx.parallelize(data.clone(), 8);
         let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
         let domain = EmpiricalSampler::new(data);
-        let mut upa = Upa::new(
+        let upa = Upa::new(
             ctx.clone(),
             UpaConfig {
                 sample_size: 50,
@@ -1275,11 +1295,11 @@ mod tests {
         assert_eq!(audit.sample_size, 50);
         assert_eq!(audit.epsilon, 0.2);
 
-        // ε is applied per release, not baked into the cache: a tighter
-        // budget still scales the cached core's noise.
-        upa.set_epsilon(0.9).unwrap();
-        let r4 = upa.release(&prepared).unwrap();
+        // ε is applied per release, not baked into the preparation: the
+        // kept value's noise is calibrated to each release's own ε.
+        let (r4, audit) = upa.release_with(&prepared, 0.9, |_| {}).unwrap();
         assert_eq!(r4.epsilon, 0.9);
+        assert_eq!(audit.epsilon, 0.9);
         assert_eq!(r4.sensitivity, r1.sensitivity);
     }
 
@@ -1290,7 +1310,7 @@ mod tests {
         let ds = ctx.parallelize(data.clone(), 4);
         let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
         let domain = EmpiricalSampler::new(data);
-        let mut upa = Upa::new(
+        let upa = Upa::new(
             ctx.clone(),
             UpaConfig {
                 sample_size: 20,
@@ -1312,13 +1332,13 @@ mod tests {
     }
 
     #[test]
-    fn set_epsilon_changes_the_next_charge() {
+    fn release_with_charges_its_own_epsilon() {
         let ctx = Context::with_threads(2);
         let data: Vec<f64> = (0..300).map(|i| i as f64).collect();
         let ds = ctx.parallelize(data.clone(), 4);
         let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
         let domain = EmpiricalSampler::new(data);
-        let mut upa = Upa::new(
+        let upa = Upa::new(
             ctx,
             UpaConfig {
                 sample_size: 16,
@@ -1329,21 +1349,25 @@ mod tests {
         )
         .with_budget(1.0);
         let prepared = upa.prepare(&ds, &query, &domain).unwrap();
-        upa.set_epsilon(0.25).unwrap();
-        let r = upa.release(&prepared).unwrap();
+        let stamp = |audit: &mut QueryAudit| audit.budget_remaining = Some(7.0);
+        let (r, audit) = upa.release_with(&prepared, 0.25, stamp).unwrap();
         assert_eq!(r.epsilon, 0.25);
         assert_eq!(upa.remaining_budget(), Some(0.75));
+        // The stamp reaches the audit the ring retains.
+        assert_eq!(audit.budget_remaining, Some(7.0));
+        assert_eq!(upa.last_audit().unwrap().budget_remaining, Some(7.0));
         assert_eq!(
-            upa.set_epsilon(f64::NAN).unwrap_err(),
+            upa.release_with(&prepared, f64::NAN, |_| {}).unwrap_err(),
             UpaError::InvalidConfig("epsilon")
         );
-        // A failed set leaves the previous value in place.
-        assert_eq!(upa.config().epsilon, 0.25);
+        // A refused release charges nothing and leaves the default ε.
+        assert_eq!(upa.remaining_budget(), Some(0.75));
+        assert_eq!(upa.config().epsilon, 0.5);
     }
 
     #[test]
     fn run_records_audit_with_stage_timings() {
-        let (ctx, mut upa) = small_upa(50);
+        let (ctx, upa) = small_upa(50);
         let data: Vec<f64> = (0..1_000).map(|i| (i % 10) as f64).collect();
         let ds = ctx.parallelize(data.clone(), 4);
         let query = MapReduceQuery::scalar_sum("count", |_x: &f64| 1.0);
@@ -1365,6 +1389,10 @@ mod tests {
         ] {
             assert!(audit.stage_nanos(stage) > 0, "stage {stage} has zero time");
         }
+        // The fit draws no randomness, so it is preparation work.
+        for path in ["prepare/neighbours", "prepare/mle_fit", "release/enforce"] {
+            assert!(audit.spans.iter().any(|s| s.path == path), "no {path} span");
+        }
         assert!(audit.engine.stages > 0);
         assert!(audit.engine.shuffles >= 1);
         assert!(audit.engine.shuffle_bytes > 0);
@@ -1384,7 +1412,7 @@ mod tests {
         let values: Vec<f64> = (0..2_000).map(|i| (i % 11) as f64).collect();
         let buf = ColumnarBuf::from_values(&values, 128);
         let cds = ColumnarDataset::new(&ctx, buf.clone());
-        let mut upa = Upa::new(
+        let upa = Upa::new(
             ctx.clone(),
             UpaConfig {
                 sample_size: 32,
@@ -1413,7 +1441,7 @@ mod tests {
         let ds = ctx.parallelize(data.clone(), 4);
         let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
         let domain = EmpiricalSampler::new(data);
-        let mut upa = Upa::new(
+        let upa = Upa::new(
             ctx,
             UpaConfig {
                 sample_size: 20,

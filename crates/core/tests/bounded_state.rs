@@ -17,7 +17,7 @@ fn cached_releases_keep_one_signature_and_a_bounded_audit_ring() {
     let ds = ctx.parallelize(data.clone(), 4);
     let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
     let domain = EmpiricalSampler::new(data);
-    let mut upa = Upa::new(
+    let upa = Upa::new(
         ctx,
         UpaConfig {
             sample_size: 50,

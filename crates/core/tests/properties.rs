@@ -33,7 +33,7 @@ proptest! {
         let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x)
             .with_half_key(|x: &f64| x.to_bits());
         let domain = EmpiricalSampler::new(values);
-        let mut upa = Upa::new(
+        let upa = Upa::new(
             c.clone(),
             UpaConfig { sample_size, seed, add_noise: false, ..UpaConfig::default() },
         );
@@ -60,8 +60,8 @@ proptest! {
             .with_half_key(|x: &f64| x.to_bits());
         let scaled = MapReduceQuery::scalar_sum("sum_scaled", move |x: &f64| *x * factor)
             .with_half_key(|x: &f64| x.to_bits());
-        let mut u1 = Upa::new(c.clone(), config.clone());
-        let mut u2 = Upa::new(c.clone(), config);
+        let u1 = Upa::new(c.clone(), config.clone());
+        let u2 = Upa::new(c.clone(), config);
         let r1 = u1.run(&ds, &base, &domain).unwrap();
         let r2 = u2.run(&ds, &scaled, &domain).unwrap();
         // Same seed → same sample → exactly proportional estimates.
@@ -82,7 +82,7 @@ proptest! {
         let c = ctx();
         let query = MapReduceQuery::scalar_sum("count", |_x: &f64| 1.0)
             .with_half_key(|x: &f64| x.to_bits());
-        let mut upa = Upa::new(
+        let upa = Upa::new(
             c.clone(),
             UpaConfig { sample_size: 8, seed, add_noise: false, ..UpaConfig::default() },
         );

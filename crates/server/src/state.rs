@@ -4,8 +4,9 @@
 //! One [`ServerState`] is shared (via `Arc`) by every connection thread.
 //! Mutability is fine-grained so independent work proceeds concurrently:
 //!
-//! * each dataset owns its [`upa_core::Upa`] engine behind its own mutex
-//!   (RNG, enforcer history and audits are per-dataset serial state);
+//! * each dataset owns its [`upa_core::Upa`] engine, whose own short
+//!   critical section orders the RNG draws, RANGE ENFORCER and the audit
+//!   ring; the scan and the sensitivity fit run outside it;
 //! * the prepared-query cache is an LRU behind its own short-hold mutex,
 //!   so a release on one dataset never waits on a prepare for another;
 //! * budget accounting is **sharded and lock-free**: each dataset's
@@ -458,7 +459,7 @@ struct DatasetState {
     /// until its last in-flight release drops the handle.
     columns: HashMap<String, ColumnarBuf>,
     resident_bytes: usize,
-    upa: Mutex<Upa>,
+    upa: Upa,
     permits: Permits,
 }
 
@@ -503,7 +504,7 @@ impl DatasetState {
             rows,
             resident_bytes: columns.len() * rows * 8,
             columns,
-            upa: Mutex::new(Upa::new(ctx.clone(), upa_config)),
+            upa: Upa::new(ctx.clone(), upa_config),
             permits: Permits::default(),
         }
     }
@@ -1318,8 +1319,6 @@ impl ServerState {
         let data = ColumnarDataset::new(&self.ctx, buf.clone());
         let domain = ColumnarEmpiricalSampler::new(buf);
         ds.upa
-            .lock()
-            .expect("engine poisoned")
             .prepare(&data, &query, &domain)
             .map(Arc::new)
             .map_err(|e| ServeError::Pipeline(e.to_string()))
@@ -1618,30 +1617,24 @@ impl ServerState {
             panic!("injected fault: release {seq} dies after the ledger fsync");
         }
 
-        let (result, audit) = {
-            let mut upa = ds.upa.lock().expect("engine poisoned");
-            upa.set_epsilon(epsilon)
-                .map_err(|e: UpaError| ServeError::BadRequest(e.to_string()))?;
-            let noise_start = Instant::now();
-            let result = upa
-                .release(prepared)
-                .map_err(|e| ServeError::Pipeline(e.to_string()))?;
-            self.obs.m.noise_draw.record_duration(noise_start.elapsed());
-            let stored = upa.last_audit_mut().expect("release records an audit");
-            // The server's accountant is authoritative (the engine's own
-            // budget is unset), so stamp the remaining budget into the
-            // retained audit that the `audit` op reads back.
-            stored.budget_remaining = budget_remaining;
-            if let Some(t) = trace {
-                t.span_since("noise_draw", noise_start);
-                // Graft the engine's view of this release under the
-                // server trace, whether or not the client asked for the
-                // audit payload.
-                t.graft_engine(stored.spans_rebased("engine"));
-            }
-            let audit = ctx.want_audit.then(|| stored.clone());
-            (result, audit)
-        };
+        let noise_start = Instant::now();
+        // The server's accountant is authoritative (the engine's own
+        // budget is unset), so the release stamps the remaining budget into
+        // the audit before the ring that the `audit` op reads retains it.
+        let (result, stored) = ds
+            .upa
+            .release_with(prepared, epsilon, |audit| {
+                audit.budget_remaining = budget_remaining;
+            })
+            .map_err(|e| ServeError::Pipeline(e.to_string()))?;
+        self.obs.m.noise_draw.record_duration(noise_start.elapsed());
+        if let Some(t) = trace {
+            t.span_since("noise_draw", noise_start);
+            // Graft the engine's view of this release under the server
+            // trace, whether or not the client asked for the audit payload.
+            t.graft_engine(stored.spans_rebased("engine"));
+        }
+        let audit = ctx.want_audit.then(|| QueryAudit::clone(&stored));
         Ok(ReleaseOutcome {
             query_id: query_id.to_string(),
             released: result.released,
@@ -1690,8 +1683,10 @@ impl ServerState {
     /// Every served dataset's retained engine state as `(name, distinct
     /// enforcer signatures, retained audits)`, sorted by name — the
     /// `metrics` op's per-dataset `upa_enforcer_signatures` and
-    /// `upa_audit_ring_entries` gauges. Takes each dataset's engine lock in
-    /// turn, so a scrape waits out a cold prepare in flight on a dataset.
+    /// `upa_audit_ring_entries` gauges. Takes each dataset's engine
+    /// critical section in turn, which a release holds for its enforcer
+    /// pass and noise draw and a prepare only for its sample draws, so a
+    /// scrape never waits out a scan.
     pub fn retained(&self) -> Vec<(String, usize, usize)> {
         let datasets: Vec<Arc<DatasetState>> = self
             .datasets
@@ -1703,12 +1698,8 @@ impl ServerState {
         let mut out: Vec<_> = datasets
             .iter()
             .map(|ds| {
-                let upa = ds.upa.lock().expect("engine poisoned");
-                (
-                    ds.name.clone(),
-                    upa.enforcer().distinct_len(),
-                    upa.audits().len(),
-                )
+                let signatures = ds.upa.enforcer().distinct_len();
+                (ds.name.clone(), signatures, ds.upa.audits().len())
             })
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
@@ -1722,11 +1713,12 @@ impl ServerState {
     ///
     /// Unknown dataset.
     pub fn audits_of(&self, dataset: &str, last: usize) -> Result<Vec<QueryAudit>, ServeError> {
-        let ds = self.dataset(dataset)?;
-        let upa = ds.upa.lock().expect("engine poisoned");
-        let audits = upa.audits();
+        let audits = self.dataset(dataset)?.upa.audits();
         let skip = audits.len().saturating_sub(last);
-        Ok(audits.iter().skip(skip).cloned().collect())
+        Ok(audits[skip..]
+            .iter()
+            .map(|a| QueryAudit::clone(a))
+            .collect())
     }
 }
 

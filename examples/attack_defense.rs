@@ -39,7 +39,7 @@ fn main() {
         .fold(0.0, f64::max);
     println!("victim's true influence on the count: {victim_influence}");
 
-    let mut upa = Upa::new(ctx.clone(), UpaConfig::default());
+    let upa = Upa::new(ctx.clone(), UpaConfig::default());
 
     // Query 1: the full supplier table.
     let full = ctx.parallelize_default(tables.supplier.clone());

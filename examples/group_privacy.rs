@@ -40,7 +40,7 @@ fn main() {
 
     println!("group size | inferred sensitivity | noise scale (ε = 0.1)");
     for group_size in [1usize, 2, 5, 10] {
-        let mut upa = Upa::new(
+        let upa = Upa::new(
             ctx.clone(),
             UpaConfig {
                 group_size,
@@ -58,7 +58,7 @@ fn main() {
 
     // Repeated-query reuse: prepare once, release thrice.
     println!("\nprepared-query reuse (no engine work per release):");
-    let mut upa = Upa::new(
+    let upa = Upa::new(
         ctx.clone(),
         UpaConfig {
             group_size: 5,

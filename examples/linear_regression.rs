@@ -31,7 +31,7 @@ fn main() {
     let domain = EmpiricalSampler::new(records.clone());
 
     let epochs = 20;
-    let mut upa = Upa::new(
+    let upa = Upa::new(
         ctx.clone(),
         UpaConfig {
             epsilon: 0.5,

@@ -33,7 +33,7 @@ fn main() {
 
     let iterations = 5;
     let per_iter_epsilon = 0.5;
-    let mut upa = Upa::new(
+    let upa = Upa::new(
         ctx.clone(),
         UpaConfig {
             epsilon: per_iter_epsilon,

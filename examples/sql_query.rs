@@ -59,7 +59,7 @@ fn main() {
     println!("brute-force ground truth LS  : {}", gt.local_sensitivity);
 
     // (3) The UPA release.
-    let mut upa = Upa::new(ctx.clone(), UpaConfig::default());
+    let upa = Upa::new(ctx.clone(), UpaConfig::default());
     let ds = ctx.parallelize_default(tables.orders.clone());
     let result = upa.run(&ds, q4.query(), &domain).expect("query runs");
     println!(

@@ -22,7 +22,7 @@ fn repeated_supplier_query_on_neighbour_is_detected() {
     let ctx = Context::with_threads(4);
     let q21 = Q21::new(&t);
     let domain = EmpiricalSampler::new(t.supplier.clone());
-    let mut upa = Upa::new(
+    let upa = Upa::new(
         ctx.clone(),
         UpaConfig {
             sample_size: 16,
@@ -53,7 +53,7 @@ fn adding_a_record_is_also_detected() {
     let ctx = Context::with_threads(4);
     let q21 = Q21::new(&t);
     let domain = EmpiricalSampler::new(t.supplier.clone());
-    let mut upa = Upa::new(
+    let upa = Upa::new(
         ctx.clone(),
         UpaConfig {
             sample_size: 16,
@@ -80,7 +80,7 @@ fn unrelated_queries_are_not_flagged() {
     let ctx = Context::with_threads(4);
     let q21 = Q21::new(&t);
     let q4 = Q4::new(&t);
-    let mut upa = Upa::new(
+    let upa = Upa::new(
         ctx.clone(),
         UpaConfig {
             sample_size: 16,
@@ -119,7 +119,7 @@ fn noisy_releases_hide_an_outlier_victim() {
         .fold(0.0, f64::max);
     assert!(victim_influence > 0.0);
 
-    let mut upa = Upa::new(ctx.clone(), UpaConfig::default());
+    let upa = Upa::new(ctx.clone(), UpaConfig::default());
     let full = ctx.parallelize(t.supplier.clone(), 4);
     let r = upa.run(&full, q21.query(), &domain).unwrap();
     let noise_scale = r.max_sensitivity() / r.epsilon;

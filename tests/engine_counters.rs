@@ -39,7 +39,7 @@ fn prepare_shuffles_partition_counts_not_dataset_size() {
     let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
     let domain = EmpiricalSampler::new(data);
 
-    let mut upa = upa_over(&ctx, 100);
+    let upa = upa_over(&ctx, 100);
     let before = ctx.metrics();
     let prepared = upa.prepare(&ds, &query, &domain).expect("prepare runs");
     let delta = ctx.metrics().since(&before);

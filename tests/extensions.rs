@@ -40,7 +40,7 @@ fn dp_count_over_a_sql_view() {
     let query = MapReduceQuery::scalar_sum("urgent_count", |_row: &Vec<_>| 1.0);
     let pool = rows.data().collect();
     let domain = EmpiricalSampler::new(pool);
-    let mut upa = Upa::new(
+    let upa = Upa::new(
         ctx.clone(),
         UpaConfig {
             sample_size: 64,
@@ -62,7 +62,7 @@ fn group_privacy_on_tpch_counts() {
     let q = upa_repro::upa_tpch::queries::Q1::new(&t);
     let domain = EmpiricalSampler::new(t.lineitem.clone());
     let ds = ctx.parallelize(t.lineitem.clone(), 4);
-    let mut individual = Upa::new(
+    let individual = Upa::new(
         ctx.clone(),
         UpaConfig {
             sample_size: 100,
@@ -70,7 +70,7 @@ fn group_privacy_on_tpch_counts() {
             ..UpaConfig::default()
         },
     );
-    let mut group = Upa::new(
+    let group = Upa::new(
         ctx.clone(),
         UpaConfig {
             sample_size: 100,
@@ -96,7 +96,7 @@ fn repeated_analyst_queries_reuse_preparation() {
     let q = upa_repro::upa_tpch::queries::Q6::new(&t);
     let domain = EmpiricalSampler::new(t.lineitem.clone());
     let ds = ctx.parallelize(t.lineitem.clone(), 4);
-    let mut upa = Upa::new(
+    let upa = Upa::new(
         ctx.clone(),
         UpaConfig {
             sample_size: 100,
@@ -133,7 +133,7 @@ fn dp_histogram_of_order_priorities() {
     .with_half_key(|o: &upa_repro::upa_tpch::Order| o.orderkey);
     let domain = EmpiricalSampler::new(t.orders.clone());
     let ds = ctx.parallelize(t.orders.clone(), 4);
-    let mut upa = Upa::new(
+    let upa = Upa::new(
         ctx.clone(),
         UpaConfig {
             sample_size: 200,
@@ -167,7 +167,7 @@ fn manual_baseline_is_much_noisier_than_upa() {
     // The analyst's safe global declaration: counts up to ten million.
     let mut manual = ManualRangeMechanism::new(OutputRange::new(vec![(0.0, 1.0e7)]), epsilon, 11);
     let manual_release = manual.run(&ds, q.query()).unwrap();
-    let mut upa = Upa::new(
+    let upa = Upa::new(
         ctx.clone(),
         UpaConfig {
             sample_size: 100,

@@ -35,7 +35,7 @@ fn enforced_outputs_of_neighbours_stay_within_range() {
     };
 
     // Base run establishes the range.
-    let mut upa = Upa::new(ctx.clone(), config.clone());
+    let upa = Upa::new(ctx.clone(), config.clone());
     let ds = ctx.parallelize(data.clone(), 8);
     let base = upa.run(&ds, &query, &domain).unwrap();
 
@@ -45,7 +45,7 @@ fn enforced_outputs_of_neighbours_stay_within_range() {
         let mut neighbour = data.clone();
         neighbour.remove(drop_idx);
         let nds = ctx.parallelize(neighbour, 8);
-        let mut fresh = Upa::new(ctx.clone(), config.clone());
+        let fresh = Upa::new(ctx.clone(), config.clone());
         let result = fresh.run(&nds, &query, &domain).unwrap();
         assert!(
             result.range.contains(&result.enforced.components()),
@@ -82,7 +82,7 @@ fn empirical_epsilon_ratio_bound_for_count() {
         let ds = ctx.parallelize(values.clone(), 8);
         (0..runs)
             .map(|i| {
-                let mut upa = Upa::new(
+                let upa = Upa::new(
                     ctx.clone(),
                     UpaConfig {
                         sample_size: 50,
@@ -142,7 +142,7 @@ fn clamping_bounds_worst_case_outputs() {
     data[1_000] = 5.0e7;
     let query = sum_query();
     let domain = EmpiricalSampler::new(dataset_values(2_000));
-    let mut upa = Upa::new(
+    let upa = Upa::new(
         ctx.clone(),
         UpaConfig {
             sample_size: 20, // tiny sample: likely misses the outlier

@@ -102,7 +102,7 @@ fn budget_spend_accounts_across_repeated_queries() {
     let domain = EmpiricalSampler::new(data.clone());
     let ds = ctx.parallelize(data, 4);
     let epsilon = 0.1;
-    let mut upa = Upa::new(
+    let upa = Upa::new(
         ctx,
         UpaConfig {
             epsilon,

@@ -42,7 +42,7 @@ proptest! {
         let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x)
             .with_half_key(|x: &f64| x.to_bits());
         let domain = EmpiricalSampler::new(values.clone());
-        let mut u = upa(&ctx, 16, seed);
+        let u = upa(&ctx, 16, seed);
         let result = u.run(&ds, &query, &domain).unwrap();
         let total: f64 = result.raw;
         // Multiset of direct neighbour outputs.
@@ -72,7 +72,7 @@ proptest! {
             |acc: Option<&f64>| acc.copied().unwrap_or(0.0),
         ).with_half_key(|x: &f64| x.to_bits());
         let domain = EmpiricalSampler::new(values.clone());
-        let mut u = upa(&ctx, 12, seed);
+        let u = upa(&ctx, 12, seed);
         let result = u.run(&ds, &query, &domain).unwrap();
         // Direct evaluation for every possible removal.
         let direct: Vec<f64> = (0..values.len()).map(|i| {
@@ -143,7 +143,7 @@ proptest! {
         let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x)
             .with_half_key(|x: &f64| x.to_bits());
         let domain = EmpiricalSampler::new(values.clone());
-        let mut u = upa(&ctx, 64, seed);
+        let u = upa(&ctx, 64, seed);
         let result = u.run(&ds, &query, &domain).unwrap();
         let (lo, hi) = result.range.bounds[0];
         let inside = result.removal_outputs.iter()
@@ -177,8 +177,8 @@ fn upa_pipeline_survives_fault_injection() {
         ..Config::default()
     });
 
-    let mut clean = upa(&clean_ctx, 50, 5);
-    let mut faulty = upa(&faulty_ctx, 50, 5);
+    let clean = upa(&clean_ctx, 50, 5);
+    let faulty = upa(&faulty_ctx, 50, 5);
     let a = clean
         .run(&clean_ctx.parallelize(values.clone(), 8), &query, &domain)
         .unwrap();
