@@ -1,15 +1,17 @@
 //! The `upa-cli` binary; all logic lives in the library for testability.
 //!
-//! Three modes:
+//! Six modes:
 //!
 //! * default — release an aggregate over a local CSV file;
-//! * `serve` — run an `upa-server` daemon over CSV files and/or a
-//!   persistent columnar store;
+//! * `serve` — run the `upa-server` daemon, an alias of `upa-serverd`
+//!   (`upa_server::daemon::main`) over CSV files, synthetic datasets
+//!   and/or a persistent columnar store;
 //! * `query` — release an aggregate from a running daemon;
 //! * `metrics` — scrape (or `--watch`) a running daemon's metrics;
 //! * `ingest` — publish a CSV into a persistent columnar store;
 //! * `datasets` — list a store directory's or a daemon's datasets.
 
+use std::process::ExitCode;
 use upa_core::QueryAudit;
 
 /// The one `--stats` renderer: local and remote audits both come
@@ -27,16 +29,10 @@ fn fail(msg: &str, code: i32) -> ! {
     std::process::exit(code);
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1).peekable();
     match argv.peek().map(String::as_str) {
-        Some("serve") => {
-            let args =
-                upa_cli::remote::ServeArgs::parse(argv.skip(1)).unwrap_or_else(|msg| fail(&msg, 2));
-            if let Err(msg) = upa_cli::remote::run_serve(&args) {
-                fail(&format!("error: {msg}"), 1);
-            }
-        }
+        Some("serve") => return upa_server::daemon::main("upa-cli serve", argv.skip(1)),
         Some("query") => {
             let args =
                 upa_cli::remote::QueryArgs::parse(argv.skip(1)).unwrap_or_else(|msg| fail(&msg, 2));
@@ -86,4 +82,5 @@ fn main() {
             }
         }
     }
+    ExitCode::SUCCESS
 }

@@ -1,8 +1,7 @@
-//! The `serve` and `query` subcommands: run an `upa-server` daemon over
-//! CSV files, and query a running daemon.
+//! The `query` and `metrics` subcommands: release from, and scrape, a
+//! running daemon (`upa-cli serve`, the same daemon as `upa-serverd`).
 //!
 //! ```text
-//! upa-cli serve --input people.csv --budget 1.0 --ledger spends.jsonl
 //! upa-cli query --addr 127.0.0.1:7878 --dataset people --query mean --column age --stats
 //! ```
 //!
@@ -11,41 +10,8 @@
 //! same [`upa_core::QueryAudit::render`] as local runs — the formatting
 //! lives in exactly one place.
 
-use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use upa_server::wire::Body;
-use upa_server::{Client, DatasetSpec, Server, ServerConfig};
-use upa_store::csv;
-
-/// Usage text for `upa-cli serve`.
-pub const SERVE_USAGE: &str = "\
-usage: upa-cli serve [--input FILE.csv ...] [--store DIR]
-                     [--attach NAME ...] [--allow-admin]
-                     [--port P] [--budget E] [--ledger PATH]
-                     [--epsilon E] [--sample-size N] [--seed S]
-                     [--threads T] [--max-connections N] [--max-inflight N]
-                     [--queue-capacity N] [--slow-query-ms MS]
-                     [--ledger-commit-us US] [--cache-capacity N]
-
-Serves differentially private aggregates over the given CSV files
-and/or a persistent columnar store. Each --input file becomes a dataset
-named after its stem (people.csv -> people), with every fully numeric
-column queryable. --store DIR opens a columnar dataset store (see
-`upa-cli ingest`): --attach serves a stored dataset from startup, and
---allow-admin enables the ingest/attach/detach wire ops so datasets can
-be managed while the daemon runs. A --store daemon may start with no
-datasets at all. --budget meters each dataset;
---ledger makes spends crash-safe (replayed on restart), and
---ledger-commit-us sizes the group-commit window within which concurrent
-spends share one fsync (0 = every spend fsyncs alone). Port 0 picks an
-ephemeral port; the bound address is announced on the first stdout line.
---max-inflight sets how many cache-miss or deadline requests may run at
-once on each dataset; --queue-capacity bounds how many wait for that
-(one more is refused with `busy`); --cache-capacity bounds the
-prepared-query LRU cache, whose hits without a deadline are served at
-once (0 = unbounded). --slow-query-ms logs any request slower
-than MS at `warn` with its full trace (see `upa-cli metrics` and the
-server's `trace` op).";
+use upa_server::Client;
 
 /// Usage text for `upa-cli query`.
 pub const QUERY_USAGE: &str = "\
@@ -62,145 +28,6 @@ budget after the release. --deadline-ms asks the server to shed the
 request (error `deadline`, nothing charged) if it cannot be served in
 time; --retry-busy retries `busy` refusals with jittered backoff;
 --connect-timeout-ms/--timeout-ms bound the connection and each reply.";
-
-/// Parsed `serve` arguments.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeArgs {
-    /// CSV files to serve, one dataset each.
-    pub inputs: Vec<String>,
-    /// TCP port (0 = ephemeral).
-    pub port: u16,
-    /// Per-dataset total ε budget.
-    pub budget: Option<f64>,
-    /// Crash-safe ledger path.
-    pub ledger: Option<PathBuf>,
-    /// Default per-release ε.
-    pub epsilon: f64,
-    /// UPA sample size `n`.
-    pub sample_size: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Engine threads (0 = auto).
-    pub threads: usize,
-    /// Concurrent connection cap.
-    pub max_connections: usize,
-    /// Permits per dataset (max concurrently running cache-miss or
-    /// deadline requests).
-    pub max_inflight: usize,
-    /// Max requests waiting for one dataset's permits.
-    pub queue_capacity: usize,
-    /// Slow-query log threshold in milliseconds (`None` disables it).
-    pub slow_query_ms: Option<u64>,
-    /// Group-commit window in microseconds (0 = commit every spend
-    /// alone).
-    pub ledger_commit_us: u64,
-    /// Prepared-query LRU cache capacity (0 = unbounded).
-    pub cache_capacity: usize,
-    /// Persistent columnar store directory (enables the catalog).
-    pub store: Option<PathBuf>,
-    /// Store datasets to attach at startup.
-    pub attach: Vec<String>,
-    /// Enable the admin wire ops (ingest/attach/detach).
-    pub allow_admin: bool,
-}
-
-impl Default for ServeArgs {
-    fn default() -> Self {
-        let defaults = ServerConfig::default();
-        ServeArgs {
-            inputs: Vec::new(),
-            port: 7878,
-            budget: None,
-            ledger: None,
-            epsilon: defaults.epsilon,
-            sample_size: defaults.sample_size,
-            seed: defaults.seed,
-            threads: 0,
-            max_connections: defaults.max_connections,
-            max_inflight: defaults.max_inflight_prepares,
-            queue_capacity: defaults.queue_capacity,
-            slow_query_ms: None,
-            ledger_commit_us: defaults.ledger_commit_us,
-            cache_capacity: defaults.cache_capacity,
-            store: None,
-            attach: Vec::new(),
-            allow_admin: false,
-        }
-    }
-}
-
-impl ServeArgs {
-    /// Parses `serve` flags.
-    ///
-    /// # Errors
-    ///
-    /// A printable message for unknown or malformed flags.
-    pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<ServeArgs, String> {
-        let mut args = ServeArgs::default();
-        let mut it = argv.into_iter();
-        let need = |it: &mut dyn Iterator<Item = String>, flag: &str| {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--input" => args.inputs.push(need(&mut it, "--input")?),
-                "--port" => args.port = parse_num(&need(&mut it, "--port")?, "--port")?,
-                "--budget" => {
-                    args.budget = Some(parse_num(&need(&mut it, "--budget")?, "--budget")?)
-                }
-                "--ledger" => args.ledger = Some(PathBuf::from(need(&mut it, "--ledger")?)),
-                "--epsilon" => args.epsilon = parse_num(&need(&mut it, "--epsilon")?, "--epsilon")?,
-                "--sample-size" => {
-                    args.sample_size = parse_num(&need(&mut it, "--sample-size")?, "--sample-size")?
-                }
-                "--seed" => args.seed = parse_num(&need(&mut it, "--seed")?, "--seed")?,
-                "--threads" => args.threads = parse_num(&need(&mut it, "--threads")?, "--threads")?,
-                "--max-connections" => {
-                    args.max_connections =
-                        parse_num(&need(&mut it, "--max-connections")?, "--max-connections")?
-                }
-                "--max-inflight" => {
-                    args.max_inflight =
-                        parse_num(&need(&mut it, "--max-inflight")?, "--max-inflight")?
-                }
-                "--queue-capacity" => {
-                    args.queue_capacity =
-                        parse_num(&need(&mut it, "--queue-capacity")?, "--queue-capacity")?
-                }
-                "--slow-query-ms" => {
-                    args.slow_query_ms = Some(parse_num(
-                        &need(&mut it, "--slow-query-ms")?,
-                        "--slow-query-ms",
-                    )?)
-                }
-                "--ledger-commit-us" => {
-                    args.ledger_commit_us =
-                        parse_num(&need(&mut it, "--ledger-commit-us")?, "--ledger-commit-us")?
-                }
-                "--cache-capacity" => {
-                    args.cache_capacity =
-                        parse_num(&need(&mut it, "--cache-capacity")?, "--cache-capacity")?
-                }
-                "--store" => args.store = Some(PathBuf::from(need(&mut it, "--store")?)),
-                "--attach" => args.attach.push(need(&mut it, "--attach")?),
-                "--allow-admin" => args.allow_admin = true,
-                "--help" | "-h" => return Err(SERVE_USAGE.to_string()),
-                other => return Err(format!("unknown flag '{other}'\n{SERVE_USAGE}")),
-            }
-        }
-        if !args.attach.is_empty() && args.store.is_none() {
-            return Err(format!("--attach requires --store\n{SERVE_USAGE}"));
-        }
-        // A store-backed daemon may start empty; only a daemon with no
-        // possible data source at all is an error.
-        if args.inputs.is_empty() && args.store.is_none() {
-            return Err(format!(
-                "no data source: pass --input and/or --store\n{SERVE_USAGE}"
-            ));
-        }
-        Ok(args)
-    }
-}
 
 fn parse_num<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, String> {
     value
@@ -305,88 +132,6 @@ impl QueryArgs {
         }
         Ok(args)
     }
-}
-
-/// Loads a CSV file as a server dataset: the stem names it, and every
-/// column whose cells all parse as numbers becomes queryable.
-///
-/// # Errors
-///
-/// I/O and CSV-shape failures, or a file with no numeric columns at all.
-pub fn load_dataset(path: &str) -> Result<DatasetSpec, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = csv::parse(&text).map_err(|e| e.to_string())?;
-    let name = Path::new(path)
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| path.to_string());
-    let mut columns = HashMap::new();
-    for header in &doc.header {
-        if let Ok(values) = doc.numeric_column(header) {
-            columns.insert(header.clone(), values);
-        }
-    }
-    if columns.is_empty() && !doc.rows.is_empty() {
-        return Err(format!("{path}: no fully numeric column to serve"));
-    }
-    Ok(DatasetSpec::new(name, doc.rows.len(), columns))
-}
-
-/// Builds the server configuration from parsed `serve` arguments.
-///
-/// # Errors
-///
-/// Dataset-loading failures.
-pub fn build_server_config(args: &ServeArgs) -> Result<ServerConfig, String> {
-    let mut datasets = Vec::new();
-    for input in &args.inputs {
-        datasets.push(load_dataset(input)?);
-    }
-    Ok(ServerConfig {
-        datasets,
-        budget: args.budget,
-        ledger_path: args.ledger.clone(),
-        epsilon: args.epsilon,
-        sample_size: args.sample_size,
-        seed: args.seed,
-        threads: args.threads,
-        max_connections: args.max_connections,
-        max_inflight_prepares: args.max_inflight,
-        queue_capacity: args.queue_capacity,
-        slow_query_ms: args.slow_query_ms,
-        ledger_commit_us: args.ledger_commit_us,
-        cache_capacity: args.cache_capacity,
-        trace_capacity: ServerConfig::default().trace_capacity,
-        // `serve` is a daemon: the structured event log goes to stderr.
-        log_stderr: true,
-        fault: Default::default(),
-        store_path: args.store.clone(),
-        attach: args.attach.clone(),
-        allow_admin: args.allow_admin,
-    })
-}
-
-/// The `serve` subcommand: load the CSVs, bind, announce, serve until a
-/// `shutdown` request drains the daemon.
-///
-/// # Errors
-///
-/// Dataset, bind, ledger or accept-loop failures.
-pub fn run_serve(args: &ServeArgs) -> Result<(), String> {
-    let config = build_server_config(args)?;
-    let names = config
-        .datasets
-        .iter()
-        .map(|d| d.name.clone())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let server = Server::bind(config, &format!("127.0.0.1:{}", args.port))
-        .map_err(|e| format!("cannot start server: {e}"))?;
-    // Same announcement contract as upa-serverd: first stdout line
-    // carries the bound address.
-    println!("upa-server listening on {}", server.local_addr());
-    println!("serving datasets: {names}");
-    server.run().map_err(|e| format!("server failed: {e}"))
 }
 
 /// The `query` subcommand's result, ready for the binary to print.
@@ -626,54 +371,11 @@ pub fn render_remote(release: &RemoteRelease) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use upa_server::daemon::Daemon;
+    use upa_server::Server;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(|x| x.to_string()).collect()
-    }
-
-    #[test]
-    fn parses_serve_flags() {
-        let a = ServeArgs::parse(argv(
-            "--input a.csv --input b.csv --port 0 --budget 2.0 --ledger l.jsonl \
-             --epsilon 0.3 --sample-size 64 --seed 7 --threads 2 \
-             --max-connections 8 --max-inflight 2 --queue-capacity 16 \
-             --ledger-commit-us 500 --cache-capacity 32",
-        ))
-        .unwrap();
-        assert_eq!(a.inputs, vec!["a.csv", "b.csv"]);
-        assert_eq!(a.port, 0);
-        assert_eq!(a.budget, Some(2.0));
-        assert_eq!(a.ledger.as_deref(), Some(Path::new("l.jsonl")));
-        assert_eq!(a.epsilon, 0.3);
-        assert_eq!(a.max_inflight, 2);
-        assert_eq!(a.queue_capacity, 16);
-        assert_eq!(a.ledger_commit_us, 500);
-        assert_eq!(a.cache_capacity, 32);
-        assert!(
-            ServeArgs::parse(argv("--port 1")).is_err(),
-            "some data source required"
-        );
-        assert!(ServeArgs::parse(argv("--input a.csv --nope")).is_err());
-    }
-
-    #[test]
-    fn parses_store_serve_flags() {
-        let a = ServeArgs::parse(argv(
-            "--store ./s --attach people --attach trips --allow-admin",
-        ))
-        .unwrap();
-        assert!(a.inputs.is_empty(), "a store-only daemon is valid");
-        assert_eq!(a.store, Some(PathBuf::from("./s")));
-        assert_eq!(a.attach, vec!["people", "trips"]);
-        assert!(a.allow_admin);
-        let config = build_server_config(&a).unwrap();
-        assert_eq!(config.store_path, Some(PathBuf::from("./s")));
-        assert_eq!(config.attach, vec!["people", "trips"]);
-        assert!(config.allow_admin);
-        assert!(
-            ServeArgs::parse(argv("--attach x")).is_err(),
-            "--attach requires --store"
-        );
     }
 
     #[test]
@@ -701,21 +403,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn load_dataset_keeps_numeric_columns_only() {
-        let dir = std::env::temp_dir().join("upa_remote_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("people_{}.csv", std::process::id()));
-        std::fs::write(&path, "age,name,score\n31,ada,9.5\n44,lin,7.25\n").unwrap();
-        let spec = load_dataset(&path.to_string_lossy()).unwrap();
-        assert_eq!(spec.rows, 2);
-        assert_eq!(spec.columns.len(), 2, "name is not numeric");
-        assert_eq!(spec.columns["age"], vec![31.0, 44.0]);
-        assert_eq!(spec.columns["score"], vec![9.5, 7.25]);
-        assert!(spec.name.starts_with("people_"));
-        let _ = std::fs::remove_file(&path);
-    }
-
     /// End to end over a loopback daemon: serve a CSV in-process, query
     /// it remotely, and check the remote audit renders through the same
     /// renderer a local run uses.
@@ -730,15 +417,15 @@ mod tests {
         }
         std::fs::write(&path, text).unwrap();
 
-        let serve_args = ServeArgs {
-            inputs: vec![path.to_string_lossy().into_owned()],
-            budget: Some(1.0),
-            epsilon: 0.25,
-            sample_size: 40,
-            threads: 2,
-            ..ServeArgs::default()
-        };
-        let config = build_server_config(&serve_args).unwrap();
+        let serve_args = format!(
+            "--input {} --budget 1.0 --epsilon 0.25 --sample-size 40 --threads 2",
+            path.display()
+        );
+        let config = Daemon::parse(argv(&serve_args))
+            .unwrap()
+            .expect("not --help")
+            .into_config()
+            .unwrap();
         let dataset = config.datasets[0].name.clone();
         let server = Server::bind(config, "127.0.0.1:0").unwrap();
         let addr = server.local_addr().to_string();

@@ -773,12 +773,13 @@ impl Upa {
 
 impl Serial {
     /// Charges a release's ε against the attached budget, if any.
-    fn charge_budget(&mut self, spans: &SpanRecorder, epsilon: f64) -> Result<(), UpaError> {
+    fn charge_budget(&self, spans: &SpanRecorder, epsilon: f64) -> Result<(), UpaError> {
         let _scope = spans.enter("budget");
-        match &mut self.budget {
+        match &self.budget {
             Some(budget) => {
                 budget
                     .try_spend(epsilon)
+                    .map(drop)
                     .map_err(|remaining| UpaError::BudgetExhausted {
                         remaining,
                         requested: epsilon,

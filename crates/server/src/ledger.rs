@@ -34,7 +34,7 @@
 //!
 //! On startup [`Ledger::open`] replays the log, and the server seeds
 //! each metered dataset's budget shard
-//! ([`crate::state::AtomicBudget`]) with that dataset's total from
+//! ([`upa_core::budget::BudgetAccountant`]) with that dataset's total from
 //! [`spent_by_dataset`]. The bytes before the logical end are lines,
 //! and the checksum lets replay tell the two failure shapes apart:
 //!
@@ -70,10 +70,13 @@
 //! the committer drains the queue, writes the whole batch with one
 //! positional write, and fsyncs **once**. Every ticket resolves only after
 //! the shared fsync, so the durability invariant above is unchanged —
-//! the batch is either durable for everyone or an error for everyone. A
-//! lone writer (no other submitter mid-enqueue) commits immediately; a
-//! configurable commit window lets the committer linger briefly for
-//! stragglers when the queue is hot.
+//! the batch is either durable for everyone or an error for everyone.
+//! Batching comes from arrival overlap: whatever was enqueued while the
+//! previous fsync ran goes out in the next batch. The commit window only
+//! bounds how long the committer lingers while a submitter is caught
+//! between announcing itself and pushing its record, so a lone writer,
+//! and a queue with no submitter mid-enqueue, commit at once whatever
+//! the window.
 
 use crate::obs::{Counter, Histogram};
 use std::fs::{File, OpenOptions};
@@ -378,7 +381,7 @@ fn refuse_record_after_hole(bytes: &[u8], hole: usize) -> io::Result<()> {
 }
 
 /// Sums replayed spends per dataset: the spent ε each metered
-/// dataset's budget shard ([`crate::state::AtomicBudget`]) starts from.
+/// dataset's budget shard ([`upa_core::budget::BudgetAccountant`]) starts from.
 /// Summation follows ledger order, so the reconstructed total is
 /// bit-identical to a serial accountant the spends were charged against
 /// (concurrent charges may differ in the last ulps — commit order and

@@ -12,7 +12,8 @@
 //!   thread: per-dataset engines and permits, a cross-connection LRU
 //!   prepared-query cache with single-flight prepares (identical
 //!   queries share one engine run, each still drawing its own noise),
-//!   and lock-free sharded budget accounting ([`state::AtomicBudget`]);
+//!   and lock-free sharded budget accounting (one shared
+//!   [`upa_core::budget::BudgetAccountant`] per dataset);
 //! * [`ledger::Ledger`] — the preallocated, checksummed,
 //!   fsync-before-release spend log that makes budget accounting
 //!   survive `SIGKILL`, fronted by the group-committing
@@ -31,11 +32,16 @@
 //! * [`wire`] — the JSON reader/escape writer behind both ends (the
 //!   `upa-json` crate, re-exported).
 //!
+//! * [`daemon`] — the one front door: the flag table, its generated
+//!   usage, dataset loading, bind, the `upa-server listening on ADDR`
+//!   announcement and run.
+//!
 //! The crate ships one binary, `upa-serverd`, used by the integration
-//! tests (SIGKILL crash-recovery, saturation) and wrapped by
-//! `upa-cli serve`.
+//! tests (SIGKILL crash-recovery, saturation); `upa-cli serve` is an
+//! alias of the same [`daemon::main`].
 
 pub mod client;
+pub mod daemon;
 pub mod ledger;
 pub mod obs;
 pub mod proto;
@@ -51,6 +57,6 @@ pub use proto::{
 };
 pub use server::{Server, ShutdownHandle};
 pub use state::{
-    AggKind, AtomicBudget, AttachOutcome, DatasetInfo, DatasetSpec, ReleaseFault, ReleaseOutcome,
-    ServeError, ServerConfig, ServerState,
+    AggKind, AttachOutcome, DatasetInfo, DatasetSpec, ReleaseFault, ReleaseOutcome, ServeError,
+    ServerConfig, ServerState,
 };

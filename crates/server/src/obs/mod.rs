@@ -137,6 +137,9 @@ impl ServerMetrics {
     }
 }
 
+/// How many finished request traces the `trace` op retains.
+const TRACE_CAPACITY: usize = 256;
+
 /// The server's observability hub: registry, trace ring, event log,
 /// uptime clock, and the request/stats sequence counters.
 #[derive(Debug)]
@@ -154,10 +157,10 @@ pub struct Obs {
 
 impl Obs {
     /// Builds the hub. `slow_query_ms` enables slow-query logging;
-    /// `trace_capacity` bounds the trace ring; `log_stderr` routes the
-    /// event log to stderr (the daemon) or keeps it silent (in-process
-    /// embedders — attach [`EventLog::capture`] to observe it).
-    pub fn new(slow_query_ms: Option<u64>, trace_capacity: usize, log_stderr: bool) -> Obs {
+    /// `log_stderr` routes the event log to stderr (the daemon) or keeps
+    /// it silent (in-process embedders — attach [`EventLog::capture`] to
+    /// observe it).
+    pub fn new(slow_query_ms: Option<u64>, log_stderr: bool) -> Obs {
         let registry = Registry::new();
         let m = ServerMetrics::new(&registry);
         let log = if log_stderr {
@@ -168,7 +171,7 @@ impl Obs {
         Obs {
             m,
             registry,
-            traces: TraceStore::new(trace_capacity),
+            traces: TraceStore::new(TRACE_CAPACITY),
             log,
             started: Instant::now(),
             request_seq: AtomicU64::new(0),
@@ -220,7 +223,7 @@ mod tests {
 
     #[test]
     fn request_ids_and_stats_seq_are_monotonic() {
-        let obs = Obs::new(None, 8, false);
+        let obs = Obs::new(None, false);
         assert_eq!(obs.next_request_id(), "r-1");
         assert_eq!(obs.next_request_id(), "r-2");
         assert_eq!(obs.next_stats_seq(), 1);
@@ -230,7 +233,7 @@ mod tests {
 
     #[test]
     fn request_counters_fall_back_to_invalid() {
-        let obs = Obs::new(Some(250), 8, false);
+        let obs = Obs::new(Some(250), false);
         obs.m.count_request("release");
         obs.m.count_request("garbage");
         let snap = obs.registry().snapshot();

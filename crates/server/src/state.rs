@@ -10,8 +10,8 @@
 //! * the prepared-query cache is an LRU behind its own short-hold mutex,
 //!   so a release on one dataset never waits on a prepare for another;
 //! * budget accounting is **sharded and lock-free**: each dataset's
-//!   spent-ε lives in an [`AtomicBudget`] (CAS on the `f64` bit
-//!   pattern), so concurrent releases on different — or the same —
+//!   spent-ε lives in a shared [`BudgetAccountant`] (CAS on the `f64`
+//!   bit pattern), so concurrent releases on different — or the same —
 //!   dataset reserve budget without any mutex;
 //! * durability is the group-commit ledger's job
 //!   ([`crate::ledger::GroupCommitLedger`]): a spend reserves
@@ -39,6 +39,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
+use upa_core::budget::BudgetAccountant;
 use upa_core::domain::ColumnarEmpiricalSampler;
 use upa_core::query::{Lanes, MapReduceQuery, FOLD_LANES};
 use upa_core::{PreparedQuery, QueryAudit, Upa, UpaConfig, UpaError};
@@ -77,6 +78,47 @@ impl DatasetSpec {
             rows,
             columns: HashMap::from([("v".to_string(), values)]),
         }
+    }
+
+    /// A headered CSV file as a dataset named after the file's stem
+    /// (`people.csv` → `people`); every column whose cells all parse as
+    /// numbers is served, the rest are skipped.
+    ///
+    /// # Errors
+    ///
+    /// I/O and CSV-shape failures, or rows with no numeric column at all.
+    pub fn from_csv(path: &Path) -> Result<DatasetSpec, String> {
+        let shown = path.display();
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read {shown}: {e}"))?;
+        let doc = upa_store::csv::parse(&text).map_err(|e| format!("{shown}: {e}"))?;
+        let columns: HashMap<String, Vec<f64>> = doc
+            .header
+            .iter()
+            .filter_map(|h| Some((h.clone(), doc.numeric_column(h).ok()?)))
+            .collect();
+        if columns.is_empty() && !doc.rows.is_empty() {
+            return Err(format!("{shown}: no fully numeric column to serve"));
+        }
+        let name = path.file_stem().unwrap_or(path.as_os_str());
+        Ok(DatasetSpec::new(
+            name.to_string_lossy(),
+            doc.rows.len(),
+            columns,
+        ))
+    }
+}
+
+/// A synthetic dataset's text form, `NAME=ROWS[:MOD]` with `MOD`
+/// defaulting to 97: the daemon's `--synthetic` value.
+impl std::str::FromStr for DatasetSpec {
+    type Err = String;
+    fn from_str(spec: &str) -> Result<Self, String> {
+        let (name, rest) = spec.split_once('=').ok_or("expected NAME=ROWS[:MOD]")?;
+        let (rows, modulus) = rest.split_once(':').unwrap_or((rest, "97"));
+        let rows = rows.parse().map_err(|e| format!("bad row count: {e}"))?;
+        let modulus = modulus.parse().map_err(|e| format!("bad modulus: {e}"))?;
+        Ok(DatasetSpec::synthetic(name, rows, modulus))
     }
 }
 
@@ -285,11 +327,11 @@ pub struct ServerConfig {
     /// How many requests may wait for one dataset's permits; one more is
     /// refused with `busy`.
     pub queue_capacity: usize,
-    /// Group-commit window in microseconds: how long the ledger's
-    /// committer thread lingers for straggling submitters before the
-    /// shared fsync. A lone writer always commits immediately; `0`
-    /// disables lingering entirely (batching then comes only from
-    /// arrivals during the previous fsync).
+    /// Group-commit window in microseconds: the longest the ledger's
+    /// committer lingers before the shared fsync, and it lingers only
+    /// while a submitter is between announcing itself and enqueueing its
+    /// record. Batching comes from arrivals during the previous fsync
+    /// either way, so `0` still batches.
     pub ledger_commit_us: u64,
     /// Prepared-query cache capacity; the least-recently-used entry is
     /// evicted on overflow. `0` means unbounded. A cached release with
@@ -298,8 +340,6 @@ pub struct ServerConfig {
     /// Requests slower than this many milliseconds are logged at `warn`
     /// with their full trace (`None` disables slow-query logging).
     pub slow_query_ms: Option<u64>,
-    /// How many finished request traces the `trace` op retains.
-    pub trace_capacity: usize,
     /// Route the structured event log to stderr (the daemon turns this
     /// on; in-process embedders stay silent).
     pub log_stderr: bool,
@@ -331,13 +371,50 @@ impl Default for ServerConfig {
             ledger_commit_us: 200,
             cache_capacity: 256,
             slow_query_ms: None,
-            trace_capacity: 256,
             log_stderr: false,
             fault: ReleaseFault::None,
             store_path: None,
             allow_admin: false,
             attach: Vec::new(),
         }
+    }
+}
+
+impl ServerConfig {
+    /// The engine configuration of a dataset seeded `seed`.
+    fn upa_config(&self, seed: u64) -> UpaConfig {
+        UpaConfig {
+            epsilon: self.epsilon,
+            sample_size: self.sample_size,
+            seed,
+            ..UpaConfig::default()
+        }
+    }
+
+    /// Refuses a budget that is not finite and positive, an ε or sample
+    /// size the engine would refuse at every prepare, and a dataset
+    /// column whose length is not its row count.
+    fn validate(&self) -> std::io::Result<()> {
+        let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
+        if let Some(budget) = self.budget.filter(|b| !(b.is_finite() && *b > 0.0)) {
+            return Err(invalid(format!(
+                "budget must be finite and positive, got {budget}"
+            )));
+        }
+        self.upa_config(self.seed)
+            .validate()
+            .map_err(|e| invalid(e.to_string()))?;
+        for spec in &self.datasets {
+            if let Some((column, values)) = spec.columns.iter().find(|(_, v)| v.len() != spec.rows)
+            {
+                let (name, len, rows) = (&spec.name, values.len(), spec.rows);
+                let msg = format!(
+                    "dataset '{name}': column '{column}' has {len} values, expected {rows} rows"
+                );
+                return Err(invalid(msg));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -492,19 +569,13 @@ impl DatasetState {
         config: &ServerConfig,
         seed: u64,
     ) -> DatasetState {
-        let upa_config = UpaConfig {
-            epsilon: config.epsilon,
-            sample_size: config.sample_size,
-            seed,
-            ..UpaConfig::default()
-        };
         DatasetState {
             name: name.to_string(),
             generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
             rows,
             resident_bytes: columns.len() * rows * 8,
             columns,
-            upa: Upa::new(ctx.clone(), upa_config),
+            upa: Upa::new(ctx.clone(), config.upa_config(seed)),
             permits: Permits::default(),
         }
     }
@@ -534,89 +605,6 @@ pub struct AttachOutcome {
     pub resident_bytes: u64,
     /// Whether this replaced an existing residency (a reload).
     pub reloaded: bool,
-}
-
-/// One dataset's lock-free budget shard: `total` is immutable, `spent`
-/// is the `f64` bit pattern in an atomic, advanced by CAS. Reservations
-/// are the serving fast path's admission check — no mutex, no queue.
-#[derive(Debug)]
-pub struct AtomicBudget {
-    total: f64,
-    spent_bits: AtomicU64,
-}
-
-impl AtomicBudget {
-    fn new(total: f64, spent: f64) -> AtomicBudget {
-        AtomicBudget {
-            total,
-            spent_bits: AtomicU64::new(spent.to_bits()),
-        }
-    }
-
-    /// The configured total ε.
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    /// ε charged so far.
-    pub fn spent(&self) -> f64 {
-        f64::from_bits(self.spent_bits.load(Ordering::Acquire))
-    }
-
-    /// ε still available (clamped at zero).
-    pub fn remaining(&self) -> f64 {
-        (self.total - self.spent()).max(0.0)
-    }
-
-    /// Atomically reserves `epsilon`, returning the remaining budget
-    /// after the charge; refuses (returning the untouched remaining)
-    /// when the budget cannot cover it. The `1e-12` tolerance matches
-    /// [`upa_core::budget::BudgetAccountant::try_spend`], so a budget
-    /// sized as an exact multiple of ε fills to the last release.
-    pub fn try_reserve(&self, epsilon: f64) -> Result<f64, f64> {
-        loop {
-            let cur_bits = self.spent_bits.load(Ordering::Acquire);
-            let cur = f64::from_bits(cur_bits);
-            let next = cur + epsilon;
-            if next > self.total + 1e-12 {
-                return Err((self.total - cur).max(0.0));
-            }
-            if self
-                .spent_bits
-                .compare_exchange(
-                    cur_bits,
-                    next.to_bits(),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                return Ok((self.total - next).max(0.0));
-            }
-        }
-    }
-
-    /// Returns a reservation whose spend never became durable (ledger
-    /// write/fsync failure). Clamped at zero so a refund can never
-    /// manufacture budget.
-    pub fn refund(&self, epsilon: f64) {
-        loop {
-            let cur_bits = self.spent_bits.load(Ordering::Acquire);
-            let next = (f64::from_bits(cur_bits) - epsilon).max(0.0);
-            if self
-                .spent_bits
-                .compare_exchange(
-                    cur_bits,
-                    next.to_bits(),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                return;
-            }
-        }
-    }
 }
 
 struct CacheEntry {
@@ -834,7 +822,7 @@ pub struct ServerState {
     /// Per-dataset budget shards (empty when unmetered). Entries are
     /// *never removed*: a detach leaves its dataset's spent ε in place,
     /// so a detach/re-attach cycle cannot launder budget.
-    budgets: RwLock<HashMap<String, Arc<AtomicBudget>>>,
+    budgets: RwLock<HashMap<String, Arc<BudgetAccountant>>>,
     /// The persistent store's live catalog (present only when a store
     /// path is configured).
     catalog: Option<Catalog>,
@@ -868,19 +856,18 @@ impl ServerState {
     ///
     /// # Errors
     ///
-    /// Ledger I/O or corruption errors; `InvalidInput` when a
-    /// [`DatasetSpec`] column's length differs from its row count.
+    /// Ledger I/O or corruption errors; `InvalidInput` naming the field
+    /// when the budget is not finite and positive, when ε or the sample
+    /// size fails [`UpaConfig::validate`], or when a [`DatasetSpec`]
+    /// column's length differs from its row count.
     pub fn new(config: ServerConfig) -> std::io::Result<ServerState> {
+        config.validate()?;
         let ctx = if config.threads == 0 {
             Context::default()
         } else {
             Context::with_threads(config.threads)
         };
-        let obs = Arc::new(Obs::new(
-            config.slow_query_ms,
-            config.trace_capacity,
-            config.log_stderr,
-        ));
+        let obs = Arc::new(Obs::new(config.slow_query_ms, config.log_stderr));
         let (ledger, replayed) = match &config.ledger_path {
             Some(path) => {
                 let (ledger, records) = Ledger::open(path)?;
@@ -901,18 +888,6 @@ impl ServerState {
         let mut datasets = HashMap::new();
         let mut budgets = HashMap::new();
         for (i, spec) in config.datasets.iter().enumerate() {
-            if let Some((column, values)) = spec.columns.iter().find(|(_, v)| v.len() != spec.rows)
-            {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!(
-                        "dataset '{}': column '{column}' has {} values, expected {} rows",
-                        spec.name,
-                        values.len(),
-                        spec.rows
-                    ),
-                ));
-            }
             let columns = spec
                 .columns
                 .iter()
@@ -927,7 +902,8 @@ impl ServerState {
             );
             if let Some(total) = config.budget {
                 let used = spent.get(&spec.name).copied().unwrap_or(0.0);
-                budgets.insert(spec.name.clone(), Arc::new(AtomicBudget::new(total, used)));
+                let shard = BudgetAccountant::restore(total, used);
+                budgets.insert(spec.name.clone(), Arc::new(shard));
             }
         }
         let catalog = match &config.store_path {
@@ -1058,7 +1034,7 @@ impl ServerState {
             let mut budgets = self.budgets.write().expect("budgets poisoned");
             budgets.entry(name.to_string()).or_insert_with(|| {
                 let used = self.replayed_spent.get(name).copied().unwrap_or(0.0);
-                Arc::new(AtomicBudget::new(total, used))
+                Arc::new(BudgetAccountant::restore(total, used))
             });
         }
     }
@@ -1330,7 +1306,7 @@ impl ServerState {
     /// then) compute and deliver the noisy output.
     ///
     /// Lock-free: the budget check-and-reserve is one CAS on the
-    /// dataset's [`AtomicBudget`] shard; durability is a submission to
+    /// dataset's [`BudgetAccountant`] shard; durability is a submission to
     /// the group-commit ledger, which blocks until the record — batched
     /// with every concurrent spend — survives one shared fsync. A
     /// refused reservation leaves no ledger trace; a failed fsync
@@ -1355,15 +1331,16 @@ impl ServerState {
             .expect("budgets poisoned")
             .get(dataset)
             .cloned();
-        let reserved = match &shard {
-            Some(shard) => Some(shard.try_reserve(epsilon).map_err(|remaining| {
-                ServeError::BudgetExhausted {
-                    remaining,
-                    requested: epsilon,
-                }
-            })?),
-            None => None,
-        };
+        let reserved =
+            match &shard {
+                Some(shard) => Some(shard.try_spend(epsilon).map_err(|remaining| {
+                    ServeError::BudgetExhausted {
+                        remaining,
+                        requested: epsilon,
+                    }
+                })?),
+                None => None,
+            };
         if let Some(ledger) = &self.ledger {
             let submitted = ledger.submit(&SpendRecord {
                 dataset: dataset.to_string(),
@@ -2033,48 +2010,6 @@ mod tests {
     }
 
     #[test]
-    fn atomic_budget_reserves_refunds_and_fills_exactly() {
-        let b = AtomicBudget::new(1.0, 0.0);
-        // Ten tenths fill the budget exactly despite float rounding.
-        for _ in 0..10 {
-            b.try_reserve(0.1).expect("within budget");
-        }
-        let refused = b.try_reserve(0.1).unwrap_err();
-        assert!(refused < 1e-9, "remaining should be ~0, got {refused}");
-        // A refund restores exactly one reservation's worth.
-        b.refund(0.1);
-        assert!(b.try_reserve(0.1).is_ok());
-        // Refunds clamp at zero — they can never manufacture budget.
-        let empty = AtomicBudget::new(0.5, 0.1);
-        empty.refund(5.0);
-        assert_eq!(empty.spent(), 0.0);
-        assert_eq!(empty.remaining(), 0.5);
-    }
-
-    #[test]
-    fn concurrent_reservations_never_oversell_the_budget() {
-        let b = Arc::new(AtomicBudget::new(1.0, 0.0));
-        let granted = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let b = Arc::clone(&b);
-            let granted = Arc::clone(&granted);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..10 {
-                    if b.try_reserve(0.1).is_ok() {
-                        granted.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(granted.load(Ordering::SeqCst), 10, "exactly 1.0/0.1 grants");
-        assert!(b.remaining() < 1e-9);
-    }
-
-    #[test]
     fn lru_cache_evicts_the_coldest_entry_at_capacity() {
         let state = Arc::new(
             ServerState::new(ServerConfig {
@@ -2605,6 +2540,71 @@ mod tests {
         for needle in ["ragged", "short", "7", "10"] {
             assert!(msg.contains(needle), "'{msg}' does not name {needle}");
         }
+    }
+
+    #[test]
+    fn from_csv_keeps_numeric_columns_only() {
+        let dir = temp_store("csv");
+        let path = dir.join("people.csv");
+        std::fs::write(&path, "age,name,score\n31,ada,9.5\n44,lin,7.25\n").unwrap();
+        let spec = DatasetSpec::from_csv(&path).unwrap();
+        assert_eq!((spec.name.as_str(), spec.rows), ("people", 2));
+        assert_eq!(spec.columns.len(), 2, "name is not numeric");
+        assert_eq!(spec.columns["age"], vec![31.0, 44.0]);
+        assert_eq!(spec.columns["score"], vec![9.5, 7.25]);
+        std::fs::write(&path, "name\nada\n").unwrap();
+        assert!(DatasetSpec::from_csv(&path).is_err(), "nothing to serve");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A NaN budget compares false against every charge, so a daemon
+    /// that accepted it would report itself metered and never refuse.
+    #[test]
+    fn a_nan_budget_is_refused_at_startup() {
+        let config = ServerConfig {
+            datasets: vec![DatasetSpec::synthetic("data", 2_000, 9)],
+            budget: Some(f64::NAN),
+            sample_size: 40,
+            threads: 2,
+            ..ServerConfig::default()
+        };
+        match ServerState::new(config) {
+            Err(err) => assert!(err.to_string().contains("budget"), "{err}"),
+            Ok(state) => {
+                let over = state.release("data", AggKind::Count, "", Some(1e9), false);
+                panic!("a NaN budget started a daemon; a 1e9 release gave {over:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn startup_refuses_each_bad_budget_epsilon_and_sample_size() {
+        type Row = (&'static str, fn(&mut ServerConfig));
+        let rows: [Row; 8] = [
+            ("budget", |c| c.budget = Some(f64::NAN)),
+            ("budget", |c| c.budget = Some(f64::INFINITY)),
+            ("budget", |c| c.budget = Some(0.0)),
+            ("budget", |c| c.budget = Some(-1.0)),
+            ("epsilon", |c| c.epsilon = 0.0),
+            ("epsilon", |c| c.epsilon = -0.5),
+            ("epsilon", |c| c.epsilon = f64::NAN),
+            ("sample_size", |c| c.sample_size = 0),
+        ];
+        for (field, set) in rows {
+            let mut config = ServerConfig::default();
+            set(&mut config);
+            let err = ServerState::new(config).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{field}");
+            assert!(
+                err.to_string().contains(field),
+                "'{err}' does not name {field}"
+            );
+        }
+        assert!(ServerState::new(ServerConfig {
+            budget: Some(0.5),
+            ..ServerConfig::default()
+        })
+        .is_ok());
     }
 
     #[test]

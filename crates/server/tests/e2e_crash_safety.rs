@@ -3,11 +3,12 @@
 //! ledger. The budget must reflect every release that was delivered
 //! before the kill, and an over-budget query must stay refused.
 //!
-//! The second test aims the kill at the group-commit window itself:
-//! a wide `--ledger-commit-us` keeps batches in flight continuously, so
-//! the `SIGKILL` lands mid-batch — and still, no release a client ever
-//! received may be missing from the replayed ledger (durable spends
-//! without a delivered release are fine; the converse never is).
+//! The second test aims the kill at group commit itself: four clients
+//! flooding cached releases keep a batch in flight almost continuously
+//! (whatever arrives during one fsync rides the next), so the `SIGKILL`
+//! lands mid-batch — and still, no release a client ever received may be
+//! missing from the replayed ledger (durable spends without a delivered
+//! release are fine; the converse never is).
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -134,9 +135,11 @@ fn budget_survives_sigkill_and_restart() {
     let _ = std::fs::remove_file(&ledger);
 }
 
-/// `SIGKILL` aimed into the group-commit window: with a wide
-/// `--ledger-commit-us` and several clients hammering cached releases,
-/// batches are continuously in flight when the kill lands. The fail-closed
+/// `SIGKILL` aimed into group commit: with several clients hammering
+/// cached releases, a batch is nearly always being written or fsynced
+/// when the kill lands. (A wide `--ledger-commit-us` does not hold a
+/// batch open: the committer lingers only while a submitter is caught
+/// mid-enqueue.) The fail-closed
 /// invariant under test: every release a client *received* has a durable
 /// spend after replay. (Spends that were made durable but whose replies
 /// never left the socket are allowed — budget leaks toward safety.)
@@ -155,8 +158,9 @@ fn sigkill_mid_batch_never_loses_a_delivered_release() {
             BUDGET,
             "--epsilon",
             "0.01",
-            // A wide window keeps a batch open almost permanently under
-            // this load, so the kill lands mid-batch.
+            // The committer may linger up to 3 ms for a submitter caught
+            // mid-enqueue; the flood, not the window, keeps batches in
+            // flight.
             "--ledger-commit-us",
             "3000",
         ],

@@ -31,7 +31,7 @@ proptest! {
         let _ = std::fs::remove_file(&path);
         let (mut ledger, initial) = Ledger::open(&path).unwrap();
         prop_assert!(initial.is_empty());
-        let mut live = BudgetAccountant::new(total);
+        let live = BudgetAccountant::new(total);
         for (i, eps) in charges.iter().enumerate() {
             if live.try_spend(*eps).is_ok() {
                 ledger.append(&SpendRecord {
@@ -69,7 +69,7 @@ proptest! {
         // sized so every charge fits — acceptance is not under test here,
         // durability-equivalence is.
         let total = 16.0;
-        let mut serial = BudgetAccountant::new(total);
+        let serial = BudgetAccountant::new(total);
         for eps in &charges {
             serial.try_spend(*eps).expect("all charges fit");
         }
@@ -122,7 +122,7 @@ fn ten_tenth_charges_fill_one_exactly_across_replay() {
     let path = temp_path("tenths");
     let _ = std::fs::remove_file(&path);
     let (mut ledger, _) = Ledger::open(&path).unwrap();
-    let mut live = BudgetAccountant::new(1.0);
+    let live = BudgetAccountant::new(1.0);
     for i in 0..10 {
         live.try_spend(0.1).expect("all ten tenths fit");
         ledger
@@ -138,7 +138,7 @@ fn ten_tenth_charges_fill_one_exactly_across_replay() {
     let (_, replayed) = Ledger::open(&path).unwrap();
     assert_eq!(replayed.len(), 10);
     let spent = upa_server::ledger::spent_by_dataset(&replayed)["data"];
-    let mut restored = BudgetAccountant::restore(1.0, spent);
+    let restored = BudgetAccountant::restore(1.0, spent);
     assert!(
         restored.remaining() < 1e-9,
         "budget is exactly exhausted after replay, remaining = {}",
