@@ -1,5 +1,6 @@
 //! Microbenchmarks of the dataflow engine (the Spark substitute): narrow
-//! ops, shuffle reduce and hash join.
+//! ops, shuffle reduce (integer and string keys) and hash join (a probe
+//! side of either size).
 
 use dataflow::{Context, PairOps};
 use upa_bench::report::bench;
@@ -30,6 +31,25 @@ fn main() {
         ds.reduce_by_key(|a, b| a + b).len()
     });
     bench("engine/shuffle/hash_join", 15, || ds.join(&rds).len());
+
+    // joinDP's differing round: a few thousand sampled and added records
+    // probe the whole of the other table, so building the hash table over
+    // the large side dominates.
+    let build: Vec<(u64, u64)> = (0..232_000).map(|i| (i / 4, i)).collect();
+    let build = ctx.parallelize(build, 8);
+    let probe: Vec<(u64, u64)> = (0..2_000).map(|i| ((i * 29) % 58_000, i)).collect();
+    let probe = ctx.parallelize(probe, 8);
+    bench("engine/shuffle/join_small_probe", 15, || {
+        probe.join(&build).len()
+    });
+
+    let named: Vec<(String, u64)> = (0..100_000)
+        .map(|i| (format!("Customer#{:09}", i % 1_000), i))
+        .collect();
+    let named = ctx.parallelize(named, 8);
+    bench("engine/shuffle/reduce_by_key_string_keys", 15, || {
+        named.reduce_by_key(|a, b| a + b).len()
+    });
 
     let data: Vec<i64> = (0..200_000).collect();
     for parts in [1usize, 4, 16] {

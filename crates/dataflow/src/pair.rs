@@ -6,11 +6,20 @@
 //! context's metrics. UPA's `joinDP` triggers this shuffle **twice** per
 //! join where vanilla execution triggers it once (paper §V-C), which is the
 //! mechanism behind the >100% overhead of TPCH4/TPCH13 in Figure 2(b).
+//!
+//! Routing and every per-task table hash keys with the seedless
+//! [`WordHasher`](crate::partitioner::WordHasher), and the tables keep keys
+//! in order of first appearance, so an operator's output order is a
+//! function of its input alone: the same job collects the same records in
+//! the same order on every run. A seedless hash gives no protection against
+//! keys crafted to collide. That is acceptable here because pair operators
+//! run only on datasets the engine's callers build in process; the serving
+//! daemon, which does read keys from the network, never calls them.
 
 use crate::context::Context;
 use crate::dataset::Dataset;
 use crate::lineage::Lineage;
-use crate::partitioner::{HashPartitioner, Partitioner, RangePartitioner};
+use crate::partitioner::{hash_key, HashPartitioner, Partitioner, RangePartitioner};
 use crate::Data;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -31,7 +40,7 @@ pub(crate) fn shuffle_by_key<K: Data + Hash + Eq, V: Data>(
 
 /// Shuffles a pair dataset into `buckets` reduce-side partitions using an
 /// arbitrary [`Partitioner`]. One full shuffle: every record is moved and
-/// counted.
+/// counted. A bucket holds its records in input order.
 pub(crate) fn shuffle_with<K: Data, V: Data, P: Partitioner<K> + 'static>(
     ctx: &Context,
     ds: &Dataset<(K, V)>,
@@ -45,32 +54,238 @@ pub(crate) fn shuffle_with<K: Data, V: Data, P: Partitioner<K> + 'static>(
     let bytes = total * std::mem::size_of::<(K, V)>() as u64;
     ctx.record_shuffle(total, bytes);
     let scan_ns = ctx.scan_cost_ns();
-    // Map side: split each partition into per-bucket runs.
-    let bucketed: Vec<Vec<Vec<(K, V)>>> = ctx.run_tasks(
+    // Map side: split each partition into per-bucket runs, each allocated
+    // at its exact length from a first pass that routes every key once.
+    let runs: Vec<Vec<Vec<(K, V)>>> = ctx.run_tasks(
         "shuffle-write",
         ds.partitions().to_vec(),
         move |_i, part: Arc<Vec<(K, V)>>| {
             crate::context::scan_delay(part.len(), scan_ns);
-            let mut out: Vec<Vec<(K, V)>> = (0..buckets).map(|_| Vec::new()).collect();
-            for kv in part.iter() {
-                out[partitioner.partition(&kv.0, buckets)].push(kv.clone());
+            let targets: Vec<usize> = part
+                .iter()
+                .map(|(k, _)| partitioner.partition(k, buckets))
+                .collect();
+            let mut lens = vec![0usize; buckets];
+            for &b in &targets {
+                lens[b] += 1;
             }
-            out
+            let mut runs: Vec<Vec<(K, V)>> = lens.into_iter().map(Vec::with_capacity).collect();
+            for (kv, &b) in part.iter().zip(&targets) {
+                runs[b].push(kv.clone());
+            }
+            runs
         },
     );
-    // Reduce side: concatenate run `b` of every map output.
-    let bucketed = Arc::new(bucketed);
+    // Reduce side: bucket `b` takes run `b` of every map output, in map
+    // order, and moves them into one buffer of their summed length.
+    let mut by_bucket: Vec<Vec<Vec<(K, V)>>> = (0..buckets)
+        .map(|_| Vec::with_capacity(runs.len()))
+        .collect();
+    for map_out in runs {
+        for (b, run) in map_out.into_iter().enumerate() {
+            by_bucket[b].push(run);
+        }
+    }
     ctx.run_tasks(
         "shuffle-read",
-        (0..buckets).collect(),
-        move |_i, b: usize| {
-            let mut merged = Vec::new();
-            for map_out in bucketed.iter() {
-                merged.extend(map_out[b].iter().cloned());
+        by_bucket,
+        move |_i, runs: Vec<Vec<(K, V)>>| {
+            let mut merged = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+            for mut run in runs {
+                merged.append(&mut run);
             }
             Arc::new(merged)
         },
     )
+}
+
+/// Dense ids `0, 1, 2, …` for the distinct keys one task meets, in order
+/// of first appearance. An open-addressing table (linear probing, load
+/// ≤ ½) of `u64` slots, each the low 32 hash bits above `id + 1`, with 0
+/// marking an empty slot; the caller keeps the keys, and `is_key(id)` asks
+/// it whether id's key equals the probed one. A probe starts at the low
+/// hash bits, which the multiply-shift routing of [`HashPartitioner`]
+/// leaves free, since every key in one bucket shares its high bits.
+struct KeyIndex {
+    slots: Vec<u64>,
+    len: usize,
+}
+
+impl KeyIndex {
+    fn new() -> Self {
+        KeyIndex {
+            slots: vec![0; 16],
+            len: 0,
+        }
+    }
+
+    /// `Ok` with the id of the key that hashes to `hash` and passes
+    /// `is_key`, or `Err` with the fresh id (the number of keys so far)
+    /// now assigned to it: the caller stores that key at that id.
+    fn find_or_insert(
+        &mut self,
+        hash: u64,
+        is_key: impl Fn(usize) -> bool,
+    ) -> Result<usize, usize> {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let tag = hash as u32;
+        let mask = self.slots.len() - 1;
+        let mut pos = tag as usize & mask;
+        loop {
+            let slot = self.slots[pos];
+            if slot == 0 {
+                let id = self.len;
+                assert!(id < u32::MAX as usize, "2^32 - 1 distinct keys in one task");
+                self.slots[pos] = (u64::from(tag) << 32) | (id as u64 + 1);
+                self.len += 1;
+                return Err(id);
+            }
+            let id = (slot as u32 - 1) as usize;
+            if (slot >> 32) as u32 == tag && is_key(id) {
+                return Ok(id);
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// The id of the key that hashes to `hash` and passes `is_key`.
+    fn find(&self, hash: u64, is_key: impl Fn(usize) -> bool) -> Option<usize> {
+        let tag = hash as u32;
+        let mask = self.slots.len() - 1;
+        let mut pos = tag as usize & mask;
+        loop {
+            let slot = self.slots[pos];
+            if slot == 0 {
+                return None;
+            }
+            let id = (slot as u32 - 1) as usize;
+            if (slot >> 32) as u32 == tag && is_key(id) {
+                return Some(id);
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// Doubles the slots, re-placing each id by the hash bits it holds.
+    fn grow(&mut self) {
+        let doubled = vec![0; self.slots.len() * 2];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        let mask = self.slots.len() - 1;
+        for slot in old.into_iter().filter(|&s| s != 0) {
+            let mut pos = (slot >> 32) as usize & mask;
+            while self.slots[pos] != 0 {
+                pos = (pos + 1) & mask;
+            }
+            self.slots[pos] = slot;
+        }
+    }
+}
+
+/// One state per distinct key, in order of the key's first appearance:
+/// the table behind `reduce_by_key`, `group_by_key` and `cogroup`.
+struct Groups<K, S> {
+    index: KeyIndex,
+    entries: Vec<(K, S)>,
+}
+
+impl<K: Hash + Eq + Clone, S> Groups<K, S> {
+    fn new() -> Self {
+        Groups {
+            index: KeyIndex::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    /// Applies `merge` to `key`'s state, or starts it with `init` when
+    /// `key` is new.
+    fn upsert(&mut self, key: &K, init: impl FnOnce() -> S, merge: impl FnOnce(&mut S)) {
+        let entries = &self.entries;
+        match self
+            .index
+            .find_or_insert(hash_key(key), |id| entries[id].0 == *key)
+        {
+            Ok(id) => merge(&mut self.entries[id].1),
+            Err(_) => self.entries.push((key.clone(), init())),
+        }
+    }
+}
+
+/// Folds each key's values with `f`, keys in order of first appearance.
+fn reduce_pairs<'a, K, V>(
+    pairs: impl IntoIterator<Item = &'a (K, V)>,
+    f: &impl Fn(&V, &V) -> V,
+) -> Vec<(K, V)>
+where
+    K: Hash + Eq + Clone + 'a,
+    V: Clone + 'a,
+{
+    let mut groups = Groups::new();
+    for (k, v) in pairs {
+        groups.upsert(k, || v.clone(), |acc| *acc = f(acc, v));
+    }
+    groups.entries
+}
+
+/// The build side of a hash join: one index entry per distinct key,
+/// holding the key's first row and row count, and one `next` link per
+/// row, which chains the key's rows in build order ([`NO_ROW`] ends a
+/// chain).
+struct JoinTable {
+    index: KeyIndex,
+    chains: Vec<Chain>,
+    next: Vec<usize>,
+}
+
+/// One key's rows: the first, and how many.
+#[derive(Clone, Copy)]
+struct Chain {
+    head: usize,
+    len: usize,
+}
+
+const NO_ROW: usize = usize::MAX;
+
+impl JoinTable {
+    /// Indexes `rows`. They are visited last to first and each is pushed
+    /// onto the front of its key's chain, so chains read in build order.
+    fn build<K: Hash + Eq, W>(rows: &[(K, W)]) -> Self {
+        let mut index = KeyIndex::new();
+        let mut chains: Vec<Chain> = Vec::new();
+        let mut next = vec![NO_ROW; rows.len()];
+        for (row, (k, _)) in rows.iter().enumerate().rev() {
+            match index.find_or_insert(hash_key(k), |id| rows[chains[id].head].0 == *k) {
+                Ok(id) => {
+                    next[row] = chains[id].head;
+                    chains[id] = Chain {
+                        head: row,
+                        len: chains[id].len + 1,
+                    };
+                }
+                Err(_) => chains.push(Chain { head: row, len: 1 }),
+            }
+        }
+        JoinTable {
+            index,
+            chains,
+            next,
+        }
+    }
+
+    /// The chain of `key` in `rows`, the slice the table was built from.
+    fn lookup<K: Hash + Eq, W>(&self, rows: &[(K, W)], key: &K) -> Option<Chain> {
+        self.index
+            .find(hash_key(key), |id| rows[self.chains[id].head].0 == *key)
+            .map(|id| self.chains[id])
+    }
+
+    /// The rows of `chain`, in build order.
+    fn rows(&self, chain: Chain) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(chain.head), |&row| {
+            Some(self.next[row]).filter(|&next| next != NO_ROW)
+        })
+    }
 }
 
 /// Pair-dataset operators, available on any `Dataset<(K, V)>`.
@@ -142,18 +357,7 @@ impl<K: Data + Hash + Eq, V: Data> PairOps<K, V> for Dataset<(K, V)> {
         // upstream chain and adds no stage of its own.
         let pre = if ctx.map_side_combine() {
             let fc = Arc::clone(&f);
-            self.map_partitions(move |part: &[(K, V)]| {
-                let mut acc: HashMap<K, V> = HashMap::new();
-                for (k, v) in part {
-                    match acc.get_mut(k) {
-                        Some(slot) => *slot = fc(slot, v),
-                        None => {
-                            acc.insert(k.clone(), v.clone());
-                        }
-                    }
-                }
-                acc.into_iter().collect()
-            })
+            self.map_partitions(move |part: &[(K, V)]| reduce_pairs(part, &*fc))
         } else {
             self.clone()
         };
@@ -161,18 +365,7 @@ impl<K: Data + Hash + Eq, V: Data> PairOps<K, V> for Dataset<(K, V)> {
         let parts = ctx.run_tasks(
             "reduce_by_key",
             shuffled,
-            move |_i, part: Arc<Vec<(K, V)>>| {
-                let mut acc: HashMap<K, V> = HashMap::new();
-                for (k, v) in part.iter() {
-                    match acc.get_mut(k) {
-                        Some(slot) => *slot = f(slot, v),
-                        None => {
-                            acc.insert(k.clone(), v.clone());
-                        }
-                    }
-                }
-                Arc::new(acc.into_iter().collect::<Vec<(K, V)>>())
-            },
+            move |_i, part: Arc<Vec<(K, V)>>| Arc::new(reduce_pairs(part.iter(), &*f)),
         );
         Dataset::from_parts(
             ctx,
@@ -189,11 +382,11 @@ impl<K: Data + Hash + Eq, V: Data> PairOps<K, V> for Dataset<(K, V)> {
             "group_by_key",
             shuffled,
             move |_i, part: Arc<Vec<(K, V)>>| {
-                let mut acc: HashMap<K, Vec<V>> = HashMap::new();
+                let mut groups = Groups::new();
                 for (k, v) in part.iter() {
-                    acc.entry(k.clone()).or_default().push(v.clone());
+                    groups.upsert(k, || vec![v.clone()], |vs| vs.push(v.clone()));
                 }
-                Arc::new(acc.into_iter().collect::<Vec<(K, Vec<V>)>>())
+                Arc::new(groups.entries)
             },
         );
         Dataset::from_parts(
@@ -215,16 +408,13 @@ impl<K: Data + Hash + Eq, V: Data> PairOps<K, V> for Dataset<(K, V)> {
             "join",
             inputs,
             move |_i, (l, r): (Bucket<K, V>, Bucket<K, W>)| {
-                let mut table: HashMap<K, Vec<W>> = HashMap::new();
-                for (k, w) in r.iter() {
-                    table.entry(k.clone()).or_default().push(w.clone());
-                }
-                let mut out = Vec::new();
-                for (k, v) in l.iter() {
-                    if let Some(ws) = table.get(k) {
-                        for w in ws {
-                            out.push((k.clone(), (v.clone(), w.clone())));
-                        }
+                let table = JoinTable::build(&r);
+                let found: Vec<Option<Chain>> =
+                    l.iter().map(|(k, _)| table.lookup(&r, k)).collect();
+                let mut out = Vec::with_capacity(found.iter().flatten().map(|c| c.len).sum());
+                for ((k, v), chain) in l.iter().zip(found) {
+                    for row in chain.into_iter().flat_map(|c| table.rows(c)) {
+                        out.push((k.clone(), (v.clone(), r[row].1.clone())));
                     }
                 }
                 Arc::new(out)
@@ -250,16 +440,16 @@ impl<K: Data + Hash + Eq, V: Data> PairOps<K, V> for Dataset<(K, V)> {
             "left_outer_join",
             inputs,
             move |_i, (l, r): (Bucket<K, V>, Bucket<K, W>)| {
-                let mut table: HashMap<K, Vec<W>> = HashMap::new();
-                for (k, w) in r.iter() {
-                    table.entry(k.clone()).or_default().push(w.clone());
-                }
-                let mut out = Vec::new();
-                for (k, v) in l.iter() {
-                    match table.get(k) {
-                        Some(ws) => {
-                            for w in ws {
-                                out.push((k.clone(), (v.clone(), Some(w.clone()))));
+                let table = JoinTable::build(&r);
+                let found: Vec<Option<Chain>> =
+                    l.iter().map(|(k, _)| table.lookup(&r, k)).collect();
+                let mut out =
+                    Vec::with_capacity(found.iter().map(|c| c.map_or(1, |c| c.len)).sum());
+                for ((k, v), chain) in l.iter().zip(found) {
+                    match chain {
+                        Some(c) => {
+                            for row in table.rows(c) {
+                                out.push((k.clone(), (v.clone(), Some(r[row].1.clone()))));
                             }
                         }
                         None => out.push((k.clone(), (v.clone(), None))),
@@ -288,14 +478,14 @@ impl<K: Data + Hash + Eq, V: Data> PairOps<K, V> for Dataset<(K, V)> {
             "cogroup",
             inputs,
             move |_i, (l, r): (Bucket<K, V>, Bucket<K, W>)| {
-                let mut table: HashMap<K, (Vec<V>, Vec<W>)> = HashMap::new();
+                let mut groups = Groups::new();
                 for (k, v) in l.iter() {
-                    table.entry(k.clone()).or_default().0.push(v.clone());
+                    groups.upsert(k, || (vec![v.clone()], Vec::new()), |g| g.0.push(v.clone()));
                 }
                 for (k, w) in r.iter() {
-                    table.entry(k.clone()).or_default().1.push(w.clone());
+                    groups.upsert(k, || (Vec::new(), vec![w.clone()]), |g| g.1.push(w.clone()));
                 }
-                Arc::new(table.into_iter().collect::<Vec<_>>())
+                Arc::new(groups.entries)
             },
         );
         Dataset::from_parts(
@@ -452,6 +642,36 @@ mod tests {
             m.shuffle_records
         );
         assert_eq!(out[&0], (0..200u64).filter(|x| x % 3 == 0).sum::<u64>());
+    }
+
+    /// The same job collects the same records in the same order: twice on
+    /// one context, and once more on a second context.
+    #[test]
+    fn pair_operator_output_order_is_reproducible() {
+        #[allow(clippy::type_complexity)]
+        fn run(
+            c: &Context,
+        ) -> (
+            Vec<(u64, f64)>,
+            Vec<(u64, Vec<f64>)>,
+            Vec<(u64, (Vec<f64>, Vec<u32>))>,
+        ) {
+            let pairs: Vec<(u64, f64)> = (0..20_000u64)
+                .map(|i| ((i * 7_919) % 97, i as f64 * 0.5))
+                .collect();
+            let ds = c.parallelize(pairs, 4);
+            let other = c.parallelize((0..300u32).map(|i| (u64::from(i % 131), i)).collect(), 3);
+            (
+                ds.reduce_by_key(|a, b| a + b).collect(),
+                ds.group_by_key().collect(),
+                ds.cogroup(&other).collect(),
+            )
+        }
+        let c = ctx();
+        let first = run(&c);
+        assert_eq!(first.0.len(), 97);
+        assert_eq!(run(&c), first, "second run on one context");
+        assert_eq!(run(&ctx()), first, "run on a second context");
     }
 
     #[test]

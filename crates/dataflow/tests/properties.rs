@@ -1,12 +1,71 @@
 //! Property-based tests of the engine's operator semantics against
 //! sequential reference implementations.
 
+use dataflow::partitioner::{HashPartitioner, Partitioner};
 use dataflow::{Config, Context, PairOps};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 fn ctx() -> Context {
     Context::with_threads(4)
+}
+
+type Rows = Vec<(u8, u32)>;
+
+/// The reduce-side bucket of `key` in a shuffle on `c`.
+fn bucket(c: &Context, key: u8) -> usize {
+    HashPartitioner.partition(&key, c.config().shuffle_partitions)
+}
+
+/// Nested-loop `join` (`left_outer` adds a `None` row for each unmatched
+/// left row): bucket by bucket, left rows in input order, each followed
+/// by its matching right rows in input order.
+#[allow(clippy::type_complexity)]
+fn nested_loop_join(
+    c: &Context,
+    left: &Rows,
+    right: &Rows,
+    left_outer: bool,
+) -> Vec<(u8, (u32, Option<u32>))> {
+    let mut out = Vec::new();
+    for b in 0..c.config().shuffle_partitions {
+        for &(k, v) in left.iter().filter(|(k, _)| bucket(c, *k) == b) {
+            let before = out.len();
+            for &(_, w) in right.iter().filter(|(k2, _)| *k2 == k) {
+                out.push((k, (v, Some(w))));
+            }
+            if left_outer && out.len() == before {
+                out.push((k, (v, None)));
+            }
+        }
+    }
+    out
+}
+
+/// Nested-loop `cogroup`: bucket by bucket, keys in order of first
+/// appearance in the left rows and then the right rows, each with its
+/// values in input order.
+#[allow(clippy::type_complexity)]
+fn nested_loop_cogroup(c: &Context, left: &Rows, right: &Rows) -> Vec<(u8, (Vec<u32>, Vec<u32>))> {
+    let mut out: Vec<(u8, (Vec<u32>, Vec<u32>))> = Vec::new();
+    for b in 0..c.config().shuffle_partitions {
+        for &(k, _) in left.iter().chain(right).filter(|(k, _)| bucket(c, *k) == b) {
+            if out.iter().all(|(seen, _)| *seen != k) {
+                let vs = left
+                    .iter()
+                    .filter(|(k2, _)| *k2 == k)
+                    .map(|(_, v)| *v)
+                    .collect();
+                let ws = right
+                    .iter()
+                    .filter(|(k2, _)| *k2 == k)
+                    .map(|(_, w)| *w)
+                    .collect();
+                out.push((k, (vs, ws)));
+            }
+        }
+    }
+    out
 }
 
 proptest! {
@@ -191,5 +250,37 @@ proptest! {
         let none_count = joined.iter().filter(|(_, (_, w))| w.is_none()).count();
         let want_none = left.iter().filter(|(k, _)| !rf.contains_key(k)).count();
         prop_assert_eq!(none_count, want_none);
+    }
+
+    /// `join`, `left_outer_join` and `cogroup` equal their nested-loop
+    /// references, order included, on the drawn sides, on each side
+    /// against an empty one, and with every key collapsed to one.
+    #[test]
+    fn joins_match_nested_loop_order(
+        left in prop::collection::vec((0u8..6, 0u32..1000), 0..40),
+        right in prop::collection::vec((0u8..6, 0u32..1000), 0..40),
+        partitions in 1usize..5,
+    ) {
+        let single = |rows: &Rows| -> Rows { rows.iter().map(|&(_, v)| (0, v)).collect() };
+        let shapes = [
+            (left.clone(), right.clone()),
+            (left.clone(), Vec::new()),
+            (Vec::new(), right.clone()),
+            (single(&left), single(&right)),
+        ];
+        let c = ctx();
+        for (l, r) in &shapes {
+            let lds = c.parallelize(l.clone(), partitions);
+            let rds = c.parallelize(r.clone(), 3);
+            let inner: Vec<(u8, (u32, Option<u32>))> = lds
+                .join(&rds)
+                .collect()
+                .into_iter()
+                .map(|(k, (v, w))| (k, (v, Some(w))))
+                .collect();
+            prop_assert_eq!(inner, nested_loop_join(&c, l, r, false));
+            prop_assert_eq!(lds.left_outer_join(&rds).collect(), nested_loop_join(&c, l, r, true));
+            prop_assert_eq!(lds.cogroup(&rds).collect(), nested_loop_cogroup(&c, l, r));
+        }
     }
 }
