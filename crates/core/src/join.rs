@@ -31,17 +31,17 @@ use crate::error::UpaError;
 use crate::output::DpOutput;
 use crate::pipeline::{Upa, UpaResult};
 use crate::query::MapReduceQuery;
+use dataflow::partitioner::hash_key;
 use dataflow::{Data, Dataset, PairOps, SpanRecorder};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::Arc;
 
-/// Deterministic 64-bit hash of a key (fixed-key SipHash via
-/// `DefaultHasher::new()`), used for stable half assignment.
-fn stable_hash<K: Hash>(key: &K) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
+/// The logical half (0 or 1) of a protected record with join key `key`:
+/// the low bit of the engine's seedless in-tree hash, so a key keeps its
+/// half across runs, machines and Rust toolchains.
+fn logical_half<K: Hash>(key: &K) -> usize {
+    (hash_key(key) % 2) as usize
 }
 
 /// Shared handle to a per-joined-tuple projection/filter.
@@ -164,10 +164,7 @@ impl Upa {
         // neighbouring datasets.
         let sampled_halves: Vec<usize> = {
             let _scope = spans.enter("sample");
-            sampled
-                .iter()
-                .map(|(k, _)| (stable_hash(k) % 2) as usize)
-                .collect()
+            sampled.iter().map(|(k, _)| logical_half(k)).collect()
         };
 
         // ---- Phase 2: tag maps (the join path's parallel map) ------------
@@ -178,7 +175,7 @@ impl Upa {
             let mut scope = spans.enter("map");
             scope.add_records(remainder.len() as u64 + 2 * n as u64);
             let tagged =
-                remainder.map(move |(k, v)| (k.clone(), (v.clone(), (stable_hash(k) % 2) as u8)));
+                remainder.map(move |(k, v)| (k.clone(), (v.clone(), logical_half(k) as u8)));
             let mut tagged_sample: Vec<(K, (usize, V))> = Vec::with_capacity(2 * n);
             for (i, (k, v)) in sampled.iter().enumerate() {
                 tagged_sample.push((k.clone(), (i, v.clone())));
@@ -359,6 +356,14 @@ mod tests {
             upa_shuffles >= 2 * vanilla_shuffles,
             "joinDP must shuffle at least twice as much ({upa_shuffles} vs {vanilla_shuffles})"
         );
+    }
+
+    /// RANGE ENFORCER fingerprints the halves, so a key's half may change
+    /// only by a deliberate edit of this table.
+    #[test]
+    fn logical_halves_are_pinned() {
+        let halves: Vec<usize> = (0u64..16).map(|k| logical_half(&k)).collect();
+        assert_eq!(halves, [0, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 1, 1]);
     }
 
     #[test]
