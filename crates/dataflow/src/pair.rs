@@ -130,39 +130,36 @@ impl KeyIndex {
         if 2 * (self.len + 1) > self.slots.len() {
             self.grow();
         }
-        let tag = hash as u32;
-        let mask = self.slots.len() - 1;
-        let mut pos = tag as usize & mask;
-        loop {
-            let slot = self.slots[pos];
-            if slot == 0 {
-                let id = self.len;
-                assert!(id < u32::MAX as usize, "2^32 - 1 distinct keys in one task");
-                self.slots[pos] = (u64::from(tag) << 32) | (id as u64 + 1);
-                self.len += 1;
-                return Err(id);
-            }
-            let id = (slot as u32 - 1) as usize;
-            if (slot >> 32) as u32 == tag && is_key(id) {
-                return Ok(id);
-            }
-            pos = (pos + 1) & mask;
-        }
+        let pos = match self.probe(hash, is_key) {
+            Ok(id) => return Ok(id),
+            Err(pos) => pos,
+        };
+        let id = self.len;
+        assert!(id < u32::MAX as usize, "2^32 - 1 distinct keys in one task");
+        self.slots[pos] = (hash << 32) | (id as u64 + 1);
+        self.len += 1;
+        Err(id)
     }
 
     /// The id of the key that hashes to `hash` and passes `is_key`.
     fn find(&self, hash: u64, is_key: impl Fn(usize) -> bool) -> Option<usize> {
+        self.probe(hash, is_key).ok()
+    }
+
+    /// `Ok` with the key's id, or `Err` with the empty slot that ends its
+    /// probe sequence.
+    fn probe(&self, hash: u64, is_key: impl Fn(usize) -> bool) -> Result<usize, usize> {
         let tag = hash as u32;
         let mask = self.slots.len() - 1;
         let mut pos = tag as usize & mask;
         loop {
             let slot = self.slots[pos];
             if slot == 0 {
-                return None;
+                return Err(pos);
             }
             let id = (slot as u32 - 1) as usize;
             if (slot >> 32) as u32 == tag && is_key(id) {
-                return Some(id);
+                return Ok(id);
             }
             pos = (pos + 1) & mask;
         }
@@ -289,6 +286,12 @@ impl JoinTable {
 }
 
 /// Pair-dataset operators, available on any `Dataset<(K, V)>`.
+///
+/// Output partition `b` is reduce-side bucket `b`. Within it, the grouping
+/// operators list keys in order of first appearance in the input (for
+/// `cogroup`, `self` and then `other`), and the joins list `self`'s
+/// records in input order, each followed by its matches in `other`'s
+/// order.
 ///
 /// This trait is sealed: it exists to attach methods, not to be
 /// implemented downstream.
