@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 /// The logical half (0 or 1) of a protected record with join key `key`:
 /// the low bit of the engine's seedless in-tree hash, so a key keeps its
-/// half across runs, machines and Rust toolchains.
+/// half across runs and machines, and a Rust upgrade cannot re-split it.
 fn logical_half<K: Hash>(key: &K) -> usize {
     (hash_key(key) % 2) as usize
 }

@@ -225,64 +225,57 @@ where
     groups.entries
 }
 
-/// The build side of a hash join: one index entry per distinct key,
-/// holding the key's first row and row count, and one `next` link per
-/// row, which chains the key's rows in build order ([`NO_ROW`] ends a
-/// chain).
-struct JoinTable {
-    index: KeyIndex,
-    chains: Vec<Chain>,
-    next: Vec<usize>,
-}
-
-/// One key's rows: the first, and how many.
-#[derive(Clone, Copy)]
-struct Chain {
-    head: usize,
-    len: usize,
-}
-
-const NO_ROW: usize = usize::MAX;
-
-impl JoinTable {
-    /// Indexes `rows`. They are visited last to first and each is pushed
-    /// onto the front of its key's chain, so chains read in build order.
-    fn build<K: Hash + Eq, W>(rows: &[(K, W)]) -> Self {
-        let mut index = KeyIndex::new();
-        let mut chains: Vec<Chain> = Vec::new();
-        let mut next = vec![NO_ROW; rows.len()];
-        for (row, (k, _)) in rows.iter().enumerate().rev() {
-            match index.find_or_insert(hash_key(k), |id| rows[chains[id].head].0 == *k) {
-                Ok(id) => {
-                    next[row] = chains[id].head;
-                    chains[id] = Chain {
-                        head: row,
-                        len: chains[id].len + 1,
-                    };
-                }
-                Err(_) => chains.push(Chain { head: row, len: 1 }),
+/// Hash-joins one bucket pair: `left`'s rows in order, each followed by
+/// its matches in `right`'s order, and, when `outer`, once with `None`
+/// when it has none. `row` builds an output record from a left row and
+/// its match.
+///
+/// The table over `right` holds one index entry per distinct key, with
+/// the key's first row and row count, and one `next` link per row that
+/// chains the key's rows in build order; no key gets a `Vec` of its own.
+fn hash_join<K: Hash + Eq, V, W, O>(
+    left: &[(K, V)],
+    right: &[(K, W)],
+    outer: bool,
+    row: impl Fn(&K, &V, Option<&W>) -> O,
+) -> Vec<O> {
+    const END: usize = usize::MAX;
+    // (first row, rows) per distinct key.
+    let mut chains: Vec<(usize, usize)> = Vec::new();
+    let mut next = vec![END; right.len()];
+    let mut index = KeyIndex::new();
+    // Last to first, each row pushed onto the front of its key's chain,
+    // so chains read in build order.
+    for (at, (k, _)) in right.iter().enumerate().rev() {
+        match index.find_or_insert(hash_key(k), |id| right[chains[id].0].0 == *k) {
+            Ok(id) => {
+                next[at] = chains[id].0;
+                chains[id] = (at, chains[id].1 + 1);
             }
-        }
-        JoinTable {
-            index,
-            chains,
-            next,
+            Err(_) => chains.push((at, 1)),
         }
     }
-
-    /// The chain of `key` in `rows`, the slice the table was built from.
-    fn lookup<K: Hash + Eq, W>(&self, rows: &[(K, W)], key: &K) -> Option<Chain> {
-        self.index
-            .find(hash_key(key), |id| rows[self.chains[id].head].0 == *key)
-            .map(|id| self.chains[id])
-    }
-
-    /// The rows of `chain`, in build order.
-    fn rows(&self, chain: Chain) -> impl Iterator<Item = usize> + '_ {
-        std::iter::successors(Some(chain.head), |&row| {
-            Some(self.next[row]).filter(|&next| next != NO_ROW)
+    let found: Vec<Option<(usize, usize)>> = left
+        .iter()
+        .map(|(k, _)| {
+            let id = index.find(hash_key(k), |id| right[chains[id].0].0 == *k)?;
+            Some(chains[id])
         })
+        .collect();
+    let unmatched = usize::from(outer);
+    let mut out = Vec::with_capacity(found.iter().map(|c| c.map_or(unmatched, |c| c.1)).sum());
+    for ((k, v), chain) in left.iter().zip(found) {
+        match chain {
+            Some((first, _)) => {
+                let rows =
+                    std::iter::successors(Some(first), |&at| Some(next[at]).filter(|&n| n != END));
+                out.extend(rows.map(|at| row(k, v, Some(&right[at].1))));
+            }
+            None if outer => out.push(row(k, v, None)),
+            None => {}
+        }
     }
+    out
 }
 
 /// Pair-dataset operators, available on any `Dataset<(K, V)>`.
@@ -411,16 +404,10 @@ impl<K: Data + Hash + Eq, V: Data> PairOps<K, V> for Dataset<(K, V)> {
             "join",
             inputs,
             move |_i, (l, r): (Bucket<K, V>, Bucket<K, W>)| {
-                let table = JoinTable::build(&r);
-                let found: Vec<Option<Chain>> =
-                    l.iter().map(|(k, _)| table.lookup(&r, k)).collect();
-                let mut out = Vec::with_capacity(found.iter().flatten().map(|c| c.len).sum());
-                for ((k, v), chain) in l.iter().zip(found) {
-                    for row in chain.into_iter().flat_map(|c| table.rows(c)) {
-                        out.push((k.clone(), (v.clone(), r[row].1.clone())));
-                    }
-                }
-                Arc::new(out)
+                Arc::new(hash_join(&l, &r, false, |k, v, w| {
+                    let w = w.expect("an inner join emits matched rows only");
+                    (k.clone(), (v.clone(), w.clone()))
+                }))
             },
         );
         Dataset::from_parts(
@@ -443,22 +430,9 @@ impl<K: Data + Hash + Eq, V: Data> PairOps<K, V> for Dataset<(K, V)> {
             "left_outer_join",
             inputs,
             move |_i, (l, r): (Bucket<K, V>, Bucket<K, W>)| {
-                let table = JoinTable::build(&r);
-                let found: Vec<Option<Chain>> =
-                    l.iter().map(|(k, _)| table.lookup(&r, k)).collect();
-                let mut out =
-                    Vec::with_capacity(found.iter().map(|c| c.map_or(1, |c| c.len)).sum());
-                for ((k, v), chain) in l.iter().zip(found) {
-                    match chain {
-                        Some(c) => {
-                            for row in table.rows(c) {
-                                out.push((k.clone(), (v.clone(), Some(r[row].1.clone()))));
-                            }
-                        }
-                        None => out.push((k.clone(), (v.clone(), None))),
-                    }
-                }
-                Arc::new(out)
+                Arc::new(hash_join(&l, &r, true, |k, v, w| {
+                    (k.clone(), (v.clone(), w.cloned()))
+                }))
             },
         );
         Dataset::from_parts(

@@ -7,9 +7,10 @@
 use std::hash::{Hash, Hasher};
 
 /// The engine's one key hasher: a multiply-rotate word state with a 64-bit
-/// finaliser. It has no seed, so a key hashes to the same value in every
-/// run, on every machine and under every toolchain; shuffle routing,
-/// pair-operator tables and joinDP's logical halves all depend on that.
+/// finaliser. It has no seed and is defined here rather than by std, so a
+/// key hashes to the same value in every run and on every machine, and a
+/// Rust upgrade cannot swap the algorithm; shuffle routing, pair-operator
+/// tables and joinDP's logical halves all depend on that.
 /// Being seedless, it offers no protection against keys crafted to
 /// collide, so it hashes only keys that the engine's own inputs produce.
 #[derive(Debug, Clone, Copy, Default)]
