@@ -185,6 +185,7 @@ const TPCH6: [u64; 5] = [
     0x40e5_7e0a_6ec1_8475,
 ];
 const LINEAR_REGRESSION_FNV: u64 = 0xbb67_028a_2069_210f;
+const KMEANS_FNV: u64 = 0x79b2_802d_4872_c3f2;
 
 fn fnv(words: &[u64]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -195,7 +196,7 @@ fn fnv(words: &[u64]) -> u64 {
 }
 
 /// (c) Generic-`T` queries from the paper suite: TPCH6 (a float sum over
-/// lineitems) and LinearRegression (a vector accumulator).
+/// lineitems), and LinearRegression and KMeans (vector accumulators).
 #[test]
 fn paper_suite_release_bits() {
     let ctx = Context::with_threads(4);
@@ -222,6 +223,7 @@ fn paper_suite_release_bits() {
         &[fnv(&run("LinearRegression", 32))],
         &[LINEAR_REGRESSION_FNV],
     );
+    check("KMeans", &[fnv(&run("KMeans", 33))], &[KMEANS_FNV]);
 }
 
 const SERVED_SYNTHETIC: [u64; 5] = [
