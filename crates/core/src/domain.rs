@@ -13,6 +13,7 @@
 
 use dataflow::columnar::ColumnarBuf;
 use rand::rngs::StdRng;
+use std::sync::Arc;
 
 /// Samples records from the domain `D` of possible dataset records.
 pub trait DomainSampler<T>: Send + Sync {
@@ -57,9 +58,25 @@ where
 /// A [`DomainSampler`] that resamples uniformly from a pool of existing
 /// records — the empirical distribution of the dataset itself. This is the
 /// default when no generative model of the domain is available.
+///
+/// The pool is shared, not owned: cloning the sampler clones an [`Arc`],
+/// and [`EmpiricalSampler::new`] takes either a `Vec` (moved in, no
+/// element copied) or an `Arc<Vec<T>>` that other samplers, or the caller,
+/// also hold. A workload that evaluates several queries over one table
+/// builds the pool once and hands every query the same one.
+///
+/// ```
+/// use std::sync::Arc;
+/// use upa_core::domain::EmpiricalSampler;
+/// let rows = Arc::new(vec![1, 2, 3]);
+/// let a = EmpiricalSampler::new(Arc::clone(&rows));
+/// let b = EmpiricalSampler::new(vec![4, 5]);
+/// assert_eq!(a.pool().as_ptr(), rows.as_ptr());
+/// assert_eq!(b.len(), 2);
+/// ```
 #[derive(Debug, Clone)]
 pub struct EmpiricalSampler<T> {
-    pool: Vec<T>,
+    pool: Arc<Vec<T>>,
 }
 
 impl<T: Clone + Send + Sync> EmpiricalSampler<T> {
@@ -68,9 +85,15 @@ impl<T: Clone + Send + Sync> EmpiricalSampler<T> {
     /// # Panics
     ///
     /// Panics if `pool` is empty.
-    pub fn new(pool: Vec<T>) -> Self {
+    pub fn new(pool: impl Into<Arc<Vec<T>>>) -> Self {
+        let pool = pool.into();
         assert!(!pool.is_empty(), "empirical sampler needs a non-empty pool");
         EmpiricalSampler { pool }
+    }
+
+    /// The records draws are taken from.
+    pub fn pool(&self) -> &[T] {
+        &self.pool
     }
 
     /// The pool size.
