@@ -3,8 +3,11 @@
 //! One Lloyd iteration is one UPA query: the mapper assigns a point to
 //! its nearest centroid and emits that cluster's partial sum; the reducer
 //! adds partial sums; `finalize` divides to produce the updated centroid
-//! matrix — the released output.
+//! matrix — the released output. The query's fused kernel and
+//! [`KMeans::step_plain`] add each point into a running accumulator in
+//! place instead (see [`crate::fold`]).
 
+use crate::fold::{fold_plain, step_query, InPlaceStep};
 use dataflow::Dataset;
 use upa_core::query::MapReduceQuery;
 
@@ -78,7 +81,17 @@ impl KMeans {
     }
 
     /// Index of the centroid nearest to `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` does not have the model's dimension.
     pub fn assign(&self, p: &[f64]) -> usize {
+        assert!(
+            p.len() == self.dims(),
+            "point has width {}, model has width {}",
+            p.len(),
+            self.dims()
+        );
         let mut best = 0;
         let mut best_d = f64::INFINITY;
         for (i, c) in self.centroids.iter().enumerate() {
@@ -105,65 +118,43 @@ impl KMeans {
     /// One Lloyd iteration as a Map/Reduce query. The output is the
     /// updated centroid matrix, flattened to `k × d` components (clusters
     /// that receive no points keep their current centroid).
+    ///
+    /// # Panics
+    ///
+    /// Evaluating the query panics on a point whose dimension is not the
+    /// model's.
     pub fn step_query(&self, name: impl Into<String>) -> MapReduceQuery<Point, KmAcc, Vec<f64>> {
-        let model = self.clone();
         let old = self.centroids.clone();
         let (k, d) = (self.k(), self.dims());
-        MapReduceQuery::new(
-            name,
-            move |p: &Point| {
-                let c = model.assign(p);
-                let mut sums = vec![0.0; k * d];
-                let mut counts = vec![0.0; k];
-                sums[c * d..(c + 1) * d].copy_from_slice(&p[..d]);
-                counts[c] = 1.0;
-                (sums, counts)
-            },
-            |a: &KmAcc, b: &KmAcc| {
-                (
-                    a.0.iter().zip(&b.0).map(|(x, y)| x + y).collect(),
-                    a.1.iter().zip(&b.1).map(|(x, y)| x + y).collect(),
-                )
-            },
-            move |acc: Option<&KmAcc>| {
-                let mut flat = Vec::with_capacity(k * d);
-                match acc {
-                    Some((sums, counts)) => {
-                        for c in 0..k {
-                            for j in 0..d {
-                                if counts[c] > 0.0 {
-                                    flat.push(sums[c * d + j] / counts[c]);
-                                } else {
-                                    flat.push(old[c][j]);
-                                }
+        step_query(self, name, move |acc: Option<&KmAcc>| {
+            let mut flat = Vec::with_capacity(k * d);
+            match acc {
+                Some((sums, counts)) => {
+                    for c in 0..k {
+                        for j in 0..d {
+                            if counts[c] > 0.0 {
+                                flat.push(sums[c * d + j] / counts[c]);
+                            } else {
+                                flat.push(old[c][j]);
                             }
                         }
                     }
-                    None => {
-                        for c in &old {
-                            flat.extend_from_slice(c);
-                        }
+                }
+                None => {
+                    for c in &old {
+                        flat.extend_from_slice(c);
                     }
                 }
-                flat
-            },
-        )
-        .with_half_key(|p: &Point| crate::data::point_key(p))
+            }
+            flat
+        })
     }
 
     /// One non-private iteration over a dataset; returns the flattened
     /// updated centroids without mutating `self`.
     pub fn step_plain(&self, data: &Dataset<Point>) -> Vec<f64> {
-        let q = self.step_query("kmeans_iter");
-        let m = q.mapper();
-        let mapped = data.map(move |p| m(p));
-        let acc = mapped.reduce(|a, b| {
-            (
-                a.0.iter().zip(&b.0).map(|(x, y)| x + y).collect(),
-                a.1.iter().zip(&b.1).map(|(x, y)| x + y).collect(),
-            )
-        });
-        q.finalize(acc.as_ref())
+        self.step_query("kmeans_iter")
+            .finalize(fold_plain(self, data).as_ref())
     }
 
     /// Runs `iters` non-private Lloyd iterations.
@@ -175,11 +166,59 @@ impl KMeans {
     }
 }
 
+impl InPlaceStep for KMeans {
+    type Record = Point;
+    type Acc = KmAcc;
+
+    /// `p` in its cluster's sums, one in its count, zeros elsewhere.
+    fn map(&self, p: &Point) -> KmAcc {
+        let (k, d) = (self.k(), self.dims());
+        let c = self.assign(p);
+        let mut sums = vec![0.0; k * d];
+        let mut counts = vec![0.0; k];
+        sums[c * d..(c + 1) * d].copy_from_slice(p);
+        counts[c] = 1.0;
+        (sums, counts)
+    }
+
+    fn add(&self, (sums, counts): &mut KmAcc, p: &Point) {
+        let c = self.assign(p);
+        let clusters = sums.chunks_exact_mut(self.dims()).zip(counts.iter_mut());
+        for (i, (sum, count)) in clusters.enumerate() {
+            if i == c {
+                for (s, x) in sum.iter_mut().zip(p) {
+                    *s += x;
+                }
+                *count += 1.0;
+            } else {
+                // The mapper's zeros: a `-0.0` sum becomes `+0.0`.
+                for s in sum.iter_mut() {
+                    *s += 0.0;
+                }
+                *count += 0.0;
+            }
+        }
+    }
+
+    fn reduce(a: &KmAcc, b: &KmAcc) -> KmAcc {
+        (
+            a.0.iter().zip(&b.0).map(|(x, y)| x + y).collect(),
+            a.1.iter().zip(&b.1).map(|(x, y)| x + y).collect(),
+        )
+    }
+
+    fn half_key(p: &Point) -> u64 {
+        crate::data::point_key(p)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::{generate_points, LifeScienceConfig};
+    use crate::fold::tests::assert_kernel_matches_generic;
     use dataflow::Context;
+    use upa_core::query::FOLD_LANES;
 
     fn clustered_points() -> Vec<Point> {
         generate_points(&LifeScienceConfig {
@@ -263,5 +302,73 @@ mod tests {
     #[should_panic(expected = "at least one centroid")]
     fn empty_model_rejected() {
         let _ = KMeans::new(Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "point has width 3, model has width 2")]
+    fn wider_point_rejected() {
+        let model = KMeans::new(vec![vec![0.0, 0.0], vec![10.0, 10.0]]);
+        let _ = model
+            .step_query("iter")
+            .evaluate_slice(&[vec![1.0, 2.0], vec![1.0, 2.0, 5.0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "point has width 1, model has width 2")]
+    fn narrower_point_rejected() {
+        let model = KMeans::new(vec![vec![0.0, 0.0], vec![10.0, 10.0]]);
+        let _ = model
+            .step_query("iter")
+            .evaluate_slice(&[vec![1.0, 2.0], vec![1.0]]);
+    }
+
+    fn acc_bits((sums, counts): &KmAcc) -> Vec<u64> {
+        sums.iter().chain(counts).map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_kernel_matches_the_generic_fold() {
+        let model = KMeans::new(vec![vec![0.0, 0.0], vec![10.0, 10.0], vec![-10.0, 5.0]]);
+        let q = model.step_query("iter");
+        let finite: Vec<Point> = (0..97)
+            .map(|i| {
+                let c = [0.0, 10.0, -10.0][i % 3];
+                let x = ((i * 37) % 101) as f64 * 0.11 - 5.5;
+                vec![c + x, c.abs() - x * 0.5]
+            })
+            .collect();
+        // All-`-0.0` points open the four lanes of their half in cluster
+        // 0; only zeros and other clusters' points follow, so each sum in
+        // cluster 0 keeps its `-0.0` just as long as the generic fold does.
+        let mut signed_zero: Vec<Point> = vec![vec![-0.0, -0.0]; 4];
+        signed_zero.extend((0..59).map(|i| match i % 4 {
+            0 => vec![-0.0, 0.0],
+            1 => vec![10.0 + i as f64 * 0.1, 10.0],
+            2 => vec![-10.0, 5.0 - i as f64 * 0.1],
+            _ => vec![0.0, -0.0],
+        }));
+        // Infinite coordinates are equally far from every centroid and
+        // land in cluster 0, where `inf + -inf` makes the default NaN.
+        let mut infinite = finite.clone();
+        for (i, p) in [
+            vec![f64::INFINITY, 1.0],
+            vec![f64::NEG_INFINITY, 2.0],
+            vec![3.0, f64::NEG_INFINITY],
+            vec![f64::INFINITY, f64::INFINITY],
+            vec![-0.0, f64::INFINITY],
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            infinite.insert(i * 17 + 2, p);
+        }
+        // One NaN payload only: which payload a sum of two NaNs keeps is
+        // left open by Rust.
+        let mut nan = finite.clone();
+        nan.insert(11, vec![f64::NAN, 1.0]);
+        let mut cases = vec![finite, signed_zero.clone(), infinite, nan];
+        // Runs shorter than one lane block, and just past one.
+        cases.extend((0..2 * FOLD_LANES).map(|len| signed_zero[..len].to_vec()));
+        assert_kernel_matches_generic(&model, &q, |ds| model.step_plain(ds), &cases, acc_bits);
     }
 }

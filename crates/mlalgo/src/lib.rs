@@ -19,6 +19,7 @@
 //!   update (the paper's §III walk-through example).
 
 pub mod data;
+mod fold;
 pub mod kmeans;
 pub mod linreg;
 
