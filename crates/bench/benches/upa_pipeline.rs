@@ -1,12 +1,15 @@
 //! Benchmarks of the UPA pipeline against its baselines: vanilla
 //! execution (what Figure 2(b) normalizes to) and the engine's plain
-//! reduce, swept over sample size and dataset size.
+//! reduce, swept over sample size and dataset size, and the two ML
+//! queries at the paper suite's record count.
 
 use dataflow::Context;
 use upa_bench::report::bench;
 use upa_core::domain::EmpiricalSampler;
 use upa_core::query::MapReduceQuery;
 use upa_core::{Upa, UpaConfig};
+use upa_mlalgo::data::{generate_points, generate_regression};
+use upa_mlalgo::{KMeans, LifeScienceConfig, LinearRegression};
 
 fn workload(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i * 37 + 5) % 101) as f64).collect()
@@ -38,6 +41,31 @@ fn main() {
     let u = upa(&ctx, 1_000);
     bench("upa/sum_100k/upa_full_pipeline", 15, || {
         u.run(&ds, &query, &domain).expect("runs")
+    });
+
+    // One Lloyd iteration and one SGD epoch over 120,000 records, each
+    // folded in place by its query's fused kernel.
+    let ml = LifeScienceConfig {
+        records: 120_000,
+        ..LifeScienceConfig::default()
+    };
+    let points = generate_points(&ml);
+    let points_ds = ctx.parallelize(points.clone(), 8);
+    let km = KMeans::init_from_points(&points, ml.clusters);
+    let km_query = km.step_query("KMeans");
+    let km_domain = EmpiricalSampler::new(points);
+    bench("upa/kmeans_120k/vanilla", 15, || km.step_plain(&points_ds));
+    bench("upa/kmeans_120k/upa", 15, || {
+        u.run(&points_ds, &km_query, &km_domain).expect("runs")
+    });
+    let (records, _) = generate_regression(&ml);
+    let records_ds = ctx.parallelize(records.clone(), 8);
+    let lr = LinearRegression::new(ml.dims, 0.05);
+    let lr_query = lr.step_query("LinearRegression");
+    let lr_domain = EmpiricalSampler::new(records);
+    bench("upa/linreg_120k/vanilla", 15, || lr.step_plain(&records_ds));
+    bench("upa/linreg_120k/upa", 15, || {
+        u.run(&records_ds, &lr_query, &lr_domain).expect("runs")
     });
 
     for n in [100usize, 1_000, 10_000] {
