@@ -15,32 +15,10 @@ pub mod store_cmd;
 
 use dataflow::Context;
 use upa_core::domain::EmpiricalSampler;
-use upa_core::query::MapReduceQuery;
 use upa_core::{QueryAudit, Upa, UpaConfig, UpaResult};
+use upa_server::state::build_agg_query;
+use upa_server::AggKind;
 use upa_store::csv;
-
-/// The aggregate to release.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryKind {
-    /// Number of rows.
-    Count,
-    /// Sum of the column.
-    Sum,
-    /// Mean of the column.
-    Mean,
-}
-
-impl std::str::FromStr for QueryKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "count" => Ok(QueryKind::Count),
-            "sum" => Ok(QueryKind::Sum),
-            "mean" => Ok(QueryKind::Mean),
-            other => Err(format!("unknown query '{other}' (count|sum|mean)")),
-        }
-    }
-}
 
 /// Parsed command-line arguments.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,7 +28,7 @@ pub struct Args {
     /// Column to aggregate.
     pub column: String,
     /// Aggregate kind.
-    pub query: QueryKind,
+    pub query: AggKind,
     /// Privacy budget ε.
     pub epsilon: f64,
     /// UPA sample size `n`.
@@ -72,7 +50,7 @@ impl Default for Args {
         Args {
             input: String::new(),
             column: String::new(),
-            query: QueryKind::Count,
+            query: AggKind::Count,
             epsilon: 0.1,
             sample_size: 1000,
             seed: 0xC11,
@@ -145,40 +123,11 @@ impl Args {
         if args.input.is_empty() {
             return Err(format!("--input is required\n{USAGE}"));
         }
-        if args.sql.is_none() && args.column.is_empty() && args.query != QueryKind::Count {
+        if args.sql.is_none() && args.column.is_empty() && args.query != AggKind::Count {
             return Err(format!("--column is required for sum/mean\n{USAGE}"));
         }
         Ok(args)
     }
-}
-
-/// Builds the Map/Reduce query for an aggregate kind.
-fn build_query(kind: QueryKind) -> MapReduceQuery<f64, (f64, f64), f64> {
-    let name = match kind {
-        QueryKind::Count => "count",
-        QueryKind::Sum => "sum",
-        QueryKind::Mean => "mean",
-    };
-    MapReduceQuery::new(
-        name,
-        move |x: &f64| match kind {
-            QueryKind::Count => (1.0, 1.0),
-            QueryKind::Sum | QueryKind::Mean => (*x, 1.0),
-        },
-        |a: &(f64, f64), b: &(f64, f64)| (a.0 + b.0, a.1 + b.1),
-        move |acc: Option<&(f64, f64)>| match (kind, acc) {
-            (_, None) => 0.0,
-            (QueryKind::Mean, Some((s, n))) => {
-                if *n > 0.0 {
-                    s / n
-                } else {
-                    0.0
-                }
-            }
-            (_, Some((s, _))) => *s,
-        },
-    )
-    .with_half_key(|x: &f64| x.to_bits())
 }
 
 /// Runs the aggregate over already-extracted values, returning the
@@ -207,7 +156,7 @@ pub fn run_values_audited(
     );
     let dataset = ctx.parallelize_default(values.clone());
     let domain = EmpiricalSampler::new(values);
-    let query = build_query(args.query);
+    let query = build_agg_query(args.query);
     let result = upa
         .run(&dataset, &query, &domain)
         .map_err(|e| e.to_string())?;
@@ -239,7 +188,7 @@ pub fn run(args: &Args) -> Result<UpaResult<f64>, String> {
         let (result, _exact) = sql::run_sql(&doc, statement, args)?;
         return Ok(result);
     }
-    let values = if args.query == QueryKind::Count && args.column.is_empty() {
+    let values = if args.query == AggKind::Count && args.column.is_empty() {
         vec![0.0; doc.rows.len()]
     } else {
         doc.numeric_column(&args.column)
@@ -270,7 +219,7 @@ pub fn run_release(args: &Args) -> Result<Release, String> {
         };
         return Ok(Release { output, audit });
     }
-    let values = if args.query == QueryKind::Count && args.column.is_empty() {
+    let values = if args.query == AggKind::Count && args.column.is_empty() {
         vec![0.0; doc.rows.len()]
     } else {
         doc.numeric_column(&args.column)
@@ -357,7 +306,7 @@ mod tests {
         .unwrap();
         assert_eq!(a.input, "f.csv");
         assert_eq!(a.column, "age");
-        assert_eq!(a.query, QueryKind::Mean);
+        assert_eq!(a.query, AggKind::Mean);
         assert_eq!(a.epsilon, 0.5);
         assert_eq!(a.sample_size, 64);
         assert_eq!(a.seed, 9);
@@ -390,9 +339,9 @@ mod tests {
             ..Args::default()
         };
         for (kind, want) in [
-            (QueryKind::Count, 3_000.0),
-            (QueryKind::Sum, values.iter().sum::<f64>()),
-            (QueryKind::Mean, values.iter().sum::<f64>() / 3_000.0),
+            (AggKind::Count, 3_000.0),
+            (AggKind::Sum, values.iter().sum::<f64>()),
+            (AggKind::Mean, values.iter().sum::<f64>() / 3_000.0),
         ] {
             let args = Args {
                 query: kind,
@@ -420,7 +369,7 @@ mod tests {
         let args = Args {
             input: path.to_string_lossy().into_owned(),
             column: "age".into(),
-            query: QueryKind::Mean,
+            query: AggKind::Mean,
             epsilon: 1.0,
             sample_size: 100,
             ..Args::default()
