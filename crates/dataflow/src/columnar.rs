@@ -11,11 +11,8 @@
 //! row datasets.
 //!
 //! Chunk statistics ([`ChunkStats`]: min/max over non-NaN values, value
-//! count, NaN count) ride along from the store manifest and feed
-//! predicate pushdown: a [`RangePredicate`] can discard whole chunks by
-//! min/max before any record is touched. Pruning is sound because a NaN
-//! never satisfies a range comparison, so the non-NaN min/max bound
-//! every record that could match.
+//! count, NaN count) ride along from the store manifest, which persists
+//! them for each chunk.
 
 use crate::context::scan_delay;
 use crate::Context;
@@ -26,7 +23,7 @@ use std::sync::Arc;
 ///
 /// `min`/`max` cover **non-NaN** values only; an empty or all-NaN chunk
 /// has the empty range `min = +inf, max = -inf`. NaNs are counted
-/// separately so pruning and diagnostics can reason about them.
+/// separately.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChunkStats {
     /// Smallest non-NaN value (`+inf` when none).
@@ -79,7 +76,7 @@ impl ChunkStats {
 pub struct ColumnChunk {
     /// The values, shared with whoever loaded them.
     pub values: Arc<[f64]>,
-    /// Ingest-time statistics, the input to chunk pruning.
+    /// Ingest-time statistics.
     pub stats: ChunkStats,
 }
 
@@ -89,56 +86,6 @@ impl ColumnChunk {
     pub fn with_stats(values: Arc<[f64]>) -> ColumnChunk {
         let stats = ChunkStats::compute(&values);
         ColumnChunk { values, stats }
-    }
-}
-
-/// An inclusive value range `[lo, hi]`, the predicate shape the prepare
-/// pipeline pushes down to chunk statistics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RangePredicate {
-    /// Lower bound (inclusive).
-    pub lo: f64,
-    /// Upper bound (inclusive).
-    pub hi: f64,
-}
-
-impl RangePredicate {
-    /// Whether one value satisfies the predicate. NaN never does.
-    #[must_use]
-    pub fn contains(&self, x: f64) -> bool {
-        x >= self.lo && x <= self.hi
-    }
-
-    /// Whether a chunk with these statistics **may** hold a matching
-    /// value. `false` means the whole chunk can be skipped unseen:
-    /// every non-NaN value lies in `[stats.min, stats.max]`, and NaNs
-    /// never match a range comparison.
-    #[must_use]
-    pub fn may_match(&self, stats: &ChunkStats) -> bool {
-        !(stats.max < self.lo || stats.min > self.hi)
-    }
-}
-
-/// What chunk pruning skipped.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PruneReport {
-    /// Chunks examined.
-    pub chunks: usize,
-    /// Chunks discarded by statistics alone.
-    pub pruned_chunks: usize,
-    /// Rows inside the discarded chunks (never scanned).
-    pub pruned_rows: u64,
-}
-
-impl PruneReport {
-    /// Fraction of chunks discarded (0 when there were none).
-    #[must_use]
-    pub fn rate(&self) -> f64 {
-        if self.chunks == 0 {
-            0.0
-        } else {
-            self.pruned_chunks as f64 / self.chunks as f64
-        }
     }
 }
 
@@ -312,26 +259,6 @@ impl ColumnarBuf {
             .iter()
             .fold(ChunkStats::compute(&[]), |acc, c| acc.merge(&c.stats))
     }
-
-    /// Drops whole chunks that cannot contain a value matching `pred`,
-    /// using ingest statistics only — no record is read.
-    #[must_use]
-    pub fn prune(&self, pred: &RangePredicate) -> (ColumnarBuf, PruneReport) {
-        let mut kept = Vec::with_capacity(self.chunks.len());
-        let mut report = PruneReport {
-            chunks: self.chunks.len(),
-            ..PruneReport::default()
-        };
-        for c in self.chunks.iter() {
-            if pred.may_match(&c.stats) {
-                kept.push(c.clone());
-            } else {
-                report.pruned_chunks += 1;
-                report.pruned_rows += c.values.len() as u64;
-            }
-        }
-        (ColumnarBuf::new(kept), report)
-    }
 }
 
 /// The slab boundaries [`Context::parallelize`] gives `len` records
@@ -422,33 +349,6 @@ impl ColumnarDataset {
         )
     }
 
-    /// Projects chunk-at-a-time into a new columnar dataset (map /
-    /// project): one task per chunk, fresh statistics per output chunk.
-    pub fn map_chunks<F>(&self, name: &str, f: F) -> ColumnarDataset
-    where
-        F: Fn(&[f64]) -> Vec<f64> + Send + Sync + 'static,
-    {
-        let mapped = self.aggregate_chunks(name, move |slice| {
-            ColumnChunk::with_stats(Arc::from(f(slice)))
-        });
-        ColumnarDataset::new(&self.ctx, ColumnarBuf::new(mapped))
-    }
-
-    /// Filters records chunk-at-a-time **after** pruning whole chunks
-    /// by statistics. Returns the surviving records as a new columnar
-    /// dataset plus the prune report — the predicate-pushdown hook.
-    pub fn filter_range(&self, name: &str, pred: RangePredicate) -> (ColumnarDataset, PruneReport) {
-        let (kept, report) = self.buf.prune(&pred);
-        let survivors = ColumnarDataset::new(&self.ctx, kept).map_chunks(name, move |slice| {
-            slice
-                .iter()
-                .copied()
-                .filter(|&x| pred.contains(x))
-                .collect()
-        });
-        (survivors, report)
-    }
-
     /// Runs one engine stage with a task per row range: `f(range_index,
     /// buffer, start, end)`. Ranges are typically [`slab_ranges`] so the
     /// work mirrors a row dataset's partitioning; record counters charge
@@ -533,21 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn pruning_skips_out_of_range_chunks_only() {
-        let mut values: Vec<f64> = (0..30).map(f64::from).collect();
-        values[25] = f64::NAN; // NaN in an out-of-range chunk must not block pruning
-        let b = buf(&values, 10);
-        let pred = RangePredicate { lo: 12.0, hi: 15.0 };
-        let (kept, report) = b.prune(&pred);
-        assert_eq!(report.chunks, 3);
-        assert_eq!(report.pruned_chunks, 2);
-        assert_eq!(report.pruned_rows, 20);
-        assert!((report.rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(kept.len(), 10);
-        assert_eq!(kept.value(0), 10.0);
-    }
-
-    #[test]
     fn slab_ranges_match_parallelize_boundaries() {
         let ctx = Context::with_threads(3);
         for len in [0usize, 1, 2, 9, 10, 100, 101] {
@@ -575,27 +460,6 @@ mod tests {
         assert_eq!(delta.tasks, 16);
         assert_eq!(delta.records_processed, 1000);
         assert_eq!(delta.shuffles, 0);
-    }
-
-    #[test]
-    fn filter_range_prunes_then_filters() {
-        let ctx = Context::with_threads(2);
-        let values: Vec<f64> = (0..100).map(f64::from).collect();
-        let ds = ColumnarDataset::new(&ctx, buf(&values, 10));
-        let (survivors, report) =
-            ds.filter_range("columnar[filter]", RangePredicate { lo: 33.0, hi: 36.0 });
-        assert_eq!(report.pruned_chunks, 9);
-        assert_eq!(survivors.buf().to_vec(), vec![33.0, 34.0, 35.0, 36.0]);
-    }
-
-    #[test]
-    fn map_chunks_projects_with_fresh_stats() {
-        let ctx = Context::with_threads(2);
-        let ds = ColumnarDataset::new(&ctx, buf(&[1.0, 2.0, 3.0, 4.0], 2));
-        let doubled = ds.map_chunks("columnar[double]", |s| s.iter().map(|x| x * 2.0).collect());
-        assert_eq!(doubled.buf().to_vec(), vec![2.0, 4.0, 6.0, 8.0]);
-        let stats = doubled.buf().total_stats();
-        assert_eq!((stats.min, stats.max), (2.0, 8.0));
     }
 
     #[test]

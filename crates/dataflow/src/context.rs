@@ -2,11 +2,7 @@
 //! scheduler with fault-injected retry.
 
 use crate::dataset::Dataset;
-
-/// Shared handle to a per-partition stage function.
-pub(crate) type StageFn<T, U> = Arc<dyn Fn(usize, &[T]) -> Vec<U> + Send + Sync>;
 use crate::fault::FaultInjector;
-use crate::lineage::Lineage;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::pool::ThreadPool;
 use crate::Data;
@@ -36,7 +32,7 @@ pub struct Config {
     /// paper's cost model: both vanilla and UPA pay it proportionally to
     /// the records they touch. Zero (the default) disables it.
     pub scan_cost_ns: u64,
-    /// Whether `reduce_by_key`/`count_by_key` pre-reduce inside each map
+    /// Whether `reduce_by_key` pre-reduces inside each map
     /// partition before shuffling (Spark's map-side combine). On by
     /// default; turning it off restores the naive every-record shuffle,
     /// which the equivalence tests use as a reference.
@@ -192,40 +188,12 @@ impl Context {
                 parts.push(Arc::new(slab));
             }
         }
-        Dataset::from_parts(
-            self.clone(),
-            parts,
-            Lineage::source(format!("parallelize[{partitions}]")),
-        )
+        Dataset::from_parts(self.clone(), parts)
     }
 
     /// Distributes `data` over the configured default partition count.
     pub fn parallelize_default<T: Data>(&self, data: Vec<T>) -> Dataset<T> {
         self.parallelize(data, self.inner.config.default_partitions)
-    }
-
-    /// Runs one narrow stage: `f(partition_index, partition) -> partition`.
-    ///
-    /// Task attempts go through the fault injector; a failed attempt is
-    /// retried (a new attempt number gives an independent decision) up to
-    /// `max_task_retries` times.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the stage name if a task exhausts its retries.
-    pub(crate) fn run_stage<T: Data, U: Data>(
-        &self,
-        name: &str,
-        parts: &[Arc<Vec<T>>],
-        f: StageFn<T, U>,
-    ) -> Vec<Arc<Vec<U>>> {
-        let records: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        self.inner.metrics.record_processed(records);
-        let scan_ns = self.inner.config.scan_cost_ns;
-        self.run_tasks(name, parts.to_vec(), move |i, part: Arc<Vec<T>>| {
-            scan_delay(part.len(), scan_ns);
-            Arc::new(f(i, &part))
-        })
     }
 
     /// Runs a fused chain of narrow transforms as one stage: the chain's
@@ -361,9 +329,9 @@ impl Context {
         self.inner.metrics.record_shuffle(records, bytes);
     }
 
-    /// Charges `records` to the processed-records counter for work done
-    /// outside [`Context::run_stage`] — the columnar kernels account
-    /// their scans through this.
+    /// Charges `records` to the processed-records counter for a stage
+    /// that does not go through [`Context::run_fused`] — the columnar
+    /// kernels and `run_partitions` account their scans through this.
     pub(crate) fn record_processed_public(&self, records: u64) {
         self.inner.metrics.record_processed(records);
     }

@@ -2,19 +2,15 @@
 
 use crate::context::Context;
 
-/// Shared handle to a commutative, associative binary reducer.
-pub(crate) type ReduceFn<T> = Arc<dyn Fn(&T, &T) -> T + Send + Sync>;
-
 /// Push-based executor for a fused chain of narrow transforms: called once
 /// per base partition, it streams every output record into the sink.
 pub(crate) type PendingRun<T> = Arc<dyn Fn(usize, &mut dyn FnMut(T)) + Send + Sync>;
 
-/// One narrow transform step applied to a borrowed record: `(partition
-/// index, record, sink)`. Emitting zero, one or many records covers
-/// `filter`, `map` and `flat_map` respectively.
-type StepFn<T, U> = dyn Fn(usize, &T, &mut dyn FnMut(U)) + Send + Sync;
+/// One narrow transform step applied to a borrowed record: `(record,
+/// sink)`. Emitting zero, one or many records covers `filter`, `map` and
+/// `flat_map` respectively.
+type StepFn<T, U> = dyn Fn(&T, &mut dyn FnMut(U)) + Send + Sync;
 
-use crate::lineage::Lineage;
 use crate::Data;
 use std::sync::{Arc, OnceLock};
 
@@ -26,15 +22,13 @@ struct Pending<T> {
     /// Records per base partition: drives the scan-cost model and the
     /// `records_processed` counter when the chain runs.
     base_sizes: Arc<Vec<usize>>,
-    /// Lineage of the materialised base the chain reads from.
-    base_lineage: Arc<Lineage>,
     /// Operator names, base-first.
     ops: Vec<String>,
     run: PendingRun<T>,
 }
 
 impl<T> Pending<T> {
-    /// Stage/lineage label: the bare operator name for single-op chains,
+    /// Stage label: the bare operator name for single-op chains,
     /// `fused[a→b→…]` once two or more ops are chained.
     fn label(&self) -> String {
         if self.ops.len() == 1 {
@@ -57,7 +51,7 @@ struct Inner<T> {
 /// An immutable, partitioned, in-memory dataset.
 ///
 /// Cloning is cheap (state is shared via `Arc`). Narrow transformations
-/// (`map`, `filter`, `flat_map`, `map_with_partition`, `map_partitions`)
+/// (`map`, `filter`, `flat_map`, `map_partitions`)
 /// are **lazy**: consecutive calls fuse into one pending chain that runs
 /// as a single parallel stage — with no intermediate materialisation —
 /// when the first wide operator or action needs the records. The result
@@ -74,7 +68,6 @@ struct Inner<T> {
 pub struct Dataset<T> {
     ctx: Context,
     inner: Arc<Inner<T>>,
-    lineage: Arc<Lineage>,
 }
 
 impl<T> Clone for Dataset<T> {
@@ -82,7 +75,6 @@ impl<T> Clone for Dataset<T> {
         Dataset {
             ctx: self.ctx.clone(),
             inner: Arc::clone(&self.inner),
-            lineage: Arc::clone(&self.lineage),
         }
     }
 }
@@ -92,17 +84,12 @@ impl<T: Data> std::fmt::Debug for Dataset<T> {
         f.debug_struct("Dataset")
             .field("partitions", &self.num_partitions())
             .field("len", &self.inner.len.get().copied())
-            .field("op", &self.lineage.op())
             .finish()
     }
 }
 
 impl<T: Data> Dataset<T> {
-    pub(crate) fn from_parts(
-        ctx: Context,
-        partitions: Vec<Arc<Vec<T>>>,
-        lineage: Arc<Lineage>,
-    ) -> Self {
+    pub(crate) fn from_parts(ctx: Context, partitions: Vec<Arc<Vec<T>>>) -> Self {
         let parts = Arc::new(partitions);
         let len: usize = parts.iter().map(|p| p.len()).sum();
         Dataset {
@@ -113,12 +100,10 @@ impl<T: Data> Dataset<T> {
                 parts: OnceLock::from(parts),
                 len: OnceLock::from(len),
             }),
-            lineage,
         }
     }
 
     fn from_pending(ctx: Context, pending: Pending<T>) -> Self {
-        let lineage = Lineage::derived(pending.label(), Arc::clone(&pending.base_lineage));
         Dataset {
             ctx,
             inner: Arc::new(Inner {
@@ -127,7 +112,6 @@ impl<T: Data> Dataset<T> {
                 parts: OnceLock::new(),
                 len: OnceLock::new(),
             }),
-            lineage,
         }
     }
 
@@ -161,28 +145,23 @@ impl<T: Data> Dataset<T> {
     /// Chains one narrow per-record transform, fusing it with any pending
     /// chain instead of running a stage now.
     fn narrow<U: Data>(&self, op: &str, step: Arc<StepFn<T, U>>) -> Dataset<U> {
-        let (run, base_sizes, mut ops, base_lineage) = match self.unforced_pending() {
+        let (run, base_sizes, mut ops) = match self.unforced_pending() {
             Some(p) => {
                 let prev = Arc::clone(&p.run);
                 let run: PendingRun<U> = Arc::new(move |i, sink| {
-                    prev(i, &mut |t: T| step(i, &t, sink));
+                    prev(i, &mut |t: T| step(&t, sink));
                 });
-                (
-                    run,
-                    Arc::clone(&p.base_sizes),
-                    p.ops.clone(),
-                    Arc::clone(&p.base_lineage),
-                )
+                (run, Arc::clone(&p.base_sizes), p.ops.clone())
             }
             None => {
                 let parts = Arc::clone(self.forced());
                 let sizes = Arc::new(parts.iter().map(|p| p.len()).collect::<Vec<usize>>());
                 let run: PendingRun<U> = Arc::new(move |i, sink| {
                     for t in parts[i].iter() {
-                        step(i, t, sink);
+                        step(t, sink);
                     }
                 });
-                (run, sizes, Vec::new(), Arc::clone(&self.lineage))
+                (run, sizes, Vec::new())
             }
         };
         ops.push(op.to_string());
@@ -190,7 +169,6 @@ impl<T: Data> Dataset<T> {
             self.ctx.clone(),
             Pending {
                 base_sizes,
-                base_lineage,
                 ops,
                 run,
             },
@@ -228,17 +206,6 @@ impl<T: Data> Dataset<T> {
         self.len() == 0
     }
 
-    /// The lineage node of this dataset.
-    pub fn lineage(&self) -> &Arc<Lineage> {
-        &self.lineage
-    }
-
-    /// Renders the operator tree that produced this dataset. Fused chains
-    /// appear as a single `fused[a→b→…]` node.
-    pub fn explain(&self) -> String {
-        self.lineage.explain()
-    }
-
     /// Gathers all records into one vector, preserving partition order.
     pub fn collect(&self) -> Vec<T> {
         let mut out = Vec::with_capacity(self.len());
@@ -251,7 +218,7 @@ impl<T: Data> Dataset<T> {
     /// Applies `f` to every record (a narrow stage — Spark's `map`).
     /// Lazy: fuses with adjacent narrow transforms.
     pub fn map<U: Data>(&self, f: impl Fn(&T) -> U + Send + Sync + 'static) -> Dataset<U> {
-        self.narrow("map", Arc::new(move |_i, t, sink| sink(f(t))))
+        self.narrow("map", Arc::new(move |t, sink| sink(f(t))))
     }
 
     /// Keeps records satisfying `pred`. Lazy: fuses with adjacent narrow
@@ -259,7 +226,7 @@ impl<T: Data> Dataset<T> {
     pub fn filter(&self, pred: impl Fn(&T) -> bool + Send + Sync + 'static) -> Dataset<T> {
         self.narrow(
             "filter",
-            Arc::new(move |_i, t: &T, sink: &mut dyn FnMut(T)| {
+            Arc::new(move |t: &T, sink: &mut dyn FnMut(T)| {
                 if pred(t) {
                     sink(t.clone());
                 }
@@ -275,25 +242,11 @@ impl<T: Data> Dataset<T> {
     {
         self.narrow(
             "flat_map",
-            Arc::new(move |_i, t: &T, sink: &mut dyn FnMut(U)| {
+            Arc::new(move |t: &T, sink: &mut dyn FnMut(U)| {
                 for u in f(t) {
                     sink(u);
                 }
             }),
-        )
-    }
-
-    /// Applies `f` to every record together with the index of the
-    /// partition holding it (Spark's `mapPartitionsWithIndex`, per
-    /// record). UPA uses this to tag records with the logical dataset
-    /// half they belong to. Lazy: fuses with adjacent narrow transforms.
-    pub fn map_with_partition<U: Data>(
-        &self,
-        f: impl Fn(usize, &T) -> U + Send + Sync + 'static,
-    ) -> Dataset<U> {
-        self.narrow(
-            "map_with_partition",
-            Arc::new(move |i, t, sink| sink(f(i, t))),
         )
     }
 
@@ -305,7 +258,7 @@ impl<T: Data> Dataset<T> {
         &self,
         f: impl Fn(&[T]) -> Vec<U> + Send + Sync + 'static,
     ) -> Dataset<U> {
-        let (run, base_sizes, mut ops, base_lineage) = match self.unforced_pending() {
+        let (run, base_sizes, mut ops) = match self.unforced_pending() {
             Some(p) => {
                 let prev = Arc::clone(&p.run);
                 let run: PendingRun<U> = Arc::new(move |i, sink| {
@@ -315,12 +268,7 @@ impl<T: Data> Dataset<T> {
                         sink(u);
                     }
                 });
-                (
-                    run,
-                    Arc::clone(&p.base_sizes),
-                    p.ops.clone(),
-                    Arc::clone(&p.base_lineage),
-                )
+                (run, Arc::clone(&p.base_sizes), p.ops.clone())
             }
             None => {
                 let parts = Arc::clone(self.forced());
@@ -330,7 +278,7 @@ impl<T: Data> Dataset<T> {
                         sink(u);
                     }
                 });
-                (run, sizes, Vec::new(), Arc::clone(&self.lineage))
+                (run, sizes, Vec::new())
             }
         };
         ops.push("map_partitions".to_string());
@@ -338,7 +286,6 @@ impl<T: Data> Dataset<T> {
             self.ctx.clone(),
             Pending {
                 base_sizes,
-                base_lineage,
                 ops,
                 run,
             },
@@ -359,19 +306,20 @@ impl<T: Data> Dataset<T> {
     /// requires `f` to be commutative and associative — the exact property
     /// UPA's union-preserving reduce exploits (paper §II-C).
     pub fn reduce(&self, f: impl Fn(&T, &T) -> T + Send + Sync + 'static) -> Option<T> {
-        let f: ReduceFn<T> = Arc::new(f);
-        let partials = self.reduce_partitions_with(Arc::clone(&f));
+        let f = Arc::new(f);
+        let fold = Arc::clone(&f);
+        let scan_ns = self.ctx.scan_cost_ns();
+        let partials = self.ctx.run_tasks(
+            "reduce",
+            self.forced().to_vec(),
+            move |_i, part: Arc<Vec<T>>| {
+                crate::context::scan_delay(part.len(), scan_ns);
+                let mut it = part.iter();
+                let first = it.next()?.clone();
+                Some(it.fold(first, |acc, t| fold(&acc, t)))
+            },
+        );
         partials.into_iter().flatten().reduce(|a, b| f(&a, &b))
-    }
-
-    /// Per-partition reduce (the paper's `ReduceByPar`): returns one
-    /// partial result per partition without combining them. UPA uses this
-    /// to obtain `f(x1)` and `f(x2)` for RANGE ENFORCER.
-    pub fn reduce_partitions(
-        &self,
-        f: impl Fn(&T, &T) -> T + Send + Sync + 'static,
-    ) -> Vec<Option<T>> {
-        self.reduce_partitions_with(Arc::new(f))
     }
 
     /// Runs one engine stage with a task per partition: `f(partition
@@ -390,20 +338,6 @@ impl<T: Data> Dataset<T> {
                 crate::context::scan_delay(part.len(), scan_ns);
                 f(i, &part)
             })
-    }
-
-    fn reduce_partitions_with(&self, f: ReduceFn<T>) -> Vec<Option<T>> {
-        let scan_ns = self.ctx.scan_cost_ns();
-        self.ctx.run_tasks(
-            "reduce",
-            self.forced().to_vec(),
-            move |_i, part: Arc<Vec<T>>| {
-                crate::context::scan_delay(part.len(), scan_ns);
-                let mut it = part.iter();
-                let first = it.next()?.clone();
-                Some(it.fold(first, |acc, t| f(&acc, t)))
-            },
-        )
     }
 
     /// General aggregation: fold each partition from `zero` with `seq`,
@@ -447,25 +381,7 @@ impl<T: Data> Dataset<T> {
         );
         let mut parts: Vec<Arc<Vec<T>>> = self.forced().to_vec();
         parts.extend(other.forced().iter().cloned());
-        Dataset::from_parts(
-            self.ctx.clone(),
-            parts,
-            Lineage::derived_multi(
-                "union",
-                vec![Arc::clone(&self.lineage), Arc::clone(&other.lineage)],
-            ),
-        )
-    }
-
-    /// Re-distributes records across `k` partitions, preserving order.
-    pub fn repartition(&self, k: usize) -> Dataset<T> {
-        let data = self.collect();
-        let ds = self.ctx.parallelize(data, k);
-        Dataset::from_parts(
-            self.ctx.clone(),
-            ds.partitions().to_vec(),
-            Lineage::derived(format!("repartition[{k}]"), Arc::clone(&self.lineage)),
-        )
+        Dataset::from_parts(self.ctx.clone(), parts)
     }
 
     /// The first `n` records in partition order (Spark's `take`).
@@ -482,35 +398,6 @@ impl<T: Data> Dataset<T> {
         out
     }
 
-    /// The `k` largest records under `cmp` (Spark's `top`): each
-    /// partition computes a partial top-k in parallel, partials merge on
-    /// the driver. Result is sorted descending.
-    pub fn top_k_by(
-        &self,
-        k: usize,
-        cmp: impl Fn(&T, &T) -> std::cmp::Ordering + Send + Sync + 'static,
-    ) -> Vec<T> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let cmp = Arc::new(cmp);
-        let cmp_task = Arc::clone(&cmp);
-        let partials: Vec<Vec<T>> = self.ctx.run_tasks(
-            "top_k",
-            self.forced().to_vec(),
-            move |_i, part: Arc<Vec<T>>| {
-                let mut local: Vec<T> = part.to_vec();
-                local.sort_by(|a, b| cmp_task(b, a));
-                local.truncate(k);
-                local
-            },
-        );
-        let mut merged: Vec<T> = partials.into_iter().flatten().collect();
-        merged.sort_by(|a, b| cmp(b, a));
-        merged.truncate(k);
-        merged
-    }
-
     /// The maximum record under `cmp`, if any.
     pub fn max_by(
         &self,
@@ -523,71 +410,6 @@ impl<T: Data> Dataset<T> {
                 a.clone()
             }
         })
-    }
-
-    /// A Bernoulli sample keeping each record with probability
-    /// `fraction`, decided deterministically from `seed` and the record's
-    /// position (so the same call yields the same sample).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `[0, 1]`.
-    pub fn sample_fraction(&self, fraction: f64, seed: u64) -> Dataset<T> {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "fraction must be in [0, 1]"
-        );
-        let threshold = (fraction * (1u64 << 53) as f64) as u64;
-        let parts = self.ctx.run_stage(
-            "sample",
-            self.forced(),
-            Arc::new(move |p, part: &[T]| {
-                part.iter()
-                    .enumerate()
-                    .filter(|(offset, _)| {
-                        use std::hash::{Hash, Hasher};
-                        let mut h = std::collections::hash_map::DefaultHasher::new();
-                        seed.hash(&mut h);
-                        p.hash(&mut h);
-                        offset.hash(&mut h);
-                        (h.finish() >> 11) < threshold
-                    })
-                    .map(|(_, t)| t.clone())
-                    .collect()
-            }),
-        );
-        Dataset::from_parts(
-            self.ctx.clone(),
-            parts,
-            Lineage::derived(format!("sample[{fraction}]"), Arc::clone(&self.lineage)),
-        )
-    }
-
-    /// Pairs every record with its global index (Spark's
-    /// `zipWithIndex`).
-    pub fn zip_with_index(&self) -> Dataset<(usize, T)> {
-        let mut offsets = Vec::with_capacity(self.num_partitions());
-        let mut base = 0usize;
-        for p in self.forced().iter() {
-            offsets.push(base);
-            base += p.len();
-        }
-        let offsets = Arc::new(offsets);
-        let parts = self.ctx.run_stage(
-            "zip_with_index",
-            self.forced(),
-            Arc::new(move |p, part: &[T]| {
-                part.iter()
-                    .enumerate()
-                    .map(|(i, t)| (offsets[p] + i, t.clone()))
-                    .collect()
-            }),
-        );
-        Dataset::from_parts(
-            self.ctx.clone(),
-            parts,
-            Lineage::derived("zip_with_index", Arc::clone(&self.lineage)),
-        )
     }
 
     /// Splits off the records at the given **sorted, distinct** global
@@ -637,11 +459,7 @@ impl<T: Data> Dataset<T> {
             }
             base = end;
         }
-        let rest = Dataset::from_parts(
-            self.ctx.clone(),
-            rest_parts,
-            Lineage::derived("split_indices", Arc::clone(&self.lineage)),
-        );
+        let rest = Dataset::from_parts(self.ctx.clone(), rest_parts);
         (picked, rest)
     }
 }
@@ -749,14 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_partitions_returns_one_partial_per_partition() {
-        let ds = ctx().parallelize(vec![1, 2, 3, 4, 5, 6], 3);
-        let partials = ds.reduce_partitions(|a, b| a + b);
-        assert_eq!(partials.len(), 3);
-        assert_eq!(partials.into_iter().map(|p| p.unwrap()).sum::<i32>(), 21);
-    }
-
-    #[test]
     fn aggregate_computes_mean_components() {
         let ds = ctx().parallelize((1..=100).map(|x| x as f64).collect::<Vec<f64>>(), 5);
         let (sum, n) = ds.aggregate(
@@ -783,14 +593,6 @@ mod tests {
         let u = a.union(&b);
         assert_eq!(u.collect(), vec![1, 2, 3, 4]);
         assert_eq!(u.num_partitions(), a.num_partitions() + b.num_partitions());
-    }
-
-    #[test]
-    fn repartition_preserves_content() {
-        let ds = ctx().parallelize((0..50).collect::<Vec<i32>>(), 2);
-        let re = ds.repartition(9);
-        assert_eq!(re.collect(), (0..50).collect::<Vec<_>>());
-        assert!(re.num_partitions() <= 9);
     }
 
     #[test]
@@ -836,28 +638,18 @@ mod tests {
     }
 
     #[test]
-    fn map_with_partition_sees_partition_index() {
-        let ds = ctx().parallelize((0..12).collect::<Vec<i32>>(), 3);
-        let tagged = ds.map_with_partition(|p, x| (p, *x)).collect();
-        assert_eq!(tagged.len(), 12);
-        // Records 0..4 are in partition 0, 4..8 in 1, 8..12 in 2.
-        for (p, x) in tagged {
-            assert_eq!(p, (x / 4) as usize);
-        }
-    }
-
-    #[test]
-    fn explain_shows_fused_operator_chain() {
-        let ds = ctx()
+    fn fused_stage_is_named_after_its_operator_chain() {
+        let c = ctx();
+        let _ = c
             .parallelize(vec![1], 1)
             .map(|x| x + 1)
-            .filter(|_| true);
-        let plan = ds.explain();
-        assert!(plan.starts_with("fused[map→filter]"), "plan was: {plan}");
-        assert!(plan.contains("parallelize"));
+            .filter(|_| true)
+            .collect();
         // A single narrow op keeps its plain name.
-        let single = ctx().parallelize(vec![1], 1).map(|x| x + 1);
-        assert!(single.explain().starts_with("map"));
+        let _ = c.parallelize(vec![1], 1).map(|x| x + 1).collect();
+        let mut names: Vec<String> = c.stage_times().into_keys().collect();
+        names.sort();
+        assert_eq!(names, ["fused[map→filter]", "map"]);
     }
 
     #[test]
@@ -876,46 +668,11 @@ mod tests {
     }
 
     #[test]
-    fn top_k_matches_sorted_suffix() {
-        let data: Vec<i64> = (0..500).map(|i| (i * 37) % 251).collect();
-        let ds = ctx().parallelize(data.clone(), 6);
-        let top = ds.top_k_by(10, |a, b| a.cmp(b));
-        let mut want = data;
-        want.sort_unstable_by(|a, b| b.cmp(a));
-        want.truncate(10);
-        assert_eq!(top, want);
-    }
-
-    #[test]
     fn max_by_finds_max() {
         let ds = ctx().parallelize(vec![3, 9, 1, 7], 2);
         assert_eq!(ds.max_by(|a, b| a.cmp(b)), Some(9));
         let empty = ctx().parallelize(Vec::<i32>::new(), 2);
         assert_eq!(empty.max_by(|a, b| a.cmp(b)), None);
-    }
-
-    #[test]
-    fn sample_fraction_is_deterministic_and_proportional() {
-        let ds = ctx().parallelize((0..10_000).collect::<Vec<i32>>(), 8);
-        let a = ds.sample_fraction(0.3, 42).collect();
-        let b = ds.sample_fraction(0.3, 42).collect();
-        assert_eq!(a, b, "same seed, same sample");
-        let frac = a.len() as f64 / 10_000.0;
-        assert!((frac - 0.3).abs() < 0.03, "got fraction {frac}");
-        let c = ds.sample_fraction(0.3, 43).collect();
-        assert_ne!(a, c, "different seed, different sample");
-        assert!(ds.sample_fraction(0.0, 1).is_empty());
-        assert_eq!(ds.sample_fraction(1.0, 1).len(), 10_000);
-    }
-
-    #[test]
-    fn zip_with_index_is_global_and_ordered() {
-        let ds = ctx().parallelize((100..120).collect::<Vec<i32>>(), 3);
-        let indexed = ds.zip_with_index().collect();
-        for (i, (idx, v)) in indexed.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(*v, 100 + i as i32);
-        }
     }
 
     #[test]

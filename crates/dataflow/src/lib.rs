@@ -8,16 +8,18 @@
 //! * partitioned, immutable, in-memory datasets ([`Dataset`], Spark's RDD);
 //! * **commutative and associative** functional operators — `map`,
 //!   `filter`, `flat_map`, `reduce`, `aggregate`, and the pair operators
-//!   `reduce_by_key`, `group_by_key` and `join` (see [`pair::PairOps`]);
+//!   `reduce_by_key` and `join` (see [`pair::PairOps`]);
 //! * an explicit **shuffle** stage whose record counts are observable
 //!   through [`metrics::Metrics`] — the paper's Figure 2(b)/4 overhead
 //!   analysis is phrased in terms of how many shuffles UPA adds;
 //! * task-level parallelism on a shared [`pool::ThreadPool`];
 //! * **fault injection with task retry** ([`fault::FaultInjector`]):
 //!   commutativity/associativity is exactly what makes re-executing a task
-//!   safe, and the engine's tests demonstrate that invariant;
-//! * lineage tracking ([`lineage::Lineage`]) for `explain()`-style
-//!   debugging of query plans.
+//!   safe, and the engine's tests demonstrate that invariant.
+//!
+//! A chain of narrow transforms runs as one stage, named after its
+//! operators (`fused[map→filter]`); [`Context::stage_times`] reports each
+//! stage's time by that name.
 //!
 //! # Example
 //!
@@ -35,15 +37,12 @@ pub mod context;
 pub mod dataset;
 pub mod error;
 pub mod fault;
-pub mod lineage;
 pub mod metrics;
 pub mod pair;
 pub mod partitioner;
 pub mod pool;
 
-pub use columnar::{
-    ChunkStats, ColumnChunk, ColumnarBuf, ColumnarDataset, PruneReport, RangePredicate,
-};
+pub use columnar::{ChunkStats, ColumnChunk, ColumnarBuf, ColumnarDataset};
 pub use context::{Config, Context};
 pub use dataset::Dataset;
 pub use error::DataflowError;

@@ -88,7 +88,6 @@ impl Metrics {
                 name.starts_with("shuffle")
                     || name.as_str() == "reduce_by_key"
                     || name.as_str() == "join"
-                    || name.as_str() == "group_by_key"
             })
             .map(|(_, ns)| *ns)
             .sum();

@@ -1,5 +1,5 @@
-//! Key-value (pair) operators: shuffle, `reduce_by_key`, `group_by_key`,
-//! `join` — the wide dependencies of the engine.
+//! Key-value (pair) operators: shuffle, `reduce_by_key` and `join` — the
+//! wide dependencies of the engine.
 //!
 //! Every operator here moves data through an explicit two-phase shuffle
 //! (map-side bucketing, reduce-side concatenation) that is counted by the
@@ -18,8 +18,7 @@
 
 use crate::context::Context;
 use crate::dataset::Dataset;
-use crate::lineage::Lineage;
-use crate::partitioner::{hash_key, HashPartitioner, Partitioner, RangePartitioner};
+use crate::partitioner::{hash_key, HashPartitioner};
 use crate::Data;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -29,24 +28,13 @@ use std::sync::Arc;
 type Bucket<K, V> = Arc<Vec<(K, V)>>;
 
 /// Hash-partitions a pair dataset into `buckets` reduce-side partitions.
-/// One full shuffle: every record is moved and counted.
-pub(crate) fn shuffle_by_key<K: Data + Hash + Eq, V: Data>(
+/// One full shuffle: every record is moved and counted. A bucket holds its
+/// records in input order.
+pub(crate) fn shuffle_by_key<K: Data + Hash, V: Data>(
     ctx: &Context,
     ds: &Dataset<(K, V)>,
     buckets: usize,
 ) -> Vec<Bucket<K, V>> {
-    shuffle_with(ctx, ds, buckets, Arc::new(HashPartitioner))
-}
-
-/// Shuffles a pair dataset into `buckets` reduce-side partitions using an
-/// arbitrary [`Partitioner`]. One full shuffle: every record is moved and
-/// counted. A bucket holds its records in input order.
-pub(crate) fn shuffle_with<K: Data, V: Data, P: Partitioner<K> + 'static>(
-    ctx: &Context,
-    ds: &Dataset<(K, V)>,
-    buckets: usize,
-    partitioner: Arc<P>,
-) -> Vec<Arc<Vec<(K, V)>>> {
     let total: u64 = ds.len() as u64;
     // Approximate wire size: in-memory record size × records. Heap
     // payloads of variable-size records are not chased, matching how
@@ -63,7 +51,7 @@ pub(crate) fn shuffle_with<K: Data, V: Data, P: Partitioner<K> + 'static>(
             crate::context::scan_delay(part.len(), scan_ns);
             let targets: Vec<usize> = part
                 .iter()
-                .map(|(k, _)| partitioner.partition(k, buckets))
+                .map(|(k, _)| HashPartitioner.partition(k, buckets))
                 .collect();
             let mut lens = vec![0usize; buckets];
             for &b in &targets {
@@ -180,36 +168,8 @@ impl KeyIndex {
     }
 }
 
-/// One state per distinct key, in order of the key's first appearance:
-/// the table behind `reduce_by_key`, `group_by_key` and `cogroup`.
-struct Groups<K, S> {
-    index: KeyIndex,
-    entries: Vec<(K, S)>,
-}
-
-impl<K: Hash + Eq + Clone, S> Groups<K, S> {
-    fn new() -> Self {
-        Groups {
-            index: KeyIndex::new(),
-            entries: Vec::new(),
-        }
-    }
-
-    /// Applies `merge` to `key`'s state, or starts it with `init` when
-    /// `key` is new.
-    fn upsert(&mut self, key: &K, init: impl FnOnce() -> S, merge: impl FnOnce(&mut S)) {
-        let entries = &self.entries;
-        match self
-            .index
-            .find_or_insert(hash_key(key), |id| entries[id].0 == *key)
-        {
-            Ok(id) => merge(&mut self.entries[id].1),
-            Err(_) => self.entries.push((key.clone(), init())),
-        }
-    }
-}
-
-/// Folds each key's values with `f`, keys in order of first appearance.
+/// Folds each key's values with `f`, keys in order of first appearance:
+/// the table behind `reduce_by_key`.
 fn reduce_pairs<'a, K, V>(
     pairs: impl IntoIterator<Item = &'a (K, V)>,
     f: &impl Fn(&V, &V) -> V,
@@ -218,17 +178,20 @@ where
     K: Hash + Eq + Clone + 'a,
     V: Clone + 'a,
 {
-    let mut groups = Groups::new();
+    let mut index = KeyIndex::new();
+    let mut entries: Vec<(K, V)> = Vec::new();
     for (k, v) in pairs {
-        groups.upsert(k, || v.clone(), |acc| *acc = f(acc, v));
+        match index.find_or_insert(hash_key(k), |id| entries[id].0 == *k) {
+            Ok(id) => entries[id].1 = f(&entries[id].1, v),
+            Err(_) => entries.push((k.clone(), v.clone())),
+        }
     }
-    groups.entries
+    entries
 }
 
 /// Hash-joins one bucket pair: `left`'s rows in order, each followed by
-/// its matches in `right`'s order, and, when `outer`, once with `None`
-/// when it has none. `row` builds an output record from a left row and
-/// its match.
+/// its matches in `right`'s order. `row` builds an output record from a
+/// left row and its match.
 ///
 /// The table over `right` holds one index entry per distinct key, with
 /// the key's first row and row count, and one `next` link per row that
@@ -236,8 +199,7 @@ where
 fn hash_join<K: Hash + Eq, V, W, O>(
     left: &[(K, V)],
     right: &[(K, W)],
-    outer: bool,
-    row: impl Fn(&K, &V, Option<&W>) -> O,
+    row: impl Fn(&K, &V, &W) -> O,
 ) -> Vec<O> {
     const END: usize = usize::MAX;
     // (first row, rows) per distinct key.
@@ -262,17 +224,12 @@ fn hash_join<K: Hash + Eq, V, W, O>(
             Some(chains[id])
         })
         .collect();
-    let unmatched = usize::from(outer);
-    let mut out = Vec::with_capacity(found.iter().map(|c| c.map_or(unmatched, |c| c.1)).sum());
+    let mut out = Vec::with_capacity(found.iter().map(|c| c.map_or(0, |c| c.1)).sum());
     for ((k, v), chain) in left.iter().zip(found) {
-        match chain {
-            Some((first, _)) => {
-                let rows =
-                    std::iter::successors(Some(first), |&at| Some(next[at]).filter(|&n| n != END));
-                out.extend(rows.map(|at| row(k, v, Some(&right[at].1))));
-            }
-            None if outer => out.push(row(k, v, None)),
-            None => {}
+        if let Some((first, _)) = chain {
+            let rows =
+                std::iter::successors(Some(first), |&at| Some(next[at]).filter(|&n| n != END));
+            out.extend(rows.map(|at| row(k, v, &right[at].1)));
         }
     }
     out
@@ -280,11 +237,10 @@ fn hash_join<K: Hash + Eq, V, W, O>(
 
 /// Pair-dataset operators, available on any `Dataset<(K, V)>`.
 ///
-/// Output partition `b` is reduce-side bucket `b`. Within it, the grouping
-/// operators list keys in order of first appearance in the input (for
-/// `cogroup`, `self` and then `other`), and the joins list `self`'s
-/// records in input order, each followed by its matches in `other`'s
-/// order.
+/// Output partition `b` is reduce-side bucket `b`. Within it,
+/// `reduce_by_key` lists keys in order of first appearance in the input,
+/// and `join` lists `self`'s records in input order, each followed by its
+/// matches in `other`'s order.
 ///
 /// This trait is sealed: it exists to attach methods, not to be
 /// implemented downstream.
@@ -295,32 +251,8 @@ pub trait PairOps<K, V>: private::Sealed {
     /// caps shuffle volume at one record per key per map partition.
     fn reduce_by_key(&self, f: impl Fn(&V, &V) -> V + Send + Sync + 'static) -> Dataset<(K, V)>;
 
-    /// Groups all values per key (Spark's `groupByKey`). One shuffle.
-    fn group_by_key(&self) -> Dataset<(K, Vec<V>)>;
-
     /// Inner hash join on the key (Spark's `join`). Shuffles both sides.
     fn join<W: Data>(&self, other: &Dataset<(K, W)>) -> Dataset<(K, (V, W))>;
-
-    /// Left outer hash join: every left record appears once per match, or
-    /// once with `None` when unmatched. Shuffles both sides.
-    fn left_outer_join<W: Data>(&self, other: &Dataset<(K, W)>) -> Dataset<(K, (V, Option<W>))>;
-
-    /// Groups both sides by key (Spark's `cogroup`). Shuffles both sides.
-    #[allow(clippy::type_complexity)]
-    fn cogroup<W: Data>(&self, other: &Dataset<(K, W)>) -> Dataset<(K, (Vec<V>, Vec<W>))>;
-
-    /// Globally sorts by key via range partitioning: output partitions
-    /// are key-ordered and each partition is sorted (Spark's
-    /// `sortByKey`). One shuffle.
-    fn sort_by_key(&self) -> Dataset<(K, V)>
-    where
-        K: Ord;
-
-    /// Number of records per key. One shuffle.
-    fn count_by_key(&self) -> Dataset<(K, u64)>;
-
-    /// Applies `f` to every value, keeping keys (narrow).
-    fn map_values<U: Data>(&self, f: impl Fn(&V) -> U + Send + Sync + 'static) -> Dataset<(K, U)>;
 
     /// The keys, in partition order (narrow).
     fn keys(&self) -> Dataset<K>;
@@ -363,33 +295,7 @@ impl<K: Data + Hash + Eq, V: Data> PairOps<K, V> for Dataset<(K, V)> {
             shuffled,
             move |_i, part: Arc<Vec<(K, V)>>| Arc::new(reduce_pairs(part.iter(), &*f)),
         );
-        Dataset::from_parts(
-            ctx,
-            parts,
-            Lineage::derived("reduce_by_key", Arc::clone(pre.lineage())),
-        )
-    }
-
-    fn group_by_key(&self) -> Dataset<(K, Vec<V>)> {
-        let ctx = self.ctx().clone();
-        let buckets = ctx.shuffle_partitions();
-        let shuffled = shuffle_by_key(&ctx, self, buckets);
-        let parts = ctx.run_tasks(
-            "group_by_key",
-            shuffled,
-            move |_i, part: Arc<Vec<(K, V)>>| {
-                let mut groups = Groups::new();
-                for (k, v) in part.iter() {
-                    groups.upsert(k, || vec![v.clone()], |vs| vs.push(v.clone()));
-                }
-                Arc::new(groups.entries)
-            },
-        );
-        Dataset::from_parts(
-            ctx,
-            parts,
-            Lineage::derived("group_by_key", Arc::clone(self.lineage())),
-        )
+        Dataset::from_parts(ctx, parts)
     }
 
     fn join<W: Data>(&self, other: &Dataset<(K, W)>) -> Dataset<(K, (V, W))> {
@@ -404,111 +310,12 @@ impl<K: Data + Hash + Eq, V: Data> PairOps<K, V> for Dataset<(K, V)> {
             "join",
             inputs,
             move |_i, (l, r): (Bucket<K, V>, Bucket<K, W>)| {
-                Arc::new(hash_join(&l, &r, false, |k, v, w| {
-                    let w = w.expect("an inner join emits matched rows only");
+                Arc::new(hash_join(&l, &r, |k, v, w| {
                     (k.clone(), (v.clone(), w.clone()))
                 }))
             },
         );
-        Dataset::from_parts(
-            ctx,
-            parts,
-            Lineage::derived_multi(
-                "join",
-                vec![Arc::clone(self.lineage()), Arc::clone(other.lineage())],
-            ),
-        )
-    }
-
-    fn left_outer_join<W: Data>(&self, other: &Dataset<(K, W)>) -> Dataset<(K, (V, Option<W>))> {
-        let ctx = self.ctx().clone();
-        let buckets = ctx.shuffle_partitions();
-        let left = shuffle_by_key(&ctx, self, buckets);
-        let right = shuffle_by_key(&ctx, other, buckets);
-        let inputs: Vec<(Bucket<K, V>, Bucket<K, W>)> = left.into_iter().zip(right).collect();
-        let parts = ctx.run_tasks(
-            "left_outer_join",
-            inputs,
-            move |_i, (l, r): (Bucket<K, V>, Bucket<K, W>)| {
-                Arc::new(hash_join(&l, &r, true, |k, v, w| {
-                    (k.clone(), (v.clone(), w.cloned()))
-                }))
-            },
-        );
-        Dataset::from_parts(
-            ctx,
-            parts,
-            Lineage::derived_multi(
-                "left_outer_join",
-                vec![Arc::clone(self.lineage()), Arc::clone(other.lineage())],
-            ),
-        )
-    }
-
-    fn cogroup<W: Data>(&self, other: &Dataset<(K, W)>) -> Dataset<(K, (Vec<V>, Vec<W>))> {
-        let ctx = self.ctx().clone();
-        let buckets = ctx.shuffle_partitions();
-        let left = shuffle_by_key(&ctx, self, buckets);
-        let right = shuffle_by_key(&ctx, other, buckets);
-        let inputs: Vec<(Bucket<K, V>, Bucket<K, W>)> = left.into_iter().zip(right).collect();
-        let parts = ctx.run_tasks(
-            "cogroup",
-            inputs,
-            move |_i, (l, r): (Bucket<K, V>, Bucket<K, W>)| {
-                let mut groups = Groups::new();
-                for (k, v) in l.iter() {
-                    groups.upsert(k, || (vec![v.clone()], Vec::new()), |g| g.0.push(v.clone()));
-                }
-                for (k, w) in r.iter() {
-                    groups.upsert(k, || (Vec::new(), vec![w.clone()]), |g| g.1.push(w.clone()));
-                }
-                Arc::new(groups.entries)
-            },
-        );
-        Dataset::from_parts(
-            ctx,
-            parts,
-            Lineage::derived_multi(
-                "cogroup",
-                vec![Arc::clone(self.lineage()), Arc::clone(other.lineage())],
-            ),
-        )
-    }
-
-    fn sort_by_key(&self) -> Dataset<(K, V)>
-    where
-        K: Ord,
-    {
-        let ctx = self.ctx().clone();
-        let buckets = ctx.shuffle_partitions();
-        // Sample up to 32 keys per partition to build range boundaries.
-        let sample: Vec<K> = self
-            .map_partitions(|part| part.iter().take(32).map(|(k, _)| k.clone()).collect())
-            .collect();
-        let partitioner = Arc::new(RangePartitioner::from_sample(sample, buckets));
-        let shuffled = shuffle_with(&ctx, self, buckets, partitioner);
-        let parts = ctx.run_tasks(
-            "sort_by_key",
-            shuffled,
-            move |_i, part: Arc<Vec<(K, V)>>| {
-                let mut sorted: Vec<(K, V)> = part.to_vec();
-                sorted.sort_by(|a, b| a.0.cmp(&b.0));
-                Arc::new(sorted)
-            },
-        );
-        Dataset::from_parts(
-            ctx,
-            parts,
-            Lineage::derived("sort_by_key", Arc::clone(self.lineage())),
-        )
-    }
-
-    fn count_by_key(&self) -> Dataset<(K, u64)> {
-        self.map_values(|_| 1u64).reduce_by_key(|a, b| a + b)
-    }
-
-    fn map_values<U: Data>(&self, f: impl Fn(&V) -> U + Send + Sync + 'static) -> Dataset<(K, U)> {
-        self.map(move |(k, v)| (k.clone(), f(v)))
+        Dataset::from_parts(ctx, parts)
     }
 
     fn keys(&self) -> Dataset<K> {
@@ -626,13 +433,7 @@ mod tests {
     #[test]
     fn pair_operator_output_order_is_reproducible() {
         #[allow(clippy::type_complexity)]
-        fn run(
-            c: &Context,
-        ) -> (
-            Vec<(u64, f64)>,
-            Vec<(u64, Vec<f64>)>,
-            Vec<(u64, (Vec<f64>, Vec<u32>))>,
-        ) {
+        fn run(c: &Context) -> (Vec<(u64, f64)>, Vec<(u64, (f64, u32))>) {
             let pairs: Vec<(u64, f64)> = (0..20_000u64)
                 .map(|i| ((i * 7_919) % 97, i as f64 * 0.5))
                 .collect();
@@ -640,8 +441,7 @@ mod tests {
             let other = c.parallelize((0..300u32).map(|i| (u64::from(i % 131), i)).collect(), 3);
             (
                 ds.reduce_by_key(|a, b| a + b).collect(),
-                ds.group_by_key().collect(),
-                ds.cogroup(&other).collect(),
+                ds.join(&other).collect(),
             )
         }
         let c = ctx();
@@ -649,17 +449,6 @@ mod tests {
         assert_eq!(first.0.len(), 97);
         assert_eq!(run(&c), first, "second run on one context");
         assert_eq!(run(&ctx()), first, "run on a second context");
-    }
-
-    #[test]
-    fn group_by_key_collects_all_values() {
-        let c = ctx();
-        let ds = c.parallelize(vec![(1, "x"), (2, "y"), (1, "z")], 2);
-        let grouped = ds.group_by_key().collect_as_map();
-        let mut ones = grouped[&1].clone();
-        ones.sort();
-        assert_eq!(ones, vec!["x", "z"]);
-        assert_eq!(grouped[&2], vec!["y"]);
     }
 
     #[test]
@@ -706,21 +495,11 @@ mod tests {
     }
 
     #[test]
-    fn count_by_key_matches_manual() {
-        let c = ctx();
-        let ds = c.parallelize(vec![("x", ()), ("y", ()), ("x", ()), ("x", ())], 2);
-        let counts = ds.count_by_key().collect_as_map();
-        assert_eq!(counts["x"], 3);
-        assert_eq!(counts["y"], 1);
-    }
-
-    #[test]
-    fn keys_values_map_values() {
+    fn keys_and_values() {
         let c = ctx();
         let ds = c.parallelize(vec![(1, 10), (2, 20)], 1);
         assert_eq!(ds.keys().collect(), vec![1, 2]);
         assert_eq!(ds.values().collect(), vec![10, 20]);
-        assert_eq!(ds.map_values(|v| v + 1).collect(), vec![(1, 11), (2, 21)]);
     }
 
     #[test]
@@ -762,69 +541,5 @@ mod tests {
                 .count();
             assert_eq!(holding, 1, "key {key} split across buckets");
         }
-    }
-
-    #[test]
-    fn left_outer_join_keeps_unmatched_left() {
-        let c = ctx();
-        let l = c.parallelize(vec![(1, "a"), (2, "b"), (3, "c")], 2);
-        let r = c.parallelize(vec![(1, 10), (1, 11), (3, 30)], 2);
-        let mut got = l.left_outer_join(&r).collect();
-        got.sort();
-        assert_eq!(
-            got,
-            vec![
-                (1, ("a", Some(10))),
-                (1, ("a", Some(11))),
-                (2, ("b", None)),
-                (3, ("c", Some(30))),
-            ]
-        );
-    }
-
-    #[test]
-    fn cogroup_collects_both_sides() {
-        let c = ctx();
-        let l = c.parallelize(vec![(1, "x"), (2, "y"), (1, "z")], 2);
-        let r = c.parallelize(vec![(1, 100), (3, 300)], 2);
-        let grouped = l.cogroup(&r).collect_as_map();
-        let (mut vs, ws) = grouped[&1].clone();
-        vs.sort();
-        assert_eq!(vs, vec!["x", "z"]);
-        assert_eq!(ws, vec![100]);
-        assert_eq!(grouped[&2], (vec!["y"], vec![]));
-        assert_eq!(grouped[&3], (vec![], vec![300]));
-    }
-
-    #[test]
-    fn sort_by_key_globally_orders() {
-        let c = ctx();
-        let data: Vec<(i64, u32)> = (0..2_000u32)
-            .map(|i| (((i * 7919) % 997) as i64, i))
-            .collect();
-        let ds = c.parallelize(data.clone(), 8);
-        let sorted = ds.sort_by_key().collect();
-        assert_eq!(sorted.len(), data.len());
-        // Keys are globally nondecreasing in partition order.
-        for w in sorted.windows(2) {
-            assert!(w[0].0 <= w[1].0, "not sorted: {:?} then {:?}", w[0], w[1]);
-        }
-        // Same multiset.
-        let mut got = sorted;
-        got.sort();
-        let mut want = data;
-        want.sort();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn sort_by_key_handles_duplicates_and_small_inputs() {
-        let c = ctx();
-        let ds = c.parallelize(vec![(5, 'a'), (5, 'b'), (1, 'c')], 2);
-        let sorted = ds.sort_by_key().collect();
-        assert_eq!(sorted[0].0, 1);
-        assert_eq!(sorted.len(), 3);
-        let empty = c.parallelize(Vec::<(i32, i32)>::new(), 2);
-        assert!(empty.sort_by_key().is_empty());
     }
 }

@@ -1,8 +1,5 @@
-//! Partitioners: how shuffles route records to reduce-side buckets.
-//!
-//! Spark exposes the same abstraction (`HashPartitioner` /
-//! `RangePartitioner`); here the hash partitioner drives the key-value
-//! operators and the range partitioner drives `sort_by_key`.
+//! How shuffles route records to reduce-side buckets: Spark's
+//! `HashPartitioner`, over the engine's one key hasher.
 
 use std::hash::{Hash, Hasher};
 
@@ -83,81 +80,15 @@ pub fn hash_key<K: Hash + ?Sized>(key: &K) -> u64 {
     h.finish()
 }
 
-/// Routes a key to one of `buckets` reduce-side partitions.
-pub trait Partitioner<K>: Send + Sync {
-    /// The bucket for `key`; must be `< buckets`.
-    fn partition(&self, key: &K, buckets: usize) -> usize;
-}
-
 /// Deterministic hash partitioning: the bucket is the high bits of
 /// `hash_key(key) × buckets`, a multiply-shift in place of `% buckets`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HashPartitioner;
 
-impl<K: Hash> Partitioner<K> for HashPartitioner {
-    fn partition(&self, key: &K, buckets: usize) -> usize {
+impl HashPartitioner {
+    /// The bucket for `key`, one of `0..buckets`.
+    pub fn partition<K: Hash>(&self, key: &K, buckets: usize) -> usize {
         ((u128::from(hash_key(key)) * buckets as u128) >> 64) as usize
-    }
-}
-
-/// Range partitioning over sorted boundary keys: bucket `i` receives keys
-/// in `(boundary[i-1], boundary[i]]`. With `b` boundaries there are
-/// `b + 1` buckets; the partitioner ignores the `buckets` argument beyond
-/// asserting it is large enough.
-#[derive(Debug, Clone)]
-pub struct RangePartitioner<K> {
-    boundaries: Vec<K>,
-}
-
-impl<K: Ord + Clone> RangePartitioner<K> {
-    /// Builds a partitioner from **sorted, distinct** boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `boundaries` is not strictly increasing.
-    pub fn new(boundaries: Vec<K>) -> Self {
-        assert!(
-            boundaries.windows(2).all(|w| w[0] < w[1]),
-            "boundaries must be strictly increasing"
-        );
-        RangePartitioner { boundaries }
-    }
-
-    /// Builds boundaries by sampling `sample` (sorted internally) into
-    /// `buckets − 1` quantile points.
-    pub fn from_sample(mut sample: Vec<K>, buckets: usize) -> Self {
-        assert!(buckets > 0, "need at least one bucket");
-        sample.sort();
-        sample.dedup();
-        let mut boundaries = Vec::new();
-        if !sample.is_empty() {
-            for i in 1..buckets {
-                let idx = i * sample.len() / buckets;
-                if idx < sample.len() {
-                    let candidate = sample[idx].clone();
-                    if boundaries.last() != Some(&candidate) {
-                        boundaries.push(candidate);
-                    }
-                }
-            }
-        }
-        RangePartitioner { boundaries }
-    }
-
-    /// Number of buckets this partitioner produces.
-    pub fn num_buckets(&self) -> usize {
-        self.boundaries.len() + 1
-    }
-}
-
-impl<K: Ord + Clone + Send + Sync> Partitioner<K> for RangePartitioner<K> {
-    fn partition(&self, key: &K, buckets: usize) -> usize {
-        debug_assert!(buckets >= self.num_buckets(), "not enough buckets");
-        match self.boundaries.binary_search(key) {
-            Ok(i) => i,
-            Err(i) => i,
-        }
-        .min(buckets - 1)
     }
 }
 
@@ -226,51 +157,5 @@ mod tests {
             HashPartitioner.partition(&(42u64, 3u8), 8),
         ];
         assert_eq!(others, [6, 1, 6, 3]);
-    }
-
-    #[test]
-    fn range_partitioner_orders_buckets() {
-        let p = RangePartitioner::new(vec![10, 20, 30]);
-        assert_eq!(p.num_buckets(), 4);
-        assert_eq!(p.partition(&5, 4), 0);
-        assert_eq!(p.partition(&10, 4), 0); // boundary inclusive left
-        assert_eq!(p.partition(&15, 4), 1);
-        assert_eq!(p.partition(&20, 4), 1);
-        assert_eq!(p.partition(&25, 4), 2);
-        assert_eq!(p.partition(&99, 4), 3);
-        // Monotone: larger keys never land in smaller buckets.
-        let mut prev = 0;
-        for k in 0..100 {
-            let b = p.partition(&k, 4);
-            assert!(b >= prev);
-            prev = b;
-        }
-    }
-
-    #[test]
-    fn from_sample_builds_balanced_boundaries() {
-        let sample: Vec<i64> = (0..1_000).collect();
-        let p = RangePartitioner::from_sample(sample, 4);
-        assert_eq!(p.num_buckets(), 4);
-        let mut counts = [0usize; 4];
-        for k in 0i64..1_000 {
-            counts[p.partition(&k, 4)] += 1;
-        }
-        for c in counts {
-            assert!((150..400).contains(&c), "imbalanced: {counts:?}");
-        }
-    }
-
-    #[test]
-    fn from_sample_handles_tiny_samples() {
-        let p = RangePartitioner::from_sample(vec![5, 5, 5], 8);
-        assert!(p.num_buckets() <= 8);
-        assert_eq!(p.partition(&1, 8), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn unsorted_boundaries_rejected() {
-        let _ = RangePartitioner::new(vec![3, 1]);
     }
 }
