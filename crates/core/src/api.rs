@@ -73,20 +73,9 @@ impl DpSession {
         }
     }
 
-    /// Wraps an existing [`Upa`] instance (shares its enforcer history
-    /// and budget).
-    pub fn from_upa(upa: Upa) -> Self {
-        DpSession { upa }
-    }
-
     /// The underlying engine.
     pub fn upa(&self) -> &Upa {
         &self.upa
-    }
-
-    /// Consumes the session, returning the engine.
-    pub fn into_upa(self) -> Upa {
-        self.upa
     }
 
     /// The audit of the most recent successful release (see
@@ -292,9 +281,6 @@ where
             .run_join(&self.data, other, agg, self.domain)
     }
 }
-
-/// Alias so the paper's name for the KV object appears in the API.
-pub type DpObjectKv<'s, K, V> = DpReadKv<'s, K, V>;
 
 /// The release of a `reduceByKeyDP` query: per-key noisy aggregates,
 /// addressable by key as well as by component index.

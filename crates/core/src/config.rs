@@ -12,9 +12,6 @@ pub struct UpaConfig {
     /// Privacy budget ε per query. The paper's evaluation uses 0.1
     /// (matching FLEX's setup).
     pub epsilon: f64,
-    /// Percentile pair defining the inferred output range; the paper uses
-    /// (P1, P99).
-    pub percentiles: (f64, f64),
     /// RNG seed for sampling, range clamping and noise — fixed for
     /// reproducible experiments.
     pub seed: u64,
@@ -36,7 +33,6 @@ impl Default for UpaConfig {
         UpaConfig {
             sample_size: 1000,
             epsilon: 0.1,
-            percentiles: (0.01, 0.99),
             seed: 0xDA7A,
             add_noise: true,
             group_size: 1,
@@ -49,7 +45,7 @@ impl UpaConfig {
     ///
     /// Unlike struct-update syntax, [`UpaConfigBuilder::build`] rejects
     /// invalid settings (`sample_size == 0`, non-positive or non-finite
-    /// ε, percentile bounds outside `0 < lo < hi < 1`, `group_size == 0`)
+    /// ε, `group_size == 0`)
     /// with [`crate::UpaError::InvalidConfig`] instead of letting them
     /// reach the pipeline.
     ///
@@ -82,10 +78,6 @@ impl UpaConfig {
         if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
             return Err(crate::UpaError::InvalidConfig("epsilon"));
         }
-        let (lo, hi) = self.percentiles;
-        if !(0.0 < lo && lo < hi && hi < 1.0) {
-            return Err(crate::UpaError::InvalidConfig("percentiles"));
-        }
         if self.group_size == 0 {
             return Err(crate::UpaError::InvalidConfig("group_size"));
         }
@@ -110,12 +102,6 @@ impl UpaConfigBuilder {
     /// Sets the per-query privacy budget ε.
     pub fn epsilon(mut self, epsilon: f64) -> Self {
         self.config.epsilon = epsilon;
-        self
-    }
-
-    /// Sets the percentile pair defining the inferred output range.
-    pub fn percentiles(mut self, lo: f64, hi: f64) -> Self {
-        self.config.percentiles = (lo, hi);
         self
     }
 
@@ -159,7 +145,6 @@ mod tests {
         let c = UpaConfig::default();
         assert_eq!(c.sample_size, 1000);
         assert_eq!(c.epsilon, 0.1);
-        assert_eq!(c.percentiles, (0.01, 0.99));
         assert!(c.add_noise);
         assert_eq!(c.group_size, 1);
         assert!(c.validate().is_ok());
@@ -176,11 +161,6 @@ mod tests {
         c.epsilon = 0.0;
         assert!(c.validate().is_err());
         c.epsilon = 0.1;
-        c.percentiles = (0.99, 0.01);
-        assert!(c.validate().is_err());
-        c.percentiles = (0.0, 0.99);
-        assert!(c.validate().is_err());
-        c.percentiles = (0.01, 0.99);
         c.group_size = 0;
         assert!(c.validate().is_err());
     }
@@ -190,7 +170,6 @@ mod tests {
         let c = UpaConfig::builder()
             .sample_size(250)
             .epsilon(0.5)
-            .percentiles(0.05, 0.95)
             .seed(7)
             .add_noise(false)
             .group_size(2)
@@ -198,7 +177,6 @@ mod tests {
             .unwrap();
         assert_eq!(c.sample_size, 250);
         assert_eq!(c.epsilon, 0.5);
-        assert_eq!(c.percentiles, (0.05, 0.95));
         assert_eq!(c.seed, 7);
         assert!(!c.add_noise);
         assert_eq!(c.group_size, 2);
@@ -211,8 +189,6 @@ mod tests {
             (UpaConfig::builder().sample_size(0), "sample_size"),
             (UpaConfig::builder().epsilon(0.0), "epsilon"),
             (UpaConfig::builder().epsilon(f64::NAN), "epsilon"),
-            (UpaConfig::builder().percentiles(0.99, 0.01), "percentiles"),
-            (UpaConfig::builder().percentiles(0.0, 0.99), "percentiles"),
             (UpaConfig::builder().group_size(0), "group_size"),
         ] {
             match builder.build() {

@@ -56,7 +56,6 @@ pub mod domain;
 pub mod enforcer;
 pub mod error;
 pub mod join;
-pub mod manual;
 pub mod output;
 pub mod pipeline;
 pub mod query;

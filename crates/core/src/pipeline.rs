@@ -699,7 +699,6 @@ impl Upa {
         // ---- Phase 4: the sensitivity fit --------------------------------
         let raws = Arc::new(raw.components());
         let dims = raws.len();
-        let (p_lo, p_hi) = self.config.percentiles;
         let (bounds, sensitivity, empirical_sensitivity) = {
             let _scope = spans.enter("mle_fit");
             // One components() projection per neighbour output (not one per
@@ -722,7 +721,7 @@ impl Upa {
                         .collect();
                     let fit = Normal::mle(&samples)?;
                     // The enforced range is the envelope of the fit's
-                    // percentile interval (Algorithm 1, line 19) and the
+                    // P1–P99 interval (Algorithm 1, line 19) and the
                     // *observed* extremes of the sampled neighbour outputs —
                     // the paper's Figure 3 describes the red lines as the
                     // min/max inferred from the sample, and the envelope
@@ -731,8 +730,8 @@ impl Upa {
                     // (discrete counts, heavy tails).
                     let sample_min = samples.iter().copied().fold(f64::INFINITY, f64::min);
                     let sample_max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                    let lo = fit.quantile(p_lo).min(sample_min);
-                    let hi = fit.quantile(p_hi).max(sample_max);
+                    let lo = fit.quantile(0.01).min(sample_min);
+                    let hi = fit.quantile(0.99).max(sample_max);
                     let emp = samples
                         .iter()
                         .map(|v| (v - raws[c]).abs())
@@ -855,7 +854,7 @@ struct Enforced<Out> {
 /// per-half remainder reductions RANGE ENFORCER separates over, and what
 /// Algorithm 1 computes from them without the RNG — the neighbour outputs
 /// and the MLE sensitivity fit. Config changes that feed these
-/// (percentiles, group size, the enforcer's history) need a fresh prepare
+/// (group size, the enforcer's history) need a fresh prepare
 /// to take effect; ε does not — noise is calibrated per release.
 pub struct PreparedQuery<T, Acc, Out> {
     query: MapReduceQuery<T, Acc, Out>,

@@ -21,6 +21,10 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use upa_core::QueryAudit;
 
+/// The first `busy` retry's backoff ceiling; attempt `k` waits up to `2^k`
+/// times this.
+const RETRY_BASE: Duration = Duration::from_millis(50);
+
 /// Client-side failure.
 #[derive(Debug)]
 pub enum ClientError {
@@ -78,23 +82,11 @@ pub struct BudgetReply {
 }
 
 /// Configures and opens a [`Client`]. Obtained from [`Client::builder`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClientBuilder {
     connect_timeout: Option<Duration>,
     read_timeout: Option<Duration>,
     retry_busy: u32,
-    retry_base: Duration,
-}
-
-impl Default for ClientBuilder {
-    fn default() -> Self {
-        ClientBuilder {
-            connect_timeout: None,
-            read_timeout: None,
-            retry_busy: 0,
-            retry_base: Duration::from_millis(50),
-        }
-    }
 }
 
 impl ClientBuilder {
@@ -113,18 +105,11 @@ impl ClientBuilder {
 
     /// Retries a request up to `attempts` extra times when the server
     /// answers `busy`, sleeping an exponentially growing, jittered
-    /// backoff (starting from [`ClientBuilder::retry_base_delay`]) and
+    /// backoff (starting from 50 ms) and
     /// reconnecting before each retry — admission-control refusals close
     /// the connection server-side.
     pub fn retry_busy(mut self, attempts: u32) -> Self {
         self.retry_busy = attempts;
-        self
-    }
-
-    /// The first retry's backoff delay (default 50 ms); attempt `k`
-    /// waits up to `2^k` times this.
-    pub fn retry_base_delay(mut self, base: Duration) -> Self {
-        self.retry_base = base;
         self
     }
 
@@ -235,8 +220,7 @@ impl Client {
                     ..
                 }) if attempt < self.builder.retry_busy => {
                     attempt += 1;
-                    let ceiling =
-                        self.builder.retry_base.as_secs_f64() * f64::from(1u32 << attempt.min(16));
+                    let ceiling = RETRY_BASE.as_secs_f64() * f64::from(1u32 << attempt.min(16));
                     let delay = Duration::from_secs_f64(ceiling * self.next_jitter());
                     std::thread::sleep(delay);
                     self.reconnect()?;

@@ -128,12 +128,6 @@ impl LaplaceMechanism {
         // Safe: b is finite and positive here.
         Laplace::new(0.0, b).expect("valid scale").sample(rng) + value
     }
-
-    /// Releases a vector-valued output with independent per-coordinate
-    /// noise (used for the ML queries whose output is a model vector).
-    pub fn release_vec<R: Rng + ?Sized>(&self, values: &[f64], rng: &mut R) -> Vec<f64> {
-        values.iter().map(|&v| self.release(v, rng)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -206,16 +200,6 @@ mod tests {
         assert!(LaplaceMechanism::new(1.0, 0.0).is_err());
         assert!(LaplaceMechanism::new(-1.0, 0.1).is_err());
         assert!(LaplaceMechanism::new(f64::INFINITY, 0.1).is_err());
-    }
-
-    #[test]
-    fn release_vec_adds_independent_noise() {
-        let m = LaplaceMechanism::new(1.0, 1.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let out = m.release_vec(&[0.0, 0.0, 0.0], &mut rng);
-        assert_eq!(out.len(), 3);
-        // With overwhelming probability the three draws differ.
-        assert!(out[0] != out[1] || out[1] != out[2]);
     }
 
     /// The textbook Laplace-mechanism DP bound, checked empirically: the

@@ -15,10 +15,9 @@
 //!   CDF/quantiles and sampling;
 //! * [`laplace`] — the [`laplace::Laplace`] distribution and the Laplace
 //!   mechanism used for the final iDP release;
-//! * [`moments`] — numerically stable online moments (Welford);
-//! * [`sampling`] — uniform sampling without replacement, reservoir
-//!   sampling and a bounded Zipf sampler (used by the TPC-H generator to
-//!   create skewed join keys);
+//! * [`sampling`] — uniform sampling without replacement and a bounded
+//!   Zipf sampler (used by the TPC-H generator to create skewed join
+//!   keys);
 //! * [`rmse`] — the error metrics reported in the paper's Figure 2(a).
 //!
 //! # Example
@@ -37,13 +36,11 @@
 pub mod erf;
 pub mod ks;
 pub mod laplace;
-pub mod moments;
 pub mod normal;
 pub mod rmse;
 pub mod sampling;
 
 pub use laplace::{Laplace, LaplaceMechanism};
-pub use moments::OnlineMoments;
 pub use normal::Normal;
 
 /// Error type for statistics routines that require non-degenerate input.

@@ -107,12 +107,6 @@ impl Normal {
         self.mean + self.std_dev * norm_quantile(p)
     }
 
-    /// The P1–P99 interval `(quantile(0.01), quantile(0.99))` used by UPA as
-    /// the enforced output range `Ô_f` (Algorithm 1, line 19).
-    pub fn percentile_range(&self) -> (f64, f64) {
-        (self.quantile(0.01), self.quantile(0.99))
-    }
-
     /// Draws one sample using the Box–Muller transform.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         if self.std_dev == 0.0 {
@@ -151,8 +145,6 @@ mod tests {
         assert_eq!(fit.std_dev(), 0.0);
         assert_eq!(fit.quantile(0.01), 3.0);
         assert_eq!(fit.quantile(0.99), 3.0);
-        let (lo, hi) = fit.percentile_range();
-        assert_eq!((lo, hi), (3.0, 3.0));
     }
 
     #[test]
@@ -175,7 +167,7 @@ mod tests {
     #[test]
     fn percentile_range_is_symmetric_about_mean() {
         let n = Normal::new(7.0, 2.0).unwrap();
-        let (lo, hi) = n.percentile_range();
+        let (lo, hi) = (n.quantile(0.01), n.quantile(0.99));
         assert!(((7.0 - lo) - (hi - 7.0)).abs() < 1e-9);
         assert!(lo < 7.0 && hi > 7.0);
     }

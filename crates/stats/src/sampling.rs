@@ -4,8 +4,6 @@
 //! * [`sample_indices`] — uniform sampling of `n` distinct indices without
 //!   replacement (Robert Floyd's algorithm), used by UPA to pick the `n`
 //!   differing records `S` from the input dataset;
-//! * [`Reservoir`] — single-pass reservoir sampling (Algorithm R), used
-//!   when the input arrives as a stream of partitions;
 //! * [`Zipf`] — a bounded Zipf sampler used by the TPC-H generator to give
 //!   join keys the skewed frequency distribution that makes TPCH16/21
 //!   sensitivity hard (outliers in Figure 3).
@@ -45,68 +43,6 @@ pub fn sample_indices<R: Rng + ?Sized>(rng: &mut R, len: usize, n: usize) -> Vec
     let mut out: Vec<usize> = chosen.into_iter().collect();
     out.sort_unstable();
     out
-}
-
-/// Single-pass reservoir sampler (Vitter's Algorithm R).
-///
-/// ```
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-/// let mut r = upa_stats::sampling::Reservoir::new(3);
-/// for x in 0..100 {
-///     r.offer(x, &mut rng);
-/// }
-/// assert_eq!(r.items().len(), 3);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Reservoir<T> {
-    capacity: usize,
-    seen: u64,
-    items: Vec<T>,
-}
-
-impl<T> Reservoir<T> {
-    /// Creates a reservoir holding at most `capacity` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "reservoir capacity must be positive");
-        Reservoir {
-            capacity,
-            seen: 0,
-            items: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Offers one item to the reservoir.
-    pub fn offer<R: Rng + ?Sized>(&mut self, item: T, rng: &mut R) {
-        self.seen += 1;
-        if self.items.len() < self.capacity {
-            self.items.push(item);
-        } else {
-            let j = rng.gen_range(0..self.seen);
-            if (j as usize) < self.capacity {
-                self.items[j as usize] = item;
-            }
-        }
-    }
-
-    /// Number of items offered so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The current sample.
-    pub fn items(&self) -> &[T] {
-        &self.items
-    }
-
-    /// Consumes the reservoir, returning the sample.
-    pub fn into_items(self) -> Vec<T> {
-        self.items
-    }
 }
 
 /// Bounded Zipf distribution over `1..=n` with exponent `s`.
@@ -211,33 +147,6 @@ mod tests {
                 "index {i} drawn {c} times, expected ~2000"
             );
         }
-    }
-
-    #[test]
-    fn reservoir_keeps_capacity_and_is_roughly_uniform() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut hit = [0usize; 10];
-        for _ in 0..20_000 {
-            let mut r = Reservoir::new(2);
-            for x in 0..10 {
-                r.offer(x, &mut rng);
-            }
-            for &x in r.items() {
-                hit[x] += 1;
-            }
-        }
-        for (i, c) in hit.iter().enumerate() {
-            assert!(
-                (3300..4700).contains(c),
-                "value {i} kept {c} times, expected ~4000"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn reservoir_rejects_zero_capacity() {
-        let _ = Reservoir::<u32>::new(0);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use upa_stats::erf::{norm_cdf, norm_quantile};
 use upa_stats::ks::ks_statistic;
 use upa_stats::sampling::{sample_indices, Zipf};
-use upa_stats::{Laplace, Normal, OnlineMoments};
+use upa_stats::{Laplace, Normal};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -39,24 +39,6 @@ proptest! {
         prop_assert!((l.cdf(loc) - 0.5).abs() < 1e-12);
         prop_assert!(l.cdf(x) >= 0.0 && l.cdf(x) <= 1.0);
         prop_assert!(l.cdf(x + 1.0) >= l.cdf(x));
-    }
-
-    /// Welford moments equal the two-pass computation for any split.
-    #[test]
-    fn moments_merge_any_split(
-        values in prop::collection::vec(-1000.0f64..1000.0, 1..200),
-        split_frac in 0.0f64..1.0,
-    ) {
-        let split = ((values.len() as f64) * split_frac) as usize;
-        let (a, b) = values.split_at(split.min(values.len()));
-        let ma: OnlineMoments = a.iter().copied().collect();
-        let mb: OnlineMoments = b.iter().copied().collect();
-        let mut merged = ma;
-        merged.merge(&mb);
-        let mean = values.iter().sum::<f64>() / values.len() as f64;
-        let var = values.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / values.len() as f64;
-        prop_assert!((merged.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((merged.variance() - var).abs() < 1e-5 * (1.0 + var));
     }
 
     /// Sampled indices are distinct, sorted, in range, of the right count.

@@ -147,15 +147,6 @@ impl Catalog {
             .cloned()
     }
 
-    /// Whether `name` is currently resident.
-    #[must_use]
-    pub fn is_attached(&self, name: &str) -> bool {
-        self.resident
-            .read()
-            .expect("catalog lock poisoned")
-            .contains_key(name)
-    }
-
     /// Names of attached datasets, sorted.
     #[must_use]
     pub fn attached(&self) -> Vec<String> {

@@ -8,7 +8,6 @@
 //! an ingest leaves a temp directory that is ignored (and swept by the
 //! next successful ingest of any dataset).
 
-use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -129,17 +128,6 @@ pub struct LoadedDataset {
     pub columns: Vec<(String, ColumnarBuf)>,
     /// Bytes of resident values.
     pub resident_bytes: usize,
-}
-
-impl LoadedDataset {
-    /// The columns as a name→buffer map (still shared).
-    #[must_use]
-    pub fn column_map(&self) -> HashMap<String, ColumnarBuf> {
-        self.columns
-            .iter()
-            .map(|(n, v)| (n.clone(), v.clone()))
-            .collect()
-    }
 }
 
 /// A dataset store rooted at one directory.

@@ -32,7 +32,6 @@ use crate::rows::*;
 use dataflow::PairOps;
 use std::collections::HashMap;
 use std::sync::Arc;
-use upa_core::join::JoinAggregate;
 use upa_core::query::MapReduceQuery;
 use upa_flex::plan::AggregateKind;
 use upa_flex::Plan;
@@ -43,77 +42,6 @@ pub type OrderLineitemJoin = (
     dataflow::Dataset<(u64, Order)>,
     dataflow::Dataset<(u64, Lineitem)>,
 );
-
-/// Whether a query is a COUNT, an arithmetic aggregate, or ML (Table II's
-/// "Query Type" column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryKind {
-    /// COUNT query (FLEX-supported shape).
-    Count,
-    /// Arithmetic aggregate (SUM of expressions).
-    Arithmetic,
-}
-
-/// Static description of one benchmark query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryInfo {
-    /// Query name as the paper prints it.
-    pub name: &'static str,
-    /// COUNT vs arithmetic.
-    pub kind: QueryKind,
-    /// The table whose records iDP protects.
-    pub protected: &'static str,
-    /// Whether FLEX can analyse it (Table II's last column).
-    pub flex_supported: bool,
-}
-
-/// The Table II rows for the seven SQL queries.
-pub fn catalog() -> Vec<QueryInfo> {
-    vec![
-        QueryInfo {
-            name: "TPCH1",
-            kind: QueryKind::Count,
-            protected: "lineitem",
-            flex_supported: true,
-        },
-        QueryInfo {
-            name: "TPCH4",
-            kind: QueryKind::Count,
-            protected: "orders",
-            flex_supported: true,
-        },
-        QueryInfo {
-            name: "TPCH6",
-            kind: QueryKind::Arithmetic,
-            protected: "lineitem",
-            flex_supported: false,
-        },
-        QueryInfo {
-            name: "TPCH11",
-            kind: QueryKind::Arithmetic,
-            protected: "partsupp",
-            flex_supported: false,
-        },
-        QueryInfo {
-            name: "TPCH13",
-            kind: QueryKind::Count,
-            protected: "orders",
-            flex_supported: true,
-        },
-        QueryInfo {
-            name: "TPCH16",
-            kind: QueryKind::Count,
-            protected: "partsupp",
-            flex_supported: true,
-        },
-        QueryInfo {
-            name: "TPCH21",
-            kind: QueryKind::Count,
-            protected: "supplier",
-            flex_supported: true,
-        },
-    ]
-}
 
 fn lineitems_by_orderkey(tables: &Tables) -> Arc<HashMap<u64, Vec<Lineitem>>> {
     let mut m: HashMap<u64, Vec<Lineitem>> = HashMap::new();
@@ -219,7 +147,6 @@ pub fn q4_qualifies(o: &Order, l: &Lineitem) -> bool {
 #[derive(Debug, Clone)]
 pub struct Q4 {
     query: MapReduceQuery<Order, f64, f64>,
-    agg: JoinAggregate<u64, Order, Lineitem, f64, f64>,
 }
 
 impl Q4 {
@@ -233,22 +160,13 @@ impl Q4 {
                 .unwrap_or(0.0)
         })
         .with_half_key(order_half_key);
-        let agg = JoinAggregate::count("TPCH4", |_k: &u64, o: &Order, l: &Lineitem| {
-            q4_qualifies(o, l)
-        });
-        Q4 { query, agg }
+        Q4 { query }
     }
 
     /// The Map/Reduce decomposition over the protected `orders` rows
     /// (map-side join form; used for ground truth).
     pub fn query(&self) -> &MapReduceQuery<Order, f64, f64> {
         &self.query
-    }
-
-    /// The join aggregate for [`upa_core::pipeline::Upa::run_join`]
-    /// (shuffle-join form; the UPA execution path).
-    pub fn join_aggregate(&self) -> &JoinAggregate<u64, Order, Lineitem, f64, f64> {
-        &self.agg
     }
 
     /// The two keyed inputs of the join.
@@ -426,7 +344,6 @@ pub fn q13_qualifies(o: &Order, _l: &Lineitem) -> bool {
 #[derive(Debug, Clone)]
 pub struct Q13 {
     query: MapReduceQuery<Order, f64, f64>,
-    agg: JoinAggregate<u64, Order, Lineitem, f64, f64>,
 }
 
 impl Q13 {
@@ -440,20 +357,12 @@ impl Q13 {
                 .unwrap_or(0.0)
         })
         .with_half_key(order_half_key);
-        let agg = JoinAggregate::count("TPCH13", |_k: &u64, o: &Order, l: &Lineitem| {
-            q13_qualifies(o, l)
-        });
-        Q13 { query, agg }
+        Q13 { query }
     }
 
     /// The Map/Reduce decomposition over the protected `orders` rows.
     pub fn query(&self) -> &MapReduceQuery<Order, f64, f64> {
         &self.query
-    }
-
-    /// The join aggregate for the UPA execution path.
-    pub fn join_aggregate(&self) -> &JoinAggregate<u64, Order, Lineitem, f64, f64> {
-        &self.agg
     }
 
     /// The two keyed inputs of the join.
@@ -659,17 +568,6 @@ mod tests {
         let ctx = Context::with_threads(4);
         let data = TpchDatasets::load(&ctx, &tables, 8);
         (tables, data, ctx)
-    }
-
-    #[test]
-    fn catalog_lists_seven_queries() {
-        let c = catalog();
-        assert_eq!(c.len(), 7);
-        assert_eq!(c.iter().filter(|q| q.flex_supported).count(), 5);
-        assert_eq!(
-            c.iter().filter(|q| q.kind == QueryKind::Arithmetic).count(),
-            2
-        );
     }
 
     #[test]

@@ -5,7 +5,6 @@
 
 use dataflow::Context;
 use upa_repro::upa_core::domain::EmpiricalSampler;
-use upa_repro::upa_core::manual::ManualRangeMechanism;
 use upa_repro::upa_core::output::OutputRange;
 use upa_repro::upa_core::query::MapReduceQuery;
 use upa_repro::upa_core::{Upa, UpaConfig};
@@ -165,8 +164,9 @@ fn manual_baseline_is_much_noisier_than_upa() {
     let ds = ctx.parallelize(t.lineitem.clone(), 4);
     let epsilon = 0.1;
     // The analyst's safe global declaration: counts up to ten million.
-    let mut manual = ManualRangeMechanism::new(OutputRange::new(vec![(0.0, 1.0e7)]), epsilon, 11);
-    let manual_release = manual.run(&ds, q.query()).unwrap();
+    // Its width is the global sensitivity a manual-range system calibrates
+    // its Laplace noise to.
+    let manual_range = OutputRange::new(vec![(0.0, 1.0e7)]);
     let upa = Upa::new(
         ctx.clone(),
         UpaConfig {
@@ -178,8 +178,8 @@ fn manual_baseline_is_much_noisier_than_upa() {
     );
     let domain = EmpiricalSampler::new(t.lineitem.clone());
     let upa_result = upa.run(&ds, q.query(), &domain).unwrap();
-    assert_eq!(manual_release.raw, upa_result.raw);
-    let manual_scale = manual_release.sensitivity[0] / epsilon;
+    assert_eq!(q.query().evaluate_slice(&t.lineitem), upa_result.raw);
+    let manual_scale = manual_range.widths()[0] / epsilon;
     let upa_scale = upa_result.max_sensitivity() / epsilon;
     assert!(
         manual_scale / upa_scale > 1e4,
