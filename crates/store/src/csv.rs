@@ -12,6 +12,9 @@ pub struct CsvDocument {
     pub header: Vec<String>,
     /// Data rows (each the same arity as the header).
     pub rows: Vec<Vec<String>>,
+    /// The 1-based file line of each row: blank lines are skipped, so a
+    /// row's index does not give its line.
+    lines: Vec<usize>,
 }
 
 /// CSV parsing errors.
@@ -106,14 +109,20 @@ pub fn parse(text: &str) -> Result<CsvDocument, CsvError> {
     let (_, header_line) = lines.next().ok_or(CsvError::Empty)?;
     let header = parse_record(header_line)?;
     let mut rows = Vec::new();
+    let mut row_lines = Vec::new();
     for (i, line) in lines {
         let row = parse_record(line)?;
         if row.len() != header.len() {
             return Err(CsvError::ArityMismatch(i + 1));
         }
         rows.push(row);
+        row_lines.push(i + 1);
     }
-    Ok(CsvDocument { header, rows })
+    Ok(CsvDocument {
+        header,
+        rows,
+        lines: row_lines,
+    })
 }
 
 impl CsvDocument {
@@ -131,13 +140,13 @@ impl CsvDocument {
             .ok_or_else(|| CsvError::UnknownColumn(name.to_string()))?;
         self.rows
             .iter()
-            .enumerate()
-            .map(|(i, row)| {
+            .zip(&self.lines)
+            .map(|(row, &line)| {
                 row[idx]
                     .trim()
                     .parse::<f64>()
                     .map_err(|_| CsvError::NotNumeric {
-                        line: i + 2,
+                        line,
                         column: name.to_string(),
                         cell: row[idx].clone(),
                     })
@@ -206,6 +215,18 @@ mod tests {
             CsvError::NotNumeric { line: 3, ref column, ref cell }
                 if column == "age" && cell == "x7"
         ));
+    }
+
+    /// Blank lines are skipped but still counted: the error names the
+    /// cell's line in the file, not its row index.
+    #[test]
+    fn not_numeric_line_counts_skipped_blank_lines() {
+        let line_of = |text: &str| match parse(text).unwrap().numeric_column("age") {
+            Err(CsvError::NotNumeric { line, .. }) => line,
+            other => panic!("expected NotNumeric, got {other:?}"),
+        };
+        assert_eq!(line_of("age\n\n41\nx7\n"), 4);
+        assert_eq!(line_of("age\r\n41\r\n\r\n\r\n7\r\nbad\r\n"), 6);
     }
 
     #[test]
