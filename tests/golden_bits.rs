@@ -21,11 +21,14 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::HashMap;
 use upa_core::domain::{ColumnarEmpiricalSampler, EmpiricalSampler};
+use upa_core::join::JoinAggregate;
 use upa_core::query::MapReduceQuery;
 use upa_core::{DpOutput, Upa, UpaConfig, UpaResult};
 use upa_repro::suite::{build_queries, EvalData, EvalScale};
 use upa_server::{AggKind, DatasetSpec, ServerConfig, ServerState};
 use upa_store::{IngestOptions, Store};
+use upa_tpch::queries::Q4;
+use upa_tpch::{Lineitem, Order};
 
 /// First output of `StdRng::seed_from_u64(0xF1A9)` under the stream the
 /// constants below were recorded with.
@@ -226,6 +229,68 @@ fn paper_suite_release_bits() {
     check("KMeans", &[fnv(&run("KMeans", 33))], &[KMEANS_FNV]);
 }
 
+const TPCH4: [u64; 5] = [
+    0xc04c_8d35_9ac8_a12e,
+    0x404f_8000_0000_0000,
+    0x4008_0000_0000_0000,
+    0x404f_0000_0000_0000,
+    0x4050_4000_0000_0000,
+];
+const TPCH13: [u64; 5] = [
+    0x409d_804d_c721_f94c,
+    0x409c_4800_0000_0000,
+    0x4037_0000_0000_0000,
+    0x409c_1c00_0000_0000,
+    0x409c_7800_0000_0000,
+];
+const JOIN_REVENUE: [u64; 5] = [
+    0x4193_3667_d670_c7e8,
+    0x4193_be62_0a2d_4237,
+    0x412f_cad3_6007_5b80,
+    0x4193_9f5e_19b8_3dac,
+    0x4193_def3_c078_4c63,
+];
+
+/// (d) `joinDP`: TPCH4 and TPCH13 (join counts), and a float sum over
+/// `orders ⋈ lineitem` whose values are not exactly representable, so
+/// both join rounds' fold orders reach the bits, not only their counts.
+#[test]
+fn join_dp_release_bits() {
+    let ctx = Context::with_threads(4);
+    let data = EvalData::generate(
+        &ctx,
+        EvalScale {
+            orders: 600,
+            ml_records: 400,
+            partitions: 5,
+            seed: 0xE7A1,
+        },
+    );
+    let queries = build_queries(&data);
+    let run = |name: &str, seed: u64| {
+        let q = queries
+            .iter()
+            .find(|q| q.name() == name)
+            .unwrap_or_else(|| panic!("suite has no {name}"));
+        bits(&q.run_upa(&mut engine(&ctx, seed), &data).unwrap())
+    };
+    check("TPCH4", &run("TPCH4", 34), &TPCH4);
+    check("TPCH13", &run("TPCH13", 35), &TPCH13);
+
+    let (orders, lineitem) = Q4::keyed(&data.datasets);
+    let revenue: JoinAggregate<u64, Order, Lineitem, f64, f64> = JoinAggregate::new(
+        "revenue",
+        |_, _, l: &Lineitem| Some(l.extendedprice * (1.0 - l.discount)),
+        |a, b| a + b,
+        |acc| acc.copied().unwrap_or(0.0),
+    );
+    let domain = EmpiricalSampler::new(orders.collect());
+    let r = engine(&ctx, 36)
+        .run_join(&orders, &lineitem, &revenue, &domain)
+        .unwrap();
+    check("join/revenue", &bits(&r), &JOIN_REVENUE);
+}
+
 const SERVED_SYNTHETIC: [u64; 5] = [
     0x4047_d4d4_d4d2_4a4f,
     0x3fb3_96dc_e81b_ac00,
@@ -261,7 +326,7 @@ fn served_bits(state: &ServerState, dataset: &str, kind: AggKind) -> Vec<u64> {
     ]
 }
 
-/// (d) `ServerState` releases: over `DatasetSpec::synthetic`, over an
+/// (e) `ServerState` releases: over `DatasetSpec::synthetic`, over an
 /// in-memory spec with fractional values, and over a store attach of the
 /// synthetic values in three chunks.
 #[test]
