@@ -32,9 +32,10 @@ fn main() {
     });
     bench("engine/shuffle/hash_join", 15, || ds.join(&rds).len());
 
-    // joinDP's differing round: a few thousand sampled and added records
-    // probe the whole of the other table, so building the hash table over
-    // the large side dominates.
+    // A shuffle join of a few thousand rows against a large table, so
+    // shuffling and indexing the large side dominates. joinDP's
+    // differing round had this shape until it became an in-memory probe
+    // that shuffles nothing; `upa/tpch4_join_dp/upa` times it now.
     let build: Vec<(u64, u64)> = (0..232_000).map(|i| (i / 4, i)).collect();
     let build = ctx.parallelize(build, 8);
     let probe: Vec<(u64, u64)> = (0..2_000).map(|i| ((i * 29) % 58_000, i)).collect();

@@ -1,15 +1,19 @@
 //! Benchmarks of the UPA pipeline against its baselines: vanilla
 //! execution (what Figure 2(b) normalizes to) and the engine's plain
-//! reduce, swept over sample size and dataset size, and the two ML
-//! queries at the paper suite's record count.
+//! reduce, swept over sample size and dataset size, the two ML queries
+//! at the paper suite's record count, and TPCH4 through `joinDP`.
 
 use dataflow::Context;
 use upa_bench::report::bench;
 use upa_core::domain::EmpiricalSampler;
+use upa_core::join::JoinAggregate;
 use upa_core::query::MapReduceQuery;
 use upa_core::{Upa, UpaConfig};
 use upa_mlalgo::data::{generate_points, generate_regression};
 use upa_mlalgo::{KMeans, LifeScienceConfig, LinearRegression};
+use upa_tpch::gen::TpchDatasets;
+use upa_tpch::queries::{q4_qualifies, Q4};
+use upa_tpch::{Tables, TpchConfig};
 
 fn workload(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i * 37 + 5) % 101) as f64).collect()
@@ -66,6 +70,23 @@ fn main() {
     bench("upa/linreg_120k/vanilla", 15, || lr.step_plain(&records_ds));
     bench("upa/linreg_120k/upa", 15, || {
         u.run(&records_ds, &lr_query, &lr_domain).expect("runs")
+    });
+
+    // TPCH4 at the paper suite's 60,000 orders: the vanilla shuffle join
+    // against joinDP, whose one shuffle join is its remainder round.
+    let tables = Tables::generate(&TpchConfig {
+        orders: 60_000,
+        ..TpchConfig::default()
+    });
+    let tpch = TpchDatasets::load(&ctx, &tables, 8);
+    let q4 = Q4::new(&tables);
+    let (orders, lineitem) = Q4::keyed(&tpch);
+    let q4_agg = JoinAggregate::count("TPCH4", |_: &u64, o, l| q4_qualifies(o, l));
+    let orders_domain = EmpiricalSampler::new(orders.collect());
+    bench("upa/tpch4_join_dp/vanilla", 15, || q4.plain(&tpch));
+    bench("upa/tpch4_join_dp/upa", 15, || {
+        u.run_join(&orders, &lineitem, &q4_agg, &orders_domain)
+            .expect("runs")
     });
 
     for n in [100usize, 1_000, 10_000] {

@@ -245,10 +245,11 @@ pub fn fig2b(cfg: &ExpConfig) {
     let (ctx, data, queries) = setup_with_scan(cfg, cfg.scan_cost_ns);
     println!("== Figure 2(b): UPA runtime normalized to vanilla execution ==");
     println!("(paper: 19.1%-130.9% overhead, avg 77.6%; join queries TPCH4/13 exceed");
-    println!(" 100% because joinDP shuffles twice; TPCH16/21 stay lower because their");
-    println!(" filters drop most sampled-neighbour work. Without Spark's I/O and");
-    println!(" cluster costs the vanilla baseline here is much cheaper, so absolute");
-    println!(" ratios run higher — the per-query ordering is the reproduction target.)\n");
+    println!(" 100% because the paper's joinDP shuffles twice (this one shuffles once);");
+    println!(" TPCH16/21 stay lower because their filters drop most sampled-neighbour");
+    println!(" work. Without Spark's I/O and cluster costs the vanilla baseline here is");
+    println!(" much cheaper, so absolute ratios run higher — the per-query ordering is");
+    println!(" the reproduction target.)\n");
 
     let mut t = Table::new(&[
         "Query",

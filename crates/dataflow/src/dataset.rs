@@ -15,12 +15,13 @@ use crate::Data;
 use std::sync::{Arc, OnceLock};
 
 /// A chain of narrow transforms that has not executed yet. The chain
-/// composes per-record closures over a materialised base dataset and runs
-/// as a **single** pool stage (named `fused[map→filter→…]`) when the first
-/// wide operator or action forces it.
+/// composes per-record closures over a base — a materialised dataset, or
+/// the per-bucket output of a wide operator such as `join` — and runs as
+/// a **single** pool stage (named `fused[map→filter→…]`, or
+/// `fused[join→…]`) when the first wide operator or action forces it.
 struct Pending<T> {
-    /// Records per base partition: drives the scan-cost model and the
-    /// `records_processed` counter when the chain runs.
+    /// Records the base scans per partition: drives the scan-cost model
+    /// and the `records_processed` counter when the chain runs.
     base_sizes: Arc<Vec<usize>>,
     /// Operator names, base-first.
     ops: Vec<String>,
@@ -113,6 +114,27 @@ impl<T: Data> Dataset<T> {
                 len: OnceLock::new(),
             }),
         }
+    }
+
+    /// A lazy dataset whose chain starts at `op`, which streams the
+    /// records of partition `i` into its sink after scanning
+    /// `base_sizes[i]` input records. A wide operator hands its
+    /// per-bucket work over this way, so the narrow ops after it fuse
+    /// into its stage and its output is never materialised.
+    pub(crate) fn from_run(
+        ctx: Context,
+        op: &str,
+        base_sizes: Vec<usize>,
+        run: PendingRun<T>,
+    ) -> Self {
+        Dataset::from_pending(
+            ctx,
+            Pending {
+                base_sizes: Arc::new(base_sizes),
+                ops: vec![op.to_string()],
+                run,
+            },
+        )
     }
 
     /// The pending chain, if this dataset is lazy and not yet forced.

@@ -2,8 +2,9 @@
 //!
 //! The paper's performance evaluation (Figures 2(b), 4(a), 4(b)) explains
 //! UPA's overhead in terms of *extra shuffles* — RANGE ENFORCER exchanges
-//! partition records between computers, and `joinDP` shuffles twice where
-//! vanilla Spark shuffles once. To reproduce that analysis the engine
+//! partition records between computers, and the paper's `joinDP` shuffles
+//! twice where vanilla Spark shuffles once (this engine's `joinDP` shuffles
+//! `other` once). To reproduce that analysis the engine
 //! counts every stage, task, retry, shuffle record and shuffle byte, and
 //! the benchmark harness reports them next to wall-clock numbers.
 //!
@@ -75,7 +76,8 @@ impl Metrics {
 
     /// Fraction of recorded stage time spent in shuffle stages
     /// (`shuffle-write`/`shuffle-read` plus the shuffle-consuming
-    /// reducers), or 0 when nothing was recorded.
+    /// reducers, a join's fused chain `fused[join→…]` included), or 0
+    /// when nothing was recorded.
     pub fn shuffle_time_share(&self) -> f64 {
         let times = lock(&self.stage_nanos);
         let total: u64 = times.values().sum();
@@ -88,6 +90,7 @@ impl Metrics {
                 name.starts_with("shuffle")
                     || name.as_str() == "reduce_by_key"
                     || name.as_str() == "join"
+                    || name.starts_with("fused[join→")
             })
             .map(|(_, ns)| *ns)
             .sum();
@@ -464,6 +467,16 @@ mod tests {
         assert_eq!(times["map"], 150);
         assert_eq!(times["shuffle-write"], 150);
         assert!((m.shuffle_time_share() - 0.5).abs() < 1e-12);
+    }
+
+    /// A join's bucket work runs inside the chain it heads, so that
+    /// chain's time is shuffle time; other fused chains' is not.
+    #[test]
+    fn fused_join_chain_counts_as_shuffle_time() {
+        let m = Metrics::new();
+        m.record_stage_time("fused[join→flat_map→map_partitions]", 300);
+        m.record_stage_time("fused[map→filter]", 100);
+        assert!((m.shuffle_time_share() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //!
 //! Every operator here moves data through an explicit two-phase shuffle
 //! (map-side bucketing, reduce-side concatenation) that is counted by the
-//! context's metrics. UPA's `joinDP` triggers this shuffle **twice** per
-//! join where vanilla execution triggers it once (paper §V-C), which is the
-//! mechanism behind the >100% overhead of TPCH4/TPCH13 in Figure 2(b).
+//! context's metrics. The paper's Spark `joinDP` (§V-C) runs a shuffle
+//! join twice where vanilla execution runs it once, and blames that for
+//! TPCH4/TPCH13's overhead of more than 100% in Figure 2(b). UPA's
+//! `joinDP` here runs it once: its second round probes an in-memory index
+//! of the few sampled records instead (`upa_core::join`).
 //!
 //! Routing and every per-task table hash keys with the seedless
 //! [`WordHasher`](crate::partitioner::WordHasher), and the tables keep keys
@@ -17,7 +19,7 @@
 //! daemon, which does read keys from the network, never calls them.
 
 use crate::context::Context;
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, PendingRun};
 use crate::partitioner::{hash_key, HashPartitioner};
 use crate::Data;
 use std::collections::HashMap;
@@ -189,50 +191,43 @@ where
     entries
 }
 
-/// Hash-joins one bucket pair: `left`'s rows in order, each followed by
-/// its matches in `right`'s order. `row` builds an output record from a
-/// left row and its match.
+/// Hash-joins one bucket pair into `emit`: `left`'s rows in order, each
+/// followed by its matches in `right`'s order.
 ///
 /// The table over `right` holds one index entry per distinct key, with
-/// the key's first row and row count, and one `next` link per row that
-/// chains the key's rows in build order; no key gets a `Vec` of its own.
-fn hash_join<K: Hash + Eq, V, W, O>(
+/// the key's first row, and one `next` link per row that chains the key's
+/// rows in build order; no key gets a `Vec` of its own.
+fn hash_join<K: Hash + Eq, V, W>(
     left: &[(K, V)],
     right: &[(K, W)],
-    row: impl Fn(&K, &V, &W) -> O,
-) -> Vec<O> {
+    mut emit: impl FnMut(&K, &V, &W),
+) {
     const END: usize = usize::MAX;
-    // (first row, rows) per distinct key.
-    let mut chains: Vec<(usize, usize)> = Vec::new();
+    // First row per distinct key.
+    let mut heads: Vec<usize> = Vec::new();
     let mut next = vec![END; right.len()];
     let mut index = KeyIndex::new();
     // Last to first, each row pushed onto the front of its key's chain,
     // so chains read in build order.
     for (at, (k, _)) in right.iter().enumerate().rev() {
-        match index.find_or_insert(hash_key(k), |id| right[chains[id].0].0 == *k) {
+        match index.find_or_insert(hash_key(k), |id| right[heads[id]].0 == *k) {
             Ok(id) => {
-                next[at] = chains[id].0;
-                chains[id] = (at, chains[id].1 + 1);
+                next[at] = heads[id];
+                heads[id] = at;
             }
-            Err(_) => chains.push((at, 1)),
+            Err(_) => heads.push(at),
         }
     }
-    let found: Vec<Option<(usize, usize)>> = left
-        .iter()
-        .map(|(k, _)| {
-            let id = index.find(hash_key(k), |id| right[chains[id].0].0 == *k)?;
-            Some(chains[id])
-        })
-        .collect();
-    let mut out = Vec::with_capacity(found.iter().map(|c| c.map_or(0, |c| c.1)).sum());
-    for ((k, v), chain) in left.iter().zip(found) {
-        if let Some((first, _)) = chain {
-            let rows =
-                std::iter::successors(Some(first), |&at| Some(next[at]).filter(|&n| n != END));
-            out.extend(rows.map(|at| row(k, v, &right[at].1)));
+    for (k, v) in left {
+        let Some(id) = index.find(hash_key(k), |id| right[heads[id]].0 == *k) else {
+            continue;
+        };
+        let mut at = heads[id];
+        while at != END {
+            emit(k, v, &right[at].1);
+            at = next[at];
         }
     }
-    out
 }
 
 /// Pair-dataset operators, available on any `Dataset<(K, V)>`.
@@ -251,7 +246,10 @@ pub trait PairOps<K, V>: private::Sealed {
     /// caps shuffle volume at one record per key per map partition.
     fn reduce_by_key(&self, f: impl Fn(&V, &V) -> V + Send + Sync + 'static) -> Dataset<(K, V)>;
 
-    /// Inner hash join on the key (Spark's `join`). Shuffles both sides.
+    /// Inner hash join on the key (Spark's `join`). Shuffles both sides
+    /// now; the per-bucket hash join is lazy, the base of a pending chain
+    /// that the narrow ops after it fuse into (`fused[join→filter]`), so
+    /// its joined tuples are never materialised on their own.
     fn join<W: Data>(&self, other: &Dataset<(K, W)>) -> Dataset<(K, (V, W))>;
 
     /// The keys, in partition order (narrow).
@@ -305,17 +303,18 @@ impl<K: Data + Hash + Eq, V: Data> PairOps<K, V> for Dataset<(K, V)> {
         // keys land in the same bucket index.
         let left = shuffle_by_key(&ctx, self, buckets);
         let right = shuffle_by_key(&ctx, other, buckets);
-        let inputs: Vec<(Bucket<K, V>, Bucket<K, W>)> = left.into_iter().zip(right).collect();
-        let parts = ctx.run_tasks(
-            "join",
-            inputs,
-            move |_i, (l, r): (Bucket<K, V>, Bucket<K, W>)| {
-                Arc::new(hash_join(&l, &r, |k, v, w| {
-                    (k.clone(), (v.clone(), w.clone()))
-                }))
-            },
-        );
-        Dataset::from_parts(ctx, parts)
+        // A bucket's join scans both of its sides.
+        let scanned = left
+            .iter()
+            .zip(&right)
+            .map(|(l, r)| l.len() + r.len())
+            .collect();
+        let run: PendingRun<(K, (V, W))> = Arc::new(move |b, sink| {
+            hash_join(&left[b], &right[b], |k, v, w| {
+                sink((k.clone(), (v.clone(), w.clone())));
+            });
+        });
+        Dataset::from_run(ctx, "join", scanned, run)
     }
 
     fn keys(&self) -> Dataset<K> {
@@ -484,6 +483,34 @@ mod tests {
         let m = c.metrics();
         assert_eq!(m.shuffles, 2, "a join shuffles both inputs");
         assert_eq!(m.shuffle_records, 80);
+    }
+
+    /// The join's bucket work and the narrow ops after it run as one
+    /// stage, and the shuffle-time share still counts it.
+    #[test]
+    fn join_fuses_with_following_narrow_ops() {
+        let c = ctx();
+        let l = c.parallelize((0..60u32).map(|i| (i % 7, i)).collect(), 3);
+        let r = c.parallelize((0..20u32).map(|i| (i % 5, i)).collect(), 2);
+        c.reset_metrics();
+        let n = l.join(&r).filter(|(_, (v, w))| v > w).count();
+        let want = (0..60u32)
+            .flat_map(|v| (0..20u32).map(move |w| (v, w)))
+            .filter(|(v, w)| v % 7 == w % 5 && v > w)
+            .count();
+        assert_eq!(n, want as u64);
+        let mut names: Vec<String> = c.stage_times().into_keys().collect();
+        names.sort();
+        assert_eq!(
+            names,
+            [
+                "aggregate",
+                "fused[join→filter]",
+                "shuffle-read",
+                "shuffle-write"
+            ]
+        );
+        assert!(c.shuffle_time_share() > 0.0);
     }
 
     #[test]
