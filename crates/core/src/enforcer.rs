@@ -34,9 +34,9 @@
 //! removed two more records. Deduplication drops that second look.
 
 use crate::output::OutputRange;
+use dataflow::partitioner::WordHasher;
 use dataflow::SpanRecorder;
 use rand::rngs::StdRng;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
@@ -112,9 +112,12 @@ struct Entry {
     repeats: usize,
 }
 
-/// A hash of the partition outputs' exact bits (lengths included).
+/// A hash of the partition outputs' exact bits (lengths included), on
+/// the engine's [`WordHasher`]: std's hasher may change its algorithm
+/// between Rust releases, and this one is pinned for every run and
+/// machine.
 fn bits_digest(outputs: &[Vec<f64>; 2]) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = WordHasher::default();
     for part in outputs {
         part.len().hash(&mut h);
         for v in part {
@@ -292,6 +295,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::SeedableRng;
+
+    /// The digest is the engine hasher's, pinned: a history persisted by
+    /// one build must index the same way in the next.
+    #[test]
+    fn bits_digest_is_pinned() {
+        let digest = bits_digest(&[vec![1.0, 2.5], vec![-0.0]]);
+        assert_eq!(digest, 0xd206_6cb6_a355_d7f1, "{digest:#018x}");
+        assert_ne!(digest, bits_digest(&[vec![1.0, 2.5, -0.0], vec![]]));
+    }
 
     /// A toy state over a vector of numbers: partitions are the two
     /// halves, output is the sum, sampled-record removal pops one record
