@@ -1,21 +1,26 @@
-//! `upa-cli` — differentially private aggregates over CSV files.
+//! `upa-cli` — differentially private aggregates over CSV files, and
+//! the client of the `upa-server` daemon.
 //!
 //! ```text
 //! upa-cli --input people.csv --column age --query mean --epsilon 0.5
 //! ```
 //!
-//! Loads one numeric column of a headered CSV, runs the requested
+//! The local release ([`run_release`]) loads one numeric column of a
+//! headered CSV, or types the whole file for `--sql` ([`sql`]), runs the
 //! aggregate through the full UPA pipeline (sampling, union-preserving
 //! reduce, RANGE ENFORCER, Laplace release) and prints the noisy value
-//! with its diagnostics. See [`Args`] for the flags.
+//! with its diagnostics. [`remote`] and [`store_cmd`] hold the other
+//! commands; each command's flags are one [`mod@upa_server::flags`] table.
 
 pub mod remote;
 pub mod sql;
 pub mod store_cmd;
 
-use dataflow::Context;
+use dataflow::{Context, Data};
 use upa_core::domain::EmpiricalSampler;
-use upa_core::{QueryAudit, Upa, UpaConfig, UpaResult};
+use upa_core::query::MapReduceQuery;
+use upa_core::{DpOutput, QueryAudit, Upa, UpaConfig, UpaResult};
+use upa_server::flags::Command;
 use upa_server::state::build_agg_query;
 use upa_server::AggKind;
 use upa_store::csv;
@@ -61,85 +66,59 @@ impl Default for Args {
     }
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-usage: upa-cli --input FILE.csv --column NAME --query count|sum|mean
-               [--epsilon E] [--sample-size N] [--seed S] [--threads T]
-               [--stats]
-       upa-cli --input FILE.csv --sql 'SELECT COUNT(*) FROM data WHERE ...'
-               [--epsilon E] [--sample-size N] [--seed S] [--threads T]
-               [--stats]
-
-Releases a differentially private aggregate of a CSV file — either one
-numeric column, or a single-table SQL COUNT/SUM (the CSV is the table
-`data`) — with sensitivity inferred automatically by UPA (DSN 2020).
---stats additionally prints the query audit: per-stage wall-clock of
-Algorithm 1, RANGE ENFORCER decisions and engine shuffle counters.";
+/// The local release's command line, `upa-cli [OPTIONS]`.
+pub const RELEASE: Command<Args> = Command {
+    about: "differentially private aggregates over CSV files",
+    synopsis: &[
+        "--input FILE.csv --column NAME --query count|sum|mean [OPTIONS]",
+        "--input FILE.csv --sql STATEMENT [OPTIONS]",
+        "serve|query|metrics|ingest|datasets --help",
+    ],
+    detail: "Releases a differentially private aggregate of a CSV file, either one \
+             numeric column or a single-table SQL COUNT/SUM (the CSV is the table \
+             `data`), with sensitivity inferred automatically by UPA (DSN 2020).",
+    flags: upa_server::flags![
+        "--input" "FILE.csv" set input: "CSV file with a header line (required)";
+        "--column" "NAME" set column: "Numeric column to aggregate; required for sum and mean";
+        "--query" "KIND" value query: "Aggregate: count, sum or mean";
+        "--epsilon" "E" value epsilon: "Privacy budget of the release";
+        "--sample-size" "N" value sample_size: "UPA sample size n";
+        "--seed" "S" value seed: "RNG seed";
+        "--threads" "T" value threads: "Engine threads; 0 for one per core";
+        "--sql" "STATEMENT" some sql:
+            "Release `SELECT COUNT(*) | SUM(expr) FROM data [WHERE ...] [GROUP BY col]` \
+             instead of --column/--query";
+        "--stats" "" switch stats:
+            "Also print the query audit: per-stage wall-clock of Algorithm 1, \
+             RANGE ENFORCER decisions and engine shuffle counters";
+    ],
+    positional: |_, _| false,
+    check: |args| {
+        if args.input.is_empty() {
+            return Err("--input is required".into());
+        }
+        if args.sql.is_none() && args.column.is_empty() && args.query != AggKind::Count {
+            return Err("--column is required for sum/mean".into());
+        }
+        Ok(())
+    },
+};
 
 impl Args {
     /// Parses flags from an iterator of arguments (without the program
-    /// name).
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message for unknown or malformed flags.
+    /// name) as [`RELEASE`] does; `--help` is an error carrying the usage.
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
-        let mut args = Args::default();
-        let mut it = argv.into_iter();
-        let need = |it: &mut dyn Iterator<Item = String>, flag: &str| {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--input" => args.input = need(&mut it, "--input")?,
-                "--column" => args.column = need(&mut it, "--column")?,
-                "--query" => args.query = need(&mut it, "--query")?.parse()?,
-                "--epsilon" => {
-                    args.epsilon = need(&mut it, "--epsilon")?
-                        .parse()
-                        .map_err(|_| "--epsilon must be a number".to_string())?
-                }
-                "--sample-size" => {
-                    args.sample_size = need(&mut it, "--sample-size")?
-                        .parse()
-                        .map_err(|_| "--sample-size must be an integer".to_string())?
-                }
-                "--seed" => {
-                    args.seed = need(&mut it, "--seed")?
-                        .parse()
-                        .map_err(|_| "--seed must be an integer".to_string())?
-                }
-                "--threads" => {
-                    args.threads = need(&mut it, "--threads")?
-                        .parse()
-                        .map_err(|_| "--threads must be an integer".to_string())?
-                }
-                "--sql" => args.sql = Some(need(&mut it, "--sql")?),
-                "--stats" => args.stats = true,
-                "--help" | "-h" => return Err(USAGE.to_string()),
-                other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
-            }
-        }
-        if args.input.is_empty() {
-            return Err(format!("--input is required\n{USAGE}"));
-        }
-        if args.sql.is_none() && args.column.is_empty() && args.query != AggKind::Count {
-            return Err(format!("--column is required for sum/mean\n{USAGE}"));
-        }
-        Ok(args)
+        RELEASE.parse(argv)?.ok_or_else(|| RELEASE.usage("upa-cli"))
     }
 }
 
-/// Runs the aggregate over already-extracted values, returning the
-/// release together with its [`QueryAudit`].
-///
-/// # Errors
-///
-/// Propagates pipeline errors as strings (empty input etc.).
-pub fn run_values_audited(
-    values: Vec<f64>,
+/// Runs `query` over `records` on the engine that `args` configure,
+/// returning the release together with its [`QueryAudit`].
+fn release<T: Data, Acc: Data, Out: DpOutput>(
     args: &Args,
-) -> Result<(UpaResult<f64>, Option<QueryAudit>), String> {
+    records: Vec<T>,
+    query: &MapReduceQuery<T, Acc, Out>,
+) -> Result<(UpaResult<Out>, Option<QueryAudit>), String> {
     let ctx = if args.threads == 0 {
         Context::default()
     } else {
@@ -154,14 +133,12 @@ pub fn run_values_audited(
             ..UpaConfig::default()
         },
     );
-    let dataset = ctx.parallelize_default(values.clone());
-    let domain = EmpiricalSampler::new(values);
-    let query = build_agg_query(args.query);
+    let dataset = ctx.parallelize_default(records.clone());
+    let domain = EmpiricalSampler::new(records);
     let result = upa
-        .run(&dataset, &query, &domain)
+        .run(&dataset, query, &domain)
         .map_err(|e| e.to_string())?;
-    let audit = upa.last_audit().as_deref().cloned();
-    Ok((result, audit))
+    Ok((result, upa.last_audit().as_deref().cloned()))
 }
 
 /// Runs the aggregate over already-extracted values.
@@ -170,36 +147,13 @@ pub fn run_values_audited(
 ///
 /// Propagates pipeline errors as strings (empty input etc.).
 pub fn run_values(values: Vec<f64>, args: &Args) -> Result<UpaResult<f64>, String> {
-    Ok(run_values_audited(values, args)?.0)
+    Ok(release(args, values, &build_agg_query(args.query))?.0)
 }
 
-/// Full CLI flow: read the file, extract the column, release.
-///
-/// # Errors
-///
-/// Returns a printable message for I/O, CSV or pipeline failures.
-pub fn run(args: &Args) -> Result<UpaResult<f64>, String> {
-    let text = std::fs::read_to_string(&args.input)
-        .map_err(|e| format!("cannot read {}: {e}", args.input))?;
-    let doc = csv::parse(&text).map_err(|e| e.to_string())?;
-    if let Some(statement) = &args.sql {
-        // Grouped statements are rendered by the binary through
-        // `run_release`; the library-level `run` keeps the scalar shape.
-        let (result, _exact) = sql::run_sql(&doc, statement, args)?;
-        return Ok(result);
-    }
-    let values = if args.query == AggKind::Count && args.column.is_empty() {
-        vec![0.0; doc.rows.len()]
-    } else {
-        doc.numeric_column(&args.column)
-            .map_err(|e| e.to_string())?
-    };
-    run_values(values, args)
-}
-
-/// Runs the full flow, supporting grouped SQL output. The returned
-/// [`Release`] carries the audit of the underlying pipeline run, printed
-/// by the binary when `--stats` is set.
+/// The local release: read the file, then release the `--sql`
+/// statement or the column's aggregate. The returned [`Release`]
+/// carries the audit of the pipeline run, printed by the binary when
+/// `--stats` is set.
 ///
 /// # Errors
 ///
@@ -209,15 +163,7 @@ pub fn run_release(args: &Args) -> Result<Release, String> {
         .map_err(|e| format!("cannot read {}: {e}", args.input))?;
     let doc = csv::parse(&text).map_err(|e| e.to_string())?;
     if let Some(statement) = &args.sql {
-        let (release, audit) = sql::run_sql_release(&doc, statement, args)?;
-        let output = match release {
-            sql::SqlRelease::Scalar(result, _exact) => Output::Scalar(*result),
-            sql::SqlRelease::Grouped { labels, result } => Output::Grouped {
-                labels,
-                result: *result,
-            },
-        };
-        return Ok(Release { output, audit });
+        return sql::run_sql_release(&doc, statement, args);
     }
     let values = if args.query == AggKind::Count && args.column.is_empty() {
         vec![0.0; doc.rows.len()]
@@ -225,7 +171,7 @@ pub fn run_release(args: &Args) -> Result<Release, String> {
         doc.numeric_column(&args.column)
             .map_err(|e| e.to_string())?
     };
-    let (result, audit) = run_values_audited(values, args)?;
+    let (result, audit) = release(args, values, &build_agg_query(args.query))?;
     Ok(Release {
         output: Output::Scalar(result),
         audit,
@@ -374,14 +320,16 @@ mod tests {
             sample_size: 100,
             ..Args::default()
         };
-        let r = run(&args).unwrap();
+        let release = run_release(&args).unwrap();
+        let Output::Scalar(r) = &release.output else {
+            panic!("a column release is scalar");
+        };
         let true_mean = (0..2_000).map(|i| (i % 90) as f64).sum::<f64>() / 2_000.0;
         assert!((r.raw - true_mean).abs() < 1e-9);
-        let text = render(&r, &args);
+        let text = render(r, &args);
         assert!(text.contains("released"));
         assert!(text.contains("sensitivity"));
-        // The full release path carries the audit for --stats.
-        let release = run_release(&args).unwrap();
+        // The release carries the audit for --stats.
         let audit = release.audit.expect("release has an audit");
         assert_eq!(audit.query, "mean");
         assert!(audit.stage_nanos("sample") > 0);
@@ -395,6 +343,6 @@ mod tests {
             column: "x".into(),
             ..Args::default()
         };
-        assert!(run(&args).unwrap_err().contains("cannot read"));
+        assert!(run_release(&args).unwrap_err().contains("cannot read"));
     }
 }

@@ -1,6 +1,6 @@
 //! The `upa-cli` binary; all logic lives in the library for testability.
 //!
-//! Six modes:
+//! Six commands:
 //!
 //! * default — release an aggregate over a local CSV file;
 //! * `serve` — run the `upa-server` daemon, an alias of `upa-serverd`
@@ -10,8 +10,12 @@
 //! * `metrics` — scrape (or `--watch`) a running daemon's metrics;
 //! * `ingest` — publish a CSV into a persistent columnar store;
 //! * `datasets` — list a store directory's or a daemon's datasets.
+//!
+//! Each command is one `upa_server::flags::Command`, whose `main` prints
+//! `--help`, a bad command line and a failed run the same way for all six.
 
 use std::process::ExitCode;
+use upa_cli::{remote, store_cmd};
 use upa_core::QueryAudit;
 
 /// The one `--stats` renderer: local and remote audits both come
@@ -24,63 +28,38 @@ fn print_stats(audit: Option<&QueryAudit>) {
     }
 }
 
-fn fail(msg: &str, code: i32) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(code);
-}
-
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1).peekable();
-    match argv.peek().map(String::as_str) {
-        Some("serve") => return upa_server::daemon::main("upa-cli serve", argv.skip(1)),
-        Some("query") => {
-            let args =
-                upa_cli::remote::QueryArgs::parse(argv.skip(1)).unwrap_or_else(|msg| fail(&msg, 2));
-            match upa_cli::remote::run_remote_query(&args) {
-                Ok(release) => {
-                    println!("{}", upa_cli::remote::render_remote(&release));
-                    if args.stats {
-                        print_stats(release.reply.audit.as_ref());
-                    }
-                }
-                Err(msg) => fail(&format!("error: {msg}"), 1),
+    let command = argv.peek().cloned().unwrap_or_default();
+    let program = format!("upa-cli {command}");
+    match command.as_str() {
+        "serve" => upa_server::daemon::main(&program, argv.skip(1)),
+        "query" => remote::QUERY.main(&program, argv.skip(1), |args| {
+            let release = remote::run_remote_query(&args)?;
+            println!("{}", remote::render_remote(&release));
+            if args.stats {
+                print_stats(release.reply.audit.as_ref());
             }
+            Ok(())
+        }),
+        "metrics" => {
+            remote::METRICS.main(&program, argv.skip(1), |args| remote::run_metrics(&args))
         }
-        Some("ingest") => {
-            let args = upa_cli::store_cmd::IngestArgs::parse(argv.skip(1))
-                .unwrap_or_else(|msg| fail(&msg, 2));
-            match upa_cli::store_cmd::run_ingest(&args) {
-                Ok(report) => println!("{report}"),
-                Err(msg) => fail(&format!("error: {msg}"), 1),
+        "ingest" => store_cmd::INGEST.main(&program, argv.skip(1), |args| {
+            println!("{}", store_cmd::run_ingest(&args)?);
+            Ok(())
+        }),
+        "datasets" => store_cmd::DATASETS.main(&program, argv.skip(1), |args| {
+            println!("{}", store_cmd::run_datasets(&args)?);
+            Ok(())
+        }),
+        _ => upa_cli::RELEASE.main("upa-cli", argv, |args| {
+            let release = upa_cli::run_release(&args)?;
+            println!("{}", upa_cli::render_output(&release.output, &args));
+            if args.stats {
+                print_stats(release.audit.as_ref());
             }
-        }
-        Some("datasets") => {
-            let args = upa_cli::store_cmd::DatasetsArgs::parse(argv.skip(1))
-                .unwrap_or_else(|msg| fail(&msg, 2));
-            match upa_cli::store_cmd::run_datasets(&args) {
-                Ok(listing) => println!("{listing}"),
-                Err(msg) => fail(&format!("error: {msg}"), 1),
-            }
-        }
-        Some("metrics") => {
-            let args = upa_cli::remote::MetricsArgs::parse(argv.skip(1))
-                .unwrap_or_else(|msg| fail(&msg, 2));
-            if let Err(msg) = upa_cli::remote::run_metrics(&args) {
-                fail(&format!("error: {msg}"), 1);
-            }
-        }
-        _ => {
-            let args = upa_cli::Args::parse(argv).unwrap_or_else(|msg| fail(&msg, 2));
-            match upa_cli::run_release(&args) {
-                Ok(release) => {
-                    println!("{}", upa_cli::render_output(&release.output, &args));
-                    if args.stats {
-                        print_stats(release.audit.as_ref());
-                    }
-                }
-                Err(msg) => fail(&format!("error: {msg}"), 1),
-            }
-        }
+            Ok(())
+        }),
     }
-    ExitCode::SUCCESS
 }

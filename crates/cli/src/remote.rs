@@ -10,30 +10,9 @@
 //! same [`upa_core::QueryAudit::render`] as local runs — the formatting
 //! lives in exactly one place.
 
+use upa_server::flags::Command;
 use upa_server::wire::Body;
 use upa_server::Client;
-
-/// Usage text for `upa-cli query`.
-pub const QUERY_USAGE: &str = "\
-usage: upa-cli query --addr HOST:PORT --query count|sum|mean
-                     [--dataset NAME] [--column NAME] [--epsilon E]
-                     [--stats] [--remaining] [--deadline-ms MS]
-                     [--connect-timeout-ms MS] [--timeout-ms MS]
-                     [--retry-busy N]
-
-Releases one differentially private aggregate from a running
-`upa-cli serve` (or upa-serverd) daemon. --stats prints the query audit
-exactly as a local run would; --remaining also prints the dataset's
-budget after the release. --deadline-ms asks the server to shed the
-request (error `deadline`, nothing charged) if it cannot be served in
-time; --retry-busy retries `busy` refusals with jittered backoff;
---connect-timeout-ms/--timeout-ms bound the connection and each reply.";
-
-fn parse_num<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag} must be a number, got '{value}'"))
-}
 
 /// Parsed `query` arguments.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,56 +60,48 @@ impl Default for QueryArgs {
     }
 }
 
+/// The `query` command's command line.
+pub const QUERY: Command<QueryArgs> = Command {
+    about: "release one aggregate from a running daemon",
+    synopsis: &["--addr HOST:PORT [OPTIONS]"],
+    detail: "Releases one differentially private aggregate from a running \
+             `upa-cli serve` (or upa-serverd) daemon.",
+    flags: upa_server::flags![
+        "--addr" "HOST:PORT" set addr: "Address of the daemon (required)";
+        "--dataset" "NAME" value dataset: "Dataset to release from";
+        "--query" "KIND" value query: "Aggregate: count, sum or mean";
+        "--column" "NAME" set column: "Column to aggregate; required for sum and mean";
+        "--epsilon" "E" some epsilon: "Epsilon of this release (the daemon's default if absent)";
+        "--stats" "" switch stats: "Also print the query audit, exactly as a local run would";
+        "--remaining" "" switch remaining: "Also print the dataset's budget after the release";
+        "--deadline-ms" "MS" some deadline_ms:
+            "Ask the daemon to shed the release (error `deadline`, nothing charged) \
+             if it cannot be served within MS";
+        "--connect-timeout-ms" "MS" some connect_timeout_ms:
+            "Bound the TCP connect (no bound if absent)";
+        "--timeout-ms" "MS" some timeout_ms: "Bound the wait for each reply (no bound if absent)";
+        "--retry-busy" "N" value retry_busy:
+            "Retry `busy` refusals up to N times with jittered backoff";
+    ],
+    positional: |_, _| false,
+    check: |args| required(&args.addr, "--addr"),
+};
+
+/// A required flag's check.
+fn required(value: &str, flag: &str) -> Result<(), String> {
+    match value {
+        "" => Err(format!("{flag} is required")),
+        _ => Ok(()),
+    }
+}
+
 impl QueryArgs {
-    /// Parses `query` flags.
-    ///
-    /// # Errors
-    ///
-    /// A printable message for unknown or malformed flags.
+    /// Parses `query` flags as [`QUERY`] does; `--help` is an error
+    /// carrying the usage.
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<QueryArgs, String> {
-        let mut args = QueryArgs::default();
-        let mut it = argv.into_iter();
-        let need = |it: &mut dyn Iterator<Item = String>, flag: &str| {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--addr" => args.addr = need(&mut it, "--addr")?,
-                "--dataset" => args.dataset = need(&mut it, "--dataset")?,
-                "--query" => args.query = need(&mut it, "--query")?,
-                "--column" => args.column = need(&mut it, "--column")?,
-                "--epsilon" => {
-                    args.epsilon = Some(parse_num(&need(&mut it, "--epsilon")?, "--epsilon")?)
-                }
-                "--stats" => args.stats = true,
-                "--remaining" => args.remaining = true,
-                "--deadline-ms" => {
-                    args.deadline_ms = Some(parse_num(
-                        &need(&mut it, "--deadline-ms")?,
-                        "--deadline-ms",
-                    )?)
-                }
-                "--connect-timeout-ms" => {
-                    args.connect_timeout_ms = Some(parse_num(
-                        &need(&mut it, "--connect-timeout-ms")?,
-                        "--connect-timeout-ms",
-                    )?)
-                }
-                "--timeout-ms" => {
-                    args.timeout_ms =
-                        Some(parse_num(&need(&mut it, "--timeout-ms")?, "--timeout-ms")?)
-                }
-                "--retry-busy" => {
-                    args.retry_busy = parse_num(&need(&mut it, "--retry-busy")?, "--retry-busy")?
-                }
-                "--help" | "-h" => return Err(QUERY_USAGE.to_string()),
-                other => return Err(format!("unknown flag '{other}'\n{QUERY_USAGE}")),
-            }
-        }
-        if args.addr.is_empty() {
-            return Err(format!("--addr is required\n{QUERY_USAGE}"));
-        }
-        Ok(args)
+        QUERY
+            .parse(argv)?
+            .ok_or_else(|| QUERY.usage("upa-cli query"))
     }
 }
 
@@ -179,17 +150,6 @@ pub fn run_remote_query(args: &QueryArgs) -> Result<RemoteRelease, String> {
     Ok(RemoteRelease { reply, budget })
 }
 
-/// Usage text for `upa-cli metrics`.
-pub const METRICS_USAGE: &str = "\
-usage: upa-cli metrics --addr HOST:PORT [--watch] [--interval-ms MS]
-                       [--count N] [--json]
-
-Scrapes a running daemon's `metrics` op. By default prints the
-Prometheus-style text exposition once. --json prints the structured
-snapshot instead. --watch re-scrapes every --interval-ms (default 1000)
-and renders a compact live summary; --count stops after N scrapes
-(0 = until interrupted).";
-
 /// Parsed `metrics` arguments.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsArgs {
@@ -217,35 +177,30 @@ impl Default for MetricsArgs {
     }
 }
 
+/// The `metrics` command's command line.
+pub const METRICS: Command<MetricsArgs> = Command {
+    about: "scrape a running daemon's metrics",
+    synopsis: &["--addr HOST:PORT [OPTIONS]"],
+    detail: "Scrapes a running daemon's `metrics` op and prints the Prometheus-style \
+             text exposition once.",
+    flags: upa_server::flags![
+        "--addr" "HOST:PORT" set addr: "Address of the daemon (required)";
+        "--watch" "" switch watch: "Re-scrape every --interval-ms and print a compact live summary";
+        "--interval-ms" "MS" value interval_ms: "Milliseconds between --watch scrapes";
+        "--count" "N" value count: "Stop --watch after N scrapes; 0 for until interrupted";
+        "--json" "" switch json: "Print the structured snapshot as JSON instead";
+    ],
+    positional: |_, _| false,
+    check: |args| required(&args.addr, "--addr"),
+};
+
 impl MetricsArgs {
-    /// Parses `metrics` flags.
-    ///
-    /// # Errors
-    ///
-    /// A printable message for unknown or malformed flags.
+    /// Parses `metrics` flags as [`METRICS`] does; `--help` is an error
+    /// carrying the usage.
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<MetricsArgs, String> {
-        let mut args = MetricsArgs::default();
-        let mut it = argv.into_iter();
-        let need = |it: &mut dyn Iterator<Item = String>, flag: &str| {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--addr" => args.addr = need(&mut it, "--addr")?,
-                "--watch" => args.watch = true,
-                "--interval-ms" => {
-                    args.interval_ms = parse_num(&need(&mut it, "--interval-ms")?, "--interval-ms")?
-                }
-                "--count" => args.count = parse_num(&need(&mut it, "--count")?, "--count")?,
-                "--json" => args.json = true,
-                "--help" | "-h" => return Err(METRICS_USAGE.to_string()),
-                other => return Err(format!("unknown flag '{other}'\n{METRICS_USAGE}")),
-            }
-        }
-        if args.addr.is_empty() {
-            return Err(format!("--addr is required\n{METRICS_USAGE}"));
-        }
-        Ok(args)
+        METRICS
+            .parse(argv)?
+            .ok_or_else(|| METRICS.usage("upa-cli metrics"))
     }
 }
 

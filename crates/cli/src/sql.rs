@@ -1,19 +1,19 @@
 //! DP releases for single-table SQL over CSV data.
 //!
-//! `upa-cli --sql "SELECT COUNT(*) FROM data WHERE age >= 18"` loads the
-//! CSV into a typed relation named `data`, parses the SQL, and — when the
-//! plan is a single-table `COUNT(*)`/`SUM(expr)` with an optional `WHERE`
-//! — converts it into a Map/Reduce decomposition over the table's rows so
-//! the release goes through the full UPA pipeline. Each CSV row is the
-//! protected individual record.
+//! `upa-cli --sql "SELECT COUNT(*) FROM data WHERE age >= 18"` types the
+//! CSV's rows as the table `data`, parses the SQL, and — when the plan
+//! is a single-table `COUNT(*)`/`SUM(expr)` with an optional `WHERE` and
+//! `GROUP BY` — converts it into a Map/Reduce decomposition over the
+//! rows, so the release goes through the full UPA pipeline. Each CSV row
+//! is the protected individual record. The relational executor is the
+//! tests' reference for a release's exact value; a release never runs it.
 
-use dataflow::Context;
-use upa_core::domain::EmpiricalSampler;
+use crate::{Args, Output, Release};
+use std::collections::hash_map::{Entry, HashMap};
 use upa_core::query::MapReduceQuery;
-use upa_core::{QueryAudit, Upa, UpaConfig, UpaResult};
-use upa_relational::expr::BoundExpr;
+use upa_relational::expr::Expr;
 use upa_relational::plan::{Aggregate, LogicalPlan};
-use upa_relational::value::{JoinKey, Relation, Row, Schema, Value};
+use upa_relational::value::{JoinKey, Row, Schema, Value};
 use upa_store::csv::CsvDocument;
 
 /// Table name CSV data is registered under.
@@ -92,77 +92,80 @@ fn row_key(row: &Row) -> u64 {
     h
 }
 
+/// The `WHERE` predicate of a plan that scans [`TABLE`] alone, if it has
+/// one.
+///
+/// # Errors
+///
+/// A plan over another table, or with joins or projections.
+fn single_table(plan: &LogicalPlan) -> Result<Option<&Expr>, String> {
+    let (scan, predicate) = match plan {
+        LogicalPlan::Filter { input, predicate } => (input.as_ref(), Some(predicate)),
+        scan => (scan, None),
+    };
+    let LogicalPlan::Scan { table } = scan else {
+        return Err("only single-table queries can be released under DP".into());
+    };
+    if table != TABLE {
+        return Err(format!(
+            "unknown table '{table}' (the CSV is registered as '{TABLE}')"
+        ));
+    }
+    Ok(predicate)
+}
+
+/// One row's contribution to a single-table aggregate, with the `WHERE`
+/// predicate and the `SUM` argument bound to the CSV schema: `None` for
+/// a row the predicate drops, else 1 for a count or the `SUM` argument
+/// (0 where it is not a number).
+fn row_value(
+    predicate: Option<&Expr>,
+    agg: &Aggregate,
+    schema: &Schema,
+) -> Result<impl Fn(&Row) -> Option<f64> + Send + Sync + 'static, String> {
+    let bind = |e: &Expr| e.bind(schema).map_err(|e| e.to_string());
+    let predicate = predicate.map(bind).transpose()?;
+    let value = match agg {
+        Aggregate::CountStar => None,
+        Aggregate::Sum(e) => Some(bind(e)?),
+    };
+    Ok(move |row: &Row| {
+        if let Some(p) = &predicate {
+            if !p.eval_bool(row).unwrap_or(false) {
+                return None;
+            }
+        }
+        Some(match &value {
+            Some(e) => e.eval(row).ok().and_then(|v| v.as_f64()).unwrap_or(0.0),
+            None => 1.0,
+        })
+    })
+}
+
 /// Converts a single-table aggregate plan into a Map/Reduce decomposition
 /// over the table's rows.
 ///
 /// # Errors
 ///
-/// Returns a message if the plan uses joins/projections (not a
-/// single-table aggregate), references another table, or its expressions
-/// fail to bind against the CSV schema.
+/// Returns a message if the plan is not an aggregate, is not over
+/// [`TABLE`] alone, or its expressions fail to bind against the CSV
+/// schema.
 pub fn plan_to_query(
     plan: &LogicalPlan,
     schema: &Schema,
 ) -> Result<MapReduceQuery<Row, f64, f64>, String> {
-    let (input, agg) = match plan {
-        LogicalPlan::Aggregate { input, agg } => (input.as_ref(), agg),
-        _ => return Err("the SQL statement must be a COUNT(*) or SUM(...) aggregate".into()),
+    let LogicalPlan::Aggregate { input, agg } = plan else {
+        return Err("the SQL statement must be a COUNT(*) or SUM(...) aggregate".into());
     };
-    let (scan, predicate) = match input {
-        LogicalPlan::Scan { table } => (table, None),
-        LogicalPlan::Filter { input, predicate } => match input.as_ref() {
-            LogicalPlan::Scan { table } => (table, Some(predicate.clone())),
-            _ => return Err("only single-table queries can be released under DP".into()),
-        },
-        _ => return Err("only single-table queries can be released under DP".into()),
-    };
-    if scan != TABLE {
-        return Err(format!(
-            "unknown table '{scan}' (the CSV is registered as '{TABLE}')"
-        ));
-    }
-    let bound_pred: Option<BoundExpr> = match predicate {
-        Some(p) => Some(p.bind(schema).map_err(|e| e.to_string())?),
-        None => None,
-    };
-    let value_expr: Option<BoundExpr> = match agg {
-        Aggregate::CountStar => None,
-        Aggregate::Sum(e) => Some(e.bind(schema).map_err(|e| e.to_string())?),
-    };
+    let row_value = row_value(single_table(input)?, agg, schema)?;
     let name = match agg {
         Aggregate::CountStar => "sql_count",
         Aggregate::Sum(_) => "sql_sum",
     };
-    Ok(MapReduceQuery::scalar_sum(name, move |row: &Row| {
-        let keep = match &bound_pred {
-            Some(p) => p.eval_bool(row).unwrap_or(false),
-            None => true,
-        };
-        if !keep {
-            return 0.0;
-        }
-        match &value_expr {
-            Some(e) => e.eval(row).ok().and_then(|v| v.as_f64()).unwrap_or(0.0),
-            None => 1.0,
-        }
-    })
-    .with_half_key(row_key))
-}
-
-/// A DP release of a SQL statement: either a scalar aggregate or a
-/// grouped histogram.
-#[derive(Debug, Clone)]
-pub enum SqlRelease {
-    /// Scalar aggregate: the UPA result plus the exact executor value.
-    Scalar(Box<UpaResult<f64>>, f64),
-    /// Grouped aggregate: group labels with the vector UPA result.
-    Grouped {
-        /// Human-readable group labels, positionally matching the result
-        /// components.
-        labels: Vec<String>,
-        /// The per-group UPA release.
-        result: Box<UpaResult<Vec<f64>>>,
-    },
+    Ok(
+        MapReduceQuery::scalar_sum(name, move |row: &Row| row_value(row).unwrap_or(0.0))
+            .with_half_key(row_key),
+    )
 }
 
 /// Builds a per-group DP query over a single-table GROUP BY plan. The
@@ -174,63 +177,34 @@ type GroupQuery = (Vec<String>, MapReduceQuery<Row, Vec<f64>, Vec<f64>>);
 fn group_plan_to_query(
     key: &str,
     agg: &Aggregate,
-    predicate: Option<&upa_relational::expr::Expr>,
+    predicate: Option<&Expr>,
     schema: &Schema,
     rows: &[Row],
 ) -> Result<GroupQuery, String> {
     let ki = schema
         .index_of(key)
         .ok_or_else(|| format!("unknown column '{key}'"))?;
-    let mut keys: Vec<JoinKey> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
+    // Bins and labels in first-seen key order.
+    let mut labels = Vec::new();
+    let mut index_of: HashMap<JoinKey, usize> = HashMap::new();
     for row in rows {
         let k = row[ki]
             .join_key()
             .ok_or_else(|| format!("column '{key}' cannot be grouped (float keys)"))?;
-        if seen.insert(k.clone()) {
-            keys.push(k);
+        if let Entry::Vacant(slot) = index_of.entry(k) {
+            slot.insert(labels.len());
+            labels.push(row[ki].to_string());
         }
     }
-    // Labels in first-seen key order, positionally matching the bins.
-    let label_of: std::collections::HashMap<JoinKey, String> = rows
-        .iter()
-        .map(|r| (r[ki].join_key().expect("checked above"), r[ki].to_string()))
-        .collect();
-    let ordered_labels: Vec<String> = keys
-        .iter()
-        .map(|k| label_of.get(k).cloned().unwrap_or_default())
-        .collect();
-    let index_of: std::collections::HashMap<JoinKey, usize> = keys
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, k)| (k, i))
-        .collect();
-    let bound_pred = match predicate {
-        Some(p) => Some(p.bind(schema).map_err(|e| e.to_string())?),
-        None => None,
-    };
-    let value_expr = match agg {
-        Aggregate::CountStar => None,
-        Aggregate::Sum(e) => Some(e.bind(schema).map_err(|e| e.to_string())?),
-    };
-    let bins = keys.len();
+    let row_value = row_value(predicate, agg, schema)?;
+    let bins = labels.len();
     let query = MapReduceQuery::new(
         "sql_group_by",
         move |row: &Row| {
             let mut out = vec![0.0; bins];
-            let keep = match &bound_pred {
-                Some(p) => p.eval_bool(row).unwrap_or(false),
-                None => true,
-            };
-            if keep {
-                if let Some(k) = row[ki].join_key() {
-                    if let Some(&b) = index_of.get(&k) {
-                        out[b] = match &value_expr {
-                            None => 1.0,
-                            Some(e) => e.eval(row).ok().and_then(|v| v.as_f64()).unwrap_or(0.0),
-                        };
-                    }
+            if let Some(v) = row_value(row) {
+                if let Some(&b) = row[ki].join_key().and_then(|k| index_of.get(&k)) {
+                    out[b] = v;
                 }
             }
             out
@@ -239,108 +213,38 @@ fn group_plan_to_query(
         move |acc: Option<&Vec<f64>>| acc.cloned().unwrap_or_else(|| vec![0.0; bins]),
     )
     .with_half_key(row_key);
-    Ok((ordered_labels, query))
+    Ok((labels, query))
 }
 
 /// Full SQL flow: type the CSV, parse the statement, release under DP.
-/// Also returns the audit of the pipeline run, for `--stats`.
+/// The release carries the audit of the pipeline run, for `--stats`.
 ///
 /// # Errors
 ///
 /// Returns a printable message for parse, shape or pipeline failures.
-pub fn run_sql_release(
-    doc: &CsvDocument,
-    sql: &str,
-    args: &crate::Args,
-) -> Result<(SqlRelease, Option<QueryAudit>), String> {
+pub fn run_sql_release(doc: &CsvDocument, sql: &str, args: &Args) -> Result<Release, String> {
     let plan = upa_relational::parse_sql(sql).map_err(|e| e.to_string())?;
     let schema = schema_of(doc);
     let rows = typed_rows(doc);
-    let ctx = if args.threads == 0 {
-        Context::default()
-    } else {
-        Context::with_threads(args.threads)
-    };
-    let config = UpaConfig {
-        epsilon: args.epsilon,
-        sample_size: args.sample_size,
-        seed: args.seed,
-        ..UpaConfig::default()
-    };
-
     if let LogicalPlan::GroupBy { input, key, agg } = &plan {
-        let (table, predicate) = match input.as_ref() {
-            LogicalPlan::Scan { table } => (table, None),
-            LogicalPlan::Filter { input, predicate } => match input.as_ref() {
-                LogicalPlan::Scan { table } => (table, Some(predicate)),
-                _ => return Err("only single-table queries can be released under DP".into()),
-            },
-            _ => return Err("only single-table queries can be released under DP".into()),
-        };
-        if table != TABLE {
-            return Err(format!(
-                "unknown table '{table}' (the CSV is registered as '{TABLE}')"
-            ));
-        }
+        let predicate = single_table(input)?;
         let (labels, query) = group_plan_to_query(key, agg, predicate, &schema, &rows)?;
-        let upa = Upa::new(ctx.clone(), config);
-        let dataset = ctx.parallelize_default(rows.clone());
-        let domain = EmpiricalSampler::new(rows);
-        let result = upa
-            .run(&dataset, &query, &domain)
-            .map_err(|e| e.to_string())?;
-        let audit = upa.last_audit().as_deref().cloned();
-        return Ok((
-            SqlRelease::Grouped {
-                labels,
-                result: Box::new(result),
-            },
-            audit,
-        ));
+        let (result, audit) = crate::release(args, rows, &query)?;
+        let output = Output::Grouped { labels, result };
+        return Ok(Release { output, audit });
     }
-
     let query = plan_to_query(&plan, &schema)?;
-    // Cross-check with the relational executor.
-    let mut catalog = upa_relational::Catalog::new();
-    catalog.register(Relation::from_rows(&ctx, schema, rows.clone(), 8));
-    let exact = catalog
-        .execute(&plan)
-        .map_err(|e| e.to_string())?
-        .as_scalar()
-        .ok_or("aggregate expected")?;
-    let upa = Upa::new(ctx.clone(), config);
-    let dataset = ctx.parallelize_default(rows.clone());
-    let domain = EmpiricalSampler::new(rows);
-    let result = upa
-        .run(&dataset, &query, &domain)
-        .map_err(|e| e.to_string())?;
-    debug_assert!((result.raw - exact).abs() <= 1e-6 * exact.abs().max(1.0));
-    let audit = upa.last_audit().as_deref().cloned();
-    Ok((SqlRelease::Scalar(Box::new(result), exact), audit))
-}
-
-/// Backwards-compatible scalar entry point.
-///
-/// # Errors
-///
-/// As [`run_sql_release`], plus an error for GROUP BY statements (use
-/// [`run_sql_release`] for those).
-pub fn run_sql(
-    doc: &CsvDocument,
-    sql: &str,
-    args: &crate::Args,
-) -> Result<(UpaResult<f64>, f64), String> {
-    match run_sql_release(doc, sql, args)?.0 {
-        SqlRelease::Scalar(result, exact) => Ok((*result, exact)),
-        SqlRelease::Grouped { .. } => {
-            Err("GROUP BY statements produce grouped output; use run_sql_release".into())
-        }
-    }
+    let (result, audit) = crate::release(args, rows, &query)?;
+    let output = Output::Scalar(result);
+    Ok(Release { output, audit })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dataflow::Context;
+    use upa_core::UpaResult;
+    use upa_relational::value::Relation;
     use upa_store::csv;
 
     fn doc() -> CsvDocument {
@@ -356,13 +260,34 @@ mod tests {
         csv::parse(&text).unwrap()
     }
 
-    fn args() -> crate::Args {
-        crate::Args {
+    fn args() -> Args {
+        Args {
             input: "unused".into(),
             epsilon: 1.0,
             sample_size: 100,
-            ..crate::Args::default()
+            ..Args::default()
         }
+    }
+
+    /// The scalar release of `sql` over [`doc`], and the relational
+    /// executor's answer over the same rows: the reference that the
+    /// release's exact value must equal.
+    fn release_and_exact(sql: &str) -> (UpaResult<f64>, f64) {
+        let d = doc();
+        let Output::Scalar(result) = run_sql_release(&d, sql, &args()).unwrap().output else {
+            panic!("{sql} is a scalar release");
+        };
+        let mut catalog = upa_relational::Catalog::new();
+        let rows = typed_rows(&d);
+        catalog.register(Relation::from_rows(
+            &Context::default(),
+            schema_of(&d),
+            rows,
+            8,
+        ));
+        let plan = upa_relational::parse_sql(sql).unwrap();
+        let exact = catalog.execute(&plan).unwrap().as_scalar().unwrap();
+        (result, exact)
     }
 
     #[test]
@@ -378,9 +303,7 @@ mod tests {
 
     #[test]
     fn sql_count_with_predicate() {
-        let d = doc();
-        let (result, exact) =
-            run_sql(&d, "SELECT COUNT(*) FROM data WHERE age >= 18", &args()).unwrap();
+        let (result, exact) = release_and_exact("SELECT COUNT(*) FROM data WHERE age >= 18");
         let want = (0..2_000).filter(|i| i % 90 >= 18).count() as f64;
         assert_eq!(exact, want);
         assert_eq!(result.raw, want);
@@ -389,13 +312,7 @@ mod tests {
 
     #[test]
     fn sql_sum_with_string_filter() {
-        let d = doc();
-        let (result, exact) = run_sql(
-            &d,
-            "SELECT SUM(income) FROM data WHERE city = 'york'",
-            &args(),
-        )
-        .unwrap();
+        let (result, exact) = release_and_exact("SELECT SUM(income) FROM data WHERE city = 'york'");
         let want: f64 = (0..2_000)
             .filter(|i| i % 3 == 0)
             .map(|i| ((i % 50) * 100) as f64)
@@ -406,8 +323,7 @@ mod tests {
 
     #[test]
     fn unfiltered_count() {
-        let d = doc();
-        let (result, exact) = run_sql(&d, "SELECT COUNT(*) FROM data", &args()).unwrap();
+        let (result, exact) = release_and_exact("SELECT COUNT(*) FROM data");
         assert_eq!(exact, 2_000.0);
         assert_eq!(result.raw, 2_000.0);
     }
@@ -415,13 +331,13 @@ mod tests {
     #[test]
     fn grouped_count_release() {
         let d = doc();
-        let (release, audit) =
+        let release =
             run_sql_release(&d, "SELECT city, COUNT(*) FROM data GROUP BY city", &args()).unwrap();
-        let audit = audit.expect("grouped release has an audit");
+        let audit = release.audit.expect("grouped release has an audit");
         assert_eq!(audit.query, "sql_group_by");
         assert!(audit.stage_nanos("enforce") > 0);
-        match release {
-            SqlRelease::Grouped { labels, result } => {
+        match release.output {
+            Output::Grouped { labels, result } => {
                 assert_eq!(labels.len(), 2);
                 let york = labels.iter().position(|l| l == "york").expect("york group");
                 let leeds = labels
@@ -443,14 +359,14 @@ mod tests {
     #[test]
     fn grouped_sum_with_filter() {
         let d = doc();
-        let (release, _audit) = run_sql_release(
+        let release = run_sql_release(
             &d,
             "SELECT city, SUM(income) FROM data WHERE age >= 10 GROUP BY city",
             &args(),
         )
         .unwrap();
-        match release {
-            SqlRelease::Grouped { labels, result } => {
+        match release.output {
+            Output::Grouped { labels, result } => {
                 let want: f64 = (0..2_000)
                     .filter(|i| i % 90 >= 10)
                     .map(|i| ((i % 50) * 100) as f64)
@@ -462,23 +378,24 @@ mod tests {
         }
     }
 
+    /// The scalar plan conversion refuses a GROUP BY plan; the release
+    /// sends those to the grouped one.
     #[test]
     fn scalar_entry_point_rejects_group_by() {
-        let d = doc();
-        assert!(
-            run_sql(&d, "SELECT city, COUNT(*) FROM data GROUP BY city", &args())
-                .unwrap_err()
-                .contains("grouped output")
-        );
+        let plan = upa_relational::parse_sql("SELECT city, COUNT(*) FROM data GROUP BY city");
+        let Err(e) = plan_to_query(&plan.unwrap(), &schema_of(&doc())) else {
+            panic!("a GROUP BY plan is not a scalar aggregate");
+        };
+        assert!(e.contains("COUNT(*) or SUM(...)"), "{e}");
     }
 
     #[test]
     fn unsupported_shapes_are_rejected_cleanly() {
         let d = doc();
-        assert!(run_sql(&d, "SELECT COUNT(*) FROM other", &args())
+        assert!(run_sql_release(&d, "SELECT COUNT(*) FROM other", &args())
             .unwrap_err()
             .contains("unknown table"));
-        assert!(run_sql(
+        assert!(run_sql_release(
             &d,
             "SELECT COUNT(*) FROM data JOIN data ON data.age = data.age",
             &args()
@@ -486,11 +403,11 @@ mod tests {
         .unwrap_err()
         .contains("single-table"));
         assert!(
-            run_sql(&d, "SELECT COUNT(*) FROM data WHERE nope = 1", &args())
+            run_sql_release(&d, "SELECT COUNT(*) FROM data WHERE nope = 1", &args())
                 .unwrap_err()
                 .contains("unknown column")
         );
-        assert!(run_sql(&d, "not sql at all", &args())
+        assert!(run_sql_release(&d, "not sql at all", &args())
             .unwrap_err()
             .contains("parse error"));
     }

@@ -16,29 +16,9 @@
 //! merely *available* datasets.
 
 use std::path::{Path, PathBuf};
+use upa_server::flags::Command;
 use upa_server::Client;
 use upa_store::{IngestOptions, Store};
-
-/// Usage text for `upa-cli ingest`.
-pub const INGEST_USAGE: &str = "\
-usage: upa-cli ingest FILE.csv --store DIR [--name NAME]
-                      [--chunk-rows N] [--overwrite]
-
-Publishes a CSV file into the persistent columnar store at DIR as a
-dataset named NAME (default: the file's stem). Every fully numeric
-column is kept; other columns are skipped. The dataset becomes visible
-atomically — a crash mid-ingest leaves nothing behind. --chunk-rows
-sizes the column chunks (default 65536 rows); --overwrite replaces an
-existing dataset of the same name.";
-
-/// Usage text for `upa-cli datasets`.
-pub const DATASETS_USAGE: &str = "\
-usage: upa-cli datasets (--store DIR | --addr HOST:PORT)
-
-Lists datasets. With --store, reads the manifests in the store directory
-directly. With --addr, asks a running daemon for its catalog view:
-datasets currently served (with row counts and resident bytes) and
-datasets published in its store but not attached.";
 
 /// Parsed `ingest` arguments.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,43 +47,45 @@ impl Default for IngestArgs {
     }
 }
 
-impl IngestArgs {
-    /// Parses `ingest` flags (the input file may appear positionally).
-    ///
-    /// # Errors
-    ///
-    /// A printable message for unknown or malformed flags.
-    pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<IngestArgs, String> {
-        let mut args = IngestArgs::default();
-        let mut it = argv.into_iter();
-        let need = |it: &mut dyn Iterator<Item = String>, flag: &str| {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--input" => args.input = need(&mut it, "--input")?,
-                "--store" => args.store = PathBuf::from(need(&mut it, "--store")?),
-                "--name" => args.name = Some(need(&mut it, "--name")?),
-                "--chunk-rows" => {
-                    args.chunk_rows = need(&mut it, "--chunk-rows")?
-                        .parse()
-                        .map_err(|_| "--chunk-rows must be an integer".to_string())?
-                }
-                "--overwrite" => args.overwrite = true,
-                "--help" | "-h" => return Err(INGEST_USAGE.to_string()),
-                other if !other.starts_with('-') && args.input.is_empty() => {
-                    args.input = other.to_string()
-                }
-                other => return Err(format!("unknown flag '{other}'\n{INGEST_USAGE}")),
-            }
+/// The `ingest` command's command line.
+pub const INGEST: Command<IngestArgs> = Command {
+    about: "publish a CSV file into a columnar store",
+    synopsis: &["FILE.csv --store DIR [OPTIONS]"],
+    detail: "Publishes a CSV file into the persistent columnar store at DIR. Every \
+             fully numeric column is kept; other columns are skipped. The dataset \
+             becomes visible atomically: a crash mid-ingest leaves nothing behind.",
+    flags: upa_server::flags![
+        "--input" "FILE.csv" set input: "The CSV file, also accepted as the one bare argument";
+        "--store" "DIR" set store: "Store directory (required)";
+        "--name" "NAME" some name: "Dataset name (the file's stem if absent)";
+        "--chunk-rows" "N" value chunk_rows: "Rows per column chunk";
+        "--overwrite" "" switch overwrite: "Replace an existing dataset of the same name";
+    ],
+    positional: |args, file| {
+        let free = args.input.is_empty();
+        if free {
+            args.input = file.to_string();
         }
+        free
+    },
+    check: |args| {
         if args.input.is_empty() {
-            return Err(format!("an input CSV file is required\n{INGEST_USAGE}"));
+            return Err("an input CSV file is required".into());
         }
         if args.store.as_os_str().is_empty() {
-            return Err(format!("--store is required\n{INGEST_USAGE}"));
+            return Err("--store is required".into());
         }
-        Ok(args)
+        Ok(())
+    },
+};
+
+impl IngestArgs {
+    /// Parses `ingest` flags as [`INGEST`] does; `--help` is an error
+    /// carrying the usage.
+    pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<IngestArgs, String> {
+        INGEST
+            .parse(argv)?
+            .ok_or_else(|| INGEST.usage("upa-cli ingest"))
     }
 }
 
@@ -155,32 +137,33 @@ pub struct DatasetsArgs {
     pub addr: Option<String>,
 }
 
-impl DatasetsArgs {
-    /// Parses `datasets` flags.
-    ///
-    /// # Errors
-    ///
-    /// A printable message for unknown or malformed flags.
-    pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<DatasetsArgs, String> {
-        let mut args = DatasetsArgs::default();
-        let mut it = argv.into_iter();
-        let need = |it: &mut dyn Iterator<Item = String>, flag: &str| {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--store" => args.store = Some(PathBuf::from(need(&mut it, "--store")?)),
-                "--addr" => args.addr = Some(need(&mut it, "--addr")?),
-                "--help" | "-h" => return Err(DATASETS_USAGE.to_string()),
-                other => return Err(format!("unknown flag '{other}'\n{DATASETS_USAGE}")),
-            }
-        }
+/// The `datasets` command's command line.
+pub const DATASETS: Command<DatasetsArgs> = Command {
+    about: "list the datasets of a store or a daemon",
+    synopsis: &["--store DIR", "--addr HOST:PORT"],
+    detail: "With --store, reads the manifests in the store directory. With --addr, \
+             asks a running daemon for its catalog view: datasets served (with row \
+             counts and resident bytes) and datasets in its store but not attached.",
+    flags: upa_server::flags![
+        "--store" "DIR" some store: "Store directory to list";
+        "--addr" "HOST:PORT" some addr: "Daemon to ask instead";
+    ],
+    positional: |_, _| false,
+    check: |args| {
         if args.store.is_none() == args.addr.is_none() {
-            return Err(format!(
-                "exactly one of --store or --addr is required\n{DATASETS_USAGE}"
-            ));
+            return Err("exactly one of --store or --addr is required".into());
         }
-        Ok(args)
+        Ok(())
+    },
+};
+
+impl DatasetsArgs {
+    /// Parses `datasets` flags as [`DATASETS`] does; `--help` is an
+    /// error carrying the usage.
+    pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<DatasetsArgs, String> {
+        DATASETS
+            .parse(argv)?
+            .ok_or_else(|| DATASETS.usage("upa-cli datasets"))
     }
 }
 
@@ -265,7 +248,7 @@ pub fn run_datasets(args: &DatasetsArgs) -> Result<String, String> {
     match (&args.store, &args.addr) {
         (Some(dir), None) => list_store(dir),
         (None, Some(addr)) => list_remote(addr),
-        _ => Err(DATASETS_USAGE.to_string()),
+        _ => Err("exactly one of --store or --addr is required".into()),
     }
 }
 

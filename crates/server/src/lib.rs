@@ -32,9 +32,11 @@
 //! * [`wire`] — the JSON reader/escape writer behind both ends (the
 //!   `upa-json` crate, re-exported).
 //!
-//! * [`daemon`] — the one front door: the flag table, its generated
-//!   usage, dataset loading, bind, the `upa-server listening on ADDR`
-//!   announcement and run.
+//! * [`daemon`] — the one front door: the flag table, dataset loading,
+//!   bind, the `upa-server listening on ADDR` announcement and run;
+//! * [`mod@flags`] — the flag machinery of every command line, the daemon's
+//!   and each `upa-cli` command's: tables, generated usage, the parse
+//!   loop and the exit codes.
 //!
 //! The crate ships one binary, `upa-serverd`, used by the integration
 //! tests (SIGKILL crash-recovery, saturation); `upa-cli serve` is an
@@ -42,6 +44,7 @@
 
 pub mod client;
 pub mod daemon;
+pub mod flags;
 pub mod ledger;
 pub mod obs;
 pub mod proto;

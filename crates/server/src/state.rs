@@ -144,6 +144,12 @@ impl AggKind {
     }
 }
 
+impl std::fmt::Display for AggKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
 impl std::str::FromStr for AggKind {
     type Err = String;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
