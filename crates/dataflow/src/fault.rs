@@ -7,14 +7,15 @@
 //! task attempts, the scheduler retries them, and the engine's tests assert
 //! that results are identical with and without injected faults.
 
-use std::hash::{Hash, Hasher};
+use crate::partitioner::hash_key;
 
 /// Decides, deterministically, whether a given task attempt should fail.
 ///
-/// Decisions are pure functions of `(seed, stage, task, attempt)`, so a
-/// given configuration always injects the same faults — failures are
-/// reproducible, and a retried attempt (higher `attempt` number) gets an
-/// independent decision.
+/// Decisions are pure functions of `(seed, stage, task, attempt)`, hashed
+/// by the engine's own [`hash_key`], whose algorithm this crate defines,
+/// so a given configuration always injects the same faults, whatever the
+/// toolchain — failures are reproducible, and a retried attempt (higher
+/// `attempt` number) gets an independent decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultInjector {
     probability: f64,
@@ -55,12 +56,7 @@ impl FaultInjector {
         if self.probability == 0.0 {
             return false;
         }
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        self.seed.hash(&mut hasher);
-        stage_id.hash(&mut hasher);
-        task.hash(&mut hasher);
-        attempt.hash(&mut hasher);
-        let h = hasher.finish();
+        let h = hash_key(&(self.seed, stage_id, task, attempt));
         // Map to [0, 1) with 53-bit precision.
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
         u < self.probability
@@ -99,6 +95,22 @@ mod tests {
             .count();
         let rate = failures as f64 / trials as f64;
         assert!((rate - 0.3).abs() < 0.01, "rate {rate}");
+    }
+
+    /// The decisions are pinned: a change of hasher, or of what it is
+    /// fed, changes which attempts fail and must show up here.
+    #[test]
+    fn decisions_are_pinned() {
+        let f = FaultInjector::new(0.5, 42);
+        let mut mask = 0u64;
+        for stage in 0..4u64 {
+            for task in 0..16 {
+                if f.should_fail(stage, task, 0) {
+                    mask |= 1 << (stage * 16 + task as u64);
+                }
+            }
+        }
+        assert_eq!(mask, 0xee62_fafd_213c_5db2, "{mask:#018x}");
     }
 
     #[test]
