@@ -143,7 +143,7 @@ fn defaults_round_trip<T: Default + Debug>(table: &Command<T>, program: &str, ba
 /// Every flag of every table parses a sample value into its own field.
 #[test]
 fn every_flag_lands_in_its_field() {
-    let daemon: [Sample<Daemon>; 18] = [
+    let daemon: [Sample<Daemon>; 17] = [
         ("--port", "0", |d| d.port == 0),
         ("--synthetic", "s=10:3", |d| {
             let s = &d.config.datasets[0];
@@ -158,9 +158,6 @@ fn every_flag_lands_in_its_field() {
         ("--budget", "2.5", |d| d.config.budget == Some(2.5)),
         ("--ledger", "l.jsonl", |d| {
             d.config.ledger_path.as_deref() == Some(Path::new("l.jsonl"))
-        }),
-        ("--ledger-commit-us", "500", |d| {
-            d.config.ledger_commit_us == 500
         }),
         ("--cache-capacity", "32", |d| d.config.cache_capacity == 32),
         ("--epsilon", "0.3", |d| d.config.epsilon == 0.3),
@@ -251,7 +248,7 @@ fn every_printed_default_is_the_config_default() {
         )
     );
     let printed = defaults_round_trip(&DAEMON, "upa-cli serve", "--store st");
-    assert_eq!(printed, 10, "every numeric flag prints its default");
+    assert_eq!(printed, 9, "every numeric flag prints its default");
 
     let release = defaults_round_trip(&RELEASE, "upa-cli", "--input in.csv --column x");
     let query = defaults_round_trip(&QUERY, "upa-cli query", "--addr h:1");

@@ -63,9 +63,6 @@ pub const DAEMON: Command<Daemon> = Command {
     "--budget" "EPS" some config.budget:
         "Total privacy budget per dataset, finite and positive (unmetered if absent)";
     "--ledger" "PATH" some config.ledger_path: "Crash-safe budget ledger, replayed on start";
-    "--ledger-commit-us" "US" value config.ledger_commit_us:
-        "Longest the group commit waits, before its fsync, for a spend caught mid-enqueue. \
-         Spends arriving during an fsync share the next one whatever this is, 0 included";
     "--cache-capacity" "N" value config.cache_capacity:
         "Prepared-query LRU capacity; a cached release with no deadline takes no permit; \
          0 for unbounded";
@@ -164,7 +161,7 @@ mod tests {
             "--input a.csv --input b.csv --port 0 --budget 2.0 --ledger l.jsonl \
              --epsilon 0.3 --sample-size 64 --seed 7 --threads 2 \
              --max-connections 8 --max-inflight 2 --queue-capacity 16 \
-             --ledger-commit-us 500 --cache-capacity 32",
+             --cache-capacity 32",
         );
         assert_eq!(d.inputs, [PathBuf::from("a.csv"), PathBuf::from("b.csv")]);
         assert_eq!(d.port, 0);

@@ -64,26 +64,25 @@
 //! # Group commit
 //!
 //! A single release's durability costs one `fsync` (tens of µs to
-//! milliseconds). Under concurrency that cost is shared:
-//! [`GroupCommitLedger`] owns the file on a dedicated committer thread;
-//! concurrent releases enqueue their records and block on a ticket while
-//! the committer drains the queue, writes the whole batch with one
-//! positional write, and fsyncs **once**. Every ticket resolves only after
-//! the shared fsync, so the durability invariant above is unchanged —
-//! the batch is either durable for everyone or an error for everyone.
-//! Batching comes from arrival overlap: whatever was enqueued while the
-//! previous fsync ran goes out in the next batch. The commit window only
-//! bounds how long the committer lingers while a submitter is caught
-//! between announcing itself and pushing its record, so a lone writer,
-//! and a queue with no submitter mid-enqueue, commit at once whatever
-//! the window.
+//! milliseconds). Under concurrency that cost is shared, and the
+//! submitting threads share it among themselves: each
+//! [`GroupCommitLedger::submit`] queues its record under one mutex, and
+//! a submitter that finds no commit in flight leads one. It takes the
+//! whole queue, writes it with one positional write, fsyncs **once**,
+//! hands every record of the batch that result and wakes the waiters. A
+//! submitter whose record is still queued then leads the next batch, so
+//! spends that arrive during an fsync share the one after it. No
+//! `submit` returns before its batch's fsync, so the durability
+//! invariant above is unchanged — the batch is either durable for
+//! everyone or an error for everyone. A lone writer commits its own
+//! record at once, on its own thread.
 
 use crate::obs::{Counter, Histogram};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read};
 use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use upa_json::{parse, put, take, Body, Json};
@@ -162,7 +161,6 @@ static ZEROS: [u8; EXTENT as usize] = [0; EXTENT as usize];
 #[derive(Debug)]
 pub struct Ledger {
     file: File,
-    path: PathBuf,
     /// The byte just past the last durable record: where the next batch
     /// is written.
     end: u64,
@@ -210,7 +208,6 @@ impl Ledger {
         let unterminated = durable_len > 0 && bytes[durable_len - 1] != b'\n';
         let mut ledger = Ledger {
             file,
-            path: path.to_path_buf(),
             end: durable_len as u64,
             allocated: bytes.len() as u64,
             stale: stale as u64,
@@ -242,7 +239,7 @@ impl Ledger {
     ///
     /// `InvalidData` naming the first corrupt line, or the offset of a
     /// record after a hole.
-    pub fn replay_durable(contents: impl AsRef<[u8]>) -> io::Result<(Vec<SpendRecord>, usize)> {
+    fn replay_durable(contents: impl AsRef<[u8]>) -> io::Result<(Vec<SpendRecord>, usize)> {
         let bytes = contents.as_ref();
         let logical_end = bytes.iter().position(|&b| b == 0).unwrap_or(bytes.len());
         let replayed = replay_lines(&bytes[..logical_end])?;
@@ -261,11 +258,6 @@ impl Ledger {
         let mut line = record.to_line().into_bytes();
         line.push(b'\n');
         self.write_durable(line)
-    }
-
-    /// The ledger's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// The one write path: `buf` goes down at the logical end in one
@@ -386,8 +378,8 @@ fn refuse_record_after_hole(bytes: &[u8], hole: usize) -> io::Result<()> {
 /// bit-identical to a serial accountant the spends were charged against
 /// (concurrent charges may differ in the last ulps — commit order and
 /// charge order need not agree).
-pub fn spent_by_dataset(records: &[SpendRecord]) -> std::collections::HashMap<String, f64> {
-    let mut spent: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
+pub fn spent_by_dataset(records: &[SpendRecord]) -> HashMap<String, f64> {
+    let mut spent: HashMap<String, f64> = HashMap::new();
     for rec in records {
         *spent.entry(rec.dataset.clone()).or_insert(0.0) += rec.epsilon;
     }
@@ -396,7 +388,7 @@ pub fn spent_by_dataset(records: &[SpendRecord]) -> std::collections::HashMap<St
 
 // ---- group commit -------------------------------------------------------
 
-/// Observability hooks for the committer (all optional — the ledger
+/// Observability hooks for group commit (all optional — the ledger
 /// works headless in tests and tools).
 #[derive(Debug, Clone)]
 pub struct LedgerObs {
@@ -405,97 +397,61 @@ pub struct LedgerObs {
     pub fsyncs: Arc<Counter>,
     /// Records per committed batch.
     pub batch_size: Arc<Histogram>,
-    /// Time a submitter spent blocked on its ticket (enqueue → durable).
+    /// Time a submitter spent in [`GroupCommitLedger::submit`] (enqueue
+    /// → durable).
     pub commit_wait: Arc<Histogram>,
 }
 
-/// One submitter's rendezvous with the shared fsync.
+/// What the submitters share, all under one mutex. While no commit is
+/// in flight, `lines` holds exactly the records numbered `done..next`.
 #[derive(Debug)]
-struct Ticket {
-    state: Mutex<Option<Result<(), String>>>,
-    done: Condvar,
+struct Queue {
+    /// The ledger, or `None` while a leader has it out to commit a batch.
+    ledger: Option<Ledger>,
+    /// The lines submitted since the last batch was taken, in order.
+    lines: String,
+    /// The number the next submitted record gets.
+    next: u64,
+    /// Every record numbered below this has its batch's result.
+    done: u64,
+    /// The error of each record whose batch failed, until its submitter
+    /// takes it.
+    failed: HashMap<u64, String>,
 }
 
-impl Ticket {
-    fn new() -> Ticket {
-        Ticket {
-            state: Mutex::new(None),
-            done: Condvar::new(),
-        }
-    }
-
-    fn resolve(&self, result: Result<(), String>) {
-        *self.state.lock().expect("ticket poisoned") = Some(result);
-        self.done.notify_all();
-    }
-
-    fn wait(&self) -> Result<(), String> {
-        let mut state = self.state.lock().expect("ticket poisoned");
-        loop {
-            if let Some(result) = state.take() {
-                return result;
-            }
-            state = self.done.wait(state).expect("ticket poisoned");
-        }
-    }
-}
-
+/// The group-committing front of a [`Ledger`]: many threads submit, and
+/// the one that finds no commit in flight writes and fsyncs everything
+/// queued so far for all of them.
 #[derive(Debug)]
-struct Pending {
-    line: String,
-    ticket: Arc<Ticket>,
-}
-
-#[derive(Debug)]
-struct GroupShared {
-    queue: Mutex<Vec<Pending>>,
-    arrived: Condvar,
-    /// Submitters past the entry gate but not yet enqueued — the
-    /// committer's signal that lingering for the commit window will pay.
-    submitters: AtomicUsize,
-    window: Duration,
-    shutdown: AtomicBool,
+pub struct GroupCommitLedger {
+    queue: Mutex<Queue>,
+    committed: Condvar,
     obs: Option<LedgerObs>,
 }
 
-/// The group-committing front of a [`Ledger`]: many threads submit,
-/// one committer thread batches writes and shares fsyncs.
-#[derive(Debug)]
-pub struct GroupCommitLedger {
-    shared: Arc<GroupShared>,
-    committer: Option<std::thread::JoinHandle<()>>,
-    path: PathBuf,
-}
-
 impl GroupCommitLedger {
-    /// Takes ownership of an opened ledger and spawns the committer.
-    /// `window` bounds how long the committer lingers for stragglers
-    /// once it has work; zero means "commit the instant the queue is
-    /// non-empty" (batching then comes only from arrivals during the
-    /// previous fsync).
-    pub fn spawn(ledger: Ledger, window: Duration, obs: Option<LedgerObs>) -> GroupCommitLedger {
-        let path = ledger.path.clone();
-        let shared = Arc::new(GroupShared {
-            queue: Mutex::new(Vec::new()),
-            arrived: Condvar::new(),
-            submitters: AtomicUsize::new(0),
-            window,
-            shutdown: AtomicBool::new(false),
-            obs,
-        });
-        let thread_shared = Arc::clone(&shared);
-        let committer = std::thread::Builder::new()
-            .name("upa-ledger-commit".into())
-            .spawn(move || committer_loop(thread_shared, ledger))
-            .expect("spawn ledger committer");
+    /// Takes ownership of an opened ledger.
+    pub fn new(ledger: Ledger, obs: Option<LedgerObs>) -> GroupCommitLedger {
         GroupCommitLedger {
-            shared,
-            committer: Some(committer),
-            path,
+            queue: Mutex::new(Queue {
+                ledger: Some(ledger),
+                lines: String::new(),
+                next: 0,
+                done: 0,
+                failed: HashMap::new(),
+            }),
+            committed: Condvar::new(),
+            obs,
         }
     }
 
-    /// Submits one spend and blocks until it is durable (or the batch's
+    /// [`GroupCommitLedger::new`] under the signature the benchmark
+    /// harness calls; nothing lingers, so the window is ignored.
+    pub fn spawn(ledger: Ledger, _window: Duration, obs: Option<LedgerObs>) -> GroupCommitLedger {
+        Self::new(ledger, obs)
+    }
+
+    /// Submits one spend and blocks until it is durable (or its batch's
     /// shared fsync failed). On `Ok`, the record — and every record
     /// committed with it — is on disk.
     ///
@@ -505,111 +461,49 @@ impl GroupCommitLedger {
     /// `io::Error` cannot fan out to many waiters).
     pub fn submit(&self, record: &SpendRecord) -> Result<(), String> {
         let start = Instant::now();
-        self.shared.submitters.fetch_add(1, Ordering::SeqCst);
         let mut line = record.to_line();
         line.push('\n');
-        let ticket = Arc::new(Ticket::new());
-        {
-            let mut queue = self.shared.queue.lock().expect("ledger queue poisoned");
-            queue.push(Pending {
-                line,
-                ticket: Arc::clone(&ticket),
-            });
-            self.shared.submitters.fetch_sub(1, Ordering::SeqCst);
-            self.shared.arrived.notify_all();
+        let mut queue = self.queue.lock().expect("ledger queue poisoned");
+        let seq = queue.next;
+        queue.next += 1;
+        queue.lines.push_str(&line);
+        while seq >= queue.done {
+            let Some(mut ledger) = queue.ledger.take() else {
+                queue = self.committed.wait(queue).expect("ledger queue poisoned");
+                continue;
+            };
+            // Lead: take the whole queue, commit it without the lock, so
+            // spends arriving meanwhile queue up for the next batch.
+            let batch = queue.done..queue.next;
+            let lines = std::mem::take(&mut queue.lines);
+            drop(queue);
+            let result = ledger.write_durable(lines.into_bytes());
+            if let Some(obs) = &self.obs {
+                obs.fsyncs.inc();
+                obs.batch_size.record(batch.end - batch.start);
+            }
+            queue = self.queue.lock().expect("ledger queue poisoned");
+            if let Err(e) = result {
+                let e = e.to_string();
+                queue.failed.extend(batch.clone().map(|s| (s, e.clone())));
+            }
+            queue.done = batch.end;
+            queue.ledger = Some(ledger);
+            self.committed.notify_all();
         }
-        let result = ticket.wait();
-        if let Some(obs) = &self.shared.obs {
+        let result = queue.failed.remove(&seq).map_or(Ok(()), Err);
+        drop(queue);
+        if let Some(obs) = &self.obs {
             obs.commit_wait.record_duration(start.elapsed());
         }
         result
     }
-
-    /// The ledger's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl Drop for GroupCommitLedger {
-    fn drop(&mut self) {
-        {
-            // Flip the flag under the queue lock: the committer checks it
-            // and starts waiting without releasing that lock in between,
-            // so the wake-up below cannot fall into that gap and be lost.
-            let _queue = self.shared.queue.lock();
-            self.shared.shutdown.store(true, Ordering::SeqCst);
-        }
-        self.shared.arrived.notify_all();
-        if let Some(committer) = self.committer.take() {
-            let _ = committer.join();
-        }
-        // A submitter that raced the shutdown may have enqueued after the
-        // committer's last drain; fail its ticket rather than strand it.
-        let leftovers = std::mem::take(&mut *self.shared.queue.lock().expect("ledger queue"));
-        for pending in leftovers {
-            pending
-                .ticket
-                .resolve(Err("ledger shut down before commit".into()));
-        }
-    }
-}
-
-fn committer_loop(shared: Arc<GroupShared>, mut ledger: Ledger) {
-    let mut queue = shared.queue.lock().expect("ledger queue poisoned");
-    loop {
-        while queue.is_empty() {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            queue = shared.arrived.wait(queue).expect("ledger queue poisoned");
-        }
-        // Linger for stragglers up to the commit window — but only while
-        // some submitter is demonstrably mid-enqueue. A lone writer pays
-        // zero added latency.
-        if !shared.window.is_zero() {
-            let deadline = Instant::now() + shared.window;
-            while shared.submitters.load(Ordering::SeqCst) > 0 {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _) = shared
-                    .arrived
-                    .wait_timeout(queue, deadline - now)
-                    .expect("ledger queue poisoned");
-                queue = guard;
-            }
-        }
-        let batch = std::mem::take(&mut *queue);
-        drop(queue);
-
-        let result = commit_batch(&mut ledger, &batch).map_err(|e| e.to_string());
-        if let Some(obs) = &shared.obs {
-            obs.fsyncs.inc();
-            obs.batch_size.record(batch.len() as u64);
-        }
-        for pending in batch {
-            pending.ticket.resolve(result.clone());
-        }
-        queue = shared.queue.lock().expect("ledger queue poisoned");
-    }
-}
-
-/// One positional write of the whole batch, one `sync_data` — the
-/// shared fsync every ticket in the batch waits on.
-fn commit_batch(ledger: &mut Ledger, batch: &[Pending]) -> io::Result<()> {
-    let total: usize = batch.iter().map(|p| p.line.len()).sum();
-    let mut buf = Vec::with_capacity(total);
-    for pending in batch {
-        buf.extend_from_slice(pending.line.as_bytes());
-    }
-    ledger.write_durable(buf)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("upa_ledger_tests");
@@ -864,11 +758,7 @@ mod tests {
             batch_size: registry.histogram("batch"),
             commit_wait: registry.histogram("wait"),
         };
-        let group = Arc::new(GroupCommitLedger::spawn(
-            ledger,
-            Duration::from_micros(200),
-            Some(obs.clone()),
-        ));
+        let group = Arc::new(GroupCommitLedger::new(ledger, Some(obs.clone())));
         const THREADS: usize = 8;
         const PER_THREAD: usize = 5;
         let barrier = Arc::new(std::sync::Barrier::new(THREADS));
@@ -900,7 +790,7 @@ mod tests {
         );
         assert_eq!(obs.commit_wait.count(), submitted as u64);
         drop(group);
-        // Every ticket resolved Ok, so every record is durable — and the
+        // Every submit returned Ok, so every record is durable — and the
         // checksummed lines replay cleanly.
         let (_, replayed) = Ledger::open(&path).unwrap();
         assert_eq!(replayed.len(), submitted);
@@ -910,29 +800,57 @@ mod tests {
     }
 
     #[test]
-    fn lone_writer_commits_without_waiting_out_the_window() {
-        let path = temp_path("lone");
+    fn a_failed_batch_fails_every_submitter_in_it() {
+        let path = temp_path("group_failed");
         let _ = std::fs::remove_file(&path);
         let (ledger, _) = Ledger::open(&path).unwrap();
-        // A long window must not delay a lone writer: the committer only
-        // lingers while another submitter is mid-enqueue.
-        let group = GroupCommitLedger::spawn(ledger, Duration::from_secs(5), None);
-        let start = Instant::now();
-        group
-            .submit(&SpendRecord {
-                dataset: "d".into(),
-                query_id: "q".into(),
-                epsilon: 0.1,
+        let group = Arc::new(GroupCommitLedger::new(ledger, None));
+        // Taking the ledger out is what a leader does: to the submitters
+        // below a commit is in flight, so they queue and park. A
+        // read-only handle makes their batch's write fail for real.
+        let mut ledger = group.queue.lock().unwrap().ledger.take().unwrap();
+        let writable = std::mem::replace(&mut ledger.file, File::open(&path).unwrap());
+        const SUBMITTERS: usize = 4;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|t| {
+                let (group, tx) = (Arc::clone(&group), tx.clone());
+                std::thread::spawn(move || {
+                    tx.send(group.submit(&spend(&format!("refused-{t}"), 0.3)))
+                        .unwrap();
+                })
             })
-            .unwrap();
-        assert!(
-            start.elapsed() < Duration::from_secs(2),
-            "lone writer waited out the window: {:?}",
-            start.elapsed()
-        );
-        drop(group);
+            .collect();
+        while group.queue.lock().unwrap().next < SUBMITTERS as u64 {
+            std::thread::yield_now();
+        }
+        // The commit "ends": one parked submitter leads a batch of all
+        // four records, and every one of them must hear of its failure.
+        group.queue.lock().unwrap().ledger = Some(ledger);
+        group.committed.notify_all();
+        for _ in 0..SUBMITTERS {
+            let result = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a submitter of a failed batch stayed parked");
+            assert!(result.is_err(), "a failed batch reported success");
+        }
+        for submitter in submitters {
+            submitter.join().unwrap();
+        }
+
+        // The bytes a batch that failed only at its sync would have left.
+        let failed = line("refused-0", 0.3) + "\n";
+        writable.write_all_at(failed.as_bytes(), 0).unwrap();
+        let mut queue = group.queue.lock().unwrap();
+        queue.ledger.as_mut().unwrap().file = writable;
+        drop(queue);
+        group.submit(&spend("q", 0.1)).unwrap();
         let (_, replayed) = Ledger::open(&path).unwrap();
-        assert_eq!(replayed.len(), 1);
+        assert_eq!(replayed, [spend("q", 0.1)]);
+        let bytes = std::fs::read(&path).unwrap();
+        let durable = line("q", 0.1) + "\n";
+        assert_eq!(&bytes[..durable.len()], durable.as_bytes());
+        assert!(bytes[durable.len()..].iter().all(|&b| b == 0));
         let _ = std::fs::remove_file(&path);
     }
 }

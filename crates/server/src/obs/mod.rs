@@ -47,7 +47,7 @@ pub struct ServerMetrics {
     pub noise_draw: Arc<Histogram>,
     /// Ledger append + fsync duration.
     pub ledger_fsync: Arc<Histogram>,
-    /// Actual `fsync` syscalls issued by the group committer — grows
+    /// Actual `fsync` syscalls issued by group commit — grows
     /// strictly slower than the release count whenever batching happens.
     pub ledger_fsyncs: Arc<Counter>,
     /// Spend records per committed ledger batch.

@@ -38,7 +38,7 @@ use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use upa_core::budget::BudgetAccountant;
 use upa_core::domain::ColumnarEmpiricalSampler;
 use upa_core::query::{Lanes, MapReduceQuery, FOLD_LANES};
@@ -333,12 +333,6 @@ pub struct ServerConfig {
     /// How many requests may wait for one dataset's permits; one more is
     /// refused with `busy`.
     pub queue_capacity: usize,
-    /// Group-commit window in microseconds: the longest the ledger's
-    /// committer lingers before the shared fsync, and it lingers only
-    /// while a submitter is between announcing itself and enqueueing its
-    /// record. Batching comes from arrivals during the previous fsync
-    /// either way, so `0` still batches.
-    pub ledger_commit_us: u64,
     /// Prepared-query cache capacity; the least-recently-used entry is
     /// evicted on overflow. `0` means unbounded. A cached release with
     /// no deadline is served without a permit.
@@ -374,7 +368,6 @@ impl Default for ServerConfig {
             max_connections: 64,
             max_inflight_prepares: 4,
             queue_capacity: 64,
-            ledger_commit_us: 200,
             cache_capacity: 256,
             slow_query_ms: None,
             log_stderr: false,
@@ -877,9 +870,8 @@ impl ServerState {
         let (ledger, replayed) = match &config.ledger_path {
             Some(path) => {
                 let (ledger, records) = Ledger::open(path)?;
-                let group = GroupCommitLedger::spawn(
+                let group = GroupCommitLedger::new(
                     ledger,
-                    Duration::from_micros(config.ledger_commit_us),
                     Some(LedgerObs {
                         fsyncs: Arc::clone(&obs.m.ledger_fsyncs),
                         batch_size: Arc::clone(&obs.m.ledger_batch_size),
@@ -1722,6 +1714,7 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
     use std::thread::JoinHandle;
+    use std::time::Duration;
 
     fn state_with(budget: Option<f64>, ledger: Option<PathBuf>) -> Arc<ServerState> {
         Arc::new(

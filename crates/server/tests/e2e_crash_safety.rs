@@ -137,12 +137,10 @@ fn budget_survives_sigkill_and_restart() {
 
 /// `SIGKILL` aimed into group commit: with several clients hammering
 /// cached releases, a batch is nearly always being written or fsynced
-/// when the kill lands. (A wide `--ledger-commit-us` does not hold a
-/// batch open: the committer lingers only while a submitter is caught
-/// mid-enqueue.) The fail-closed
-/// invariant under test: every release a client *received* has a durable
-/// spend after replay. (Spends that were made durable but whose replies
-/// never left the socket are allowed — budget leaks toward safety.)
+/// when the kill lands. The fail-closed invariant under test: every
+/// release a client *received* has a durable spend after replay. (Spends
+/// that were made durable but whose replies never left the socket are
+/// allowed — budget leaks toward safety.)
 #[test]
 fn sigkill_mid_batch_never_loses_a_delivered_release() {
     const WORKERS: usize = 4;
@@ -151,20 +149,7 @@ fn sigkill_mid_batch_never_loses_a_delivered_release() {
     // the flood below, and an exhausted budget would end it early.
     const BUDGET: &str = "10000.0";
     let ledger = temp_ledger("sigkill_batch");
-    let (mut child, addr) = spawn_daemon_with(
-        &ledger,
-        &[
-            "--budget",
-            BUDGET,
-            "--epsilon",
-            "0.01",
-            // The committer may linger up to 3 ms for a submitter caught
-            // mid-enqueue; the flood, not the window, keeps batches in
-            // flight.
-            "--ledger-commit-us",
-            "3000",
-        ],
-    );
+    let (mut child, addr) = spawn_daemon_with(&ledger, &["--budget", BUDGET, "--epsilon", "0.01"]);
 
     // Warm the prepared cache so the flood below rides the fast path
     // (connection-thread releases, group-committed spends).
@@ -215,17 +200,8 @@ fn sigkill_mid_batch_never_loses_a_delivered_release() {
 
     // Restart on the same ledger (replay tolerates — zeroes — a torn
     // tail from the kill). Every delivered release must be accounted.
-    let (mut child2, addr2) = spawn_daemon_with(
-        &ledger,
-        &[
-            "--budget",
-            BUDGET,
-            "--epsilon",
-            "0.01",
-            "--ledger-commit-us",
-            "3000",
-        ],
-    );
+    let (mut child2, addr2) =
+        spawn_daemon_with(&ledger, &["--budget", BUDGET, "--epsilon", "0.01"]);
     let mut client = Client::builder().connect(&addr2).expect("reconnect");
     let budget = client.budget("data").expect("budget op").expect("metered");
     let floor = delivered as f64 * EPSILON;

@@ -32,7 +32,6 @@ fn contended_fastpath_batches_fsyncs_and_skips_the_scheduler() {
             datasets: vec![DatasetSpec::synthetic("data", 3_000, 13)],
             budget: Some(50.0),
             ledger_path: Some(ledger.clone()),
-            ledger_commit_us: 500,
             epsilon: EPSILON,
             sample_size: 40,
             threads: 2,

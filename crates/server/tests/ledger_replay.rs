@@ -5,7 +5,6 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 use upa_core::budget::BudgetAccountant;
 use upa_server::{GroupCommitLedger, Ledger, SpendRecord};
 
@@ -62,7 +61,6 @@ proptest! {
     #[test]
     fn concurrent_group_commit_replays_like_serial(
         charges in prop::collection::vec(0.001f64..0.2, 1..24),
-        window_us in 0u64..800,
         case in 0u64..u64::MAX,
     ) {
         // Serial baseline: one accountant charged in order. The total is
@@ -78,11 +76,7 @@ proptest! {
         let _ = std::fs::remove_file(&path);
         let (ledger, initial) = Ledger::open(&path).unwrap();
         prop_assert!(initial.is_empty());
-        let group = Arc::new(GroupCommitLedger::spawn(
-            ledger,
-            Duration::from_micros(window_us),
-            None,
-        ));
+        let group = Arc::new(GroupCommitLedger::new(ledger, None));
         let mut threads = Vec::new();
         for (i, eps) in charges.iter().enumerate() {
             let group = Arc::clone(&group);
