@@ -8,7 +8,6 @@ use upa_bench::report::{sci, Table};
 use upa_repro::suite::{build_queries, EvalData, EvalScale};
 use upa_repro::upa_core::{Upa, UpaConfig};
 use upa_repro::upa_flex::SmoothMechanism;
-use upa_repro::upa_tpch::queries as tq;
 
 fn main() {
     let cfg = upa_bench::ExpConfig::from_env();
@@ -33,14 +32,6 @@ fn main() {
     println!(" 10× the vanilla output, which a cautious analyst without data access");
     println!(" would have to pick)\n");
 
-    let flex_plans = [
-        ("TPCH1", tq::Q1::flex_plan()),
-        ("TPCH4", tq::Q4::flex_plan()),
-        ("TPCH13", tq::Q13::flex_plan()),
-        ("TPCH16", tq::Q16::flex_plan()),
-        ("TPCH21", tq::Q21::flex_plan()),
-    ];
-
     let mut t = Table::new(&[
         "Query",
         "ground truth LS",
@@ -49,7 +40,10 @@ fn main() {
         "smooth noise scale",
         "manual-range noise scale",
     ]);
-    for q in queries.iter().filter(|q| q.flex_supported()) {
+    for q in &queries {
+        let Ok(flex) = q.flex_sensitivity(&data) else {
+            continue;
+        };
         let gt = q.ground_truth(&data, 500, cfg.seed ^ 0xAB);
         let mut upa = Upa::new(
             ctx.clone(),
@@ -62,15 +56,9 @@ fn main() {
         );
         let result = q.run_upa(&mut upa, &data).expect("query runs");
         let upa_scale = result.max_sensitivity() / epsilon;
-        let plan = &flex_plans
-            .iter()
-            .find(|(n, _)| *n == q.name())
-            .expect("count query has a plan")
-            .1;
-        let flex_scale =
-            upa_repro::upa_flex::analyze(plan, &data.metadata).expect("count query") / epsilon;
+        let flex_scale = flex / epsilon;
         let smooth_scale = smooth_mech
-            .noise_scale(plan, &data.metadata)
+            .noise_scale(q.flex_plan(), &data.metadata)
             .expect("count query");
         // A cautious analyst's manual global range: [0, 10 × f(x)].
         let manual_scale = 10.0 * q.run_plain(&data)[0] / epsilon;

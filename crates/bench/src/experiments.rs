@@ -138,7 +138,10 @@ pub fn table2(cfg: &ExpConfig) {
         "Support by UPA",
         "Support by FLEX",
     ]);
+    let mut flex_count = 0;
     for q in &queries {
+        let flex_supports = q.flex_sensitivity(&data).is_ok();
+        flex_count += usize::from(flex_supports);
         let rows = match q.protected() {
             "lineitem" => data.tables.lineitem.len(),
             "orders" => data.tables.orders.len(),
@@ -152,11 +155,10 @@ pub fn table2(cfg: &ExpConfig) {
             rows.to_string(),
             q.kind().into(),
             "yes".into(),
-            if q.flex_supported() { "yes" } else { "NO" }.into(),
+            if flex_supports { "yes" } else { "NO" }.into(),
         ]);
     }
     t.print();
-    let flex_count = queries.iter().filter(|q| q.flex_supported()).count();
     println!(
         "\nUPA supports {}/9 queries; FLEX supports {}/9 (paper: 9/9 vs 5/9).",
         queries.len(),

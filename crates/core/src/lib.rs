@@ -61,7 +61,7 @@ pub mod pipeline;
 pub mod query;
 
 pub use audit::QueryAudit;
-pub use config::{UpaConfig, UpaConfigBuilder};
+pub use config::UpaConfig;
 pub use error::UpaError;
 pub use output::DpOutput;
 pub use pipeline::{PreparedQuery, Upa, UpaResult, AUDIT_RING};

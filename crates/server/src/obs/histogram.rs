@@ -1,6 +1,6 @@
 //! A log-linear (HDR-style) latency histogram: lock-free recording into
-//! a fixed array of atomic buckets, mergeable snapshots, bounded
-//! quantile error.
+//! a fixed array of atomic buckets, sparse snapshots, bounded quantile
+//! error.
 //!
 //! # Bucket layout
 //!
@@ -96,7 +96,7 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// A mergeable point-in-time copy.
+    /// A point-in-time copy.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = Vec::new();
         let mut count = 0u64;
@@ -126,9 +126,7 @@ impl std::fmt::Debug for Histogram {
 }
 
 /// A frozen histogram: sparse `(bucket, count)` pairs sorted by bucket
-/// index, plus the value sum. Merging is bucket-wise addition, so it is
-/// associative and commutative — snapshots from many sources combine in
-/// any order.
+/// index, plus the value sum.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total recorded values.
@@ -140,46 +138,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Bucket-wise sum of `self` and `other`.
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut a, mut b) = (
-            self.buckets.iter().peekable(),
-            other.buckets.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&(ia, ca)), Some(&&(ib, cb))) => {
-                    if ia < ib {
-                        buckets.push((ia, ca));
-                        a.next();
-                    } else if ib < ia {
-                        buckets.push((ib, cb));
-                        b.next();
-                    } else {
-                        buckets.push((ia, ca + cb));
-                        a.next();
-                        b.next();
-                    }
-                }
-                (Some(&&x), None) => {
-                    buckets.push(x);
-                    a.next();
-                }
-                (None, Some(&&x)) => {
-                    buckets.push(x);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        HistogramSnapshot {
-            count: self.count + other.count,
-            sum: self.sum + other.sum,
-            buckets,
-        }
-    }
-
     /// The `q`-quantile (`0.0..=1.0`) as the upper bound of the bucket
     /// holding the rank-`ceil(q·count)` value — within one bucket width
     /// of the exact sorted quantile. Returns 0 for an empty histogram.
@@ -228,9 +186,8 @@ impl Body for HistogramSnapshot {
         put(out, "buckets", &self.buckets);
     }
 
-    /// Refuses what no [`Histogram`] writes and what [`bucket_bounds`],
-    /// [`HistogramSnapshot::merge`] and [`HistogramSnapshot::quantile`]
-    /// assume away: an index outside `0..BUCKETS`, indices not strictly
+    /// Refuses what no [`Histogram`] writes and what [`bucket_bounds`]
+    /// and [`HistogramSnapshot::quantile`] assume away: an index outside `0..BUCKETS`, indices not strictly
     /// ascending, and a `count` other than the bucket total.
     fn take_fields(v: &Json) -> Result<Self, String> {
         let snapshot = HistogramSnapshot {
@@ -307,27 +264,6 @@ mod tests {
                 "q={q}: est {est} vs exact {exact}"
             );
         }
-    }
-
-    #[test]
-    fn merge_adds_bucket_wise() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in [1u64, 100, 100, 5_000] {
-            a.record(v);
-        }
-        for v in [1u64, 70_000] {
-            b.record(v);
-        }
-        let merged = a.snapshot().merge(&b.snapshot());
-        assert_eq!(merged.count, 6);
-        assert_eq!(merged.sum, 1 + 100 + 100 + 5_000 + 1 + 70_000);
-        let both = merged
-            .buckets
-            .iter()
-            .find(|&&(i, _)| i == bucket_index(1) as u32)
-            .unwrap();
-        assert_eq!(both.1, 2, "the shared bucket sums");
     }
 
     #[test]

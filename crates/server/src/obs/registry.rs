@@ -1,5 +1,5 @@
 //! The metrics registry: named counters, gauges and histograms, with
-//! lock-free hot-path recording and a mergeable, serializable snapshot.
+//! lock-free hot-path recording and a serializable snapshot.
 //!
 //! Registration (cold path) takes the registry mutex once and hands back
 //! an `Arc` handle; recording through the handle is plain atomics. Names
@@ -164,26 +164,6 @@ pub struct RegistrySnapshot {
 }
 
 impl RegistrySnapshot {
-    /// Merges `other` in: counters and histograms add, gauges take
-    /// `other`'s value (last writer wins).
-    pub fn merge(&self, other: &RegistrySnapshot) -> RegistrySnapshot {
-        let mut out = self.clone();
-        for (k, v) in &other.counters {
-            *out.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            out.gauges.insert(k.clone(), *v);
-        }
-        for (k, v) in &other.histograms {
-            let merged = match out.histograms.get(k) {
-                Some(mine) => mine.merge(v),
-                None => v.clone(),
-            };
-            out.histograms.insert(k.clone(), merged);
-        }
-        out
-    }
-
     /// Prometheus-style text exposition. Counters and gauges print one
     /// sample each; histograms print as summaries (p50/p90/p99
     /// `quantile` samples plus `_sum`/`_count`) rather than ~1000
@@ -285,20 +265,5 @@ mod tests {
         let snap = r.snapshot();
         let parsed = wire::parse(&snap.to_json()).expect("valid JSON");
         assert_eq!(RegistrySnapshot::take_fields(&parsed), Ok(snap));
-    }
-
-    #[test]
-    fn merge_adds_counters_and_histograms() {
-        let a = Registry::new();
-        a.counter("c").add(1);
-        a.histogram("h").record(5);
-        let b = Registry::new();
-        b.counter("c").add(2);
-        b.histogram("h").record(5);
-        b.gauge("g").set(3.0);
-        let merged = a.snapshot().merge(&b.snapshot());
-        assert_eq!(merged.counters["c"], 3);
-        assert_eq!(merged.histograms["h"].count, 2);
-        assert_eq!(merged.gauges["g"], 3.0);
     }
 }

@@ -391,8 +391,9 @@ impl ServerConfig {
     }
 
     /// Refuses a budget that is not finite and positive, an ε or sample
-    /// size the engine would refuse at every prepare, and a dataset
-    /// column whose length is not its row count.
+    /// size the engine would refuse at every prepare, a zero connection
+    /// cap, permit count or queue capacity, and a dataset column whose
+    /// length is not its row count.
     fn validate(&self) -> std::io::Result<()> {
         let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
         if let Some(budget) = self.budget.filter(|b| !(b.is_finite() && *b > 0.0)) {
@@ -403,6 +404,15 @@ impl ServerConfig {
         self.upa_config(self.seed)
             .validate()
             .map_err(|e| invalid(e.to_string()))?;
+        for (field, value) in [
+            ("max_connections", self.max_connections),
+            ("max_inflight_prepares", self.max_inflight_prepares),
+            ("queue_capacity", self.queue_capacity),
+        ] {
+            if value == 0 {
+                return Err(invalid(format!("{field} must be at least 1")));
+            }
+        }
         for spec in &self.datasets {
             if let Some((column, values)) = spec.columns.iter().find(|(_, v)| v.len() != spec.rows)
             {
@@ -1499,10 +1509,10 @@ impl ServerState {
         ds: &'a DatasetState,
         ctx: &RequestCtx<'_>,
     ) -> Result<Ticket<'a>, ServeError> {
-        let limit = self.config.max_inflight_prepares.max(1);
+        let limit = self.config.max_inflight_prepares;
         let arrived = Instant::now();
         let mut count = ds.permits.count.lock().expect("permits poisoned");
-        if count.held >= limit && count.waiting >= self.config.queue_capacity.max(1) {
+        if count.held >= limit && count.waiting >= self.config.queue_capacity {
             self.counters().busy_rejected += 1;
             return Err(ServeError::Busy);
         }
@@ -2579,7 +2589,7 @@ mod tests {
     #[test]
     fn startup_refuses_each_bad_budget_epsilon_and_sample_size() {
         type Row = (&'static str, fn(&mut ServerConfig));
-        let rows: [Row; 8] = [
+        let rows: [Row; 11] = [
             ("budget", |c| c.budget = Some(f64::NAN)),
             ("budget", |c| c.budget = Some(f64::INFINITY)),
             ("budget", |c| c.budget = Some(0.0)),
@@ -2588,6 +2598,9 @@ mod tests {
             ("epsilon", |c| c.epsilon = -0.5),
             ("epsilon", |c| c.epsilon = f64::NAN),
             ("sample_size", |c| c.sample_size = 0),
+            ("max_connections", |c| c.max_connections = 0),
+            ("max_inflight", |c| c.max_inflight_prepares = 0),
+            ("queue_capacity", |c| c.queue_capacity = 0),
         ];
         for (field, set) in rows {
             let mut config = ServerConfig::default();

@@ -12,9 +12,11 @@
 //!   paper's Figure 3;
 //! * [`meta`] — per-column max-frequency metadata for the FLEX baseline;
 //! * [`queries`] — the seven queries (Q1, Q4, Q6, Q11, Q13, Q16, Q21),
-//!   each in three forms: a plain dataflow job (the vanilla-Spark
-//!   baseline), a commutative/associative Map/Reduce decomposition for
-//!   UPA, and a relational plan for FLEX.
+//!   each as a plain dataflow job (the vanilla-Spark baseline) and a
+//!   commutative/associative Map/Reduce decomposition for UPA;
+//! * [`sql`] — the same seven queries as SQL text, their one relational
+//!   definition: parsed, it is the plan the relational engine executes
+//!   and FLEX analyses.
 //!
 //! The queries keep TPC-H's operator structure (which filters feed which
 //! joins) while simplifying predicates to the generated columns; DESIGN.md

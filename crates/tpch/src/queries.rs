@@ -1,6 +1,6 @@
 //! The seven TPC-H queries of the UPA evaluation (Table II).
 //!
-//! Every query comes in the three forms the experiments need:
+//! Every query comes in the two dataflow forms the experiments need:
 //!
 //! * **plain** — the vanilla dataflow job (the "vanilla Spark" baseline of
 //!   Figure 2(b)). Join-shaped queries (Q4, Q13) use the engine's
@@ -9,9 +9,10 @@
 //! * **Map/Reduce decomposition** — a [`MapReduceQuery`] over the
 //!   *protected table's* records (the iDP unit), with other tables folded
 //!   in through broadcast lookup maps. UPA and the brute-force ground
-//!   truth both consume this form;
-//! * **FLEX plan** — the relational plan (operator composition only) that
-//!   the static baseline analyses.
+//!   truth both consume this form.
+//!
+//! The third form, the SQL text that FLEX's plan derives from, is in
+//! [`crate::sql`].
 //!
 //! Predicates are simplified to the generated columns but keep each
 //! query's *operator structure* — how many joins and filters, and which
@@ -22,7 +23,7 @@
 //! | Q1    | lineitem        | plain COUNT, no filter/join (FLEX exact)  |
 //! | Q4    | orders          | 1 join + 2 filters, COUNT                 |
 //! | Q6    | lineitem        | 3 filters, SUM (arithmetic — FLEX: no)    |
-//! | Q11   | partsupp        | 2 joins + 1 filter, SUM (FLEX: no)        |
+//! | Q11   | partsupp        | 1 join + 1 filter, SUM (FLEX: no)         |
 //! | Q13   | orders          | 1 join + 1 filter, COUNT                  |
 //! | Q16   | partsupp        | 2 joins + 3 filters, COUNT                |
 //! | Q21   | supplier        | 3 joins + 3 filters, COUNT (skew outliers)|
@@ -33,8 +34,6 @@ use dataflow::PairOps;
 use std::collections::HashMap;
 use std::sync::Arc;
 use upa_core::query::MapReduceQuery;
-use upa_flex::plan::AggregateKind;
-use upa_flex::Plan;
 
 /// The keyed join inputs of Q4/Q13: `(orders by orderkey, lineitem by
 /// orderkey)`.
@@ -119,11 +118,6 @@ impl Q1 {
     pub fn plain(&self, data: &TpchDatasets) -> f64 {
         data.lineitem.count() as f64
     }
-
-    /// The relational plan FLEX analyses.
-    pub fn flex_plan() -> Plan {
-        Plan::count(Plan::table("lineitem"))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -185,19 +179,6 @@ impl Q4 {
             .filter(|(_, (o, l))| q4_qualifies(o, l))
             .count() as f64
     }
-
-    /// The relational plan FLEX analyses.
-    pub fn flex_plan() -> Plan {
-        Plan::count(Plan::filter(
-            Plan::join(
-                Plan::table("orders"),
-                Plan::table("lineitem"),
-                ("orders", "orderkey"),
-                ("lineitem", "orderkey"),
-            ),
-            "o_orderdate in window AND l_commitdate < l_receiptdate",
-        ))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -248,22 +229,11 @@ impl Q6 {
             .reduce(|a, b| a + b)
             .unwrap_or(0.0)
     }
-
-    /// The relational plan (FLEX rejects the SUM aggregate).
-    pub fn flex_plan() -> Plan {
-        Plan::aggregate(
-            AggregateKind::Sum,
-            Plan::filter(
-                Plan::table("lineitem"),
-                "shipdate window, discount, quantity",
-            ),
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------
 // TPCH11 — SUM(supplycost · availqty) for partsupp of suppliers in one
-// nation: partsupp ⋈ supplier ⋈ nation + filter; arithmetic (FLEX: no).
+// nation group: partsupp ⋈ supplier + filter; arithmetic (FLEX: no).
 // Protected: partsupp.
 // ---------------------------------------------------------------------------
 
@@ -306,27 +276,6 @@ impl Q11 {
             .map(move |ps| m(ps))
             .reduce(|a, b| a + b)
             .unwrap_or(0.0)
-    }
-
-    /// The relational plan (FLEX rejects the SUM aggregate).
-    pub fn flex_plan() -> Plan {
-        Plan::aggregate(
-            AggregateKind::Sum,
-            Plan::filter(
-                Plan::join(
-                    Plan::join(
-                        Plan::table("partsupp"),
-                        Plan::table("supplier"),
-                        ("partsupp", "suppkey"),
-                        ("supplier", "suppkey"),
-                    ),
-                    Plan::table("nation"),
-                    ("supplier", "nationkey"),
-                    ("nation", "nationkey"),
-                ),
-                "n_nationkey in nation group",
-            ),
-        )
     }
 }
 
@@ -377,19 +326,6 @@ impl Q13 {
             .join(&lineitem)
             .filter(|(_, (o, l))| q13_qualifies(o, l))
             .count() as f64
-    }
-
-    /// The relational plan FLEX analyses.
-    pub fn flex_plan() -> Plan {
-        Plan::count(Plan::filter(
-            Plan::join(
-                Plan::table("orders"),
-                Plan::table("lineitem"),
-                ("orders", "orderkey"),
-                ("lineitem", "orderkey"),
-            ),
-            "o_orderpriority >= 2",
-        ))
     }
 }
 
@@ -445,25 +381,6 @@ impl Q16 {
             .map(move |ps| m(ps))
             .reduce(|a, b| a + b)
             .unwrap_or(0.0)
-    }
-
-    /// The relational plan FLEX analyses: two joins whose max frequencies
-    /// multiply.
-    pub fn flex_plan() -> Plan {
-        Plan::count(Plan::filter(
-            Plan::join(
-                Plan::join(
-                    Plan::table("partsupp"),
-                    Plan::table("part"),
-                    ("partsupp", "partkey"),
-                    ("part", "partkey"),
-                ),
-                Plan::table("supplier"),
-                ("partsupp", "suppkey"),
-                ("supplier", "suppkey"),
-            ),
-            "brand/type/size list AND no complaint",
-        ))
     }
 }
 
@@ -527,30 +444,6 @@ impl Q21 {
             .map(move |s| m(s))
             .reduce(|a, b| a + b)
             .unwrap_or(0.0)
-    }
-
-    /// The relational plan FLEX analyses: three chained joins, whose max
-    /// frequencies multiply into a huge over-estimate.
-    pub fn flex_plan() -> Plan {
-        Plan::count(Plan::filter(
-            Plan::join(
-                Plan::join(
-                    Plan::join(
-                        Plan::table("supplier"),
-                        Plan::table("lineitem"),
-                        ("supplier", "suppkey"),
-                        ("lineitem", "suppkey"),
-                    ),
-                    Plan::table("orders"),
-                    ("lineitem", "orderkey"),
-                    ("orders", "orderkey"),
-                ),
-                Plan::table("nation"),
-                ("supplier", "nationkey"),
-                ("nation", "nationkey"),
-            ),
-            "receipt > commit AND status = F AND nation",
-        ))
     }
 }
 
@@ -670,36 +563,52 @@ mod tests {
         );
     }
 
+    /// FLEX's plan of query `name`, derived from its SQL text.
+    fn flex(name: &str) -> upa_flex::Plan {
+        crate::sql::plan(name).to_flex()
+    }
+
     #[test]
     fn flex_plans_have_expected_shapes() {
-        assert_eq!(Q1::flex_plan().join_count(), 0);
-        assert_eq!(Q4::flex_plan().join_count(), 1);
-        assert_eq!(Q13::flex_plan().join_count(), 1);
-        assert_eq!(Q16::flex_plan().join_count(), 2);
-        assert_eq!(Q21::flex_plan().join_count(), 3);
-        assert_eq!(Q21::flex_plan().filter_count(), 1);
+        for (name, joins) in [
+            ("Q1", 0),
+            ("Q4", 1),
+            ("Q6", 0),
+            ("Q11", 1),
+            ("Q13", 1),
+            ("Q16", 2),
+            ("Q21", 3),
+        ] {
+            assert_eq!(flex(name).join_count(), joins, "{name}");
+        }
+        assert_eq!(flex("Q21").filter_count(), 1);
     }
 
     #[test]
     fn flex_supports_exactly_the_count_queries() {
         let (tables, _data, _ctx) = setup();
         let meta = crate::meta::build_metadata(&tables);
-        assert!(upa_flex::analyze(&Q1::flex_plan(), &meta).is_ok());
-        assert!(upa_flex::analyze(&Q4::flex_plan(), &meta).is_ok());
-        assert!(upa_flex::analyze(&Q13::flex_plan(), &meta).is_ok());
-        assert!(upa_flex::analyze(&Q16::flex_plan(), &meta).is_ok());
-        assert!(upa_flex::analyze(&Q21::flex_plan(), &meta).is_ok());
-        assert!(upa_flex::analyze(&Q6::flex_plan(), &meta).is_err());
-        assert!(upa_flex::analyze(&Q11::flex_plan(), &meta).is_err());
+        for (name, supported) in [
+            ("Q1", true),
+            ("Q4", true),
+            ("Q6", false),
+            ("Q11", false),
+            ("Q13", true),
+            ("Q16", true),
+            ("Q21", true),
+        ] {
+            let bound = upa_flex::analyze(&flex(name), &meta);
+            assert_eq!(bound.is_ok(), supported, "{name}: {bound:?}");
+        }
     }
 
     #[test]
     fn flex_overestimates_join_queries() {
         let (tables, _data, _ctx) = setup();
         let meta = crate::meta::build_metadata(&tables);
-        let q1 = upa_flex::analyze(&Q1::flex_plan(), &meta).unwrap();
-        let q4 = upa_flex::analyze(&Q4::flex_plan(), &meta).unwrap();
-        let q21 = upa_flex::analyze(&Q21::flex_plan(), &meta).unwrap();
+        let q1 = upa_flex::analyze(&flex("Q1"), &meta).unwrap();
+        let q4 = upa_flex::analyze(&flex("Q4"), &meta).unwrap();
+        let q21 = upa_flex::analyze(&flex("Q21"), &meta).unwrap();
         assert_eq!(q1, 1.0, "FLEX is exact on the plain count");
         assert!(q4 > 1.0);
         assert!(

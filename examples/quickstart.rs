@@ -27,10 +27,10 @@ fn main() {
     // attached at `dpread`, like the paper's Table I signature.
     let domain = EmpiricalSampler::new(ages);
 
-    let config = UpaConfig::builder()
-        .epsilon(0.1) // the paper's evaluation budget
-        .build()
-        .expect("valid config");
+    let config = UpaConfig {
+        epsilon: 0.1, // the paper's evaluation budget
+        ..UpaConfig::default()
+    };
     let mut session = DpSession::new(ctx.clone(), config);
 
     let result = session

@@ -7,8 +7,8 @@
 //! cargo run --release --example sql_query
 //! ```
 //!
-//! The analyst's TPCH4-style counting query is written once as a
-//! relational plan. The example (1) executes the plan on the relational
+//! The analyst's TPCH4-style counting query is written once as SQL text.
+//! The example (1) parses it and executes the plan on the relational
 //! engine, (2) derives the FLEX plan from it and compares the static
 //! sensitivity bound against brute-force ground truth, and (3) runs the
 //! equivalent Map/Reduce decomposition through UPA's full iDP pipeline —
@@ -22,7 +22,7 @@ use upa_repro::upa_core::{Upa, UpaConfig};
 use upa_repro::upa_flex::{analyze, SmoothMechanism};
 use upa_repro::upa_tpch::meta::build_metadata;
 use upa_repro::upa_tpch::queries::Q4;
-use upa_repro::upa_tpch::sql::{catalog, q4_plan};
+use upa_repro::upa_tpch::sql::{self, catalog};
 use upa_repro::upa_tpch::{Tables, TpchConfig};
 
 fn main() {
@@ -32,10 +32,9 @@ fn main() {
     });
     let ctx = Context::default();
 
-    // (1) Execute the SQL plan.
-    let sql = catalog(&ctx, &tables, 8);
-    let plan = q4_plan();
-    let exact = sql
+    // (1) Parse the SQL text and execute the plan.
+    let plan = sql::plan("Q4");
+    let exact = catalog(&ctx, &tables, 8)
         .execute(&plan)
         .expect("plan executes")
         .as_scalar()

@@ -7,8 +7,9 @@
 //! * `run_upa` — the full UPA pipeline;
 //! * `ground_truth` — exact local sensitivity by brute force (the
 //!   Figure 2(a)/3 reference);
-//! * `flex_sensitivity` — the FLEX static bound, or the unsupported error
-//!   for the four non-count queries.
+//! * `flex_sensitivity` — the FLEX static bound of the query's own plan
+//!   (for a TPC-H query, the plan parsed from its SQL text), or the
+//!   unsupported error for the four non-count queries.
 //!
 //! Outputs are uniformly `Vec<f64>` (scalar queries have one component)
 //! so the harness can treat counting, arithmetic and ML queries alike.
@@ -27,6 +28,7 @@ use upa_mlalgo::{KMeans, LinearRegression, LrRecord};
 use upa_tpch::gen::TpchDatasets;
 use upa_tpch::meta::build_metadata;
 use upa_tpch::queries as tq;
+use upa_tpch::sql;
 use upa_tpch::{Lineitem, Order, Tables, TpchConfig};
 
 /// Workload scale of one evaluation run.
@@ -118,8 +120,6 @@ pub trait EvalQuery: Send + Sync {
     fn kind(&self) -> &'static str;
     /// The table whose records iDP protects.
     fn protected(&self) -> &'static str;
-    /// Whether FLEX supports the query.
-    fn flex_supported(&self) -> bool;
     /// Vanilla dataflow execution.
     fn run_plain(&self, data: &EvalData) -> Vec<f64>;
     /// Full UPA execution.
@@ -136,12 +136,16 @@ pub trait EvalQuery: Send + Sync {
         domain_samples: usize,
         seed: u64,
     ) -> GroundTruth<Vec<f64>>;
+    /// The plan FLEX analyses.
+    fn flex_plan(&self) -> &Plan;
     /// FLEX's static bound.
     ///
     /// # Errors
     ///
     /// Returns [`FlexUnsupported`] for the four non-count queries.
-    fn flex_sensitivity(&self, data: &EvalData) -> Result<f64, FlexUnsupported>;
+    fn flex_sensitivity(&self, data: &EvalData) -> Result<f64, FlexUnsupported> {
+        analyze(self.flex_plan(), &data.metadata)
+    }
 }
 
 /// Lifts a scalar query to the suite's uniform `Vec<f64>` output.
@@ -173,7 +177,6 @@ struct ScalarQuery<T> {
     domain: EmpiricalSampler<T>,
     dataset: Dataset<T>,
     flex_plan: Plan,
-    flex_ok: bool,
 }
 
 impl<T: Data> EvalQuery for ScalarQuery<T> {
@@ -185,9 +188,6 @@ impl<T: Data> EvalQuery for ScalarQuery<T> {
     }
     fn protected(&self) -> &'static str {
         self.protected_name
-    }
-    fn flex_supported(&self) -> bool {
-        self.flex_ok
     }
 
     fn run_plain(&self, _data: &EvalData) -> Vec<f64> {
@@ -210,8 +210,8 @@ impl<T: Data> EvalQuery for ScalarQuery<T> {
         exact_local_sensitivity(rows, &self.query, &self.domain, domain_samples, seed)
     }
 
-    fn flex_sensitivity(&self, data: &EvalData) -> Result<f64, FlexUnsupported> {
-        analyze(&self.flex_plan, &data.metadata)
+    fn flex_plan(&self) -> &Plan {
+        &self.flex_plan
     }
 }
 
@@ -239,9 +239,6 @@ impl EvalQuery for JoinQuery {
     }
     fn protected(&self) -> &'static str {
         "orders"
-    }
-    fn flex_supported(&self) -> bool {
-        true
     }
 
     fn run_plain(&self, _data: &EvalData) -> Vec<f64> {
@@ -278,8 +275,8 @@ impl EvalQuery for JoinQuery {
         )
     }
 
-    fn flex_sensitivity(&self, data: &EvalData) -> Result<f64, FlexUnsupported> {
-        analyze(&self.flex_plan, &data.metadata)
+    fn flex_plan(&self) -> &Plan {
+        &self.flex_plan
     }
 }
 
@@ -289,6 +286,7 @@ struct KmQuery {
     model: KMeans,
     domain: EmpiricalSampler<Point>,
     dataset: Dataset<Point>,
+    flex_plan: Plan,
 }
 
 impl EvalQuery for KmQuery {
@@ -301,9 +299,6 @@ impl EvalQuery for KmQuery {
     fn protected(&self) -> &'static str {
         "ds1.10"
     }
-    fn flex_supported(&self) -> bool {
-        false
-    }
 
     fn run_plain(&self, _data: &EvalData) -> Vec<f64> {
         self.model.step_plain(&self.dataset)
@@ -323,8 +318,8 @@ impl EvalQuery for KmQuery {
         exact_local_sensitivity(rows, &self.query, &self.domain, domain_samples, seed)
     }
 
-    fn flex_sensitivity(&self, data: &EvalData) -> Result<f64, FlexUnsupported> {
-        analyze(&upa_mlalgo::ml_flex_plan("ds1.10"), &data.metadata)
+    fn flex_plan(&self) -> &Plan {
+        &self.flex_plan
     }
 }
 
@@ -334,6 +329,7 @@ struct LrQuery {
     model: LinearRegression,
     domain: EmpiricalSampler<LrRecord>,
     dataset: Dataset<LrRecord>,
+    flex_plan: Plan,
 }
 
 impl EvalQuery for LrQuery {
@@ -346,9 +342,6 @@ impl EvalQuery for LrQuery {
     fn protected(&self) -> &'static str {
         "ds1.10"
     }
-    fn flex_supported(&self) -> bool {
-        false
-    }
 
     fn run_plain(&self, _data: &EvalData) -> Vec<f64> {
         self.model.step_plain(&self.dataset)
@@ -368,8 +361,8 @@ impl EvalQuery for LrQuery {
         exact_local_sensitivity(rows, &self.query, &self.domain, domain_samples, seed)
     }
 
-    fn flex_sensitivity(&self, data: &EvalData) -> Result<f64, FlexUnsupported> {
-        analyze(&upa_mlalgo::ml_flex_plan("ds1.10"), &data.metadata)
+    fn flex_plan(&self) -> &Plan {
+        &self.flex_plan
     }
 }
 
@@ -398,8 +391,7 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
         query: vectorize(q1.query()),
         domain: lineitem.clone(),
         dataset: data.datasets.lineitem.clone(),
-        flex_plan: tq::Q1::flex_plan(),
-        flex_ok: true,
+        flex_plan: sql::plan("Q1").to_flex(),
     }));
 
     let (orders_keyed, lineitem_keyed) = tq::Q4::keyed(&data.datasets);
@@ -418,7 +410,7 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
         orders_by_key: orders_by_key.clone(),
         orders_keyed: orders_keyed.clone(),
         lineitem_keyed: lineitem_keyed.clone(),
-        flex_plan: tq::Q4::flex_plan(),
+        flex_plan: sql::plan("Q4").to_flex(),
     }));
 
     let q13 = tq::Q13::new(&data.tables);
@@ -436,7 +428,7 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
         orders_by_key,
         orders_keyed,
         lineitem_keyed,
-        flex_plan: tq::Q13::flex_plan(),
+        flex_plan: sql::plan("Q13").to_flex(),
     }));
 
     let q16 = tq::Q16::new(&data.tables);
@@ -447,8 +439,7 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
         query: vectorize(q16.query()),
         domain: partsupp.clone(),
         dataset: data.datasets.partsupp.clone(),
-        flex_plan: tq::Q16::flex_plan(),
-        flex_ok: true,
+        flex_plan: sql::plan("Q16").to_flex(),
     }));
 
     let q21 = tq::Q21::new(&data.tables);
@@ -459,8 +450,7 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
         query: vectorize(q21.query()),
         domain: EmpiricalSampler::new(data.tables.supplier.clone()),
         dataset: data.datasets.supplier.clone(),
-        flex_plan: tq::Q21::flex_plan(),
-        flex_ok: true,
+        flex_plan: sql::plan("Q21").to_flex(),
     }));
 
     // KMeans: warm the model with two plain Lloyd iterations so the
@@ -472,6 +462,7 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
         model: km,
         domain: EmpiricalSampler::new(data.points.clone()),
         dataset: data.points_ds.clone(),
+        flex_plan: upa_mlalgo::ml_flex_plan("ds1.10"),
     }));
 
     // Linear Regression: warm with three plain epochs.
@@ -483,6 +474,7 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
         model: lr,
         domain: EmpiricalSampler::new(data.lr_records.clone()),
         dataset: data.lr_ds.clone(),
+        flex_plan: upa_mlalgo::ml_flex_plan("ds1.10"),
     }));
 
     let q6 = tq::Q6::new(&data.tables);
@@ -493,8 +485,7 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
         query: vectorize(q6.query()),
         domain: lineitem,
         dataset: data.datasets.lineitem.clone(),
-        flex_plan: tq::Q6::flex_plan(),
-        flex_ok: false,
+        flex_plan: sql::plan("Q6").to_flex(),
     }));
 
     let q11 = tq::Q11::new(&data.tables);
@@ -505,8 +496,7 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
         query: vectorize(q11.query()),
         domain: partsupp,
         dataset: data.datasets.partsupp.clone(),
-        flex_plan: tq::Q11::flex_plan(),
-        flex_ok: false,
+        flex_plan: sql::plan("Q11").to_flex(),
     }));
 
     queries
@@ -549,7 +539,6 @@ mod tests {
                 "TPCH11"
             ]
         );
-        assert_eq!(queries.iter().filter(|q| q.flex_supported()).count(), 5);
     }
 
     #[test]
@@ -581,15 +570,16 @@ mod tests {
     #[test]
     fn flex_supports_exactly_five() {
         let data = tiny_data();
-        let queries = build_queries(&data);
-        for q in &queries {
-            assert_eq!(
-                q.flex_sensitivity(&data).is_ok(),
-                q.flex_supported(),
-                "{}",
-                q.name()
-            );
-        }
+        let supported: Vec<&str> = build_queries(&data)
+            .iter()
+            .filter(|q| q.flex_sensitivity(&data).is_ok())
+            .map(|q| q.name())
+            .collect();
+        assert_eq!(
+            supported,
+            ["TPCH1", "TPCH4", "TPCH13", "TPCH16", "TPCH21"],
+            "the paper's Figure 2 order puts the five FLEX-supported queries first"
+        );
     }
 
     #[test]

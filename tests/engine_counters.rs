@@ -13,11 +13,11 @@ use upa_repro::upa_core::{Upa, UpaConfig};
 fn upa_over(ctx: &Context, sample_size: usize) -> Upa {
     Upa::new(
         ctx.clone(),
-        UpaConfig::builder()
-            .sample_size(sample_size)
-            .add_noise(false)
-            .build()
-            .expect("valid config"),
+        UpaConfig {
+            sample_size,
+            add_noise: false,
+            ..UpaConfig::default()
+        },
     )
 }
 

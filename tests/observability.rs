@@ -8,11 +8,11 @@ use upa_repro::upa_core::domain::EmpiricalSampler;
 use upa_repro::upa_core::{UpaConfig, UpaError};
 
 fn config(n: usize) -> UpaConfig {
-    UpaConfig::builder()
-        .sample_size(n)
-        .add_noise(false)
-        .build()
-        .expect("valid config")
+    UpaConfig {
+        sample_size: n,
+        add_noise: false,
+        ..UpaConfig::default()
+    }
 }
 
 /// `MetricsSnapshot::since` must attribute exactly the work done between
