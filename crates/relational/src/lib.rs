@@ -2,11 +2,12 @@
 //! **SparkSQL substitute** of the UPA reproduction.
 //!
 //! The paper runs seven of its nine queries as SparkSQL; FLEX consumes
-//! their relational plans. This crate closes the loop: the same logical
-//! plan that FLEX analyses statically can also be **executed** on the
-//! dataflow engine, so the reproduction can check that the plan given to
+//! their relational plans. This crate closes the loop: a query's SQL text
+//! parses ([`parse_sql`]) into one logical plan, which FLEX analyses
+//! statically ([`LogicalPlan::to_flex`]) and the dataflow engine
+//! **executes**, so the reproduction can check that the plan given to
 //! FLEX computes the same answer as the hand-written Map/Reduce query
-//! UPA runs.
+//! UPA runs. The TPC-H queries exist as SQL text only (`upa_tpch::sql`).
 //!
 //! Components:
 //!
@@ -15,6 +16,9 @@
 //! * [`expr`] — a small expression language (column refs, literals,
 //!   comparisons, boolean and arithmetic operators, `IN` lists), bound
 //!   against a schema before evaluation;
+//! * [`sqlparse`] — the SQL subset the queries are written in
+//!   (`SELECT COUNT(*)`/`SUM(expr)` over `JOIN … ON` chains with a
+//!   `WHERE` clause and an optional `GROUP BY`), parsed into a plan;
 //! * [`plan`] — the logical plan: `Scan`, `Filter`, `Join`, `Project`,
 //!   `Aggregate` (COUNT(*)/SUM), plus conversion to the
 //!   [`upa_flex::Plan`] the static baseline consumes;
