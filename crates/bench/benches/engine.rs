@@ -1,6 +1,6 @@
 //! Microbenchmarks of the dataflow engine (the Spark substitute): narrow
-//! ops, shuffle reduce (integer and string keys) and hash join (a probe
-//! side of either size).
+//! ops, shuffle reduce (integer and string keys) and hash join (fresh and
+//! reused inputs, and a probe side of either size).
 
 use dataflow::{Context, PairOps};
 use upa_bench::report::bench;
@@ -24,18 +24,37 @@ fn main() {
     });
 
     let pairs: Vec<(u64, u64)> = (0..100_000).map(|i| (i % 1_000, i)).collect();
-    let ds = ctx.parallelize(pairs, 8);
+    let ds = ctx.parallelize(pairs.clone(), 8);
     let right: Vec<(u64, u64)> = (0..10_000).map(|i| (i % 1_000, i)).collect();
-    let rds = ctx.parallelize(right, 4);
+    let rds = ctx.parallelize(right.clone(), 4);
     bench("engine/shuffle/reduce_by_key", 15, || {
         ds.reduce_by_key(|a, b| a + b).len()
     });
-    bench("engine/shuffle/hash_join", 15, || ds.join(&rds).len());
+    // A dataset keeps the buckets and join index of its first join, so
+    // `cold` joins a fresh pair of inputs on every iteration (built before
+    // timing) and `reused` joins one pair again and again, which after its
+    // first iteration shuffles nothing.
+    let mut fresh = (0..15)
+        .map(|_| {
+            (
+                ctx.parallelize(pairs.clone(), 8),
+                ctx.parallelize(right.clone(), 4),
+            )
+        })
+        .collect::<Vec<_>>()
+        .into_iter();
+    bench("engine/shuffle/hash_join/cold", 15, || {
+        let (l, r) = fresh.next().expect("one input pair per iteration");
+        l.join(&r).len()
+    });
+    bench("engine/shuffle/hash_join/reused", 15, || {
+        ds.join(&rds).len()
+    });
 
-    // A shuffle join of a few thousand rows against a large table, so
-    // shuffling and indexing the large side dominates. joinDP's
-    // differing round had this shape until it became an in-memory probe
-    // that shuffles nothing; `upa/tpch4_join_dp/upa` times it now.
+    // A shuffle join of a few thousand rows against a large table. The
+    // first iteration shuffles and indexes the large side; every later
+    // one reuses that and shuffles only the probe side, the shape of
+    // joinDP's round 1 on an `other` that an earlier run has used.
     let build: Vec<(u64, u64)> = (0..232_000).map(|i| (i / 4, i)).collect();
     let build = ctx.parallelize(build, 8);
     let probe: Vec<(u64, u64)> = (0..2_000).map(|i| ((i * 29) % 58_000, i)).collect();

@@ -10,16 +10,19 @@
 //! 1. the *remainder* join — `S′ ⋈ other`, tagged with each protected
 //!    record's logical half so RANGE ENFORCER's partition outputs survive
 //!    the shuffle;
-//! 2. the *differing* probe — the sampled records and the candidate
-//!    additions, indexed in memory by join key and probed by one scan of
-//!    `other`; each record's matches fold into its influence.
+//! 2. the *differing* lookup — each sampled record and candidate addition
+//!    looks its join key up in the buckets and join index that round 1
+//!    left on `other` ([`PairOps::lookup`]); each record's matches fold
+//!    into its influence.
 //!
 //! The paper's Spark `joinDP` runs round 2 as a second shuffle join, so it
 //! shuffles `other` twice, and it blames that round for TPCH4/TPCH13's
-//! overhead of more than 100% in Figure 2(b). Round 2 here shuffles
-//! nothing: its 2n records are at most 2·`sample_size`, whatever |x| and
-//! |other|, so they broadcast at any scale, and `other` crosses one
-//! shuffle per run.
+//! overhead of more than 100% in Figure 2(b). Round 2 here moves and
+//! scans nothing: its 2n records are at most 2·`sample_size`, whatever |x|
+//! and |other|, and each costs one probe of `other`'s index. `other`
+//! crosses a shuffle at most once over its lifetime, so a run on an
+//! `other` that an earlier run or join has used shuffles only the sampled
+//! remainder and the per-half reduce.
 //!
 //! The per-tuple function both filters (`None` drops the joined tuple —
 //! the `Filter` of the SQL queries) and projects the joined tuple into an
@@ -33,10 +36,9 @@ use crate::error::UpaError;
 use crate::output::DpOutput;
 use crate::pipeline::{Upa, UpaResult};
 use crate::query::{MapReduceQuery, ReduceFn};
-use dataflow::partitioner::{hash_key, WordHasher};
+use dataflow::partitioner::hash_key;
 use dataflow::{Data, Dataset, PairOps, SpanRecorder};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash};
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// The logical half (0 or 1) of a protected record with join key `key`:
@@ -120,14 +122,12 @@ impl<K: Data, V: Data, W: Data> JoinAggregate<K, V, W, f64, f64> {
 /// in `other`, taken in `other`'s record order (partition by partition),
 /// or `None` if no joined tuple survives `per_tuple`.
 ///
-/// One stage scans `other` against an in-memory index of `differing` by
-/// join key and emits `(index, tuple)` per match; the driver then folds
-/// the matches in partition order. That is the order in which a shuffle
-/// join's bucket lists a key's rows, so the bits equal a shuffle join's
-/// for any reducer.
+/// Each record looks its key up in `other`'s kept join index, which
+/// lists a key's rows in that order, the order in which a shuffle join's
+/// bucket lists them; so the bits equal a shuffle join's for any reducer.
 fn differing_influences<K, V, W, A>(
     other: &Dataset<(K, W)>,
-    differing: Vec<(K, V)>,
+    differing: &[(K, V)],
     per_tuple: &PerTupleFn<K, V, W, A>,
     reduce: &ReduceFn<A>,
 ) -> Vec<Option<A>>
@@ -137,28 +137,21 @@ where
     W: Data,
     A: Data,
 {
-    let mut index: HashMap<K, Vec<usize>, BuildHasherDefault<WordHasher>> = HashMap::default();
-    for (i, (k, _)) in differing.iter().enumerate() {
-        index.entry(k.clone()).or_default().push(i);
-    }
-    let mut influences: Vec<Option<A>> = vec![None; differing.len()];
-    let per_tuple = Arc::clone(per_tuple);
-    let matches = other.run_partitions("join_probe", move |_p, part| {
-        let mut out: Vec<(usize, A)> = Vec::new();
-        for (k, w) in part {
-            for &i in index.get(k).map_or(&[][..], Vec::as_slice) {
-                out.extend(per_tuple(k, &differing[i].1, w).map(|a| (i, a)));
-            }
-        }
-        out
-    });
-    for (i, a) in matches.into_iter().flatten() {
-        influences[i] = Some(match influences[i].take() {
-            Some(acc) => reduce(&acc, &a),
-            None => a,
-        });
-    }
-    influences
+    differing
+        .iter()
+        .map(|(k, v)| {
+            let mut acc: Option<A> = None;
+            other.lookup(k, |w| {
+                if let Some(a) = per_tuple(k, v, w) {
+                    acc = Some(match acc.take() {
+                        Some(prev) => reduce(&prev, &a),
+                        None => a,
+                    });
+                }
+            });
+            acc
+        })
+        .collect()
 }
 
 impl Upa {
@@ -232,11 +225,11 @@ impl Upa {
             ]
         };
 
-        // ---- Round 2: differing probe (S ∪ additions) ⋈ other ------------
+        // ---- Round 2: differing lookup (S ∪ additions) ⋈ other -----------
         let (mapped_sampled, mapped_additions) = {
             let _scope = spans.enter("join_differing");
             let mut mapped_sampled =
-                differing_influences(other, differing, &agg.per_tuple, &agg.reduce);
+                differing_influences(other, &differing, &agg.per_tuple, &agg.reduce);
             let mapped_additions = mapped_sampled.split_off(n);
             (mapped_sampled, mapped_additions)
         };
@@ -357,34 +350,73 @@ mod tests {
         assert!(result.max_sensitivity() < 21.0);
     }
 
-    /// Round 1 is the only shuffle join: UPA shuffles what a vanilla join
-    /// does plus the per-half reduce, and `other`'s records cross a
-    /// shuffle once.
+    /// Round 1 is the only shuffle join, and `other` keeps the buckets it
+    /// crossed it with: the first run moves the remainder, `other` once
+    /// and the per-half reduce; a second run on the same `other` moves
+    /// only the remainder and the per-half reduce; and a vanilla join
+    /// after both moves nothing for an input already shuffled.
     #[test]
     fn join_dp_shuffles_other_once() {
         let ctx = Context::with_threads(4);
         let (orders, items, order_rows) = workload(&ctx);
-        ctx.reset_metrics();
-        let _ = orders.join(&items).count();
-        let vanilla = ctx.metrics();
         let agg = JoinAggregate::count("join_count", |_, _, _| true);
         let domain = EmpiricalSampler::new(order_rows);
         let n = 32;
         let u = upa(&ctx, n);
-        ctx.reset_metrics();
-        let _ = u.run_join(&orders, &items, &agg, &domain).unwrap();
-        let m = ctx.metrics();
-        assert_eq!(vanilla.shuffles, 2);
-        assert_eq!(m.shuffles, vanilla.shuffles + 1);
-        assert_eq!(vanilla.shuffle_records, (orders.len() + items.len()) as u64);
-        // Round 1 moves the remainder and `other` once; the per-half
-        // reduce then moves at most one record per half per join bucket.
-        let per_half = m.shuffle_records + n as u64 - vanilla.shuffle_records;
+        let remainder = (orders.len() - n) as u64;
         let buckets = ctx.config().shuffle_partitions as u64;
-        assert!(
-            (1..=2 * buckets).contains(&per_half),
-            "the per-half reduce moved {per_half} records"
-        );
+        let run = |moved_by_inputs: u64| {
+            ctx.reset_metrics();
+            let _ = u.run_join(&orders, &items, &agg, &domain).unwrap();
+            let m = ctx.metrics();
+            // The per-half reduce moves at most one record per half per
+            // join bucket.
+            let per_half = m.shuffle_records - moved_by_inputs;
+            assert!(
+                (1..=2 * buckets).contains(&per_half),
+                "the per-half reduce moved {per_half} records"
+            );
+            m.shuffles
+        };
+        assert_eq!(run(remainder + items.len() as u64), 3, "first run");
+        assert_eq!(run(remainder), 2, "second run on the same `other`");
+        // `orders` itself was never shuffled, only its remainders.
+        ctx.reset_metrics();
+        let vanilla = orders.join(&items).count();
+        let m = ctx.metrics();
+        assert_eq!((m.shuffles, m.shuffle_records), (1, orders.len() as u64));
+        ctx.reset_metrics();
+        assert_eq!(orders.join(&items).count(), vanilla);
+        let m = ctx.metrics();
+        assert_eq!((m.shuffles, m.shuffle_records), (0, 0));
+    }
+
+    /// A pending `other` is forced and shuffled by round 1 and its buckets
+    /// kept, so round 2's lookups move nothing more, and the release is
+    /// the one on a materialised copy of it.
+    #[test]
+    fn pending_other_is_shuffled_once_per_run() {
+        let ctx = Context::with_threads(4);
+        let (orders, items, order_rows) = workload(&ctx);
+        let agg = JoinAggregate::count("join_count", |_, _, _| true);
+        let domain = EmpiricalSampler::new(order_rows);
+        let n = 32;
+        let materialised = upa(&ctx, n)
+            .run_join(&orders, &items, &agg, &domain)
+            .unwrap();
+        let pending = items.map(|kv| *kv);
+        ctx.reset_metrics();
+        let result = upa(&ctx, n)
+            .run_join(&orders, &pending, &agg, &domain)
+            .unwrap();
+        let m = ctx.metrics();
+        assert_eq!(m.shuffles, 3, "remainder, `other` and the per-half reduce");
+        let inputs = (orders.len() - n + items.len()) as u64;
+        assert!(m.shuffle_records > inputs);
+        assert!(m.shuffle_records <= inputs + 2 * ctx.config().shuffle_partitions as u64);
+        assert_eq!(result.raw, materialised.raw);
+        assert_eq!(result.removal_outputs, materialised.removal_outputs);
+        assert_eq!(result.addition_outputs, materialised.addition_outputs);
     }
 
     /// RANGE ENFORCER fingerprints the halves, so a key's half may change
@@ -485,7 +517,7 @@ mod tests {
                     v.into_iter().map(|x| x.map(f64::to_bits)).collect()
                 };
                 let want = nested_loop_influences(&differing, &parts, &per_tuple, &reduce);
-                let got = differing_influences(&ds, differing, &per_tuple, &reduce);
+                let got = differing_influences(&ds, &differing, &per_tuple, &reduce);
                 proptest::prop_assert_eq!(bits(got), bits(want));
             }
         }

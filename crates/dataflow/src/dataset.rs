@@ -11,6 +11,7 @@ pub(crate) type PendingRun<T> = Arc<dyn Fn(usize, &mut dyn FnMut(T)) + Send + Sy
 /// `flat_map` respectively.
 type StepFn<T, U> = dyn Fn(&T, &mut dyn FnMut(U)) + Send + Sync;
 
+use crate::pair::Shuffled;
 use crate::Data;
 use std::sync::{Arc, OnceLock};
 
@@ -41,12 +42,14 @@ impl<T> Pending<T> {
 }
 
 /// Shared state of a dataset: either already-materialised partitions or a
-/// pending fused chain plus a cache slot filled on first materialisation.
+/// pending fused chain plus a cache slot filled on first materialisation,
+/// and, for a pair dataset that a join has used, its shuffled buckets.
 struct Inner<T> {
     num_parts: usize,
     pending: Option<Pending<T>>,
     parts: OnceLock<Arc<Vec<Arc<Vec<T>>>>>,
     len: OnceLock<usize>,
+    shuffled: OnceLock<Arc<Shuffled<T>>>,
 }
 
 /// An immutable, partitioned, in-memory dataset.
@@ -58,7 +61,11 @@ struct Inner<T> {
 /// when the first wide operator or action needs the records. The result
 /// is then cached, which doubles as Spark's memory cache: re-using a
 /// `Dataset` re-uses its materialised partitions, the effect the paper
-/// credits for Figure 4(b)'s flat sample-size scaling.
+/// credits for Figure 4(b)'s flat sample-size scaling. A pair dataset
+/// that a `join` or `lookup` has shuffled keeps its buckets and join
+/// index the same way (see [`crate::pair`]), so it is shuffled at most
+/// once; the cost is one shuffled copy of the records for as long as the
+/// dataset lives.
 ///
 /// ```
 /// use dataflow::Context;
@@ -100,6 +107,7 @@ impl<T: Data> Dataset<T> {
                 pending: None,
                 parts: OnceLock::from(parts),
                 len: OnceLock::from(len),
+                shuffled: OnceLock::new(),
             }),
         }
     }
@@ -112,6 +120,7 @@ impl<T: Data> Dataset<T> {
                 pending: Some(pending),
                 parts: OnceLock::new(),
                 len: OnceLock::new(),
+                shuffled: OnceLock::new(),
             }),
         }
     }
@@ -195,6 +204,12 @@ impl<T: Data> Dataset<T> {
                 run,
             },
         )
+    }
+
+    /// The slot for this dataset's shuffled buckets, filled by its first
+    /// join or lookup.
+    pub(crate) fn shuffle_slot(&self) -> &OnceLock<Arc<Shuffled<T>>> {
+        &self.inner.shuffled
     }
 
     /// The context this dataset belongs to.

@@ -3,11 +3,20 @@
 //!
 //! Every operator here moves data through an explicit two-phase shuffle
 //! (map-side bucketing, reduce-side concatenation) that is counted by the
-//! context's metrics. The paper's Spark `joinDP` (§V-C) runs a shuffle
-//! join twice where vanilla execution runs it once, and blames that for
-//! TPCH4/TPCH13's overhead of more than 100% in Figure 2(b). UPA's
-//! `joinDP` here runs it once: its second round probes an in-memory index
-//! of the few sampled records instead (`upa_core::join`).
+//! context's metrics. A dataset that `join` or `lookup` shuffles keeps its
+//! buckets, and each bucket's build-side join index once a join or lookup
+//! has probed it, for as long as the dataset lives: a later join of the
+//! same dataset records no shuffle and no stage for that side, as Spark
+//! skips a shuffle-map stage whose output already exists. The price is one
+//! shuffled copy of every joined dataset's records while the dataset is
+//! alive. `reduce_by_key` shuffles a fresh, map-side-combined dataset each
+//! time and keeps nothing.
+//!
+//! The paper's Spark `joinDP` (§V-C) runs a shuffle join twice where
+//! vanilla execution runs it once, and blames that for TPCH4/TPCH13's
+//! overhead of more than 100% in Figure 2(b). UPA's `joinDP` here runs it
+//! once: its second round looks its few sampled keys up in the other
+//! side's kept join index instead (`upa_core::join`).
 //!
 //! Routing and every per-task table hash keys with the seedless
 //! [`WordHasher`](crate::partitioner::WordHasher), and the tables keep keys
@@ -24,7 +33,7 @@ use crate::partitioner::{hash_key, HashPartitioner};
 use crate::Data;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One reduce-side bucket of a shuffled pair dataset.
 type Bucket<K, V> = Arc<Vec<(K, V)>>;
@@ -32,7 +41,7 @@ type Bucket<K, V> = Arc<Vec<(K, V)>>;
 /// Hash-partitions a pair dataset into `buckets` reduce-side partitions.
 /// One full shuffle: every record is moved and counted. A bucket holds its
 /// records in input order.
-pub(crate) fn shuffle_by_key<K: Data + Hash, V: Data>(
+fn shuffle_by_key<K: Data + Hash, V: Data>(
     ctx: &Context,
     ds: &Dataset<(K, V)>,
     buckets: usize,
@@ -191,42 +200,90 @@ where
     entries
 }
 
-/// Hash-joins one bucket pair into `emit`: `left`'s rows in order, each
-/// followed by its matches in `right`'s order.
-///
-/// The table over `right` holds one index entry per distinct key, with
-/// the key's first row, and one `next` link per row that chains the key's
-/// rows in build order; no key gets a `Vec` of its own.
-fn hash_join<K: Hash + Eq, V, W>(
-    left: &[(K, V)],
-    right: &[(K, W)],
-    mut emit: impl FnMut(&K, &V, &W),
-) {
-    const END: usize = usize::MAX;
-    // First row per distinct key.
-    let mut heads: Vec<usize> = Vec::new();
-    let mut next = vec![END; right.len()];
-    let mut index = KeyIndex::new();
-    // Last to first, each row pushed onto the front of its key's chain,
-    // so chains read in build order.
-    for (at, (k, _)) in right.iter().enumerate().rev() {
-        match index.find_or_insert(hash_key(k), |id| right[heads[id]].0 == *k) {
-            Ok(id) => {
-                next[at] = heads[id];
-                heads[id] = at;
+/// End of a [`JoinIndex`] chain.
+const END: usize = usize::MAX;
+
+/// The build side of one bucket's hash join: one [`KeyIndex`] entry per
+/// distinct key, with the key's first row, and one `next` link per row
+/// that chains the key's rows in bucket order; no key gets a `Vec` of its
+/// own. It stores row positions, not keys, so it is read together with
+/// the rows it was built from.
+struct JoinIndex {
+    keys: KeyIndex,
+    /// First row per distinct key.
+    heads: Vec<usize>,
+    next: Vec<usize>,
+}
+
+impl JoinIndex {
+    fn build<K: Hash + Eq, V>(rows: &[(K, V)]) -> Self {
+        let mut heads: Vec<usize> = Vec::new();
+        let mut next = vec![END; rows.len()];
+        let mut keys = KeyIndex::new();
+        // Last to first, each row pushed onto the front of its key's
+        // chain, so chains read in bucket order.
+        for (at, (k, _)) in rows.iter().enumerate().rev() {
+            match keys.find_or_insert(hash_key(k), |id| rows[heads[id]].0 == *k) {
+                Ok(id) => {
+                    next[at] = heads[id];
+                    heads[id] = at;
+                }
+                Err(_) => heads.push(at),
             }
-            Err(_) => heads.push(at),
         }
+        JoinIndex { keys, heads, next }
     }
-    for (k, v) in left {
-        let Some(id) = index.find(hash_key(k), |id| right[heads[id]].0 == *k) else {
-            continue;
-        };
-        let mut at = heads[id];
-        while at != END {
-            emit(k, v, &right[at].1);
-            at = next[at];
-        }
+
+    /// The values of `key` among `rows` (the rows the index was built
+    /// from), in their order.
+    fn matches<'a, K: Hash + Eq, V>(
+        &'a self,
+        rows: &'a [(K, V)],
+        key: &K,
+    ) -> impl Iterator<Item = &'a V> + 'a {
+        let first = self
+            .keys
+            .find(hash_key(key), |id| rows[self.heads[id]].0 == *key)
+            .map(|id| self.heads[id]);
+        std::iter::successors(first, |&at| Some(self.next[at]).filter(|&n| n != END))
+            .map(move |at| &rows[at].1)
+    }
+}
+
+/// A pair dataset's reduce-side buckets, kept on the dataset after its
+/// first shuffle, each with the join index its first probe builds.
+pub(crate) struct Shuffled<T> {
+    buckets: Vec<Arc<Vec<T>>>,
+    indexes: Vec<OnceLock<JoinIndex>>,
+}
+
+impl<K: Hash + Eq, V> Shuffled<(K, V)> {
+    fn new(buckets: Vec<Bucket<K, V>>) -> Self {
+        let indexes = buckets.iter().map(|_| OnceLock::new()).collect();
+        Shuffled { buckets, indexes }
+    }
+
+    /// Bucket `b`'s join index, built on its first use.
+    fn index(&self, b: usize) -> &JoinIndex {
+        self.indexes[b].get_or_init(|| JoinIndex::build(&self.buckets[b]))
+    }
+}
+
+/// `ds` hash-partitioned into the context's shuffle buckets: shuffled on
+/// its first call and kept on the dataset, so a later call moves nothing
+/// and records no shuffle. A dataset of a context with another bucket
+/// count is shuffled afresh and not kept.
+fn shuffled<K: Data + Hash + Eq, V: Data>(
+    ctx: &Context,
+    ds: &Dataset<(K, V)>,
+) -> Arc<Shuffled<(K, V)>> {
+    let buckets = ctx.shuffle_partitions();
+    let shuffle = || Arc::new(Shuffled::new(shuffle_by_key(ctx, ds, buckets)));
+    let kept = ds.shuffle_slot().get_or_init(shuffle);
+    if kept.buckets.len() == buckets {
+        Arc::clone(kept)
+    } else {
+        shuffle()
     }
 }
 
@@ -246,11 +303,21 @@ pub trait PairOps<K, V>: private::Sealed {
     /// caps shuffle volume at one record per key per map partition.
     fn reduce_by_key(&self, f: impl Fn(&V, &V) -> V + Send + Sync + 'static) -> Dataset<(K, V)>;
 
-    /// Inner hash join on the key (Spark's `join`). Shuffles both sides
-    /// now; the per-bucket hash join is lazy, the base of a pending chain
-    /// that the narrow ops after it fuse into (`fused[join→filter]`), so
-    /// its joined tuples are never materialised on their own.
+    /// Inner hash join on the key (Spark's `join`). Shuffles each side
+    /// now unless an earlier join or lookup already did; the per-bucket
+    /// hash join is lazy, the base of a pending chain that the narrow ops
+    /// after it fuse into (`fused[join→filter]`), so its joined tuples
+    /// are never materialised on their own. It probes `other`'s kept join
+    /// index, built by the first join that probes each bucket.
     fn join<W: Data>(&self, other: &Dataset<(K, W)>) -> Dataset<(K, (V, W))>;
+
+    /// Visits the values of `key` in partition order: the rows a join
+    /// with this dataset as `other` matches for `key` (Spark's `lookup`,
+    /// as a visitor). Shares `join`'s kept buckets and index, so looking
+    /// keys up in a dataset that a join has used moves and scans nothing;
+    /// otherwise the first lookup shuffles the dataset and each bucket's
+    /// first probe builds its index.
+    fn lookup(&self, key: &K, visit: impl FnMut(&V));
 
     /// The keys, in partition order (narrow).
     fn keys(&self) -> Dataset<K>;
@@ -298,23 +365,36 @@ impl<K: Data + Hash + Eq, V: Data> PairOps<K, V> for Dataset<(K, V)> {
 
     fn join<W: Data>(&self, other: &Dataset<(K, W)>) -> Dataset<(K, (V, W))> {
         let ctx = self.ctx().clone();
-        let buckets = ctx.shuffle_partitions();
         // Both sides hash-partition with the same function, so matching
         // keys land in the same bucket index.
-        let left = shuffle_by_key(&ctx, self, buckets);
-        let right = shuffle_by_key(&ctx, other, buckets);
-        // A bucket's join scans both of its sides.
-        let scanned = left
-            .iter()
-            .zip(&right)
-            .map(|(l, r)| l.len() + r.len())
+        let left = shuffled(&ctx, self);
+        let right = shuffled(&ctx, other);
+        // A bucket's join scans its left side, and its right side too
+        // while that side has no join index yet.
+        let scanned = (0..left.buckets.len())
+            .map(|b| match right.indexes[b].get() {
+                Some(_) => left.buckets[b].len(),
+                None => left.buckets[b].len() + right.buckets[b].len(),
+            })
             .collect();
+        // `self`'s rows in bucket order, each followed by its matches in
+        // `other`'s.
         let run: PendingRun<(K, (V, W))> = Arc::new(move |b, sink| {
-            hash_join(&left[b], &right[b], |k, v, w| {
-                sink((k.clone(), (v.clone(), w.clone())));
-            });
+            let (rows, index) = (&right.buckets[b], right.index(b));
+            for (k, v) in left.buckets[b].iter() {
+                for w in index.matches(rows, k) {
+                    sink((k.clone(), (v.clone(), w.clone())));
+                }
+            }
         });
         Dataset::from_run(ctx, "join", scanned, run)
+    }
+
+    fn lookup(&self, key: &K, visit: impl FnMut(&V)) {
+        let shuffled = shuffled(self.ctx(), self);
+        let b = HashPartitioner.partition(key, shuffled.buckets.len());
+        let rows = &shuffled.buckets[b];
+        shuffled.index(b).matches(rows, key).for_each(visit);
     }
 
     fn keys(&self) -> Dataset<K> {
@@ -483,6 +563,60 @@ mod tests {
         let m = c.metrics();
         assert_eq!(m.shuffles, 2, "a join shuffles both inputs");
         assert_eq!(m.shuffle_records, 80);
+    }
+
+    /// A join of two datasets that an earlier join shuffled moves nothing
+    /// and runs only its bucket stage, yet lists the same records in the
+    /// same order.
+    #[test]
+    fn second_join_reuses_both_shuffles() {
+        let c = ctx();
+        let l = c.parallelize((0..500u32).map(|i| (i % 37, i)).collect(), 3);
+        let r = c
+            .parallelize((0..90u32).map(|i| (i % 41, f64::from(i))).collect(), 2)
+            .map(|kv| *kv);
+        c.reset_metrics();
+        let first = l.join(&r).collect();
+        assert_eq!(c.metrics().shuffles, 2);
+        c.reset_metrics();
+        let second = l.join(&r).collect();
+        let m = c.metrics();
+        assert_eq!((m.shuffles, m.shuffle_records, m.shuffle_bytes), (0, 0, 0));
+        assert_eq!(m.stages, 1, "only the join's bucket stage runs");
+        assert_eq!(second, first);
+        // Joined the other way round, both sides are reused too.
+        c.reset_metrics();
+        assert_eq!(r.join(&l).count(), first.len() as u64);
+        assert_eq!(c.metrics().shuffles, 0);
+    }
+
+    /// `lookup` visits a key's values in the order a join lists its
+    /// matches, and shuffles a dataset no join has used exactly once.
+    #[test]
+    fn lookup_visits_join_matches_in_order() {
+        let c = ctx();
+        let r = c.parallelize((0..300u32).map(|i| (i % 13, i)).collect(), 4);
+        c.reset_metrics();
+        let mut seen: Vec<(u32, u32)> = Vec::new();
+        for k in [5, 0, 99, 5] {
+            r.lookup(&k, |&w| seen.push((k, w)));
+        }
+        let m = c.metrics();
+        assert_eq!((m.shuffles, m.shuffle_records), (1, 300));
+        let want: Vec<(u32, u32)> = [5, 0, 99, 5]
+            .iter()
+            .flat_map(|&k| {
+                (0..300u32)
+                    .filter(move |i| i % 13 == k)
+                    .map(move |w| (k, w))
+            })
+            .collect();
+        assert_eq!(seen, want);
+        // A join probes the index the lookups built.
+        let probes = c.parallelize(vec![(5u32, ()), (0, ()), (99, ()), (5, ())], 1);
+        c.reset_metrics();
+        assert_eq!(probes.join(&r).count(), seen.len() as u64);
+        assert_eq!(c.metrics().shuffles, 1, "only `probes` is shuffled");
     }
 
     /// The join's bucket work and the narrow ops after it run as one
