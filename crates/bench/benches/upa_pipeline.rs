@@ -3,7 +3,7 @@
 //! reduce, swept over sample size and dataset size, the two ML queries
 //! at the paper suite's record count, and TPCH4 through `joinDP`.
 
-use dataflow::Context;
+use dataflow::{Context, PairOps};
 use upa_bench::report::bench;
 use upa_core::domain::EmpiricalSampler;
 use upa_core::join::JoinAggregate;
@@ -79,11 +79,15 @@ fn main() {
         ..TpchConfig::default()
     });
     let tpch = TpchDatasets::load(&ctx, &tables, 8);
-    let q4 = Q4::new(&tables);
     let (orders, lineitem) = Q4::keyed(&tpch);
     let q4_agg = JoinAggregate::count("TPCH4", |_: &u64, o, l| q4_qualifies(o, l));
     let orders_domain = EmpiricalSampler::new(orders.collect());
-    bench("upa/tpch4_join_dp/vanilla", 15, || q4.plain(&tpch));
+    bench("upa/tpch4_join_dp/vanilla", 15, || {
+        orders
+            .join(&lineitem)
+            .filter(|(_, (o, l))| q4_qualifies(o, l))
+            .count()
+    });
     bench("upa/tpch4_join_dp/upa", 15, || {
         u.run_join(&orders, &lineitem, &q4_agg, &orders_domain)
             .expect("runs")

@@ -41,7 +41,7 @@ fn main() {
         "manual-range noise scale",
     ]);
     for q in &queries {
-        let Ok(flex) = q.flex_sensitivity(&data) else {
+        let (Ok(flex), Some(plan)) = (q.flex_sensitivity(&data), q.flex_plan()) else {
             continue;
         };
         let gt = q.ground_truth(&data, 500, cfg.seed ^ 0xAB);
@@ -58,7 +58,7 @@ fn main() {
         let upa_scale = result.max_sensitivity() / epsilon;
         let flex_scale = flex / epsilon;
         let smooth_scale = smooth_mech
-            .noise_scale(q.flex_plan(), &data.metadata)
+            .noise_scale(plan, &data.metadata)
             .expect("count query");
         // A cautious analyst's manual global range: [0, 10 × f(x)].
         let manual_scale = 10.0 * q.run_plain(&data)[0] / epsilon;

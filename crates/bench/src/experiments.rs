@@ -5,7 +5,7 @@
 use crate::report::{pct, sci, time_median, Table};
 use dataflow::{Config, Context};
 use upa_repro::suite::{build_queries, EvalData, EvalQuery, EvalScale};
-use upa_repro::upa_core::{Upa, UpaConfig};
+use upa_repro::upa_core::{Upa, UpaConfig, UpaResult};
 use upa_repro::upa_stats::rmse::rmse;
 
 /// Experiment configuration (environment-overridable scale).
@@ -116,6 +116,24 @@ fn upa_for(ctx: &Context, sample_size: usize, seed: u64, noise: bool) -> Upa {
             ..UpaConfig::default()
         },
     )
+}
+
+/// One noisy UPA run of `q` per call, each on a fresh `Upa` seeded from
+/// `seed` plus the trial number, so no trial repeats a query in an
+/// earlier trial's RANGE ENFORCER history.
+fn fresh_upa_runs<'a>(
+    ctx: &'a Context,
+    sample_size: usize,
+    seed: u64,
+    q: &'a dyn EvalQuery,
+    data: &'a EvalData,
+) -> impl FnMut() -> UpaResult<Vec<f64>> + 'a {
+    let mut trial = 0;
+    move || {
+        let mut upa = upa_for(ctx, sample_size, seed + trial, true);
+        trial += 1;
+        q.run_upa(&mut upa, data).expect("query runs")
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -269,10 +287,11 @@ pub fn fig2b(cfg: &ExpConfig) {
         let (vanilla_ms, vanilla_shuffles) =
             timed_shuffles(&ctx, cfg.trials, || q.run_plain(&data));
         ctx.reset_metrics();
-        let mut upa = upa_for(&ctx, 1_000, cfg.seed + 500, true);
-        let (upa_ms, upa_shuffles) = timed_shuffles(&ctx, cfg.trials, || {
-            q.run_upa(&mut upa, &data).expect("query runs")
-        });
+        let (upa_ms, upa_shuffles) = timed_shuffles(
+            &ctx,
+            cfg.trials,
+            fresh_upa_runs(&ctx, 1_000, cfg.seed + 500, q.as_ref(), &data),
+        );
         let shuffle_share = ctx.shuffle_time_share();
         let ratio = upa_ms / vanilla_ms.max(1e-6);
         ratios.push((q.name(), ratio));
@@ -441,10 +460,11 @@ pub fn fig4a(cfg: &ExpConfig) {
                 .find(|q| q.name() == *name)
                 .expect("query exists");
             let (_, vanilla_ms) = time_median(cfg.trials, || q.run_plain(&data));
-            let mut upa = upa_for(&ctx, 1_000, cfg.seed + 1_700 + f as u64, true);
-            let (_, upa_ms) = time_median(cfg.trials, || {
-                q.run_upa(&mut upa, &data).expect("query runs")
-            });
+            let seed = cfg.seed + 1_700 + f as u64;
+            let (_, upa_ms) = time_median(
+                cfg.trials,
+                fresh_upa_runs(&ctx, 1_000, seed, q.as_ref(), &data),
+            );
             cells.push(format!("{:.2}x", upa_ms / vanilla_ms.max(1e-6)));
         }
         t.row(cells);
@@ -479,10 +499,9 @@ pub fn fig4b(cfg: &ExpConfig) {
                 .iter()
                 .find(|q| q.name() == *name)
                 .expect("query exists");
-            let mut upa = upa_for(&ctx, n, cfg.seed + 2_500 + si as u64, true);
-            let (_, upa_ms) = time_median(cfg.trials, || {
-                q.run_upa(&mut upa, &data).expect("query runs")
-            });
+            let seed = cfg.seed + 2_500 + si as u64;
+            let (_, upa_ms) =
+                time_median(cfg.trials, fresh_upa_runs(&ctx, n, seed, q.as_ref(), &data));
             cells.push(format!("{upa_ms:.1}ms"));
         }
         t.row(cells);

@@ -1,27 +1,30 @@
-//! The FLEX sensitivity analysis.
+//! The FLEX sensitivity analysis, read off the relational plan the
+//! engine executes.
 //!
 //! Recursive rule (elastic sensitivity at distance 0, specialised to the
 //! counting queries this paper compares on):
 //!
 //! ```text
-//! S(Table t)                 = 1
-//! S(Filter p)                = S(p)            -- predicates are opaque
+//! S(Scan t)                  = 1
+//! S(Filter p), S(Project p)  = S(p)            -- predicates are opaque
 //! S(Join l r on a = b)       = max( S(l) · mf(b),  S(r) · mf(a) )
-//! S(Count p)                 = S(p)
-//! S(Aggregate …)             = unsupported
+//! S(COUNT(*) p)              = S(p)            -- grouped or not
+//! S(SUM(e) p)                = unsupported
 //! ```
 //!
 //! where `mf(c)` is the metadata max frequency of join key `c`. Chained
 //! joins therefore multiply max frequencies — the error-magnification the
 //! paper describes for TPCH16/TPCH21.
 
-use crate::metadata::Metadata;
-use crate::plan::{AggregateKind, ColumnRef, Plan};
+use crate::metadata::{ColumnRef, Metadata};
+use crate::plan::{split_column, AggregateKind};
+use upa_relational::plan::Aggregate;
+use upa_relational::LogicalPlan;
 
 /// Why FLEX cannot analyse a plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlexUnsupported {
-    /// The plan's root aggregate is not COUNT (SUM/AVG/ML are the paper's
+    /// The plan's root aggregate is not COUNT (SUM and ML are the paper's
     /// "possible extensions" that FLEX does not realise).
     NonCountAggregate(AggregateKind),
     /// The plan has no aggregate at all (raw row output cannot be
@@ -54,7 +57,7 @@ impl std::error::Error for FlexUnsupported {}
 ///
 /// Returns [`FlexUnsupported`] for non-count queries or missing metadata —
 /// the "FLEX supports 5 of 9 queries" rows of the paper's Table II.
-pub fn analyze(plan: &Plan, metadata: &Metadata) -> Result<f64, FlexUnsupported> {
+pub fn analyze(plan: &LogicalPlan, metadata: &Metadata) -> Result<f64, FlexUnsupported> {
     elastic_sensitivity(plan, metadata, 0)
 }
 
@@ -69,42 +72,55 @@ pub fn analyze(plan: &Plan, metadata: &Metadata) -> Result<f64, FlexUnsupported>
 ///
 /// Same conditions as [`analyze`].
 pub fn elastic_sensitivity(
-    plan: &Plan,
+    plan: &LogicalPlan,
     metadata: &Metadata,
     k: u64,
 ) -> Result<f64, FlexUnsupported> {
     match plan {
-        Plan::Count { input } => relation_sensitivity(input, metadata, k),
-        Plan::Aggregate { kind, .. } => Err(FlexUnsupported::NonCountAggregate(*kind)),
+        // A grouped count has the same per-record influence bound as the
+        // ungrouped count: one record lands in one group.
+        LogicalPlan::Aggregate { input, agg } | LogicalPlan::GroupBy { input, agg, .. } => {
+            match agg {
+                Aggregate::CountStar => relation_sensitivity(input, metadata, k),
+                Aggregate::Sum(_) => Err(FlexUnsupported::NonCountAggregate(AggregateKind::Sum)),
+            }
+        }
         // Descend through non-aggregating roots looking for the aggregate.
-        Plan::Filter { input, .. } => elastic_sensitivity(input, metadata, k),
-        Plan::Table { .. } | Plan::Join { .. } => Err(FlexUnsupported::NoAggregate),
+        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
+            elastic_sensitivity(input, metadata, k)
+        }
+        LogicalPlan::Scan { .. } | LogicalPlan::Join { .. } => Err(FlexUnsupported::NoAggregate),
     }
 }
 
 /// How many output rows of `plan` one protected record can influence, at
 /// edit distance `k`.
-fn relation_sensitivity(plan: &Plan, metadata: &Metadata, k: u64) -> Result<f64, FlexUnsupported> {
+fn relation_sensitivity(
+    plan: &LogicalPlan,
+    metadata: &Metadata,
+    k: u64,
+) -> Result<f64, FlexUnsupported> {
     match plan {
-        Plan::Table { .. } => Ok(1.0),
-        Plan::Filter { input, .. } => relation_sensitivity(input, metadata, k),
-        Plan::Count { input } | Plan::Aggregate { input, .. } => {
-            relation_sensitivity(input, metadata, k)
-        }
-        Plan::Join {
+        LogicalPlan::Scan { .. } => Ok(1.0),
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::GroupBy { input, .. } => relation_sensitivity(input, metadata, k),
+        LogicalPlan::Join {
             left,
             right,
             left_key,
             right_key,
         } => {
-            let mf_left = metadata
-                .max_freq(left_key)
-                .ok_or_else(|| FlexUnsupported::MissingMetadata(left_key.clone()))?
-                + k;
-            let mf_right = metadata
-                .max_freq(right_key)
-                .ok_or_else(|| FlexUnsupported::MissingMetadata(right_key.clone()))?
-                + k;
+            let max_freq = |key: &str| {
+                let column = split_column(key);
+                match metadata.max_freq(&column) {
+                    Some(mf) => Ok(mf + k),
+                    None => Err(FlexUnsupported::MissingMetadata(column)),
+                }
+            };
+            let mf_left = max_freq(left_key)?;
+            let mf_right = max_freq(right_key)?;
             let s_left = relation_sensitivity(left, metadata, k)?;
             let s_right = relation_sensitivity(right, metadata, k)?;
             // One record on the left joins with up to mf(right_key) rows
@@ -117,6 +133,7 @@ fn relation_sensitivity(plan: &Plan, metadata: &Metadata, k: u64) -> Result<f64,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use upa_relational::parse_sql;
 
     fn meta() -> Metadata {
         let mut m = Metadata::new();
@@ -127,19 +144,28 @@ mod tests {
         m
     }
 
+    fn sql(text: &str) -> LogicalPlan {
+        parse_sql(text).unwrap()
+    }
+
+    fn orders_join_lineitem() -> LogicalPlan {
+        LogicalPlan::scan("orders").join(
+            LogicalPlan::scan("lineitem"),
+            "orders.orderkey",
+            "lineitem.orderkey",
+        )
+    }
+
     #[test]
     fn plain_count_has_unit_sensitivity() {
-        let plan = Plan::count(Plan::table("lineitem"));
+        let plan = sql("SELECT COUNT(*) FROM lineitem");
         assert_eq!(analyze(&plan, &meta()).unwrap(), 1.0);
     }
 
     #[test]
     fn filters_are_invisible() {
-        let filtered = Plan::count(Plan::filter(
-            Plan::table("lineitem"),
-            "shipdate < '1998-09-01'",
-        ));
-        let unfiltered = Plan::count(Plan::table("lineitem"));
+        let filtered = sql("SELECT COUNT(*) FROM lineitem WHERE shipdate < 1000");
+        let unfiltered = sql("SELECT COUNT(*) FROM lineitem");
         assert_eq!(
             analyze(&filtered, &meta()).unwrap(),
             analyze(&unfiltered, &meta()).unwrap(),
@@ -149,29 +175,16 @@ mod tests {
 
     #[test]
     fn join_multiplies_max_frequencies() {
-        let plan = Plan::count(Plan::join(
-            Plan::table("orders"),
-            Plan::table("lineitem"),
-            ("orders", "orderkey"),
-            ("lineitem", "orderkey"),
-        ));
+        let plan = orders_join_lineitem().count();
         // max(1 · mf(lineitem.orderkey), 1 · mf(orders.orderkey)) = 7.
         assert_eq!(analyze(&plan, &meta()).unwrap(), 7.0);
     }
 
     #[test]
     fn chained_joins_magnify_error() {
-        let plan = Plan::count(Plan::join(
-            Plan::join(
-                Plan::table("orders"),
-                Plan::table("lineitem"),
-                ("orders", "orderkey"),
-                ("lineitem", "orderkey"),
-            ),
-            Plan::table("supplier"),
-            ("lineitem", "suppkey"),
-            ("supplier", "suppkey"),
-        ));
+        let plan = sql("SELECT COUNT(*) FROM orders \
+             JOIN lineitem ON orders.orderkey = lineitem.orderkey \
+             JOIN supplier ON lineitem.suppkey = supplier.suppkey");
         // Inner join: 7. Outer: max(7 · mf(supplier.suppkey)=7,
         // 1 · mf(lineitem.suppkey)=120) = 120.
         assert_eq!(analyze(&plan, &meta()).unwrap(), 120.0);
@@ -179,35 +192,30 @@ mod tests {
 
     #[test]
     fn non_count_aggregates_are_unsupported() {
-        for kind in [
-            AggregateKind::Sum,
-            AggregateKind::Avg,
-            AggregateKind::MachineLearning,
-        ] {
-            let plan = Plan::aggregate(kind, Plan::table("lineitem"));
-            assert_eq!(
-                analyze(&plan, &meta()),
-                Err(FlexUnsupported::NonCountAggregate(kind))
-            );
-        }
+        let sum = Err(FlexUnsupported::NonCountAggregate(AggregateKind::Sum));
+        let plan = sql("SELECT SUM(quantity) FROM lineitem");
+        assert_eq!(analyze(&plan, &meta()), sum);
+        let grouped = sql("SELECT orderkey, SUM(quantity) FROM lineitem GROUP BY orderkey");
+        assert_eq!(analyze(&grouped, &meta()), sum);
     }
 
     #[test]
     fn plan_without_aggregate_is_rejected() {
         assert_eq!(
-            analyze(&Plan::table("lineitem"), &meta()),
+            analyze(&LogicalPlan::scan("lineitem"), &meta()),
+            Err(FlexUnsupported::NoAggregate)
+        );
+        assert_eq!(
+            analyze(&orders_join_lineitem(), &meta()),
             Err(FlexUnsupported::NoAggregate)
         );
     }
 
     #[test]
     fn missing_metadata_is_reported() {
-        let plan = Plan::count(Plan::join(
-            Plan::table("a"),
-            Plan::table("b"),
-            ("a", "k"),
-            ("b", "k"),
-        ));
+        let plan = LogicalPlan::scan("a")
+            .join(LogicalPlan::scan("b"), "a.k", "b.k")
+            .count();
         match analyze(&plan, &Metadata::new()) {
             Err(FlexUnsupported::MissingMetadata(c)) => assert_eq!(c.table, "a"),
             other => panic!("expected missing metadata, got {other:?}"),
@@ -216,12 +224,7 @@ mod tests {
 
     #[test]
     fn elastic_sensitivity_grows_with_distance() {
-        let plan = Plan::count(Plan::join(
-            Plan::table("orders"),
-            Plan::table("lineitem"),
-            ("orders", "orderkey"),
-            ("lineitem", "orderkey"),
-        ));
+        let plan = orders_join_lineitem().count();
         let m = meta();
         let e0 = elastic_sensitivity(&plan, &m, 0).unwrap();
         let e5 = elastic_sensitivity(&plan, &m, 5).unwrap();
@@ -232,7 +235,7 @@ mod tests {
 
     #[test]
     fn elastic_sensitivity_at_zero_is_analyze() {
-        let plan = Plan::count(Plan::table("lineitem"));
+        let plan = LogicalPlan::scan("lineitem").count();
         let m = meta();
         assert_eq!(
             elastic_sensitivity(&plan, &m, 0).unwrap(),
@@ -242,15 +245,9 @@ mod tests {
 
     #[test]
     fn count_above_filter_above_join() {
-        let plan = Plan::count(Plan::filter(
-            Plan::join(
-                Plan::table("orders"),
-                Plan::table("lineitem"),
-                ("orders", "orderkey"),
-                ("lineitem", "orderkey"),
-            ),
-            "l_commitdate < l_receiptdate",
-        ));
+        let plan = sql("SELECT COUNT(*) FROM orders \
+             JOIN lineitem ON orders.orderkey = lineitem.orderkey \
+             WHERE lineitem.commitdate < lineitem.receiptdate");
         assert_eq!(analyze(&plan, &meta()).unwrap(), 7.0);
     }
 }

@@ -14,21 +14,26 @@
 //!   dependent), which is FLEX's main source of over-estimation — the
 //!   paper's Figure 2(a) shows it off by up to five orders of magnitude on
 //!   TPCH16/TPCH21, which stack multiple filters and joins;
-//! * non-count aggregates (SUM/AVG, arithmetic, machine learning) are
+//! * non-count aggregates (SUM, arithmetic, machine learning) are
 //!   **unsupported** — only five of the paper's nine queries are
 //!   analysable (Table II).
+//!
+//! FLEX reads the same [`LogicalPlan`](upa_relational::LogicalPlan) the
+//! relational engine executes: a query's SQL text parses once, and both
+//! the executor and the analysis walk that one plan.
 //!
 //! # Example
 //!
 //! ```
-//! use upa_flex::{analyze, Metadata, Plan};
+//! use upa_flex::{analyze, Metadata};
+//! use upa_relational::parse_sql;
 //!
-//! let plan = Plan::count(Plan::join(
-//!     Plan::table("orders"),
-//!     Plan::table("lineitem"),
-//!     ("orders", "orderkey"),
-//!     ("lineitem", "orderkey"),
-//! ));
+//! let plan = parse_sql(
+//!     "SELECT COUNT(*) FROM orders \
+//!      JOIN lineitem ON orders.orderkey = lineitem.orderkey \
+//!      WHERE orders.orderdate < 100",
+//! )
+//! .unwrap();
 //! let mut meta = Metadata::new();
 //! meta.set_max_freq("orders", "orderkey", 1);
 //! meta.set_max_freq("lineitem", "orderkey", 7);
@@ -42,6 +47,5 @@ pub mod plan;
 pub mod smooth;
 
 pub use analysis::{analyze, elastic_sensitivity, FlexUnsupported};
-pub use metadata::Metadata;
-pub use plan::{ColumnRef, Plan};
+pub use metadata::{ColumnRef, Metadata};
 pub use smooth::{smooth_sensitivity, SmoothMechanism};

@@ -5,9 +5,39 @@
 //! computes these once per dataset (they are considered public metadata in
 //! FLEX's model).
 
-use crate::plan::ColumnRef;
 use std::collections::HashMap;
 use std::hash::Hash;
+
+/// A `(table, column)` reference used as a join key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ColumnRef {
+    /// Table name.
+    pub table: String,
+    /// Column name.
+    pub column: String,
+}
+
+impl ColumnRef {
+    /// Creates a column reference.
+    pub fn new(table: impl Into<String>, column: impl Into<String>) -> Self {
+        ColumnRef {
+            table: table.into(),
+            column: column.into(),
+        }
+    }
+}
+
+impl From<(&str, &str)> for ColumnRef {
+    fn from((table, column): (&str, &str)) -> Self {
+        ColumnRef::new(table, column)
+    }
+}
+
+impl std::fmt::Display for ColumnRef {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}.{}", self.table, self.column)
+    }
+}
 
 /// Per-column maximum-frequency metadata.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

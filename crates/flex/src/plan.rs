@@ -1,35 +1,7 @@
-//! Relational query plans — the IR FLEX analyses.
+//! How FLEX reads a relational plan: the aggregates it cannot analyse,
+//! and the `table.column` names of join keys it looks up in the metadata.
 
-/// A `(table, column)` reference used as a join key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ColumnRef {
-    /// Table name.
-    pub table: String,
-    /// Column name.
-    pub column: String,
-}
-
-impl ColumnRef {
-    /// Creates a column reference.
-    pub fn new(table: impl Into<String>, column: impl Into<String>) -> Self {
-        ColumnRef {
-            table: table.into(),
-            column: column.into(),
-        }
-    }
-}
-
-impl From<(&str, &str)> for ColumnRef {
-    fn from((table, column): (&str, &str)) -> Self {
-        ColumnRef::new(table, column)
-    }
-}
-
-impl std::fmt::Display for ColumnRef {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}.{}", self.table, self.column)
-    }
-}
+use crate::metadata::ColumnRef;
 
 /// Non-count aggregates — FLEX cannot analyse these (Table II's
 /// unsupported rows).
@@ -37,10 +9,8 @@ impl std::fmt::Display for ColumnRef {
 pub enum AggregateKind {
     /// SUM of an expression (TPCH6, TPCH11).
     Sum,
-    /// AVG of an expression.
-    Avg,
     /// An iterative machine-learning computation (KMeans, Linear
-    /// Regression).
+    /// Regression), which has no SQL plan at all.
     MachineLearning,
 }
 
@@ -48,186 +18,90 @@ impl std::fmt::Display for AggregateKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AggregateKind::Sum => write!(f, "SUM"),
-            AggregateKind::Avg => write!(f, "AVG"),
             AggregateKind::MachineLearning => write!(f, "ML"),
         }
     }
 }
 
-/// A relational query plan.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Plan {
-    /// A base table scan.
-    Table {
-        /// Table name.
-        name: String,
-    },
-    /// A selection; the predicate is opaque to static analysis (which is
-    /// the point — FLEX cannot see through it).
-    Filter {
-        /// Input plan.
-        input: Box<Plan>,
-        /// Human-readable predicate description.
-        predicate: String,
-    },
-    /// An equi-join on one key pair.
-    Join {
-        /// Left input plan.
-        left: Box<Plan>,
-        /// Right input plan.
-        right: Box<Plan>,
-        /// Join key on the left side.
-        left_key: ColumnRef,
-        /// Join key on the right side.
-        right_key: ColumnRef,
-    },
-    /// COUNT(*) over the input.
-    Count {
-        /// Input plan.
-        input: Box<Plan>,
-    },
-    /// A non-count aggregate (unsupported by FLEX).
-    Aggregate {
-        /// The aggregate's kind.
-        kind: AggregateKind,
-        /// Input plan.
-        input: Box<Plan>,
-    },
-}
-
-impl Plan {
-    /// A base table scan.
-    pub fn table(name: impl Into<String>) -> Plan {
-        Plan::Table { name: name.into() }
-    }
-
-    /// A filter over `input`.
-    pub fn filter(input: Plan, predicate: impl Into<String>) -> Plan {
-        Plan::Filter {
-            input: Box::new(input),
-            predicate: predicate.into(),
-        }
-    }
-
-    /// An equi-join of `left` and `right`.
-    pub fn join(
-        left: Plan,
-        right: Plan,
-        left_key: impl Into<ColumnRef>,
-        right_key: impl Into<ColumnRef>,
-    ) -> Plan {
-        Plan::Join {
-            left: Box::new(left),
-            right: Box::new(right),
-            left_key: left_key.into(),
-            right_key: right_key.into(),
-        }
-    }
-
-    /// COUNT(*) of `input`.
-    pub fn count(input: Plan) -> Plan {
-        Plan::Count {
-            input: Box::new(input),
-        }
-    }
-
-    /// A non-count aggregate of `input`.
-    pub fn aggregate(kind: AggregateKind, input: Plan) -> Plan {
-        Plan::Aggregate {
-            kind,
-            input: Box::new(input),
-        }
-    }
-
-    /// Number of `Join` operators in the plan (the paper ties FLEX's error
-    /// blow-up to this count).
-    pub fn join_count(&self) -> usize {
-        match self {
-            Plan::Table { .. } => 0,
-            Plan::Filter { input, .. } | Plan::Count { input } | Plan::Aggregate { input, .. } => {
-                input.join_count()
-            }
-            Plan::Join { left, right, .. } => 1 + left.join_count() + right.join_count(),
-        }
-    }
-
-    /// Number of `Filter` operators in the plan.
-    pub fn filter_count(&self) -> usize {
-        match self {
-            Plan::Table { .. } => 0,
-            Plan::Filter { input, .. } => 1 + input.filter_count(),
-            Plan::Count { input } | Plan::Aggregate { input, .. } => input.filter_count(),
-            Plan::Join { left, right, .. } => left.filter_count() + right.filter_count(),
-        }
-    }
-}
-
-/// Renders the plan as an indented operator tree, matching the engine's
-/// `explain()` style.
-impl std::fmt::Display for Plan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        fn render(plan: &Plan, depth: usize, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            for _ in 0..depth {
-                write!(f, "  ")?;
-            }
-            match plan {
-                Plan::Table { name } => writeln!(f, "Table({name})"),
-                Plan::Filter { input, predicate } => {
-                    writeln!(f, "Filter({predicate})")?;
-                    render(input, depth + 1, f)
-                }
-                Plan::Join {
-                    left,
-                    right,
-                    left_key,
-                    right_key,
-                } => {
-                    writeln!(f, "Join({left_key} = {right_key})")?;
-                    render(left, depth + 1, f)?;
-                    render(right, depth + 1, f)
-                }
-                Plan::Count { input } => {
-                    writeln!(f, "Count")?;
-                    render(input, depth + 1, f)
-                }
-                Plan::Aggregate { kind, input } => {
-                    writeln!(f, "Aggregate({kind})")?;
-                    render(input, depth + 1, f)
-                }
-            }
-        }
-        render(self, 0, f)
+/// Splits a qualified `table.column` join key into the metadata's
+/// `(table, column)` reference; unqualified names get an empty table.
+pub(crate) fn split_column(name: &str) -> ColumnRef {
+    match name.split_once('.') {
+        Some((t, c)) => ColumnRef::new(t, c),
+        None => ColumnRef::new("", name),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{analyze, Metadata};
+    use dataflow::Context;
+    use upa_relational::plan::{int, Aggregate};
+    use upa_relational::value::{Relation, Schema, Value};
+    use upa_relational::{Catalog, Expr, LogicalPlan};
 
-    fn two_join_plan() -> Plan {
-        Plan::count(Plan::join(
-            Plan::filter(Plan::table("a"), "a.x > 3"),
-            Plan::join(Plan::table("b"), Plan::table("c"), ("b", "k"), ("c", "k")),
-            ("a", "k"),
-            ("b", "k"),
-        ))
+    fn q4ish() -> LogicalPlan {
+        LogicalPlan::scan("orders")
+            .join(
+                LogicalPlan::scan("lineitem"),
+                "orders.orderkey",
+                "lineitem.orderkey",
+            )
+            .filter(Expr::col("orders.orderdate").lt(int(100)))
+            .count()
     }
 
     #[test]
-    fn join_and_filter_counts() {
-        let p = two_join_plan();
-        assert_eq!(p.join_count(), 2);
-        assert_eq!(p.filter_count(), 1);
-        assert_eq!(Plan::count(Plan::table("t")).join_count(), 0);
+    fn flex_preserves_operator_structure() {
+        let mut meta = Metadata::new();
+        meta.set_max_freq("orders", "orderkey", 1);
+        meta.set_max_freq("lineitem", "orderkey", 9);
+        assert_eq!(analyze(&q4ish(), &meta).unwrap(), 9.0);
+        // The filter above the join is opaque: dropping it changes nothing.
+        let unfiltered = LogicalPlan::scan("orders")
+            .join(
+                LogicalPlan::scan("lineitem"),
+                "orders.orderkey",
+                "lineitem.orderkey",
+            )
+            .count();
+        assert_eq!(analyze(&unfiltered, &meta).unwrap(), 9.0);
     }
 
     #[test]
-    fn display_renders_tree() {
-        let text = two_join_plan().to_string();
-        assert!(text.starts_with("Count\n"));
-        assert!(text.contains("Join(a.k = b.k)"));
-        assert!(text.contains("Filter(a.x > 3)"));
-        assert!(text.contains("Table(c)"));
+    fn flex_marks_sum_unsupported() {
+        let p = LogicalPlan::scan("lineitem").sum(Expr::col("price"));
+        assert!(analyze(&p, &Metadata::new()).is_err());
+    }
+
+    #[test]
+    fn projection_is_transparent_for_flex() {
+        let p = LogicalPlan::scan("t").project(&["a"]).count();
+        assert_eq!(analyze(&p, &Metadata::new()).unwrap(), 1.0);
+        let rows = LogicalPlan::scan("t").count().project(&["a"]);
+        assert_eq!(analyze(&rows, &Metadata::new()).unwrap(), 1.0);
+    }
+
+    #[test]
+    fn split_column_handles_unqualified() {
+        let c = split_column("orderkey");
+        assert_eq!(c.table, "");
+        assert_eq!(c.column, "orderkey");
+        assert_eq!(
+            split_column("lineitem.orderkey"),
+            ColumnRef::new("lineitem", "orderkey")
+        );
+    }
+
+    #[test]
+    fn group_by_builder_and_flex_shape() {
+        let p = LogicalPlan::scan("t").group_by("t.k", Aggregate::CountStar);
+        match &p {
+            LogicalPlan::GroupBy { key, .. } => assert_eq!(key, "t.k"),
+            other => panic!("expected group-by, got {other:?}"),
+        }
+        assert_eq!(analyze(&p, &Metadata::new()).unwrap(), 1.0);
     }
 
     #[test]
@@ -241,5 +115,47 @@ mod tests {
     fn aggregate_kinds_display() {
         assert_eq!(AggregateKind::Sum.to_string(), "SUM");
         assert_eq!(AggregateKind::MachineLearning.to_string(), "ML");
+    }
+
+    #[test]
+    fn executed_plan_and_flex_plan_share_structure() {
+        let ctx = Context::with_threads(2);
+        let mut c = Catalog::new();
+        let orders = (0..100)
+            .map(|i| vec![Value::Int(i), Value::Int(i % 5)])
+            .collect();
+        c.register(Relation::from_rows(
+            &ctx,
+            Schema::new("orders", &["orderkey", "priority"]),
+            orders,
+            2,
+        ));
+        let lineitem = (0..300).map(|i| vec![Value::Int(i % 100)]).collect();
+        c.register(Relation::from_rows(
+            &ctx,
+            Schema::new("lineitem", &["orderkey"]),
+            lineitem,
+            2,
+        ));
+        let plan = LogicalPlan::scan("orders")
+            .join(
+                LogicalPlan::scan("lineitem"),
+                "orders.orderkey",
+                "lineitem.orderkey",
+            )
+            .filter(Expr::col("priority").ge(int(3)))
+            .count();
+        // Execute the plan...
+        let measured = c.execute(&plan).unwrap().as_scalar().unwrap();
+        assert_eq!(
+            measured, 120.0,
+            "40 orders of priority 3-4, 3 lineitems each"
+        );
+        // ...and analyse the same plan with FLEX.
+        let mut meta = Metadata::new();
+        meta.set_max_freq("orders", "orderkey", 1);
+        meta.set_max_freq("lineitem", "orderkey", 3);
+        let flex = analyze(&plan, &meta).unwrap();
+        assert_eq!(flex, 3.0, "one order joins at most 3 lineitems");
     }
 }

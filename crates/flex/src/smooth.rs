@@ -16,7 +16,7 @@
 
 use crate::analysis::{elastic_sensitivity, FlexUnsupported};
 use crate::metadata::Metadata;
-use crate::plan::Plan;
+use upa_relational::LogicalPlan;
 
 /// The smooth-sensitivity bound `max_k e^{−βk}·E(q, k)`.
 ///
@@ -30,7 +30,7 @@ use crate::plan::Plan;
 /// Propagates [`FlexUnsupported`] from the elastic analysis, and rejects
 /// non-positive `beta`.
 pub fn smooth_sensitivity(
-    plan: &Plan,
+    plan: &LogicalPlan,
     metadata: &Metadata,
     beta: f64,
 ) -> Result<f64, FlexUnsupported> {
@@ -95,7 +95,11 @@ impl SmoothMechanism {
     /// # Errors
     ///
     /// Propagates [`FlexUnsupported`].
-    pub fn sensitivity(&self, plan: &Plan, metadata: &Metadata) -> Result<f64, FlexUnsupported> {
+    pub fn sensitivity(
+        &self,
+        plan: &LogicalPlan,
+        metadata: &Metadata,
+    ) -> Result<f64, FlexUnsupported> {
         smooth_sensitivity(plan, metadata, self.beta())
     }
 
@@ -104,7 +108,11 @@ impl SmoothMechanism {
     /// # Errors
     ///
     /// Propagates [`FlexUnsupported`].
-    pub fn noise_scale(&self, plan: &Plan, metadata: &Metadata) -> Result<f64, FlexUnsupported> {
+    pub fn noise_scale(
+        &self,
+        plan: &LogicalPlan,
+        metadata: &Metadata,
+    ) -> Result<f64, FlexUnsupported> {
         Ok(2.0 * self.sensitivity(plan, metadata)? / self.epsilon)
     }
 }
@@ -120,13 +128,14 @@ mod tests {
         m
     }
 
-    fn join_count() -> Plan {
-        Plan::count(Plan::join(
-            Plan::table("orders"),
-            Plan::table("lineitem"),
-            ("orders", "orderkey"),
-            ("lineitem", "orderkey"),
-        ))
+    fn join_count() -> LogicalPlan {
+        LogicalPlan::scan("orders")
+            .join(
+                LogicalPlan::scan("lineitem"),
+                "orders.orderkey",
+                "lineitem.orderkey",
+            )
+            .count()
     }
 
     #[test]
@@ -144,7 +153,7 @@ mod tests {
     fn smooth_of_plain_count_is_one() {
         // E(q, k) = 1 for all k, so the max is at k = 0.
         let m = meta();
-        let plan = Plan::count(Plan::table("lineitem"));
+        let plan = LogicalPlan::scan("lineitem").count();
         let s = smooth_sensitivity(&plan, &m, 0.25).unwrap();
         assert!((s - 1.0).abs() < 1e-12);
     }
@@ -182,7 +191,7 @@ mod tests {
     fn mechanism_propagates_unsupported() {
         let m = meta();
         let mech = SmoothMechanism::new(0.1, 1e-6);
-        let plan = Plan::aggregate(crate::plan::AggregateKind::Sum, Plan::table("t"));
+        let plan = LogicalPlan::scan("t").sum(upa_relational::Expr::col("t.x"));
         assert!(mech.sensitivity(&plan, &m).is_err());
     }
 

@@ -26,21 +26,3 @@ pub mod linreg;
 pub use data::{LifeScienceConfig, LrRecord};
 pub use kmeans::KMeans;
 pub use linreg::LinearRegression;
-
-/// The FLEX plan for either ML query: a machine-learning aggregate, which
-/// the static analysis rejects (Table II's unsupported rows).
-pub fn ml_flex_plan(table: &str) -> upa_flex::Plan {
-    upa_flex::Plan::aggregate(
-        upa_flex::plan::AggregateKind::MachineLearning,
-        upa_flex::Plan::table(table),
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn ml_plans_are_flex_unsupported() {
-        let meta = upa_flex::Metadata::new();
-        assert!(upa_flex::analyze(&super::ml_flex_plan("ds1"), &meta).is_err());
-    }
-}

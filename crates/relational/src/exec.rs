@@ -403,29 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn executed_plan_and_flex_plan_share_structure() {
-        let ctx = Context::with_threads(2);
-        let c = catalog(&ctx);
-        let plan = LogicalPlan::scan("orders")
-            .join(
-                LogicalPlan::scan("lineitem"),
-                "orders.orderkey",
-                "lineitem.orderkey",
-            )
-            .filter(Expr::col("priority").ge(int(3)))
-            .count();
-        // Execute the plan...
-        let measured = c.execute(&plan).unwrap().as_scalar().unwrap();
-        assert!(measured > 0.0);
-        // ...and analyse the same plan with FLEX.
-        let mut meta = upa_flex::Metadata::new();
-        meta.set_max_freq("orders", "orderkey", 1);
-        meta.set_max_freq("lineitem", "orderkey", 3);
-        let flex = upa_flex::analyze(&plan.to_flex(), &meta).unwrap();
-        assert_eq!(flex, 3.0, "one order joins at most 3 lineitems");
-    }
-
-    #[test]
     fn group_by_count_matches_reference() {
         let ctx = Context::with_threads(2);
         let c = catalog(&ctx);

@@ -3,11 +3,11 @@
 //!
 //! The paper runs seven of its nine queries as SparkSQL; FLEX consumes
 //! their relational plans. This crate closes the loop: a query's SQL text
-//! parses ([`parse_sql`]) into one logical plan, which FLEX analyses
-//! statically ([`LogicalPlan::to_flex`]) and the dataflow engine
-//! **executes**, so the reproduction can check that the plan given to
-//! FLEX computes the same answer as the hand-written Map/Reduce query
-//! UPA runs. The TPC-H queries exist as SQL text only (`upa_tpch::sql`).
+//! parses ([`parse_sql`]) into one [`LogicalPlan`], which the dataflow
+//! engine **executes** and the `upa-flex` crate analyses statically as
+//! is, so the reproduction can check that the plan given to FLEX
+//! computes the same answer as the hand-written Map/Reduce query UPA
+//! runs. The TPC-H queries exist as SQL text only (`upa_tpch::sql`).
 //!
 //! Components:
 //!
@@ -20,8 +20,8 @@
 //!   (`SELECT COUNT(*)`/`SUM(expr)` over `JOIN … ON` chains with a
 //!   `WHERE` clause and an optional `GROUP BY`), parsed into a plan;
 //! * [`plan`] — the logical plan: `Scan`, `Filter`, `Join`, `Project`,
-//!   `Aggregate` (COUNT(*)/SUM), plus conversion to the
-//!   [`upa_flex::Plan`] the static baseline consumes;
+//!   `Aggregate` and `GroupBy` (COUNT(*)/SUM), the one plan both the
+//!   executor and the static baseline read;
 //! * [`exec`] — the executor: binds expressions, runs scans/filters as
 //!   narrow stages and joins through the engine's shuffle join.
 //!

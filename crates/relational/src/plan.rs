@@ -1,4 +1,4 @@
-//! Logical query plans, with conversion to the FLEX analysis IR.
+//! Logical query plans: what the executor runs and FLEX analyses.
 
 use crate::expr::Expr;
 use crate::value::Value;
@@ -126,52 +126,6 @@ impl LogicalPlan {
             agg,
         }
     }
-
-    /// Converts to the operator-composition plan FLEX analyses. The
-    /// conversion is *lossy by design*: predicates become opaque
-    /// descriptions and SUM becomes the unsupported aggregate — exactly
-    /// the information loss that makes the static baseline inaccurate.
-    pub fn to_flex(&self) -> upa_flex::Plan {
-        match self {
-            LogicalPlan::Scan { table } => upa_flex::Plan::table(table.clone()),
-            LogicalPlan::Filter { input, predicate } => {
-                upa_flex::Plan::filter(input.to_flex(), format!("{predicate:?}"))
-            }
-            LogicalPlan::Join {
-                left,
-                right,
-                left_key,
-                right_key,
-            } => upa_flex::Plan::join(
-                left.to_flex(),
-                right.to_flex(),
-                split_column(left_key),
-                split_column(right_key),
-            ),
-            // Projection is invisible to sensitivity analysis.
-            LogicalPlan::Project { input, .. } => input.to_flex(),
-            LogicalPlan::Aggregate { input, agg }
-            // A grouped count has the same per-record influence bound as
-            // the ungrouped count (one record lands in one group), so
-            // FLEX analyses the same operator composition.
-            | LogicalPlan::GroupBy { input, agg, .. } => match agg {
-                Aggregate::CountStar => upa_flex::Plan::count(input.to_flex()),
-                Aggregate::Sum(_) => upa_flex::Plan::aggregate(
-                    upa_flex::plan::AggregateKind::Sum,
-                    input.to_flex(),
-                ),
-            },
-        }
-    }
-}
-
-/// Splits a qualified `table.column` name into FLEX's `(table, column)`
-/// reference; unqualified names get an empty table.
-fn split_column(name: &str) -> upa_flex::ColumnRef {
-    match name.split_once('.') {
-        Some((t, c)) => upa_flex::ColumnRef::new(t, c),
-        None => upa_flex::ColumnRef::new("", name),
-    }
 }
 
 /// Convenience literal constructors used by plan builders.
@@ -206,51 +160,5 @@ mod tests {
             LogicalPlan::Aggregate { agg, .. } => assert_eq!(*agg, Aggregate::CountStar),
             other => panic!("expected aggregate root, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn to_flex_preserves_operator_structure() {
-        let flex = q4ish().to_flex();
-        assert_eq!(flex.join_count(), 1);
-        assert_eq!(flex.filter_count(), 1);
-        let mut meta = upa_flex::Metadata::new();
-        meta.set_max_freq("orders", "orderkey", 1);
-        meta.set_max_freq("lineitem", "orderkey", 9);
-        assert_eq!(upa_flex::analyze(&flex, &meta).unwrap(), 9.0);
-    }
-
-    #[test]
-    fn to_flex_marks_sum_unsupported() {
-        let p = LogicalPlan::scan("lineitem").sum(Expr::col("price"));
-        assert!(upa_flex::analyze(&p.to_flex(), &upa_flex::Metadata::new()).is_err());
-    }
-
-    #[test]
-    fn projection_is_transparent_to_flex() {
-        let p = LogicalPlan::scan("t").project(&["a"]).count();
-        assert_eq!(
-            upa_flex::analyze(&p.to_flex(), &upa_flex::Metadata::new()).unwrap(),
-            1.0
-        );
-    }
-
-    #[test]
-    fn split_column_handles_unqualified() {
-        let c = split_column("orderkey");
-        assert_eq!(c.table, "");
-        assert_eq!(c.column, "orderkey");
-    }
-
-    #[test]
-    fn group_by_builder_and_flex_shape() {
-        let p = LogicalPlan::scan("t").group_by("t.k", Aggregate::CountStar);
-        match &p {
-            LogicalPlan::GroupBy { key, .. } => assert_eq!(key, "t.k"),
-            other => panic!("expected group-by, got {other:?}"),
-        }
-        assert_eq!(
-            upa_flex::analyze(&p.to_flex(), &upa_flex::Metadata::new()).unwrap(),
-            1.0
-        );
     }
 }

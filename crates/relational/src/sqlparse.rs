@@ -19,13 +19,14 @@
 //!
 //! ```
 //! use upa_relational::sqlparse::parse_sql;
+//! use upa_relational::LogicalPlan;
 //! let plan = parse_sql(
 //!     "SELECT COUNT(*) FROM orders \
 //!      JOIN lineitem ON orders.orderkey = lineitem.orderkey \
 //!      WHERE orders.orderdate < 100",
 //! )
 //! .unwrap();
-//! assert_eq!(plan.to_flex().join_count(), 1);
+//! assert!(matches!(plan, LogicalPlan::Aggregate { .. }));
 //! ```
 
 use crate::expr::Expr;
@@ -478,9 +479,13 @@ mod tests {
              WHERE orders.orderdate >= 730 AND orders.orderdate < 820",
         )
         .unwrap();
-        let flex = plan.to_flex();
-        assert_eq!(flex.join_count(), 1);
-        assert_eq!(flex.filter_count(), 1);
+        let LogicalPlan::Aggregate { input, .. } = plan else {
+            panic!("expected a COUNT root, got {plan:?}");
+        };
+        let LogicalPlan::Filter { input, .. } = *input else {
+            panic!("expected the WHERE filter, got {input:?}");
+        };
+        assert!(matches!(*input, LogicalPlan::Join { .. }), "{input:?}");
     }
 
     #[test]

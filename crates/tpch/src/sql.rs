@@ -5,7 +5,7 @@
 //! relational definition: [`plan`] parses it into a [`LogicalPlan`], which
 //! the [`catalog`] of generated tables executes (the tests check it
 //! against the Map/Reduce decompositions in [`crate::queries`]) and
-//! [`LogicalPlan::to_flex`] turns into the plan FLEX analyses.
+//! `upa_flex` analyses as is.
 
 use crate::gen::Tables;
 use crate::queries::{
@@ -251,23 +251,22 @@ pub fn sql_texts() -> Vec<(&'static str, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{TpchConfig, TpchDatasets};
+    use crate::gen::TpchConfig;
     use crate::queries as tq;
 
-    fn setup() -> (Tables, Catalog, TpchDatasets) {
+    fn setup() -> (Tables, Catalog) {
         let tables = Tables::generate(&TpchConfig {
             orders: 600,
             ..TpchConfig::default()
         });
         let ctx = Context::with_threads(4);
         let catalog = catalog(&ctx, &tables, 4);
-        let datasets = TpchDatasets::load(&ctx, &tables, 4);
-        (tables, catalog, datasets)
+        (tables, catalog)
     }
 
     #[test]
     fn catalog_registers_all_tables() {
-        let (tables, c, _d) = setup();
+        let (tables, c) = setup();
         assert_eq!(c.len(), 6);
         assert_eq!(c.table("lineitem").unwrap().len(), tables.lineitem.len());
         assert_eq!(c.table("orders").unwrap().len(), tables.orders.len());
@@ -278,7 +277,7 @@ mod tests {
     /// parser, binder and executor exercised end to end on all seven.
     #[test]
     fn sql_texts_parse_and_execute() {
-        let (_tables, c, _d) = setup();
+        let (_tables, c) = setup();
         for (name, text) in sql_texts() {
             let parsed = parse_sql(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(plan(name), parsed, "{name}");
@@ -287,49 +286,50 @@ mod tests {
         }
     }
 
-    /// Every query's SQL plan executes to the same answer as the vanilla
-    /// dataflow job of its hand-written Map/Reduce form: the cross-check
-    /// that the plan handed to FLEX is the query UPA actually ran.
+    /// Every query's SQL plan executes to the same answer as its
+    /// hand-written Map/Reduce form over the protected table's rows: the
+    /// cross-check that the plan handed to FLEX is the query UPA actually
+    /// runs.
     #[test]
     fn sql_plans_match_handwritten_queries() {
-        let (tables, c, d) = setup();
-        let plain = [
-            ("Q1", tq::Q1::new(&tables).plain(&d)),
-            ("Q4", tq::Q4::new(&tables).plain(&d)),
-            ("Q6", tq::Q6::new(&tables).plain(&d)),
-            ("Q11", tq::Q11::new(&tables).plain(&d)),
-            ("Q13", tq::Q13::new(&tables).plain(&d)),
-            ("Q16", tq::Q16::new(&tables).plain(&d)),
-            ("Q21", tq::Q21::new(&tables).plain(&d)),
+        let (t, c) = setup();
+        let map_reduce = [
+            ("Q1", tq::Q1::new(&t).query().evaluate_slice(&t.lineitem)),
+            ("Q4", tq::Q4::new(&t).query().evaluate_slice(&t.orders)),
+            ("Q6", tq::Q6::new(&t).query().evaluate_slice(&t.lineitem)),
+            ("Q11", tq::Q11::new(&t).query().evaluate_slice(&t.partsupp)),
+            ("Q13", tq::Q13::new(&t).query().evaluate_slice(&t.orders)),
+            ("Q16", tq::Q16::new(&t).query().evaluate_slice(&t.partsupp)),
+            ("Q21", tq::Q21::new(&t).query().evaluate_slice(&t.supplier)),
         ];
-        assert_eq!(sql_texts().len(), plain.len());
-        for (name, want) in plain {
+        assert_eq!(sql_texts().len(), map_reduce.len());
+        for (name, want) in map_reduce {
             let got = c.execute(&plan(name)).unwrap().as_scalar().unwrap();
             let tol = 1e-6 * want.abs().max(1.0);
             assert!(
                 (got - want).abs() <= tol,
-                "{name}: SQL text gives {got}, the dataflow job gives {want}"
+                "{name}: SQL text gives {got}, the Map/Reduce form gives {want}"
             );
         }
     }
 
-    /// The FLEX plan derived from each SQL text has the shape of the
-    /// hand-written Map/Reduce form: it scans the tables that form reads
-    /// and ends in the aggregate it computes (a COUNT where the form sums
-    /// 0/1 indicators or match counts, a SUM where it sums values). Q21's
-    /// text also joins `nation`, as TPC-H's does; its Map/Reduce form
-    /// reads the nation key off `supplier`.
+    /// The plan FLEX analyses, parsed from each SQL text, has the shape of
+    /// the hand-written Map/Reduce form: it scans the tables that form
+    /// reads and ends in the aggregate it computes (a COUNT where the form
+    /// sums 0/1 indicators or match counts, a SUM where it sums values).
+    /// Q21's text also joins `nation`, as TPC-H's does; its Map/Reduce
+    /// form reads the nation key off `supplier`.
     #[test]
     fn derived_flex_plans_match_handwritten_shapes() {
-        use upa_flex::plan::AggregateKind;
-        use upa_flex::Plan;
-        fn tables(plan: &Plan, out: &mut Vec<String>) {
+        use upa_relational::plan::Aggregate;
+        fn tables(plan: &LogicalPlan, out: &mut Vec<String>) {
             match plan {
-                Plan::Table { name } => out.push(name.clone()),
-                Plan::Filter { input, .. }
-                | Plan::Count { input }
-                | Plan::Aggregate { input, .. } => tables(input, out),
-                Plan::Join { left, right, .. } => {
+                LogicalPlan::Scan { table } => out.push(table.clone()),
+                LogicalPlan::Filter { input, .. }
+                | LogicalPlan::Project { input, .. }
+                | LogicalPlan::Aggregate { input, .. }
+                | LogicalPlan::GroupBy { input, .. } => tables(input, out),
+                LogicalPlan::Join { left, right, .. } => {
                     tables(left, out);
                     tables(right, out);
                 }
@@ -344,21 +344,27 @@ mod tests {
             ("Q16", &["part", "partsupp", "supplier"], true),
             ("Q21", &["lineitem", "nation", "orders", "supplier"], true),
         ] {
-            let flex = plan(name).to_flex();
+            let plan = plan(name);
             let mut scanned = Vec::new();
-            tables(&flex, &mut scanned);
+            tables(&plan, &mut scanned);
             scanned.sort();
             assert_eq!(scanned, want_tables, "{name}");
-            match (&flex, counts) {
-                (Plan::Count { .. }, true)
+            match (&plan, counts) {
+                (
+                    LogicalPlan::Aggregate {
+                        agg: Aggregate::CountStar,
+                        ..
+                    },
+                    true,
+                )
                 | (
-                    Plan::Aggregate {
-                        kind: AggregateKind::Sum,
+                    LogicalPlan::Aggregate {
+                        agg: Aggregate::Sum(_),
                         ..
                     },
                     false,
                 ) => {}
-                _ => panic!("{name}: unexpected root of {flex}"),
+                _ => panic!("{name}: unexpected root of {plan:?}"),
             }
         }
     }

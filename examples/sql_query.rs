@@ -9,7 +9,7 @@
 //!
 //! The analyst's TPCH4-style counting query is written once as SQL text.
 //! The example (1) parses it and executes the plan on the relational
-//! engine, (2) derives the FLEX plan from it and compares the static
+//! engine, (2) hands the same plan to FLEX and compares the static
 //! sensitivity bound against brute-force ground truth, and (3) runs the
 //! equivalent Map/Reduce decomposition through UPA's full iDP pipeline —
 //! the side-by-side that the paper's Figure 2(a) aggregates over nine
@@ -43,10 +43,9 @@ fn main() {
 
     // (2) Static analysis of the same plan.
     let metadata = build_metadata(&tables);
-    let flex_plan = plan.to_flex();
-    let flex_bound = analyze(&flex_plan, &metadata).expect("count query");
+    let flex_bound = analyze(&plan, &metadata).expect("count query");
     let smooth = SmoothMechanism::new(0.1, 1e-6)
-        .sensitivity(&flex_plan, &metadata)
+        .sensitivity(&plan, &metadata)
         .expect("count query");
     println!("FLEX local-sensitivity bound : {flex_bound}");
     println!("FLEX smooth sensitivity      : {smooth:.2}");

@@ -21,10 +21,12 @@ use upa_core::join::JoinAggregate;
 use upa_core::pipeline::{Upa, UpaResult};
 use upa_core::query::MapReduceQuery;
 use upa_core::UpaError;
-use upa_flex::{analyze, FlexUnsupported, Metadata, Plan};
+use upa_flex::plan::AggregateKind;
+use upa_flex::{analyze, FlexUnsupported, Metadata};
 use upa_mlalgo::data::{generate_points, generate_regression, LifeScienceConfig};
 use upa_mlalgo::kmeans::Point;
 use upa_mlalgo::{KMeans, LinearRegression, LrRecord};
+use upa_relational::LogicalPlan;
 use upa_tpch::gen::TpchDatasets;
 use upa_tpch::meta::build_metadata;
 use upa_tpch::queries as tq;
@@ -136,15 +138,21 @@ pub trait EvalQuery: Send + Sync {
         domain_samples: usize,
         seed: u64,
     ) -> GroundTruth<Vec<f64>>;
-    /// The plan FLEX analyses.
-    fn flex_plan(&self) -> &Plan;
+    /// The relational plan FLEX analyses: the one parsed from a TPC-H
+    /// query's SQL text, or `None` for an ML query, which has no SQL form.
+    fn flex_plan(&self) -> Option<&LogicalPlan>;
     /// FLEX's static bound.
     ///
     /// # Errors
     ///
     /// Returns [`FlexUnsupported`] for the four non-count queries.
     fn flex_sensitivity(&self, data: &EvalData) -> Result<f64, FlexUnsupported> {
-        analyze(self.flex_plan(), &data.metadata)
+        match self.flex_plan() {
+            Some(plan) => analyze(plan, &data.metadata),
+            None => Err(FlexUnsupported::NonCountAggregate(
+                AggregateKind::MachineLearning,
+            )),
+        }
     }
 }
 
@@ -176,7 +184,7 @@ struct ScalarQuery<T> {
     /// from and the records `ground_truth` removes one at a time.
     domain: EmpiricalSampler<T>,
     dataset: Dataset<T>,
-    flex_plan: Plan,
+    flex_plan: LogicalPlan,
 }
 
 impl<T: Data> EvalQuery for ScalarQuery<T> {
@@ -210,8 +218,8 @@ impl<T: Data> EvalQuery for ScalarQuery<T> {
         exact_local_sensitivity(rows, &self.query, &self.domain, domain_samples, seed)
     }
 
-    fn flex_plan(&self) -> &Plan {
-        &self.flex_plan
+    fn flex_plan(&self) -> Option<&LogicalPlan> {
+        Some(&self.flex_plan)
     }
 }
 
@@ -227,7 +235,7 @@ struct JoinQuery {
     orders_by_key: EmpiricalSampler<(u64, Order)>,
     orders_keyed: Dataset<(u64, Order)>,
     lineitem_keyed: Dataset<(u64, Lineitem)>,
-    flex_plan: Plan,
+    flex_plan: LogicalPlan,
 }
 
 impl EvalQuery for JoinQuery {
@@ -275,8 +283,8 @@ impl EvalQuery for JoinQuery {
         )
     }
 
-    fn flex_plan(&self) -> &Plan {
-        &self.flex_plan
+    fn flex_plan(&self) -> Option<&LogicalPlan> {
+        Some(&self.flex_plan)
     }
 }
 
@@ -286,7 +294,6 @@ struct KmQuery {
     model: KMeans,
     domain: EmpiricalSampler<Point>,
     dataset: Dataset<Point>,
-    flex_plan: Plan,
 }
 
 impl EvalQuery for KmQuery {
@@ -318,8 +325,8 @@ impl EvalQuery for KmQuery {
         exact_local_sensitivity(rows, &self.query, &self.domain, domain_samples, seed)
     }
 
-    fn flex_plan(&self) -> &Plan {
-        &self.flex_plan
+    fn flex_plan(&self) -> Option<&LogicalPlan> {
+        None
     }
 }
 
@@ -329,7 +336,6 @@ struct LrQuery {
     model: LinearRegression,
     domain: EmpiricalSampler<LrRecord>,
     dataset: Dataset<LrRecord>,
-    flex_plan: Plan,
 }
 
 impl EvalQuery for LrQuery {
@@ -361,8 +367,8 @@ impl EvalQuery for LrQuery {
         exact_local_sensitivity(rows, &self.query, &self.domain, domain_samples, seed)
     }
 
-    fn flex_plan(&self) -> &Plan {
-        &self.flex_plan
+    fn flex_plan(&self) -> Option<&LogicalPlan> {
+        None
     }
 }
 
@@ -391,7 +397,7 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
         query: vectorize(q1.query()),
         domain: lineitem.clone(),
         dataset: data.datasets.lineitem.clone(),
-        flex_plan: sql::plan("Q1").to_flex(),
+        flex_plan: sql::plan("Q1"),
     }));
 
     let (orders_keyed, lineitem_keyed) = tq::Q4::keyed(&data.datasets);
@@ -410,7 +416,7 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
         orders_by_key: orders_by_key.clone(),
         orders_keyed: orders_keyed.clone(),
         lineitem_keyed: lineitem_keyed.clone(),
-        flex_plan: sql::plan("Q4").to_flex(),
+        flex_plan: sql::plan("Q4"),
     }));
 
     let q13 = tq::Q13::new(&data.tables);
@@ -428,7 +434,7 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
         orders_by_key,
         orders_keyed,
         lineitem_keyed,
-        flex_plan: sql::plan("Q13").to_flex(),
+        flex_plan: sql::plan("Q13"),
     }));
 
     let q16 = tq::Q16::new(&data.tables);
@@ -439,7 +445,7 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
         query: vectorize(q16.query()),
         domain: partsupp.clone(),
         dataset: data.datasets.partsupp.clone(),
-        flex_plan: sql::plan("Q16").to_flex(),
+        flex_plan: sql::plan("Q16"),
     }));
 
     let q21 = tq::Q21::new(&data.tables);
@@ -450,7 +456,7 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
         query: vectorize(q21.query()),
         domain: EmpiricalSampler::new(data.tables.supplier.clone()),
         dataset: data.datasets.supplier.clone(),
-        flex_plan: sql::plan("Q21").to_flex(),
+        flex_plan: sql::plan("Q21"),
     }));
 
     // KMeans: warm the model with two plain Lloyd iterations so the
@@ -462,7 +468,6 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
         model: km,
         domain: EmpiricalSampler::new(data.points.clone()),
         dataset: data.points_ds.clone(),
-        flex_plan: upa_mlalgo::ml_flex_plan("ds1.10"),
     }));
 
     // Linear Regression: warm with three plain epochs.
@@ -474,7 +479,6 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
         model: lr,
         domain: EmpiricalSampler::new(data.lr_records.clone()),
         dataset: data.lr_ds.clone(),
-        flex_plan: upa_mlalgo::ml_flex_plan("ds1.10"),
     }));
 
     let q6 = tq::Q6::new(&data.tables);
@@ -485,7 +489,7 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
         query: vectorize(q6.query()),
         domain: lineitem,
         dataset: data.datasets.lineitem.clone(),
-        flex_plan: sql::plan("Q6").to_flex(),
+        flex_plan: sql::plan("Q6"),
     }));
 
     let q11 = tq::Q11::new(&data.tables);
@@ -496,7 +500,7 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
         query: vectorize(q11.query()),
         domain: partsupp,
         dataset: data.datasets.partsupp.clone(),
-        flex_plan: sql::plan("Q11").to_flex(),
+        flex_plan: sql::plan("Q11"),
     }));
 
     queries

@@ -141,7 +141,7 @@ fn sql_text_elastic_sensitivities_are_pinned() {
     assert_eq!(texts.len(), pinned.len());
     for ((name, text), (want_name, want)) in texts.iter().zip(pinned) {
         assert_eq!(*name, want_name);
-        let plan = parse_sql(text).unwrap().to_flex();
+        let plan = parse_sql(text).unwrap();
         for (k, want) in want.into_iter().enumerate() {
             assert_eq!(
                 elastic_sensitivity(&plan, &data.metadata, k as u64),
