@@ -207,3 +207,30 @@ fn budget_spans_multiple_suite_queries() {
     assert_eq!(ok, 4, "0.45 budget funds exactly four ε=0.1 queries");
     assert_eq!(exhausted, 5);
 }
+
+/// Table II's labels, pinned in paper order: each query's name, its
+/// "Query Type" and the table whose records iDP protects. `table2_support`
+/// prints these strings, so a change that derives them must keep them.
+#[test]
+fn table2_labels_are_pinned() {
+    let ctx = Context::with_threads(2);
+    let data = EvalData::generate(&ctx, small_scale());
+    let labels: Vec<(&str, &str, &str)> = build_queries(&data)
+        .iter()
+        .map(|q| (q.name(), q.kind(), q.protected()))
+        .collect();
+    assert_eq!(
+        labels,
+        [
+            ("TPCH1", "Count", "lineitem"),
+            ("TPCH4", "Count", "orders"),
+            ("TPCH13", "Count", "orders"),
+            ("TPCH16", "Count", "partsupp"),
+            ("TPCH21", "Count", "supplier"),
+            ("KMeans", "Machine Learning", "ds1.10"),
+            ("LinearRegression", "Machine Learning", "ds1.10"),
+            ("TPCH6", "Arithmetic", "lineitem"),
+            ("TPCH11", "Arithmetic", "partsupp"),
+        ]
+    );
+}
