@@ -196,26 +196,25 @@ impl Context {
         self.parallelize(data, self.inner.config.default_partitions)
     }
 
-    /// Runs a fused chain of narrow transforms as one stage: the chain's
-    /// push-based closure streams base partition `i` through every fused
-    /// op into a freshly collected output partition. Metrics charge only
-    /// the base records — the whole point of fusion is that intermediate
-    /// results are never materialised or re-scanned.
-    pub(crate) fn run_fused<T: Data>(
+    /// Runs a fused chain of narrow transforms as one stage: task `p`
+    /// streams base partition `p` through every fused op, inside `f`,
+    /// into whatever `f` makes of it — a freshly collected output
+    /// partition, or an action's fold. Metrics charge only the base
+    /// records — the whole point of fusion is that intermediate results
+    /// are never materialised or re-scanned.
+    pub(crate) fn run_fused<O: Send + 'static>(
         &self,
         name: &str,
-        base_sizes: &[usize],
-        run: crate::dataset::PendingRun<T>,
-    ) -> Vec<Arc<Vec<T>>> {
+        base_sizes: &Arc<Vec<usize>>,
+        f: impl Fn(usize) -> O + Send + Sync + 'static,
+    ) -> Vec<O> {
         let records: u64 = base_sizes.iter().map(|&n| n as u64).sum();
         self.inner.metrics.record_processed(records);
         let scan_ns = self.inner.config.scan_cost_ns;
-        let sizes: Arc<Vec<usize>> = Arc::new(base_sizes.to_vec());
+        let sizes = Arc::clone(base_sizes);
         self.run_tasks(name, (0..sizes.len()).collect(), move |_i, p: usize| {
             scan_delay(sizes[p], scan_ns);
-            let mut out: Vec<T> = Vec::new();
-            run(p, &mut |t| out.push(t));
-            Arc::new(out)
+            f(p)
         })
     }
 

@@ -129,3 +129,32 @@ fn narrow_chains_do_not_multiply_stages() {
         "fusion must keep chained narrow transforms in a single stage"
     );
 }
+
+/// An action on an unforced chain folds inside the chain's own stage:
+/// `map → reduce` and a join's `filter → count` each run one stage that
+/// charges its base records once, and the join's stage keeps its
+/// `fused[join→…]` label, so the shuffle-time share still counts it.
+#[test]
+fn actions_fold_inside_the_chain_stage() {
+    let ctx = Context::with_threads(2);
+    let ds = ctx.parallelize((0..1_000i64).collect(), 4);
+    let before = ctx.metrics();
+    assert_eq!(ds.map(|x| x * 2).reduce(|a, b| a + b), Some(999_000));
+    let delta = ctx.metrics().since(&before);
+    assert_eq!((delta.stages, delta.records_processed), (1, 1_000));
+
+    let orders = ctx.parallelize((0..100u64).map(|k| (k, k)).collect(), 4);
+    let items = ctx.parallelize((0..400u64).map(|i| (i % 100, i)).collect(), 4);
+    // The first join shuffles both sides; both keep their buckets.
+    assert_eq!(orders.join(&items).count(), 400);
+    ctx.reset_metrics();
+    let n = orders.join(&items).filter(|(_, (_, i))| i % 2 == 0).count();
+    assert_eq!(n, 200);
+    let m = ctx.metrics();
+    // The one stage scans the left buckets; the right side's join index
+    // was built by the first join.
+    assert_eq!((m.stages, m.shuffles, m.records_processed), (1, 0, 100));
+    let names: Vec<String> = ctx.stage_times().into_keys().collect();
+    assert_eq!(names, ["fused[join→filter]"]);
+    assert!(ctx.shuffle_time_share() > 0.0);
+}
