@@ -43,12 +43,6 @@ impl Resident {
     pub fn column(&self, name: &str) -> Option<&ColumnarBuf> {
         self.columns.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
-
-    /// Column names in manifest order.
-    #[must_use]
-    pub fn column_names(&self) -> Vec<String> {
-        self.columns.iter().map(|(n, _)| n.clone()).collect()
-    }
 }
 
 impl From<LoadedDataset> for Resident {

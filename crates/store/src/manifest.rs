@@ -117,12 +117,6 @@ impl Manifest {
     pub fn resident_bytes(&self) -> u64 {
         self.rows * 8 * self.columns.len() as u64
     }
-
-    /// Column names in ingest order.
-    #[must_use]
-    pub fn column_names(&self) -> Vec<String> {
-        self.columns.iter().map(|c| c.name.clone()).collect()
-    }
 }
 
 // The manifest is a file of its own, so its line ends with a newline.

@@ -157,16 +157,6 @@ impl Tables {
             nation,
         }
     }
-
-    /// Total number of rows across all tables.
-    pub fn total_rows(&self) -> usize {
-        self.lineitem.len()
-            + self.orders.len()
-            + self.part.len()
-            + self.supplier.len()
-            + self.partsupp.len()
-            + self.nation.len()
-    }
 }
 
 /// The database loaded into engine datasets (the "RDDs" of the queries).
@@ -241,7 +231,6 @@ mod tests {
         // Zipf(12, 1.0) has mean ≈ 3.9; lineitem is a few times orders.
         assert!(t.lineitem.len() > t.orders.len());
         assert!(t.lineitem.len() < t.orders.len() * 12);
-        assert!(t.total_rows() > t.lineitem.len());
     }
 
     #[test]
