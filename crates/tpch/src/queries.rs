@@ -545,7 +545,7 @@ mod tests {
     #[test]
     fn flex_supports_exactly_the_count_queries() {
         let (tables, _data, _ctx) = setup();
-        let meta = crate::meta::build_metadata(&tables);
+        let meta = crate::sql::build_metadata(&tables);
         for (name, supported) in [
             ("Q1", true),
             ("Q4", true),
@@ -563,7 +563,7 @@ mod tests {
     #[test]
     fn flex_overestimates_join_queries() {
         let (tables, _data, _ctx) = setup();
-        let meta = crate::meta::build_metadata(&tables);
+        let meta = crate::sql::build_metadata(&tables);
         let q1 = upa_flex::analyze(&flex("Q1"), &meta).unwrap();
         let q4 = upa_flex::analyze(&flex("Q4"), &meta).unwrap();
         let q21 = upa_flex::analyze(&flex("Q21"), &meta).unwrap();

@@ -5,165 +5,88 @@
 //! relational definition: [`plan`] parses it into a [`LogicalPlan`], which
 //! the [`catalog`] of generated tables executes (the tests check it
 //! against the Map/Reduce decompositions in [`crate::queries`]) and
-//! `upa_flex` analyses as is.
+//! `upa_flex` analyses as is, over the join-key frequencies
+//! [`build_metadata`] reads off the same plans.
 
 use crate::gen::Tables;
 use crate::queries::{
     Q11_NATION_BOUND, Q16_BRAND, Q16_SIZES, Q21_NATION_BOUND, Q4_DATE_HI, Q4_DATE_LO, Q6_DATE_HI,
     Q6_DATE_LO,
 };
-use crate::rows::STATUS_F;
+use crate::rows::{Table, STATUS_F};
 use dataflow::Context;
-use upa_relational::value::{Relation, Row, Schema, Value};
+use std::collections::BTreeSet;
+use upa_flex::Metadata;
+use upa_relational::value::{Relation, Schema};
 use upa_relational::{parse_sql, Catalog, LogicalPlan};
 
-/// Loads the generated tables into a relational catalog.
+/// Loads the generated tables into a relational catalog, one relation per
+/// table with every column its row type declares.
 pub fn catalog(ctx: &Context, tables: &Tables, partitions: usize) -> Catalog {
+    fn register<T: Table>(c: &mut Catalog, ctx: &Context, rows: &[T], partitions: usize) {
+        let rows = rows.iter().map(T::row).collect();
+        let schema = Schema::new(T::NAME, T::COLUMNS);
+        c.register(Relation::from_rows(ctx, schema, rows, partitions));
+    }
     let mut c = Catalog::new();
-
-    let lineitem: Vec<Row> = tables
-        .lineitem
-        .iter()
-        .map(|l| {
-            vec![
-                Value::Int(l.orderkey as i64),
-                Value::Int(l.partkey as i64),
-                Value::Int(l.suppkey as i64),
-                Value::Float(l.quantity),
-                Value::Float(l.extendedprice),
-                Value::Float(l.discount),
-                Value::Int(l.shipdate as i64),
-                Value::Int(l.commitdate as i64),
-                Value::Int(l.receiptdate as i64),
-            ]
-        })
-        .collect();
-    c.register(Relation::from_rows(
-        ctx,
-        Schema::new(
-            "lineitem",
-            &[
-                "orderkey",
-                "partkey",
-                "suppkey",
-                "quantity",
-                "extendedprice",
-                "discount",
-                "shipdate",
-                "commitdate",
-                "receiptdate",
-            ],
-        ),
-        lineitem,
-        partitions,
-    ));
-
-    let orders: Vec<Row> = tables
-        .orders
-        .iter()
-        .map(|o| {
-            vec![
-                Value::Int(o.orderkey as i64),
-                Value::Int(o.custkey as i64),
-                Value::Int(o.orderstatus as i64),
-                Value::Int(o.orderdate as i64),
-                Value::Int(o.orderpriority as i64),
-            ]
-        })
-        .collect();
-    c.register(Relation::from_rows(
-        ctx,
-        Schema::new(
-            "orders",
-            &[
-                "orderkey",
-                "custkey",
-                "orderstatus",
-                "orderdate",
-                "orderpriority",
-            ],
-        ),
-        orders,
-        partitions,
-    ));
-
-    let part: Vec<Row> = tables
-        .part
-        .iter()
-        .map(|p| {
-            vec![
-                Value::Int(p.partkey as i64),
-                Value::Int(p.brand as i64),
-                Value::Int(p.typ as i64),
-                Value::Int(p.size as i64),
-            ]
-        })
-        .collect();
-    c.register(Relation::from_rows(
-        ctx,
-        Schema::new("part", &["partkey", "brand", "typ", "size"]),
-        part,
-        partitions,
-    ));
-
-    let supplier: Vec<Row> = tables
-        .supplier
-        .iter()
-        .map(|s| {
-            vec![
-                Value::Int(s.suppkey as i64),
-                Value::Int(s.nationkey as i64),
-                Value::Bool(s.complaint),
-            ]
-        })
-        .collect();
-    c.register(Relation::from_rows(
-        ctx,
-        Schema::new("supplier", &["suppkey", "nationkey", "complaint"]),
-        supplier,
-        partitions,
-    ));
-
-    let partsupp: Vec<Row> = tables
-        .partsupp
-        .iter()
-        .map(|ps| {
-            vec![
-                Value::Int(ps.partkey as i64),
-                Value::Int(ps.suppkey as i64),
-                Value::Int(ps.availqty as i64),
-                Value::Float(ps.supplycost),
-            ]
-        })
-        .collect();
-    c.register(Relation::from_rows(
-        ctx,
-        Schema::new(
-            "partsupp",
-            &["partkey", "suppkey", "availqty", "supplycost"],
-        ),
-        partsupp,
-        partitions,
-    ));
-
-    let nation: Vec<Row> = tables
-        .nation
-        .iter()
-        .map(|n| {
-            vec![
-                Value::Int(n.nationkey as i64),
-                Value::Int(n.regionkey as i64),
-            ]
-        })
-        .collect();
-    c.register(Relation::from_rows(
-        ctx,
-        Schema::new("nation", &["nationkey", "regionkey"]),
-        nation,
-        partitions,
-    ));
-
+    register(&mut c, ctx, &tables.lineitem, partitions);
+    register(&mut c, ctx, &tables.orders, partitions);
+    register(&mut c, ctx, &tables.part, partitions);
+    register(&mut c, ctx, &tables.supplier, partitions);
+    register(&mut c, ctx, &tables.partsupp, partitions);
+    register(&mut c, ctx, &tables.nation, partitions);
     c
+}
+
+/// FLEX metadata for the generated database: the maximum frequency of
+/// every join key the seven [`sql_texts`] plans join on. FLEX's model
+/// takes these as public, published by the data curator.
+///
+/// # Panics
+///
+/// If a plan joins on a key that is not a declared `table.column`.
+pub fn build_metadata(tables: &Tables) -> Metadata {
+    fn join_keys(plan: &LogicalPlan, out: &mut BTreeSet<(String, String)>) {
+        match plan {
+            LogicalPlan::Scan { .. } => {}
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::GroupBy { input, .. } => join_keys(input, out),
+            LogicalPlan::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+            } => {
+                for key in [left_key, right_key] {
+                    let (table, column) = key.split_once('.').expect("qualified join key");
+                    out.insert((table.to_string(), column.to_string()));
+                }
+                join_keys(left, out);
+                join_keys(right, out);
+            }
+        }
+    }
+    fn record<T: Table>(m: &mut Metadata, keys: &BTreeSet<(String, String)>, rows: &[T]) {
+        for (_, column) in keys.iter().filter(|(table, _)| table == T::NAME) {
+            let key = T::column(column).unwrap_or_else(|| panic!("no column {}.{column}", T::NAME));
+            m.record_keys(T::NAME, column, rows.iter().map(|r| key(r).join_key()));
+        }
+    }
+    let mut keys = BTreeSet::new();
+    for (name, _) in sql_texts() {
+        join_keys(&plan(name), &mut keys);
+    }
+    let mut m = Metadata::new();
+    record(&mut m, &keys, &tables.lineitem);
+    record(&mut m, &keys, &tables.orders);
+    record(&mut m, &keys, &tables.part);
+    record(&mut m, &keys, &tables.supplier);
+    record(&mut m, &keys, &tables.partsupp);
+    record(&mut m, &keys, &tables.nation);
+    assert_eq!(m.len(), keys.len(), "a join key names no generated table");
+    m
 }
 
 /// The relational plan of query `name` (`"Q1"` … `"Q21"`), parsed from
@@ -253,6 +176,7 @@ mod tests {
     use super::*;
     use crate::gen::TpchConfig;
     use crate::queries as tq;
+    use upa_flex::ColumnRef;
 
     fn setup() -> (Tables, Catalog) {
         let tables = Tables::generate(&TpchConfig {
@@ -367,5 +291,58 @@ mod tests {
                 _ => panic!("{name}: unexpected root of {plan:?}"),
             }
         }
+    }
+
+    #[test]
+    fn metadata_covers_all_join_keys() {
+        let tables = Tables::generate(&TpchConfig {
+            orders: 500,
+            ..TpchConfig::default()
+        });
+        let m = build_metadata(&tables);
+        for (t, c) in [
+            ("lineitem", "orderkey"),
+            ("lineitem", "suppkey"),
+            ("orders", "orderkey"),
+            ("part", "partkey"),
+            ("supplier", "suppkey"),
+            ("partsupp", "partkey"),
+            ("partsupp", "suppkey"),
+            ("nation", "nationkey"),
+        ] {
+            assert!(
+                m.max_freq(&ColumnRef::new(t, c)).is_some(),
+                "missing metadata for {t}.{c}"
+            );
+        }
+    }
+
+    #[test]
+    fn primary_keys_have_frequency_one() {
+        let tables = Tables::generate(&TpchConfig {
+            orders: 500,
+            ..TpchConfig::default()
+        });
+        let m = build_metadata(&tables);
+        assert_eq!(m.max_freq(&ColumnRef::new("orders", "orderkey")), Some(1));
+        assert_eq!(m.max_freq(&ColumnRef::new("supplier", "suppkey")), Some(1));
+        assert_eq!(m.max_freq(&ColumnRef::new("part", "partkey")), Some(1));
+    }
+
+    #[test]
+    fn skewed_foreign_keys_have_high_frequency() {
+        let tables = Tables::generate(&TpchConfig {
+            orders: 2_000,
+            ..TpchConfig::default()
+        });
+        let m = build_metadata(&tables);
+        let supp_mf = m
+            .max_freq(&ColumnRef::new("lineitem", "suppkey"))
+            .expect("recorded");
+        let avg = tables.lineitem.len() as u64 / tables.supplier.len() as u64;
+        assert!(
+            supp_mf > 3 * avg,
+            "Zipf skew should inflate the max frequency (mf {supp_mf}, avg {avg})"
+        );
     }
 }

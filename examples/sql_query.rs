@@ -20,9 +20,8 @@ use upa_repro::upa_core::brute::exact_local_sensitivity;
 use upa_repro::upa_core::domain::EmpiricalSampler;
 use upa_repro::upa_core::{Upa, UpaConfig};
 use upa_repro::upa_flex::{analyze, SmoothMechanism};
-use upa_repro::upa_tpch::meta::build_metadata;
 use upa_repro::upa_tpch::queries::Q4;
-use upa_repro::upa_tpch::sql::{self, catalog};
+use upa_repro::upa_tpch::sql::{self, build_metadata, catalog};
 use upa_repro::upa_tpch::{Tables, TpchConfig};
 
 fn main() {

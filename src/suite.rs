@@ -26,12 +26,12 @@ use upa_flex::{analyze, FlexUnsupported, Metadata};
 use upa_mlalgo::data::{generate_points, generate_regression, LifeScienceConfig};
 use upa_mlalgo::kmeans::Point;
 use upa_mlalgo::{KMeans, LinearRegression, LrRecord};
+use upa_relational::plan::Aggregate;
 use upa_relational::LogicalPlan;
 use upa_tpch::gen::TpchDatasets;
-use upa_tpch::meta::build_metadata;
 use upa_tpch::queries as tq;
-use upa_tpch::sql;
-use upa_tpch::{Lineitem, Order, Tables, TpchConfig};
+use upa_tpch::sql::{self, build_metadata};
+use upa_tpch::{Lineitem, Order, Table, Tables, TpchConfig};
 
 /// Workload scale of one evaluation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,8 +118,19 @@ impl EvalData {
 pub trait EvalQuery: Send + Sync {
     /// Name as the paper prints it.
     fn name(&self) -> &'static str;
-    /// Table II "Query Type".
-    fn kind(&self) -> &'static str;
+    /// Table II "Query Type", read off the aggregate of the query's plan:
+    /// COUNT is "Count", any other (a SUM) "Arithmetic", and an ML step,
+    /// which has no plan, "Machine Learning".
+    fn kind(&self) -> &'static str {
+        match self.flex_plan() {
+            None => "Machine Learning",
+            Some(LogicalPlan::Aggregate {
+                agg: Aggregate::CountStar,
+                ..
+            }) => "Count",
+            Some(_) => "Arithmetic",
+        }
+    }
     /// The table whose records iDP protects.
     fn protected(&self) -> &'static str;
     /// Vanilla dataflow execution.
@@ -174,34 +185,65 @@ fn vectorize<T: Data>(q: &MapReduceQuery<T, f64, f64>) -> MapReduceQuery<T, f64,
     v
 }
 
-/// A scalar query over one protected table (Q1, Q6, Q11, Q16, Q21).
-struct ScalarQuery<T> {
+/// The protected dataset of the two ML steps (the paper's life-science
+/// dataset).
+const ML_DATASET: &str = "ds1.10";
+
+/// A vanilla dataflow job over a protected dataset.
+type VanillaRun<T> = Box<dyn Fn(&Dataset<T>) -> Vec<f64> + Send + Sync>;
+
+/// A query over the records of one protected table: the five single-table
+/// TPC-H queries (Q1, Q6, Q11, Q16, Q21) and the two ML steps.
+struct SingleTableQuery<T, Acc> {
     name: &'static str,
-    kind: &'static str,
-    protected_name: &'static str,
-    query: MapReduceQuery<T, f64, Vec<f64>>,
+    protected: &'static str,
+    query: MapReduceQuery<T, Acc, Vec<f64>>,
+    /// Runs the query vanilla over `dataset`.
+    vanilla: VanillaRun<T>,
     /// The protected table's rows: the domain `run_upa` samples additions
     /// from and the records `ground_truth` removes one at a time.
     domain: EmpiricalSampler<T>,
     dataset: Dataset<T>,
-    flex_plan: LogicalPlan,
+    flex_plan: Option<LogicalPlan>,
 }
 
-impl<T: Data> EvalQuery for ScalarQuery<T> {
+impl<T: Table> SingleTableQuery<T, f64> {
+    /// TPC-H query `sql_name` over table `T`: its Map/Reduce form, run
+    /// vanilla as `map → reduce`, and the plan parsed from its SQL text.
+    fn tpch(
+        name: &'static str,
+        sql_name: &str,
+        query: &MapReduceQuery<T, f64, f64>,
+        domain: EmpiricalSampler<T>,
+        dataset: Dataset<T>,
+    ) -> Self {
+        let query = vectorize(query);
+        let q = query.clone();
+        SingleTableQuery {
+            name,
+            protected: T::NAME,
+            vanilla: Box::new(move |ds: &Dataset<T>| {
+                let m = q.mapper();
+                q.finalize(ds.map(move |t| m(t)).reduce(|a, b| a + b).as_ref())
+            }),
+            query,
+            domain,
+            dataset,
+            flex_plan: Some(sql::plan(sql_name)),
+        }
+    }
+}
+
+impl<T: Data, Acc: Data> EvalQuery for SingleTableQuery<T, Acc> {
     fn name(&self) -> &'static str {
         self.name
     }
-    fn kind(&self) -> &'static str {
-        self.kind
-    }
     fn protected(&self) -> &'static str {
-        self.protected_name
+        self.protected
     }
 
     fn run_plain(&self, _data: &EvalData) -> Vec<f64> {
-        let m = self.query.mapper();
-        let acc = self.dataset.map(move |t| m(t)).reduce(|a, b| a + b);
-        self.query.finalize(acc.as_ref())
+        (self.vanilla)(&self.dataset)
     }
 
     fn run_upa(&self, upa: &mut Upa, _data: &EvalData) -> Result<UpaResult<Vec<f64>>, UpaError> {
@@ -219,7 +261,7 @@ impl<T: Data> EvalQuery for ScalarQuery<T> {
     }
 
     fn flex_plan(&self) -> Option<&LogicalPlan> {
-        Some(&self.flex_plan)
+        self.flex_plan.as_ref()
     }
 }
 
@@ -242,11 +284,8 @@ impl EvalQuery for JoinQuery {
     fn name(&self) -> &'static str {
         self.name
     }
-    fn kind(&self) -> &'static str {
-        "Count"
-    }
     fn protected(&self) -> &'static str {
-        "orders"
+        Order::NAME
     }
 
     fn run_plain(&self, _data: &EvalData) -> Vec<f64> {
@@ -288,90 +327,6 @@ impl EvalQuery for JoinQuery {
     }
 }
 
-/// KMeans (one Lloyd iteration from a warmed-up model).
-struct KmQuery {
-    query: MapReduceQuery<Point, upa_mlalgo::kmeans::KmAcc, Vec<f64>>,
-    model: KMeans,
-    domain: EmpiricalSampler<Point>,
-    dataset: Dataset<Point>,
-}
-
-impl EvalQuery for KmQuery {
-    fn name(&self) -> &'static str {
-        "KMeans"
-    }
-    fn kind(&self) -> &'static str {
-        "Machine Learning"
-    }
-    fn protected(&self) -> &'static str {
-        "ds1.10"
-    }
-
-    fn run_plain(&self, _data: &EvalData) -> Vec<f64> {
-        self.model.step_plain(&self.dataset)
-    }
-
-    fn run_upa(&self, upa: &mut Upa, _data: &EvalData) -> Result<UpaResult<Vec<f64>>, UpaError> {
-        upa.run(&self.dataset, &self.query, &self.domain)
-    }
-
-    fn ground_truth(
-        &self,
-        _data: &EvalData,
-        domain_samples: usize,
-        seed: u64,
-    ) -> GroundTruth<Vec<f64>> {
-        let rows = self.domain.pool();
-        exact_local_sensitivity(rows, &self.query, &self.domain, domain_samples, seed)
-    }
-
-    fn flex_plan(&self) -> Option<&LogicalPlan> {
-        None
-    }
-}
-
-/// Linear Regression (one SGD epoch from a warmed-up model).
-struct LrQuery {
-    query: MapReduceQuery<LrRecord, upa_mlalgo::linreg::LrAcc, Vec<f64>>,
-    model: LinearRegression,
-    domain: EmpiricalSampler<LrRecord>,
-    dataset: Dataset<LrRecord>,
-}
-
-impl EvalQuery for LrQuery {
-    fn name(&self) -> &'static str {
-        "LinearRegression"
-    }
-    fn kind(&self) -> &'static str {
-        "Machine Learning"
-    }
-    fn protected(&self) -> &'static str {
-        "ds1.10"
-    }
-
-    fn run_plain(&self, _data: &EvalData) -> Vec<f64> {
-        self.model.step_plain(&self.dataset)
-    }
-
-    fn run_upa(&self, upa: &mut Upa, _data: &EvalData) -> Result<UpaResult<Vec<f64>>, UpaError> {
-        upa.run(&self.dataset, &self.query, &self.domain)
-    }
-
-    fn ground_truth(
-        &self,
-        _data: &EvalData,
-        domain_samples: usize,
-        seed: u64,
-    ) -> GroundTruth<Vec<f64>> {
-        let rows = self.domain.pool();
-        exact_local_sensitivity(rows, &self.query, &self.domain, domain_samples, seed)
-    }
-
-    fn flex_plan(&self) -> Option<&LogicalPlan> {
-        None
-    }
-}
-
 /// Builds all nine evaluated queries over `data`, in the paper's
 /// Figure 2 order (the five FLEX-supported queries first).
 pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
@@ -390,15 +345,13 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
     let orders_by_key = EmpiricalSampler::new(keyed);
 
     let q1 = tq::Q1::new(&data.tables);
-    queries.push(Box::new(ScalarQuery {
-        name: "TPCH1",
-        kind: "Count",
-        protected_name: "lineitem",
-        query: vectorize(q1.query()),
-        domain: lineitem.clone(),
-        dataset: data.datasets.lineitem.clone(),
-        flex_plan: sql::plan("Q1"),
-    }));
+    queries.push(Box::new(SingleTableQuery::tpch(
+        "TPCH1",
+        "Q1",
+        q1.query(),
+        lineitem.clone(),
+        data.datasets.lineitem.clone(),
+    )));
 
     let (orders_keyed, lineitem_keyed) = tq::Q4::keyed(&data.datasets);
     let q4 = tq::Q4::new(&data.tables);
@@ -438,70 +391,68 @@ pub fn build_queries(data: &EvalData) -> Vec<Box<dyn EvalQuery>> {
     }));
 
     let q16 = tq::Q16::new(&data.tables);
-    queries.push(Box::new(ScalarQuery {
-        name: "TPCH16",
-        kind: "Count",
-        protected_name: "partsupp",
-        query: vectorize(q16.query()),
-        domain: partsupp.clone(),
-        dataset: data.datasets.partsupp.clone(),
-        flex_plan: sql::plan("Q16"),
-    }));
+    queries.push(Box::new(SingleTableQuery::tpch(
+        "TPCH16",
+        "Q16",
+        q16.query(),
+        partsupp.clone(),
+        data.datasets.partsupp.clone(),
+    )));
 
     let q21 = tq::Q21::new(&data.tables);
-    queries.push(Box::new(ScalarQuery {
-        name: "TPCH21",
-        kind: "Count",
-        protected_name: "supplier",
-        query: vectorize(q21.query()),
-        domain: EmpiricalSampler::new(data.tables.supplier.clone()),
-        dataset: data.datasets.supplier.clone(),
-        flex_plan: sql::plan("Q21"),
-    }));
+    queries.push(Box::new(SingleTableQuery::tpch(
+        "TPCH21",
+        "Q21",
+        q21.query(),
+        EmpiricalSampler::new(data.tables.supplier.clone()),
+        data.datasets.supplier.clone(),
+    )));
 
     // KMeans: warm the model with two plain Lloyd iterations so the
     // evaluated query is a realistic mid-training step.
     let mut km = KMeans::init_from_points(&data.points, 3);
     km.fit(&data.points_ds, 2);
-    queries.push(Box::new(KmQuery {
+    queries.push(Box::new(SingleTableQuery {
+        name: "KMeans",
+        protected: ML_DATASET,
         query: km.step_query("KMeans"),
-        model: km,
+        vanilla: Box::new(move |ds: &Dataset<Point>| km.step_plain(ds)),
         domain: EmpiricalSampler::new(data.points.clone()),
         dataset: data.points_ds.clone(),
+        flex_plan: None,
     }));
 
     // Linear Regression: warm with three plain epochs.
     let dims = data.lr_records[0].features.len();
     let mut lr = LinearRegression::new(dims, 0.05);
     lr.fit(&data.lr_ds, 3);
-    queries.push(Box::new(LrQuery {
+    queries.push(Box::new(SingleTableQuery {
+        name: "LinearRegression",
+        protected: ML_DATASET,
         query: lr.step_query("LinearRegression"),
-        model: lr,
+        vanilla: Box::new(move |ds: &Dataset<LrRecord>| lr.step_plain(ds)),
         domain: EmpiricalSampler::new(data.lr_records.clone()),
         dataset: data.lr_ds.clone(),
+        flex_plan: None,
     }));
 
     let q6 = tq::Q6::new(&data.tables);
-    queries.push(Box::new(ScalarQuery {
-        name: "TPCH6",
-        kind: "Arithmetic",
-        protected_name: "lineitem",
-        query: vectorize(q6.query()),
-        domain: lineitem,
-        dataset: data.datasets.lineitem.clone(),
-        flex_plan: sql::plan("Q6"),
-    }));
+    queries.push(Box::new(SingleTableQuery::tpch(
+        "TPCH6",
+        "Q6",
+        q6.query(),
+        lineitem,
+        data.datasets.lineitem.clone(),
+    )));
 
     let q11 = tq::Q11::new(&data.tables);
-    queries.push(Box::new(ScalarQuery {
-        name: "TPCH11",
-        kind: "Arithmetic",
-        protected_name: "partsupp",
-        query: vectorize(q11.query()),
-        domain: partsupp,
-        dataset: data.datasets.partsupp.clone(),
-        flex_plan: sql::plan("Q11"),
-    }));
+    queries.push(Box::new(SingleTableQuery::tpch(
+        "TPCH11",
+        "Q11",
+        q11.query(),
+        partsupp,
+        data.datasets.partsupp.clone(),
+    )));
 
     queries
 }
