@@ -7,8 +7,7 @@
 //! (`cache: miss` with a timing) turning into cache hits on repeat
 //! queries.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use dataflow::partitioner::hash_key;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -86,10 +85,8 @@ fn store_and_in_memory_daemons_release_identical_bits() {
     col.attach("metrics").expect("attach");
 
     // The same values in memory, under the engine seed the attach
-    // derived (configured seed ^ hash of the dataset name).
-    let mut hasher = DefaultHasher::new();
-    "metrics".hash(&mut hasher);
-    let attach_seed = (SEED ^ hasher.finish()).to_string();
+    // derived (configured seed ^ `hash_key` of the dataset name).
+    let attach_seed = (SEED ^ hash_key("metrics")).to_string();
     let synthetic = format!("metrics={ROWS}:{MODULUS}");
     let (mut row_child, row_addr) =
         spawn_daemon(&["--seed", &attach_seed, "--synthetic", &synthetic]);
