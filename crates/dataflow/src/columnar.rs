@@ -157,6 +157,13 @@ impl ColumnarBuf {
         &self.chunks
     }
 
+    /// The address of the shared chunk list: the same for a buffer and
+    /// its clones, different for any two buffers alive at once.
+    #[must_use]
+    pub fn identity(&self) -> usize {
+        Arc::as_ptr(&self.chunks) as usize
+    }
+
     /// The value at global row `g`.
     ///
     /// # Panics
