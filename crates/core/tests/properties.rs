@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use upa_core::domain::{ColumnarEmpiricalSampler, DomainSampler, EmpiricalSampler};
-use upa_core::query::MapReduceQuery;
+use upa_core::query::{MapReduceQuery, REMAINDER_BLOCK};
 use upa_core::{DpOutput, Upa, UpaConfig, UpaError, UpaResult};
 use upa_stats::sampling::sample_indices;
 
@@ -97,10 +97,12 @@ proptest! {
 }
 
 /// Naive reference for phases 1–3 and the neighbour outputs they feed:
-/// draw the sample, then — sort-free — left-fold each slab's un-sampled
-/// records in order into four lanes per logical half (the record at slab
-/// offset `i`, sampled rows counted, into lane `i % 4`), merge each half's
-/// lanes as `(L0 ⊕ L1) ⊕ (L2 ⊕ L3)`, and merge the slabs ascending.
+/// draw the sample, then — sort-free — cut each slab into blocks of
+/// `REMAINDER_BLOCK` records by slab offset, left-fold each block's
+/// un-sampled records in order into four lanes per logical half (the
+/// record at slab offset `i`, sampled rows counted, into lane `i % 4`),
+/// merge each block's lanes per half as `(L0 ⊕ L1) ⊕ (L2 ⊕ L3)`, and
+/// left-fold the block partials ascending by (slab, block).
 /// Returns the bits of `[raw, removals.., additions..]`.
 fn reference_bits<T: Data, Acc: Data>(
     slabs: &[Vec<T>],
@@ -124,26 +126,28 @@ fn reference_bits<T: Data, Acc: Data>(
     };
     let (mut rem, mut sampled, mut g) = ([None, None], Vec::new(), 0usize);
     for (s, slab) in slabs.iter().enumerate() {
-        let mut lanes: [[Option<Acc>; 2]; 4] = Default::default();
-        for (i, t) in slab.iter().enumerate() {
-            if picked.binary_search(&g).is_ok() {
-                sampled.push(query.map(t));
-            } else {
-                let h = match query.half_key() {
-                    Some(hk) => (hk(t) % 2) as usize,
-                    None => usize::from(s >= slabs.len().div_ceil(2)),
-                };
-                push(&mut lanes[i % 4][h], query.map(t));
+        for (b, block) in slab.chunks(REMAINDER_BLOCK).enumerate() {
+            let mut lanes: [[Option<Acc>; 2]; 4] = Default::default();
+            for (j, t) in block.iter().enumerate() {
+                if picked.binary_search(&g).is_ok() {
+                    sampled.push(query.map(t));
+                } else {
+                    let h = match query.half_key() {
+                        Some(hk) => (hk(t) % 2) as usize,
+                        None => usize::from(s >= slabs.len().div_ceil(2)),
+                    };
+                    push(&mut lanes[(b * REMAINDER_BLOCK + j) % 4][h], query.map(t));
+                }
+                g += 1;
             }
-            g += 1;
-        }
-        let [[a0, b0], [a1, b1], [a2, b2], [a3, b3]] = lanes;
-        let partial = [
-            merge(merge(a0, a1), merge(a2, a3)),
-            merge(merge(b0, b1), merge(b2, b3)),
-        ];
-        for (h, p) in partial.into_iter().enumerate() {
-            p.into_iter().for_each(|p| push(&mut rem[h], p));
+            let [[a0, b0], [a1, b1], [a2, b2], [a3, b3]] = lanes;
+            let partial = [
+                merge(merge(a0, a1), merge(a2, a3)),
+                merge(merge(b0, b1), merge(b2, b3)),
+            ];
+            for (h, p) in partial.into_iter().enumerate() {
+                p.into_iter().for_each(|p| push(&mut rem[h], p));
+            }
         }
     }
     let r_sprime = query.merge_ref(rem[0].as_ref(), rem[1].as_ref());
@@ -291,6 +295,48 @@ proptest! {
             outcomes.push(against_reference(run(&c).run(&ds, &query, &domain), &want)?);
         }
         prop_assert_eq!(&outcomes[0], &outcomes[1]);
+    }
+
+    /// Slabs several remainder blocks long, over finite fractional
+    /// values whose sums round differently under another grouping: both
+    /// sources put every block edge where the reference does, whatever
+    /// the chunk size.
+    #[test]
+    fn multi_block_slabs_match_the_reference_fold(
+        len in 513usize..5_000,
+        chunk_rows in 1usize..1_500,
+        threads in 1usize..4,
+        sample_size in 1usize..48,
+        seed in 0u64..500,
+        half_key in 0usize..2,
+        salt in 0usize..1_009,
+    ) {
+        let values: Vec<f64> = (0..len)
+            .map(|i| ((i * 37 + salt) % 1_009) as f64 * 0.37 - 100.0)
+            .collect();
+        let c = Context::with_threads(threads);
+        let config = UpaConfig { sample_size, seed, add_noise: false, ..UpaConfig::default() };
+        let base = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let query = if half_key == 1 {
+            base.with_half_key(|x: &f64| x.to_bits())
+        } else {
+            base
+        };
+        let domain = EmpiricalSampler::new(values.clone());
+        let slabs: Vec<Vec<f64>> = slab_ranges(len, c.config().default_partitions)
+            .into_iter()
+            .map(|(s, e)| values[s..e].to_vec())
+            .collect();
+        let want = reference_bits(&slabs, &query, &domain, &config);
+        let buf = ColumnarBuf::from_values(&values, chunk_rows);
+        let columnar = Upa::new(c.clone(), config.clone()).run(
+            &ColumnarDataset::new(&c, buf.clone()),
+            &query,
+            &ColumnarEmpiricalSampler::new(buf),
+        );
+        prop_assert!(against_reference(columnar, &want)?.is_ok(), "finite data must release");
+        let row = Upa::new(c.clone(), config).run(&c.parallelize_default(values), &query, &domain);
+        prop_assert!(against_reference(row, &want)?.is_ok(), "finite data must release");
     }
 
     /// The row source over a non-`f64` record type with a stable half
