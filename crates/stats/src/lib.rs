@@ -9,6 +9,8 @@
 //!
 //! This crate provides, from scratch (no third-party numerics):
 //!
+//! * [`exact`] — [`ExactSum`], an exact, invertible sum of `f64` values
+//!   rounded once at the end;
 //! * [`erf`] — error function, complementary error function and the inverse
 //!   normal CDF used for percentile computation;
 //! * [`normal`] — the [`normal::Normal`] distribution with MLE fitting,
@@ -34,12 +36,14 @@
 //! ```
 
 pub mod erf;
+pub mod exact;
 pub mod ks;
 pub mod laplace;
 pub mod normal;
 pub mod rmse;
 pub mod sampling;
 
+pub use exact::ExactSum;
 pub use laplace::{Laplace, LaplaceMechanism};
 pub use normal::Normal;
 
