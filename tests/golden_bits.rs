@@ -6,13 +6,20 @@
 //! of the block each half's lanes merge as `(L0 ⊕ L1) ⊕ (L2 ⊕ L3)`, and
 //! the block partials merge in one left fold, ascending by (slab, block).
 //! Only slabs longer than one block see the difference from a fold with
-//! one partial per slab: `ROW_HALF_KEY`, `COLUMNAR_PHYSICAL` and
-//! `SERVED_FRACTIONAL` were re-recorded for it (by 1–3 ulps). A refactor
-//! that changes which records are sampled, their logical halves, or that
-//! order moves these bits — that would be a utility change, not a cleanup.
-//! A fused kernel must compute exactly this order, so a kernel change
-//! that moves these constants is a break of the release contract, not a
-//! reason to re-record them.
+//! one partial per slab: `ROW_HALF_KEY` and `COLUMNAR_PHYSICAL` were
+//! re-recorded for it (by 1–3 ulps). A refactor that changes which
+//! records are sampled, their logical halves, or that order moves these
+//! bits — that would be a utility change, not a cleanup. A fused kernel
+//! must compute exactly this order, so a kernel change that moves these
+//! constants is a break of the release contract, not a reason to
+//! re-record them.
+//!
+//! The served aggregates (`SERVED_*`) take no fold order: each half's
+//! remainder is the correctly rounded exact sum of its unsampled records
+//! (`HalfTotals`), whatever the chunks, slabs or threads.
+//! `SERVED_FRACTIONAL` was re-recorded for that (by 1 ulp); the
+//! integer-valued `SERVED_SYNTHETIC` and `SERVED_STORE` sum exactly in
+//! any order and did not move.
 //!
 //! The constants depend on the `StdRng` stream: the workspace's one
 //! `rand`, the in-tree xoshiro256++ generator (`benchmark/stubs/rand`)
@@ -303,12 +310,14 @@ const SERVED_SYNTHETIC: [u64; 5] = [
     0x4047_e2b4_661d_aa31,
     0x4047_e69f_5f18_e2ed,
 ];
+/// Re-recorded (by 1 ulp) when the served aggregates' remainder became
+/// the correctly rounded exact sum of each half's unsampled records.
 const SERVED_FRACTIONAL: [u64; 5] = [
-    0x40ea_b6ed_a4a8_5cf6,
+    0x40ea_b6ed_a4a8_5cf5,
     0x4069_24f0_50cb_4c00,
     0x4054_1d8d_0d6f_7000,
-    0x40ea_cbae_3862_877a,
-    0x40ea_d5bc_fee9_3f32,
+    0x40ea_cbae_3862_8779,
+    0x40ea_d5bc_fee9_3f31,
 ];
 /// Seeded by `ServerState::attach_seed` (configured seed ^ `hash_key`
 /// of the dataset name); re-recorded when that hash moved off std's
