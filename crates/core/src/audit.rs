@@ -44,7 +44,9 @@ pub struct QueryAudit {
     /// parent, so children precede parents).
     pub spans: Vec<StageSpan>,
     /// Engine counters attributable to this query: the preparation's own
-    /// reduce stage and record exchange. A joinDP query reports the
+    /// reduce stage and record exchange, and the records it read — for a
+    /// query with exact half totals, its sample, plus the source when the
+    /// preparation scanned it for the totals. A joinDP query reports the
     /// [`dataflow::Context`]'s counter delta over its join rounds, which
     /// also counts stages other queries ran on that context meanwhile.
     pub engine: MetricsSnapshot,
