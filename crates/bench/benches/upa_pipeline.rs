@@ -1,16 +1,21 @@
 //! Benchmarks of the UPA pipeline against its baselines: vanilla
 //! execution (what Figure 2(b) normalizes to) and the engine's plain
 //! reduce, swept over sample size and dataset size, the two ML queries
-//! at the paper suite's record count, and TPCH4 through `joinDP`.
+//! at the paper suite's record count, TPCH4 through `joinDP`, and the
+//! served sum's prepare where |x| ≫ n.
 
+use dataflow::columnar::{ColumnChunk, ColumnarBuf, ColumnarDataset};
 use dataflow::{Context, PairOps};
-use upa_bench::report::bench;
-use upa_core::domain::EmpiricalSampler;
+use std::sync::Arc;
+use upa_bench::report::{bench, time_median};
+use upa_core::domain::{ColumnarEmpiricalSampler, EmpiricalSampler};
 use upa_core::join::JoinAggregate;
 use upa_core::query::MapReduceQuery;
 use upa_core::{Upa, UpaConfig};
 use upa_mlalgo::data::{generate_points, generate_regression};
 use upa_mlalgo::{KMeans, LifeScienceConfig, LinearRegression};
+use upa_server::state::build_agg_query;
+use upa_server::AggKind;
 use upa_tpch::gen::TpchDatasets;
 use upa_tpch::queries::{q4_qualifies, Q4};
 use upa_tpch::{Tables, TpchConfig};
@@ -99,6 +104,61 @@ fn main() {
             u.run(&ds, &query, &domain).expect("runs")
         });
     }
+
+    // The served sum at n = 1000 over 2·10⁵ and 2·10⁷ rows: its exact
+    // half totals are filled before timing, so a prepare reads only its
+    // sample and should take about the same time at both sizes (the
+    // paper's Fig. 4(b) near-constant claim on the served path). The two
+    // sizes' prepares alternate, so both see the same machine. The fill,
+    // one scan of the column, is reported on its own: the `reduce` span of
+    // a prepare that fills.
+    let smoke = std::env::args().any(|a| a == "--test");
+    let sizes = [200_000usize, 20_000_000];
+    let served: Vec<_> = sizes
+        .iter()
+        .map(|&rows| {
+            let chunks = (0..rows)
+                .step_by(1 << 16)
+                .map(|at| {
+                    let values: Vec<f64> = (at..rows.min(at + (1 << 16)))
+                        .map(|i| ((i * 37 + 5) % 101) as f64 * 0.37)
+                        .collect();
+                    ColumnChunk::with_stats(Arc::from(values))
+                })
+                .collect();
+            let buf = ColumnarBuf::new(chunks);
+            let ds = ColumnarDataset::new(&ctx, buf.clone());
+            let domain = ColumnarEmpiricalSampler::new(buf);
+            let u = upa(&ctx, 1_000);
+            let (_, fill_ms) = time_median(if smoke { 1 } else { 5 }, || {
+                let fresh = build_agg_query(AggKind::Sum);
+                let prepared = u.prepare(&ds, &fresh, &domain).expect("runs");
+                u.release(&prepared).expect("releases");
+                let audit = u.last_audit().expect("released");
+                audit.stage_nanos("reduce") as f64 / 1e6
+            });
+            let name = format!("upa/served_sum_fill/{rows}");
+            println!("{name:<48} {fill_ms:>14.6} ms  (reduce span, median)");
+            let query = build_agg_query(AggKind::Sum);
+            u.prepare(&ds, &query, &domain).expect("fills the totals");
+            (ds, domain, u, query)
+        })
+        .collect();
+    let reps = if smoke { 1 } else { 31 };
+    let mut times = vec![Vec::with_capacity(reps); sizes.len()];
+    for _ in 0..reps {
+        for ((ds, domain, u, query), t) in served.iter().zip(&mut times) {
+            let start = std::time::Instant::now();
+            std::hint::black_box(u.prepare(ds, query, domain).expect("runs"));
+            t.push(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    for (rows, mut t) in sizes.iter().zip(times) {
+        t.sort_by(f64::total_cmp);
+        let name = format!("upa/served_sum_prepare/{rows}");
+        println!("{name:<48} {:>14.6} ms  (median of {reps})", t[reps / 2]);
+    }
+    drop(served);
 
     for size in [25_000usize, 100_000, 400_000] {
         let data = workload(size);

@@ -152,6 +152,16 @@ impl DomainSampler<f64> for ColumnarEmpiricalSampler {
         let i = rand::Rng::gen_range(rng, 0..self.pool.len());
         self.pool.value(i)
     }
+
+    /// The draws of `n` calls of [`DomainSampler::sample`], in order; the
+    /// values are read once every index is drawn
+    /// ([`ColumnarBuf::gather`]), so the random reads overlap.
+    fn sample_n(&self, rng: &mut StdRng, n: usize) -> Vec<f64> {
+        let indices: Vec<usize> = (0..n)
+            .map(|_| rand::Rng::gen_range(rng, 0..self.pool.len()))
+            .collect();
+        self.pool.gather(&indices)
+    }
 }
 
 #[cfg(test)]
