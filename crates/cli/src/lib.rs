@@ -17,11 +17,12 @@ pub mod sql;
 pub mod store_cmd;
 
 use dataflow::{Context, Data};
+use std::sync::Arc;
 use upa_core::domain::EmpiricalSampler;
 use upa_core::query::MapReduceQuery;
 use upa_core::{DpOutput, QueryAudit, Upa, UpaConfig, UpaResult};
 use upa_server::flags::Command;
-use upa_server::state::build_agg_query;
+use upa_server::state::{agg_totals, build_agg_query};
 use upa_server::AggKind;
 use upa_store::csv;
 
@@ -147,7 +148,18 @@ fn release<T: Data, Acc: Data, Out: DpOutput>(
 ///
 /// Propagates pipeline errors as strings (empty input etc.).
 pub fn run_values(values: Vec<f64>, args: &Args) -> Result<UpaResult<f64>, String> {
-    Ok(release(args, values, &build_agg_query(args.query))?.0)
+    Ok(release_agg(args, values)?.0)
+}
+
+/// Releases the `--query` aggregate over `values`, handing it their
+/// exact half totals, summed once here.
+fn release_agg(
+    args: &Args,
+    values: Vec<f64>,
+) -> Result<(UpaResult<f64>, Option<QueryAudit>), String> {
+    let totals = Arc::new(agg_totals(&values));
+    let query = build_agg_query(args.query).with_half_totals(totals);
+    release(args, values, &query)
 }
 
 /// The local release: read the file, then release the `--sql`
@@ -171,7 +183,7 @@ pub fn run_release(args: &Args) -> Result<Release, String> {
         doc.numeric_column(&args.column)
             .map_err(|e| e.to_string())?
     };
-    let (result, audit) = release(args, values, &build_agg_query(args.query))?;
+    let (result, audit) = release_agg(args, values)?;
     Ok(Release {
         output: Output::Scalar(result),
         audit,

@@ -15,11 +15,11 @@
 //!    per-half, one engine task per slab, block by block, in place (`S′`
 //!    is never materialised); exchanging the per-slab partials models RANGE
 //!    ENFORCER's record exchange (the engine-visible cost UPA adds to
-//!    local queries, cf. Figure 2(b)). A query with exact half totals
-//!    ([`MapReduceQuery::with_half_totals`], the served aggregates) folds
-//!    nothing: each half's remainder is its exact total less its sampled
-//!    records, `R(M(S′))_h = T_h ⊖ Σ_{s ∈ S_h} M(s)`, rounded once, and
-//!    the totals are scanned once per source. Prefix/suffix partial
+//!    local queries, cf. Figure 2(b)). A query handed its source's exact
+//!    half totals ([`MapReduceQuery::with_half_totals`], the served
+//!    aggregates) folds nothing: each half's remainder is its exact total
+//!    less its sampled records, `R(M(S′))_h = T_h ⊖ Σ_{s ∈ S_h} M(s)`,
+//!    rounded once, so it reads only its sample. Prefix/suffix partial
 //!    reductions over the mapped sample then yield every `f(x − sᵢ)` in
 //!    O(1) each — the concrete realisation of "reuse `R(M(S′))`".
 //! 4. **iDP Enforcement** — per-component MLE normal fit of the 2·n
@@ -35,7 +35,7 @@ use crate::domain::DomainSampler;
 use crate::enforcer::{EnforceOutcome, EnforceState, QuerySignature, RangeEnforcer};
 use crate::error::UpaError;
 use crate::output::{DpOutput, OutputRange};
-use crate::query::{BlockPartial, HalfTotals, Lanes, MapReduceQuery, FOLD_LANES, REMAINDER_BLOCK};
+use crate::query::{BlockPartial, Lanes, MapReduceQuery, FOLD_LANES, REMAINDER_BLOCK};
 use crate::source::RecordSource;
 use dataflow::columnar::ColumnarDataset;
 use dataflow::{Context, Data, MetricsSnapshot, SpanRecorder, SpanScope, StageSpan};
@@ -46,14 +46,12 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use upa_stats::sampling::sample_indices;
 use upa_stats::{LaplaceMechanism, Normal};
 
-/// One slab task's remainder pass. A folding query folds block by block
-/// ([`REMAINDER_BLOCK`]): `partials[b]` is block `b`'s lanes merged
-/// pairwise, and `lanes` folds the open block, number `partials.len()`.
-/// A query with exact half totals sums every record into `totals`.
+/// One slab task's remainder fold, block by block ([`REMAINDER_BLOCK`]):
+/// `partials[b]` is block `b`'s lanes merged pairwise, and `lanes` folds
+/// the open block, number `partials.len()`.
 struct SlabFold<Acc> {
     partials: Vec<BlockPartial<Acc>>,
     lanes: Lanes<Acc>,
-    totals: HalfTotals,
     /// Records read, for the `reduce` span.
     folded: u64,
 }
@@ -63,7 +61,6 @@ impl<Acc> Default for SlabFold<Acc> {
         SlabFold {
             partials: Vec::new(),
             lanes: Lanes::default(),
-            totals: HalfTotals::default(),
             folded: 0,
         }
     }
@@ -310,12 +307,16 @@ impl Upa {
     /// ascending by (slab, block) — or, for a query with exact half
     /// totals, no order at all. `S′` is never materialised: the reduce
     /// walks the source in place around the sampled rows, or reads only
-    /// the sample once the totals are known.
+    /// the sample.
     ///
     /// # Errors
     ///
     /// * [`UpaError::EmptyDataset`] if `data` has no records;
     /// * [`UpaError::InvalidConfig`] if the configuration is invalid.
+    ///
+    /// # Panics
+    ///
+    /// If the query's half totals count other than `data`'s records.
     pub fn prepare<T, S, Acc, Out>(
         &self,
         data: &S,
@@ -376,9 +377,7 @@ impl Upa {
         //
         // A query with exact half totals (the served aggregates) takes each
         // half's remainder as its total less its sampled records, rounded
-        // once. Once its cell holds this source's totals it reads nothing
-        // but its sample; otherwise the one scan below sums every record
-        // of each slab exactly, sampled ones included, and fills the cell.
+        // once, and reads nothing but its sample.
         //
         // Every other query folds the remainder: one engine task per slab
         // folds the un-sampled records block by block — blocks of
@@ -389,19 +388,16 @@ impl Upa {
         // fold in ascending (slab, block) order. That grouping comes from
         // slab offsets only, so chunk layout and the sampled rows never
         // reach it.
-        let exact = query.exact_remainder();
-        let source = data.identity();
-        let known = exact.and_then(|e| Some((e, e.totals.get(source)?)));
-        let (rem_half, engine) = match known {
-            Some((exact, totals)) => {
+        let (rem_half, engine) = match query.exact_remainder() {
+            Some(exact) => {
                 assert_eq!(
-                    totals.records(),
+                    exact.totals.records(),
                     len as u64,
                     "half totals of another source"
                 );
                 let mut scope = spans.enter("reduce");
                 scope.add_records(n as u64);
-                let rem = exact.remainder(totals, &mapped_sampled, &sampled_halves);
+                let rem = exact.remainder(&mapped_sampled, &sampled_halves);
                 let engine = MetricsSnapshot {
                     records_processed: n as u64,
                     ..MetricsSnapshot::default()
@@ -410,28 +406,14 @@ impl Upa {
             }
             None => {
                 let mut scope = spans.enter("reduce");
-                let value = exact.map(|e| e.value);
-                let name = match value {
-                    Some(_) => "reduce[totals]",
-                    None => "reduce[remainder]",
-                };
                 let folds: Vec<SlabFold<Acc>> = {
                     let q = query.clone();
                     let slab_starts: Vec<usize> = bounds.iter().map(|&(start, _)| start).collect();
                     data.fold_slabs(
-                        name,
+                        "reduce[remainder]",
                         bounds,
                         move |fold: &mut SlabFold<Acc>, slab, at, run: &[T]| {
                             let phys_half = usize::from(slab >= half_split);
-                            if let Some(value) = value {
-                                for x in run {
-                                    let h =
-                                        q.half_key().map_or(phys_half, |hk| (hk(x) % 2) as usize);
-                                    fold.totals.add(h, value(&q.map(x)));
-                                }
-                                fold.folded += run.len() as u64;
-                                return;
-                            }
                             let base = at - slab_starts[slab];
                             let mut next = indices.partition_point(|&g| g < at);
                             let mut pos = 0usize;
@@ -469,28 +451,20 @@ impl Upa {
                 // move with every concurrent query.
                 let slabs = folds.len() as u64;
                 let exchanged = 2 * slabs;
-                let record_bytes = match exact {
-                    Some(_) => std::mem::size_of::<HalfTotals>() / 2,
-                    None => std::mem::size_of::<Acc>(),
-                };
-                let bytes = exchanged * record_bytes as u64;
+                let bytes = exchanged * std::mem::size_of::<Acc>() as u64;
                 self.ctx.record_logical_shuffle(exchanged, bytes);
-                let sample_read = if exact.is_some() { n as u64 } else { 0 };
                 let engine = MetricsSnapshot {
                     stages: 1,
                     tasks: slabs,
                     shuffles: 1,
                     shuffle_records: exchanged,
                     shuffle_bytes: bytes,
-                    records_processed: len as u64 + sample_read,
+                    records_processed: len as u64,
                     ..MetricsSnapshot::default()
                 };
-                scope.add_records(sample_read);
-                let mut totals = HalfTotals::default();
                 let mut rem: [Option<Acc>; 2] = [None, None];
                 for fold in folds {
                     scope.add_records(fold.folded);
-                    totals.merge(&fold.totals);
                     for block in fold.finish(query) {
                         for (h, p) in block.into_iter().enumerate() {
                             if let Some(acc) = p {
@@ -500,12 +474,6 @@ impl Upa {
                                 });
                             }
                         }
-                    }
-                }
-                if let Some(exact) = exact {
-                    rem = exact.remainder(&totals, &mapped_sampled, &sampled_halves);
-                    if let Some(id) = source {
-                        exact.totals.fill(id, totals);
                     }
                 }
                 (rem, engine)
@@ -1108,6 +1076,7 @@ impl<T: Data, Acc: Data, Out: DpOutput> EnforceState for PipelineState<'_, T, Ac
 mod tests {
     use super::*;
     use crate::domain::EmpiricalSampler;
+    use crate::query::HalfTotals;
 
     fn small_upa(sample_size: usize) -> (Context, Upa) {
         let ctx = Context::with_threads(4);
@@ -1122,30 +1091,36 @@ mod tests {
         (ctx, upa)
     }
 
-    /// A query with half totals releases, per half, the correctly rounded
-    /// exact sum of the un-sampled records — summed here directly, not by
-    /// subtraction — over a row dataset and a columnar one alike, whether
-    /// its cell is being filled or already holds the source's totals.
-    #[test]
-    fn exact_remainder_is_the_rounded_exact_sum_of_the_unsampled_records() {
-        use crate::query::TotalsCell;
-        use dataflow::columnar::ColumnarBuf;
-        use upa_stats::ExactSum;
-
-        let (ctx, upa) = small_upa(64);
-        // Distinct fractional values, so a sampled record is known by its
-        // bits and a float fold would depend on its grouping.
-        let values: Vec<f64> = (0..5_000u32)
-            .map(|i| (f64::from(i) * 0.7).sin() * 1e3)
-            .collect();
-        let query = MapReduceQuery::new(
+    /// A `(v, 1)` sum over `values`, keyed by the value's bits and handed
+    /// the exact half totals of `values`.
+    fn exact_sum_query(values: &[f64]) -> MapReduceQuery<f64, (f64, f64), f64> {
+        MapReduceQuery::new(
             "sum",
             |x: &f64| (*x, 1.0),
             |a: &(f64, f64), b: &(f64, f64)| (a.0 + b.0, a.1 + b.1),
             |acc: Option<&(f64, f64)>| acc.map_or(0.0, |a| a.0),
         )
         .with_half_key(|x: &f64| x.to_bits())
-        .with_half_totals(Arc::new(TotalsCell::new()));
+        .with_half_totals(Arc::new(HalfTotals::of_values(values, |x| x.to_bits())))
+    }
+
+    /// Distinct fractional values, so a sampled record is known by its
+    /// bits and a float fold would depend on its grouping.
+    fn fractional_values(len: u32) -> Vec<f64> {
+        (0..len).map(|i| (f64::from(i) * 0.7).sin() * 1e3).collect()
+    }
+
+    /// A query with half totals releases, per half, the correctly rounded
+    /// exact sum of the un-sampled records — summed here directly, not by
+    /// subtraction — over a row dataset and a columnar one alike.
+    #[test]
+    fn exact_remainder_is_the_rounded_exact_sum_of_the_unsampled_records() {
+        use dataflow::columnar::ColumnarBuf;
+        use upa_stats::ExactSum;
+
+        let (ctx, upa) = small_upa(64);
+        let values = fractional_values(5_000);
+        let query = exact_sum_query(&values);
         let domain = EmpiricalSampler::new(values.clone());
         let check = |p: &PreparedQuery<f64, (f64, f64), f64>| {
             let sampled: std::collections::HashSet<u64> =
@@ -1167,9 +1142,20 @@ mod tests {
         let rows = ctx.parallelize(values.clone(), 7);
         check(&upa.prepare(&rows, &query, &domain).unwrap());
         let column = ColumnarDataset::new(&ctx, ColumnarBuf::from_values(&values, 333));
-        for _ in 0..2 {
-            check(&upa.prepare(&column, &query, &domain).unwrap());
-        }
+        check(&upa.prepare(&column, &query, &domain).unwrap());
+    }
+
+    /// The record count is the one check that ties a query's totals to
+    /// the source it is prepared over.
+    #[test]
+    #[should_panic(expected = "half totals of another source")]
+    fn half_totals_of_another_source_are_refused() {
+        let (ctx, upa) = small_upa(64);
+        let values = fractional_values(5_000);
+        let query = exact_sum_query(&values);
+        let fewer = values[..4_999].to_vec();
+        let domain = EmpiricalSampler::new(fewer.clone());
+        let _ = upa.prepare(&ctx.parallelize(fewer, 7), &query, &domain);
     }
 
     #[test]

@@ -17,16 +17,17 @@
 //!   folds so by default: the paper suite, KMeans, LinearRegression and
 //!   joinDP;
 //! * **exactly** ([`MapReduceQuery::with_half_totals`]): a `(sum, count)`
-//!   query keeps each half's exact total ([`HalfTotals`], on
-//!   [`upa_stats::ExactSum`]) and takes its sample back out of it, so its
-//!   remainder is the correctly rounded exact sum of the un-sampled
-//!   records, the same under any grouping. The served `count`, `sum` and
-//!   `mean` remainder so, and once a source's totals are known a
-//!   preparation reads only its sample.
+//!   query is handed each half's exact total over its source
+//!   ([`HalfTotals`], on [`upa_stats::ExactSum`]) and takes its sample
+//!   back out of it, so its remainder is the correctly rounded exact sum
+//!   of the un-sampled records, the same under any grouping, and a
+//!   preparation reads only its sample. The served `count`, `sum` and
+//!   `mean` remainder so; the totals are computed by whoever owns the
+//!   column, not by the engine.
 
 use crate::output::DpOutput;
 use dataflow::Data;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use upa_stats::ExactSum;
 
 /// Shared handle to a query mapper `M : T → Acc`.
@@ -76,7 +77,9 @@ pub type SliceFoldFn<T, Acc> = Arc<dyn Fn(&[T], usize, usize, &mut Lanes<Acc>) +
 /// The sum is exact, so it is associative, commutative and invertible:
 /// the totals of a source do not depend on how its records are cut into
 /// chunks, slabs or tasks, and taking the sampled records back out leaves
-/// exactly the remainder's sum.
+/// exactly the remainder's sum. So whoever holds the records sums them
+/// however suits it ([`HalfTotals::of_values`] per slice, then
+/// [`HalfTotals::merge`]) and hands the totals to the query.
 #[derive(Clone, Debug, Default)]
 pub struct HalfTotals {
     sums: [ExactSum; 2],
@@ -93,14 +96,20 @@ impl HalfTotals {
         }
     }
 
-    /// Adds one record mapped to `(v, 1)` to half `half`.
-    pub(crate) fn add(&mut self, half: usize, v: f64) {
-        self.sums[half].add(v);
-        self.records[half] += 1;
+    /// The totals of `values`, each mapped to `(v, 1)` and in half
+    /// `half_key(v) % 2`: one monomorphic loop of exact adds.
+    pub fn of_values(values: &[f64], half_key: impl Fn(&f64) -> u64) -> Self {
+        let mut totals = HalfTotals::default();
+        for v in values {
+            let h = (half_key(v) % 2) as usize;
+            totals.sums[h].add(*v);
+            totals.records[h] += 1;
+        }
+        totals
     }
 
     /// Adds every record of `other`.
-    pub(crate) fn merge(&mut self, other: &HalfTotals) {
+    pub fn merge(&mut self, other: &HalfTotals) {
         for h in 0..2 {
             self.sums[h].merge(&other.sums[h]);
             self.records[h] += other.records[h];
@@ -128,61 +137,10 @@ impl HalfTotals {
     }
 }
 
-/// The [`HalfTotals`] of one source, shared by every query that carries
-/// it ([`MapReduceQuery::with_half_totals`]) and filled by the first
-/// preparation that needs them.
-///
-/// A cell filled by a scan holds the totals of the source it scanned, by
-/// that source's identity (`RecordSource::identity`, a columnar
-/// dataset's buffer id); a preparation over any other source scans that
-/// source instead and leaves the cell as it is. A source without an
-/// identity (a row dataset) is scanned by every preparation. A cell
-/// built by [`TotalsCell::known`] applies to every source: whoever
-/// builds it vouches for the totals.
-#[derive(Debug, Default)]
-pub struct TotalsCell {
-    filled: OnceLock<(Option<u64>, HalfTotals)>,
-}
-
-impl TotalsCell {
-    /// An empty cell; the first preparation over a source with an
-    /// identity fills it.
-    pub fn new() -> Self {
-        TotalsCell::default()
-    }
-
-    /// A cell holding `totals` for every source it is used with.
-    pub fn known(totals: HalfTotals) -> Self {
-        TotalsCell {
-            filled: OnceLock::from((None, totals)),
-        }
-    }
-
-    /// Whether the cell holds totals.
-    pub fn is_filled(&self) -> bool {
-        self.filled.get().is_some()
-    }
-
-    /// The totals, if they are those of the source named `source`.
-    pub(crate) fn get(&self, source: Option<u64>) -> Option<&HalfTotals> {
-        match self.filled.get() {
-            Some((None, totals)) => Some(totals),
-            Some((id, totals)) if source.is_some() && *id == source => Some(totals),
-            _ => None,
-        }
-    }
-
-    /// Fills an empty cell with the totals of `source`; a cell another
-    /// preparation filled first keeps its totals.
-    pub(crate) fn fill(&self, source: u64, totals: HalfTotals) {
-        let _ = self.filled.set((Some(source), totals));
-    }
-}
-
-/// A `(sum, count)` query's exact remainder: its [`TotalsCell`] and how
-/// its accumulator reads as `(v, 1)`.
+/// A `(sum, count)` query's exact remainder: its source's
+/// [`HalfTotals`] and how its accumulator reads as `(v, 1)`.
 pub(crate) struct ExactRemainder<Acc> {
-    pub(crate) totals: Arc<TotalsCell>,
+    pub(crate) totals: Arc<HalfTotals>,
     /// The `v` of a mapped record.
     pub(crate) value: fn(&Acc) -> f64,
     /// The accumulator of a sum over `n` records.
@@ -190,16 +148,11 @@ pub(crate) struct ExactRemainder<Acc> {
 }
 
 impl<Acc> ExactRemainder<Acc> {
-    /// Each half's remainder: `totals` less the sampled records
+    /// Each half's remainder: the totals less the sampled records
     /// `mapped_sampled`, in halves `halves`, rounded once.
-    pub(crate) fn remainder(
-        &self,
-        totals: &HalfTotals,
-        mapped_sampled: &[Acc],
-        halves: &[usize],
-    ) -> [Option<Acc>; 2] {
+    pub(crate) fn remainder(&self, mapped_sampled: &[Acc], halves: &[usize]) -> [Option<Acc>; 2] {
         let sampled = mapped_sampled.iter().map(self.value);
-        totals
+        self.totals
             .remainder(sampled.zip(halves.iter().copied()))
             .map(|half| half.map(|(sum, n)| (self.from_sum)(sum, n)))
     }
@@ -470,15 +423,15 @@ impl<T: Data> MapReduceQuery<T, f64, f64> {
 
 impl<T: Data, Out: DpOutput> MapReduceQuery<T, (f64, f64), Out> {
     /// Gives a `(sum, count)` query an **exact remainder**: the query
-    /// must map every record to `(v, 1)`, and [`crate::Upa::prepare`]
-    /// then reads each half's remainder from `totals` (filling the cell
-    /// first when it holds no totals of this source) instead of folding
-    /// the remainder: `R(M(S′))_h = T_h ⊖ Σ_{s ∈ S_h} M(s)`, the exact
-    /// sum of the half's unsampled records rounded once, and their count.
-    /// That remainder does not depend on chunks, slabs, threads or fold
-    /// order, and once the cell is filled a preparation reads only its
-    /// sample.
-    pub fn with_half_totals(mut self, totals: Arc<TotalsCell>) -> Self {
+    /// must map every record to `(v, 1)`, `totals` must be the
+    /// [`HalfTotals`] of the source it is prepared over, under the
+    /// query's half key, and [`crate::Upa::prepare`] then reads each
+    /// half's remainder from them instead of folding the remainder:
+    /// `R(M(S′))_h = T_h ⊖ Σ_{s ∈ S_h} M(s)`, the exact sum of the half's
+    /// unsampled records rounded once, and their count. That remainder
+    /// does not depend on chunks, slabs, threads or fold order, and a
+    /// preparation reads only its sample.
+    pub fn with_half_totals(mut self, totals: Arc<HalfTotals>) -> Self {
         self.exact = Some(ExactRemainder {
             totals,
             value: |acc| acc.0,

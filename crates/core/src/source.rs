@@ -13,8 +13,6 @@
 //! offset, block partials merged ascending by (slab, block); or, for a
 //! query with [`crate::query::HalfTotals`], the exact totals less the
 //! sample) — lives in the one caller, so it cannot differ between them.
-//! A source's [`RecordSource::identity`] lets a query keep the exact
-//! totals of one source across preparations.
 //!
 //! The trait is public only so it can bound public functions; the module
 //! is private, so it cannot be named — or implemented — outside this
@@ -35,14 +33,6 @@ pub trait RecordSource<T: Data> {
 
     /// The records at strictly increasing global `indices`.
     fn gather_sorted(&self, indices: &[usize]) -> Vec<T>;
-
-    /// A name for this source's records, equal for two handles over the
-    /// same records and never reused: the key a
-    /// [`crate::query::TotalsCell`] is filled under. `None`, the default,
-    /// has every preparation over the source scan it for its totals.
-    fn identity(&self) -> Option<u64> {
-        None
-    }
 
     /// Runs one engine stage with a task per slab of `bounds` (as
     /// returned by [`RecordSource::slab_bounds`]). Each task starts from
@@ -115,10 +105,6 @@ impl RecordSource<f64> for ColumnarDataset {
 
     fn gather_sorted(&self, indices: &[usize]) -> Vec<f64> {
         self.buf().gather_sorted(indices)
-    }
-
-    fn identity(&self) -> Option<u64> {
-        Some(self.buf().identity())
     }
 
     fn fold_slabs<A, F>(&self, name: &str, bounds: Vec<(usize, usize)>, f: F) -> Vec<A>

@@ -16,7 +16,6 @@
 
 use crate::context::scan_delay;
 use crate::Context;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Per-chunk value statistics, computed at ingest and persisted in the
@@ -98,12 +97,7 @@ pub struct ColumnarBuf {
     /// `offsets[i]` is the global row index where chunk `i` starts;
     /// one trailing entry holds the total length.
     offsets: Arc<Vec<usize>>,
-    /// See [`ColumnarBuf::identity`].
-    id: u64,
 }
-
-/// Source of [`ColumnarBuf::identity`]s.
-static NEXT_BUF_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Rows in each shared chunk of [`ColumnarBuf::zeros`].
 pub const ZERO_CHUNK_ROWS: usize = 4096;
@@ -120,7 +114,6 @@ impl ColumnarBuf {
         ColumnarBuf {
             chunks: Arc::new(chunks),
             offsets: Arc::new(offsets),
-            id: NEXT_BUF_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -174,13 +167,6 @@ impl ColumnarBuf {
     #[must_use]
     pub fn chunks(&self) -> &[ColumnChunk] {
         &self.chunks
-    }
-
-    /// A name for the buffer's values: the same for a buffer and its
-    /// clones, different for any two buffers built in one process.
-    #[must_use]
-    pub fn identity(&self) -> u64 {
-        self.id
     }
 
     /// The value at global row `g`.
@@ -542,7 +528,6 @@ mod tests {
         assert_eq!(a.num_chunks(), 4);
         assert_eq!(a.total_stats().count, rows as u64);
         assert!(Arc::ptr_eq(&a.chunks()[0].values, &b.chunks()[2].values));
-        assert_ne!(a.identity(), b.identity());
         assert_eq!(a.gather_sorted(&[0, rows - 1]), vec![0.0; 2]);
         let empty = ColumnarBuf::new(Vec::new());
         assert_eq!(empty.len(), 0);

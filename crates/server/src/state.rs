@@ -40,7 +40,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 use upa_core::budget::BudgetAccountant;
 use upa_core::domain::ColumnarEmpiricalSampler;
-use upa_core::query::{HalfTotals, MapReduceQuery, TotalsCell};
+use upa_core::query::{HalfTotals, MapReduceQuery};
 use upa_core::{PreparedQuery, QueryAudit, Upa, UpaConfig, UpaError};
 use upa_store::{Catalog, IngestOptions, IngestReport, StoreError};
 
@@ -163,13 +163,14 @@ impl std::str::FromStr for AggKind {
 
 /// Builds the Map/Reduce decomposition of an aggregate over one numeric
 /// column — the serving-side counterpart of the paper's Table I
-/// operators. Every kind maps a record to `(x, 1)`, so `mean` finalizes
-/// without a second pass and `count` reads the count, and every kind has
+/// operators. Every kind maps a record to `(x, 1)` under the half key
+/// [`agg_half_key`], so `mean` finalizes without a second pass, `count`
+/// reads the count, and all three take one column's [`agg_totals`] for
 /// an exact remainder ([`MapReduceQuery::with_half_totals`]): a half's
-/// remainder is the correctly rounded exact sum of its unsampled
-/// records, whatever the chunks, slabs or threads. The query carries its
-/// own [`TotalsCell`], filled by its first preparation over a column;
-/// the server swaps in the residency's cell of the column it serves.
+/// remainder is then the correctly rounded exact sum of its unsampled
+/// records, whatever the chunks, slabs or threads. The server and
+/// `upa-cli` attach the totals of the column they release over; without
+/// them the query folds its remainder.
 pub fn build_agg_query(kind: AggKind) -> MapReduceQuery<f64, (f64, f64), f64> {
     MapReduceQuery::new(
         kind.as_str(),
@@ -188,8 +189,28 @@ pub fn build_agg_query(kind: AggKind) -> MapReduceQuery<f64, (f64, f64), f64> {
             }
         },
     )
-    .with_half_key(|x: &f64| x.to_bits())
-    .with_half_totals(Arc::new(TotalsCell::new()))
+    .with_half_key(agg_half_key)
+}
+
+/// The aggregates' half key: a value's bits, so a record's logical half
+/// is a function of its content.
+fn agg_half_key(x: &f64) -> u64 {
+    x.to_bits()
+}
+
+/// The exact half totals of `values` under [`build_agg_query`].
+pub fn agg_totals(values: &[f64]) -> HalfTotals {
+    HalfTotals::of_values(values, agg_half_key)
+}
+
+/// [`agg_totals`] of a whole column, as one engine stage with a task per
+/// chunk whose exact partials merge in any order.
+pub fn column_totals(data: &ColumnarDataset) -> HalfTotals {
+    let mut totals = HalfTotals::default();
+    for part in data.aggregate_chunks("totals", agg_totals) {
+        totals.merge(&part);
+    }
+    totals
 }
 
 /// Deterministic fault injection for the serving path, extending the
@@ -449,12 +470,12 @@ struct DatasetState {
     /// one chunk at startup. A dataset detached mid-query stays alive
     /// until its last in-flight release drops the handle.
     columns: HashMap<String, ColumnarBuf>,
-    /// One exact half-totals cell per column: every aggregate maps a
-    /// record to `(x, 1)`, so `count`, `sum` and `mean` over a column share
-    /// it. The first prepare over a column fills it by one scan; every
-    /// later one subtracts its sample from it. The cells live and die with
-    /// the residency, like the columns they are filled from.
-    totals: HashMap<String, Arc<TotalsCell>>,
+    /// Each column's exact half totals ([`column_totals`]): every
+    /// aggregate maps a record to `(x, 1)`, so `count`, `sum` and `mean`
+    /// over a column share them. The column's first use fills them by one
+    /// scan; every prepare subtracts its sample from them. They live and
+    /// die with the residency, like the columns they are summed from.
+    totals: HashMap<String, OnceLock<Arc<HalfTotals>>>,
     /// Bytes of `columns`.
     column_bytes: usize,
     upa: Upa,
@@ -492,7 +513,7 @@ impl DatasetState {
     ) -> DatasetState {
         let totals = columns
             .keys()
-            .map(|c| (c.clone(), Arc::new(TotalsCell::new())))
+            .map(|c| (c.clone(), OnceLock::new()))
             .collect();
         DatasetState {
             name: name.to_string(),
@@ -509,7 +530,7 @@ impl DatasetState {
     /// Bytes this residency holds: its columns and its filled half
     /// totals.
     fn resident_bytes(&self) -> usize {
-        let filled = self.totals.values().filter(|t| t.is_filled()).count();
+        let filled = self.totals.values().filter(|t| t.get().is_some()).count();
         self.column_bytes + filled * std::mem::size_of::<HalfTotals>()
     }
 }
@@ -524,7 +545,7 @@ pub struct DatasetInfo {
     /// Column names, sorted.
     pub columns: Vec<String>,
     /// Bytes the dataset holds in memory: its column values and the exact
-    /// half totals its preparations filled (about 1 KB per column).
+    /// half totals of each column it has served (about 1 KB per column).
     pub resident_bytes: u64,
 }
 
@@ -1122,24 +1143,27 @@ impl ServerState {
     }
 
     /// The chunks a query samples and the half totals it subtracts its
-    /// sample from. A column-less `count` reads no column: it samples
-    /// zeros, and its totals are known without a scan — every row in
-    /// half 0 (the half of `0.0`), summing to zero.
+    /// sample from. A column's first use sums its totals; concurrent first
+    /// uses wait for that one scan. A column-less `count` reads no column:
+    /// it samples zeros, and its totals are known without a scan — every
+    /// row in half 0 (the half of `0.0`), summing to zero.
     fn column(
         &self,
         ds: &DatasetState,
         kind: AggKind,
         column: &str,
-    ) -> Result<(ColumnarBuf, Arc<TotalsCell>), ServeError> {
+    ) -> Result<(ColumnarBuf, Arc<HalfTotals>), ServeError> {
         if kind == AggKind::Count && column.is_empty() {
             let totals = HalfTotals::of_zeros([ds.rows as u64, 0]);
-            return Ok((
-                ColumnarBuf::zeros(ds.rows),
-                Arc::new(TotalsCell::known(totals)),
-            ));
+            return Ok((ColumnarBuf::zeros(ds.rows), Arc::new(totals)));
         }
         match (ds.columns.get(column), ds.totals.get(column)) {
-            (Some(buf), Some(totals)) => Ok((buf.clone(), Arc::clone(totals))),
+            (Some(buf), Some(totals)) => {
+                let totals = totals.get_or_init(|| {
+                    Arc::new(column_totals(&ColumnarDataset::new(&self.ctx, buf.clone())))
+                });
+                Ok((buf.clone(), Arc::clone(totals)))
+            }
             _ => Err(ServeError::UnknownColumn {
                 dataset: ds.name.clone(),
                 column: column.to_string(),
@@ -2068,13 +2092,15 @@ mod tests {
     fn column_less_count_reads_no_column() {
         let state = state_with(None, None);
         let ds = state.dataset("data").unwrap();
-        let (zeros, totals) = state.column(&ds, AggKind::Count, "").unwrap();
+        let before = state.ctx.metrics();
+        let (zeros, _) = state.column(&ds, AggKind::Count, "").unwrap();
         assert_eq!(zeros.to_vec(), vec![0.0; ds.rows]);
-        assert!(totals.is_filled(), "the totals are known without a scan");
+        let scanned = state.ctx.metrics().since(&before).records_processed;
+        assert_eq!(scanned, 0, "the totals are known without a scan");
 
         // Two engine runs through the served path release what two runs
-        // that scan fresh zero columns for their totals release, under the
-        // same engine seed; the served ones read only their samples.
+        // that fold fresh zero columns release, under the same engine
+        // seed; the served ones read only their samples.
         let reference = Upa::new(ds.upa.ctx().clone(), ds.upa.config().clone());
         for _ in 0..2 {
             let served = state.run_prepare(&ds, AggKind::Count, "").unwrap();
@@ -2101,6 +2127,9 @@ mod tests {
         );
     }
 
+    /// Count, sum and mean share one column's totals: the first of them
+    /// charges the context the column's rows, once per residency, and a
+    /// new residency starts without them.
     #[test]
     fn a_columns_totals_are_filled_once_and_go_with_the_residency() {
         let dir = temp_store("totals");
@@ -2114,48 +2143,76 @@ mod tests {
         state.attach_dataset("m").unwrap();
         let bytes = || state.dataset_infos()[0].resident_bytes;
         let columns = (rows * 8) as u64;
-        assert_eq!(bytes(), columns);
-
-        // Count, sum and mean share one cell: the first prepare fills it,
-        // the others add nothing.
-        state.prepare("m", AggKind::Sum, "v").unwrap();
-        let one = bytes() - columns;
-        assert_eq!(one as usize, std::mem::size_of::<HalfTotals>());
-        state.prepare("m", AggKind::Mean, "v").unwrap();
-        state.prepare("m", AggKind::Count, "v").unwrap();
-        assert_eq!(bytes(), columns + one);
-
-        state.detach_dataset("m").unwrap();
-        state.attach_dataset("m").unwrap();
-        assert_eq!(bytes(), columns, "a new residency starts without totals");
-        let ds = state.dataset("m").unwrap();
-        assert!(ds.totals.values().all(|t| !t.is_filled()));
+        let one = std::mem::size_of::<HalfTotals>() as u64;
+        for residency in 0..2 {
+            assert_eq!(
+                bytes(),
+                columns,
+                "residency {residency} starts without totals"
+            );
+            let before = state.ctx.metrics();
+            for kind in [AggKind::Sum, AggKind::Mean, AggKind::Count] {
+                let (prepared, _, _) = state.prepare("m", kind, "v").unwrap();
+                assert_eq!(bytes(), columns + one, "{kind:?}");
+                let ds = state.dataset("m").unwrap();
+                ds.upa.release(&prepared).unwrap();
+                let reported = ds.upa.last_audit().unwrap().engine.records_processed;
+                assert_eq!(reported, prepared.sample_size() as u64, "{kind:?}");
+            }
+            let charged = state.ctx.metrics().since(&before).records_processed;
+            assert_eq!(charged, rows as u64, "residency {residency}: one fill");
+            state.detach_dataset("m").unwrap();
+            state.attach_dataset("m").unwrap();
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A prepare reports and charges the records it reads: the one that
-    /// fills a column's totals reads the column once, every later one
-    /// reads only its sample.
+    /// Every prepare reports only the records it reads, its sample; the
+    /// context is charged the column's rows by the column's first use and
+    /// nothing by any prepare after it.
     #[test]
     fn a_prepare_after_the_fill_reads_only_its_sample() {
         let state = state_with(None, None);
         let ds = state.dataset("data").unwrap();
-        let read = |kind| {
+        let rows = ds.rows as u64;
+        let kinds = [AggKind::Sum, AggKind::Mean, AggKind::Count, AggKind::Sum];
+        for (i, kind) in kinds.into_iter().enumerate() {
             let before = state.ctx.metrics();
             let prepared = state.run_prepare(&ds, kind, "v").unwrap();
             let charged = state.ctx.metrics().since(&before).records_processed;
             ds.upa.release(&prepared).unwrap();
             let reported = ds.upa.last_audit().unwrap().engine.records_processed;
-            (prepared.sample_size() as u64, reported, charged)
-        };
-        let rows = ds.rows as u64;
-        let fill = read(AggKind::Sum);
-        for kind in [AggKind::Sum, AggKind::Mean, AggKind::Count] {
-            let (n, reported, charged) = read(kind);
-            assert_eq!((reported, charged), (n, 0), "{kind:?} after the fill");
+            let n = prepared.sample_size() as u64;
+            let fill = if i == 0 { rows } else { 0 };
+            assert_eq!((reported, charged), (n, fill), "{kind:?}, prepare {i}");
         }
-        let (n, reported, charged) = fill;
-        assert_eq!((reported, charged), (n + rows, rows), "the fill");
+    }
+
+    /// Two first uses of one column at once sum it once: the second waits
+    /// for the first's totals.
+    #[test]
+    fn concurrent_first_uses_of_a_column_fill_its_totals_once() {
+        let state = state_with(None, None);
+        let ds = state.dataset("data").unwrap();
+        let barrier = std::sync::Barrier::new(2);
+        let before = state.ctx.metrics();
+        let prepared: Vec<Arc<PreparedAgg>> = std::thread::scope(|s| {
+            let runs = [AggKind::Sum, AggKind::Mean].map(|kind| {
+                let (state, ds, barrier) = (&state, &ds, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    state.run_prepare(ds, kind, "v").unwrap()
+                })
+            });
+            runs.map(|run| run.join().unwrap()).into()
+        });
+        let charged = state.ctx.metrics().since(&before).records_processed;
+        assert_eq!(charged, ds.rows as u64, "one fill for both");
+        for p in &prepared {
+            ds.upa.release(p).unwrap();
+            let reported = ds.upa.last_audit().unwrap().engine.records_processed;
+            assert_eq!(reported, p.sample_size() as u64);
+        }
     }
 
     #[test]
