@@ -14,7 +14,7 @@ use upa_core::query::MapReduceQuery;
 use upa_core::{Upa, UpaConfig};
 use upa_mlalgo::data::{generate_points, generate_regression};
 use upa_mlalgo::{KMeans, LifeScienceConfig, LinearRegression};
-use upa_server::state::build_agg_query;
+use upa_server::state::{build_agg_query, column_totals};
 use upa_server::AggKind;
 use upa_tpch::gen::TpchDatasets;
 use upa_tpch::queries::{q4_qualifies, Q4};
@@ -105,13 +105,12 @@ fn main() {
         });
     }
 
-    // The served sum at n = 1000 over 2·10⁵ and 2·10⁷ rows: its exact
-    // half totals are filled before timing, so a prepare reads only its
-    // sample and should take about the same time at both sizes (the
-    // paper's Fig. 4(b) near-constant claim on the served path). The two
-    // sizes' prepares alternate, so both see the same machine. The fill,
-    // one scan of the column, is reported on its own: the `reduce` span of
-    // a prepare that fills.
+    // The served sum at n = 1000 over 2·10⁵ and 2·10⁷ rows: it is handed
+    // the column's exact half totals, so a prepare reads only its sample
+    // and should take about the same time at both sizes (the paper's
+    // Fig. 4(b) near-constant claim on the served path). The two sizes'
+    // prepares alternate, so both see the same machine. The fill, one
+    // scan of the column (`column_totals`), is timed on its own.
     let smoke = std::env::args().any(|a| a == "--test");
     let sizes = [200_000usize, 20_000_000];
     let served: Vec<_> = sizes
@@ -129,19 +128,11 @@ fn main() {
             let buf = ColumnarBuf::new(chunks);
             let ds = ColumnarDataset::new(&ctx, buf.clone());
             let domain = ColumnarEmpiricalSampler::new(buf);
-            let u = upa(&ctx, 1_000);
-            let (_, fill_ms) = time_median(if smoke { 1 } else { 5 }, || {
-                let fresh = build_agg_query(AggKind::Sum);
-                let prepared = u.prepare(&ds, &fresh, &domain).expect("runs");
-                u.release(&prepared).expect("releases");
-                let audit = u.last_audit().expect("released");
-                audit.stage_nanos("reduce") as f64 / 1e6
-            });
+            let (totals, fill_ms) = time_median(if smoke { 1 } else { 5 }, || column_totals(&ds));
             let name = format!("upa/served_sum_fill/{rows}");
-            println!("{name:<48} {fill_ms:>14.6} ms  (reduce span, median)");
-            let query = build_agg_query(AggKind::Sum);
-            u.prepare(&ds, &query, &domain).expect("fills the totals");
-            (ds, domain, u, query)
+            println!("{name:<48} {fill_ms:>14.6} ms  (median)");
+            let query = build_agg_query(AggKind::Sum).with_half_totals(Arc::new(totals));
+            (ds, domain, upa(&ctx, 1_000), query)
         })
         .collect();
     let reps = if smoke { 1 } else { 31 };
