@@ -1,8 +1,9 @@
 //! Benchmarks of the UPA pipeline against its baselines: vanilla
 //! execution (what Figure 2(b) normalizes to) and the engine's plain
 //! reduce, swept over sample size and dataset size, the two ML queries
-//! at the paper suite's record count, TPCH4 through `joinDP`, and the
-//! served sum's prepare where |x| ≫ n.
+//! at the paper suite's record count, TPCH4 through `joinDP`, the
+//! served sum's prepare where |x| ≫ n, and the served cold release of an
+//! answered query, span by span.
 
 use dataflow::columnar::{ColumnChunk, ColumnarBuf, ColumnarDataset};
 use dataflow::{Context, PairOps};
@@ -34,7 +35,86 @@ fn upa(ctx: &Context, sample_size: usize) -> Upa {
     )
 }
 
+/// The spans a served cold release spends its time in, in pipeline order.
+const COLD_SPANS: [&str; 8] = [
+    "prepare/partition",
+    "prepare/sample",
+    "prepare/map",
+    "prepare/reduce",
+    "prepare/neighbours",
+    "prepare/mle_fit",
+    "release/enforce",
+    "release/clamp",
+];
+
+/// The served cold path (a cache miss of a query the engine has already
+/// answered): on one 2-thread engine over a 2·10⁶-row column in 65,536-row
+/// chunks with its exact half totals, each repetition prepares the served
+/// sum afresh at n = 1000 and releases it once, so RANGE ENFORCER compares
+/// it against every earlier release. Prints the median of the whole
+/// prepare-and-release and of each span in [`COLD_SPANS`].
+fn served_repeat_release(smoke: bool) {
+    const ROWS: usize = 2_000_000;
+    let ctx = Context::with_threads(2);
+    let values: Vec<f64> = (0..ROWS)
+        .map(|i| ((i * 37 + 5) % 101) as f64 * 0.37)
+        .collect();
+    let buf = ColumnarBuf::from_values(&values, 1 << 16);
+    let ds = ColumnarDataset::new(&ctx, buf.clone());
+    let domain = ColumnarEmpiricalSampler::new(buf);
+    let query = build_agg_query(AggKind::Sum).with_half_totals(Arc::new(column_totals(&ds)));
+    let u = upa(&ctx, 1_000);
+    let cold_release = || {
+        let prepared = u.prepare(&ds, &query, &domain).expect("runs");
+        let (_, audit) = u
+            .release_with(&prepared, u.config().epsilon, |_| {})
+            .expect("releases");
+        audit
+    };
+    // The query's first answer: every timed release below repeats it.
+    cold_release();
+    let reps = if smoke { 1 } else { 401 };
+    let mut totals = Vec::with_capacity(reps);
+    let mut spans = vec![Vec::with_capacity(reps); COLD_SPANS.len()];
+    for _ in 0..reps {
+        let start = std::time::Instant::now();
+        let audit = cold_release();
+        totals.push(start.elapsed().as_secs_f64() * 1e6);
+        for (path, t) in COLD_SPANS.iter().zip(&mut spans) {
+            let nanos: u64 = audit
+                .spans
+                .iter()
+                .filter(|s| s.path == *path)
+                .map(|s| s.nanos)
+                .sum();
+            t.push(nanos as f64 / 1e3);
+        }
+    }
+    let median = |mut t: Vec<f64>| {
+        t.sort_by(f64::total_cmp);
+        t[t.len() / 2]
+    };
+    let name = format!("upa/served_repeat_release/{ROWS}");
+    println!(
+        "{name:<48} {:>14.6} ms  (median of {reps})",
+        median(totals) / 1e3
+    );
+    for (path, t) in COLD_SPANS.iter().zip(spans) {
+        println!("  {path:<46} {:>14.3} us  (median)", median(t));
+    }
+}
+
 fn main() {
+    let smoke = std::env::args().any(|a| a == "--test");
+    // `cargo bench -p upa-bench --bench upa_pipeline -- served_repeat_release`
+    // runs that case alone.
+    if std::env::args()
+        .skip(1)
+        .any(|a| !a.starts_with('-') && "upa/served_repeat_release".contains(a.as_str()))
+    {
+        served_repeat_release(smoke);
+        return;
+    }
     let ctx = Context::with_threads(4);
     let query =
         MapReduceQuery::scalar_sum("sum", |x: &f64| *x).with_half_key(|x: &f64| x.to_bits());
@@ -111,7 +191,6 @@ fn main() {
     // Fig. 4(b) near-constant claim on the served path). The two sizes'
     // prepares alternate, so both see the same machine. The fill, one
     // scan of the column (`column_totals`), is timed on its own.
-    let smoke = std::env::args().any(|a| a == "--test");
     let sizes = [200_000usize, 20_000_000];
     let served: Vec<_> = sizes
         .iter()
@@ -150,6 +229,8 @@ fn main() {
         println!("{name:<48} {:>14.6} ms  (median of {reps})", t[reps / 2]);
     }
     drop(served);
+
+    served_repeat_release(smoke);
 
     for size in [25_000usize, 100_000, 400_000] {
         let data = workload(size);
