@@ -61,7 +61,7 @@ impl<Out: DpOutput> GroundTruth<Out> {
             .iter()
             .chain(self.addition_outputs.iter())
         {
-            for (c, v) in o.components().into_iter().enumerate() {
+            for (c, &v) in o.components().iter().enumerate() {
                 if c < dims {
                     extremes[c].0 = extremes[c].0.min(v);
                     extremes[c].1 = extremes[c].1.max(v);

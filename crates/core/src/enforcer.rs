@@ -20,6 +20,14 @@
 //!    inferred sensitivity a *sound* upper bound: after clamping, no two
 //!    neighbouring outputs can differ by more than `max(Ô_f) − min(Ô_f)`.
 //!
+//! The loop reads the partition outputs once up front and once per
+//! removal, and records its last read as the query's signature; the final
+//! output is read once, by the clamp. The pipeline's state
+//! (`PipelineState` in `pipeline.rs`) answers every read after its first
+//! removal from per-half prefix folds in O(1), and computes the final
+//! output only when the clamp asks, so enforcing a query that removes `R`
+//! of its `n` sampled records costs O(n + R) reduces.
+//!
 //! The history keeps **one entry per distinct signature**: a release whose
 //! partition outputs are bit-identical to an earlier entry's (every cached
 //! re-release of a prepared query) bumps that entry's repeat count, found
@@ -59,18 +67,24 @@ pub trait EnforceState {
     /// only through [`EnforceState::remove_two_records`] (in particular
     /// not through [`EnforceState::set_output_components`]). The enforcer
     /// relies on this to compute it once per separation step rather than
-    /// once per prior query.
+    /// once per prior query, and to record its last read as the query's
+    /// signature.
     fn partition_outputs(&self) -> [Vec<f64>; 2];
 
     /// Removes two records from the sampled set — one from **each**
     /// logical partition, so that both partition outputs move away from
-    /// the suspicious previous query — and recomputes partition outputs
-    /// and the final output. Returns `false` when no more records can be
-    /// removed (the enforcer then gives up on separating further — with a
-    /// 1000-record sample this is unreachable in practice).
+    /// the suspicious previous query. Returns `false` when no more records
+    /// can be removed (the enforcer then gives up on separating further —
+    /// with a 1000-record sample this is unreachable in practice).
+    ///
+    /// It need not recompute the final output: the enforcer reads that
+    /// once, after its separation loop, through
+    /// [`EnforceState::output_components`].
     fn remove_two_records(&mut self) -> bool;
 
-    /// Current final output components.
+    /// Current final output components: the output over the records not
+    /// removed, or what [`EnforceState::set_output_components`] last set.
+    /// Read once per enforcement, by the range clamp.
     fn output_components(&self) -> Vec<f64>;
 
     /// Overwrites the final output components (range clamping).
@@ -196,11 +210,12 @@ impl RangeEnforcer {
 
         // Lines 2–15: compare against every previous query; force at least
         // two differing partition outputs. The partition outputs only
-        // change when records are removed, so they are folded once up
+        // change when records are removed, so they are read once up
         // front and again after each removal — each prior costs one
-        // comparison, not a re-fold of the whole sample. Repeats of a
-        // signature are compared once (see the module doc).
-        {
+        // comparison, not a re-fold of the whole sample — and the last
+        // read is what line 19 records. Repeats of a signature are
+        // compared once (see the module doc).
+        let current = {
             let mut scope = spans.enter("enforce");
             let mut current = state.partition_outputs();
             for prior in &self.history {
@@ -224,7 +239,8 @@ impl RangeEnforcer {
                 }
             }
             scope.add_records(outcome.removed_records as u64);
-        }
+            current
+        };
 
         // Lines 16–18: constrain the final output into Ô_f.
         {
@@ -234,9 +250,10 @@ impl RangeEnforcer {
             state.set_output_components(components);
         }
 
-        // Lines 19–21: record this query's partition outputs.
+        // Lines 19–21: record this query's partition outputs (clamping
+        // leaves them as they are).
         self.record(QuerySignature {
-            partition_outputs: state.partition_outputs(),
+            partition_outputs: current,
         });
         outcome
     }
@@ -507,8 +524,8 @@ mod tests {
         let mut state = counting(vec![1.0, 2.0], vec![3.0]);
         let out = enforcer.enforce(&mut state, &wide_range(), &mut rng);
         assert!(!out.attack_suspected);
-        // One fold before the loop, one for the recorded signature.
-        assert_eq!(state.calls.get(), 2);
+        // One fold before the loop, which is also the recorded signature.
+        assert_eq!(state.calls.get(), 1);
     }
 
     #[test]
@@ -533,7 +550,7 @@ mod tests {
         let out = enforcer.enforce(&mut state, &wide_range(), &mut rng);
         assert!(out.attack_suspected);
         assert_eq!(out.removed_records, 6);
-        assert_eq!(state.calls.get(), 2 + out.removed_records / 2);
+        assert_eq!(state.calls.get(), 1 + out.removed_records / 2);
     }
 
     #[test]

@@ -15,8 +15,9 @@ use dataflow::Data;
 /// across queries — two runs of the same deterministic reduction produce
 /// bit-identical floats, so exact comparison is the right operation.
 pub trait DpOutput: Data + std::fmt::Debug {
-    /// The output as a component vector.
-    fn components(&self) -> Vec<f64>;
+    /// The output's components, borrowed: a scalar is a one-element slice
+    /// of itself, so reading a component allocates nothing.
+    fn components(&self) -> &[f64];
 
     /// Rebuilds an output from components (inverse of
     /// [`DpOutput::components`]).
@@ -27,22 +28,15 @@ pub trait DpOutput: Data + std::fmt::Debug {
     fn distance(&self, other: &Self) -> f64 {
         self.components()
             .iter()
-            .zip(other.components().iter())
+            .zip(other.components())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
-    }
-
-    /// Whether all components are exactly equal.
-    fn same_as(&self, other: &Self) -> bool {
-        let a = self.components();
-        let b = other.components();
-        a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x == y)
     }
 }
 
 impl DpOutput for f64 {
-    fn components(&self) -> Vec<f64> {
-        vec![*self]
+    fn components(&self) -> &[f64] {
+        std::slice::from_ref(self)
     }
 
     fn from_components(components: Vec<f64>) -> Self {
@@ -52,8 +46,8 @@ impl DpOutput for f64 {
 }
 
 impl DpOutput for Vec<f64> {
-    fn components(&self) -> Vec<f64> {
-        self.clone()
+    fn components(&self) -> &[f64] {
+        self
     }
 
     fn from_components(components: Vec<f64>) -> Self {
@@ -131,7 +125,7 @@ mod tests {
     #[test]
     fn scalar_round_trip() {
         let x = 3.25f64;
-        assert_eq!(x.components(), vec![3.25]);
+        assert_eq!(x.components(), [3.25]);
         assert_eq!(f64::from_components(vec![3.25]), 3.25);
     }
 
@@ -141,13 +135,6 @@ mod tests {
         let b = vec![2.0, 3.0];
         assert_eq!(a.distance(&b), 2.0, "L-infinity distance");
         assert_eq!(Vec::<f64>::from_components(a.clone()), a);
-    }
-
-    #[test]
-    fn same_as_is_exact() {
-        assert!(1.0f64.same_as(&1.0));
-        assert!(!1.0f64.same_as(&(1.0 + f64::EPSILON)));
-        assert!(!vec![1.0].same_as(&vec![1.0, 2.0]));
     }
 
     #[test]

@@ -38,7 +38,7 @@ proptest! {
             UpaConfig { sample_size, seed, add_noise: false, ..UpaConfig::default() },
         );
         let r = upa.run(&ds, &query, &domain).unwrap();
-        prop_assert!(r.range.contains(&r.enforced.components()));
+        prop_assert!(r.range.contains(r.enforced.components()));
         prop_assert!(r.sensitivity.iter().all(|s| *s >= 0.0 && s.is_finite()));
         prop_assert!(r.max_empirical_sensitivity() <= r.max_sensitivity() + 1e-9,
             "the enforced width dominates the observed neighbour spread");

@@ -58,12 +58,28 @@ impl Normal {
     /// assert!((fit.mean() - 2.0).abs() < 1e-12);
     /// ```
     pub fn mle(samples: &[f64]) -> Result<Self, StatsError> {
-        if samples.is_empty() {
+        Normal::mle_iter(samples.len(), samples.iter().copied())
+    }
+
+    /// [`Normal::mle`] over the `len` values `samples` yields, read in the
+    /// same two passes and sum order (so the fit is bit-identical to
+    /// [`Normal::mle`] over those values collected): samples that are not
+    /// one slice, such as one component of each of UPA's neighbour outputs,
+    /// are fitted without gathering a copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StatsError::EmptySample`] when `len` is 0.
+    pub fn mle_iter<I>(len: usize, samples: I) -> Result<Self, StatsError>
+    where
+        I: Iterator<Item = f64> + Clone,
+    {
+        if len == 0 {
             return Err(StatsError::EmptySample);
         }
-        let n = samples.len() as f64;
-        let mean = samples.iter().sum::<f64>() / n;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+        let n = len as f64;
+        let mean = samples.clone().sum::<f64>() / n;
+        let var = samples.map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
         Normal::new(mean, var.sqrt())
     }
 
@@ -132,6 +148,18 @@ mod tests {
         assert!((fit.mean() - 5.0).abs() < 1e-12);
         // Population (MLE) standard deviation of this classic sample is 2.
         assert!((fit.std_dev() - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mle_iter_is_mle_over_the_collected_values() {
+        let parts: [&[f64]; 2] = [&[0.1, -3.7, 2.2e9], &[1e-300, 0.3, -0.0]];
+        let joined: Vec<f64> = parts.concat();
+        let fit = Normal::mle_iter(joined.len(), parts.iter().flat_map(|p| p.iter().copied()));
+        assert_eq!(fit, Normal::mle(&joined));
+        assert_eq!(
+            Normal::mle_iter(0, std::iter::empty()),
+            Err(StatsError::EmptySample)
+        );
     }
 
     #[test]

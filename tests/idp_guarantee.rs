@@ -48,7 +48,7 @@ fn enforced_outputs_of_neighbours_stay_within_range() {
         let fresh = Upa::new(ctx.clone(), config.clone());
         let result = fresh.run(&nds, &query, &domain).unwrap();
         assert!(
-            result.range.contains(&result.enforced.components()),
+            result.range.contains(result.enforced.components()),
             "neighbour output must be inside its enforced range"
         );
         // The inferred ranges of x and x−r overlap heavily (they differ by
@@ -155,5 +155,5 @@ fn clamping_bounds_worst_case_outputs() {
     let result = upa.run(&ds, &query, &domain).unwrap();
     // Even though the raw output includes the huge outlier, the enforced
     // output is inside the inferred range: the iDP proof's prerequisite.
-    assert!(result.range.contains(&result.enforced.components()));
+    assert!(result.range.contains(result.enforced.components()));
 }
