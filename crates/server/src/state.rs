@@ -839,13 +839,17 @@ impl ServerState {
             None => (None, Vec::new()),
         };
         let spent = spent_by_dataset(&replayed);
+        // In-memory columns are chunked as an ingest would chunk them, so
+        // a column's totals fill runs a task per chunk on every engine
+        // thread (release bits do not depend on the chunk layout).
+        let chunk_rows = IngestOptions::default().chunk_rows;
         let mut datasets = HashMap::new();
         let mut budgets = HashMap::new();
         for (i, spec) in config.datasets.iter().enumerate() {
             let columns = spec
                 .columns
                 .iter()
-                .map(|(name, values)| (name.clone(), ColumnarBuf::from_values(values, spec.rows)))
+                .map(|(name, values)| (name.clone(), ColumnarBuf::from_values(values, chunk_rows)))
                 .collect();
             let seed = config.seed.wrapping_add(i as u64);
             datasets.insert(
