@@ -16,14 +16,61 @@ use rand::rngs::StdRng;
 use std::sync::Arc;
 
 /// Samples records from the domain `D` of possible dataset records.
+///
+/// Drawing `n` records has two halves: [`DomainSampler::draw_n`] makes
+/// the RNG draws and [`DomainSampler::materialise`] turns them into
+/// records without touching the RNG, and [`DomainSampler::sample_n`] is
+/// the one composed of the two. [`crate::Upa::prepare`] holds the engine
+/// lock for `draw_n` only. A pool sampler ([`EmpiricalSampler`],
+/// [`ColumnarEmpiricalSampler`]) draws pool positions and reads them in
+/// `materialise`, outside the lock; a sampler whose draws are its values
+/// ([`FnSampler`], the default) makes its records in `draw_n`, under the
+/// lock.
 pub trait DomainSampler<T>: Send + Sync {
     /// Draws one record from `D`.
     fn sample(&self, rng: &mut StdRng) -> T;
 
-    /// Draws `n` records from `D`.
-    fn sample_n(&self, rng: &mut StdRng, n: usize) -> Vec<T> {
-        (0..n).map(|_| self.sample(rng)).collect()
+    /// The RNG half of `n` draws: by default the records of `n` calls of
+    /// [`DomainSampler::sample`].
+    fn draw_n(&self, rng: &mut StdRng, n: usize) -> DomainDraws<T> {
+        DomainDraws::Records((0..n).map(|_| self.sample(rng)).collect())
     }
+
+    /// The records of `draws`, in draw order; touches no RNG. A sampler
+    /// whose [`DomainSampler::draw_n`] returns [`DomainDraws::Pool`]
+    /// must override this to read its pool.
+    ///
+    /// # Panics
+    ///
+    /// By default, on [`DomainDraws::Pool`].
+    fn materialise(&self, draws: DomainDraws<T>) -> Vec<T> {
+        match draws {
+            DomainDraws::Records(records) => records,
+            DomainDraws::Pool(_) => panic!("this sampler has no pool to read draws from"),
+        }
+    }
+
+    /// Draws `n` records from `D`: [`DomainSampler::draw_n`], then
+    /// [`DomainSampler::materialise`].
+    fn sample_n(&self, rng: &mut StdRng, n: usize) -> Vec<T> {
+        self.materialise(self.draw_n(rng, n))
+    }
+}
+
+/// What [`DomainSampler::draw_n`] drew.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DomainDraws<T> {
+    /// Positions in the sampler's pool, in draw order.
+    Pool(Vec<usize>),
+    /// The records themselves, in draw order.
+    Records(Vec<T>),
+}
+
+/// `n` uniform positions in a pool of `len`: one `gen_range(0..len)` per
+/// draw, the draw [`EmpiricalSampler`] and [`ColumnarEmpiricalSampler`]
+/// share so they stay bit-identical.
+fn pool_draws<T>(rng: &mut StdRng, len: usize, n: usize) -> DomainDraws<T> {
+    DomainDraws::Pool((0..n).map(|_| rand::Rng::gen_range(rng, 0..len)).collect())
 }
 
 /// A [`DomainSampler`] backed by a closure.
@@ -112,6 +159,17 @@ impl<T: Clone + Send + Sync> DomainSampler<T> for EmpiricalSampler<T> {
         let i = rand::Rng::gen_range(rng, 0..self.pool.len());
         self.pool[i].clone()
     }
+
+    fn draw_n(&self, rng: &mut StdRng, n: usize) -> DomainDraws<T> {
+        pool_draws(rng, self.pool.len(), n)
+    }
+
+    fn materialise(&self, draws: DomainDraws<T>) -> Vec<T> {
+        match draws {
+            DomainDraws::Pool(at) => at.iter().map(|&i| self.pool[i].clone()).collect(),
+            DomainDraws::Records(records) => records,
+        }
+    }
 }
 
 /// An [`EmpiricalSampler`] over a chunked column buffer: resamples
@@ -153,14 +211,17 @@ impl DomainSampler<f64> for ColumnarEmpiricalSampler {
         self.pool.value(i)
     }
 
-    /// The draws of `n` calls of [`DomainSampler::sample`], in order; the
-    /// values are read once every index is drawn
-    /// ([`ColumnarBuf::gather`]), so the random reads overlap.
-    fn sample_n(&self, rng: &mut StdRng, n: usize) -> Vec<f64> {
-        let indices: Vec<usize> = (0..n)
-            .map(|_| rand::Rng::gen_range(rng, 0..self.pool.len()))
-            .collect();
-        self.pool.gather(&indices)
+    fn draw_n(&self, rng: &mut StdRng, n: usize) -> DomainDraws<f64> {
+        pool_draws(rng, self.pool.len(), n)
+    }
+
+    /// Reads every drawn row in one [`ColumnarBuf::gather`], so the
+    /// random reads overlap.
+    fn materialise(&self, draws: DomainDraws<f64>) -> Vec<f64> {
+        match draws {
+            DomainDraws::Pool(at) => self.pool.gather(&at),
+            DomainDraws::Records(records) => records,
+        }
     }
 }
 
@@ -175,6 +236,30 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(s.sample(&mut rng), 7);
         assert_eq!(s.sample_n(&mut rng, 3), vec![7, 7, 7]);
+        assert_eq!(s.draw_n(&mut rng, 2), DomainDraws::Records(vec![7, 7]));
+    }
+
+    #[test]
+    fn pool_samplers_draw_positions_and_read_them_later() {
+        let values: Vec<f64> = (0..50).map(|i| f64::from(i) * 1.5).collect();
+        let row = EmpiricalSampler::new(values.clone());
+        let col = ColumnarEmpiricalSampler::new(ColumnarBuf::from_values(&values, 8));
+        let mut rng_a = StdRng::seed_from_u64(9);
+        let mut rng_b = StdRng::seed_from_u64(9);
+        let DomainDraws::Pool(at) = col.draw_n(&mut rng_a, 20) else {
+            panic!("a pool sampler draws positions");
+        };
+        assert_eq!(row.draw_n(&mut rng_b, 20), DomainDraws::Pool(at.clone()));
+        let want: Vec<f64> = at.iter().map(|&i| values[i]).collect();
+        assert_eq!(col.materialise(DomainDraws::Pool(at.clone())), want);
+        assert_eq!(row.materialise(DomainDraws::Pool(at)), want);
+        // `sample_n` is the two halves composed, on the same RNG stream.
+        let mut rng_c = StdRng::seed_from_u64(9);
+        assert_eq!(col.sample_n(&mut rng_c, 20), want);
+        assert_eq!(
+            rand::RngCore::next_u64(&mut rng_a),
+            rand::RngCore::next_u64(&mut rng_c)
+        );
     }
 
     #[test]

@@ -180,18 +180,19 @@ impl Upa {
         let prepare_scope = spans.enter("prepare");
 
         // ---- Phase 1: Partition & Sample --------------------------------
-        let (indices, additions) = self.draw_sample(&spans, protected.len(), domain)?;
-        let n = indices.len();
+        let (floyd, domain_draws) = self.draw_sample(&spans, protected.len(), domain)?;
         let (sampled, remainder) = {
             let _scope = spans.enter("partition");
-            protected.split_indices(&indices)
+            protected.split_indices(&floyd.resolve())
         };
+        let n = sampled.len();
         // Logical halves by the hash of the join key: content-defined, so
         // RANGE ENFORCER's partition fingerprints stay comparable across
         // neighbouring datasets.
-        let sampled_halves: Vec<usize> = {
+        let (additions, sampled_halves) = {
             let _scope = spans.enter("sample");
-            sampled.iter().map(|(k, _)| logical_half(k)).collect()
+            let halves: Vec<usize> = sampled.iter().map(|(k, _)| logical_half(k)).collect();
+            (domain.materialise(domain_draws), halves)
         };
 
         // ---- Phase 2: tag maps (the join path's parallel map) ------------

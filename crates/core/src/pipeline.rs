@@ -31,7 +31,7 @@
 use crate::audit::QueryAudit;
 use crate::budget::BudgetAccountant;
 use crate::config::UpaConfig;
-use crate::domain::DomainSampler;
+use crate::domain::{DomainDraws, DomainSampler};
 use crate::enforcer::{EnforceOutcome, EnforceState, QuerySignature, RangeEnforcer};
 use crate::error::UpaError;
 use crate::output::{DpOutput, OutputRange};
@@ -43,7 +43,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use upa_stats::sampling::sample_indices;
+use upa_stats::sampling::FloydDraws;
 use upa_stats::{LaplaceMechanism, Normal};
 
 /// One slab task's remainder fold, block by block ([`REMAINDER_BLOCK`]):
@@ -150,9 +150,12 @@ pub const AUDIT_RING: usize = 1024;
 /// accountant — behind one short critical section.
 ///
 /// Every method takes `&self`, so one `Upa` serves concurrent callers. A
-/// preparation holds the lock only for its two RNG draws; a release
-/// holds it for its budget charge, RANGE ENFORCER pass and noise draw.
-/// The scan, the neighbour outputs and the MLE fit run outside it.
+/// preparation holds the lock only for its `2n` RNG draws — Floyd's `n`
+/// over the records, then the domain's `n` — and resolves, gathers and
+/// reads them after releasing it (a closure-backed domain sampler makes
+/// its records while drawing, under the lock); a release holds it for
+/// its budget charge, RANGE ENFORCER pass and noise draw. The scan, the
+/// neighbour outputs and the MLE fit run outside it.
 pub struct Upa {
     ctx: Context,
     config: UpaConfig,
@@ -292,10 +295,16 @@ impl Upa {
     /// no engine work (no new stages or shuffles), only fresh noise and a
     /// fresh ε budget charge.
     ///
-    /// Only the two RNG draws (`sample_indices`, then `domain.sample_n`)
-    /// take the engine lock; they alone must be ordered against other
-    /// queries. The scan and the fit run outside it, so a concurrent
-    /// release on this engine never waits for them.
+    /// Only the RNG draws take the engine lock: Floyd's `n` draws
+    /// ([`FloydDraws::draw`]), then the domain's `n`
+    /// ([`DomainSampler::draw_n`]); they alone must be ordered against
+    /// other queries. Resolving Floyd's draws into sorted indices,
+    /// gathering the sample and reading the domain draws
+    /// ([`DomainSampler::materialise`]) follow the lock's release, as do
+    /// the scan and the fit, so a concurrent release on this engine never
+    /// waits for them. The same RNG stream gives the same sample as
+    /// [`upa_stats::sampling::sample_indices`] then
+    /// [`DomainSampler::sample_n`].
     ///
     /// `data` is a row [`dataflow::Dataset`] or a
     /// [`dataflow::ColumnarDataset`]; this one body serves both, so what
@@ -334,31 +343,33 @@ impl Upa {
 
         // ---- Phase 1: Partition & Sample -------------------------------
         let len = data.len();
-        let (indices, additions) = self.draw_sample(&spans, len, domain)?;
-        let n = indices.len();
-        let (sampled, bounds, physical_halves, half_split) = {
+        let (floyd, domain_draws) = self.draw_sample(&spans, len, domain)?;
+        let (indices, sampled, bounds, half_split) = {
             let _scope = spans.enter("partition");
+            let indices = floyd.resolve();
             let bounds = data.slab_bounds();
             let half_split = bounds.len().div_ceil(2);
             let sampled = data.gather_sorted(&indices);
-            let halves: Vec<usize> = indices
-                .iter()
-                .map(|&g| {
-                    let slab = bounds.partition_point(|&(_, end)| end <= g);
-                    usize::from(slab >= half_split)
-                })
-                .collect();
-            (sampled, bounds, halves, half_split)
+            (indices, sampled, bounds, half_split)
         };
-        let sampled_halves = {
+        let n = indices.len();
+        let (additions, sampled_halves) = {
             let _scope = spans.enter("sample");
+            let additions = domain.materialise(domain_draws);
             // Logical halves: by stable record key when the query provides
             // one (content-defined, robust across neighbouring datasets),
             // by slab index otherwise.
-            match query.half_key() {
+            let halves: Vec<usize> = match query.half_key() {
                 Some(hk) => sampled.iter().map(|t| (hk(t) % 2) as usize).collect(),
-                None => physical_halves,
-            }
+                None => indices
+                    .iter()
+                    .map(|&g| {
+                        let slab = bounds.partition_point(|&(_, end)| end <= g);
+                        usize::from(slab >= half_split)
+                    })
+                    .collect(),
+            };
+            (additions, halves)
         };
 
         // ---- Phase 2: Parallel Map --------------------------------------
@@ -642,29 +653,32 @@ impl Upa {
 
     /// The phase-1 draws, shared with the join path and the only part of a
     /// preparation that takes the engine lock: validates the
-    /// configuration, rejects an empty input, then samples the sorted
-    /// global indices of the `n` differing records and, after them, the
-    /// `n` candidate additions from the record domain.
+    /// configuration, rejects an empty input, then, under the lock, makes
+    /// Floyd's `n` draws over the `len` records and after them the
+    /// domain's `n` draws. The caller resolves both after the lock is
+    /// released: [`FloydDraws::resolve`] gives the sorted global indices
+    /// of the `n` differing records, [`DomainSampler::materialise`] the
+    /// `n` candidate additions.
     pub(crate) fn draw_sample<T>(
         &self,
         spans: &SpanRecorder,
         len: usize,
         domain: &dyn DomainSampler<T>,
-    ) -> Result<(Vec<usize>, Vec<T>), UpaError> {
+    ) -> Result<(FloydDraws, DomainDraws<T>), UpaError> {
         self.config.validate()?;
         if len == 0 {
             return Err(UpaError::EmptyDataset);
         }
         let n = self.config.sample_size.min(len);
         let mut serial = self.serial();
-        let indices = {
+        let floyd = {
             let mut scope = spans.enter("partition");
             scope.add_records(len as u64);
-            sample_indices(&mut serial.rng, len, n)
+            FloydDraws::draw(&mut serial.rng, len, n)
         };
         let mut scope = spans.enter("sample");
         scope.add_records(2 * n as u64);
-        Ok((indices, domain.sample_n(&mut serial.rng, n)))
+        Ok((floyd, domain.draw_n(&mut serial.rng, n)))
     }
 
     /// The release-independent half of phase 4, shared by
@@ -1211,6 +1225,65 @@ mod tests {
             self.active[second] = false;
             true
         }
+    }
+
+    /// A pool sampler that notes whether the engine lock was held on any
+    /// of its draws and on any read of its draws.
+    struct LockProbe<'u> {
+        upa: &'u Upa,
+        pool: EmpiricalSampler<f64>,
+        held_drawing: std::sync::atomic::AtomicBool,
+        held_reading: std::sync::atomic::AtomicBool,
+    }
+
+    impl LockProbe<'_> {
+        fn note(&self, flag: &std::sync::atomic::AtomicBool) {
+            let held = self.upa.serial.try_lock().is_err();
+            flag.fetch_or(held, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    impl DomainSampler<f64> for LockProbe<'_> {
+        fn sample(&self, rng: &mut StdRng) -> f64 {
+            self.pool.sample(rng)
+        }
+
+        fn draw_n(&self, rng: &mut StdRng, n: usize) -> DomainDraws<f64> {
+            self.note(&self.held_drawing);
+            self.pool.draw_n(rng, n)
+        }
+
+        fn materialise(&self, draws: DomainDraws<f64>) -> Vec<f64> {
+            self.note(&self.held_reading);
+            self.pool.materialise(draws)
+        }
+    }
+
+    /// A preparation holds the engine lock while the domain draws and has
+    /// released it by the time the draws are read, and the split draw
+    /// gives the release that `sample_n` under the lock gives.
+    #[test]
+    fn domain_draws_are_read_after_the_engine_lock_is_released() {
+        let values = fractional_values(500);
+        let query = exact_sum_query(&values);
+        let (ctx, upa) = small_upa(40);
+        let data = ctx.parallelize(values.clone(), 3);
+        let probe = LockProbe {
+            upa: &upa,
+            pool: EmpiricalSampler::new(values.clone()),
+            held_drawing: false.into(),
+            held_reading: false.into(),
+        };
+        let split = upa.prepare(&data, &query, &probe).unwrap();
+        assert!(probe.held_drawing.into_inner(), "drawn outside the lock");
+        assert!(!probe.held_reading.into_inner(), "read under the lock");
+
+        let (_, reference) = small_upa(40);
+        let domain = EmpiricalSampler::new(values);
+        let whole = reference.prepare(&data, &query, &domain).unwrap();
+        let bits = |o: &[f64]| o.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&split.addition_outputs), bits(&whole.addition_outputs));
+        assert_eq!(bits(&split.removal_outputs), bits(&whole.removal_outputs));
     }
 
     /// After every removal, down to an exhausted sample, the prefix-fold

@@ -89,14 +89,79 @@ impl ColumnChunk {
     }
 }
 
-/// A column as immutable shared chunks with prefix offsets. Cloning is
+/// A column as immutable shared chunks with a row index. Cloning is
 /// cheap (two `Arc` bumps); the values are never copied.
 #[derive(Debug, Clone)]
 pub struct ColumnarBuf {
     chunks: Arc<Vec<ColumnChunk>>,
+    index: Arc<RowIndex>,
+}
+
+/// Where each global row lives: the chunk prefix offsets and a table of
+/// the chunk holding every `block`-th row. A row's block is one divide
+/// away, and from the chunk holding the block's first row a short walk
+/// reaches the row's chunk.
+///
+/// `block` is the shortest chunk but the last (empty ones skipped),
+/// raised to the mean chunk size when shorter. In the layout an ingest or
+/// [`ColumnarBuf::from_values`] makes — equal chunks and a short tail —
+/// that is the chunk size, so a block meets at most two chunks and the
+/// walk takes at most one step. A ragged layout's walk may take more
+/// steps; the floor keeps its table at one entry per chunk or fewer.
+#[derive(Debug)]
+struct RowIndex {
     /// `offsets[i]` is the global row index where chunk `i` starts;
     /// one trailing entry holds the total length.
-    offsets: Arc<Vec<usize>>,
+    offsets: Vec<usize>,
+    block: usize,
+    /// `block_chunk[b]`: the chunk holding row `b * block`.
+    block_chunk: Vec<usize>,
+}
+
+impl RowIndex {
+    fn new(chunks: &[ColumnChunk]) -> RowIndex {
+        let mut offsets = Vec::with_capacity(chunks.len() + 1);
+        offsets.push(0usize);
+        for c in chunks {
+            offsets.push(offsets.last().copied().unwrap_or(0) + c.values.len());
+        }
+        let len = offsets[chunks.len()];
+        let shortest = chunks
+            .iter()
+            .take(chunks.len().saturating_sub(1))
+            .map(|c| c.values.len())
+            .filter(|&rows| rows > 0)
+            .min()
+            .unwrap_or(len);
+        let block = shortest.max(len.div_ceil(chunks.len().max(1))).max(1);
+        let mut chunk = 0usize;
+        let block_chunk = (0..len.div_ceil(block))
+            .map(|b| {
+                while offsets[chunk + 1] <= b * block {
+                    chunk += 1;
+                }
+                chunk
+            })
+            .collect();
+        RowIndex {
+            offsets,
+            block,
+            block_chunk,
+        }
+    }
+
+    fn len(&self) -> usize {
+        *self.offsets.last().expect("offsets never empty")
+    }
+
+    /// `(chunk, offset-in-chunk)` of row `g`, which must be in bounds.
+    fn locate(&self, g: usize) -> (usize, usize) {
+        let mut chunk = self.block_chunk[g / self.block];
+        while self.offsets[chunk + 1] <= g {
+            chunk += 1;
+        }
+        (chunk, g - self.offsets[chunk])
+    }
 }
 
 /// Rows in each shared chunk of [`ColumnarBuf::zeros`].
@@ -106,14 +171,9 @@ impl ColumnarBuf {
     /// Builds a buffer over `chunks` (empty chunks are allowed).
     #[must_use]
     pub fn new(chunks: Vec<ColumnChunk>) -> ColumnarBuf {
-        let mut offsets = Vec::with_capacity(chunks.len() + 1);
-        offsets.push(0usize);
-        for c in &chunks {
-            offsets.push(offsets.last().copied().unwrap_or(0) + c.values.len());
-        }
         ColumnarBuf {
+            index: Arc::new(RowIndex::new(&chunks)),
             chunks: Arc::new(chunks),
-            offsets: Arc::new(offsets),
         }
     }
 
@@ -148,7 +208,7 @@ impl ColumnarBuf {
     /// Total rows.
     #[must_use]
     pub fn len(&self) -> usize {
-        *self.offsets.last().expect("offsets never empty")
+        self.index.len()
     }
 
     /// Whether the column holds no rows.
@@ -180,7 +240,9 @@ impl ColumnarBuf {
         self.chunks[chunk].values[off]
     }
 
-    /// Maps a global row index to `(chunk, offset-in-chunk)`.
+    /// Maps a global row index to `(chunk, offset-in-chunk)`: one divide
+    /// and, in an ingest layout, at most one step (see the row index).
+    /// Empty chunks hold no row, so no row maps to one.
     ///
     /// # Panics
     ///
@@ -188,17 +250,13 @@ impl ColumnarBuf {
     #[must_use]
     pub fn locate(&self, g: usize) -> (usize, usize) {
         assert!(g < self.len(), "row {g} out of bounds ({})", self.len());
-        // partition_point finds the first offset beyond g; its
-        // predecessor starts the chunk holding g. Empty chunks share an
-        // offset with their successor and are skipped naturally.
-        let chunk = self.offsets.partition_point(|&o| o <= g) - 1;
-        (chunk, g - self.offsets[chunk])
+        self.index.locate(g)
     }
 
     /// The values at global `indices`, in their order. Every index is
     /// located before any value is read, so the reads — random over the
-    /// whole column — overlap instead of each waiting behind a search
-    /// (as in [`ColumnarBuf::gather_sorted`]).
+    /// whole column — run in a loop of nothing but independent loads,
+    /// and many overlap.
     ///
     /// # Panics
     ///
@@ -206,12 +264,15 @@ impl ColumnarBuf {
     #[must_use]
     pub fn gather(&self, indices: &[usize]) -> Vec<f64> {
         let located: Vec<(usize, usize)> = indices.iter().map(|&g| self.locate(g)).collect();
-        self.read(&located)
+        located
+            .iter()
+            .map(|&(chunk, off)| self.chunks[chunk].values[off])
+            .collect()
     }
 
-    /// Gathers the values at ascending global indices in one pass —
-    /// how the prepare pipeline materialises the sample S without
-    /// touching the rest of the column.
+    /// [`ColumnarBuf::gather`] of ascending global indices — how the
+    /// prepare pipeline materialises the sample S without touching the
+    /// rest of the column.
     ///
     /// # Panics
     ///
@@ -219,33 +280,11 @@ impl ColumnarBuf {
     /// bounds.
     #[must_use]
     pub fn gather_sorted(&self, indices: &[usize]) -> Vec<f64> {
-        let mut chunk = 0usize;
-        let mut prev: Option<usize> = None;
-        let located: Vec<(usize, usize)> = indices
-            .iter()
-            .map(|&g| {
-                assert!(
-                    prev.is_none_or(|p| p < g),
-                    "gather indices must be strictly increasing"
-                );
-                prev = Some(g);
-                assert!(g < self.len(), "row {g} out of bounds ({})", self.len());
-                while self.offsets[chunk + 1] <= g {
-                    chunk += 1;
-                }
-                (chunk, g - self.offsets[chunk])
-            })
-            .collect();
-        self.read(&located)
-    }
-
-    /// The values at `(chunk, offset)` positions, read in one loop of
-    /// independent loads.
-    fn read(&self, located: &[(usize, usize)]) -> Vec<f64> {
-        located
-            .iter()
-            .map(|&(chunk, off)| self.chunks[chunk].values[off])
-            .collect()
+        assert!(
+            indices.windows(2).all(|w| w[0] < w[1]),
+            "gather indices must be strictly increasing"
+        );
+        self.gather(indices)
     }
 
     /// Calls `f` with each contiguous slice covering rows
@@ -264,10 +303,11 @@ impl ColumnarBuf {
             return;
         }
         let (mut chunk, _) = self.locate(start);
+        let offsets = &self.index.offsets;
         let mut at = start;
         while at < end {
-            let chunk_start = self.offsets[chunk];
-            let chunk_end = self.offsets[chunk + 1];
+            let chunk_start = offsets[chunk];
+            let chunk_end = offsets[chunk + 1];
             if chunk_start < chunk_end {
                 let lo = at - chunk_start;
                 let hi = end.min(chunk_end) - chunk_start;
@@ -432,6 +472,24 @@ mod tests {
         assert_eq!(all_nan.min, f64::INFINITY);
     }
 
+    /// A buffer of `0, 1, 2, …` cut into chunks of the given sizes.
+    fn layout(sizes: &[usize]) -> ColumnarBuf {
+        let mut next = 0.0;
+        let chunks = sizes
+            .iter()
+            .map(|&rows| {
+                let values: Vec<f64> = (0..rows)
+                    .map(|_| {
+                        next += 1.0;
+                        next - 1.0
+                    })
+                    .collect();
+                ColumnChunk::with_stats(Arc::from(values))
+            })
+            .collect();
+        ColumnarBuf::new(chunks)
+    }
+
     #[test]
     fn locate_value_and_gather_cross_chunks() {
         let values: Vec<f64> = (0..100).map(f64::from).collect();
@@ -444,6 +502,46 @@ mod tests {
         assert_eq!(b.locate(7), (1, 0));
         let picked = b.gather_sorted(&[0, 6, 7, 50, 99]);
         assert_eq!(picked, vec![0.0, 6.0, 7.0, 50.0, 99.0]);
+
+        // Every row of every layout reads what a flat vector holds there,
+        // by `value`, `locate`, `gather` (in any order) and `gather_sorted`.
+        let layouts = [
+            ("uniform", layout(&[8, 8, 8, 8])),
+            ("short tail", layout(&[8, 8, 8, 3])),
+            ("ingest shape", buf(&values, 7)),
+            ("empty chunks", layout(&[0, 5, 0, 0, 5, 3, 0, 9, 0])),
+            ("ragged", layout(&[1, 30, 2, 2, 17, 1])),
+            ("one chunk", layout(&[23])),
+            ("zeros", ColumnarBuf::zeros(2 * ZERO_CHUNK_ROWS + 9)),
+            ("few zeros", ColumnarBuf::zeros(5)),
+        ];
+        for (name, b) in &layouts {
+            let flat = b.to_vec();
+            assert_eq!(flat.len(), b.len(), "{name}");
+            let all: Vec<usize> = (0..b.len()).collect();
+            for &g in &all {
+                let (chunk, off) = b.locate(g);
+                assert_eq!(b.chunks()[chunk].values[off], flat[g], "{name} row {g}");
+                assert_eq!(b.value(g).to_bits(), flat[g].to_bits(), "{name} row {g}");
+            }
+            assert_eq!(b.gather_sorted(&all), flat, "{name}");
+            let scattered: Vec<usize> = all.iter().rev().step_by(3).copied().collect();
+            let want: Vec<f64> = scattered.iter().map(|&g| flat[g]).collect();
+            assert_eq!(b.gather(&scattered), want, "{name}");
+        }
+        // A non-zero column's values are their own rows, so the reads
+        // above pin the row, not just a value that happens to match.
+        assert_eq!(
+            layouts[3].1.to_vec(),
+            (0..22).map(f64::from).collect::<Vec<_>>()
+        );
+        assert_eq!(layouts[3].1.locate(5), (4, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn locate_rejects_rows_past_the_end() {
+        let _ = buf(&[1.0, 2.0, 3.0], 2).locate(3);
     }
 
     #[test]

@@ -815,7 +815,7 @@ impl ServerState {
     /// when the budget is not finite and positive, when ε or the sample
     /// size fails [`UpaConfig::validate`], or when a [`DatasetSpec`]
     /// column's length differs from its row count.
-    pub fn new(config: ServerConfig) -> std::io::Result<ServerState> {
+    pub fn new(mut config: ServerConfig) -> std::io::Result<ServerState> {
         config.validate()?;
         let ctx = if config.threads == 0 {
             Context::default()
@@ -841,15 +841,22 @@ impl ServerState {
         let spent = spent_by_dataset(&replayed);
         // In-memory columns are chunked as an ingest would chunk them, so
         // a column's totals fill runs a task per chunk on every engine
-        // thread (release bits do not depend on the chunk layout).
+        // thread (release bits do not depend on the chunk layout). The
+        // chunks are then all the state serves from: each column's values
+        // are dropped once chunked, and the kept specs hold only names and
+        // row counts.
         let chunk_rows = IngestOptions::default().chunk_rows;
         let mut datasets = HashMap::new();
         let mut budgets = HashMap::new();
-        for (i, spec) in config.datasets.iter().enumerate() {
+        let mut specs = std::mem::take(&mut config.datasets);
+        for (i, spec) in specs.iter_mut().enumerate() {
             let columns = spec
                 .columns
-                .iter()
-                .map(|(name, values)| (name.clone(), ColumnarBuf::from_values(values, chunk_rows)))
+                .iter_mut()
+                .map(|(name, values)| {
+                    let values = std::mem::take(values);
+                    (name.clone(), ColumnarBuf::from_values(&values, chunk_rows))
+                })
                 .collect();
             let seed = config.seed.wrapping_add(i as u64);
             datasets.insert(
@@ -864,6 +871,7 @@ impl ServerState {
                 budgets.insert(spec.name.clone(), Arc::new(shard));
             }
         }
+        config.datasets = specs;
         let catalog = match &config.store_path {
             Some(root) => Some(
                 Catalog::open(root, config.threads.max(2))
@@ -904,7 +912,9 @@ impl ServerState {
         &self.ctx
     }
 
-    /// The active configuration.
+    /// The active configuration. Its [`ServerConfig::datasets`] keep
+    /// their names, row counts and column names but no column values:
+    /// the state serves from the chunks [`ServerState::new`] made of them.
     pub fn config(&self) -> &ServerConfig {
         &self.config
     }
@@ -1731,6 +1741,27 @@ mod tests {
         });
         has_started.recv().unwrap();
         (release, run)
+    }
+
+    #[test]
+    fn config_holds_no_column_values_after_startup() {
+        let state = state_with(None, None);
+        let spec = &state.config().datasets[0];
+        assert_eq!((spec.name.as_str(), spec.rows), ("data", 2_000));
+        assert_eq!(spec.columns.keys().collect::<Vec<_>>(), ["v"]);
+        assert!(
+            spec.columns
+                .values()
+                .all(|v| v.is_empty() && v.capacity() == 0),
+            "a served column's values are held beside its chunks"
+        );
+        // The chunks alone serve the column.
+        let info = &state.dataset_infos()[0];
+        assert_eq!(
+            (info.rows, info.columns.clone()),
+            (2_000, vec!["v".to_string()])
+        );
+        assert!(state.prepare("data", AggKind::Mean, "v").is_ok());
     }
 
     #[test]

@@ -3,22 +3,24 @@
 //!
 //! * [`sample_indices`] — uniform sampling of `n` distinct indices without
 //!   replacement (Robert Floyd's algorithm), used by UPA to pick the `n`
-//!   differing records `S` from the input dataset;
+//!   differing records `S` from the input dataset; [`FloydDraws`] splits
+//!   it into its RNG draws and an RNG-free resolve;
 //! * [`Zipf`] — a bounded Zipf sampler used by the TPC-H generator to give
 //!   join keys the skewed frequency distribution that makes TPCH16/21
 //!   sensitivity hard (outliers in Figure 3).
 
 use rand::Rng;
-use std::collections::HashSet;
 
 /// Uniformly samples `n` distinct indices from `0..len` without
-/// replacement, using Robert Floyd's algorithm (O(n) expected work,
+/// replacement, using Robert Floyd's algorithm (O(n log n) work,
 /// independent of `len`).
 ///
 /// If `n >= len`, every index is returned (this mirrors the paper's rule
 /// that for datasets smaller than the sample size, `n` is set to the
 /// dataset size so the *exact* local sensitivity is obtained). The returned
 /// indices are sorted.
+///
+/// This is [`FloydDraws::draw`] followed by [`FloydDraws::resolve`].
 ///
 /// ```
 /// use rand::SeedableRng;
@@ -28,21 +30,93 @@ use std::collections::HashSet;
 /// assert!(idx.windows(2).all(|w| w[0] < w[1]));
 /// ```
 pub fn sample_indices<R: Rng + ?Sized>(rng: &mut R, len: usize, n: usize) -> Vec<usize> {
-    if n >= len {
-        return (0..len).collect();
+    FloydDraws::draw(rng, len, n).resolve()
+}
+
+/// The RNG draws of Floyd's algorithm for `n` of `len` indices, not yet
+/// resolved into a sample: step `k` drew `draws[k]` from
+/// `0..=len - n + k`. Floyd takes a step's draw unless it is already
+/// taken, and then takes the step's upper bound instead.
+///
+/// Drawing touches the RNG and nothing else; resolving touches no RNG,
+/// so a caller that must order its draws against other users of one RNG
+/// holds that RNG's lock for [`FloydDraws::draw`] only.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FloydDraws {
+    len: usize,
+    n: usize,
+    /// Empty when `n >= len`: the whole population is the sample.
+    draws: Vec<usize>,
+}
+
+impl FloydDraws {
+    /// Draws `gen_range(0..=j)` for `j` in `len - n..len`, in order; no
+    /// draw at all when `n >= len`.
+    pub fn draw<R: Rng + ?Sized>(rng: &mut R, len: usize, n: usize) -> FloydDraws {
+        let draws = if n >= len {
+            Vec::new()
+        } else {
+            ((len - n)..len).map(|j| rng.gen_range(0..=j)).collect()
+        };
+        FloydDraws { len, n, draws }
     }
-    let mut chosen = HashSet::with_capacity(n);
-    // Floyd's algorithm: for j in len-n .. len, pick t in [0, j]; if taken,
-    // take j instead.
-    for j in (len - n)..len {
-        let t = rng.gen_range(0..=j);
-        if !chosen.insert(t) {
-            chosen.insert(j);
+
+    /// The sorted sample Floyd's algorithm makes of these draws.
+    ///
+    /// A step collides only with an earlier draw or with the upper bound
+    /// an earlier collision took, so when no value repeats no step
+    /// collided and the sorted draws are the sample. Otherwise the steps
+    /// are replayed in order against the repeated values and the bounds
+    /// taken so far — both few — and the sample is the distinct draws
+    /// together with the bounds taken: a draw that collides is already in
+    /// the sample, and a bound is new when taken. The replay allocates
+    /// twice, whatever `n`.
+    pub fn resolve(self) -> Vec<usize> {
+        let FloydDraws { len, n, draws } = self;
+        if n >= len {
+            return (0..len).collect();
         }
+        let mut sorted = draws.clone();
+        sorted.sort_unstable();
+        let repeats = sorted.windows(2).filter(|w| w[0] == w[1]).count();
+        if repeats == 0 {
+            return sorted;
+        }
+        // Each repeated value, and whether a step has drawn it yet.
+        let mut repeated: Vec<(usize, bool)> = Vec::with_capacity(repeats);
+        for w in sorted.windows(2) {
+            if w[0] == w[1] && repeated.last().map(|r| r.0) != Some(w[0]) {
+                repeated.push((w[0], false));
+            }
+        }
+        sorted.dedup();
+        // Ascending, since the steps' upper bounds are.
+        let mut taken: Vec<usize> = Vec::with_capacity(n);
+        for (j, &t) in ((len - n)..len).zip(&draws) {
+            let drawn_before = match repeated.binary_search_by_key(&t, |r| r.0) {
+                Ok(i) => std::mem::replace(&mut repeated[i].1, true),
+                Err(_) => false,
+            };
+            if drawn_before || taken.binary_search(&t).is_ok() {
+                taken.push(j);
+            }
+        }
+        // The sample has `n` values, so it fits in the draws' buffer.
+        let mut out = draws;
+        out.clear();
+        let mut new = taken
+            .into_iter()
+            .filter(|t| sorted.binary_search(t).is_err())
+            .peekable();
+        for &t in &sorted {
+            while let Some(b) = new.next_if(|&b| b < t) {
+                out.push(b);
+            }
+            out.push(t);
+        }
+        out.extend(new);
+        out
     }
-    let mut out: Vec<usize> = chosen.into_iter().collect();
-    out.sort_unstable();
-    out
 }
 
 /// Bounded Zipf distribution over `1..=n` with exponent `s`.
@@ -109,6 +183,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     #[test]
     fn sample_indices_distinct_and_in_range() {

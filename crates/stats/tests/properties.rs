@@ -75,3 +75,62 @@ proptest! {
         }
     }
 }
+
+/// Floyd's algorithm over a hash set, the way `sample_indices` resolved
+/// its draws before the sort: the reference the draw/resolve split must
+/// reproduce. Also returns how many steps collided.
+fn hash_set_floyd(rng: &mut rand::rngs::StdRng, len: usize, n: usize) -> (Vec<usize>, usize) {
+    use rand::Rng;
+    if n >= len {
+        return ((0..len).collect(), 0);
+    }
+    let mut chosen = std::collections::HashSet::with_capacity(n);
+    let mut collisions = 0;
+    for j in (len - n)..len {
+        let t = rng.gen_range(0..=j);
+        if !chosen.insert(t) {
+            chosen.insert(j);
+            collisions += 1;
+        }
+    }
+    let mut out: Vec<usize> = chosen.into_iter().collect();
+    out.sort_unstable();
+    (out, collisions)
+}
+
+/// `sample_indices` returns the hash-set Floyd's sample for the same seed
+/// and leaves the RNG where the reference leaves it. The populations run
+/// from tiny (most draws collide, so the replay of collisions runs) to
+/// millions of rows (the served sample, where the sorted draws are the
+/// answer), with `n = 0` and `n >= len` among them.
+#[test]
+fn sample_indices_matches_hash_set_floyd() {
+    use rand::{RngCore, SeedableRng};
+    let (mut cases, mut replayed) = (0usize, 0usize);
+    proptest::run(
+        "sample_indices_matches_hash_set_floyd",
+        &ProptestConfig::with_cases(2000),
+        "(regime, len, n, seed)",
+        (0usize..4, 0usize..3_000_000, 0usize..1500, 0u64..u64::MAX),
+        |(regime, len, n, seed)| {
+            let (len, n) = match regime {
+                0 => (len % 12, n % 16),
+                1 => (len % 3000, n),
+                2 => (1_000_000 + len, n),
+                _ if n % 2 == 0 => (len % 500, 0),
+                _ => (len % 500, len % 500 + n % 7),
+            };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut reference_rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let got = sample_indices(&mut rng, len, n);
+            let (want, collisions) = hash_set_floyd(&mut reference_rng, len, n);
+            prop_assert_eq!(got, want, "len {len}, n {n}");
+            prop_assert_eq!(rng.next_u64(), reference_rng.next_u64(), "next draw");
+            cases += 1;
+            replayed += usize::from(collisions > 0);
+            Ok(())
+        },
+    );
+    println!("{cases} cases matched the hash-set Floyd, {replayed} of them with collisions");
+    assert!(replayed > cases / 10, "too few cases exercise the replay");
+}
