@@ -12,10 +12,12 @@
 //! the low bits. A query takes its remainder — the un-sampled records'
 //! reduction, Algorithm 1 line 7 — in one of two ways:
 //!
-//! * by the **block-lane fold**, one fixed grouping that is part of the
-//!   release contract ([`FOLD_LANES`], [`REMAINDER_BLOCK`]). Every query
-//!   folds so by default: the paper suite, KMeans, LinearRegression and
-//!   joinDP;
+//! * by the **slab fold**, the grouping MapReduce itself applies and part
+//!   of the release contract: per slab, one accumulator per logical half,
+//!   each a left fold in record order that skips the sampled rows; the
+//!   slab partials then left-fold per half in ascending slab order. Every
+//!   query folds so by default: the paper suite, KMeans,
+//!   LinearRegression and joinDP;
 //! * **exactly** ([`MapReduceQuery::with_half_totals`]): a `(sum, count)`
 //!   query is handed each half's exact total over its source
 //!   ([`HalfTotals`], on [`upa_stats::ExactSum`]) and takes its sample
@@ -39,36 +41,11 @@ pub type FinalizeFn<Acc, Out> = Arc<dyn Fn(Option<&Acc>) -> Out + Send + Sync>;
 /// Shared handle to a stable half key (see
 /// [`MapReduceQuery::with_half_key`]).
 pub type HalfKeyFn<T> = Arc<dyn Fn(&T) -> u64 + Send + Sync>;
-/// Lanes of the remainder fold. Inside a block of [`REMAINDER_BLOCK`]
-/// records, the record at slab offset `i` folds into lane
-/// `i % FOLD_LANES`; at the end of the block the lanes merge pairwise
-/// ([`MapReduceQuery::merge_lanes`]). Four independent accumulators let
-/// a kernel keep four additions in flight instead of one store-to-load
-/// chain, and pairwise summation is the more accurate order besides. A
-/// constant of the release contract, not a knob: changing it moves
-/// release bits.
-pub const FOLD_LANES: usize = 4;
-/// Records per remainder block. Each slab is cut into blocks by slab
-/// offset (`[0, 512)`, `[512, 1024)`, …, the last one short); each
-/// block's lanes merge into one partial per half, and the partials merge
-/// in one left fold in ascending (slab, block) order. A constant of the
-/// release contract, not a knob: changing it moves release bits. A
-/// multiple of [`FOLD_LANES`], so a record's lane is also its block
-/// offset modulo `FOLD_LANES`.
-pub const REMAINDER_BLOCK: usize = 512;
-const _: () = assert!(REMAINDER_BLOCK.is_multiple_of(FOLD_LANES));
-/// One block's remainder fold in progress: per lane, one accumulator per
-/// logical half.
-pub type Lanes<Acc> = [[Option<Acc>; 2]; FOLD_LANES];
-/// One block's remainder partial: its lanes merged pairwise, one
-/// accumulator per logical half.
-pub type BlockPartial<Acc> = [Option<Acc>; 2];
-
 /// Shared handle to a fused slice-fold kernel (see
 /// [`MapReduceQuery::with_slice_fold`]). Arguments: the record run, the
-/// lane of its first record, the physical half for queries without a
-/// half key, and the lanes to fold into.
-pub type SliceFoldFn<T, Acc> = Arc<dyn Fn(&[T], usize, usize, &mut Lanes<Acc>) + Send + Sync>;
+/// physical half for queries without a half key, and the slab's
+/// accumulators, one per logical half.
+pub type SliceFoldFn<T, Acc> = Arc<dyn Fn(&[T], usize, &mut [Option<Acc>; 2]) + Send + Sync>;
 
 /// Exact per-half totals of a source's records under a `(sum, count)`
 /// query that maps every record to `(v, 1)`: for each logical half, the
@@ -253,30 +230,26 @@ impl<T: Data, Acc: Data, Out: DpOutput> MapReduceQuery<T, Acc, Out> {
     }
 
     /// Attaches a **fused slice-fold kernel**: a monomorphic loop that
-    /// folds an uninterrupted run of records into the per-lane, per-half
+    /// folds an uninterrupted run of records into the slab's per-half
     /// accumulators in one call, instead of paying three dynamic
     /// dispatches (`half_key`, `map`, `reduce`) per record.
     ///
     /// [`crate::Upa::prepare`] calls [`MapReduceQuery::fold_run`] once
-    /// per run between sampled rows and block edges
-    /// ([`REMAINDER_BLOCK`]): a run never spans two blocks, and the lanes
-    /// start empty at every block. A query without a kernel folds the
-    /// same runs through the generic closures, so the kernel is purely
-    /// an optimisation hook.
+    /// per run between sampled rows, and the runs of one slab fold into
+    /// the same accumulators in record order. A query without a kernel
+    /// folds the same runs through the generic closures, so the kernel is
+    /// purely an optimisation hook.
     ///
-    /// **Contract:** `kernel(slice, lane0, phys_half, lanes)` must leave
-    /// `lanes` exactly as [`MapReduceQuery::fold_run_generic`] would:
-    /// record `slice[i]` belongs to lane `(lane0 + i) % FOLD_LANES`, its
-    /// half `h` is `half_key(x) % 2` (or `phys_half` when the query has
-    /// no half key), and `map(x)` folds into `lanes[lane][h]` with
-    /// `reduce`, each lane a left fold in record order. A kernel may
-    /// interleave the lanes however it likes, since they are independent,
-    /// but not reorder within one. A kernel that disagrees silently
-    /// changes released values, so pair every kernel with a bitwise
-    /// equivalence test against the generic fold.
+    /// **Contract:** `kernel(slice, phys_half, halves)` must leave
+    /// `halves` exactly as [`MapReduceQuery::fold_run_generic`] would:
+    /// record `x`'s half `h` is `half_key(x) % 2` (or `phys_half` when
+    /// the query has no half key), and `map(x)` folds into `halves[h]`
+    /// with `reduce`, each half a left fold in record order. A kernel
+    /// that disagrees silently changes released values, so pair every
+    /// kernel with a bitwise equivalence test against the generic fold.
     pub fn with_slice_fold(
         mut self,
-        kernel: impl Fn(&[T], usize, usize, &mut Lanes<Acc>) + Send + Sync + 'static,
+        kernel: impl Fn(&[T], usize, &mut [Option<Acc>; 2]) + Send + Sync + 'static,
     ) -> Self {
         self.slice_fold = Some(Arc::new(kernel));
         self
@@ -292,24 +265,17 @@ impl<T: Data, Acc: Data, Out: DpOutput> MapReduceQuery<T, Acc, Out> {
         self.exact.as_ref()
     }
 
-    /// Folds a record run whose first record sits in lane `lane0`
-    /// through the generic closures — the reference semantics every
-    /// [`MapReduceQuery::with_slice_fold`] kernel must reproduce bit for
-    /// bit.
-    pub fn fold_run_generic(
-        &self,
-        slice: &[T],
-        lane0: usize,
-        phys_half: usize,
-        lanes: &mut Lanes<Acc>,
-    ) {
-        for (i, v) in slice.iter().enumerate() {
+    /// Folds a record run through the generic closures — the reference
+    /// semantics every [`MapReduceQuery::with_slice_fold`] kernel must
+    /// reproduce bit for bit.
+    pub fn fold_run_generic(&self, slice: &[T], phys_half: usize, halves: &mut [Option<Acc>; 2]) {
+        for v in slice {
             let h = match self.half_key() {
                 Some(hk) => (hk(v) % 2) as usize,
                 None => phys_half,
             };
             let m = self.map(v);
-            let acc = &mut lanes[(lane0 + i) % FOLD_LANES][h];
+            let acc = &mut halves[h];
             match acc {
                 Some(a) => *a = self.reduce(a, &m),
                 None => *acc = Some(m),
@@ -317,22 +283,13 @@ impl<T: Data, Acc: Data, Out: DpOutput> MapReduceQuery<T, Acc, Out> {
         }
     }
 
-    /// Folds a record run into `lanes`, through the fused kernel when one
-    /// is attached and the generic closures otherwise.
-    pub fn fold_run(&self, slice: &[T], lane0: usize, phys_half: usize, lanes: &mut Lanes<Acc>) {
+    /// Folds a record run into `halves`, through the fused kernel when
+    /// one is attached and the generic closures otherwise.
+    pub fn fold_run(&self, slice: &[T], phys_half: usize, halves: &mut [Option<Acc>; 2]) {
         match &self.slice_fold {
-            Some(kernel) => kernel(slice, lane0, phys_half, lanes),
-            None => self.fold_run_generic(slice, lane0, phys_half, lanes),
+            Some(kernel) => kernel(slice, phys_half, halves),
+            None => self.fold_run_generic(slice, phys_half, halves),
         }
-    }
-
-    /// Merges one block's lanes into one partial per half, pairwise:
-    /// `(L0 ⊕ L1) ⊕ (L2 ⊕ L3)`. Empty lanes drop out.
-    pub fn merge_lanes(&self, lanes: Lanes<Acc>) -> BlockPartial<Acc> {
-        let [[a0, b0], [a1, b1], [a2, b2], [a3, b3]] = lanes;
-        let pairwise =
-            |l0, l1, l2, l3| self.merge_opt(self.merge_opt(l0, l1), self.merge_opt(l2, l3));
-        [pairwise(a0, a1, a2, a3), pairwise(b0, b1, b2, b3)]
     }
 
     /// The query name (used in reports and benchmark output).
@@ -524,37 +481,19 @@ mod tests {
     }
 
     #[test]
-    fn merge_lanes_is_pairwise_and_skips_empty_lanes() {
-        let q = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
-        assert_eq!(q.merge_lanes(Lanes::default()), [None, None]);
-        // 2^53 ⊕ (1 ⊕ 1) keeps both ones; a left fold would round each
-        // away. Lane 1 is empty in half 0 and drops out; half 1 has one
-        // occupied lane, which passes through untouched, sign included.
-        let big = 2f64.powi(53);
-        let lanes = [
-            [Some(big), None],
-            [None, None],
-            [Some(1.0), Some(-0.0)],
-            [Some(1.0), None],
-        ];
-        let [a, b] = q.merge_lanes(lanes);
-        assert_eq!(a, Some(big + 2.0));
-        assert_eq!(big + 1.0 + 1.0, big, "the left fold loses both");
-        assert_eq!(b.map(f64::to_bits), Some((-0.0f64).to_bits()));
-    }
-
-    #[test]
-    fn fold_run_generic_routes_records_by_lane_and_half() {
+    fn fold_run_generic_routes_records_by_half() {
         let q =
             MapReduceQuery::scalar_sum("sum", |x: &f64| *x).with_half_key(|x: &f64| x.to_bits());
-        let mut lanes = Lanes::default();
+        let mut halves = [None, None];
         // 1.0 and 4.0 have even bit patterns, 1.0 + ulp an odd one.
         let odd = f64::from_bits(1.0f64.to_bits() + 1);
-        q.fold_run_generic(&[1.0, odd, 4.0], 3, 0, &mut lanes);
-        assert_eq!(lanes[3], [Some(1.0), None]);
-        assert_eq!(lanes[0], [None, Some(odd)]);
-        assert_eq!(lanes[1], [Some(4.0), None]);
-        assert_eq!(lanes[2], [None, None]);
+        q.fold_run_generic(&[1.0, odd, 4.0], 1, &mut halves);
+        assert_eq!(halves, [Some(5.0), Some(odd)]);
+        // Without a half key every record goes to the physical half.
+        let plain = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let mut halves = [None, None];
+        plain.fold_run_generic(&[1.0, odd, 4.0], 1, &mut halves);
+        assert_eq!(halves, [None, Some(1.0 + odd + 4.0)]);
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! store's [`ColumnarDataset`] (slab = the range [`slab_ranges`] gives the
 //! engine's default partition count) are the two sources; everything
 //! that decides a release — sampling order, logical halves, and the
-//! remainder (a fold in blocks of [`crate::query::REMAINDER_BLOCK`]
-//! records and lanes of [`crate::query::FOLD_LANES`], both by slab
-//! offset, block partials merged ascending by (slab, block); or, for a
-//! query with [`crate::query::HalfTotals`], the exact totals less the
-//! sample) — lives in the one caller, so it cannot differ between them.
+//! remainder (per slab, one left fold in record order per logical half,
+//! the slab partials left-folded ascending by slab; or, for a query with
+//! [`crate::query::HalfTotals`], the exact totals less the sample) —
+//! lives in the one caller, so it cannot differ between them.
 //!
 //! The trait is public only so it can bound public functions; the module
 //! is private, so it cannot be named — or implemented — outside this
@@ -40,9 +39,8 @@ pub trait RecordSource<T: Data> {
     /// the slab's contiguous record runs (possibly empty) in record
     /// order; the per-slab results come back in slab order. How a source
     /// cuts a slab into runs (one run per partition, one per chunk slice)
-    /// is its own business: the caller derives every fold boundary —
-    /// the lane of a record included — from `global_offset` minus the
-    /// slab's start, never from the run layout.
+    /// is its own business: every run of a slab continues the same
+    /// accumulator, so the caller's fold never sees the run layout.
     fn fold_slabs<A, F>(&self, name: &str, bounds: Vec<(usize, usize)>, f: F) -> Vec<A>
     where
         A: Default + Send + 'static,

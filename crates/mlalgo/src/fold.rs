@@ -9,7 +9,7 @@
 //! remainder, and [`fold_plain`] runs it as the vanilla step.
 
 use dataflow::{Data, Dataset};
-use upa_core::query::{Lanes, MapReduceQuery, FOLD_LANES};
+use upa_core::query::MapReduceQuery;
 use upa_core::DpOutput;
 
 /// One training step's per-record arithmetic: the mapper, the reducer,
@@ -31,10 +31,12 @@ pub(crate) trait InPlaceStep: Clone + Send + Sync + 'static {
     fn half_key(r: &Self::Record) -> u64;
 }
 
-/// The step as a query: `step`'s mapper, reducer and half key, `finalize`,
-/// and [`fold_lanes`] as the fused slice-fold kernel. With a half key the
-/// pipeline's physical half never decides a record's half, so the kernel
-/// ignores it.
+/// The step as a query: `step`'s mapper, reducer and half key,
+/// `finalize`, and as the fused slice-fold kernel the generic fold with
+/// `reduce(acc, map(r))` replaced by `add`. A half a run opens still
+/// starts from `map(r)`, so its accumulator carries the first record's
+/// own bits (a `-0.0` included). With a half key the pipeline's physical
+/// half never decides a record's half, so the kernel ignores it.
 pub(crate) fn step_query<S: InPlaceStep, Out: DpOutput>(
     step: &S,
     name: impl Into<String>,
@@ -43,27 +45,14 @@ pub(crate) fn step_query<S: InPlaceStep, Out: DpOutput>(
     let (mapper, kernel) = (step.clone(), step.clone());
     MapReduceQuery::new(name, move |r| mapper.map(r), S::reduce, finalize)
         .with_half_key(S::half_key)
-        .with_slice_fold(move |slice, lane0, _phys_half, lanes| {
-            fold_lanes(&kernel, slice, lane0, lanes)
+        .with_slice_fold(move |slice, _phys_half, halves| {
+            for r in slice {
+                match &mut halves[(S::half_key(r) % 2) as usize] {
+                    Some(acc) => kernel.add(acc, r),
+                    half => *half = Some(kernel.map(r)),
+                }
+            }
         })
-}
-
-/// The kernel: the generic lane fold with `reduce(acc, map(r))` replaced
-/// by `add`. A lane a run opens still starts from `map(r)`, so its
-/// accumulator carries the first record's own bits (a `-0.0` included).
-fn fold_lanes<S: InPlaceStep>(
-    step: &S,
-    slice: &[S::Record],
-    lane0: usize,
-    lanes: &mut Lanes<S::Acc>,
-) {
-    for (i, r) in slice.iter().enumerate() {
-        let acc = &mut lanes[(lane0 + i) % FOLD_LANES][(S::half_key(r) % 2) as usize];
-        match acc {
-            Some(a) => step.add(a, r),
-            None => *acc = Some(step.map(r)),
-        }
-    }
 }
 
 /// The step's reduction over a whole dataset, without privacy: each
@@ -90,12 +79,12 @@ pub(crate) mod tests {
     use super::*;
     use dataflow::Context;
 
-    /// Asserts that the query's kernel leaves every lane and half exactly
-    /// as the generic fold does, wherever a run starts and wherever the
-    /// pipeline cuts it (the second part of every split folds onto the
-    /// lane state the first part left behind), and that [`fold_plain`]
-    /// and `step_plain` equal the old `map().reduce()` over five uneven
-    /// partitions. `bits` flattens an accumulator to its bit patterns.
+    /// Asserts that the query's kernel leaves both halves exactly as the
+    /// generic fold does, wherever the pipeline cuts a run (the second
+    /// part of every split folds onto the halves the first part left
+    /// behind), and that [`fold_plain`] and `step_plain` equal the old
+    /// `map().reduce()` over five uneven partitions. `bits` flattens an
+    /// accumulator to its bit patterns.
     pub(crate) fn assert_kernel_matches_generic<S: InPlaceStep, Out: DpOutput>(
         step: &S,
         query: &MapReduceQuery<S::Record, S::Acc, Out>,
@@ -103,36 +92,25 @@ pub(crate) mod tests {
         cases: &[Vec<S::Record>],
         bits: impl Fn(&S::Acc) -> Vec<u64>,
     ) {
-        let lane_bits = |lanes: &Lanes<S::Acc>| -> Vec<Option<Vec<u64>>> {
-            lanes
-                .iter()
-                .flatten()
-                .map(|a| a.as_ref().map(&bits))
-                .collect()
+        let half_bits = |halves: &[Option<S::Acc>; 2]| -> Vec<Option<Vec<u64>>> {
+            halves.iter().map(|a| a.as_ref().map(&bits)).collect()
         };
         let kernel = query.slice_fold().expect("ML queries carry a fused kernel");
         let ctx = Context::with_threads(2);
         for (c, records) in cases.iter().enumerate() {
             let len = records.len();
-            for lane0 in 0..FOLD_LANES {
-                let mut generic = Lanes::default();
-                query.fold_run_generic(records, lane0, 0, &mut generic);
-                for split in [0, 1, 3, 4, 5, len / 2, len] {
-                    let split = split.min(len);
-                    let mut fused = Lanes::default();
-                    kernel(&records[..split], lane0, 0, &mut fused);
-                    kernel(
-                        &records[split..],
-                        (lane0 + split) % FOLD_LANES,
-                        0,
-                        &mut fused,
-                    );
-                    assert_eq!(
-                        lane_bits(&fused),
-                        lane_bits(&generic),
-                        "case {c}, {len} records, lane0 {lane0}, split {split}"
-                    );
-                }
+            let mut generic = [None, None];
+            query.fold_run_generic(records, 0, &mut generic);
+            for split in [0, 1, 3, 4, 5, len / 2, len] {
+                let split = split.min(len);
+                let mut fused = [None, None];
+                kernel(&records[..split], 0, &mut fused);
+                kernel(&records[split..], 0, &mut fused);
+                assert_eq!(
+                    half_bits(&fused),
+                    half_bits(&generic),
+                    "case {c}, {len} records, split {split}"
+                );
             }
             // Five uneven partitions, the third one empty.
             let cuts = [0, len / 10, 2 * len / 5, 2 * len / 5, 3 * len / 5, len];
