@@ -21,9 +21,9 @@ type Trial = (u64, u64, usize);
 const TPCH6: [Trial; 6] = [
     (0x40f4_bb51_4a1a_8828, 0x40e5_61ad_c00a_7bd6, 0),
     (0x40ed_10a5_0b7d_528e, 0x40e6_6779_52fe_8778, 302),
-    (0xc0b8_3f75_4505_0f40, 0x40e4_0c72_769a_e5a6, 404),
+    (0xc0b8_3f75_4505_0ef8, 0x40e4_0c72_769a_e5a6, 404),
     (0x40fc_8543_fb09_c48b, 0x40e5_1342_bbb8_ebb8, 394),
-    (0x40ff_1b7b_4f29_1bac, 0x40e4_8b10_ec13_b342, 502),
+    (0x40ff_1b7b_4f29_1bb4, 0x40e4_8b10_ec13_b342, 502),
     (0xc102_d886_ccca_1227, 0x40e4_c706_a8b6_410c, 202),
 ];
 const TPCH4: [Trial; 6] = [
