@@ -59,7 +59,7 @@ fn served_repeat_release(smoke: bool) {
     let values: Vec<f64> = (0..ROWS)
         .map(|i| ((i * 37 + 5) % 101) as f64 * 0.37)
         .collect();
-    let buf = ColumnarBuf::from_values(&values, 1 << 16);
+    let buf = ColumnarBuf::from_values(values.to_vec(), 1 << 16);
     let ds = ColumnarDataset::new(&ctx, buf.clone());
     let domain = ColumnarEmpiricalSampler::new(buf);
     let query = build_agg_query(AggKind::Sum).with_half_totals(Arc::new(column_totals(&ds)));

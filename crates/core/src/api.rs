@@ -395,7 +395,7 @@ mod tests {
 
         let (ctx, mut s) = session(50);
         let data: Vec<f64> = (0..1_000).map(|i| (i % 5) as f64).collect();
-        let buf = ColumnarBuf::from_values(&data, 64);
+        let buf = ColumnarBuf::from_values(data.to_vec(), 64);
         let cds = ColumnarDataset::new(&ctx, buf.clone());
         let domain = ColumnarEmpiricalSampler::new(buf);
         let result = s

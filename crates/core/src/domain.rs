@@ -243,7 +243,7 @@ mod tests {
     fn pool_samplers_draw_positions_and_read_them_later() {
         let values: Vec<f64> = (0..50).map(|i| f64::from(i) * 1.5).collect();
         let row = EmpiricalSampler::new(values.clone());
-        let col = ColumnarEmpiricalSampler::new(ColumnarBuf::from_values(&values, 8));
+        let col = ColumnarEmpiricalSampler::new(ColumnarBuf::from_values(values.to_vec(), 8));
         let mut rng_a = StdRng::seed_from_u64(9);
         let mut rng_b = StdRng::seed_from_u64(9);
         let DomainDraws::Pool(at) = col.draw_n(&mut rng_a, 20) else {
@@ -285,7 +285,7 @@ mod tests {
     fn columnar_sampler_matches_row_sampler_bit_for_bit() {
         let values: Vec<f64> = (0..257).map(|i| (i as f64) * 0.37 - 40.0).collect();
         let row = EmpiricalSampler::new(values.clone());
-        let col = ColumnarEmpiricalSampler::new(ColumnarBuf::from_values(&values, 7));
+        let col = ColumnarEmpiricalSampler::new(ColumnarBuf::from_values(values.to_vec(), 7));
         assert_eq!(col.len(), 257);
         assert!(!col.is_empty());
         let mut rng_a = StdRng::seed_from_u64(42);

@@ -74,7 +74,7 @@ struct Column {
 
 impl Column {
     fn new(ctx: &Context, values: &[f64]) -> Self {
-        let buf = ColumnarBuf::from_values(values, 65_536);
+        let buf = ColumnarBuf::from_values(values.to_vec(), 65_536);
         Column {
             ds: ColumnarDataset::new(ctx, buf.clone()),
             domain: ColumnarEmpiricalSampler::new(buf),

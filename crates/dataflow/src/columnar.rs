@@ -177,15 +177,22 @@ impl ColumnarBuf {
         }
     }
 
-    /// Chunks a flat slice into a buffer with fresh statistics — the
-    /// ingest shape, used by tests and synthetic datasets.
+    /// Chunks a column into a buffer of `chunk_rows`-row chunks (the last
+    /// one short) with fresh statistics — the ingest shape, used by
+    /// in-memory datasets and tests. The chunks are cut from the back and
+    /// `values` shrinks past each one, so the column is held once plus
+    /// one chunk, not twice.
     #[must_use]
-    pub fn from_values(values: &[f64], chunk_rows: usize) -> ColumnarBuf {
+    pub fn from_values(mut values: Vec<f64>, chunk_rows: usize) -> ColumnarBuf {
         let chunk_rows = chunk_rows.max(1);
-        let chunks = values
-            .chunks(chunk_rows)
-            .map(|w| ColumnChunk::with_stats(Arc::from(w.to_vec())))
-            .collect();
+        let mut chunks = Vec::with_capacity(values.len().div_ceil(chunk_rows));
+        while !values.is_empty() {
+            let start = (values.len() - 1) / chunk_rows * chunk_rows;
+            chunks.push(ColumnChunk::with_stats(Arc::from(&values[start..])));
+            values.truncate(start);
+            values.shrink_to_fit();
+        }
+        chunks.reverse();
         ColumnarBuf::new(chunks)
     }
 
@@ -452,7 +459,7 @@ mod tests {
     use super::*;
 
     fn buf(values: &[f64], chunk_rows: usize) -> ColumnarBuf {
-        ColumnarBuf::from_values(values, chunk_rows)
+        ColumnarBuf::from_values(values.to_vec(), chunk_rows)
     }
 
     #[test]
@@ -614,6 +621,39 @@ mod tests {
         let delta = ctx.metrics().since(&before);
         assert_eq!(delta.stages, 1);
         assert_eq!(delta.records_processed, 50);
+    }
+
+    #[test]
+    fn from_values_cuts_the_chunks_front_chunking_cuts() {
+        let cases = [
+            (0, 4),
+            (1, 4),
+            (7, 7),
+            (8, 7),
+            (13, 0),
+            (1_000, 64),
+            (1_024, 64),
+        ];
+        for (len, chunk_rows) in cases {
+            let values: Vec<f64> = (0..len)
+                .map(|i| {
+                    if i % 9 == 4 {
+                        f64::NAN
+                    } else {
+                        i as f64 * 0.5 - 3.0
+                    }
+                })
+                .collect();
+            let buf = ColumnarBuf::from_values(values.clone(), chunk_rows);
+            let want: Vec<&[f64]> = values.chunks(chunk_rows.max(1)).collect();
+            assert_eq!(buf.num_chunks(), want.len(), "{len} rows by {chunk_rows}");
+            for (chunk, w) in buf.chunks().iter().zip(want) {
+                assert_eq!(chunk.values.len(), w.len());
+                assert_eq!(chunk.stats, ChunkStats::compute(w));
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&chunk.values), bits(w));
+            }
+        }
     }
 
     #[test]

@@ -466,9 +466,10 @@ struct DatasetState {
     rows: usize,
     /// Every column as shared chunks. Catalog attaches hand over the
     /// store's chunk buffers untouched (the scan reads the very bytes the
-    /// loader decoded); an in-memory [`DatasetSpec`] column is wrapped as
-    /// one chunk at startup. A dataset detached mid-query stays alive
-    /// until its last in-flight release drops the handle.
+    /// loader decoded); an in-memory [`DatasetSpec`] column is cut at
+    /// startup into chunks of the ingest default's rows, as an ingest
+    /// would cut it. A dataset detached mid-query stays alive until its
+    /// last in-flight release drops the handle.
     columns: HashMap<String, ColumnarBuf>,
     /// Each column's exact half totals ([`column_totals`]): every
     /// aggregate maps a record to `(x, 1)`, so `count`, `sum` and `mean`
@@ -843,8 +844,8 @@ impl ServerState {
         // a column's totals fill runs a task per chunk on every engine
         // thread (release bits do not depend on the chunk layout). The
         // chunks are then all the state serves from: each column's values
-        // are dropped once chunked, and the kept specs hold only names and
-        // row counts.
+        // are consumed as they are chunked, so a column is held once, and
+        // the kept specs hold only names and row counts.
         let chunk_rows = IngestOptions::default().chunk_rows;
         let mut datasets = HashMap::new();
         let mut budgets = HashMap::new();
@@ -855,7 +856,7 @@ impl ServerState {
                 .iter_mut()
                 .map(|(name, values)| {
                     let values = std::mem::take(values);
-                    (name.clone(), ColumnarBuf::from_values(&values, chunk_rows))
+                    (name.clone(), ColumnarBuf::from_values(values, chunk_rows))
                 })
                 .collect();
             let seed = config.seed.wrapping_add(i as u64);
