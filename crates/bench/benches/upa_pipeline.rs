@@ -116,8 +116,7 @@ fn main() {
         return;
     }
     let ctx = Context::with_threads(4);
-    let query =
-        MapReduceQuery::scalar_sum("sum", |x: &f64| *x).with_half_key(|x: &f64| x.to_bits());
+    let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
 
     let data = workload(100_000);
     let ds = ctx.parallelize(data.clone(), 8);

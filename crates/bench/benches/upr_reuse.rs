@@ -13,7 +13,7 @@ fn workload(n: usize) -> Vec<f64> {
 }
 
 fn main() {
-    let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+    let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
     for size in [250usize, 500, 1_000] {
         let data = workload(size);
         let domain = EmpiricalSampler::new(data.clone());

@@ -162,10 +162,11 @@ pub fn plan_to_query(
         Aggregate::CountStar => "sql_count",
         Aggregate::Sum(_) => "sql_sum",
     };
-    Ok(
-        MapReduceQuery::scalar_sum(name, move |row: &Row| row_value(row).unwrap_or(0.0))
-            .with_half_key(row_key),
-    )
+    Ok(MapReduceQuery::scalar_sum(
+        name,
+        row_key,
+        move |row: &Row| row_value(row).unwrap_or(0.0),
+    ))
 }
 
 /// Builds a per-group DP query over a single-table GROUP BY plan. The
@@ -200,6 +201,7 @@ fn group_plan_to_query(
     let bins = labels.len();
     let query = MapReduceQuery::new(
         "sql_group_by",
+        row_key,
         move |row: &Row| {
             let mut out = vec![0.0; bins];
             if let Some(v) = row_value(row) {
@@ -211,8 +213,7 @@ fn group_plan_to_query(
         },
         |a: &Vec<f64>, b: &Vec<f64>| a.iter().zip(b).map(|(x, y)| x + y).collect(),
         move |acc: Option<&Vec<f64>>| acc.cloned().unwrap_or_else(|| vec![0.0; bins]),
-    )
-    .with_half_key(row_key);
+    );
     Ok((labels, query))
 }
 

@@ -20,7 +20,8 @@
 //! paper, where the domain `D` is a property of the protected table, not
 //! of any particular reduction over it — so every terminal operator
 //! (`reduce_dp`, `reduce_by_key_dp`, `join_dp`) needs only its
-//! query-specific arguments.
+//! query-specific arguments. It takes the table's content-derived half
+//! key beside it for the same reason (`dpread_kv` halves by the key).
 //!
 //! # Example
 //!
@@ -37,7 +38,7 @@
 //!
 //! let mut session = DpSession::new(ctx, UpaConfig { sample_size: 100, ..UpaConfig::default() });
 //! let result = session
-//!     .dpread(&ds, &domain)
+//!     .dpread(&ds, &domain, |x: &f64| x.to_bits())
 //!     .map_dp("sum", |x: &f64| *x)
 //!     .reduce_dp(|a, b| a + b)
 //!     .unwrap();
@@ -94,18 +95,20 @@ impl DpSession {
     /// `dpread[T](RDD[T])`: marks a dataset — a row [`Dataset`] or a
     /// [`dataflow::ColumnarDataset`] — for DP processing, with `domain`
     /// sampling the record domain `D \ x` the paper's *added* neighbours
-    /// are drawn from. Sampling itself happens lazily when the terminal
-    /// `reduceDP` runs, so that the sample is fresh per query (as in
-    /// Algorithm 1).
+    /// are drawn from, and the records' half key ([`MapReduceQuery::new`]).
+    /// Sampling itself happens lazily when the terminal `reduceDP` runs,
+    /// so that the sample is fresh per query (as in Algorithm 1).
     pub fn dpread<'s, T: Data, S: RecordSource<T>>(
         &'s mut self,
         data: &'s S,
         domain: &'s dyn DomainSampler<T>,
+        half_key: impl Fn(&T) -> u64 + Send + Sync + 'static,
     ) -> DpRead<'s, T, S> {
         DpRead {
             session: self,
             data,
             domain,
+            half_key: Box::new(half_key),
         }
     }
 
@@ -129,6 +132,7 @@ pub struct DpRead<'s, T, S = Dataset<T>> {
     session: &'s mut DpSession,
     data: &'s S,
     domain: &'s dyn DomainSampler<T>,
+    half_key: Box<dyn Fn(&T) -> u64 + Send + Sync>,
 }
 
 impl<'s, T: Data, S: RecordSource<T>> DpRead<'s, T, S> {
@@ -144,6 +148,7 @@ impl<'s, T: Data, S: RecordSource<T>> DpRead<'s, T, S> {
             name: name.into(),
             map: Arc::new(map),
             domain: self.domain,
+            half_key: self.half_key,
         }
     }
 }
@@ -155,6 +160,7 @@ pub struct DpObject<'s, T, Acc, S = Dataset<T>> {
     name: String,
     map: Arc<dyn Fn(&T) -> Acc + Send + Sync>,
     domain: &'s dyn DomainSampler<T>,
+    half_key: Box<dyn Fn(&T) -> u64 + Send + Sync>,
 }
 
 impl<T: Data, Acc: Data, S: RecordSource<T>> DpObject<'_, T, Acc, S> {
@@ -191,8 +197,8 @@ impl<T: Data, Acc: Data, S: RecordSource<T>> DpObject<'_, T, Acc, S> {
         reduce: impl Fn(&Acc, &Acc) -> Acc + Send + Sync + 'static,
         finalize: impl Fn(Option<&Acc>) -> Out + Send + Sync + 'static,
     ) -> Result<UpaResult<Out>, UpaError> {
-        let map = self.map;
-        let query = MapReduceQuery::new(self.name, move |t: &T| map(t), reduce, finalize);
+        let (key, map) = (self.half_key, self.map);
+        let query = MapReduceQuery::new(self.name, key, move |t: &T| map(t), reduce, finalize);
         self.session.upa.run(self.data, &query, self.domain)
     }
 }
@@ -245,6 +251,7 @@ where
         let index_for_key = std::sync::Arc::clone(&index_for_map);
         let query: MapReduceQuery<(K, V), Vec<f64>, Vec<f64>> = MapReduceQuery::new(
             "reduce_by_key_dp",
+            move |(k, _v): &(K, V)| index_for_key.get(k).copied().unwrap_or(0) as u64,
             move |(k, v): &(K, V)| {
                 let mut out = vec![0.0; bins];
                 if let Some(&i) = index_for_map.get(k) {
@@ -254,8 +261,7 @@ where
             },
             |a: &Vec<f64>, b: &Vec<f64>| a.iter().zip(b).map(|(x, y)| x + y).collect(),
             move |acc: Option<&Vec<f64>>| acc.cloned().unwrap_or_else(|| vec![0.0; bins]),
-        )
-        .with_half_key(move |(k, _v): &(K, V)| index_for_key.get(k).copied().unwrap_or(0) as u64);
+        );
         let result = self.session.upa.run(&self.data, &query, self.domain)?;
         Ok(KeyedResult { keys, result })
     }
@@ -360,7 +366,7 @@ mod tests {
         let ds = ctx.parallelize(data.clone(), 4);
         let domain = EmpiricalSampler::new(data);
         let result = s
-            .dpread(&ds, &domain)
+            .dpread(&ds, &domain, |x: &f64| x.to_bits())
             .map_dp("count", |_x: &f64| 1.0)
             .reduce_dp(|a, b| a + b)
             .unwrap();
@@ -378,7 +384,7 @@ mod tests {
         let domain = EmpiricalSampler::new(data);
         // Mean via (sum, count) accumulator.
         let result = s
-            .dpread(&ds, &domain)
+            .dpread(&ds, &domain, |x: &f64| x.to_bits())
             .map_dp("mean", |x: &f64| vec![*x, 1.0])
             .reduce_dp_with(
                 |a: &Vec<f64>, b: &Vec<f64>| vec![a[0] + b[0], a[1] + b[1]],
@@ -399,7 +405,7 @@ mod tests {
         let cds = ColumnarDataset::new(&ctx, buf.clone());
         let domain = ColumnarEmpiricalSampler::new(buf);
         let result = s
-            .dpread(&cds, &domain)
+            .dpread(&cds, &domain, |x: &f64| x.to_bits())
             .map_dp("mean", |x: &f64| vec![*x, 1.0])
             .reduce_dp_with(
                 |a: &Vec<f64>, b: &Vec<f64>| vec![a[0] + b[0], a[1] + b[1]],
@@ -435,12 +441,12 @@ mod tests {
         let ds = ctx.parallelize(data.clone(), 4);
         let domain = EmpiricalSampler::new(data);
         let _ = s
-            .dpread(&ds, &domain)
+            .dpread(&ds, &domain, |x: &f64| x.to_bits())
             .map_dp("count", |_x: &f64| 1.0)
             .reduce_dp(|a, b| a + b)
             .unwrap();
         let _ = s
-            .dpread(&ds, &domain)
+            .dpread(&ds, &domain, |x: &f64| x.to_bits())
             .map_dp("count", |_x: &f64| 1.0)
             .reduce_dp(|a, b| a + b)
             .unwrap();

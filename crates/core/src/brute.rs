@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn fast_path_matches_blackbox() {
         let data: Vec<f64> = (0..60).map(|i| ((i * 13) % 17) as f64).collect();
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x * 2.0);
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x * 2.0);
         let domain = EmpiricalSampler::new(data.clone());
         let fast = exact_local_sensitivity(&data, &query, &domain, 20, 7);
         let slow = blackbox_local_sensitivity(&data, &query, &domain, 20, 7);
@@ -194,7 +194,7 @@ mod tests {
     #[test]
     fn count_query_has_unit_sensitivity() {
         let data = vec![0.0; 100];
-        let query = MapReduceQuery::scalar_sum("count", |_: &f64| 1.0);
+        let query = MapReduceQuery::scalar_sum("count", |x: &f64| x.to_bits(), |_: &f64| 1.0);
         let domain = EmpiricalSampler::new(data.clone());
         let gt = exact_local_sensitivity(&data, &query, &domain, 10, 1);
         assert!((gt.local_sensitivity - 1.0).abs() < 1e-12);
@@ -206,7 +206,7 @@ mod tests {
         // One outlier record of value 1000 dominates the removal side.
         let mut data = vec![1.0; 50];
         data.push(1000.0);
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(vec![1.0]);
         let gt = exact_local_sensitivity(&data, &query, &domain, 5, 1);
         assert!((gt.local_sensitivity - 1000.0).abs() < 1e-9);
@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn neighbour_extremes_bracket_all_outputs() {
         let data: Vec<f64> = (0..40).map(|i| i as f64).collect();
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(data.clone());
         let gt = exact_local_sensitivity(&data, &query, &domain, 10, 3);
         let (lo, hi) = gt.neighbour_extremes()[0];
@@ -228,7 +228,7 @@ mod tests {
     #[test]
     fn empty_dataset_has_empty_removals() {
         let data: Vec<f64> = Vec::new();
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(vec![2.0]);
         let gt = exact_local_sensitivity(&data, &query, &domain, 4, 1);
         assert!(gt.removal_outputs.is_empty());

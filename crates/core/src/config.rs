@@ -107,7 +107,7 @@ mod tests {
         let ctx = dataflow::Context::with_threads(2);
         let data: Vec<f64> = (0..100).map(f64::from).collect();
         let ds = ctx.parallelize(data.clone(), 2);
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(data);
         for (config, field) in [
             (

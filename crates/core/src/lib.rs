@@ -38,8 +38,9 @@
 //! let data: Vec<f64> = (0..5_000).map(|i| (i % 97) as f64).collect();
 //! let ds = ctx.parallelize(data, 8);
 //!
-//! // A SUM query as its Map/Reduce decomposition.
-//! let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+//! // A SUM query as its Map/Reduce decomposition; a record's value bits
+//! // are its half key.
+//! let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
 //! // The record domain: values a fresh record could take.
 //! let domain = FnSampler::new(|rng: &mut rand::rngs::StdRng| rand::Rng::gen_range(rng, 0.0..97.0));
 //!

@@ -2,12 +2,11 @@
 //!
 //! [`Upa::run`] executes the four phases end to end:
 //!
-//! 1. **Partition & Sample** — the input's slabs (a row dataset's
-//!    partitions, a columnar dataset's engine-default ranges) are split
-//!    into two logical halves `x1`/`x2` (by slab index, or by the query's
-//!    stable half key); `n` differing records `S` are sampled uniformly
-//!    from the whole input and `n` candidate additions from the record
-//!    domain.
+//! 1. **Partition & Sample** — every record falls in one of two logical
+//!    halves `x1`/`x2`, [`half_of`] its query's stable half key, so a
+//!    record's half depends on its content alone; `n` differing records
+//!    `S` are sampled uniformly from the whole input and `n` candidate
+//!    additions from the record domain.
 //! 2. **Parallel Map** — the mapper runs over `S′` (the remainder) on the
 //!    engine, fused into the reduce, and over the 2·n sampled records
 //!    inline (they are few).
@@ -35,7 +34,7 @@ use crate::domain::{DomainDraws, DomainSampler};
 use crate::enforcer::{EnforceOutcome, EnforceState, QuerySignature, RangeEnforcer};
 use crate::error::UpaError;
 use crate::output::{DpOutput, OutputRange};
-use crate::query::MapReduceQuery;
+use crate::query::{half_of, MapReduceQuery};
 use crate::source::RecordSource;
 use dataflow::columnar::ColumnarDataset;
 use dataflow::{Context, Data, MetricsSnapshot, SpanRecorder, SpanScope, StageSpan};
@@ -274,7 +273,8 @@ impl Upa {
     /// `data` is a row [`dataflow::Dataset`] or a
     /// [`dataflow::ColumnarDataset`]; this one body serves both, so what
     /// decides a release is the same by construction: the RNG draws, the
-    /// sampled records' logical halves, and the remainder's fold order —
+    /// records' logical halves ([`half_of`] the query's half key, the one
+    /// rule every path takes them by), and the remainder's fold order —
     /// per slab, one left fold in record order per logical half; the slab
     /// partials left-folded per half, ascending by slab — or, for a query
     /// with exact half totals, no order at all. `S′` is never
@@ -307,31 +307,18 @@ impl Upa {
         // ---- Phase 1: Partition & Sample -------------------------------
         let len = data.len();
         let (floyd, domain_draws) = self.draw_sample(&spans, len, domain)?;
-        let (indices, sampled, bounds, half_split) = {
+        let (indices, sampled) = {
             let _scope = spans.enter("partition");
             let indices = floyd.resolve();
-            let bounds = data.slab_bounds();
-            let half_split = bounds.len().div_ceil(2);
             let sampled = data.gather_sorted(&indices);
-            (indices, sampled, bounds, half_split)
+            (indices, sampled)
         };
         let n = indices.len();
         let (additions, sampled_halves) = {
             let _scope = spans.enter("sample");
             let additions = domain.materialise(domain_draws);
-            // Logical halves: by stable record key when the query provides
-            // one (content-defined, robust across neighbouring datasets),
-            // by slab index otherwise.
-            let halves: Vec<usize> = match query.half_key() {
-                Some(hk) => sampled.iter().map(|t| (hk(t) % 2) as usize).collect(),
-                None => indices
-                    .iter()
-                    .map(|&g| {
-                        let slab = bounds.partition_point(|&(_, end)| end <= g);
-                        usize::from(slab >= half_split)
-                    })
-                    .collect(),
-            };
+            let hk = query.half_key();
+            let halves: Vec<usize> = sampled.iter().map(|t| half_of(hk(t))).collect();
             (additions, halves)
         };
 
@@ -380,9 +367,7 @@ impl Upa {
                     let q = query.clone();
                     data.fold_slabs(
                         "reduce[remainder]",
-                        bounds,
-                        move |(halves, folded): &mut SlabFold<Acc>, slab, at, run: &[T]| {
-                            let phys_half = usize::from(slab >= half_split);
+                        move |(halves, folded): &mut SlabFold<Acc>, at, run: &[T]| {
                             // One [`MapReduceQuery::fold_run`] call per
                             // uninterrupted stretch between sampled rows,
                             // so a fused kernel sees a plain slice and the
@@ -394,7 +379,7 @@ impl Upa {
                                     Some(&g) if g < at + run.len() => g - at,
                                     _ => run.len(),
                                 };
-                                q.fold_run(&run[pos..stop], phys_half, halves);
+                                q.fold_run(&run[pos..stop], halves);
                                 *folded += (stop - pos) as u64;
                                 next += 1;
                                 pos = stop + 1;
@@ -1093,11 +1078,11 @@ mod tests {
     fn exact_sum_query(values: &[f64]) -> MapReduceQuery<f64, (f64, f64), f64> {
         MapReduceQuery::new(
             "sum",
+            |x: &f64| x.to_bits(),
             |x: &f64| (*x, 1.0),
             |a: &(f64, f64), b: &(f64, f64)| (a.0 + b.0, a.1 + b.1),
             |acc: Option<&(f64, f64)>| acc.map_or(0.0, |a| a.0),
         )
-        .with_half_key(|x: &f64| x.to_bits())
         .with_half_totals(Arc::new(HalfTotals::of_values(values, |x| x.to_bits())))
     }
 
@@ -1235,7 +1220,7 @@ mod tests {
         let keys: [fn(&f64) -> u64; 2] = [|x| x.to_bits(), |_| 0];
         for (len, half_key) in [(600, keys[0]), (600, keys[1]), (40, keys[0])] {
             let (ctx, upa) = small_upa(40);
-            let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x).with_half_key(half_key);
+            let query = MapReduceQuery::scalar_sum("sum", half_key, |x: &f64| *x);
             let data = ctx.parallelize(values[..len].to_vec(), 3);
             let domain = EmpiricalSampler::new(values.clone());
             let p = upa.prepare(&data, &query, &domain).unwrap();
@@ -1279,16 +1264,16 @@ mod tests {
             let sampled: std::collections::HashSet<u64> =
                 p.mapped_sampled.iter().map(|a| a.0.to_bits()).collect();
             assert_eq!(sampled.len(), 64);
-            for h in 0..2u64 {
+            for h in 0..2 {
                 let rest: Vec<f64> = values
                     .iter()
                     .copied()
-                    .filter(|v| v.to_bits() % 2 == h && !sampled.contains(&v.to_bits()))
+                    .filter(|v| half_of(v.to_bits()) == h && !sampled.contains(&v.to_bits()))
                     .collect();
                 let mut exact = ExactSum::new();
                 rest.iter().for_each(|&v| exact.add(v));
                 let want = (exact.to_f64().to_bits(), rest.len() as f64);
-                let got = p.rem_half[h as usize].map(|(s, n)| (s.to_bits(), n));
+                let got = p.rem_half[h].map(|(s, n)| (s.to_bits(), n));
                 assert_eq!(got, Some(want), "half {h}");
             }
         };
@@ -1316,7 +1301,7 @@ mod tests {
         let (ctx, upa) = small_upa(100);
         let data: Vec<f64> = (0..4_000).map(|i| (i % 10) as f64).collect();
         let ds = ctx.parallelize(data.clone(), 8);
-        let query = MapReduceQuery::scalar_sum("count", |_x: &f64| 1.0);
+        let query = MapReduceQuery::scalar_sum("count", |x: &f64| x.to_bits(), |_x: &f64| 1.0);
         let domain = EmpiricalSampler::new(data);
         let result = upa.run(&ds, &query, &domain).unwrap();
         assert_eq!(result.raw, 4_000.0);
@@ -1337,7 +1322,7 @@ mod tests {
         let (ctx, upa) = small_upa(50);
         let data: Vec<f64> = (0..500).map(|i| ((i * 37) % 113) as f64 * 0.5).collect();
         let ds = ctx.parallelize(data.clone(), 4);
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(data.clone());
         let result = upa.run(&ds, &query, &domain).unwrap();
         let total: f64 = data.iter().sum();
@@ -1356,7 +1341,7 @@ mod tests {
     fn empty_dataset_is_rejected() {
         let (ctx, upa) = small_upa(10);
         let ds = ctx.parallelize(Vec::<f64>::new(), 2);
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(vec![1.0]);
         assert_eq!(
             upa.run(&ds, &query, &domain).unwrap_err(),
@@ -1369,7 +1354,7 @@ mod tests {
         let (ctx, upa) = small_upa(1000);
         let data = vec![1.0, 2.0, 3.0, 4.0, 5.0];
         let ds = ctx.parallelize(data.clone(), 2);
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(data);
         let result = upa.run(&ds, &query, &domain).unwrap();
         assert_eq!(result.sample_size, 5);
@@ -1388,7 +1373,7 @@ mod tests {
         let (ctx, upa) = small_upa(64);
         let data: Vec<f64> = (0..2_000).map(|i| (i % 7) as f64).collect();
         let ds = ctx.parallelize(data.clone(), 4);
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(data);
         let result = upa.run(&ds, &query, &domain).unwrap();
         assert!(result.range.contains(result.enforced.components()));
@@ -1407,7 +1392,7 @@ mod tests {
         );
         let data: Vec<f64> = (0..2_000).map(|i| (i % 13) as f64).collect();
         let ds = ctx.parallelize(data.clone(), 4);
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(data);
         let result = upa.run(&ds, &query, &domain).unwrap();
         assert_ne!(
@@ -1431,7 +1416,7 @@ mod tests {
         .with_budget(1.0);
         let data: Vec<f64> = (0..200).map(|i| i as f64).collect();
         let ds = ctx.parallelize(data.clone(), 4);
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(data);
         assert!(upa.run(&ds, &query, &domain).is_ok());
         assert!(upa.run(&ds, &query, &domain).is_ok());
@@ -1456,7 +1441,7 @@ mod tests {
             },
         );
         let data: Vec<f64> = (0..1_000).map(|i| (i % 10) as f64).collect();
-        let query = MapReduceQuery::scalar_sum("count", |_x: &f64| 1.0);
+        let query = MapReduceQuery::scalar_sum("count", |x: &f64| x.to_bits(), |_x: &f64| 1.0);
         let domain = EmpiricalSampler::new(data.clone());
         let ds = ctx.parallelize(data.clone(), 8);
         let r1 = upa.run(&ds, &query, &domain).unwrap();
@@ -1481,6 +1466,7 @@ mod tests {
         // Output = [count, sum]: components with very different scales.
         let query: MapReduceQuery<f64, (f64, f64), Vec<f64>> = MapReduceQuery::new(
             "count_and_sum",
+            |x: &f64| x.to_bits(),
             |x: &f64| (1.0, *x),
             |a, b| (a.0 + b.0, a.1 + b.1),
             |acc| match acc {
@@ -1504,7 +1490,7 @@ mod tests {
         let ctx = Context::with_threads(4);
         let data: Vec<f64> = (0..5_000).map(|i| (i % 3) as f64).collect();
         let ds = ctx.parallelize(data.clone(), 8);
-        let query = MapReduceQuery::scalar_sum("count", |_x: &f64| 1.0);
+        let query = MapReduceQuery::scalar_sum("count", |x: &f64| x.to_bits(), |_x: &f64| 1.0);
         let domain = EmpiricalSampler::new(data);
         let mut results = Vec::new();
         for g in [1usize, 5, 10] {
@@ -1537,7 +1523,7 @@ mod tests {
         let ctx = Context::with_threads(4);
         let data: Vec<f64> = (0..3_000).map(|i| (i % 7) as f64).collect();
         let ds = ctx.parallelize(data.clone(), 8);
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(data);
         let upa = Upa::new(
             ctx.clone(),
@@ -1570,7 +1556,7 @@ mod tests {
         let ctx = Context::with_threads(4);
         let data: Vec<f64> = (0..3_000).map(|i| (i % 7) as f64).collect();
         let ds = ctx.parallelize(data.clone(), 8);
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(data);
         let upa = Upa::new(
             ctx.clone(),
@@ -1618,7 +1604,7 @@ mod tests {
         let ctx = Context::with_threads(2);
         let data: Vec<f64> = (0..500).map(|i| i as f64).collect();
         let ds = ctx.parallelize(data.clone(), 4);
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(data);
         let upa = Upa::new(
             ctx.clone(),
@@ -1646,7 +1632,7 @@ mod tests {
         let ctx = Context::with_threads(2);
         let data: Vec<f64> = (0..300).map(|i| i as f64).collect();
         let ds = ctx.parallelize(data.clone(), 4);
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(data);
         let upa = Upa::new(
             ctx,
@@ -1680,7 +1666,7 @@ mod tests {
         let (ctx, upa) = small_upa(50);
         let data: Vec<f64> = (0..1_000).map(|i| (i % 10) as f64).collect();
         let ds = ctx.parallelize(data.clone(), 4);
-        let query = MapReduceQuery::scalar_sum("count", |_x: &f64| 1.0);
+        let query = MapReduceQuery::scalar_sum("count", |x: &f64| x.to_bits(), |_x: &f64| 1.0);
         let domain = EmpiricalSampler::new(data);
         let _ = upa.run(&ds, &query, &domain).unwrap();
         let audit = upa.last_audit().expect("run records an audit");
@@ -1730,8 +1716,7 @@ mod tests {
                 ..UpaConfig::default()
             },
         );
-        let query =
-            MapReduceQuery::scalar_sum("sum", |x: &f64| *x).with_half_key(|x: &f64| x.to_bits());
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = ColumnarEmpiricalSampler::new(buf);
         let prepared = upa.prepare(&cds, &query, &domain).unwrap();
         assert_eq!(prepared.engine.stages, 1, "one reduce stage on the engine");
@@ -1749,7 +1734,7 @@ mod tests {
         let ctx = Context::with_threads(2);
         let data: Vec<f64> = (0..800).map(|i| (i % 5) as f64).collect();
         let ds = ctx.parallelize(data.clone(), 4);
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(data);
         let upa = Upa::new(
             ctx,

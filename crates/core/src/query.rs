@@ -38,14 +38,25 @@ pub type MapFn<T, Acc> = Arc<dyn Fn(&T) -> Acc + Send + Sync>;
 pub type ReduceFn<Acc> = Arc<dyn Fn(&Acc, &Acc) -> Acc + Send + Sync>;
 /// Shared handle to the output projection `finalize`.
 pub type FinalizeFn<Acc, Out> = Arc<dyn Fn(Option<&Acc>) -> Out + Send + Sync>;
-/// Shared handle to a stable half key (see
-/// [`MapReduceQuery::with_half_key`]).
+/// Shared handle to a stable half key (see [`MapReduceQuery::new`]).
 pub type HalfKeyFn<T> = Arc<dyn Fn(&T) -> u64 + Send + Sync>;
 /// Shared handle to a fused slice-fold kernel (see
-/// [`MapReduceQuery::with_slice_fold`]). Arguments: the record run, the
-/// physical half for queries without a half key, and the slab's
-/// accumulators, one per logical half.
-pub type SliceFoldFn<T, Acc> = Arc<dyn Fn(&[T], usize, &mut [Option<Acc>; 2]) + Send + Sync>;
+/// [`MapReduceQuery::with_slice_fold`]). Arguments: the record run and
+/// the slab's accumulators, one per logical half.
+pub type SliceFoldFn<T, Acc> = Arc<dyn Fn(&[T], &mut [Option<Acc>; 2]) + Send + Sync>;
+
+/// The logical half (0 or 1) of a record whose half key is `key`: the top
+/// bit of splitmix64's finaliser. RANGE ENFORCER's two partitions
+/// `x1`/`x2` (the paper's `D1`/`D2`) are taken by this one rule
+/// everywhere. The finaliser mixes every key bit into the top one, so
+/// keys that share their low bits — the bits of integer-valued `f64`s,
+/// consecutive ids, a key's index — still fall into both halves.
+pub fn half_of(key: u64) -> usize {
+    let mut z = key;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    ((z ^ (z >> 31)) >> 63) as usize
+}
 
 /// Exact per-half totals of a source's records under a `(sum, count)`
 /// query that maps every record to `(v, 1)`: for each logical half, the
@@ -74,11 +85,11 @@ impl HalfTotals {
     }
 
     /// The totals of `values`, each mapped to `(v, 1)` and in half
-    /// `half_key(v) % 2`: one monomorphic loop of exact adds.
+    /// [`half_of`]`(half_key(v))`: one monomorphic loop of exact adds.
     pub fn of_values(values: &[f64], half_key: impl Fn(&f64) -> u64) -> Self {
         let mut totals = HalfTotals::default();
         for v in values {
-            let h = (half_key(v) % 2) as usize;
+            let h = half_of(half_key(v));
             totals.sums[h].add(*v);
             totals.records[h] += 1;
         }
@@ -160,7 +171,7 @@ pub struct MapReduceQuery<T, Acc, Out> {
     map: MapFn<T, Acc>,
     reduce: ReduceFn<Acc>,
     finalize: FinalizeFn<Acc, Out>,
-    half_key: Option<HalfKeyFn<T>>,
+    half_key: HalfKeyFn<T>,
     slice_fold: Option<SliceFoldFn<T, Acc>>,
     exact: Option<ExactRemainder<Acc>>,
 }
@@ -172,7 +183,7 @@ impl<T, Acc, Out> Clone for MapReduceQuery<T, Acc, Out> {
             map: Arc::clone(&self.map),
             reduce: Arc::clone(&self.reduce),
             finalize: Arc::clone(&self.finalize),
-            half_key: self.half_key.clone(),
+            half_key: Arc::clone(&self.half_key),
             slice_fold: self.slice_fold.clone(),
             exact: self.exact.clone(),
         }
@@ -188,9 +199,21 @@ impl<T, Acc, Out> std::fmt::Debug for MapReduceQuery<T, Acc, Out> {
 }
 
 impl<T: Data, Acc: Data, Out: DpOutput> MapReduceQuery<T, Acc, Out> {
-    /// Creates a query from its three components.
+    /// Creates a query from its **stable half key** and its three
+    /// components.
+    ///
+    /// The half key is a content-derived key; [`half_of`] of it assigns
+    /// each record to one of RANGE ENFORCER's two logical dataset
+    /// partitions `x1`/`x2` (the paper's `D1`/`D2`). The paper's enforcer
+    /// compares a query's outputs on the two halves against previous
+    /// queries to recognise a repeat on a *neighbouring* dataset. That
+    /// comparison is only meaningful if a record keeps its half when
+    /// other records are added or removed, so the key must depend on
+    /// record **content** (a natural key such as `suppkey`, or the
+    /// feature bits), not on physical position.
     pub fn new(
         name: impl Into<String>,
+        half_key: impl Fn(&T) -> u64 + Send + Sync + 'static,
         map: impl Fn(&T) -> Acc + Send + Sync + 'static,
         reduce: impl Fn(&Acc, &Acc) -> Acc + Send + Sync + 'static,
         finalize: impl Fn(Option<&Acc>) -> Out + Send + Sync + 'static,
@@ -200,33 +223,15 @@ impl<T: Data, Acc: Data, Out: DpOutput> MapReduceQuery<T, Acc, Out> {
             map: Arc::new(map),
             reduce: Arc::new(reduce),
             finalize: Arc::new(finalize),
-            half_key: None,
+            half_key: Arc::new(half_key),
             slice_fold: None,
             exact: None,
         }
     }
 
-    /// Attaches a **stable half key**: a content-derived key whose low bit
-    /// assigns each record to one of RANGE ENFORCER's two logical dataset
-    /// partitions `x1`/`x2` (the paper's `D1`/`D2`).
-    ///
-    /// The paper's enforcer compares a query's outputs on the two halves
-    /// against previous queries to recognise a repeat on a *neighbouring*
-    /// dataset. That comparison is only meaningful if a record keeps its
-    /// half when other records are added or removed, so the assignment
-    /// must depend on record **content** (a natural key such as
-    /// `suppkey`, or a hash of the feature bits), not on physical
-    /// position. Queries without a half key fall back to physical
-    /// partition halves, which still enforce the output range but can
-    /// miss repeats whose layout shifted.
-    pub fn with_half_key(mut self, key: impl Fn(&T) -> u64 + Send + Sync + 'static) -> Self {
-        self.half_key = Some(Arc::new(key));
-        self
-    }
-
-    /// The stable half key, if one is attached.
-    pub fn half_key(&self) -> Option<&HalfKeyFn<T>> {
-        self.half_key.as_ref()
+    /// The stable half key.
+    pub fn half_key(&self) -> &HalfKeyFn<T> {
+        &self.half_key
     }
 
     /// Attaches a **fused slice-fold kernel**: a monomorphic loop that
@@ -240,16 +245,16 @@ impl<T: Data, Acc: Data, Out: DpOutput> MapReduceQuery<T, Acc, Out> {
     /// folds the same runs through the generic closures, so the kernel is
     /// purely an optimisation hook.
     ///
-    /// **Contract:** `kernel(slice, phys_half, halves)` must leave
-    /// `halves` exactly as [`MapReduceQuery::fold_run_generic`] would:
-    /// record `x`'s half `h` is `half_key(x) % 2` (or `phys_half` when
-    /// the query has no half key), and `map(x)` folds into `halves[h]`
-    /// with `reduce`, each half a left fold in record order. A kernel
-    /// that disagrees silently changes released values, so pair every
-    /// kernel with a bitwise equivalence test against the generic fold.
+    /// **Contract:** `kernel(slice, halves)` must leave `halves` exactly
+    /// as [`MapReduceQuery::fold_run_generic`] would: record `x`'s half
+    /// `h` is [`half_of`]`(half_key(x))`, and `map(x)` folds into
+    /// `halves[h]` with `reduce`, each half a left fold in record order.
+    /// A kernel that disagrees silently changes released values, so pair
+    /// every kernel with a bitwise equivalence test against the generic
+    /// fold.
     pub fn with_slice_fold(
         mut self,
-        kernel: impl Fn(&[T], usize, &mut [Option<Acc>; 2]) + Send + Sync + 'static,
+        kernel: impl Fn(&[T], &mut [Option<Acc>; 2]) + Send + Sync + 'static,
     ) -> Self {
         self.slice_fold = Some(Arc::new(kernel));
         self
@@ -268,14 +273,10 @@ impl<T: Data, Acc: Data, Out: DpOutput> MapReduceQuery<T, Acc, Out> {
     /// Folds a record run through the generic closures — the reference
     /// semantics every [`MapReduceQuery::with_slice_fold`] kernel must
     /// reproduce bit for bit.
-    pub fn fold_run_generic(&self, slice: &[T], phys_half: usize, halves: &mut [Option<Acc>; 2]) {
+    pub fn fold_run_generic(&self, slice: &[T], halves: &mut [Option<Acc>; 2]) {
         for v in slice {
-            let h = match self.half_key() {
-                Some(hk) => (hk(v) % 2) as usize,
-                None => phys_half,
-            };
             let m = self.map(v);
-            let acc = &mut halves[h];
+            let acc = &mut halves[half_of((self.half_key)(v))];
             match acc {
                 Some(a) => *a = self.reduce(a, &m),
                 None => *acc = Some(m),
@@ -285,10 +286,10 @@ impl<T: Data, Acc: Data, Out: DpOutput> MapReduceQuery<T, Acc, Out> {
 
     /// Folds a record run into `halves`, through the fused kernel when
     /// one is attached and the generic closures otherwise.
-    pub fn fold_run(&self, slice: &[T], phys_half: usize, halves: &mut [Option<Acc>; 2]) {
+    pub fn fold_run(&self, slice: &[T], halves: &mut [Option<Acc>; 2]) {
         match &self.slice_fold {
-            Some(kernel) => kernel(slice, phys_half, halves),
-            None => self.fold_run_generic(slice, phys_half, halves),
+            Some(kernel) => kernel(slice, halves),
+            None => self.fold_run_generic(slice, halves),
         }
     }
 
@@ -372,9 +373,16 @@ impl<T: Data> MapReduceQuery<T, f64, f64> {
     /// Counting queries are sums of per-record indicator values.
     pub fn scalar_sum(
         name: impl Into<String>,
+        half_key: impl Fn(&T) -> u64 + Send + Sync + 'static,
         map: impl Fn(&T) -> f64 + Send + Sync + 'static,
     ) -> Self {
-        MapReduceQuery::new(name, map, |a, b| a + b, |acc| acc.copied().unwrap_or(0.0))
+        MapReduceQuery::new(
+            name,
+            half_key,
+            map,
+            |a, b| a + b,
+            |acc| acc.copied().unwrap_or(0.0),
+        )
     }
 }
 
@@ -406,12 +414,14 @@ impl<T: Data> MapReduceQuery<T, Vec<f64>, Vec<f64>> {
     /// index) count toward no bucket.
     pub fn histogram(
         name: impl Into<String>,
+        half_key: impl Fn(&T) -> u64 + Send + Sync + 'static,
         bins: usize,
         bucket_of: impl Fn(&T) -> Option<usize> + Send + Sync + 'static,
     ) -> Self {
         assert!(bins > 0, "histogram needs at least one bin");
         MapReduceQuery::new(
             name,
+            half_key,
             move |t: &T| {
                 let mut counts = vec![0.0; bins];
                 if let Some(b) = bucket_of(t) {
@@ -433,8 +443,17 @@ mod tests {
 
     #[test]
     fn scalar_sum_counts() {
-        let q =
-            MapReduceQuery::scalar_sum("count_even", |x: &i64| if x % 2 == 0 { 1.0 } else { 0.0 });
+        let q = MapReduceQuery::scalar_sum(
+            "count_even",
+            |x: &i64| *x as u64,
+            |x: &i64| {
+                if x % 2 == 0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            },
+        );
         let data: Vec<i64> = (0..10).collect();
         assert_eq!(q.evaluate_slice(&data), 5.0);
         assert_eq!(q.evaluate_slice(&[]), 0.0);
@@ -446,6 +465,7 @@ mod tests {
         // Mean vector: accumulate (sum, count), finalize divides.
         let q: MapReduceQuery<Vec<f64>, (Vec<f64>, u64), Vec<f64>> = MapReduceQuery::new(
             "mean_vec",
+            |rec: &Vec<f64>| rec[0].to_bits(),
             |rec: &Vec<f64>| (rec.clone(), 1u64),
             |a, b| {
                 (
@@ -464,7 +484,7 @@ mod tests {
 
     #[test]
     fn merge_opt_handles_absence() {
-        let q = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let q = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         assert_eq!(q.merge_opt(None, None), None);
         assert_eq!(q.merge_opt(Some(1.0), None), Some(1.0));
         assert_eq!(q.merge_opt(None, Some(2.0)), Some(2.0));
@@ -473,7 +493,7 @@ mod tests {
 
     #[test]
     fn merge_ref_matches_merge_opt() {
-        let q = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let q = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         assert_eq!(q.merge_ref(None, None), None);
         assert_eq!(q.merge_ref(Some(&1.0), None), Some(1.0));
         assert_eq!(q.merge_ref(None, Some(&2.0)), Some(2.0));
@@ -481,31 +501,64 @@ mod tests {
     }
 
     #[test]
+    fn half_of_is_pinned() {
+        // Each record's half decides which partition output it moves, so
+        // a change to the mixer moves every release.
+        let pinned = [
+            (0, 0),
+            (1, 0),
+            (2, 1),
+            (3, 0),
+            (42, 1),
+            (1.0f64.to_bits(), 0),
+            (0.37f64.to_bits(), 1),
+            (u64::MAX, 1),
+        ];
+        for (key, half) in pinned {
+            assert_eq!(half_of(key), half, "key {key:#x}");
+        }
+    }
+
+    #[test]
+    fn half_of_fills_both_halves_of_integer_valued_keys() {
+        // The raw bits of every integer-valued f64 below 2^52 end in a 0,
+        // so their low bit alone would put all of them in one half.
+        let mut records = [0usize; 2];
+        for i in 0..100_000 {
+            records[half_of((i as f64).to_bits())] += 1;
+        }
+        for n in records {
+            assert!((45_000..=55_000).contains(&n), "{records:?}");
+        }
+        let mut column = [0usize; 2];
+        for i in 0..2_000_000 {
+            column[half_of(((i % 97) as f64).to_bits())] += 1;
+        }
+        assert!(column.iter().all(|&n| n > 0), "{column:?}");
+    }
+
+    #[test]
     fn fold_run_generic_routes_records_by_half() {
-        let q =
-            MapReduceQuery::scalar_sum("sum", |x: &f64| *x).with_half_key(|x: &f64| x.to_bits());
+        let q = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let mut halves = [None, None];
-        // 1.0 and 4.0 have even bit patterns, 1.0 + ulp an odd one.
-        let odd = f64::from_bits(1.0f64.to_bits() + 1);
-        q.fold_run_generic(&[1.0, odd, 4.0], 1, &mut halves);
-        assert_eq!(halves, [Some(5.0), Some(odd)]);
-        // Without a half key every record goes to the physical half.
-        let plain = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
-        let mut halves = [None, None];
-        plain.fold_run_generic(&[1.0, odd, 4.0], 1, &mut halves);
-        assert_eq!(halves, [None, Some(1.0 + odd + 4.0)]);
+        // 1.0 and 4.0 fall in half 0, 5.0 in half 1.
+        q.fold_run_generic(&[1.0, 5.0, 4.0], &mut halves);
+        assert_eq!(halves, [Some(5.0), Some(5.0)]);
+        // A second run continues the same accumulators.
+        q.fold_run_generic(&[0.37], &mut halves);
+        assert_eq!(halves, [Some(5.0), Some(5.0 + 0.37)]);
     }
 
     #[test]
     fn reduce_all_matches_iterated_reduce() {
-        let q = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let q = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         assert_eq!(q.reduce_all(&[1.0, 2.0, 3.0]), Some(6.0));
         assert_eq!(q.reduce_all(&[]), None);
     }
 
     #[test]
     fn clone_shares_closures() {
-        let q = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+        let q = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let q2 = q.clone();
         assert_eq!(q2.evaluate_slice(&[1.0, 2.0]), 3.0);
         assert_eq!(q2.name(), "sum");
@@ -513,7 +566,12 @@ mod tests {
 
     #[test]
     fn histogram_counts_buckets() {
-        let q = MapReduceQuery::histogram("ages", 3, |age: &f64| Some((*age as usize) / 30));
+        let q = MapReduceQuery::histogram(
+            "ages",
+            |age: &f64| age.to_bits(),
+            3,
+            |age: &f64| Some((*age as usize) / 30),
+        );
         let data = vec![5.0, 25.0, 35.0, 65.0, 95.0];
         // Buckets: [0,30) -> 2, [30,60) -> 1, [60,90) -> 1; 95 maps to
         // bucket 3 which is out of range and dropped.
@@ -523,24 +581,24 @@ mod tests {
 
     #[test]
     fn histogram_none_counts_nowhere() {
-        let q =
-            MapReduceQuery::histogram(
-                "opt",
-                2,
-                |x: &i64| {
-                    if *x >= 0 {
-                        Some(*x as usize % 2)
-                    } else {
-                        None
-                    }
-                },
-            );
+        let q = MapReduceQuery::histogram(
+            "opt",
+            |x: &i64| *x as u64,
+            2,
+            |x: &i64| {
+                if *x >= 0 {
+                    Some(*x as usize % 2)
+                } else {
+                    None
+                }
+            },
+        );
         assert_eq!(q.evaluate_slice(&[-5, 0, 1, 2]), vec![2.0, 1.0]);
     }
 
     #[test]
     #[should_panic(expected = "at least one bin")]
     fn histogram_rejects_zero_bins() {
-        let _ = MapReduceQuery::histogram("bad", 0, |_: &f64| Some(0));
+        let _ = MapReduceQuery::histogram("bad", |x: &f64| x.to_bits(), 0, |_: &f64| Some(0));
     }
 }

@@ -2,16 +2,17 @@
 //!
 //! Phases 1–3 ([`crate::Upa::prepare`]) are written once over a
 //! [`RecordSource`]: a record collection that can report its length,
-//! split itself into consecutive **slabs**, hand out the records at
-//! sorted indices, and fold every slab as one engine task over plain
-//! slices. The row engine's [`Dataset`] (slab = partition) and the
-//! store's [`ColumnarDataset`] (slab = the range [`slab_ranges`] gives the
+//! hand out the records at sorted indices, and fold each of its
+//! consecutive **slabs** as one engine task over plain slices. The row
+//! engine's [`Dataset`] (slab = partition) and the store's
+//! [`ColumnarDataset`] (slab = the range [`slab_ranges`] gives the
 //! engine's default partition count) are the two sources; everything
-//! that decides a release — sampling order, logical halves, and the
-//! remainder (per slab, one left fold in record order per logical half,
-//! the slab partials left-folded ascending by slab; or, for a query with
-//! [`crate::query::HalfTotals`], the exact totals less the sample) —
-//! lives in the one caller, so it cannot differ between them.
+//! that decides a release — sampling order, logical halves (taken from
+//! each record's content by [`crate::query::half_of`], never from its
+//! slab), and the remainder (per slab, one left fold in record order per
+//! logical half, the slab partials left-folded ascending by slab; or, for
+//! a query with [`crate::query::HalfTotals`], the exact totals less the
+//! sample) — lives in the one caller, so it cannot differ between them.
 //!
 //! The trait is public only so it can bound public functions; the module
 //! is private, so it cannot be named — or implemented — outside this
@@ -25,43 +26,26 @@ pub trait RecordSource<T: Data> {
     /// Total records.
     fn len(&self) -> usize;
 
-    /// The slabs as consecutive global index ranges `[start, end)`
-    /// covering `0..len()`. A slab is the unit of one remainder-reduce
-    /// task and of the physical dataset halves.
-    fn slab_bounds(&self) -> Vec<(usize, usize)>;
-
     /// The records at strictly increasing global `indices`.
     fn gather_sorted(&self, indices: &[usize]) -> Vec<T>;
 
-    /// Runs one engine stage with a task per slab of `bounds` (as
-    /// returned by [`RecordSource::slab_bounds`]). Each task starts from
-    /// `A::default()` and calls `f(acc, slab, global_offset, run)` for
-    /// the slab's contiguous record runs (possibly empty) in record
+    /// Runs one engine stage with a task per slab, the slabs being
+    /// consecutive global index ranges covering `0..len()`. Each task
+    /// starts from `A::default()` and calls `f(acc, global_offset, run)`
+    /// for the slab's contiguous record runs (possibly empty) in record
     /// order; the per-slab results come back in slab order. How a source
     /// cuts a slab into runs (one run per partition, one per chunk slice)
     /// is its own business: every run of a slab continues the same
     /// accumulator, so the caller's fold never sees the run layout.
-    fn fold_slabs<A, F>(&self, name: &str, bounds: Vec<(usize, usize)>, f: F) -> Vec<A>
+    fn fold_slabs<A, F>(&self, name: &str, f: F) -> Vec<A>
     where
         A: Default + Send + 'static,
-        F: Fn(&mut A, usize, usize, &[T]) + Send + Sync + 'static;
+        F: Fn(&mut A, usize, &[T]) + Send + Sync + 'static;
 }
 
 impl<T: Data> RecordSource<T> for Dataset<T> {
     fn len(&self) -> usize {
         Dataset::len(self)
-    }
-
-    fn slab_bounds(&self) -> Vec<(usize, usize)> {
-        let mut start = 0usize;
-        self.partitions()
-            .iter()
-            .map(|p| {
-                let bounds = (start, start + p.len());
-                start = bounds.1;
-                bounds
-            })
-            .collect()
     }
 
     fn gather_sorted(&self, indices: &[usize]) -> Vec<T> {
@@ -79,14 +63,20 @@ impl<T: Data> RecordSource<T> for Dataset<T> {
         out
     }
 
-    fn fold_slabs<A, F>(&self, name: &str, bounds: Vec<(usize, usize)>, f: F) -> Vec<A>
+    fn fold_slabs<A, F>(&self, name: &str, f: F) -> Vec<A>
     where
         A: Default + Send + 'static,
-        F: Fn(&mut A, usize, usize, &[T]) + Send + Sync + 'static,
+        F: Fn(&mut A, usize, &[T]) + Send + Sync + 'static,
     {
+        let offsets: Vec<usize> = (self.partitions().iter())
+            .scan(0, |start, p| {
+                *start += p.len();
+                Some(*start - p.len())
+            })
+            .collect();
         self.run_partitions(name, move |slab, records| {
             let mut acc = A::default();
-            f(&mut acc, slab, bounds[slab].0, records);
+            f(&mut acc, offsets[slab], records);
             acc
         })
     }
@@ -97,22 +87,19 @@ impl RecordSource<f64> for ColumnarDataset {
         ColumnarDataset::len(self)
     }
 
-    fn slab_bounds(&self) -> Vec<(usize, usize)> {
-        slab_ranges(self.len(), self.context().config().default_partitions)
-    }
-
     fn gather_sorted(&self, indices: &[usize]) -> Vec<f64> {
         self.buf().gather_sorted(indices)
     }
 
-    fn fold_slabs<A, F>(&self, name: &str, bounds: Vec<(usize, usize)>, f: F) -> Vec<A>
+    fn fold_slabs<A, F>(&self, name: &str, f: F) -> Vec<A>
     where
         A: Default + Send + 'static,
-        F: Fn(&mut A, usize, usize, &[f64]) + Send + Sync + 'static,
+        F: Fn(&mut A, usize, &[f64]) + Send + Sync + 'static,
     {
-        self.run_ranges(name, bounds, move |slab, buf, start, end| {
+        let bounds = slab_ranges(self.len(), self.context().config().default_partitions);
+        self.run_ranges(name, bounds, move |_, buf, start, end| {
             let mut acc = A::default();
-            buf.for_each_slice_in(start, end, |at, run| f(&mut acc, slab, at, run));
+            buf.for_each_slice_in(start, end, |at, run| f(&mut acc, at, run));
             acc
         })
     }

@@ -15,7 +15,7 @@ fn cached_releases_keep_one_signature_and_a_bounded_audit_ring() {
     let ctx = Context::with_threads(2);
     let data: Vec<f64> = (0..2_000).map(|i| (i % 13) as f64).collect();
     let ds = ctx.parallelize(data.clone(), 4);
-    let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+    let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
     let domain = EmpiricalSampler::new(data);
     let upa = Upa::new(
         ctx,

@@ -6,10 +6,10 @@
 //!
 //! * RANGE ENFORCER's reduces. A release that removes `R` of its `n`
 //!   sampled records must call the query's `reduce` O(n + R) times, not
-//!   once per sampled record per removal. An integer-valued column puts
-//!   every record in one half under the served half key (`x.to_bits()`),
-//!   so a repeated query can never move the other half and removes the
-//!   whole sample: the `R = n` case.
+//!   once per sampled record per removal. A half key that puts every
+//!   record in one half (a column with one distinct value has one under
+//!   any content key) leaves a repeated query unable to move the other
+//!   half, so it removes the whole sample: the `R = n` case.
 //! * Heap allocations. A prepare and its first release allocate the same
 //!   number of times at n = 1000 as at n = 4000: nothing is allocated per
 //!   sampled record or per neighbour output.
@@ -65,19 +65,26 @@ fn half_key(x: &f64) -> u64 {
     x.to_bits()
 }
 
+/// A half key that puts every record in half 0.
+fn one_half(_: &f64) -> u64 {
+    0
+}
+
 /// A column over `values`, chunked as an ingest chunks it.
 struct Column {
     ds: ColumnarDataset,
     domain: ColumnarEmpiricalSampler,
+    half_key: fn(&f64) -> u64,
     totals: Arc<HalfTotals>,
 }
 
 impl Column {
-    fn new(ctx: &Context, values: &[f64]) -> Self {
+    fn new(ctx: &Context, values: &[f64], half_key: fn(&f64) -> u64) -> Self {
         let buf = ColumnarBuf::from_values(values.to_vec(), 65_536);
         Column {
             ds: ColumnarDataset::new(ctx, buf.clone()),
             domain: ColumnarEmpiricalSampler::new(buf),
+            half_key,
             totals: Arc::new(HalfTotals::of_values(values, half_key)),
         }
     }
@@ -88,6 +95,7 @@ impl Column {
         let reduces = Arc::clone(reduces);
         MapReduceQuery::new(
             "sum",
+            self.half_key,
             |x: &f64| (*x, 1.0),
             move |a: &(f64, f64), b: &(f64, f64)| {
                 reduces.fetch_add(1, Ordering::Relaxed);
@@ -95,7 +103,6 @@ impl Column {
             },
             |acc: Option<&(f64, f64)>| acc.map_or(0.0, |a| a.0),
         )
-        .with_half_key(half_key)
         .with_half_totals(Arc::clone(&self.totals))
     }
 }
@@ -120,8 +127,11 @@ fn enforcement_reduces_are_linear_in_sample_and_removals() {
     let n = 1_000;
     let integers: Vec<f64> = (0..ROWS).map(|i| ((i * 37 + 5) % 101) as f64).collect();
     let fractions: Vec<f64> = integers.iter().map(|v| v * 0.37).collect();
-    for (label, values, rounds) in [("integer", &integers, 2), ("fractional", &fractions, 6)] {
-        let column = Column::new(&ctx, values);
+    for (label, values, key, rounds) in [
+        ("one_half", &integers, one_half as fn(&f64) -> u64, 2),
+        ("fractional", &fractions, half_key, 6),
+    ] {
+        let column = Column::new(&ctx, values, key);
         let reduces = Arc::new(AtomicUsize::new(0));
         let query = column.sum(&reduces);
         let upa = engine(&ctx, n);
@@ -147,9 +157,9 @@ fn enforcement_reduces_are_linear_in_sample_and_removals() {
             );
             removed += r;
         }
-        if label == "integer" {
+        if label == "one_half" {
             // One half is empty, so the repeat removes the whole sample.
-            assert_eq!(removed, n, "the integer column's repeat is the R = n case");
+            assert_eq!(removed, n, "the one-half column's repeat is the R = n case");
         }
     }
 }
@@ -181,7 +191,7 @@ fn cold_release_allocations_do_not_grow_with_the_sample() {
     let values: Vec<f64> = (0..ROWS)
         .map(|i| ((i * 37 + 5) % 101) as f64 * 0.37)
         .collect();
-    let column = Column::new(&ctx, &values);
+    let column = Column::new(&ctx, &values, half_key);
     // Warm every lazily initialised process-wide structure first.
     cold_release_allocations(&ctx, &column, 10);
     let small = cold_release_allocations(&ctx, &column, 1_000);

@@ -32,7 +32,7 @@ fn data(ctx: &Context) -> (Dataset<f64>, EmpiricalSampler<f64>) {
 }
 
 fn sum() -> MapReduceQuery<f64, f64, f64> {
-    MapReduceQuery::scalar_sum("sum", |x: &f64| *x)
+    MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x)
 }
 
 /// A sum whose mapper runs `hook` on its first call: on the preparing
@@ -40,13 +40,17 @@ fn sum() -> MapReduceQuery<f64, f64, f64> {
 /// draws.
 fn hooked_sum(hook: impl FnOnce() + Send + 'static) -> MapReduceQuery<f64, f64, f64> {
     let hook = Mutex::new(Some(hook));
-    MapReduceQuery::scalar_sum("hooked_sum", move |x: &f64| {
-        let first = hook.lock().expect("hook lock").take();
-        if let Some(hook) = first {
-            hook();
-        }
-        *x
-    })
+    MapReduceQuery::scalar_sum(
+        "hooked_sum",
+        |x: &f64| x.to_bits(),
+        move |x: &f64| {
+            let first = hook.lock().expect("hook lock").take();
+            if let Some(hook) = first {
+                hook();
+            }
+            *x
+        },
+    )
 }
 
 /// Two engines share one context. One preparation stops inside its map

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use upa_core::domain::{ColumnarEmpiricalSampler, DomainSampler, EmpiricalSampler};
-use upa_core::query::MapReduceQuery;
+use upa_core::query::{half_of, MapReduceQuery};
 use upa_core::{DpOutput, Upa, UpaConfig, UpaError, UpaResult};
 use upa_stats::sampling::sample_indices;
 
@@ -30,8 +30,7 @@ proptest! {
     ) {
         let c = ctx();
         let ds = c.parallelize(values.clone(), partitions);
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x)
-            .with_half_key(|x: &f64| x.to_bits());
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(values);
         let upa = Upa::new(
             c.clone(),
@@ -56,10 +55,9 @@ proptest! {
         let ds = c.parallelize(values.clone(), 4);
         let domain = EmpiricalSampler::new(values);
         let config = UpaConfig { sample_size: 32, seed, add_noise: false, ..UpaConfig::default() };
-        let base = MapReduceQuery::scalar_sum("sum", |x: &f64| *x)
-            .with_half_key(|x: &f64| x.to_bits());
-        let scaled = MapReduceQuery::scalar_sum("sum_scaled", move |x: &f64| *x * factor)
-            .with_half_key(|x: &f64| x.to_bits());
+        let base = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
+        let scaled =
+            MapReduceQuery::scalar_sum("sum_scaled", |x: &f64| x.to_bits(), move |x: &f64| *x * factor);
         let u1 = Upa::new(c.clone(), config.clone());
         let u2 = Upa::new(c.clone(), config);
         let r1 = u1.run(&ds, &base, &domain).unwrap();
@@ -80,8 +78,7 @@ proptest! {
         seed in 0u64..100,
     ) {
         let c = ctx();
-        let query = MapReduceQuery::scalar_sum("count", |_x: &f64| 1.0)
-            .with_half_key(|x: &f64| x.to_bits());
+        let query = MapReduceQuery::scalar_sum("count", |x: &f64| x.to_bits(), |_x: &f64| 1.0);
         let upa = Upa::new(
             c.clone(),
             UpaConfig { sample_size: 8, seed, add_noise: false, ..UpaConfig::default() },
@@ -118,17 +115,13 @@ fn reference_bits<T: Data, Acc: Data>(
         });
     };
     let (mut rem, mut sampled, mut g) = ([None, None], Vec::new(), 0usize);
-    for (s, slab) in slabs.iter().enumerate() {
+    for slab in slabs {
         let mut partial: [Option<Acc>; 2] = [None, None];
         for t in slab {
             if picked.binary_search(&g).is_ok() {
                 sampled.push(query.map(t));
             } else {
-                let h = match query.half_key() {
-                    Some(hk) => (hk(t) % 2) as usize,
-                    None => usize::from(s >= slabs.len().div_ceil(2)),
-                };
-                push(&mut partial[h], query.map(t));
+                push(&mut partial[half_of(query.half_key()(t))], query.map(t));
             }
             g += 1;
         }
@@ -202,9 +195,8 @@ proptest! {
     /// Both record sources release exactly what the naive reference fold
     /// says — on arbitrary chunk layouts (single-record chunks included),
     /// NaN/±inf payloads, row datasets whose partitions a `filter` left
-    /// uneven, and three slabs thousands of records long — with and
-    /// without a stable half key. Chunk layout and the engine's
-    /// map-side-combine flag must never reach a release.
+    /// uneven, and three slabs thousands of records long. Chunk layout and
+    /// the engine's map-side-combine flag must never reach a release.
     #[test]
     fn both_sources_match_the_reference_fold(
         base_values in prop::collection::vec(-1000.0f64..1000.0, 0..200),
@@ -213,7 +205,6 @@ proptest! {
         seed in 0u64..500,
         threads in 1usize..4,
         partitions in 1usize..7,
-        half_key in 0usize..2,
         salt in 0usize..17,
     ) {
         // Splice NaN/±inf payloads in at salt-derived positions — the
@@ -228,12 +219,7 @@ proptest! {
         }
         let c = Context::with_threads(threads);
         let config = UpaConfig { sample_size, seed, add_noise: false, ..UpaConfig::default() };
-        let base = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
-        let query = if half_key == 1 {
-            base.with_half_key(|x: &f64| x.to_bits())
-        } else {
-            base
-        };
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let run = |ctx: &Context| Upa::new(ctx.clone(), config.clone());
         let pool = if values.is_empty() { vec![0.0] } else { values.clone() };
         let domain = EmpiricalSampler::new(pool.clone());
@@ -285,8 +271,8 @@ proptest! {
 
         // Three slabs of more than 2,000 records each, over finite
         // fractional values whose sums round differently under another
-        // grouping, with and without a half key: both sources fold every
-        // slab as one left fold per half, whatever the chunk size.
+        // grouping: both sources fold every slab as one left fold per
+        // half, whatever the chunk size.
         let long: Vec<f64> = (0..3 * (2_001 + salt))
             .map(|i| ((i * 37 + salt) % 1_009) as f64 * 0.37 - 100.0)
             .collect();
@@ -298,19 +284,15 @@ proptest! {
         prop_assert!(slabs.len() == 3 && slabs.iter().all(|s| s.len() > 2_000));
         let domain = EmpiricalSampler::new(long.clone());
         let buf = ColumnarBuf::from_values(long.to_vec(), 97 * cuts[0]);
-        for keyed in [false, true] {
-            let base = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
-            let query = if keyed { base.with_half_key(|x: &f64| x.to_bits()) } else { base };
-            let want = reference_bits(&slabs, &query, &domain, &config);
-            let columnar = run(&c).run(
-                &ColumnarDataset::new(&c, buf.clone()),
-                &query,
-                &ColumnarEmpiricalSampler::new(buf.clone()),
-            );
-            prop_assert!(against_reference(columnar, &want)?.is_ok(), "finite data must release");
-            let row = run(&c).run(&c.parallelize_default(long.clone()), &query, &domain);
-            prop_assert!(against_reference(row, &want)?.is_ok(), "finite data must release");
-        }
+        let want = reference_bits(&slabs, &query, &domain, &config);
+        let columnar = run(&c).run(
+            &ColumnarDataset::new(&c, buf.clone()),
+            &query,
+            &ColumnarEmpiricalSampler::new(buf),
+        );
+        prop_assert!(against_reference(columnar, &want)?.is_ok(), "finite data must release");
+        let row = run(&c).run(&c.parallelize_default(long), &query, &domain);
+        prop_assert!(against_reference(row, &want)?.is_ok(), "finite data must release");
     }
 
     /// Slabs over many chunk blocks of `chunk_rows` records, over finite
@@ -324,7 +306,6 @@ proptest! {
         threads in 1usize..4,
         sample_size in 1usize..48,
         seed in 0u64..500,
-        half_key in 0usize..2,
         salt in 0usize..1_009,
     ) {
         let values: Vec<f64> = (0..len)
@@ -332,12 +313,7 @@ proptest! {
             .collect();
         let c = Context::with_threads(threads);
         let config = UpaConfig { sample_size, seed, add_noise: false, ..UpaConfig::default() };
-        let base = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
-        let query = if half_key == 1 {
-            base.with_half_key(|x: &f64| x.to_bits())
-        } else {
-            base
-        };
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(values.clone());
         let slabs: Vec<Vec<f64>> = slab_ranges(len, c.config().default_partitions)
             .into_iter()
@@ -368,11 +344,11 @@ proptest! {
         let config = UpaConfig { sample_size, seed, add_noise: false, ..UpaConfig::default() };
         let query: MapReduceQuery<(u32, f64), (f64, f64), f64> = MapReduceQuery::new(
             "weighted_mean",
+            |(k, _): &(u32, f64)| u64::from(*k),
             |(k, v): &(u32, f64)| (*v * 0.1 * f64::from(*k), 1.0),
             |a, b| (a.0 + b.0, a.1 + b.1),
             |acc| acc.map_or(0.0, |(s, n)| s / n),
-        )
-        .with_half_key(|(k, _): &(u32, f64)| u64::from(*k));
+        );
         let domain = EmpiricalSampler::new(rows.clone());
         let ds = c.parallelize(rows, partitions).filter(|(k, _)| k % 5 != 0);
         let slabs: Vec<Vec<(u32, f64)>> = ds.partitions().iter().map(|p| p.to_vec()).collect();

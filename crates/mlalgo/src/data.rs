@@ -48,7 +48,7 @@ impl Default for LifeScienceConfig {
 
 /// Stable content key for a feature vector: a deterministic hash of the
 /// coordinate bit patterns. Used as the half key of the ML queries (see
-/// `MapReduceQuery::with_half_key` in `upa-core`).
+/// `MapReduceQuery::new` in `upa-core`).
 pub fn point_key(features: &[f64]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for x in features {

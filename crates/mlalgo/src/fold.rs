@@ -9,7 +9,7 @@
 //! remainder, and [`fold_plain`] runs it as the vanilla step.
 
 use dataflow::{Data, Dataset};
-use upa_core::query::MapReduceQuery;
+use upa_core::query::{half_of, MapReduceQuery};
 use upa_core::DpOutput;
 
 /// One training step's per-record arithmetic: the mapper, the reducer,
@@ -31,28 +31,28 @@ pub(crate) trait InPlaceStep: Clone + Send + Sync + 'static {
     fn half_key(r: &Self::Record) -> u64;
 }
 
-/// The step as a query: `step`'s mapper, reducer and half key,
+/// The step as a query: `step`'s half key, mapper and reducer,
 /// `finalize`, and as the fused slice-fold kernel the generic fold with
 /// `reduce(acc, map(r))` replaced by `add`. A half a run opens still
 /// starts from `map(r)`, so its accumulator carries the first record's
-/// own bits (a `-0.0` included). With a half key the pipeline's physical
-/// half never decides a record's half, so the kernel ignores it.
+/// own bits (a `-0.0` included).
 pub(crate) fn step_query<S: InPlaceStep, Out: DpOutput>(
     step: &S,
     name: impl Into<String>,
     finalize: impl Fn(Option<&S::Acc>) -> Out + Send + Sync + 'static,
 ) -> MapReduceQuery<S::Record, S::Acc, Out> {
     let (mapper, kernel) = (step.clone(), step.clone());
-    MapReduceQuery::new(name, move |r| mapper.map(r), S::reduce, finalize)
-        .with_half_key(S::half_key)
-        .with_slice_fold(move |slice, _phys_half, halves| {
+    let map = move |r: &S::Record| mapper.map(r);
+    MapReduceQuery::new(name, S::half_key, map, S::reduce, finalize).with_slice_fold(
+        move |slice, halves| {
             for r in slice {
-                match &mut halves[(S::half_key(r) % 2) as usize] {
+                match &mut halves[half_of(S::half_key(r))] {
                     Some(acc) => kernel.add(acc, r),
                     half => *half = Some(kernel.map(r)),
                 }
             }
-        })
+        },
+    )
 }
 
 /// The step's reduction over a whole dataset, without privacy: each
@@ -100,12 +100,12 @@ pub(crate) mod tests {
         for (c, records) in cases.iter().enumerate() {
             let len = records.len();
             let mut generic = [None, None];
-            query.fold_run_generic(records, 0, &mut generic);
+            query.fold_run_generic(records, &mut generic);
             for split in [0, 1, 3, 4, 5, len / 2, len] {
                 let split = split.min(len);
                 let mut fused = [None, None];
-                kernel(&records[..split], 0, &mut fused);
-                kernel(&records[split..], 0, &mut fused);
+                kernel(&records[..split], &mut fused);
+                kernel(&records[split..], &mut fused);
                 assert_eq!(
                     half_bits(&fused),
                     half_bits(&generic),

@@ -68,7 +68,7 @@ fn suppliers_by_key(tables: &Tables) -> Arc<HashMap<u64, Supplier>> {
 }
 
 /// Stable half key for lineitem rows (content-defined; see
-/// [`MapReduceQuery::with_half_key`]).
+/// [`MapReduceQuery::new`]).
 fn lineitem_half_key(l: &Lineitem) -> u64 {
     l.orderkey.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ (l.suppkey << 17)
@@ -101,8 +101,7 @@ impl Q1 {
     /// Builds the query (no broadcast state needed).
     pub fn new(_tables: &Tables) -> Q1 {
         Q1 {
-            query: MapReduceQuery::scalar_sum("TPCH1", |_l: &Lineitem| 1.0)
-                .with_half_key(lineitem_half_key),
+            query: MapReduceQuery::scalar_sum("TPCH1", lineitem_half_key, |_l: &Lineitem| 1.0),
         }
     }
 
@@ -139,13 +138,12 @@ impl Q4 {
     /// Builds broadcast state and the query.
     pub fn new(tables: &Tables) -> Q4 {
         let by_order = lineitems_by_orderkey(tables);
-        let query = MapReduceQuery::scalar_sum("TPCH4", move |o: &Order| {
+        let query = MapReduceQuery::scalar_sum("TPCH4", order_half_key, move |o: &Order| {
             by_order
                 .get(&o.orderkey)
                 .map(|ls| ls.iter().filter(|l| q4_qualifies(o, l)).count() as f64)
                 .unwrap_or(0.0)
-        })
-        .with_half_key(order_half_key);
+        });
         Q4 { query }
     }
 
@@ -184,7 +182,7 @@ impl Q6 {
     /// Builds the query.
     pub fn new(_tables: &Tables) -> Q6 {
         Q6 {
-            query: MapReduceQuery::scalar_sum("TPCH6", |l: &Lineitem| {
+            query: MapReduceQuery::scalar_sum("TPCH6", lineitem_half_key, |l: &Lineitem| {
                 if l.shipdate >= Q6_DATE_LO
                     && l.shipdate < Q6_DATE_HI
                     && (0.05..=0.07).contains(&l.discount)
@@ -194,8 +192,7 @@ impl Q6 {
                 } else {
                     0.0
                 }
-            })
-            .with_half_key(lineitem_half_key),
+            }),
         }
     }
 
@@ -227,13 +224,12 @@ impl Q11 {
     pub fn new(tables: &Tables) -> Q11 {
         let suppliers = suppliers_by_key(tables);
         Q11 {
-            query: MapReduceQuery::scalar_sum("TPCH11", move |ps: &PartSupp| {
+            query: MapReduceQuery::scalar_sum("TPCH11", partsupp_half_key, move |ps: &PartSupp| {
                 match suppliers.get(&ps.suppkey) {
                     Some(s) if s.nationkey < Q11_NATION_BOUND => ps.supplycost * ps.availqty as f64,
                     _ => 0.0,
                 }
-            })
-            .with_half_key(partsupp_half_key),
+            }),
         }
     }
 
@@ -263,13 +259,12 @@ impl Q13 {
     /// Builds broadcast state and the query.
     pub fn new(tables: &Tables) -> Q13 {
         let by_order = lineitems_by_orderkey(tables);
-        let query = MapReduceQuery::scalar_sum("TPCH13", move |o: &Order| {
+        let query = MapReduceQuery::scalar_sum("TPCH13", order_half_key, move |o: &Order| {
             by_order
                 .get(&o.orderkey)
                 .map(|ls| ls.iter().filter(|l| q13_qualifies(o, l)).count() as f64)
                 .unwrap_or(0.0)
-        })
-        .with_half_key(order_half_key);
+        });
         Q13 { query }
     }
 
@@ -303,7 +298,7 @@ impl Q16 {
         let parts = parts_by_key(tables);
         let suppliers = suppliers_by_key(tables);
         Q16 {
-            query: MapReduceQuery::scalar_sum("TPCH16", move |ps: &PartSupp| {
+            query: MapReduceQuery::scalar_sum("TPCH16", partsupp_half_key, move |ps: &PartSupp| {
                 let part_ok = parts.get(&ps.partkey).is_some_and(|p| {
                     p.brand != Q16_BRAND && p.typ % 5 != 0 && Q16_SIZES.contains(&p.size)
                 });
@@ -313,8 +308,7 @@ impl Q16 {
                 } else {
                     0.0
                 }
-            })
-            .with_half_key(partsupp_half_key),
+            }),
         }
     }
 
@@ -350,25 +344,28 @@ impl Q21 {
         let by_supp = lineitems_by_suppkey(tables);
         let orders = orders_by_key(tables);
         Q21 {
-            query: MapReduceQuery::scalar_sum("TPCH21", move |s: &Supplier| {
-                if s.nationkey >= Q21_NATION_BOUND {
-                    return 0.0;
-                }
-                by_supp
-                    .get(&s.suppkey)
-                    .map(|ls| {
-                        ls.iter()
-                            .filter(|l| {
-                                l.receiptdate > l.commitdate
-                                    && orders
-                                        .get(&l.orderkey)
-                                        .is_some_and(|o| o.orderstatus == STATUS_F)
-                            })
-                            .count() as f64
-                    })
-                    .unwrap_or(0.0)
-            })
-            .with_half_key(|s: &Supplier| s.suppkey),
+            query: MapReduceQuery::scalar_sum(
+                "TPCH21",
+                |s: &Supplier| s.suppkey,
+                move |s: &Supplier| {
+                    if s.nationkey >= Q21_NATION_BOUND {
+                        return 0.0;
+                    }
+                    by_supp
+                        .get(&s.suppkey)
+                        .map(|ls| {
+                            ls.iter()
+                                .filter(|l| {
+                                    l.receiptdate > l.commitdate
+                                        && orders
+                                            .get(&l.orderkey)
+                                            .is_some_and(|o| o.orderstatus == STATUS_F)
+                                })
+                                .count() as f64
+                        })
+                        .unwrap_or(0.0)
+                },
+            ),
         }
     }
 

@@ -24,7 +24,9 @@ fn main() {
     let ctx = Context::default();
     let dataset = ctx.parallelize_default(ages.clone());
     // The record domain the paper's added neighbours are drawn from;
-    // attached at `dpread`, like the paper's Table I signature.
+    // attached at `dpread`, like the paper's Table I signature. Beside it
+    // goes the half key: an age's bits put its record in one of the two
+    // logical halves RANGE ENFORCER compares.
     let domain = EmpiricalSampler::new(ages);
 
     let config = UpaConfig {
@@ -34,7 +36,7 @@ fn main() {
     let mut session = DpSession::new(ctx.clone(), config);
 
     let result = session
-        .dpread(&dataset, &domain)
+        .dpread(&dataset, &domain, |age: &f64| age.to_bits())
         .map_dp(
             "count_adults",
             |age: &f64| if *age >= 18.0 { 1.0 } else { 0.0 },

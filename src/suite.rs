@@ -172,17 +172,14 @@ fn vectorize<T: Data>(q: &MapReduceQuery<T, f64, f64>) -> MapReduceQuery<T, f64,
     let qm = q.clone();
     let qr = q.clone();
     let qf = q.clone();
-    let mut v = MapReduceQuery::new(
+    let hk = std::sync::Arc::clone(q.half_key());
+    MapReduceQuery::new(
         q.name().to_string(),
+        move |t: &T| hk(t),
         move |t: &T| qm.map(t),
         move |a: &f64, b: &f64| qr.reduce(a, b),
         move |acc: Option<&f64>| vec![qf.finalize(acc)],
-    );
-    if let Some(hk) = q.half_key() {
-        let hk = std::sync::Arc::clone(hk);
-        v = v.with_half_key(move |t: &T| hk(t));
-    }
-    v
+    )
 }
 
 /// The protected dataset of the two ML steps (the paper's life-science

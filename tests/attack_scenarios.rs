@@ -4,6 +4,7 @@
 //! outputs.
 
 use dataflow::Context;
+use upa_repro::upa_core::api::DpSession;
 use upa_repro::upa_core::domain::EmpiricalSampler;
 use upa_repro::upa_core::{Upa, UpaConfig};
 use upa_repro::upa_tpch::queries::{Q21, Q4};
@@ -127,4 +128,45 @@ fn noisy_releases_hide_an_outlier_victim() {
         noise_scale > victim_influence / 2.0,
         "noise scale {noise_scale} must be commensurate with the worst-case influence {victim_influence}"
     );
+}
+
+/// The same sum through the Table I API on `x` and then on `x` minus one
+/// victim is detected wherever the victim sits. `dpread`'s half key puts
+/// each record in its half by content, so a removal changes one half's
+/// output and leaves the other's; halves cut by position would shift
+/// every later record, and a victim in the first half would change both.
+#[test]
+fn table1_victim_is_detected_wherever_it_sits() {
+    let values: Vec<f64> = (0..100_000)
+        .map(|i| ((i * 37 + 11) % 1_009) as f64 * 0.37)
+        .collect();
+    let ctx = Context::with_threads(4);
+    let domain = EmpiricalSampler::new(values.clone());
+    for victim in [10, 50_010, 99_990] {
+        let mut session = DpSession::new(
+            ctx.clone(),
+            UpaConfig {
+                sample_size: 1_000,
+                add_noise: false,
+                ..UpaConfig::default()
+            },
+        );
+        let mut release = |data: Vec<f64>| {
+            let ds = ctx.parallelize(data, 4);
+            session
+                .dpread(&ds, &domain, |x: &f64| x.to_bits())
+                .map_dp("sum", |x: &f64| *x)
+                .reduce_dp(|a, b| a + b)
+                .unwrap()
+        };
+        let first = release(values.clone());
+        assert!(!first.enforce_outcome.attack_suspected);
+        let mut neighbour = values.clone();
+        neighbour.remove(victim);
+        let second = release(neighbour);
+        assert!(
+            second.enforce_outcome.attack_suspected,
+            "the victim at index {victim} was not detected"
+        );
+    }
 }

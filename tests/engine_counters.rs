@@ -36,7 +36,7 @@ fn prepare_shuffles_partition_counts_not_dataset_size() {
     });
     let data: Vec<f64> = (0..records).map(|i| (i % 13) as f64).collect();
     let ds = ctx.parallelize(data.clone(), parts);
-    let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x);
+    let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
     let domain = EmpiricalSampler::new(data);
 
     let upa = upa_over(&ctx, 100);

@@ -35,8 +35,11 @@ fn dp_count_over_a_sql_view() {
     let exact = rows.len() as f64;
     assert!(exact > 0.0);
 
-    // Protect the view's rows: each row is one individual's order.
-    let query = MapReduceQuery::scalar_sum("urgent_count", |_row: &Vec<_>| 1.0);
+    // Protect the view's rows: each row is one individual's order, its
+    // half keyed by the row's content.
+    let row_key =
+        |row: &upa_repro::upa_relational::Row| dataflow::partitioner::hash_key(&format!("{row:?}"));
+    let query = MapReduceQuery::scalar_sum("urgent_count", row_key, |_row: &Vec<_>| 1.0);
     let pool = rows.data().collect();
     let domain = EmpiricalSampler::new(pool);
     let upa = Upa::new(
@@ -126,10 +129,12 @@ fn repeated_analyst_queries_reuse_preparation() {
 fn dp_histogram_of_order_priorities() {
     let t = tables();
     let ctx = Context::with_threads(4);
-    let query = MapReduceQuery::histogram("priorities", 5, |o: &upa_repro::upa_tpch::Order| {
-        Some(o.orderpriority as usize - 1)
-    })
-    .with_half_key(|o: &upa_repro::upa_tpch::Order| o.orderkey);
+    let query = MapReduceQuery::histogram(
+        "priorities",
+        |o: &upa_repro::upa_tpch::Order| o.orderkey,
+        5,
+        |o: &upa_repro::upa_tpch::Order| Some(o.orderpriority as usize - 1),
+    );
     let domain = EmpiricalSampler::new(t.orders.clone());
     let ds = ctx.parallelize(t.orders.clone(), 4);
     let upa = Upa::new(

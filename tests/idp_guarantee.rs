@@ -16,7 +16,7 @@ fn dataset_values(n: usize) -> Vec<f64> {
 }
 
 fn sum_query() -> MapReduceQuery<f64, f64, f64> {
-    MapReduceQuery::scalar_sum("sum", |x: &f64| *x).with_half_key(|x: &f64| x.to_bits())
+    MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x)
 }
 
 /// The clamped outputs of a query on a dataset and on every neighbour
@@ -72,8 +72,7 @@ fn empirical_epsilon_ratio_bound_for_count() {
     let data = dataset_values(2_000);
     let mut neighbour = data.clone();
     neighbour.pop();
-    let query =
-        MapReduceQuery::scalar_sum("count", |_x: &f64| 1.0).with_half_key(|x: &f64| x.to_bits());
+    let query = MapReduceQuery::scalar_sum("count", |x: &f64| x.to_bits(), |_x: &f64| 1.0);
     let domain = EmpiricalSampler::new(data.clone());
     let epsilon = 0.5;
     let runs = 400;

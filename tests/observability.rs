@@ -27,7 +27,7 @@ fn metrics_snapshot_since_attributes_interval_work() {
     let mut session = DpSession::new(ctx.clone(), config(50));
     let before = ctx.metrics();
     session
-        .dpread(&ds, &domain)
+        .dpread(&ds, &domain, |x: &f64| x.to_bits())
         .map_dp("count", |_x: &f64| 1.0)
         .reduce_dp(|a, b| a + b)
         .unwrap();
@@ -60,7 +60,7 @@ fn concurrent_sessions_keep_separate_audits() {
             let ds = ctx.parallelize(data, 4);
             let mut session = DpSession::new(ctx, config(sample));
             session
-                .dpread(&ds, &domain)
+                .dpread(&ds, &domain, |x: &f64| x.to_bits())
                 .map_dp(name, |x: &f64| *x)
                 .reduce_dp(|a, b| a + b)
                 .unwrap();
@@ -112,7 +112,7 @@ fn budget_spend_accounts_across_repeated_queries() {
         },
     )
     .with_budget(0.25);
-    let query = MapReduceQuery::scalar_sum("count", |_x: &f64| 1.0);
+    let query = MapReduceQuery::scalar_sum("count", |x: &f64| x.to_bits(), |_x: &f64| 1.0);
 
     assert!(upa.run(&ds, &query, &domain).is_ok());
     assert!(upa.run(&ds, &query, &domain).is_ok());

@@ -39,8 +39,7 @@ proptest! {
     ) {
         let ctx = Context::with_threads(4);
         let ds = ctx.parallelize(values.clone(), partitions);
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x)
-            .with_half_key(|x: &f64| x.to_bits());
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(values.clone());
         let u = upa(&ctx, 16, seed);
         let result = u.run(&ds, &query, &domain).unwrap();
@@ -67,10 +66,11 @@ proptest! {
         let ds = ctx.parallelize(values.clone(), 4);
         let query = MapReduceQuery::new(
             "max",
+            |x: &f64| x.to_bits(),
             |x: &f64| *x,
             |a: &f64, b: &f64| a.max(*b),
             |acc: Option<&f64>| acc.copied().unwrap_or(0.0),
-        ).with_half_key(|x: &f64| x.to_bits());
+        );
         let domain = EmpiricalSampler::new(values.clone());
         let u = upa(&ctx, 12, seed);
         let result = u.run(&ds, &query, &domain).unwrap();
@@ -140,8 +140,7 @@ proptest! {
     ) {
         let ctx = Context::with_threads(2);
         let ds = ctx.parallelize(values.clone(), 4);
-        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| *x)
-            .with_half_key(|x: &f64| x.to_bits());
+        let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(values.clone());
         let u = upa(&ctx, 64, seed);
         let result = u.run(&ds, &query, &domain).unwrap();
@@ -165,8 +164,7 @@ proptest! {
 #[test]
 fn upa_pipeline_survives_fault_injection() {
     let values: Vec<f64> = (0..2_000).map(|i| (i % 31) as f64).collect();
-    let query =
-        MapReduceQuery::scalar_sum("sum", |x: &f64| *x).with_half_key(|x: &f64| x.to_bits());
+    let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
     let domain = EmpiricalSampler::new(values.clone());
 
     let clean_ctx = Context::with_threads(4);
