@@ -1,6 +1,6 @@
 //! Property-based tests of UPA's soundness invariants.
 
-use dataflow::columnar::{slab_ranges, ColumnChunk, ColumnarBuf, ColumnarDataset};
+use dataflow::columnar::{slab_ranges, ColumnarBuf, ColumnarDataset};
 use dataflow::{Config, Context, Data};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -231,7 +231,7 @@ proptest! {
         let mut at = 0usize;
         while at < values.len() {
             let len = cuts[chunks.len() % cuts.len()].min(values.len() - at);
-            chunks.push(ColumnChunk::with_stats(Arc::from(values[at..at + len].to_vec())));
+            chunks.push(Arc::from(&values[at..at + len]));
             at += len;
         }
         let buf = ColumnarBuf::new(chunks);

@@ -11,8 +11,8 @@
 //! row datasets.
 //!
 //! Chunk statistics ([`ChunkStats`]: min/max over non-NaN values, value
-//! count, NaN count) ride along from the store manifest, which persists
-//! them for each chunk.
+//! count, NaN count) are computed at ingest and live in the store
+//! manifest; an in-memory chunk is its values alone.
 
 use crate::context::scan_delay;
 use crate::Context;
@@ -71,29 +71,12 @@ impl ChunkStats {
     }
 }
 
-/// One immutable column chunk: a shared slice plus its statistics.
-#[derive(Debug, Clone)]
-pub struct ColumnChunk {
-    /// The values, shared with whoever loaded them.
-    pub values: Arc<[f64]>,
-    /// Ingest-time statistics.
-    pub stats: ChunkStats,
-}
-
-impl ColumnChunk {
-    /// Wraps a shared slice, computing fresh statistics.
-    #[must_use]
-    pub fn with_stats(values: Arc<[f64]>) -> ColumnChunk {
-        let stats = ChunkStats::compute(&values);
-        ColumnChunk { values, stats }
-    }
-}
-
-/// A column as immutable shared chunks with a row index. Cloning is
-/// cheap (two `Arc` bumps); the values are never copied.
+/// A column as immutable shared chunks (each a slice shared with
+/// whoever loaded it) with a row index. Cloning is cheap (two `Arc`
+/// bumps); the values are never copied.
 #[derive(Debug, Clone)]
 pub struct ColumnarBuf {
-    chunks: Arc<Vec<ColumnChunk>>,
+    chunks: Arc<Vec<Arc<[f64]>>>,
     index: Arc<RowIndex>,
 }
 
@@ -119,17 +102,17 @@ struct RowIndex {
 }
 
 impl RowIndex {
-    fn new(chunks: &[ColumnChunk]) -> RowIndex {
+    fn new(chunks: &[Arc<[f64]>]) -> RowIndex {
         let mut offsets = Vec::with_capacity(chunks.len() + 1);
         offsets.push(0usize);
         for c in chunks {
-            offsets.push(offsets.last().copied().unwrap_or(0) + c.values.len());
+            offsets.push(offsets.last().copied().unwrap_or(0) + c.len());
         }
         let len = offsets[chunks.len()];
         let shortest = chunks
             .iter()
             .take(chunks.len().saturating_sub(1))
-            .map(|c| c.values.len())
+            .map(|c| c.len())
             .filter(|&rows| rows > 0)
             .min()
             .unwrap_or(len);
@@ -170,7 +153,7 @@ pub const ZERO_CHUNK_ROWS: usize = 4096;
 impl ColumnarBuf {
     /// Builds a buffer over `chunks` (empty chunks are allowed).
     #[must_use]
-    pub fn new(chunks: Vec<ColumnChunk>) -> ColumnarBuf {
+    pub fn new(chunks: Vec<Arc<[f64]>>) -> ColumnarBuf {
         ColumnarBuf {
             index: Arc::new(RowIndex::new(&chunks)),
             chunks: Arc::new(chunks),
@@ -178,17 +161,16 @@ impl ColumnarBuf {
     }
 
     /// Chunks a column into a buffer of `chunk_rows`-row chunks (the last
-    /// one short) with fresh statistics — the ingest shape, used by
-    /// in-memory datasets and tests. The chunks are cut from the back and
-    /// `values` shrinks past each one, so the column is held once plus
-    /// one chunk, not twice.
+    /// one short) — the ingest shape, used by in-memory datasets and
+    /// tests. The chunks are cut from the back and `values` shrinks past
+    /// each one, so the column is held once plus one chunk, not twice.
     #[must_use]
     pub fn from_values(mut values: Vec<f64>, chunk_rows: usize) -> ColumnarBuf {
         let chunk_rows = chunk_rows.max(1);
         let mut chunks = Vec::with_capacity(values.len().div_ceil(chunk_rows));
         while !values.is_empty() {
             let start = (values.len() - 1) / chunk_rows * chunk_rows;
-            chunks.push(ColumnChunk::with_stats(Arc::from(&values[start..])));
+            chunks.push(Arc::from(&values[start..]));
             values.truncate(start);
             values.shrink_to_fit();
         }
@@ -202,12 +184,12 @@ impl ColumnarBuf {
     /// blocks of values however many rows it has.
     #[must_use]
     pub fn zeros(rows: usize) -> ColumnarBuf {
-        static FULL: OnceLock<ColumnChunk> = OnceLock::new();
-        let full = FULL.get_or_init(|| ColumnChunk::with_stats(Arc::from([0.0; ZERO_CHUNK_ROWS])));
-        let mut chunks = vec![full.clone(); rows / ZERO_CHUNK_ROWS];
+        static FULL: OnceLock<Arc<[f64]>> = OnceLock::new();
+        let full = FULL.get_or_init(|| Arc::from([0.0; ZERO_CHUNK_ROWS]));
+        let mut chunks = vec![Arc::clone(full); rows / ZERO_CHUNK_ROWS];
         let tail = rows % ZERO_CHUNK_ROWS;
         if tail > 0 {
-            chunks.push(ColumnChunk::with_stats(Arc::from(vec![0.0; tail])));
+            chunks.push(Arc::from(vec![0.0; tail]));
         }
         ColumnarBuf::new(chunks)
     }
@@ -232,7 +214,7 @@ impl ColumnarBuf {
 
     /// The chunk list.
     #[must_use]
-    pub fn chunks(&self) -> &[ColumnChunk] {
+    pub fn chunks(&self) -> &[Arc<[f64]>] {
         &self.chunks
     }
 
@@ -244,7 +226,7 @@ impl ColumnarBuf {
     #[must_use]
     pub fn value(&self, g: usize) -> f64 {
         let (chunk, off) = self.locate(g);
-        self.chunks[chunk].values[off]
+        self.chunks[chunk][off]
     }
 
     /// Maps a global row index to `(chunk, offset-in-chunk)`: one divide
@@ -273,7 +255,7 @@ impl ColumnarBuf {
         let located: Vec<(usize, usize)> = indices.iter().map(|&g| self.locate(g)).collect();
         located
             .iter()
-            .map(|&(chunk, off)| self.chunks[chunk].values[off])
+            .map(|&(chunk, off)| self.chunks[chunk][off])
             .collect()
     }
 
@@ -318,7 +300,7 @@ impl ColumnarBuf {
             if chunk_start < chunk_end {
                 let lo = at - chunk_start;
                 let hi = end.min(chunk_end) - chunk_start;
-                f(at, &self.chunks[chunk].values[lo..hi]);
+                f(at, &self.chunks[chunk][lo..hi]);
                 at = end.min(chunk_end);
             }
             chunk += 1;
@@ -331,17 +313,9 @@ impl ColumnarBuf {
     pub fn to_vec(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.len());
         for c in self.chunks.iter() {
-            out.extend_from_slice(&c.values);
+            out.extend_from_slice(c);
         }
         out
-    }
-
-    /// The union of all chunk statistics.
-    #[must_use]
-    pub fn total_stats(&self) -> ChunkStats {
-        self.chunks
-            .iter()
-            .fold(ChunkStats::compute(&[]), |acc, c| acc.merge(&c.stats))
     }
 }
 
@@ -426,7 +400,7 @@ impl ColumnarDataset {
             name,
             (0..buf.num_chunks()).collect(),
             move |_i, chunk: usize| {
-                let values = &buf.chunks()[chunk].values;
+                let values = &buf.chunks()[chunk];
                 scan_delay(values.len(), scan_ns);
                 fold(values)
             },
@@ -491,7 +465,7 @@ mod tests {
                         next - 1.0
                     })
                     .collect();
-                ColumnChunk::with_stats(Arc::from(values))
+                Arc::from(values)
             })
             .collect();
         ColumnarBuf::new(chunks)
@@ -528,7 +502,7 @@ mod tests {
             let all: Vec<usize> = (0..b.len()).collect();
             for &g in &all {
                 let (chunk, off) = b.locate(g);
-                assert_eq!(b.chunks()[chunk].values[off], flat[g], "{name} row {g}");
+                assert_eq!(b.chunks()[chunk][off], flat[g], "{name} row {g}");
                 assert_eq!(b.value(g).to_bits(), flat[g].to_bits(), "{name} row {g}");
             }
             assert_eq!(b.gather_sorted(&all), flat, "{name}");
@@ -648,10 +622,8 @@ mod tests {
             let want: Vec<&[f64]> = values.chunks(chunk_rows.max(1)).collect();
             assert_eq!(buf.num_chunks(), want.len(), "{len} rows by {chunk_rows}");
             for (chunk, w) in buf.chunks().iter().zip(want) {
-                assert_eq!(chunk.values.len(), w.len());
-                assert_eq!(chunk.stats, ChunkStats::compute(w));
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&chunk.values), bits(w));
+                assert_eq!(bits(chunk), bits(w));
             }
         }
     }
@@ -664,8 +636,7 @@ mod tests {
         let (a, b) = (ColumnarBuf::zeros(rows), ColumnarBuf::zeros(rows));
         assert_eq!(a.len(), rows);
         assert_eq!(a.num_chunks(), 4);
-        assert_eq!(a.total_stats().count, rows as u64);
-        assert!(Arc::ptr_eq(&a.chunks()[0].values, &b.chunks()[2].values));
+        assert!(Arc::ptr_eq(&a.chunks()[0], &b.chunks()[2]));
         assert_eq!(a.gather_sorted(&[0, rows - 1]), vec![0.0; 2]);
         let empty = ColumnarBuf::new(Vec::new());
         assert_eq!(empty.len(), 0);

@@ -42,7 +42,7 @@ pub mod pair;
 pub mod partitioner;
 pub mod pool;
 
-pub use columnar::{ChunkStats, ColumnChunk, ColumnarBuf, ColumnarDataset};
+pub use columnar::{ChunkStats, ColumnarBuf, ColumnarDataset};
 pub use context::{Config, Context};
 pub use dataset::Dataset;
 pub use error::DataflowError;

@@ -464,21 +464,18 @@ struct DatasetState {
     /// every startup dataset gets a fresh one.
     generation: u64,
     rows: usize,
-    /// Every column as shared chunks. Catalog attaches hand over the
-    /// store's chunk buffers untouched (the scan reads the very bytes the
-    /// loader decoded); an in-memory [`DatasetSpec`] column is cut at
-    /// startup into chunks of the ingest default's rows, as an ingest
-    /// would cut it. A dataset detached mid-query stays alive until its
-    /// last in-flight release drops the handle.
-    columns: HashMap<String, ColumnarBuf>,
-    /// Each column's exact half totals ([`column_totals`]): every
-    /// aggregate maps a record to `(x, 1)`, so `count`, `sum` and `mean`
-    /// over a column share them. The column's first use fills them by one
-    /// scan; every prepare subtracts its sample from them. They live and
-    /// die with the residency, like the columns they are summed from.
-    totals: HashMap<String, OnceLock<Arc<HalfTotals>>>,
-    /// Bytes of `columns`.
-    column_bytes: usize,
+    /// Every column as shared chunks and its exact half totals
+    /// ([`column_totals`]). Catalog attaches hand over the store's chunk
+    /// buffers untouched (the scan reads the very bytes the loader
+    /// decoded); an in-memory [`DatasetSpec`] column is cut at startup
+    /// into chunks of the ingest default's rows, as an ingest would cut
+    /// it. Every aggregate maps a record to `(x, 1)`, so `count`, `sum`
+    /// and `mean` over a column share its totals, and every prepare
+    /// subtracts its sample from them. A dataset detached mid-query stays
+    /// alive until its last in-flight release drops the handle.
+    columns: HashMap<String, (ColumnarBuf, Arc<HalfTotals>)>,
+    /// Bytes of `columns`: the values and one [`HalfTotals`] per column.
+    resident_bytes: usize,
     upa: Upa,
     permits: Permits,
 }
@@ -504,35 +501,31 @@ impl DatasetState {
     }
 
     /// A served dataset over `columns`, with its own engine seeded `seed`.
+    /// Sums each column's half totals, a scan of every value.
     fn new(
         name: &str,
         rows: usize,
-        columns: HashMap<String, ColumnarBuf>,
+        columns: impl IntoIterator<Item = (String, ColumnarBuf)>,
         ctx: &Context,
         config: &ServerConfig,
         seed: u64,
     ) -> DatasetState {
-        let totals = columns
-            .keys()
-            .map(|c| (c.clone(), OnceLock::new()))
+        let columns: HashMap<_, _> = columns
+            .into_iter()
+            .map(|(name, buf)| {
+                let totals = column_totals(&ColumnarDataset::new(ctx, buf.clone()));
+                (name, (buf, Arc::new(totals)))
+            })
             .collect();
         DatasetState {
             name: name.to_string(),
             generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
             rows,
-            column_bytes: columns.len() * rows * 8,
+            resident_bytes: columns.len() * (rows * 8 + std::mem::size_of::<HalfTotals>()),
             columns,
-            totals,
             upa: Upa::new(ctx.clone(), config.upa_config(seed)),
             permits: Permits::default(),
         }
-    }
-
-    /// Bytes this residency holds: its columns and its filled half
-    /// totals.
-    fn resident_bytes(&self) -> usize {
-        let filled = self.totals.values().filter(|t| t.get().is_some()).count();
-        self.column_bytes + filled * std::mem::size_of::<HalfTotals>()
     }
 }
 
@@ -545,8 +538,8 @@ pub struct DatasetInfo {
     pub rows: u64,
     /// Column names, sorted.
     pub columns: Vec<String>,
-    /// Bytes the dataset holds in memory: its column values and the exact
-    /// half totals of each column it has served (about 1 KB per column).
+    /// Bytes the dataset holds in memory: its column values and each
+    /// column's exact half totals (about 1 KB per column).
     pub resident_bytes: u64,
 }
 
@@ -841,24 +834,20 @@ impl ServerState {
         };
         let spent = spent_by_dataset(&replayed);
         // In-memory columns are chunked as an ingest would chunk them, so
-        // a column's totals fill runs a task per chunk on every engine
-        // thread (release bits do not depend on the chunk layout). The
-        // chunks are then all the state serves from: each column's values
-        // are consumed as they are chunked, so a column is held once, and
-        // the kept specs hold only names and row counts.
+        // a column's totals run a task per chunk on every engine thread
+        // (release bits do not depend on the chunk layout). The chunks are
+        // then all the state serves from: each column's values are
+        // consumed as they are chunked, so a column is held once, and the
+        // kept specs hold only names and row counts.
         let chunk_rows = IngestOptions::default().chunk_rows;
         let mut datasets = HashMap::new();
         let mut budgets = HashMap::new();
         let mut specs = std::mem::take(&mut config.datasets);
         for (i, spec) in specs.iter_mut().enumerate() {
-            let columns = spec
-                .columns
-                .iter_mut()
-                .map(|(name, values)| {
-                    let values = std::mem::take(values);
-                    (name.clone(), ColumnarBuf::from_values(values, chunk_rows))
-                })
-                .collect();
+            let columns = spec.columns.iter_mut().map(|(name, values)| {
+                let values = std::mem::take(values);
+                (name.clone(), ColumnarBuf::from_values(values, chunk_rows))
+            });
             let seed = config.seed.wrapping_add(i as u64);
             datasets.insert(
                 spec.name.clone(),
@@ -947,7 +936,7 @@ impl ServerState {
                     name: ds.name.clone(),
                     rows: ds.rows as u64,
                     columns,
-                    resident_bytes: ds.resident_bytes() as u64,
+                    resident_bytes: ds.resident_bytes as u64,
                 }
             })
             .collect();
@@ -1009,10 +998,10 @@ impl ServerState {
     }
 
     /// Attaches (or reloads) a store dataset into the serving set. The
-    /// chunk load runs before any lock is taken; the datasets write lock
-    /// is held only for the map insert. The dataset's budget shard —
-    /// with any spend from a previous residency or the ledger replay —
-    /// survives the cycle.
+    /// chunk load and each column's half totals run before any lock is
+    /// taken; the datasets write lock is held only for the map insert.
+    /// The dataset's budget shard — with any spend from a previous
+    /// residency or the ledger replay — survives the cycle.
     ///
     /// # Errors
     ///
@@ -1023,11 +1012,12 @@ impl ServerState {
         let ds = Arc::new(DatasetState::new(
             name,
             resident.rows,
-            resident.columns.iter().cloned().collect(),
+            resident.columns.iter().cloned(),
             &self.ctx,
             &self.config,
             self.attach_seed(name),
         ));
+        let resident_bytes = ds.resident_bytes as u64;
         self.datasets
             .write()
             .expect("datasets poisoned")
@@ -1038,7 +1028,7 @@ impl ServerState {
         Ok(AttachOutcome {
             dataset: name.to_string(),
             rows: resident.rows as u64,
-            resident_bytes: resident.resident_bytes as u64,
+            resident_bytes,
             reloaded,
         })
     }
@@ -1158,10 +1148,9 @@ impl ServerState {
     }
 
     /// The chunks a query samples and the half totals it subtracts its
-    /// sample from. A column's first use sums its totals; concurrent first
-    /// uses wait for that one scan. A column-less `count` reads no column:
-    /// it samples zeros, and its totals are known without a scan — every
-    /// row in the half of `0.0`, summing to zero.
+    /// sample from. A column-less `count` reads no column: it samples
+    /// zeros, and its totals are known without a scan — every row in the
+    /// half of `0.0`, summing to zero.
     fn column(
         &self,
         ds: &DatasetState,
@@ -1174,18 +1163,13 @@ impl ServerState {
             let totals = HalfTotals::of_zeros(records);
             return Ok((ColumnarBuf::zeros(ds.rows), Arc::new(totals)));
         }
-        match (ds.columns.get(column), ds.totals.get(column)) {
-            (Some(buf), Some(totals)) => {
-                let totals = totals.get_or_init(|| {
-                    Arc::new(column_totals(&ColumnarDataset::new(&self.ctx, buf.clone())))
-                });
-                Ok((buf.clone(), Arc::clone(totals)))
-            }
-            _ => Err(ServeError::UnknownColumn {
+        ds.columns
+            .get(column)
+            .cloned()
+            .ok_or_else(|| ServeError::UnknownColumn {
                 dataset: ds.name.clone(),
                 column: column.to_string(),
-            }),
-        }
+            })
     }
 
     /// Canonical query identity.
@@ -1934,12 +1918,11 @@ mod tests {
     #[test]
     fn releases_reuse_prepared_state_with_fresh_noise() {
         let state = state_with(Some(1.0), None);
-        let before = state.ctx().metrics();
+        assert_eq!(state.prepared_len(), 0);
         let a = state
             .release("data", AggKind::Sum, "v", None, false)
             .unwrap();
-        let after_first = state.ctx().metrics().since(&before);
-        assert!(after_first.stages > 0, "first release runs the engine");
+        assert_eq!(state.prepared_len(), 1, "first release prepares");
         let mid = state.ctx().metrics();
         let b = state
             .release("data", AggKind::Sum, "v", None, false)
@@ -2130,6 +2113,7 @@ mod tests {
     fn column_less_count_reads_no_column() {
         let state = state_with(None, None);
         let ds = state.dataset("data").unwrap();
+        let bytes = state.dataset_infos()[0].resident_bytes;
         let before = state.ctx.metrics();
         let (zeros, _) = state.column(&ds, AggKind::Count, "").unwrap();
         assert_eq!(zeros.to_vec(), vec![0.0; ds.rows]);
@@ -2159,9 +2143,9 @@ mod tests {
             assert_eq!(read, served.sample_size as u64);
         }
         assert_eq!(
-            state.dataset_infos()[0].resident_bytes as usize,
-            ds.column_bytes,
-            "a column-less count keeps nothing resident"
+            state.dataset_infos()[0].resident_bytes,
+            bytes,
+            "a column-less count adds nothing resident"
         );
     }
 
@@ -2251,9 +2235,51 @@ mod tests {
         assert_eq!(report(AggKind::Mean), (true, 200, false));
     }
 
-    /// Count, sum and mean share one column's totals: the first of them
-    /// charges the context the column's rows, once per residency, and a
-    /// new residency starts without them.
+    /// An attach sums every column's half totals: it charges the context
+    /// each column's rows, and a count, sum or mean after it charges
+    /// nothing and reports exactly its sample. A re-attach sums them
+    /// again, over the new residency's columns.
+    #[test]
+    fn an_attach_sums_every_column_and_a_prepare_reads_only_its_sample() {
+        let dir = temp_store("attach_totals");
+        let rows = 2_500usize;
+        let columns: Vec<(String, Vec<f64>)> = ["a", "b"]
+            .iter()
+            .enumerate()
+            .map(|(c, name)| {
+                let values = (0..rows).map(|i| ((i * (c + 3)) % 13) as f64 * 0.5);
+                (name.to_string(), values.collect())
+            })
+            .collect();
+        upa_store::Store::open(&dir)
+            .unwrap()
+            .ingest("two", &columns, &IngestOptions::default())
+            .unwrap();
+        let state = store_state(&dir, None, None);
+        for residency in 0..2 {
+            let before = state.ctx.metrics();
+            state.attach_dataset("two").unwrap();
+            let charged = state.ctx.metrics().since(&before).records_processed;
+            assert_eq!(charged, 2 * rows as u64, "residency {residency}: attach");
+            let ds = state.dataset("two").unwrap();
+            for column in ["a", "b"] {
+                for kind in [AggKind::Count, AggKind::Sum, AggKind::Mean] {
+                    let before = state.ctx.metrics();
+                    let (prepared, _, _) = state.prepare("two", kind, column).unwrap();
+                    let charged = state.ctx.metrics().since(&before).records_processed;
+                    ds.upa.release(&prepared).unwrap();
+                    let reported = ds.upa.last_audit().unwrap().engine.records_processed;
+                    let n = prepared.sample_size() as u64;
+                    assert_eq!((reported, charged), (n, 0), "{kind:?} over {column}");
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Count, sum and mean share one column's totals, summed once per
+    /// residency by its attach: resident bytes count the column and its
+    /// one [`HalfTotals`] from the attach on, and no prepare adds to them.
     #[test]
     fn a_columns_totals_are_filled_once_and_go_with_the_residency() {
         let dir = temp_store("totals");
@@ -2264,41 +2290,34 @@ mod tests {
             (0..rows).map(|i| (i % 11) as f64 * 0.1).collect(),
         );
         let state = store_state(&dir, None, None);
-        state.attach_dataset("m").unwrap();
         let bytes = || state.dataset_infos()[0].resident_bytes;
-        let columns = (rows * 8) as u64;
-        let one = std::mem::size_of::<HalfTotals>() as u64;
+        let resident = (rows * 8 + std::mem::size_of::<HalfTotals>()) as u64;
         for residency in 0..2 {
+            let before = state.ctx.metrics();
+            state.attach_dataset("m").unwrap();
             assert_eq!(
                 bytes(),
-                columns,
-                "residency {residency} starts without totals"
+                resident,
+                "residency {residency} starts with totals"
             );
-            let before = state.ctx.metrics();
             for kind in [AggKind::Sum, AggKind::Mean, AggKind::Count] {
-                let (prepared, _, _) = state.prepare("m", kind, "v").unwrap();
-                assert_eq!(bytes(), columns + one, "{kind:?}");
-                let ds = state.dataset("m").unwrap();
-                ds.upa.release(&prepared).unwrap();
-                let reported = ds.upa.last_audit().unwrap().engine.records_processed;
-                assert_eq!(reported, prepared.sample_size() as u64, "{kind:?}");
+                state.prepare("m", kind, "v").unwrap();
+                assert_eq!(bytes(), resident, "{kind:?}");
             }
             let charged = state.ctx.metrics().since(&before).records_processed;
             assert_eq!(charged, rows as u64, "residency {residency}: one fill");
             state.detach_dataset("m").unwrap();
-            state.attach_dataset("m").unwrap();
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Every prepare reports only the records it reads, its sample; the
-    /// context is charged the column's rows by the column's first use and
-    /// nothing by any prepare after it.
+    /// Every prepare reports only the records it reads, its sample, and
+    /// charges the context nothing: the column's totals were summed when
+    /// the state was built.
     #[test]
     fn a_prepare_after_the_fill_reads_only_its_sample() {
         let state = state_with(None, None);
         let ds = state.dataset("data").unwrap();
-        let rows = ds.rows as u64;
         let kinds = [AggKind::Sum, AggKind::Mean, AggKind::Count, AggKind::Sum];
         for (i, kind) in kinds.into_iter().enumerate() {
             let before = state.ctx.metrics();
@@ -2307,35 +2326,7 @@ mod tests {
             ds.upa.release(&prepared).unwrap();
             let reported = ds.upa.last_audit().unwrap().engine.records_processed;
             let n = prepared.sample_size() as u64;
-            let fill = if i == 0 { rows } else { 0 };
-            assert_eq!((reported, charged), (n, fill), "{kind:?}, prepare {i}");
-        }
-    }
-
-    /// Two first uses of one column at once sum it once: the second waits
-    /// for the first's totals.
-    #[test]
-    fn concurrent_first_uses_of_a_column_fill_its_totals_once() {
-        let state = state_with(None, None);
-        let ds = state.dataset("data").unwrap();
-        let barrier = std::sync::Barrier::new(2);
-        let before = state.ctx.metrics();
-        let prepared: Vec<Arc<PreparedAgg>> = std::thread::scope(|s| {
-            let runs = [AggKind::Sum, AggKind::Mean].map(|kind| {
-                let (state, ds, barrier) = (&state, &ds, &barrier);
-                s.spawn(move || {
-                    barrier.wait();
-                    state.run_prepare(ds, kind, "v").unwrap()
-                })
-            });
-            runs.map(|run| run.join().unwrap()).into()
-        });
-        let charged = state.ctx.metrics().since(&before).records_processed;
-        assert_eq!(charged, ds.rows as u64, "one fill for both");
-        for p in &prepared {
-            ds.upa.release(p).unwrap();
-            let reported = ds.upa.last_audit().unwrap().engine.records_processed;
-            assert_eq!(reported, p.sample_size() as u64);
+            assert_eq!((reported, charged), (n, 0), "{kind:?}, prepare {i}");
         }
     }
 

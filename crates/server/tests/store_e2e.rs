@@ -86,11 +86,25 @@ fn ingest_attach_detach_reattach_preserves_spent_epsilon() {
     assert_eq!(outcome.rows, 3_000);
     assert!(!outcome.reloaded);
     assert!(outcome.resident_bytes > 0);
+    // The attach reply and the `datasets` info that follows it report
+    // one residency, and a query leaves it as it was.
+    let resident = |client: &mut Client| {
+        let info = &client.datasets_info().unwrap().info;
+        (info[0].rows, info[0].resident_bytes)
+    };
+    assert_eq!(
+        resident(&mut client),
+        (outcome.rows, outcome.resident_bytes)
+    );
 
     // Spend some budget.
     let release = client
         .release("trips", "mean", "fare", None, false)
         .expect("release");
+    assert_eq!(
+        resident(&mut client),
+        (outcome.rows, outcome.resident_bytes)
+    );
     assert!((release.epsilon - 0.25).abs() < 1e-12);
     let budget = client.budget("trips").expect("budget").expect("metered");
     assert!((budget.spent - 0.25).abs() < 1e-9);

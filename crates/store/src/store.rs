@@ -13,7 +13,7 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use dataflow::columnar::{ChunkStats, ColumnChunk, ColumnarBuf};
+use dataflow::columnar::{ChunkStats, ColumnarBuf};
 use dataflow::pool::ThreadPool;
 use upa_json::Body;
 
@@ -379,7 +379,7 @@ impl Store {
                 jobs.push((col_idx, dir.join(&chunk.file), chunk.clone()));
             }
         }
-        let decoded: Vec<Result<(usize, ColumnChunk), StoreError>> = match pool {
+        let decoded: Vec<_> = match pool {
             Some(pool) if jobs.len() > 1 => {
                 pool.map_ordered(jobs, Arc::new(|_, job| load_chunk_job(job)))
             }
@@ -388,7 +388,7 @@ impl Store {
 
         // Jobs were pushed column-major and map_ordered preserves input
         // order, so chunks land back in manifest order per column.
-        let mut columns: Vec<(String, Vec<ColumnChunk>)> = manifest
+        let mut columns: Vec<(String, Vec<Arc<[f64]>>)> = manifest
             .columns
             .iter()
             .map(|c| (c.name.clone(), Vec::new()))
@@ -437,7 +437,7 @@ impl Store {
     }
 }
 
-fn load_chunk_job(job: (usize, PathBuf, ChunkMeta)) -> Result<(usize, ColumnChunk), StoreError> {
+fn load_chunk_job(job: (usize, PathBuf, ChunkMeta)) -> Result<(usize, Arc<[f64]>), StoreError> {
     let (col_idx, path, meta) = job;
     let mut bytes = Vec::new();
     File::open(&path)
@@ -462,13 +462,7 @@ fn load_chunk_job(job: (usize, PathBuf, ChunkMeta)) -> Result<(usize, ColumnChun
             meta.crc
         )));
     }
-    Ok((
-        col_idx,
-        ColumnChunk {
-            values: Arc::from(values),
-            stats: meta.stats,
-        },
-    ))
+    Ok((col_idx, Arc::from(values)))
 }
 
 fn write_fsynced(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
@@ -540,7 +534,7 @@ mod tests {
             loaded.columns[0].1.to_vec(),
             vec![41.0, 17.0, 29.0, 55.0, 30.0]
         );
-        let stats = loaded.columns[0].1.total_stats();
+        let stats = store.manifest("adult").unwrap().columns[0].stats();
         assert_eq!((stats.min, stats.max), (17.0, 55.0));
         let _ = fs::remove_dir_all(&root);
     }
