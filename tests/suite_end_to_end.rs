@@ -234,3 +234,50 @@ fn table2_labels_are_pinned() {
         ]
     );
 }
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in words.into_iter().flat_map(u64::to_le_bytes) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Every suite query's ground truth, pinned on `small_scale()`'s tables:
+/// the local sensitivity's bits, and one digest over the bits of `f(x)`,
+/// of every removal output and of every addition output, in that order.
+/// `paper.sens_rel_rmse` divides by these sensitivities, so a change to
+/// how the ground truth folds its neighbours must leave them as they are.
+#[test]
+fn ground_truth_bits_are_pinned() {
+    let ctx = Context::with_threads(4);
+    let data = EvalData::generate(&ctx, small_scale());
+    let got: Vec<(&str, u64, u64)> = build_queries(&data)
+        .iter()
+        .map(|q| {
+            let gt = q.ground_truth(&data, 200, 17);
+            let outputs = std::iter::once(&gt.output)
+                .chain(&gt.removal_outputs)
+                .chain(&gt.addition_outputs);
+            let digest = fnv(outputs.flatten().map(|x| x.to_bits()));
+            (q.name(), gt.local_sensitivity.to_bits(), digest)
+        })
+        .collect();
+    let want: [(&str, u64, u64); 9] = [
+        ("TPCH1", 0x3ff0_0000_0000_0000, 0x8a81_4287_d0c1_147b),
+        ("TPCH4", 0x401c_0000_0000_0000, 0xbcae_4bc4_662a_c801),
+        ("TPCH13", 0x4028_0000_0000_0000, 0x8903_fbde_9fad_36eb),
+        ("TPCH16", 0x3ff0_0000_0000_0000, 0xc04c_0aa8_d513_9f84),
+        ("TPCH21", 0x4066_0000_0000_0000, 0x8a30_5c6a_78e9_d761),
+        ("KMeans", 0x3fcc_08d5_08bf_0c80, 0x1168_ec9c_e27d_a1df),
+        (
+            "LinearRegression",
+            0x3f86_ac1a_8716_be20,
+            0x402f_8ee9_a698_d9fa,
+        ),
+        ("TPCH6", 0x40a8_eec6_2d67_aaf0, 0x802e_f3f2_304b_6016),
+        ("TPCH11", 0x4161_1899_61d2_3160, 0x7286_a5b3_f385_d014),
+    ];
+    assert_eq!(got, want, "{got:#018x?}");
+}
