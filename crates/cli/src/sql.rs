@@ -198,22 +198,13 @@ fn group_plan_to_query(
         }
     }
     let row_value = row_value(predicate, agg, schema)?;
-    let bins = labels.len();
-    let query = MapReduceQuery::new(
-        "sql_group_by",
-        row_key,
-        move |row: &Row| {
-            let mut out = vec![0.0; bins];
-            if let Some(v) = row_value(row) {
-                if let Some(&b) = row[ki].join_key().and_then(|k| index_of.get(&k)) {
-                    out[b] = v;
-                }
-            }
-            out
-        },
-        |a: &Vec<f64>, b: &Vec<f64>| a.iter().zip(b).map(|(x, y)| x + y).collect(),
-        move |acc: Option<&Vec<f64>>| acc.cloned().unwrap_or_else(|| vec![0.0; bins]),
-    );
+    // An empty table has no groups; its release fails on the empty input.
+    let bins = labels.len().max(1);
+    let query = MapReduceQuery::histogram("sql_group_by", row_key, bins, move |row: &Row| {
+        let v = row_value(row)?;
+        let b = *row[ki].join_key().and_then(|k| index_of.get(&k))?;
+        Some((b, v))
+    });
     Ok((labels, query))
 }
 

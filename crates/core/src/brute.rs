@@ -7,10 +7,12 @@
 //! Two implementations are provided:
 //!
 //! * [`exact_local_sensitivity`] — exploits the query's associative
-//!   decomposition with prefix/suffix partial reductions: all `|x|`
-//!   removal neighbours in `O(|x|)` reductions. This is what makes ground
-//!   truth computable at 10⁵-record scale in this reproduction (the paper
-//!   ran the genuinely black-box version on a cluster).
+//!   decomposition through the pipeline's own union-preserving reuse
+//!   (the routine behind Algorithm 1's neighbour outputs, run with no
+//!   un-sampled remainder): all `|x|` removal neighbours in `O(|x|)`
+//!   reductions. This is what makes ground truth computable at
+//!   10⁵-record scale in this reproduction (the paper ran the genuinely
+//!   black-box version on a cluster).
 //! * [`blackbox_local_sensitivity`] — the literal brute force the paper
 //!   describes: re-evaluates the query from scratch per neighbour,
 //!   `O(|x|²)`. Used on small inputs to cross-validate the fast path and
@@ -18,8 +20,9 @@
 
 use crate::domain::DomainSampler;
 use crate::output::DpOutput;
+use crate::pipeline::neighbour_outputs;
 use crate::query::MapReduceQuery;
-use dataflow::Data;
+use dataflow::{Context, Data};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -73,12 +76,16 @@ impl<Out: DpOutput> GroundTruth<Out> {
 }
 
 /// Exact local sensitivity using associative reuse: every removal
-/// neighbour of `x` plus `additions` sampled additions.
+/// neighbour of `x` plus `domain_samples` sampled additions, through the
+/// pipeline's own union-preserving reuse with no un-sampled remainder —
+/// every record of `x` is a differing record.
 ///
 /// `domain_samples` controls how many addition neighbours are evaluated
 /// (the removal side is always exhaustive; the addition side of `D \ x` is
-/// infinite in general and must be sampled).
+/// infinite in general and must be sampled). The neighbour outputs run
+/// through `ctx`'s [`Context::par_map`].
 pub fn exact_local_sensitivity<T, Acc, Out>(
+    ctx: &Context,
     records: &[T],
     query: &MapReduceQuery<T, Acc, Out>,
     domain: &dyn DomainSampler<T>,
@@ -90,39 +97,15 @@ where
     Acc: Data,
     Out: DpOutput,
 {
-    let n = records.len();
     let mapped: Vec<Acc> = records.iter().map(|r| query.map(r)).collect();
-    // Prefix/suffix partial reductions over the *whole* dataset.
-    let mut prefix: Vec<Option<Acc>> = Vec::with_capacity(n + 1);
-    prefix.push(None);
-    for acc in &mapped {
-        let last = prefix.last().expect("pushed above").clone();
-        prefix.push(query.merge_opt(last, Some(acc.clone())));
-    }
-    let mut suffix: Vec<Option<Acc>> = vec![None; n + 1];
-    for i in (0..n).rev() {
-        suffix[i] = query.merge_opt(Some(mapped[i].clone()), suffix[i + 1].clone());
-    }
-    let total = prefix[n].clone();
-    let output = query.finalize(total.as_ref());
-
-    let removal_outputs: Vec<Out> = (0..n)
-        .map(|i| {
-            let without = query.merge_opt(prefix[i].clone(), suffix[i + 1].clone());
-            query.finalize(without.as_ref())
-        })
-        .collect();
-
     let mut rng = StdRng::seed_from_u64(seed);
-    let addition_outputs: Vec<Out> = domain
+    let additions: Vec<Acc> = domain
         .sample_n(&mut rng, domain_samples)
         .iter()
-        .map(|d| {
-            let acc = query.map(d);
-            query.finalize(query.merge_opt(total.clone(), Some(acc)).as_ref())
-        })
+        .map(|d| query.map(d))
         .collect();
-
+    let (output, removal_outputs, addition_outputs) =
+        neighbour_outputs(ctx, query, None, &mapped, additions);
     GroundTruth::from_outputs(output, removal_outputs, addition_outputs)
 }
 
@@ -169,12 +152,16 @@ mod tests {
     use super::*;
     use crate::domain::EmpiricalSampler;
 
+    fn ctx() -> Context {
+        Context::with_threads(2)
+    }
+
     #[test]
     fn fast_path_matches_blackbox() {
         let data: Vec<f64> = (0..60).map(|i| ((i * 13) % 17) as f64).collect();
         let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x * 2.0);
         let domain = EmpiricalSampler::new(data.clone());
-        let fast = exact_local_sensitivity(&data, &query, &domain, 20, 7);
+        let fast = exact_local_sensitivity(&ctx(), &data, &query, &domain, 20, 7);
         let slow = blackbox_local_sensitivity(&data, &query, &domain, 20, 7);
         assert!((fast.output - slow.output).abs() < 1e-9);
         assert_eq!(fast.removal_outputs.len(), slow.removal_outputs.len());
@@ -196,7 +183,7 @@ mod tests {
         let data = vec![0.0; 100];
         let query = MapReduceQuery::scalar_sum("count", |x: &f64| x.to_bits(), |_: &f64| 1.0);
         let domain = EmpiricalSampler::new(data.clone());
-        let gt = exact_local_sensitivity(&data, &query, &domain, 10, 1);
+        let gt = exact_local_sensitivity(&ctx(), &data, &query, &domain, 10, 1);
         assert!((gt.local_sensitivity - 1.0).abs() < 1e-12);
         assert_eq!(gt.output, 100.0);
     }
@@ -208,7 +195,7 @@ mod tests {
         data.push(1000.0);
         let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(vec![1.0]);
-        let gt = exact_local_sensitivity(&data, &query, &domain, 5, 1);
+        let gt = exact_local_sensitivity(&ctx(), &data, &query, &domain, 5, 1);
         assert!((gt.local_sensitivity - 1000.0).abs() < 1e-9);
     }
 
@@ -217,7 +204,7 @@ mod tests {
         let data: Vec<f64> = (0..40).map(|i| i as f64).collect();
         let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(data.clone());
-        let gt = exact_local_sensitivity(&data, &query, &domain, 10, 3);
+        let gt = exact_local_sensitivity(&ctx(), &data, &query, &domain, 10, 3);
         let (lo, hi) = gt.neighbour_extremes()[0];
         for o in gt.removal_outputs.iter().chain(gt.addition_outputs.iter()) {
             assert!(*o >= lo && *o <= hi);
@@ -230,7 +217,7 @@ mod tests {
         let data: Vec<f64> = Vec::new();
         let query = MapReduceQuery::scalar_sum("sum", |x: &f64| x.to_bits(), |x: &f64| *x);
         let domain = EmpiricalSampler::new(vec![2.0]);
-        let gt = exact_local_sensitivity(&data, &query, &domain, 4, 1);
+        let gt = exact_local_sensitivity(&ctx(), &data, &query, &domain, 4, 1);
         assert!(gt.removal_outputs.is_empty());
         assert_eq!(gt.addition_outputs.len(), 4);
         assert!((gt.local_sensitivity - 2.0).abs() < 1e-12);

@@ -342,6 +342,30 @@ impl<T: Data, Acc: Data, Out: DpOutput> MapReduceQuery<T, Acc, Out> {
         Some(it.fold(first, |a, b| self.reduce(&a, b)))
     }
 
+    /// Every prefix fold of `accs` onto `seed`, by reference:
+    /// `folds[k] = seed ⊕ a₁ ⊕ … ⊕ a_k` for `k` in `0..=|accs|`, as a left
+    /// fold with one `reduce` per step.
+    pub(crate) fn prefix_folds<'a>(
+        &self,
+        seed: Option<Acc>,
+        accs: impl IntoIterator<Item = &'a Acc>,
+    ) -> Vec<Option<Acc>>
+    where
+        Acc: 'a,
+    {
+        let accs = accs.into_iter();
+        let mut folds = Vec::with_capacity(accs.size_hint().0 + 1);
+        folds.push(seed);
+        for a in accs {
+            let next = match folds.last().expect("seeded above") {
+                Some(p) => self.reduce(p, a),
+                None => a.clone(),
+            };
+            folds.push(Some(next));
+        }
+        folds
+    }
+
     /// Evaluates the query sequentially over a record slice — the
     /// reference semantics used by tests and the brute-force ground truth.
     pub fn evaluate_slice(&self, records: &[T]) -> Out {
@@ -407,29 +431,31 @@ impl<T: Data, Out: DpOutput> MapReduceQuery<T, (f64, f64), Out> {
 }
 
 impl<T: Data> MapReduceQuery<T, Vec<f64>, Vec<f64>> {
-    /// A histogram query: per-bucket counts as a vector output, so UPA
+    /// A histogram query: per-bucket sums as a vector output, so UPA
     /// infers a per-bucket sensitivity and adds per-bucket noise — the
     /// classic DP histogram, expressed as a Map/Reduce decomposition.
-    /// Records for which `bucket_of` returns `None` (or an out-of-range
-    /// index) count toward no bucket.
+    /// `bucket_of` gives a record's bucket and the value it adds there
+    /// (`1.0` for a count, the record's value for a per-key sum); records
+    /// for which it returns `None` (or an out-of-range bucket) add to no
+    /// bucket.
     pub fn histogram(
         name: impl Into<String>,
         half_key: impl Fn(&T) -> u64 + Send + Sync + 'static,
         bins: usize,
-        bucket_of: impl Fn(&T) -> Option<usize> + Send + Sync + 'static,
+        bucket_of: impl Fn(&T) -> Option<(usize, f64)> + Send + Sync + 'static,
     ) -> Self {
         assert!(bins > 0, "histogram needs at least one bin");
         MapReduceQuery::new(
             name,
             half_key,
             move |t: &T| {
-                let mut counts = vec![0.0; bins];
-                if let Some(b) = bucket_of(t) {
+                let mut sums = vec![0.0; bins];
+                if let Some((b, v)) = bucket_of(t) {
                     if b < bins {
-                        counts[b] = 1.0;
+                        sums[b] = v;
                     }
                 }
-                counts
+                sums
             },
             |a: &Vec<f64>, b: &Vec<f64>| a.iter().zip(b).map(|(x, y)| x + y).collect(),
             move |acc: Option<&Vec<f64>>| acc.cloned().unwrap_or_else(|| vec![0.0; bins]),
@@ -570,7 +596,7 @@ mod tests {
             "ages",
             |age: &f64| age.to_bits(),
             3,
-            |age: &f64| Some((*age as usize) / 30),
+            |age: &f64| Some(((*age as usize) / 30, 1.0)),
         );
         let data = vec![5.0, 25.0, 35.0, 65.0, 95.0];
         // Buckets: [0,30) -> 2, [30,60) -> 1, [60,90) -> 1; 95 maps to
@@ -587,7 +613,7 @@ mod tests {
             2,
             |x: &i64| {
                 if *x >= 0 {
-                    Some(*x as usize % 2)
+                    Some((*x as usize % 2, 1.0))
                 } else {
                     None
                 }
@@ -599,6 +625,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one bin")]
     fn histogram_rejects_zero_bins() {
-        let _ = MapReduceQuery::histogram("bad", |x: &f64| x.to_bits(), 0, |_: &f64| Some(0));
+        let _ =
+            MapReduceQuery::histogram("bad", |x: &f64| x.to_bits(), 0, |_: &f64| Some((0, 1.0)));
     }
 }

@@ -292,7 +292,7 @@ fn scrape(state: &ServerState) -> RegistrySnapshot {
         );
         snap.gauges.insert(
             "upa_store_resident_bytes".to_string(),
-            catalog.resident_bytes() as f64,
+            state.store_resident_bytes() as f64,
         );
     }
     snap

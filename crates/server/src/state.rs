@@ -949,6 +949,22 @@ impl ServerState {
         self.catalog.as_ref()
     }
 
+    /// Bytes held by the served datasets attached from the store: the
+    /// sum of the figure their `attach` and `datasets` replies report.
+    pub fn store_resident_bytes(&self) -> usize {
+        let Some(catalog) = &self.catalog else {
+            return 0;
+        };
+        let attached = catalog.attached();
+        self.datasets
+            .read()
+            .expect("datasets poisoned")
+            .values()
+            .filter(|ds| attached.contains(&ds.name))
+            .map(|ds| ds.resident_bytes)
+            .sum()
+    }
+
     /// Datasets published in the store but not currently served, sorted
     /// (empty without a store).
     pub fn available_datasets(&self) -> Vec<String> {

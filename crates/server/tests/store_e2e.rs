@@ -193,3 +193,48 @@ fn admin_ops_refuse_without_allow_admin() {
     let _ = child.wait();
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn store_resident_gauge_equals_the_datasets_reply() {
+    let root = temp_dir("gauge");
+    let store = root.join("store");
+    let ledger = root.join("spends.jsonl");
+    let csv = root.join("trips.csv");
+    let mut text = String::from("fare,km\n");
+    for i in 0..2_000 {
+        text.push_str(&format!("{}.5,{}\n", i % 40, i % 9));
+    }
+    std::fs::write(&csv, text).unwrap();
+
+    let (mut child, addr) = spawn_daemon(&store, &ledger, &[]);
+    let mut client = Client::builder().connect(&addr).expect("connect");
+    let gauge = |client: &mut Client| {
+        let metrics = client.metrics().expect("metrics op");
+        *metrics
+            .snapshot
+            .gauges
+            .get("upa_store_resident_bytes")
+            .expect("store gauge")
+    };
+    assert_eq!(gauge(&mut client), 0.0);
+    client.ingest(&csv.to_string_lossy(), Some("a")).unwrap();
+    client.ingest(&csv.to_string_lossy(), Some("b")).unwrap();
+    client.attach("a").expect("attach a");
+    let outcome = client.attach("b").expect("attach b");
+
+    // The gauge counts each residency as its attach and `datasets`
+    // replies do: the values and one half-totals block per column.
+    let info = client.datasets_info().unwrap().info;
+    assert_eq!(info.len(), 2);
+    assert_eq!(info[1].resident_bytes, outcome.resident_bytes);
+    let sum: u64 = info.iter().map(|i| i.resident_bytes).sum();
+    assert!(sum > 2 * 2 * 2_000 * 8, "more than the values alone");
+    assert_eq!(gauge(&mut client), sum as f64);
+
+    client.detach("a").expect("detach");
+    assert_eq!(gauge(&mut client), outcome.resident_bytes as f64);
+
+    client.shutdown().expect("shutdown");
+    let _ = child.wait();
+    let _ = std::fs::remove_dir_all(&root);
+}

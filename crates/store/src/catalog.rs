@@ -14,53 +14,21 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, RwLock};
 
-use dataflow::columnar::ColumnarBuf;
 use dataflow::pool::ThreadPool;
 
 use crate::store::{LoadedDataset, Store, StoreError};
 
-/// One resident (attached) dataset. Immutable once published; reload
-/// swaps in a fresh `Resident` rather than mutating this one.
-///
-/// Columns stay in their on-disk chunk layout ([`ColumnarBuf`]): the
-/// catalog hands out shared chunk buffers, never a re-materialised
-/// `Vec<f64>`, so an attach is the last copy the data ever sees.
-#[derive(Debug)]
-pub struct Resident {
-    /// Dataset name.
-    pub name: String,
-    /// Rows per column.
-    pub rows: usize,
-    /// Columns in manifest order, chunk buffers shared.
-    pub columns: Vec<(String, ColumnarBuf)>,
-    /// Bytes of resident values.
-    pub resident_bytes: usize,
-}
-
-impl Resident {
-    /// Looks up one column's chunk buffer by name.
-    #[must_use]
-    pub fn column(&self, name: &str) -> Option<&ColumnarBuf> {
-        self.columns.iter().find(|(n, _)| n == name).map(|(_, v)| v)
-    }
-}
-
-impl From<LoadedDataset> for Resident {
-    fn from(loaded: LoadedDataset) -> Self {
-        Resident {
-            name: loaded.name,
-            rows: loaded.rows,
-            columns: loaded.columns,
-            resident_bytes: loaded.resident_bytes,
-        }
-    }
-}
-
 /// A store directory plus the set of datasets currently resident.
+///
+/// A resident dataset is the loader's [`LoadedDataset`], shared: it is
+/// immutable once published, and a reload swaps in a fresh one rather
+/// than mutating it. Columns stay in their on-disk chunk layout, so the
+/// catalog hands out shared chunk buffers, never a re-materialised
+/// `Vec<f64>`, and an attach is the last copy the data ever sees.
 pub struct Catalog {
     store: Store,
     pool: ThreadPool,
-    resident: RwLock<HashMap<String, Arc<Resident>>>,
+    resident: RwLock<HashMap<String, Arc<LoadedDataset>>>,
 }
 
 impl std::fmt::Debug for Catalog {
@@ -106,9 +74,8 @@ impl Catalog {
     ///
     /// Any [`StoreError`] from loading; on error the previous residency
     /// (if any) is untouched.
-    pub fn attach(&self, name: &str) -> Result<(Arc<Resident>, bool), StoreError> {
-        let loaded = self.store.load(name, Some(&self.pool))?;
-        let resident = Arc::new(Resident::from(loaded));
+    pub fn attach(&self, name: &str) -> Result<(Arc<LoadedDataset>, bool), StoreError> {
+        let resident = Arc::new(self.store.load(name, Some(&self.pool))?);
         let previous = self
             .resident
             .write()
@@ -123,7 +90,7 @@ impl Catalog {
     /// # Errors
     ///
     /// [`StoreError::NotFound`] when the dataset is not attached.
-    pub fn detach(&self, name: &str) -> Result<Arc<Resident>, StoreError> {
+    pub fn detach(&self, name: &str) -> Result<Arc<LoadedDataset>, StoreError> {
         self.resident
             .write()
             .expect("catalog lock poisoned")
@@ -133,7 +100,7 @@ impl Catalog {
 
     /// The resident dataset, if attached.
     #[must_use]
-    pub fn get(&self, name: &str) -> Option<Arc<Resident>> {
+    pub fn get(&self, name: &str) -> Option<Arc<LoadedDataset>> {
         self.resident
             .read()
             .expect("catalog lock poisoned")
@@ -168,17 +135,6 @@ impl Catalog {
     #[must_use]
     pub fn attached_count(&self) -> usize {
         self.resident.read().expect("catalog lock poisoned").len()
-    }
-
-    /// Total bytes resident across attached datasets.
-    #[must_use]
-    pub fn resident_bytes(&self) -> usize {
-        self.resident
-            .read()
-            .expect("catalog lock poisoned")
-            .values()
-            .map(|r| r.resident_bytes)
-            .sum()
     }
 }
 
@@ -221,7 +177,7 @@ mod tests {
         assert!(!reloaded);
         assert_eq!(resident.rows, 3);
         assert_eq!(catalog.attached(), vec!["d1"]);
-        assert_eq!(catalog.resident_bytes(), 3 * 8);
+        assert_eq!(resident.column("v").map(|c| c.len()), Some(3));
 
         // Reload reports the replacement; a pre-reload Arc stays valid.
         let before = catalog.get("d1").unwrap();
@@ -232,7 +188,7 @@ mod tests {
         catalog.detach("d1").unwrap();
         assert!(catalog.get("d1").is_none());
         assert!(matches!(catalog.detach("d1"), Err(StoreError::NotFound(_))));
-        assert_eq!(catalog.resident_bytes(), 0);
+        assert_eq!(catalog.attached_count(), 0);
         let _ = std::fs::remove_dir_all(&root);
     }
 

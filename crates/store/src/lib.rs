@@ -35,7 +35,7 @@ pub mod fnv;
 mod manifest;
 mod store;
 
-pub use catalog::{Catalog, Resident};
+pub use catalog::Catalog;
 pub use chunk::{chunk_crc, decode_chunk, encode_chunk, ChunkError, CHUNK_FORMAT_VERSION};
 pub use manifest::{ChunkMeta, ColumnMeta, Manifest, MANIFEST_FILE};
 pub use store::{IngestOptions, IngestReport, LoadedDataset, Store, StoreError};

@@ -126,8 +126,14 @@ pub struct LoadedDataset {
     /// Columns in manifest order; chunk buffers are shared so a catalog
     /// and a server can hold the same data without copying.
     pub columns: Vec<(String, ColumnarBuf)>,
-    /// Bytes of resident values.
-    pub resident_bytes: usize,
+}
+
+impl LoadedDataset {
+    /// Looks up one column's chunk buffer by name.
+    #[must_use]
+    pub fn column(&self, name: &str) -> Option<&ColumnarBuf> {
+        self.columns.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+    }
 }
 
 /// A dataset store rooted at one directory.
@@ -411,12 +417,10 @@ impl Store {
                 )));
             }
         }
-        let resident_bytes = rows * 8 * columns.len();
         Ok(LoadedDataset {
             name: name.to_string(),
             rows,
             columns,
-            resident_bytes,
         })
     }
 
@@ -528,7 +532,6 @@ mod tests {
 
         let loaded = store.load("adult", None).unwrap();
         assert_eq!(loaded.rows, 5);
-        assert_eq!(loaded.resident_bytes, 5 * 8 * 2);
         assert_eq!(loaded.columns[0].0, "age");
         assert_eq!(
             loaded.columns[0].1.to_vec(),

@@ -52,7 +52,7 @@ fn main() {
     // Ground truth for comparison.
     let q4 = Q4::new(&tables);
     let domain = EmpiricalSampler::new(tables.orders.clone());
-    let gt = exact_local_sensitivity(&tables.orders, q4.query(), &domain, 1_000, 7);
+    let gt = exact_local_sensitivity(&ctx, &tables.orders, q4.query(), &domain, 1_000, 7);
     println!("brute-force ground truth LS  : {}", gt.local_sensitivity);
 
     // (3) The UPA release.

@@ -249,12 +249,19 @@ impl<T: Data, Acc: Data> EvalQuery for SingleTableQuery<T, Acc> {
 
     fn ground_truth(
         &self,
-        _data: &EvalData,
+        data: &EvalData,
         domain_samples: usize,
         seed: u64,
     ) -> GroundTruth<Vec<f64>> {
         let rows = self.domain.pool();
-        exact_local_sensitivity(rows, &self.query, &self.domain, domain_samples, seed)
+        exact_local_sensitivity(
+            &data.ctx,
+            rows,
+            &self.query,
+            &self.domain,
+            domain_samples,
+            seed,
+        )
     }
 
     fn flex_plan(&self) -> Option<&LogicalPlan> {
@@ -306,11 +313,12 @@ impl EvalQuery for JoinQuery {
 
     fn ground_truth(
         &self,
-        _data: &EvalData,
+        data: &EvalData,
         domain_samples: usize,
         seed: u64,
     ) -> GroundTruth<Vec<f64>> {
         exact_local_sensitivity(
+            &data.ctx,
             self.orders.pool(),
             &self.broadcast_query,
             &self.orders,

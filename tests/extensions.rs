@@ -133,7 +133,7 @@ fn dp_histogram_of_order_priorities() {
         "priorities",
         |o: &upa_repro::upa_tpch::Order| o.orderkey,
         5,
-        |o: &upa_repro::upa_tpch::Order| Some(o.orderpriority as usize - 1),
+        |o: &upa_repro::upa_tpch::Order| Some((o.orderpriority as usize - 1, 1.0)),
     );
     let domain = EmpiricalSampler::new(t.orders.clone());
     let ds = ctx.parallelize(t.orders.clone(), 4);
